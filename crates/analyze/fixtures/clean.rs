@@ -21,11 +21,3 @@ pub fn consistent_locking(pool: &Pool) -> Result<usize, ServeError> {
     let s = pool.stats.lock().unwrap_or_else(|e| e.into_inner());
     Ok(q.len() + s.enqueued)
 }
-
-pub fn checked_encode(w: &mut ByteWriter, dim: usize) -> Result<(), WireError> {
-    if dim > u32::MAX as usize {
-        return Err(WireError::Overflow("dim"));
-    }
-    w.put_u32(dim as u32);
-    Ok(())
-}

@@ -23,7 +23,7 @@
 use crate::framework::{AnalysisConfig, Finding};
 use crate::lexer::SourceFile;
 
-/// The lint's name, as used in pragmas and baselines.
+/// The lint's name, as used in findings and pragmas.
 pub const NAME: &str = "alloc-in-hot-path";
 
 /// Allocation tokens and the sub-token that must follow for a match
@@ -122,9 +122,10 @@ mod tests {
     use super::*;
 
     fn cfg_hot_fn() -> AnalysisConfig {
-        let mut c = AnalysisConfig::everything();
-        c.hot_fns = vec![("t.rs".into(), "hot".into())];
-        c
+        AnalysisConfig {
+            hot_fns: vec![("t.rs".into(), "hot".into())],
+            ..AnalysisConfig::default()
+        }
     }
 
     #[test]
@@ -133,7 +134,7 @@ mod tests {
             "t.rs",
             "fn f(s: &S, a: &mut Arena) {\n    s.for_each_fiber_in(a, &mut |r, c, v| {\n        let x: Vec<f64> = v.iter().copied().collect();\n        let y = vec![0.0; c.len()];\n    });\n    let fine = Vec::with_capacity(4);\n}\n",
         );
-        let f = run(&src, &AnalysisConfig::everything());
+        let f = run(&src, &AnalysisConfig::default());
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|f| f.lint == NAME));
         // The allocation outside the call span is not hot.
@@ -150,8 +151,10 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 2);
 
-        let mut file_cfg = AnalysisConfig::everything();
-        file_cfg.hot_files = vec!["t.rs".into()];
+        let file_cfg = AnalysisConfig {
+            hot_files: vec!["t.rs".into()],
+            ..AnalysisConfig::default()
+        };
         let f = run(&src, &file_cfg);
         assert_eq!(f.len(), 2);
     }

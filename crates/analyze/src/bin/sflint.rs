@@ -2,18 +2,14 @@
 //!
 //! Modes:
 //!
-//! - default: analyze the workspace, print every finding and the lock
-//!   graph's edges, and show the diff against the committed baseline
-//!   (informational; always exits 0 unless the baseline is unreadable).
-//! - `--gate`: same analysis, but exit 1 if there is any finding not in
-//!   `results/lint_baseline.json`, or any baseline entry whose code no
-//!   longer exists (stale debt must be pruned). This is the CI mode.
-//! - `--write-baseline`: snapshot current findings into the baseline.
-//! - `--check <file>`: analyze one file with every lint in scope and no
-//!   sanctioned spawn sites; exit 1 if it has findings. Used by CI to
-//!   prove each fixture violation class actually trips the gate.
+//! - default: analyze the workspace, print the lock graph's edges and
+//!   every finding, and exit 1 if there is any finding. This is the CI
+//!   mode.
+//! - `--check <file>`: analyze one file with no extra hot code
+//!   configured; exit 1 if it has findings. Used by CI to prove each
+//!   fixture violation class actually trips its lint.
 
-use sparseflex_analyze::{baseline, framework};
+use sparseflex_analyze::{framework, Report};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -21,20 +17,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let root = workspace_root();
 
-    match args.first().map(String::as_str) {
-        Some("--check") => {
-            let Some(file) = args.get(1) else {
-                eprintln!("usage: sflint --check <file.rs>");
-                return ExitCode::from(2);
-            };
-            check_one(&root, Path::new(file))
-        }
-        Some("--write-baseline") => write_baseline(&root),
-        Some("--gate") => gate(&root, true),
-        None => gate(&root, false),
-        Some(other) => {
-            eprintln!("sflint: unknown argument {other:?}");
-            eprintln!("usage: sflint [--gate | --write-baseline | --check <file.rs>]");
+    match args.as_slice() {
+        [] => run_workspace(&root),
+        [flag, file] if flag == "--check" => check_one(&root, Path::new(file)),
+        _ => {
+            eprintln!("usage: sflint [--check <file.rs>]");
             ExitCode::from(2)
         }
     }
@@ -50,27 +37,12 @@ fn workspace_root() -> PathBuf {
         .unwrap_or(manifest)
 }
 
-fn baseline_path(root: &Path) -> PathBuf {
-    root.join("results").join("lint_baseline.json")
-}
-
-fn gate(root: &Path, enforce: bool) -> ExitCode {
+fn run_workspace(root: &Path) -> ExitCode {
     let report = framework::analyze_workspace(root);
-    let base = match baseline::read_baseline(&baseline_path(root)) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("sflint: cannot read baseline: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let diff = baseline::diff(&report.findings, &base);
-
     println!(
-        "sflint: {} file(s) scanned, {} finding(s), {} lock edge(s), baseline {}",
+        "sflint: {} file(s) scanned, {} lock edge(s)",
         report.files_scanned,
-        report.findings.len(),
-        report.edges.len(),
-        base.len()
+        report.edges.len()
     );
     if !report.edges.is_empty() {
         println!("\nlock-acquisition graph (lock-while-holding edges):");
@@ -78,72 +50,7 @@ fn gate(root: &Path, enforce: bool) -> ExitCode {
             println!("  {e}");
         }
     }
-    if !enforce && !report.findings.is_empty() {
-        println!("\nall findings (baselined and new):");
-        for f in &report.findings {
-            println!("  [{}] {}:{}: {}", f.lint, f.file, f.line, f.excerpt);
-        }
-    }
-    if !diff.new.is_empty() {
-        println!("\nNEW findings (not in baseline):");
-        for f in &diff.new {
-            println!("  [{}] {}:{}: {}", f.lint, f.file, f.line, f.excerpt);
-            println!("      {}", f.message);
-        }
-    }
-    if !diff.stale.is_empty() {
-        println!("\nSTALE baseline entries (code no longer present — prune them):");
-        for f in &diff.stale {
-            println!("  [{}] {}:{}: {}", f.lint, f.file, f.line, f.excerpt);
-        }
-    }
-
-    if diff.is_clean() {
-        println!("\nsflint: clean against baseline");
-        ExitCode::SUCCESS
-    } else if enforce {
-        println!(
-            "\nsflint: GATE FAILED — {} new finding(s), {} stale baseline entr(ies). \
-             Fix the new findings (or pragma with `// sflint::allow(<lint>)` and justify \
-             in review); prune stale entries with `--write-baseline` after burning down \
-             debt.",
-            diff.new.len(),
-            diff.stale.len()
-        );
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "\nsflint: {} new / {} stale vs baseline (informational; use --gate to enforce)",
-            diff.new.len(),
-            diff.stale.len()
-        );
-        ExitCode::SUCCESS
-    }
-}
-
-fn write_baseline(root: &Path) -> ExitCode {
-    let report = framework::analyze_workspace(root);
-    let path = baseline_path(root);
-    if let Some(dir) = path.parent() {
-        if std::fs::create_dir_all(dir).is_err() {
-            eprintln!("sflint: cannot create {}", dir.display());
-            return ExitCode::from(2);
-        }
-    }
-    match baseline::write_baseline(&path, &report.findings) {
-        Ok(()) => {
-            println!(
-                "sflint: wrote {} finding(s) to {}",
-                report.findings.len(),
-                path.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("sflint: cannot write {}: {e}", path.display());
-            ExitCode::from(2)
-        }
-    }
+    print_findings(&report, "the workspace")
 }
 
 fn check_one(root: &Path, file: &Path) -> ExitCode {
@@ -156,16 +63,17 @@ fn check_one(root: &Path, file: &Path) -> ExitCode {
         eprintln!("sflint: no such file: {}", path.display());
         return ExitCode::from(2);
     }
-    let report = framework::analyze_paths(root, &[path], &framework::AnalysisConfig::everything());
+    let report = framework::analyze_paths(root, &[path], &framework::AnalysisConfig::default());
+    print_findings(&report, &file.display().to_string())
+}
+
+/// Print every finding; fail when there is any.
+fn print_findings(report: &Report, scope: &str) -> ExitCode {
     for f in &report.findings {
         println!("[{}] {}:{}: {}", f.lint, f.file, f.line, f.excerpt);
         println!("    {}", f.message);
     }
-    println!(
-        "sflint: {} finding(s) in {}",
-        report.findings.len(),
-        file.display()
-    );
+    println!("sflint: {} finding(s) in {scope}", report.findings.len());
     if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -3,12 +3,10 @@
 //! walker, and the runner that produces a [`Report`].
 
 use crate::lexer::SourceFile;
-use crate::{alloc_hot, cast_audit, lock_order, spawn, unwrap_lib};
+use crate::{alloc_hot, lock_order};
 use std::path::{Path, PathBuf};
 
-/// One lint finding: a violation at a specific line. Baseline matching
-/// keys on `(lint, file, excerpt)` so pure line drift does not churn
-/// the gate; `line` is kept for humans.
+/// One lint finding: a violation at a specific line.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     /// Lint name (e.g. `alloc-in-hot-path`).
@@ -21,13 +19,6 @@ pub struct Finding {
     pub excerpt: String,
     /// Human-readable explanation.
     pub message: String,
-}
-
-impl Finding {
-    /// The identity baseline matching uses.
-    pub fn key(&self) -> (String, String, String) {
-        (self.lint.clone(), self.file.clone(), self.excerpt.clone())
-    }
 }
 
 /// One lock-while-holding edge in the Mutex-acquisition graph.
@@ -60,61 +51,25 @@ impl std::fmt::Display for LockEdge {
     }
 }
 
-/// Which files each lint covers. [`AnalysisConfig::workspace`] is the
-/// committed policy for this repository; fixture tests build narrower
-/// configs.
-#[derive(Debug, Clone)]
+/// Which code the hot-path lint treats as hot beyond the fiber-traversal
+/// call bodies it always covers. [`AnalysisConfig::workspace`] is the
+/// committed policy for this repository; the default (no extra hot code)
+/// is what single-file fixture checks use.
+#[derive(Debug, Clone, Default)]
 pub struct AnalysisConfig {
-    /// Path prefixes whose non-test code must stay free of
-    /// `.unwrap()`/`.expect(` (library crates; binaries/benches may
-    /// panic).
-    pub unwrap_scope: Vec<String>,
-    /// Path prefixes audited for unguarded narrowing `as u32`/`as u16`
-    /// casts (wire encode paths).
-    pub cast_scope: Vec<String>,
     /// Files whose entire non-test body is a hot path (no allocation
     /// tokens anywhere).
     pub hot_files: Vec<String>,
     /// `(file, fn)` pairs whose bodies are hot paths.
     pub hot_fns: Vec<(String, String)>,
-    /// Files allowed to spawn/scope threads (the sanctioned parallel
-    /// modules).
-    pub spawn_sanctioned: Vec<String>,
 }
 
 impl AnalysisConfig {
     /// The committed lint policy for this workspace.
     pub fn workspace() -> Self {
         AnalysisConfig {
-            unwrap_scope: vec![
-                "crates/serve/src/".into(),
-                "crates/core/src/".into(),
-                "crates/formats/src/".into(),
-                "crates/kernels/src/".into(),
-            ],
-            cast_scope: vec!["crates/serve/src/".into()],
             hot_files: vec!["crates/kernels/src/lanes.rs".into()],
             hot_fns: vec![("crates/kernels/src/spgemm.rs".into(), "rowwise_row".into())],
-            spawn_sanctioned: vec![
-                "crates/kernels/src/parallel.rs".into(),
-                "crates/kernels/src/dispatch.rs".into(),
-                "crates/core/src/planner.rs".into(),
-                "crates/serve/src/service.rs".into(),
-                "crates/bench/src/serving.rs".into(),
-            ],
-        }
-    }
-
-    /// A maximal-scope config for single-file fixture checks: every
-    /// lint applies to every scanned file, and no spawn site is
-    /// sanctioned.
-    pub fn everything() -> Self {
-        AnalysisConfig {
-            unwrap_scope: vec![String::new()],
-            cast_scope: vec![String::new()],
-            hot_files: Vec::new(),
-            hot_fns: Vec::new(),
-            spawn_sanctioned: Vec::new(),
         }
     }
 }
@@ -245,9 +200,6 @@ pub fn analyze_sources(sources: &[SourceFile], config: &AnalysisConfig) -> Repor
     let mut findings = Vec::new();
     for src in sources {
         findings.extend(alloc_hot::run(src, config));
-        findings.extend(unwrap_lib::run(src, config));
-        findings.extend(cast_audit::run(src, config));
-        findings.extend(spawn::run(src, config));
     }
     let (edges, cycle_findings) = lock_order::run(sources);
     findings.extend(cycle_findings);
@@ -265,9 +217,4 @@ pub fn analyze_sources(sources: &[SourceFile], config: &AnalysisConfig) -> Repor
 pub fn analyze_workspace(root: &Path) -> Report {
     let files = workspace_files(root);
     analyze_paths(root, &files, &AnalysisConfig::workspace())
-}
-
-/// Does `path` start with any of the given prefixes?
-pub fn in_scope(path: &str, prefixes: &[String]) -> bool {
-    prefixes.iter().any(|p| path.starts_with(p.as_str()))
 }

@@ -16,7 +16,8 @@
 //!   line-above placement work);
 //! - **function spans** (`fn` item name + body line range) and
 //!   **call spans** (the balanced-parenthesis argument region of a
-//!   named call), the building blocks of the hot-path and cast lints.
+//!   named call), the building blocks of the hot-path and lock-order
+//!   lints.
 //!
 //! The scanner understands line comments, nested block comments,
 //! string literals with escapes, raw strings (`r#".."#`, any number of
@@ -265,8 +266,7 @@ impl SourceFile {
         }
     }
 
-    /// Trimmed raw text of a 0-based line, capped for report/baseline
-    /// stability.
+    /// Trimmed raw text of a 0-based line, capped for reports.
     pub fn excerpt(&self, line: usize) -> String {
         let raw = self.raw_lines.get(line).map(String::as_str).unwrap_or("");
         let trimmed = raw.trim();

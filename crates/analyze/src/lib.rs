@@ -3,21 +3,22 @@
 
 //! `sparseflex-analyze` — workspace-native static analysis (`sflint`).
 //!
-//! A dependency-free, token-level analyzer purpose-built for this
-//! workspace's invariants. It is not a general Rust linter: each lint
-//! encodes a rule the serving/kernel stack actually relies on, at a
-//! precision clippy cannot reach because the rules are about *this*
-//! codebase's hot paths, lock graph, and wire format.
-//!
-//! The five lints:
+//! A dependency-free, token-level analyzer for the two rules of this
+//! workspace that clippy cannot express: they are about *this*
+//! codebase's hot paths and lock graph, not about Rust in general.
 //!
 //! | lint | rule |
 //! |---|---|
 //! | `alloc-in-hot-path` | no allocation tokens inside fiber-traversal call bodies, `kernels::lanes`, or `spgemm::rowwise_row` |
 //! | `lock-order-cycle` | the Mutex-acquisition graph must stay acyclic (deadlock freedom) |
-//! | `unwrap-in-library` | no `.unwrap()`/`.expect(` in non-test library code — typed errors end to end |
-//! | `unchecked-narrowing-cast` | every `as u32`/`as u16` on wire encode paths needs a dominating range guard |
-//! | `thread-spawn-containment` | threads are created only in the sanctioned parallel modules |
+//!
+//! The type-aware rules live in clippy instead, configured in the
+//! library crate roots and the workspace `clippy.toml`: `unwrap_used` /
+//! `expect_used` (panic-free library code), `cast_possible_truncation`
+//! (wire encode paths in `serve`) and `disallowed_methods` (threads are
+//! spawned only at sanctioned sites). Each deliberate exception carries
+//! `#[expect(<lint>, reason = "…")]`, which fails as
+//! `unfulfilled_lint_expectations` once the exception goes away.
 //!
 //! Mechanics:
 //!
@@ -26,20 +27,14 @@
 //!   records `// sflint::allow(<lint>)` pragmas (own line + next line).
 //! - [`framework`] holds the [`Finding`]/[`LockEdge`] records, the
 //!   committed [`AnalysisConfig::workspace`] policy, and the runner.
-//! - [`baseline`] freezes existing debt in
-//!   `results/lint_baseline.json`; `sflint --gate` fails on any *new*
-//!   finding and on any *stale* entry, so debt only shrinks.
+//! - `sflint` fails on any finding; `sflint --check <file>` lints one
+//!   file.
 
 pub mod alloc_hot;
-pub mod baseline;
-pub mod cast_audit;
 pub mod framework;
 pub mod lexer;
 pub mod lock_order;
-pub mod spawn;
-pub mod unwrap_lib;
 
-pub use baseline::{diff, read_baseline, write_baseline, GateDiff};
 pub use framework::{
     analyze_paths, analyze_sources, analyze_workspace, workspace_files, AnalysisConfig, Finding,
     LockEdge, Report,

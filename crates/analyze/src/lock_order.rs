@@ -37,7 +37,7 @@ use crate::framework::{Finding, LockEdge};
 use crate::lexer::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The lint's name, as used in pragmas and baselines.
+/// The lint's name, as used in findings and pragmas.
 pub const NAME: &str = "lock-order-cycle";
 
 /// A guard currently held during simulation.

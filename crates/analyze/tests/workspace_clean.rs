@@ -1,8 +1,8 @@
-//! The self-run: the live workspace must be clean modulo the committed
-//! baseline. This is the same check CI's `sflint --gate` step enforces,
-//! kept in-tree so `cargo test` alone catches a regression.
+//! The self-run: the live workspace must have zero findings. This is the
+//! same check CI's `sflint` step enforces, kept in-tree so `cargo test`
+//! alone catches a regression.
 
-use sparseflex_analyze::{baseline, framework};
+use sparseflex_analyze::framework;
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -13,52 +13,18 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_clean_modulo_baseline() {
-    let root = workspace_root();
-    let report = framework::analyze_workspace(&root);
+fn workspace_has_zero_findings() {
+    let report = framework::analyze_workspace(&workspace_root());
     assert!(report.files_scanned > 100, "walker found too few files");
-    let base =
-        baseline::read_baseline(&root.join("results/lint_baseline.json")).expect("baseline parses");
-    assert!(!base.is_empty(), "committed baseline missing or empty");
-    let diff = baseline::diff(&report.findings, &base);
     assert!(
-        diff.new.is_empty(),
-        "new findings not in baseline:\n{}",
-        diff.new
+        report.findings.is_empty(),
+        "findings:\n{}",
+        report
+            .findings
             .iter()
             .map(|f| format!("  [{}] {}:{}: {}", f.lint, f.file, f.line, f.excerpt))
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    assert!(
-        diff.stale.is_empty(),
-        "stale baseline entries (prune with --write-baseline):\n{}",
-        diff.stale
-            .iter()
-            .map(|f| format!("  [{}] {}:{}: {}", f.lint, f.file, f.line, f.excerpt))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
-#[test]
-fn serve_crate_carries_zero_unwrap_debt() {
-    // The serving layer promises typed errors end to end; its baseline
-    // allotment for unwrap-in-library is exactly zero, now and forever.
-    let root = workspace_root();
-    let report = framework::analyze_workspace(&root);
-    let serve_unwraps: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.lint == "unwrap-in-library" && f.file.starts_with("crates/serve/"))
-        .collect();
-    assert!(serve_unwraps.is_empty(), "{serve_unwraps:?}");
-    let base =
-        baseline::read_baseline(&root.join("results/lint_baseline.json")).expect("baseline parses");
-    assert!(
-        base.iter()
-            .all(|f| !(f.lint == "unwrap-in-library" && f.file.starts_with("crates/serve/"))),
-        "baseline must not carry serve unwrap debt"
     );
 }
 

@@ -198,6 +198,10 @@ fn measured_contention(shards: usize, threads: usize, lookups: usize) -> u64 {
     for (_, w) in &suite {
         planner.evaluate_cached(&sys.sage, w);
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the contention exhibit needs real threads racing on the cache"
+    )]
     std::thread::scope(|scope| {
         for t in 0..threads {
             let planner = &planner;

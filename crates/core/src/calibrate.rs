@@ -24,6 +24,7 @@
 //!
 //! [`ExecutionPlan::explain`]: crate::plan::ExecutionPlan::explain
 
+use crate::lock_clean;
 use crate::plan::{CostModel, Dataflow, PlanTrace};
 use std::sync::Mutex;
 
@@ -129,7 +130,7 @@ pub struct Calibrator {
 impl Clone for Calibrator {
     fn clone(&self) -> Self {
         Calibrator {
-            state: Mutex::new(self.state.lock().expect("calibrator poisoned").clone()),
+            state: Mutex::new(lock_clean(&self.state).clone()),
         }
     }
 }
@@ -140,17 +141,17 @@ impl Calibrator {
     /// cache keys include this, so a bump invalidates exactly the rows
     /// planned under older coefficients.
     pub fn generation(&self) -> u64 {
-        self.state.lock().expect("calibrator poisoned").generation
+        lock_clean(&self.state).generation
     }
 
     /// The coefficients currently applied to stats-model predictions.
     pub fn coefficients(&self) -> Coefficients {
-        self.state.lock().expect("calibrator poisoned").coeffs
+        lock_clean(&self.state).coeffs
     }
 
     /// Total (predicted, measured) pairs accumulated across lanes.
     pub fn samples(&self) -> usize {
-        let s = self.state.lock().expect("calibrator poisoned");
+        let s = lock_clean(&self.state);
         s.conv.raw_predicted.len()
             + s.compute_ws.raw_predicted.len()
             + s.compute_spgemm.raw_predicted.len()
@@ -166,7 +167,7 @@ impl Calibrator {
         if trace.cost_model != CostModel::Stats {
             return;
         }
-        let mut s = self.state.lock().expect("calibrator poisoned");
+        let mut s = lock_clean(&self.state);
         let c_conv = s.coeffs.conv.max(f64::MIN_POSITIVE);
         let c_comp = s.coeffs.compute(dataflow).max(f64::MIN_POSITIVE);
         for t in &trace.tiles {
@@ -190,7 +191,7 @@ impl Calibrator {
     /// samples keep their current coefficient). Returns the new
     /// coefficients.
     pub fn recalibrate(&self) -> Coefficients {
-        let mut s = self.state.lock().expect("calibrator poisoned");
+        let mut s = lock_clean(&self.state);
         if let Some(c) = s.conv.slope() {
             s.coeffs.conv = c;
         }
@@ -209,7 +210,7 @@ impl Calibrator {
     /// `BENCH_search` exhibit tracks per calibration round. `None` until
     /// a trace has been recorded.
     pub fn mean_abs_error(&self) -> Option<f64> {
-        let s = self.state.lock().expect("calibrator poisoned");
+        let s = lock_clean(&self.state);
         let lanes = [
             (&s.conv, s.coeffs.conv),
             (&s.compute_ws, s.coeffs.compute_ws),

@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod calibrate;
 pub mod casestudy;
@@ -51,3 +52,15 @@ pub use plan::{CostModel, Dataflow, ExecutionPlan, PlanPrediction, PlanTrace, Ti
 pub use planner::{CacheCounters, PlanCache, PlanDiscipline, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use system::{ClassComparison, CustomRun, FlexSystem, FunctionalRun, RunError, SystemPlan};
 pub use trace_io::{read_traces, traces_from_json, traces_to_json, write_traces, StoredTrace};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Poison-tolerant lock acquisition. A thread that panics mid-job
+/// poisons whatever it held, but every structure guarded in this stack
+/// keeps its invariants across each critical section (counters are
+/// monotonic, queues and caches structurally valid after every update),
+/// so the right response is to recover the data — not to cascade the
+/// panic into every other worker and waiter.
+pub fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

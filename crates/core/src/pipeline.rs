@@ -29,7 +29,7 @@ use crate::planner::{PlanDiscipline, Planner};
 use crate::system::{FlexSystem, RunError};
 use sparseflex_accel::exec::{ActivityCounts, CycleBreakdown};
 use sparseflex_formats::{CooMatrix, DenseMatrix, SparseMatrix};
-use sparseflex_kernels::parallel::{par_chunks, worker_count};
+use sparseflex_kernels::parallel::{even_ranges, par_chunks, worker_count};
 use sparseflex_mint::tiled::OverlapSchedule;
 use sparseflex_mint::ConversionReport;
 use sparseflex_sage::{Evaluation, SageWorkload};
@@ -241,34 +241,37 @@ impl FlexSystem {
         let misses = std::sync::atomic::AtomicU64::new(0);
         let mut results: Vec<Option<Result<PipelineRun, RunError>>> =
             (0..jobs.len()).map(|_| None).collect();
-        par_chunks(&mut results, workers, |offset, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let job = &jobs[offset + i];
-                *slot = Some(
-                    planner
-                        .plan_job(
-                            &self.sage,
-                            &job.a,
-                            &job.b,
-                            &job.workload,
-                            PlanDiscipline::Pipelined,
-                        )
-                        .and_then(|plan| {
-                            let counter = if plan.from_cache { &hits } else { &misses };
-                            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            planner.execute_plan(&self.sage, &plan, &job.a, &job.b)
-                        }),
-                );
-            }
-        });
+        par_chunks(
+            &mut results,
+            &even_ranges(jobs.len(), workers),
+            1,
+            |range, chunk| {
+                for (job, slot) in jobs[range].iter().zip(chunk) {
+                    *slot = Some(
+                        planner
+                            .plan_job(
+                                &self.sage,
+                                &job.a,
+                                &job.b,
+                                &job.workload,
+                                PlanDiscipline::Pipelined,
+                            )
+                            .and_then(|plan| {
+                                let counter = if plan.from_cache { &hits } else { &misses };
+                                counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                planner.execute_plan(&self.sage, &plan, &job.a, &job.b)
+                            }),
+                    );
+                }
+            },
+        );
         // Evictions cannot be pinned to a single job; the global delta is
         // exact for the common one-batch-at-a-time serving pattern.
         let delta = planner.cache.counters().since(before);
         BatchRun {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every job slot is filled by its worker"))
-                .collect(),
+            // `par_chunks` hands every slot to exactly one worker, which
+            // fills it, so flattening drops nothing.
+            results: results.into_iter().flatten().collect(),
             plan_cache_hits: hits.into_inner(),
             plans_computed: misses.into_inner(),
             plan_cache_evictions: delta.evictions,

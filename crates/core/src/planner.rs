@@ -27,6 +27,7 @@
 //! front-ends — which therefore cannot diverge.
 
 use crate::calibrate::{Calibrator, Coefficients};
+use crate::lock_clean;
 use crate::pipeline::{PipelineRun, TileTrace};
 use crate::plan::{CostModel, Dataflow, ExecutionPlan, PlanPrediction, PlanTrace, TileCompare};
 use crate::system::RunError;
@@ -42,9 +43,10 @@ use sparseflex_mint::{conversion_cost, ConversionReport};
 use sparseflex_sage::eval::Evaluation;
 use sparseflex_sage::{Sage, SageKernel, SageWorkload};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// Which tiling discipline a plan should schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,15 +139,41 @@ impl CacheCounters {
 struct LruState {
     /// Value plus last-touched tick per key.
     map: HashMap<PlanKey, (Evaluation, u64)>,
+    /// Keys whose search is running right now, each counting the times a
+    /// caller parked on it instead of searching again.
+    in_flight: HashMap<PlanKey, usize>,
     tick: u64,
     counters: CacheCounters,
 }
 
-/// One lock domain of the sharded cache: an LRU map plus the counter of
-/// lock acquisitions that found the mutex already held.
+impl LruState {
+    /// Insert `eval` under `key`, first evicting the least-recently-used
+    /// entry (smallest tick) when a new key would exceed `capacity`.
+    fn insert(&mut self, key: PlanKey, eval: Evaluation, capacity: usize) {
+        self.tick += 1;
+        if !self.map.contains_key(&key) && self.map.len() >= capacity {
+            if let Some(oldest) = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, touched))| *touched)
+                .map(|(k, _)| *k)
+            {
+                self.map.remove(&oldest);
+                self.counters.evictions += 1;
+            }
+        }
+        self.map.insert(key, (eval, self.tick));
+    }
+}
+
+/// One lock domain of the sharded cache: an LRU map, the condvar its
+/// in-flight searches signal, and the counter of lock acquisitions that
+/// found the mutex already held.
 #[derive(Debug, Default)]
 struct Shard {
     state: Mutex<LruState>,
+    /// Notified whenever one of this shard's in-flight searches ends.
+    searched: Condvar,
     /// Acquisitions whose `try_lock` failed before blocking — the
     /// measured contention signal the serving bench tracks.
     contended: AtomicU64,
@@ -154,15 +182,30 @@ struct Shard {
 impl Shard {
     /// Lock the shard, counting the acquisition as contended when the
     /// mutex was already held by another worker.
-    fn lock(&self) -> std::sync::MutexGuard<'_, LruState> {
+    fn lock(&self) -> MutexGuard<'_, LruState> {
         match self.state.try_lock() {
             Ok(g) => g,
-            Err(std::sync::TryLockError::WouldBlock) => {
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => {
                 self.contended.fetch_add(1, Ordering::Relaxed);
-                self.state.lock().expect("plan cache poisoned")
+                lock_clean(&self.state)
             }
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("plan cache poisoned"),
         }
+    }
+}
+
+/// Marks one key's search as in flight; dropping it — after the insert,
+/// or when the search errors or panics — clears the marker and wakes the
+/// callers parked on it.
+struct InFlight<'a> {
+    shard: &'a Shard,
+    key: PlanKey,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.shard.lock().in_flight.remove(&self.key);
+        self.shard.searched.notify_all();
     }
 }
 
@@ -174,7 +217,9 @@ impl Shard {
 /// pay it once. The cache holds at most `capacity` distinct shapes under
 /// sustained traffic: inserting beyond a shard's bound evicts that
 /// shard's least-recently-*used* entry (lookups refresh recency, so hot
-/// shapes survive cold scans).
+/// shapes survive cold scans). Concurrent misses on one key are
+/// single-flight: one caller runs the search, the others wait for its row
+/// and count as hits.
 ///
 /// [`with_capacity`](PlanCache::with_capacity) builds the classic
 /// single-lock cache (one shard, global LRU order);
@@ -205,9 +250,14 @@ impl Clone for PlanCache {
             shards: self
                 .shards
                 .iter()
-                .map(|s| Shard {
-                    state: Mutex::new(s.state.lock().expect("plan cache poisoned").clone()),
-                    contended: AtomicU64::new(0),
+                .map(|s| {
+                    // In-flight searches belong to the original's callers.
+                    let mut state = lock_clean(&s.state).clone();
+                    state.in_flight.clear();
+                    Shard {
+                        state: Mutex::new(state),
+                        ..Shard::default()
+                    }
                 })
                 .collect(),
             shard_capacity: self.shard_capacity,
@@ -252,42 +302,55 @@ impl PlanCache {
         (h.finish() as usize) % self.shards.len()
     }
 
-    fn lookup(&self, key: &PlanKey) -> Option<Evaluation> {
-        let mut s = self.shards[self.shard_index(key)].lock();
-        s.tick += 1;
-        let tick = s.tick;
-        match s.map.get_mut(key) {
-            Some((eval, touched)) => {
+    /// The cached evaluation for `key`, or the one `search` produces.
+    /// Returns it with whether it came from the cache.
+    ///
+    /// Single-flight: at most one caller searches a key at a time. A miss
+    /// marks the key in flight and searches outside the shard lock;
+    /// callers arriving for the same key meanwhile park on the shard's
+    /// condvar and then take the inserted row as a hit. A search that
+    /// errors or panics clears its marker and wakes them, so the next one
+    /// searches instead. A hit is one lock and one clone.
+    fn get_or_try_insert_with<E>(
+        &self,
+        key: PlanKey,
+        search: impl FnOnce() -> Result<Evaluation, E>,
+    ) -> Result<(Evaluation, bool), E> {
+        let shard = &self.shards[self.shard_index(&key)];
+        let mut s = shard.lock();
+        loop {
+            s.tick += 1;
+            let tick = s.tick;
+            if let Some((eval, touched)) = s.map.get_mut(&key) {
                 *touched = tick;
                 let hit = eval.clone();
                 s.counters.hits += 1;
-                Some(hit)
+                return Ok((hit, true));
             }
-            None => {
-                s.counters.misses += 1;
-                None
-            }
+            let Some(parked) = s.in_flight.get_mut(&key) else {
+                break;
+            };
+            *parked += 1;
+            s = shard
+                .searched
+                .wait(s)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        s.counters.misses += 1;
+        s.in_flight.insert(key, 0);
+        drop(s);
+        let _marker = InFlight { shard, key };
+        let eval = search()?;
+        shard.lock().insert(key, eval.clone(), self.shard_capacity);
+        Ok((eval, false))
     }
 
-    fn insert(&self, key: PlanKey, eval: Evaluation) {
-        let shard_capacity = self.shard_capacity;
-        let mut s = self.shards[self.shard_index(&key)].lock();
-        s.tick += 1;
-        let tick = s.tick;
-        if !s.map.contains_key(&key) && s.map.len() >= shard_capacity {
-            // Evict the shard's least-recently-used entry (smallest tick).
-            if let Some(oldest) = s
-                .map
-                .iter()
-                .min_by_key(|(_, (_, touched))| *touched)
-                .map(|(k, _)| *k)
-            {
-                s.map.remove(&oldest);
-                s.counters.evictions += 1;
-            }
-        }
-        s.map.insert(key, (eval, tick));
+    /// Times a caller has parked on `key`'s in-flight search (0 when none
+    /// is running).
+    #[cfg(test)]
+    fn parked(&self, key: &PlanKey) -> usize {
+        let shard = &self.shards[self.shard_index(key)];
+        shard.lock().in_flight.get(key).copied().unwrap_or(0)
     }
 
     /// Searches skipped thanks to the cache.
@@ -320,7 +383,7 @@ impl PlanCache {
     pub fn shard_counters(&self) -> Vec<CacheCounters> {
         self.shards
             .iter()
-            .map(|s| s.state.lock().expect("plan cache poisoned").counters)
+            .map(|s| lock_clean(&s.state).counters)
             .collect()
     }
 
@@ -338,7 +401,7 @@ impl PlanCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.state.lock().expect("plan cache poisoned").map.len())
+            .map(|s| lock_clean(&s.state).map.len())
             .sum()
     }
 
@@ -435,12 +498,10 @@ impl Planner {
     /// a reconfigured accelerator never reuses stale plans.
     pub fn evaluate_cached(&self, sage: &Sage, w: &SageWorkload) -> (Evaluation, bool) {
         let key = PlanKey::new(w, sage.config_fingerprint(), self.calibrator.generation());
-        if let Some(hit) = self.cache.lookup(&key) {
-            return (hit, true);
-        }
-        let eval = sage.recommend(w).best;
-        self.cache.insert(key, eval.clone());
-        (eval, false)
+        let Ok(found) = self
+            .cache
+            .get_or_try_insert_with(key, || Ok::<_, Infallible>(sage.recommend(w).best));
+        found
     }
 
     /// Fetch the evaluation for `w` with the format choice pinned,
@@ -460,14 +521,10 @@ impl Planner {
             self.calibrator.generation(),
             choice.descriptor_fingerprint(),
         );
-        if let Some(hit) = self.cache.lookup(&key) {
-            return Ok((hit, true));
-        }
-        let eval = sage
-            .evaluate(w, choice, sparseflex_sage::eval::ConversionMode::Hardware)
-            .map_err(RunError::from)?;
-        self.cache.insert(key, eval.clone());
-        Ok((eval, false))
+        self.cache.get_or_try_insert_with(key, || {
+            sage.evaluate(w, choice, sparseflex_sage::eval::ConversionMode::Hardware)
+                .map_err(RunError::from)
+        })
     }
 
     /// Plan one job with the format choice pinned by the caller: the
@@ -733,29 +790,30 @@ fn convert_and_execute_tiles(
 ) -> Result<Vec<(ConversionReport, SimResult)>, RunError> {
     let a_csr = if spgemm { Some(csr_cow(a_acf)) } else { None };
     let a_csr_ref = a_csr.as_deref();
-    fn lock(p: &Mutex<ArenaPool>) -> std::sync::MutexGuard<'_, ArenaPool> {
-        p.lock().unwrap_or_else(|e| e.into_inner())
-    }
     let run_chunk = |tiles: &[MatrixTile], arena: &mut StreamArena| {
         tiles
             .iter()
             .map(|tile| {
                 let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
-                let sim = execute_tile(sage, arena, a_acf, a_csr_ref, &tile_acf, spgemm)?;
+                let sim = execute_tile(sage, arena, a_acf, a_csr_ref, &tile_acf)?;
                 Ok((conv, sim))
             })
             .collect::<Result<Vec<_>, RunError>>()
     };
     let workers = worker_count(tiles_mem.len());
     if workers <= 1 {
-        let mut arenas = lock(pool).lease(1);
+        let mut arenas = lock_clean(pool).lease(1);
         let out = run_chunk(tiles_mem, &mut arenas[0]);
-        lock(pool).restore(arenas);
+        lock_clean(pool).restore(arenas);
         return out;
     }
     let chunk = tiles_mem.len().div_ceil(workers);
     let chunks: Vec<&[MatrixTile]> = tiles_mem.chunks(chunk).collect();
-    let mut arenas = lock(pool).lease(chunks.len());
+    let mut arenas = lock_clean(pool).lease(chunks.len());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the planner's tile fan-out is a sanctioned spawn site"
+    )]
     let results: Vec<Result<Vec<(ConversionReport, SimResult)>, RunError>> =
         std::thread::scope(|s| {
             let handles: Vec<_> = chunks
@@ -768,12 +826,12 @@ fn convert_and_execute_tiles(
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("tile worker panicked"))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
     // Arenas go back to the pool before error propagation so a failed
     // tile does not leak the warmed buffers.
-    lock(pool).restore(arenas);
+    lock_clean(pool).restore(arenas);
     let mut out = Vec::with_capacity(tiles_mem.len());
     for r in results {
         out.extend(r?);
@@ -856,7 +914,9 @@ fn predict_structure(
     })
 }
 
-/// Run one converted stationary tile on the cycle-accurate simulator.
+/// Run one converted stationary tile on the cycle-accurate simulator:
+/// Gustavson SpGEMM when `a_csr` (the streaming operand's CSR view) is
+/// given, weight-stationary otherwise.
 ///
 /// SpGEMM tiles that need a CSR view draw both the traversal scratch and
 /// the CSR triple itself from `arena`, and hand the triple back
@@ -868,18 +928,17 @@ fn execute_tile(
     a_acf: &MatrixData,
     a_csr: Option<&CsrMatrix>,
     tile_acf: &MatrixData,
-    spgemm: bool,
 ) -> Result<SimResult, RunError> {
-    let sim = if spgemm {
-        let a = a_csr.expect("CSR A is materialized for SpGEMM runs");
-        let tile_csr = csr_cow_in(arena, tile_acf);
-        let sim = simulate_spgemm(a, &tile_csr, &sage.accel)?;
-        if let std::borrow::Cow::Owned(c) = tile_csr {
-            arena.recycle_csr(c);
+    let sim = match a_csr {
+        Some(a) => {
+            let tile_csr = csr_cow_in(arena, tile_acf);
+            let sim = simulate_spgemm(a, &tile_csr, &sage.accel)?;
+            if let std::borrow::Cow::Owned(c) = tile_csr {
+                arena.recycle_csr(c);
+            }
+            sim
         }
-        sim
-    } else {
-        simulate_ws(a_acf, tile_acf, &sage.accel)?
+        None => simulate_ws(a_acf, tile_acf, &sage.accel)?,
     };
     Ok(sim)
 }
@@ -1091,5 +1150,69 @@ mod tests {
     fn contended_acquisitions_start_at_zero() {
         let cache = PlanCache::with_shards(16, 4);
         assert_eq!(cache.contended_acquisitions(), 0);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test races two real threads on one key"
+    )]
+    fn concurrent_misses_on_one_key_search_once() {
+        let sage = Sage::default();
+        let w = workload(0);
+        let key = PlanKey::new(&w, sage.config_fingerprint(), 0);
+        let best = sage.recommend(&w).best;
+        let cache = PlanCache::with_capacity(8);
+        let searches = AtomicU64::new(0);
+        // The search holds its key in flight until the other caller has
+        // parked on it (bounded, so a broken single-flight fails the
+        // count below instead of hanging).
+        let search = || {
+            searches.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while cache.parked(&key) == 0 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            Ok::<_, Infallible>(best.clone())
+        };
+        let [first, second] = std::thread::scope(|s| {
+            let a = s.spawn(|| cache.get_or_try_insert_with(key, search));
+            let b = s.spawn(|| cache.get_or_try_insert_with(key, search));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        let (Ok(first), Ok(second)) = (first, second);
+        assert_eq!(
+            searches.load(Ordering::SeqCst),
+            1,
+            "one search between both"
+        );
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses), (1, 1));
+        assert_ne!(first.1, second.1, "exactly one caller is served from cache");
+        assert_eq!(first.0, best);
+        assert_eq!(second.0, best);
+        assert_eq!(cache.parked(&key), 0, "the marker is cleared");
+    }
+
+    #[test]
+    fn failed_or_panicked_searches_clear_their_marker() {
+        let sage = Sage::default();
+        let best = sage.recommend(&workload(0)).best;
+        let cache = PlanCache::with_capacity(8);
+        let key = PlanKey::new(&workload(0), sage.config_fingerprint(), 0);
+        assert_eq!(
+            cache.get_or_try_insert_with(key, || Err("no plan")),
+            Err("no plan")
+        );
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_try_insert_with(key, || -> Result<Evaluation, ()> {
+                panic!("search panicked")
+            })
+        }));
+        assert!(panicked.is_err());
+        // Neither left the key in flight: the next caller searches.
+        let found = cache.get_or_try_insert_with(key, || Ok::<_, ()>(best.clone()));
+        assert_eq!(found, Ok((best, false)));
+        assert_eq!(cache.counters().misses, 3);
     }
 }

@@ -358,6 +358,10 @@ impl FlexSystem {
 
     /// Execute a monolithic (single-tile) plan and repackage the one
     /// tile's results in the classic [`FunctionalRun`] shape.
+    #[expect(
+        clippy::expect_used,
+        reason = "a monolithic plan schedules exactly one tile (TilePolicy::Whole)"
+    )]
     fn execute_monolithic(
         &self,
         plan: &ExecutionPlan,
@@ -386,6 +390,10 @@ impl FlexSystem {
     }
 
     /// Software reference output for verification.
+    #[expect(
+        clippy::expect_used,
+        reason = "the public signature has no error channel; mismatched shapes are a caller bug"
+    )]
     pub fn reference_output(a: &CooMatrix, b: &CooMatrix) -> DenseMatrix {
         let a_csr = MatrixData::Csr(CsrMatrix::from_coo(a));
         let b_dense = b.clone().into_dense();

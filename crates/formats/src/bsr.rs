@@ -70,11 +70,10 @@ impl BsrMatrix {
             values.resize(values.len() + bcs.len() * block_area, 0.0);
             // Scatter the entries into their block payloads.
             for k in start..i {
+                // `bcs` holds every entry's block column, so this is its
+                // index.
                 let bc = cids[k] / block_cols;
-                let slot = base_block
-                    + bcs
-                        .binary_search(&bc)
-                        .expect("block column was registered above");
+                let slot = base_block + bcs.partition_point(|&b| b < bc);
                 let local = (rids[k] - br * block_rows) * block_cols + (cids[k] % block_cols);
                 values[slot * block_area + local] = vals[k];
             }
@@ -173,6 +172,10 @@ impl SparseMatrix for BsrMatrix {
             Err(_) => 0.0,
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_triplets re-validates coordinates recovered from in-bounds blocks"
+    )]
     fn to_coo(&self) -> CooMatrix {
         let mut triplets = Vec::with_capacity(self.values.len());
         for br in 0..self.num_block_rows() {

@@ -153,6 +153,18 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], ByteError> {
+        let truncated = ByteError::Truncated {
+            needed: N,
+            available: self.remaining(),
+        };
+        let (head, _) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or(truncated)?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     /// Read one byte.
     pub fn take_u8(&mut self) -> Result<u8, ByteError> {
         Ok(self.take(1)?[0])
@@ -160,17 +172,17 @@ impl<'a> ByteReader<'a> {
 
     /// Read a `u16` little-endian.
     pub fn take_u16(&mut self) -> Result<u16, ByteError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Read a `u32` little-endian.
     pub fn take_u32(&mut self) -> Result<u32, ByteError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Read a `u64` little-endian.
     pub fn take_u64(&mut self) -> Result<u64, ByteError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Read an `f64` from its IEEE-754 bit pattern (bit-exact).

@@ -28,6 +28,10 @@ use crate::zvc::ZvcMatrix;
 
 /// CSR → CSC by counting sort on column ids (the software equivalent of
 /// MINT's Fig. 8c pipeline: histogram → prefix sum → scatter).
+#[expect(
+    clippy::expect_used,
+    reason = "from_parts re-validates the CSC structure the counting sort just built"
+)]
 pub fn csr_to_csc(csr: &CsrMatrix) -> CscMatrix {
     let rows = csr.rows();
     let cols = csr.cols();
@@ -56,6 +60,10 @@ pub fn csr_to_csc(csr: &CsrMatrix) -> CscMatrix {
 }
 
 /// CSC → CSR — the symmetric counting sort.
+#[expect(
+    clippy::expect_used,
+    reason = "from_parts re-validates the CSR structure the counting sort just built"
+)]
 pub fn csc_to_csr(csc: &CscMatrix) -> CsrMatrix {
     let rows = csc.rows();
     let cols = csc.cols();
@@ -82,6 +90,10 @@ pub fn csc_to_csr(csc: &CscMatrix) -> CsrMatrix {
 
 /// RLC → COO (Fig. 8d): prefix-sum the run lengths to recover flat
 /// positions, then divide/mod by the row length to get coordinates.
+#[expect(
+    clippy::expect_used,
+    reason = "from_sorted_triplets re-validates the ordered, in-bounds RLC decode"
+)]
 pub fn rlc_to_coo(rlc: &RlcMatrix) -> CooMatrix {
     let cols = rlc.cols();
     let mut triplets = Vec::with_capacity(rlc.stored_entries());
@@ -113,6 +125,10 @@ pub fn csr_to_bsr(csr: &CsrMatrix, br: usize, bc: usize) -> Result<BsrMatrix, Fo
 }
 
 /// Dense → CSR without materializing COO (row scan).
+#[expect(
+    clippy::expect_used,
+    reason = "from_parts re-validates the CSR structure the dense scan just built"
+)]
 pub fn dense_to_csr(dense: &DenseMatrix) -> CsrMatrix {
     let rows = dense.rows();
     let cols = dense.cols();

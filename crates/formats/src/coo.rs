@@ -61,9 +61,11 @@ impl CooMatrix {
         let mut col_ids = Vec::with_capacity(triplets.len());
         let mut values: Vec<Value> = Vec::with_capacity(triplets.len());
         for (r, c, v) in triplets {
-            if let (Some(&lr), Some(&lc)) = (row_ids.last(), col_ids.last()) {
+            if let (Some(&lr), Some(&lc), Some(last)) =
+                (row_ids.last(), col_ids.last(), values.last_mut())
+            {
                 if lr == r && lc == c {
-                    *values.last_mut().expect("parallel arrays") += v;
+                    *last += v;
                     continue;
                 }
             }
@@ -205,6 +207,10 @@ impl CooMatrix {
     }
 
     /// Transpose: swaps the roles of rows and columns and re-sorts.
+    #[expect(
+        clippy::expect_used,
+        reason = "from_triplets re-validates the swapped in-bounds coordinates"
+    )]
     pub fn transpose(&self) -> CooMatrix {
         let triplets: Vec<_> = self.iter().map(|(r, c, v)| (c, r, v)).collect();
         CooMatrix::from_triplets(self.cols, self.rows, triplets)

@@ -151,6 +151,10 @@ impl CscMatrix {
 
     /// View this CSC matrix as the CSR representation of its transpose
     /// (zero-copy reinterpretation: identical arrays, swapped roles).
+    #[expect(
+        clippy::expect_used,
+        reason = "from_parts re-validates the reinterpreted CSC arrays"
+    )]
     pub fn transpose_as_csr(&self) -> CsrMatrix {
         CsrMatrix::from_parts(
             self.cols,
@@ -180,6 +184,10 @@ impl SparseMatrix for CscMatrix {
             Err(_) => 0.0,
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_triplets re-validates coordinates read from this matrix"
+    )]
     fn to_coo(&self) -> CooMatrix {
         let triplets: Vec<_> = self.iter_col_major().collect();
         CooMatrix::from_triplets(self.rows, self.cols, triplets)

@@ -242,6 +242,10 @@ impl SparseTensor3 for CsfTensor {
             Err(_) => 0.0,
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_quads re-validates coordinates read from this tensor"
+    )]
     fn to_coo(&self) -> CooTensor3 {
         let quads: Vec<_> = self.iter().collect();
         CooTensor3::from_quads(self.dims.0, self.dims.1, self.dims.2, quads)

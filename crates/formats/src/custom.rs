@@ -231,6 +231,10 @@ impl CustomMatrix {
     /// Exact storage footprint of this payload under the generic level
     /// model, fed with the measured structure (stored fibers, stored
     /// run entries).
+    #[expect(
+        clippy::expect_used,
+        reason = "every encodable descriptor has a size model"
+    )]
     pub fn storage_breakdown(&self, dtype: DataType) -> SizeBreakdown {
         let mut s = MatrixStructure::analytic(self.rows, self.cols, self.nnz);
         s.nonempty_fibers = Some((self.ptr.len() - 1) as u64);
@@ -471,6 +475,10 @@ impl SparseMatrix for CustomMatrix {
             Err(_) => 0.0,
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_triplets re-validates coordinates read from this matrix's stream"
+    )]
     fn to_coo(&self) -> CooMatrix {
         let mut triplets = Vec::with_capacity(self.nnz);
         self.for_each_nnz(&mut |r, c, v| triplets.push((r, c, v)));

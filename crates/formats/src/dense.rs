@@ -145,6 +145,10 @@ impl SparseMatrix for DenseMatrix {
     fn get(&self, row: usize, col: usize) -> Value {
         self.data[row * self.cols + col]
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_sorted_triplets re-validates the row-major dense scan"
+    )]
     fn to_coo(&self) -> CooMatrix {
         let mut triplets = Vec::new();
         for r in 0..self.rows {

@@ -40,7 +40,8 @@ impl DiaMatrix {
         let mut data = vec![0.0; offsets.len() * rows];
         for (r, c, v) in coo.iter() {
             let k = c as isize - r as isize;
-            let d = offsets.binary_search(&k).expect("offset registered above");
+            // `offsets` holds every entry's diagonal, so this is its index.
+            let d = offsets.partition_point(|&o| o < k);
             data[d * rows + r] = v;
         }
         DiaMatrix {
@@ -138,6 +139,10 @@ impl SparseMatrix for DiaMatrix {
             Err(_) => 0.0,
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_triplets re-validates coordinates recovered from in-bounds diagonals"
+    )]
     fn to_coo(&self) -> CooMatrix {
         let mut triplets = Vec::new();
         for (d, &k) in self.offsets.iter().enumerate() {

@@ -158,6 +158,10 @@ impl SparseMatrix for EllMatrix {
         }
         0.0
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_triplets re-validates coordinates read from this matrix"
+    )]
     fn to_coo(&self) -> CooMatrix {
         let mut triplets = Vec::with_capacity(self.nnz);
         for r in 0..self.rows {

@@ -248,6 +248,10 @@ impl MatrixData {
     /// zeros included — the **one** place the BSR/DIA/ELL (and Dense/RLC)
     /// explicit-zero accounting lives. Always `>=` [`Self::logical_nnz`];
     /// equal for the compact encodings (COO/CSR/CSC/ZVC).
+    #[expect(
+        clippy::expect_used,
+        reason = "every preset descriptor has a size model"
+    )]
     pub fn stored_elements(&self) -> u64 {
         crate::size_model::descriptor_matrix_bits(
             &self.descriptor(),

@@ -69,6 +69,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod arena;
 pub mod bsr;

@@ -162,6 +162,10 @@ impl SparseMatrix for RlcMatrix {
         }
         0.0
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_sorted_triplets re-validates the row-major RLC decode"
+    )]
     fn to_coo(&self) -> CooMatrix {
         let mut triplets = Vec::with_capacity(self.entries.len());
         let mut cursor = 0u64;
@@ -267,6 +271,10 @@ impl SparseTensor3 for RlcTensor3 {
         }
         0.0
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_quads re-validates coordinates from this tensor's RLC decode"
+    )]
     fn to_coo(&self) -> CooTensor3 {
         let (dy, dz) = (self.dims.1, self.dims.2);
         let mut quads = Vec::with_capacity(self.entries.len());

@@ -524,6 +524,10 @@ pub fn descriptor_tensor_bits(
 /// `rows x cols` with `nnz` stored nonzeros and element type `dtype`.
 /// Thin wrapper over [`descriptor_matrix_bits`] via the format's
 /// [`FormatDescriptor`].
+#[expect(
+    clippy::expect_used,
+    reason = "every preset descriptor has a size model"
+)]
 pub fn matrix_storage_bits(
     format: &MatrixFormat,
     rows: usize,
@@ -543,6 +547,10 @@ pub fn matrix_storage_bits(
 /// Exact storage size in bits of an encoded matrix payload: the same
 /// level model fed with the payload's measured structure
 /// ([`MatrixStructure::exact`]).
+#[expect(
+    clippy::expect_used,
+    reason = "every preset descriptor has a size model"
+)]
 pub fn matrix_storage_bits_exact(data: &MatrixData, dtype: DataType) -> u64 {
     descriptor_matrix_bits(&data.descriptor(), &MatrixStructure::exact(data), dtype)
         .expect("every preset descriptor has a size model")
@@ -552,6 +560,10 @@ pub fn matrix_storage_bits_exact(data: &MatrixData, dtype: DataType) -> u64 {
 /// Analytic storage size in bits of a 3-D tensor in the given format,
 /// assuming uniformly random nonzero positions. Thin wrapper over
 /// [`descriptor_tensor_bits`].
+#[expect(
+    clippy::expect_used,
+    reason = "every tensor preset descriptor has a size model"
+)]
 pub fn tensor_storage_bits(
     format: &TensorFormat,
     dims: (usize, usize, usize),

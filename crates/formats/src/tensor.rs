@@ -94,6 +94,10 @@ impl SparseTensor3 for DenseTensor3 {
     fn get(&self, x: usize, y: usize, z: usize) -> Value {
         self.data[(x * self.dims.1 + y) * self.dims.2 + z]
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_quads re-validates the dense tensor's in-bounds scan"
+    )]
     fn to_coo(&self) -> CooTensor3 {
         let (dx, dy, dz) = self.dims;
         let mut quads = Vec::new();
@@ -171,13 +175,16 @@ impl CooTensor3 {
         quads.sort_unstable_by_key(|&(x, y, z, _)| (x, y, z));
         let mut t = CooTensor3::empty(dx, dy, dz);
         for (x, y, z, v) in quads {
-            if t.values.last().is_some()
-                && *t.x_ids.last().unwrap() == x
-                && *t.y_ids.last().unwrap() == y
-                && *t.z_ids.last().unwrap() == z
-            {
-                *t.values.last_mut().unwrap() += v;
-                continue;
+            if let (Some(&lx), Some(&ly), Some(&lz), Some(last)) = (
+                t.x_ids.last(),
+                t.y_ids.last(),
+                t.z_ids.last(),
+                t.values.last_mut(),
+            ) {
+                if (lx, ly, lz) == (x, y, z) {
+                    *last += v;
+                    continue;
+                }
             }
             t.x_ids.push(x);
             t.y_ids.push(y);

@@ -1341,6 +1341,10 @@ impl TensorData {
 /// [`StreamArena::recycle_csr`] when done and repeated conversions (the
 /// tile loop in `core::pipeline`) stop allocating once the largest tile
 /// has been seen.
+#[expect(
+    clippy::expect_used,
+    reason = "from_parts re-validates the CSR built from an ordered stream"
+)]
 pub fn csr_from_stream_in(
     arena: &mut StreamArena,
     rows: usize,

@@ -139,6 +139,10 @@ impl SparseMatrix for ZvcMatrix {
             0.0
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_sorted_triplets re-validates the row-major mask scan"
+    )]
     fn to_coo(&self) -> CooMatrix {
         let mut triplets = Vec::with_capacity(self.values.len());
         let mut vi = 0;
@@ -233,6 +237,10 @@ impl SparseTensor3 for ZvcTensor3 {
             0.0
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "from_quads re-validates coordinates from this tensor's mask scan"
+    )]
     fn to_coo(&self) -> CooTensor3 {
         let (dy, dz) = (self.dims.1, self.dims.2);
         let mut quads = Vec::with_capacity(self.values.len());

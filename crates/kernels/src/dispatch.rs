@@ -178,6 +178,10 @@ pub fn spmm_parallel_in(
     }
     let slices = split_at_ranges(o.data_mut(), &ranges, n);
     let arenas = pool.slots(ranges.len());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the parallel kernels' per-range workers are a sanctioned spawn site"
+    )]
     std::thread::scope(|s| {
         for ((range, slice), arena) in ranges.iter().cloned().zip(slices).zip(arenas.iter_mut()) {
             s.spawn(move || {
@@ -263,6 +267,10 @@ pub fn spgemm_rowwise(a: &MatrixData, b: &MatrixData) -> Result<CsrMatrix, Kerne
 
 /// SpGEMM over any pair of matrix formats with an explicit dataflow
 /// choice — the entry point SAGE's dataflow pricing drives.
+#[expect(
+    clippy::expect_used,
+    reason = "from_parts re-validates the CSR both SpGEMM dataflows emit"
+)]
 pub fn spgemm_with(
     a: &MatrixData,
     b: &MatrixData,
@@ -342,6 +350,10 @@ pub fn spgemm_parallel_with(
     let (rows, n) = (a.rows(), b.cols());
     let stream = a.row_stream();
     let ranges = stream.row_partition(worker_count(rows));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the parallel kernels' per-range workers are a sanctioned spawn site"
+    )]
     let bands: Vec<(Vec<usize>, Vec<usize>, Vec<Value>)> = if ranges.len() <= 1 {
         vec![spgemm_band(stream, 0..rows, &b_csr, algo)]
     } else {
@@ -356,7 +368,7 @@ pub fn spgemm_parallel_with(
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("spgemm worker panicked"))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         })
     };
@@ -407,6 +419,10 @@ fn spgemm_band(
 
 /// Offset-stitch: per-band row lengths become the global `row_ptr`, band
 /// payloads concatenate in range order.
+#[expect(
+    clippy::expect_used,
+    reason = "from_parts re-validates the CSR stitched from ordered bands"
+)]
 fn stitch_bands(
     rows: usize,
     cols: usize,
@@ -417,9 +433,11 @@ fn stitch_bands(
     row_ptr.push(0usize);
     let mut col_ids = Vec::with_capacity(nnz);
     let mut values = Vec::with_capacity(nnz);
+    let mut total = 0usize;
     for (row_lens, cs, vs) in bands {
         for len in row_lens {
-            row_ptr.push(row_ptr.last().unwrap() + len);
+            total += len;
+            row_ptr.push(total);
         }
         col_ids.extend_from_slice(&cs);
         values.extend_from_slice(&vs);
@@ -447,6 +465,10 @@ pub fn csr_from_stream_parallel(
     if ranges.len() <= 1 {
         return sparseflex_formats::csr_from_stream(rows, cols, stream);
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the parallel kernels' per-range workers are a sanctioned spawn site"
+    )]
     let bands: Vec<(Vec<usize>, Vec<usize>, Vec<Value>)> = std::thread::scope(|s| {
         let handles: Vec<_> = ranges
             .iter()
@@ -469,7 +491,7 @@ pub fn csr_from_stream_parallel(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("stream worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
     stitch_bands(rows, cols, bands)
@@ -583,6 +605,10 @@ pub fn mttkrp_parallel(
     let mut o = DenseMatrix::zeros(dx, j);
     let row_ranges: Vec<Range<usize>> = ranges.iter().map(|r| r.start / dy..r.end / dy).collect();
     let slices = split_at_ranges(o.data_mut(), &row_ranges, j);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the parallel kernels' per-range workers are a sanctioned spawn site"
+    )]
     std::thread::scope(|s| {
         for (range, slice) in ranges.iter().cloned().zip(slices) {
             s.spawn(move || {
@@ -607,10 +633,12 @@ pub fn mttkrp_parallel(
 /// that collapse — the alignment MTTKRP needs so every worker owns whole
 /// x slices (`unit = dim_y` fiber keys per slice).
 fn align_ranges_to(ranges: &mut Vec<Range<usize>>, unit: usize) {
-    if unit <= 1 || ranges.is_empty() {
+    let Some(end) = ranges.last().map(|r| r.end) else {
+        return;
+    };
+    if unit <= 1 {
         return;
     }
-    let end = ranges.last().unwrap().end;
     let mut bounds: Vec<usize> = ranges.iter().map(|r| r.start / unit * unit).collect();
     bounds.dedup();
     ranges.clear();
@@ -700,6 +728,10 @@ pub fn spttm_parallel(a: &TensorData, b: &DenseMatrix) -> Result<DenseTensor3, K
     }
     let mut y = DenseTensor3::zeros(dx, dy, j);
     let slices = split_at_ranges(y.data_mut(), &ranges, j);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the parallel kernels' per-range workers are a sanctioned spawn site"
+    )]
     std::thread::scope(|s| {
         for (range, slice) in ranges.iter().cloned().zip(slices) {
             s.spawn(move || {

@@ -1,6 +1,6 @@
 //! Dense GEMM: `O = A * B` with `A: MxK`, `B: KxN`, `O: MxN`.
 
-use crate::parallel::{par_chunks, worker_count};
+use crate::parallel::{even_ranges, par_chunks, worker_count};
 use sparseflex_formats::{DenseMatrix, SparseMatrix};
 
 /// Cache-blocked sequential dense GEMM (ikj loop order so the innermost
@@ -19,26 +19,13 @@ pub fn gemm_parallel(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     assert_eq!(a.cols(), b.rows(), "GEMM inner dimensions must agree");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = DenseMatrix::zeros(m, n);
-    let workers = worker_count(m);
-    {
-        let a_data = a.data();
-        let b_data = b.data();
-        // Chunk the output by whole rows: chunk length is a multiple of n.
-        let rows_per = m.div_ceil(workers).max(1);
-        par_chunks(out.data_mut(), m.div_ceil(rows_per), |off, chunk| {
-            let row0 = off / n;
-            let rows_here = chunk.len() / n;
-            gemm_into(
-                &a_data[row0 * k..(row0 + rows_here) * k],
-                b_data,
-                chunk,
-                rows_here,
-                k,
-                n,
-                0,
-            );
-        });
-    }
+    let (a_data, b_data) = (a.data(), b.data());
+    // Whole output rows per worker: `n` elements per row.
+    let rows = even_ranges(m, worker_count(m));
+    par_chunks(out.data_mut(), &rows, n, |rows, chunk| {
+        let a_rows = &a_data[rows.start * k..rows.end * k];
+        gemm_into(a_rows, b_data, chunk, rows.len(), k, n, 0);
+    });
     out
 }
 

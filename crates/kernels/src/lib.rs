@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod dispatch;
 pub mod error;

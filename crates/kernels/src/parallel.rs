@@ -85,45 +85,39 @@ pub fn split_at_ranges<'a, T>(
     out
 }
 
-/// Split `data` into at most `parts` contiguous mutable chunks of
-/// near-equal length, returning each with the index of its first element.
-pub fn chunks_with_offsets<T>(data: &mut [T], parts: usize) -> Vec<(usize, &mut [T])> {
-    let len = data.len();
-    if len == 0 || parts == 0 {
-        return Vec::new();
-    }
-    let parts = parts.min(len);
-    let chunk = len.div_ceil(parts);
-    let mut out = Vec::with_capacity(parts);
-    let mut rest = data;
-    let mut offset = 0;
-    while !rest.is_empty() {
-        let take = chunk.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        out.push((offset, head));
-        offset += take;
-        rest = tail;
-    }
-    out
+/// `0..len` cut into at most `parts` contiguous ranges of near-equal
+/// length (none when `len` is 0).
+pub fn even_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
+    let step = len.div_ceil(parts.max(1)).max(1);
+    (0..len)
+        .step_by(step)
+        .map(|s| s..(s + step).min(len))
+        .collect()
 }
 
-/// Run `f(chunk_start, chunk)` over near-equal contiguous chunks of
-/// `data`, one scoped thread per chunk.
-pub fn par_chunks<T: Send, F>(data: &mut [T], parts: usize, f: F)
+/// Run `f(range, slice)` for every partition range, one scoped thread per
+/// range, where `slice` is the range's disjoint window of `data` cut by
+/// [`split_at_ranges`] (`stride` elements per unit). A single range runs
+/// on the calling thread.
+pub fn par_chunks<T: Send, F>(data: &mut [T], ranges: &[Range<usize>], stride: usize, f: F)
 where
-    F: Fn(usize, &mut [T]) + Sync,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
 {
-    let chunks = chunks_with_offsets(data, parts);
-    if chunks.len() <= 1 {
-        for (off, chunk) in chunks {
-            f(off, chunk);
+    let slices = split_at_ranges(data, ranges, stride);
+    if slices.len() <= 1 {
+        for (range, slice) in ranges.iter().cloned().zip(slices) {
+            f(range, slice);
         }
         return;
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the generic chunked fan-out is a sanctioned spawn site"
+    )]
     std::thread::scope(|s| {
-        for (off, chunk) in chunks {
+        for (range, slice) in ranges.iter().cloned().zip(slices) {
             let f = &f;
-            s.spawn(move || f(off, chunk));
+            s.spawn(move || f(range, slice));
         }
     });
 }
@@ -165,32 +159,20 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_everything_once() {
-        let mut v: Vec<u32> = (0..103).collect();
-        let chunks = chunks_with_offsets(&mut v, 7);
-        let mut seen = Vec::new();
-        for (off, c) in &chunks {
-            assert_eq!(c[0] as usize, *off);
-            seen.extend(c.iter().copied());
-        }
-        assert_eq!(seen, (0..103).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunks_handle_degenerate_inputs() {
-        let mut empty: Vec<u32> = vec![];
-        assert!(chunks_with_offsets(&mut empty, 4).is_empty());
-        let mut one = vec![42u32];
-        let c = chunks_with_offsets(&mut one, 8);
-        assert_eq!(c.len(), 1);
+    fn even_ranges_tile_the_length() {
+        assert_eq!(even_ranges(10, 3), vec![0..4, 4..8, 8..10]);
+        assert_eq!(even_ranges(2, 8), vec![0..1, 1..2]);
+        assert!(even_ranges(0, 4).is_empty());
+        assert_eq!(even_ranges(5, 0), vec![0..5], "zero parts clamps to one");
     }
 
     #[test]
     fn par_chunks_writes_disjoint() {
         let mut v = vec![0usize; 1000];
-        par_chunks(&mut v, 8, |off, chunk| {
+        par_chunks(&mut v, &even_ranges(500, 8), 2, |range, chunk| {
+            assert_eq!(chunk.len(), range.len() * 2);
             for (i, x) in chunk.iter_mut().enumerate() {
-                *x = off + i;
+                *x = range.start * 2 + i;
             }
         });
         for (i, x) in v.iter().enumerate() {
@@ -201,7 +183,7 @@ mod tests {
     #[test]
     fn par_chunks_single_thread_path() {
         let mut v = vec![1u8; 3];
-        par_chunks(&mut v, 1, |_, chunk| {
+        par_chunks(&mut v, &even_ranges(3, 1), 1, |_, chunk| {
             for x in chunk {
                 *x += 1;
             }

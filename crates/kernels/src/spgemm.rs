@@ -15,6 +15,10 @@ use sparseflex_formats::{CsrMatrix, SparseMatrix, Value};
 /// Row `i` of `O` is the sparse linear combination of the rows of `B`
 /// selected by row `i` of `A`, accumulated in a dense scratch row (the
 /// classic sparse accumulator).
+#[expect(
+    clippy::expect_used,
+    reason = "from_parts re-validates the CSR rows Gustavson emits"
+)]
 pub(crate) fn csr_csr(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     debug_assert_eq!(a.cols(), b.rows(), "SpGEMM inner dimensions must agree");
     let m = a.rows();
@@ -111,12 +115,9 @@ fn heap_push(h: &mut MergeHeap, item: (usize, usize, usize)) {
 
 #[inline]
 fn heap_pop(h: &mut MergeHeap) -> Option<(usize, usize, usize)> {
-    if h.is_empty() {
-        return None;
-    }
-    let last = h.len() - 1;
+    let last = h.len().checked_sub(1)?;
     h.swap(0, last);
-    let top = h.pop().expect("heap checked non-empty");
+    let top = h.pop()?;
     let mut i = 0;
     loop {
         let (l, r) = (2 * i + 1, 2 * i + 2);
@@ -189,6 +190,10 @@ pub(crate) fn rowwise_row(
 }
 
 /// Row-wise-product SpGEMM fast path: `O = A * B`, all three in CSR.
+#[expect(
+    clippy::expect_used,
+    reason = "from_parts re-validates the CSR rows the row-wise merge emits"
+)]
 pub(crate) fn csr_csr_rowwise(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     debug_assert_eq!(a.cols(), b.rows(), "SpGEMM inner dimensions must agree");
     let m = a.rows();

@@ -47,6 +47,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod service;
 pub mod wire;

@@ -27,22 +27,14 @@
 //! disjoint shapes do not serialize on a single cache lock.
 
 use crate::wire::{self, WireError, WireJob, WireResult};
-use sparseflex_core::{BatchJob, CacheCounters, FlexSystem, PlanCache, RunError, StoredTrace};
+use sparseflex_core::{
+    lock_clean, BatchJob, CacheCounters, FlexSystem, PlanCache, RunError, StoredTrace,
+};
 use sparseflex_formats::SparseMatrix;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
-
-/// Poison-tolerant lock acquisition. A worker that panics mid-job
-/// poisons whatever it held, but every structure guarded here keeps its
-/// invariants across each critical section (counters are monotonic,
-/// queues structurally valid after every push/pop), so the right
-/// response is to recover the data — not to cascade the panic into
-/// every other worker and waiter.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Scheduling priority of a job within its tenant's queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -367,6 +359,10 @@ struct Shared {
 impl Shared {
     /// Pop the next job under weighted-fair order: the backlogged tenant
     /// with the smallest pass, its highest-priority sub-queue first.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "queue wait is counted in whole cycles; `as` drops the fraction and saturates"
+    )]
     fn dispatch_one(&self, central: &mut Central) -> Option<Active> {
         let tenant_id = central
             .tenants
@@ -383,8 +379,8 @@ impl Shared {
         t.pass += STRIDE_SCALE / t.weight.max(1);
         central.global_pass = t.pass;
         central.queued_total -= 1;
-        let wait = pending.admitted_at.elapsed().as_secs_f64() * self.clock_hz;
-        t.queue_wait_cycles += wait as u64;
+        let wait = (pending.admitted_at.elapsed().as_secs_f64() * self.clock_hz) as u64;
+        t.queue_wait_cycles += wait;
         let seq = central.dispatch_seq;
         central.dispatch_seq += 1;
         Some(Active {
@@ -392,7 +388,7 @@ impl Shared {
             tenant: pending.tenant,
             job: pending.job,
             slot: pending.slot,
-            queue_wait_cycles: wait as u64,
+            queue_wait_cycles: wait,
             dispatch_seq: seq,
         })
     }
@@ -583,10 +579,14 @@ impl FlexService {
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let s = Arc::clone(&shared);
-            match std::thread::Builder::new()
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the service's persistent workers are a sanctioned spawn site"
+            )]
+            let spawned = std::thread::Builder::new()
                 .name(format!("sparseflex-serve-{i}"))
-                .spawn(move || s.worker_loop(i))
-            {
+                .spawn(move || s.worker_loop(i));
+            match spawned {
                 Ok(h) => handles.push(h),
                 Err(source) => {
                     lock_clean(&shared.central).shutdown = true;

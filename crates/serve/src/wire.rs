@@ -231,10 +231,7 @@ fn put_dim(w: &mut ByteWriter, dim: usize) -> Result<(), WireError> {
 /// a malformed payload can never silently truncate into a frame that
 /// decodes "successfully" to the wrong matrix.
 fn put_u32_checked(w: &mut ByteWriter, v: usize, what: &'static str) -> Result<(), WireError> {
-    if v > u32::MAX as usize {
-        return Err(WireError::Overflow(what));
-    }
-    w.put_u32(v as u32);
+    w.put_u32(u32::try_from(v).map_err(|_| WireError::Overflow(what))?);
     Ok(())
 }
 
