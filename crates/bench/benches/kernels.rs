@@ -1,14 +1,11 @@
 //! Criterion benches for the software kernels across density regions —
 //! the measured companion to the Fig. 5 device-model sweep — plus the
 //! `kernels_stream` group pricing the format-generic stream path against
-//! the concrete fast paths it dispatches to.
+//! the CSR SpMV fast path and across formats.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparseflex_formats::{CsrMatrix, DenseMatrix, MatrixData, MatrixFormat, StreamArena};
-use sparseflex_kernels::{
-    gemm, spgemm, spgemm_rowwise, spmm, spmm_via_stream, spmm_via_stream_in, spmv, spmv_via_stream,
-    spmv_via_stream_in,
-};
+use sparseflex_formats::{CsrMatrix, DenseMatrix, MatrixData, MatrixFormat};
+use sparseflex_kernels::{gemm, spgemm, spgemm_with, spmm, spmv, spmv_via_stream, SpgemmAlgo};
 use sparseflex_workloads::synth::{random_dense_matrix, random_matrix};
 
 const N: usize = 384;
@@ -35,7 +32,11 @@ fn bench_mm_across_density(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("spgemm_rowwise_csr_csr", dens),
             &dens,
-            |bench, _| bench.iter(|| spgemm_rowwise(&a_csr, &b_csr).expect("shapes agree")),
+            |bench, _| {
+                bench.iter(|| {
+                    spgemm_with(&a_csr, &b_csr, SpgemmAlgo::RowWise).expect("shapes agree")
+                })
+            },
         );
     }
     let a_dense: DenseMatrix = random_dense_matrix(N, N, 3);
@@ -62,10 +63,11 @@ fn bench_parallel_speedup(c: &mut Criterion) {
 
 /// Generic-stream vs concrete fast-path: the dispatch overhead of the
 /// format-agnostic API, and the cost of streaming formats with no
-/// dedicated kernel. `spmv`/`spmm` on a CSR operand dispatch to the tuned
-/// row loop; the `via_stream` rows force the same operand through the
-/// fiber-stream consumer; the ZVC rows show a hub-only format running a
-/// kernel that previously required pre-conversion to CSR.
+/// dedicated kernel. `spmv` on a CSR operand dispatches to the tuned row
+/// loop and `spmv_via_stream` forces the same operand through the
+/// fiber-stream consumer; SpMM has only the stream body. The ZVC rows
+/// show a hub-only format running a kernel that previously required
+/// pre-conversion to CSR.
 fn bench_stream_vs_fast_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernels_stream");
     g.sample_size(10);
@@ -85,22 +87,11 @@ fn bench_stream_vs_fast_path(c: &mut Criterion) {
     g.bench_function("spmv_zvc_stream", |bench| {
         bench.iter(|| spmv(&a_zvc, &x).expect("shapes agree"))
     });
-    g.bench_function("spmv_zvc_stream_warm_arena", |bench| {
-        let mut arena = StreamArena::new();
-        bench.iter(|| spmv_via_stream_in(&mut arena, &a_zvc, &x).expect("shapes agree"))
-    });
-    g.bench_function("spmm_csr_fast_path", |bench| {
+    g.bench_function("spmm_csr_stream", |bench| {
         bench.iter(|| spmm(&a_csr, &b).expect("shapes agree"))
-    });
-    g.bench_function("spmm_csr_via_stream", |bench| {
-        bench.iter(|| spmm_via_stream(&a_csr, &b).expect("shapes agree"))
     });
     g.bench_function("spmm_zvc_stream", |bench| {
         bench.iter(|| spmm(&a_zvc, &b).expect("shapes agree"))
-    });
-    g.bench_function("spmm_zvc_stream_warm_arena", |bench| {
-        let mut arena = StreamArena::new();
-        bench.iter(|| spmm_via_stream_in(&mut arena, &a_zvc, &b).expect("shapes agree"))
     });
     g.finish();
 }

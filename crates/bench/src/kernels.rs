@@ -14,10 +14,11 @@
 //!   installs [`crate::allocs::CountingAllocator`]; `counting_installed`
 //!   records which case the snapshot was taken under.
 //! - **Overhead points** — median wall-clock of the format-generic
-//!   stream path over the tuned fast path for the same CSR operand
-//!   (SpMV and SpMM), gated against [`STREAM_OVERHEAD_BUDGET`]. ZVC
-//!   rows ride along uninspected: they price running a hub-only format
-//!   directly, not wrapper overhead.
+//!   stream path over the tuned CSR SpMV row loop for the same operand,
+//!   gated against [`STREAM_OVERHEAD_BUDGET`]. (SpMM has no fast path
+//!   left to compare against.) ZVC rows ride along uninspected: they
+//!   price running a hub-only format directly against the CSR kernel,
+//!   not wrapper overhead.
 //! - **SpGEMM dataflow points** — Gustavson vs row-wise wall-clock on a
 //!   moderate and a hyper-sparse/wide operand pair, plus which dataflow
 //!   [`sparseflex_sage::choose_spgemm_algo`] picks for each. Untimed
@@ -25,9 +26,7 @@
 
 use crate::allocs;
 use sparseflex_formats::{CsrMatrix, DenseMatrix, MatrixData, MatrixFormat, StreamArena};
-use sparseflex_kernels::{
-    spgemm, spgemm_rowwise, spmm, spmm_via_stream_in, spmv, spmv_via_stream_in, SpgemmAlgo,
-};
+use sparseflex_kernels::{spgemm, spgemm_with, spmm, spmv, spmv_via_stream, SpgemmAlgo};
 use sparseflex_sage::choose_spgemm_algo;
 use sparseflex_sage::SageWorkload;
 use std::time::Instant;
@@ -73,7 +72,7 @@ pub struct OverheadPoint {
     pub kernel: &'static str,
     /// Median ns of the tuned fast path.
     pub fast_ns: u64,
-    /// Median ns of the format-generic stream path (warm arena).
+    /// Median ns of the format-generic stream path.
     pub stream_ns: u64,
     /// Whether [`enforce`] holds this ratio to [`STREAM_OVERHEAD_BUDGET`].
     pub gated: bool,
@@ -193,14 +192,14 @@ pub fn measure_allocs() -> Vec<AllocPoint> {
     // the recycled triple and the arena scratch — zero allocations.
     let csc = MatrixData::encode(&coo, &MatrixFormat::Csc).expect("CSC encodes");
     let mut arena = StreamArena::new();
-    let warm = sparseflex_formats::csr_from_stream_in(&mut arena, N, N, csc.row_stream());
+    let warm = sparseflex_formats::csr_from_stream_in(&mut arena, csc.row_stream());
     arena.recycle_csr(warm);
     let (warmup_allocs, c) = allocs::count_allocs(|| {
-        let c = sparseflex_formats::csr_from_stream_in(&mut arena, N, N, csc.row_stream());
+        let c = sparseflex_formats::csr_from_stream_in(&mut arena, csc.row_stream());
         arena.recycle_csr(c);
     });
     let (steady_allocs, _) = allocs::count_allocs(|| {
-        let c = sparseflex_formats::csr_from_stream_in(&mut arena, N, N, csc.row_stream());
+        let c = sparseflex_formats::csr_from_stream_in(&mut arena, csc.row_stream());
         arena.recycle_csr(c);
     });
     std::hint::black_box(c);
@@ -220,41 +219,32 @@ pub fn measure_overhead() -> Vec<OverheadPoint> {
     let a_zvc = MatrixData::encode(&coo, &MatrixFormat::Zvc).expect("ZVC encodes");
     let x: Vec<f64> = (0..N).map(|i| (i % 13) as f64 - 6.0).collect();
     let b: DenseMatrix = sparseflex_workloads::synth::random_dense_matrix(N, DENSE_COLS, 17);
-    let mut arena = StreamArena::new();
-    let mut out = Vec::new();
 
     let fast = time_median(|| spmv(&a_csr, &x).expect("shapes agree"));
-    let stream = time_median(|| spmv_via_stream_in(&mut arena, &a_csr, &x).expect("shapes agree"));
-    out.push(OverheadPoint {
-        kernel: "spmv_csr",
-        fast_ns: fast,
-        stream_ns: stream,
-        gated: true,
-    });
-    let zvc = time_median(|| spmv_via_stream_in(&mut arena, &a_zvc, &x).expect("shapes agree"));
-    out.push(OverheadPoint {
-        kernel: "spmv_zvc_vs_csr_fast",
-        fast_ns: fast,
-        stream_ns: zvc,
-        gated: false,
-    });
-
-    let fast = time_median(|| spmm(&a_csr, &b).expect("shapes agree"));
-    let stream = time_median(|| spmm_via_stream_in(&mut arena, &a_csr, &b).expect("shapes agree"));
-    out.push(OverheadPoint {
-        kernel: "spmm_csr",
-        fast_ns: fast,
-        stream_ns: stream,
-        gated: true,
-    });
-    let zvc = time_median(|| spmm_via_stream_in(&mut arena, &a_zvc, &b).expect("shapes agree"));
-    out.push(OverheadPoint {
-        kernel: "spmm_zvc_vs_csr_fast",
-        fast_ns: fast,
-        stream_ns: zvc,
-        gated: false,
-    });
-    out
+    let stream = time_median(|| spmv_via_stream(&a_csr, &x).expect("shapes agree"));
+    let zvc = time_median(|| spmv(&a_zvc, &x).expect("shapes agree"));
+    let spmm_csr = time_median(|| spmm(&a_csr, &b).expect("shapes agree"));
+    let spmm_zvc = time_median(|| spmm(&a_zvc, &b).expect("shapes agree"));
+    vec![
+        OverheadPoint {
+            kernel: "spmv_csr",
+            fast_ns: fast,
+            stream_ns: stream,
+            gated: true,
+        },
+        OverheadPoint {
+            kernel: "spmv_zvc_vs_csr_fast",
+            fast_ns: fast,
+            stream_ns: zvc,
+            gated: false,
+        },
+        OverheadPoint {
+            kernel: "spmm_zvc_vs_csr",
+            fast_ns: spmm_csr,
+            stream_ns: spmm_zvc,
+            gated: false,
+        },
+    ]
 }
 
 /// Measure the SpGEMM dataflow points (and assert bit-identity while
@@ -275,7 +265,7 @@ pub fn measure_spgemm() -> Vec<SpgemmPoint> {
                 &sparseflex_workloads::synth::random_matrix(k, n, nnz_b, seed + 1),
             ));
             let g = spgemm(&a, &b).expect("shapes agree");
-            let r = spgemm_rowwise(&a, &b).expect("shapes agree");
+            let r = spgemm_with(&a, &b, SpgemmAlgo::RowWise).expect("shapes agree");
             assert_eq!(g, r, "{name}: dataflows must be bit-identical");
             let w = SageWorkload::spgemm(
                 m,
@@ -288,7 +278,9 @@ pub fn measure_spgemm() -> Vec<SpgemmPoint> {
             SpgemmPoint {
                 name,
                 gustavson_ns: time_median(|| spgemm(&a, &b).expect("shapes agree")),
-                rowwise_ns: time_median(|| spgemm_rowwise(&a, &b).expect("shapes agree")),
+                rowwise_ns: time_median(|| {
+                    spgemm_with(&a, &b, SpgemmAlgo::RowWise).expect("shapes agree")
+                }),
                 sage_choice: choose_spgemm_algo(&w),
             }
         })

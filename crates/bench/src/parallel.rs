@@ -7,8 +7,8 @@
 //!   the sequential stream kernel vs its parallel twin at forced worker
 //!   counts ([`WORKER_COUNTS`], via
 //!   [`sparseflex_kernels::parallel::with_workers`]), for SpMM and
-//!   Gustavson SpGEMM over every matrix format and MTTKRP over every
-//!   tensor format. Alongside each timing the outputs are compared
+//!   Gustavson SpGEMM over every matrix format and MTTKRP and SpTTM over
+//!   every tensor format. Alongside each timing the outputs are compared
 //!   **bit-for-bit**; `bitwise_equal` must hold for every point and is
 //!   the property `kernels_gate` prices — never the speedup, which on a
 //!   single-core CI runner is physically capped at 1.0 (the snapshot
@@ -28,14 +28,14 @@ use sparseflex_formats::{
 };
 use sparseflex_kernels::parallel::with_workers;
 use sparseflex_kernels::{
-    mttkrp_parallel, mttkrp_via_stream, spgemm_parallel_with, spgemm_with, spmm_parallel,
-    spmm_via_stream, SpgemmAlgo,
+    mttkrp_parallel, mttkrp_via_stream, spgemm_parallel_with, spgemm_with, spmm, spmm_parallel,
+    spttm, spttm_parallel, SpgemmAlgo,
 };
 use std::time::Instant;
 
 /// Operand side for the exhibit matrices.
 const N: usize = 192;
-/// Dense-operand width (SpMM B columns / MTTKRP rank).
+/// Dense-operand width (SpMM B columns / MTTKRP and SpTTM rank).
 const DENSE_COLS: usize = 24;
 /// Nonzeros in the sparse matrix operands (~2% dense).
 const NNZ: usize = 760;
@@ -54,7 +54,7 @@ pub const RANGED_ALLOC_BUDGET: u64 = 0;
 /// Sequential-vs-parallel wall-clock for one kernel × format.
 #[derive(Debug, Clone)]
 pub struct ParallelPoint {
-    /// Kernel label (`spmm`, `spgemm`, `mttkrp`).
+    /// Kernel label (`spmm`, `spgemm`, `mttkrp`, `spttm`).
     pub kernel: &'static str,
     /// Format label.
     pub format: String,
@@ -164,6 +164,33 @@ fn exhibit_tensor(seed: u64) -> CooTensor3 {
     sparseflex_workloads::synth::random_tensor3(dx, dy, dz, TNNZ, seed)
 }
 
+/// Time the sequential kernel `seq` and its parallel twin `par` at every
+/// forced worker count, checking bit-for-bit equality at each.
+fn kernel_point<T: PartialEq>(
+    kernel: &'static str,
+    format: &str,
+    seq: impl Fn() -> T,
+    par: impl Fn() -> T,
+) -> ParallelPoint {
+    let expect = seq();
+    let seq_ns = time_median(&seq);
+    let mut bitwise_equal = true;
+    let mut par_ns = [0u64; 4];
+    for (slot, &w) in WORKER_COUNTS.iter().enumerate() {
+        with_workers(w, || {
+            bitwise_equal &= par() == expect;
+            par_ns[slot] = time_median(&par);
+        });
+    }
+    ParallelPoint {
+        kernel,
+        format: format.to_string(),
+        seq_ns,
+        par_ns,
+        bitwise_equal,
+    }
+}
+
 /// Measure the sequential-vs-parallel kernel points.
 pub fn measure_kernels() -> Vec<ParallelPoint> {
     let a = exhibit_matrix(29);
@@ -173,74 +200,38 @@ pub fn measure_kernels() -> Vec<ParallelPoint> {
     let (_, dy, dz) = TDIMS;
     let fb = sparseflex_workloads::synth::random_dense_matrix(dy, DENSE_COLS, 43);
     let fc = sparseflex_workloads::synth::random_dense_matrix(dz, DENSE_COLS, 47);
+    let gus = SpgemmAlgo::Gustavson;
     let mut out = Vec::new();
-
     for (label, fmt) in matrix_formats() {
         let da = MatrixData::encode(&a, &fmt).expect("exhibit operand encodes");
         let db = MatrixData::encode(&bs, &fmt).expect("exhibit operand encodes");
-
-        let seq = spmm_via_stream(&da, &bd).expect("shapes agree");
-        let mut equal = true;
-        let mut par_ns = [0u64; 4];
-        let seq_ns = time_median(|| spmm_via_stream(&da, &bd).expect("shapes agree"));
-        for (slot, &w) in WORKER_COUNTS.iter().enumerate() {
-            with_workers(w, || {
-                equal &= spmm_parallel(&da, &bd).expect("shapes agree") == seq;
-                par_ns[slot] = time_median(|| spmm_parallel(&da, &bd).expect("shapes agree"));
-            });
-        }
-        out.push(ParallelPoint {
-            kernel: "spmm",
-            format: label.clone(),
-            seq_ns,
-            par_ns,
-            bitwise_equal: equal,
-        });
-
-        let seq = spgemm_with(&da, &db, SpgemmAlgo::Gustavson).expect("shapes agree");
-        let mut equal = true;
-        let mut par_ns = [0u64; 4];
-        let seq_ns =
-            time_median(|| spgemm_with(&da, &db, SpgemmAlgo::Gustavson).expect("shapes agree"));
-        for (slot, &w) in WORKER_COUNTS.iter().enumerate() {
-            with_workers(w, || {
-                equal &= spgemm_parallel_with(&da, &db, SpgemmAlgo::Gustavson)
-                    .expect("shapes agree")
-                    == seq;
-                par_ns[slot] = time_median(|| {
-                    spgemm_parallel_with(&da, &db, SpgemmAlgo::Gustavson).expect("shapes agree")
-                });
-            });
-        }
-        out.push(ParallelPoint {
-            kernel: "spgemm",
-            format: label,
-            seq_ns,
-            par_ns,
-            bitwise_equal: equal,
-        });
+        out.push(kernel_point(
+            "spmm",
+            &label,
+            || spmm(&da, &bd).expect("shapes agree"),
+            || spmm_parallel(&da, &bd).expect("shapes agree"),
+        ));
+        out.push(kernel_point(
+            "spgemm",
+            &label,
+            || spgemm_with(&da, &db, gus).expect("shapes agree"),
+            || spgemm_parallel_with(&da, &db, gus).expect("shapes agree"),
+        ));
     }
-
     for (label, fmt) in tensor_formats() {
         let dt = TensorData::encode(&t, &fmt).expect("exhibit tensor encodes");
-        let seq = mttkrp_via_stream(&dt, &fb, &fc).expect("shapes agree");
-        let mut equal = true;
-        let mut par_ns = [0u64; 4];
-        let seq_ns = time_median(|| mttkrp_via_stream(&dt, &fb, &fc).expect("shapes agree"));
-        for (slot, &w) in WORKER_COUNTS.iter().enumerate() {
-            with_workers(w, || {
-                equal &= mttkrp_parallel(&dt, &fb, &fc).expect("shapes agree") == seq;
-                par_ns[slot] =
-                    time_median(|| mttkrp_parallel(&dt, &fb, &fc).expect("shapes agree"));
-            });
-        }
-        out.push(ParallelPoint {
-            kernel: "mttkrp",
-            format: label,
-            seq_ns,
-            par_ns,
-            bitwise_equal: equal,
-        });
+        out.push(kernel_point(
+            "mttkrp",
+            &label,
+            || mttkrp_via_stream(&dt, &fb, &fc).expect("shapes agree"),
+            || mttkrp_parallel(&dt, &fb, &fc).expect("shapes agree"),
+        ));
+        out.push(kernel_point(
+            "spttm",
+            &label,
+            || spttm(&dt, &fc).expect("shapes agree"),
+            || spttm_parallel(&dt, &fc).expect("shapes agree"),
+        ));
     }
     out
 }
@@ -484,7 +475,7 @@ mod tests {
         let m = measure();
         assert_eq!(
             m.kernel_points.len(),
-            matrix_formats().len() * 2 + tensor_formats().len()
+            (matrix_formats().len() + tensor_formats().len()) * 2
         );
         assert!(m.kernel_points.iter().all(|p| p.bitwise_equal));
         assert_eq!(m.ranged_allocs.len(), matrix_formats().len());
@@ -502,6 +493,7 @@ mod tests {
         let rows = rows_from(&m);
         assert!(rows.iter().any(|r| r.starts_with("spgemm,zvc,")));
         assert!(rows.iter().any(|r| r.starts_with("mttkrp,csf,")));
+        assert!(rows.iter().any(|r| r.starts_with("spttm,hicoo2,")));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! On top of the pipeline, [`FlexSystem::run_batch`] serves many
 //! independent workloads across parallel *virtual accelerator instances*
-//! (one scoped worker thread each), sharing the system's own
+//! (one [`fan_out`] worker each), sharing the system's own
 //! [`Planner`] — and therefore its bounded plan cache — across jobs,
 //! threads **and successive batch calls**, so a long-lived service pays
 //! each workload shape's MCF×ACF search once.
@@ -29,7 +29,7 @@ use crate::planner::{PlanDiscipline, Planner};
 use crate::system::{FlexSystem, RunError};
 use sparseflex_accel::exec::{ActivityCounts, CycleBreakdown};
 use sparseflex_formats::{CooMatrix, DenseMatrix, SparseMatrix};
-use sparseflex_kernels::parallel::{even_ranges, par_chunks, worker_count};
+use sparseflex_kernels::parallel::{even_ranges, fan_out, split_at_ranges, worker_count};
 use sparseflex_mint::tiled::OverlapSchedule;
 use sparseflex_mint::ConversionReport;
 use sparseflex_sage::{Evaluation, SageWorkload};
@@ -217,8 +217,8 @@ impl FlexSystem {
     /// Serve a batch of independent workloads across parallel virtual
     /// accelerator instances, sharing the system's own [`Planner`].
     ///
-    /// Jobs are partitioned into contiguous chunks, one scoped worker
-    /// thread per chunk (each thread simulates its own accelerator
+    /// Jobs are partitioned into contiguous chunks, one
+    /// [`fan_out`] worker per chunk (each simulates its own accelerator
     /// instance); results come back in submission order. Repeated
     /// workload shapes hit the bounded plan cache and skip the MCF×ACF
     /// search — **including shapes cached by earlier `run_batch` calls**
@@ -241,11 +241,11 @@ impl FlexSystem {
         let misses = std::sync::atomic::AtomicU64::new(0);
         let mut results: Vec<Option<Result<PipelineRun, RunError>>> =
             (0..jobs.len()).map(|_| None).collect();
-        par_chunks(
-            &mut results,
-            &even_ranges(jobs.len(), workers),
-            1,
-            |range, chunk| {
+        let ranges = even_ranges(jobs.len(), workers);
+        let chunks = split_at_ranges(&mut results, &ranges, 1);
+        fan_out(
+            ranges.into_iter().zip(chunks).collect(),
+            |(range, chunk)| {
                 for (job, slot) in jobs[range].iter().zip(chunk) {
                     *slot = Some(
                         planner
@@ -269,8 +269,8 @@ impl FlexSystem {
         // exact for the common one-batch-at-a-time serving pattern.
         let delta = planner.cache.counters().since(before);
         BatchRun {
-            // `par_chunks` hands every slot to exactly one worker, which
-            // fills it, so flattening drops nothing.
+            // The chunks tile every slot and each worker fills its own, so
+            // flattening drops nothing.
             results: results.into_iter().flatten().collect(),
             plan_cache_hits: hits.into_inner(),
             plans_computed: misses.into_inner(),

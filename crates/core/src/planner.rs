@@ -37,7 +37,7 @@ use sparseflex_formats::{
     CooMatrix, CsrMatrix, DenseMatrix, MatrixData, MatrixFormat, MatrixTile, SparseMatrix,
     StreamArena, TilePolicy,
 };
-use sparseflex_kernels::parallel::worker_count;
+use sparseflex_kernels::parallel::{fan_out, worker_count};
 use sparseflex_mint::tiled::{overlap_schedule, split_cycles};
 use sparseflex_mint::{conversion_cost, ConversionReport};
 use sparseflex_sage::eval::Evaluation;
@@ -769,17 +769,18 @@ fn prepare_operands(
 }
 
 /// Convert each scheduled tile MCF→ACF and run it on the cycle-accurate
-/// simulator — in parallel across tile workers when the schedule has more
-/// than one tile. This is the **one** per-tile sequence shared by
-/// `execute_plan` and the structure-model oracle, so the oracle's
-/// cycle-exactness guarantee cannot drift from what execution does.
+/// simulator, with the tiles fanned out across workers. This is the
+/// **one** per-tile sequence shared by `execute_plan` and the
+/// structure-model oracle, so the oracle's cycle-exactness guarantee
+/// cannot drift from what execution does.
 ///
-/// Tiles are chunked contiguously and each scoped worker leases one
-/// grow-only arena from the planner's pool: the first run warms each
-/// worker's buffers (traversal scratch and the recycled CSR triple),
-/// later runs convert without fresh allocations. Tiles are independent
-/// (disjoint column ranges, shared read-only `A`), so results are
-/// identical to the sequential loop and re-assembled in schedule order.
+/// Tiles are chunked contiguously, one chunk per [`fan_out`] worker, and
+/// each chunk travels with one grow-only arena leased from the planner's
+/// pool: the first run warms each worker's buffers (traversal scratch and
+/// the recycled CSR triple), later runs convert without fresh
+/// allocations. Tiles are independent (disjoint column ranges, shared
+/// read-only `A`), so results are identical to a sequential loop and come
+/// back in schedule order; a single worker is simply one chunk.
 fn convert_and_execute_tiles(
     sage: &Sage,
     choice: &sparseflex_sage::FormatChoice,
@@ -790,45 +791,22 @@ fn convert_and_execute_tiles(
 ) -> Result<Vec<(ConversionReport, SimResult)>, RunError> {
     let a_csr = if spgemm { Some(csr_cow(a_acf)) } else { None };
     let a_csr_ref = a_csr.as_deref();
-    let run_chunk = |tiles: &[MatrixTile], arena: &mut StreamArena| {
-        tiles
-            .iter()
-            .map(|tile| {
-                let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
-                let sim = execute_tile(sage, arena, a_acf, a_csr_ref, &tile_acf)?;
-                Ok((conv, sim))
-            })
-            .collect::<Result<Vec<_>, RunError>>()
-    };
-    let workers = worker_count(tiles_mem.len());
-    if workers <= 1 {
-        let mut arenas = lock_clean(pool).lease(1);
-        let out = run_chunk(tiles_mem, &mut arenas[0]);
-        lock_clean(pool).restore(arenas);
-        return out;
-    }
-    let chunk = tiles_mem.len().div_ceil(workers);
-    let chunks: Vec<&[MatrixTile]> = tiles_mem.chunks(chunk).collect();
+    let chunk = tiles_mem.len().div_ceil(worker_count(tiles_mem.len()));
+    let chunks: Vec<&[MatrixTile]> = tiles_mem.chunks(chunk.max(1)).collect();
     let mut arenas = lock_clean(pool).lease(chunks.len());
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the planner's tile fan-out is a sanctioned spawn site"
-    )]
-    let results: Vec<Result<Vec<(ConversionReport, SimResult)>, RunError>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
+    let results = fan_out(
+        chunks.into_iter().zip(arenas.iter_mut()).collect(),
+        |(tiles, arena)| {
+            tiles
                 .iter()
-                .zip(arenas.iter_mut())
-                .map(|(tiles, arena)| {
-                    let run_chunk = &run_chunk;
-                    s.spawn(move || run_chunk(tiles, arena))
+                .map(|tile| {
+                    let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
+                    let sim = execute_tile(sage, arena, a_acf, a_csr_ref, &tile_acf)?;
+                    Ok((conv, sim))
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
+                .collect::<Result<Vec<_>, RunError>>()
+        },
+    );
     // Arenas go back to the pool before error propagation so a failed
     // tile does not leak the warmed buffers.
     lock_clean(pool).restore(arenas);

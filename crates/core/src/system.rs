@@ -340,7 +340,7 @@ impl FlexSystem {
         let (mcf_a_bits, mcf_b_bits) = (a_mem.storage_bits(dtype), b_mem.storage_bits(dtype));
         // MCF -> ACF: decode each operand's fiber stream into the
         // compute formats (CSR streaming, dense stationary).
-        let a_acf = MatrixData::Csr(csr_from_stream(a.rows(), a.cols(), a_mem.row_stream()));
+        let a_acf = MatrixData::Csr(csr_from_stream(a_mem.row_stream()));
         let mut b_dense = DenseMatrix::zeros(b.rows(), b.cols());
         b_mem.row_stream().for_each_nnz(&mut |r, c, v| {
             b_dense.set(r, c, v);

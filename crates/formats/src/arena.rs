@@ -35,11 +35,9 @@
 //! ```
 //!
 //! The buffers are plain public fields on purpose: each traversal names
-//! the buffers it uses, and a consumer threading the arena through both
-//! a traversal and its own accumulation takes the buffer it needs out
-//! with [`std::mem::take`] and puts it back after (the pattern the
-//! kernel crate's `*_in` entry points use), so the borrow checker keeps
-//! traversal scratch and consumer scratch disjoint.
+//! the buffers it uses (destructuring the arena), so the borrow checker
+//! keeps the scratch of one traversal disjoint from the next. The arena
+//! holds traversal scratch only; consumers keep their own accumulators.
 
 use crate::Value;
 
@@ -71,10 +69,6 @@ pub struct StreamArena {
     /// `(x, y, z, value)` quads for block-clustered tensor traversals
     /// that must re-sort the whole operand (HiCOO).
     pub quads: Vec<(usize, usize, usize, Value)>,
-    /// Dense accumulator lane for stream consumers (kernel partial-sum
-    /// rows); taken out with `std::mem::take` around a traversal and put
-    /// back after, so it never aliases traversal scratch.
-    pub acc: Vec<Value>,
     // Recycled csr_from_stream_in output capacity (private: only the
     // take/recycle pair below may touch these, keeping the invariant
     // that they are never aliased by an in-flight traversal).
@@ -126,19 +120,14 @@ impl StreamArena {
 
 /// A grow-only pool of [`StreamArena`]s for data-parallel stream fan-out.
 ///
-/// The two-phase parallel kernels give each scoped worker thread its own
-/// arena so every per-thread traversal keeps the zero-alloc steady state.
-/// The pool owns those arenas across calls: the first parallel kernel
-/// invocation grows each worker's arena to fit its slice, and every later
-/// invocation at the same (or lower) worker count allocates nothing.
-///
-/// Two access patterns:
-/// - [`slots`](Self::slots) hands out a mutable slice of `n` warm arenas
-///   — the scoped-thread pattern (`iter_mut` splits them across workers,
-///   the borrow ends with the scope). Zero-alloc once grown.
-/// - [`lease`](Self::lease)/[`restore`](Self::restore) move `n` arenas
-///   out and back — for callers that must cross a `Mutex` or otherwise
-///   detach the arenas from the pool borrow (the planner's tile executor).
+/// A caller that fans the same kind of work out repeatedly — the
+/// planner's tile executor — gives each worker its own arena so every
+/// per-thread traversal keeps the zero-alloc steady state. The pool owns
+/// those arenas across calls: [`lease`](Self::lease) moves `n` warm arenas
+/// out (so they can cross a `Mutex` and travel with the workers'
+/// items) and [`restore`](Self::restore) takes them back. The first
+/// fan-out grows each arena to fit its share; every later one at the
+/// same (or lower) worker count allocates nothing.
 #[derive(Debug, Default)]
 pub struct ArenaPool {
     arenas: Vec<StreamArena>,
@@ -148,16 +137,6 @@ impl ArenaPool {
     /// A fresh pool holding no arenas (and no heap memory).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Borrow `n` warm arenas, growing the pool with fresh (heap-free)
-    /// arenas if it holds fewer. Existing arenas keep their capacity, so
-    /// steady-state calls allocate nothing.
-    pub fn slots(&mut self, n: usize) -> &mut [StreamArena] {
-        if self.arenas.len() < n {
-            self.arenas.resize_with(n, StreamArena::new);
-        }
-        &mut self.arenas[..n]
     }
 
     /// Move `n` arenas out of the pool (warmest first), topping up with
@@ -182,19 +161,6 @@ mod tests {
     use crate::CsrMatrix;
 
     #[test]
-    fn pool_slots_grow_and_keep_capacity() {
-        let mut pool = ArenaPool::new();
-        {
-            let slots = pool.slots(3);
-            assert_eq!(slots.len(), 3);
-            slots[1].coords.reserve(100);
-        }
-        let cap = pool.slots(3)[1].coords.capacity();
-        assert!(cap >= 100, "slot capacity must survive re-borrow");
-        assert_eq!(pool.slots(2).len(), 2);
-    }
-
-    #[test]
     fn pool_lease_restore_round_trips_capacity() {
         let mut pool = ArenaPool::new();
         let mut leased = pool.lease(2);
@@ -215,7 +181,6 @@ mod tests {
         assert_eq!(a.pairs.capacity(), 0);
         assert_eq!(a.triples.capacity(), 0);
         assert_eq!(a.quads.capacity(), 0);
-        assert_eq!(a.acc.capacity(), 0);
     }
 
     #[test]

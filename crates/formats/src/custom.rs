@@ -335,11 +335,18 @@ impl CustomMatrix {
 }
 
 impl RowMajorStream for CustomMatrix {
-    /// Row-major traversal: native fiber walk for row-major orders, a
-    /// counting-sort transpose (the CSC algorithm) for column-major. All
-    /// scratch comes from the arena, so repeat traversals allocate
-    /// nothing once its buffers have grown to fit the operand.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
+    /// Row-major orders walk the stored-fiber list natively, skipping and
+    /// clipping it to `range` (it is sorted ascending). Column-major orders
+    /// run a counting-sort transpose (the CSC algorithm) that buckets only
+    /// the entries whose row lies in `range`. All scratch comes from the
+    /// arena, so repeat traversals allocate nothing once its buffers have
+    /// grown to fit the operand.
+    fn for_each_fiber_range_in(
+        &self,
+        range: Range<usize>,
+        arena: &mut StreamArena,
+        emit: &mut RowFiberSink<'_>,
+    ) {
         let stored = self.stored_fibers();
         let StreamArena {
             coords,
@@ -350,64 +357,6 @@ impl RowMajorStream for CustomMatrix {
             ..
         } = arena;
         if self.desc.order != RankOrder::ColMajor {
-            for (si, &f) in stored.iter().enumerate() {
-                self.decode_fiber(si, coords, vals);
-                if !coords.is_empty() {
-                    emit(f, coords, vals);
-                }
-            }
-            return;
-        }
-        // Column-major: bucket all entries by row, columns stay sorted
-        // because fibers are visited in ascending column order.
-        row_ptr.clear();
-        row_ptr.resize(self.rows + 1, 0);
-        triples.clear();
-        triples.reserve(self.nnz);
-        for (si, &col) in stored.iter().enumerate() {
-            self.decode_fiber(si, coords, vals);
-            for (&r, &v) in coords.iter().zip(&*vals) {
-                row_ptr[r + 1] += 1;
-                triples.push((r, col, v));
-            }
-        }
-        for r in 0..self.rows {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        // The per-fiber decode scratch is free again — reuse it as the
-        // scatter target holding the row-bucketed columns and values.
-        coords.clear();
-        coords.resize(triples.len(), 0);
-        vals.clear();
-        vals.resize(triples.len(), 0.0);
-        next.clear();
-        next.extend_from_slice(row_ptr);
-        for &(r, c, v) in triples.iter() {
-            let slot = next[r];
-            next[r] += 1;
-            coords[slot] = c;
-            vals[slot] = v;
-        }
-        for r in 0..self.rows {
-            let (s, e) = (row_ptr[r], row_ptr[r + 1]);
-            if s < e {
-                emit(r, &coords[s..e], &vals[s..e]);
-            }
-        }
-    }
-
-    /// Ranged walk: row-major orders skip/clip the stored-fiber list (it is
-    /// sorted ascending); column-major runs the full counting-sort
-    /// transpose and emits only the requested row band.
-    fn for_each_fiber_range_in(
-        &self,
-        range: Range<usize>,
-        arena: &mut StreamArena,
-        emit: &mut RowFiberSink<'_>,
-    ) {
-        if self.desc.order != RankOrder::ColMajor {
-            let stored = self.stored_fibers();
-            let StreamArena { coords, vals, .. } = arena;
             for (si, &f) in stored.iter().enumerate() {
                 if f < range.start {
                     continue;
@@ -422,15 +371,49 @@ impl RowMajorStream for CustomMatrix {
             }
             return;
         }
+        let lo = range.start.min(self.rows);
         let hi = range.end.min(self.rows);
-        if range.start >= hi {
+        if lo >= hi {
             return;
         }
-        self.for_each_fiber_in(arena, &mut |r, cols, vals| {
-            if r >= range.start && r < hi {
-                emit(r, cols, vals);
+        // Column-major: bucket the band's entries by row, columns stay
+        // sorted because fibers are visited in ascending column order.
+        let band = hi - lo;
+        row_ptr.clear();
+        row_ptr.resize(band + 1, 0);
+        triples.clear();
+        for (si, &col) in stored.iter().enumerate() {
+            self.decode_fiber(si, coords, vals);
+            for (&r, &v) in coords.iter().zip(&*vals) {
+                if r >= lo && r < hi {
+                    row_ptr[r - lo + 1] += 1;
+                    triples.push((r, col, v));
+                }
             }
-        });
+        }
+        for i in 0..band {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        // The per-fiber decode scratch is free again — reuse it as the
+        // scatter target holding the row-bucketed columns and values.
+        coords.clear();
+        coords.resize(triples.len(), 0);
+        vals.clear();
+        vals.resize(triples.len(), 0.0);
+        next.clear();
+        next.extend_from_slice(row_ptr);
+        for &(r, c, v) in triples.iter() {
+            let slot = next[r - lo];
+            next[r - lo] += 1;
+            coords[slot] = c;
+            vals[slot] = v;
+        }
+        for i in 0..band {
+            let (s, e) = (row_ptr[i], row_ptr[i + 1]);
+            if s < e {
+                emit(lo + i, &coords[s..e], &vals[s..e]);
+            }
+        }
     }
 
     /// Generic counting pass: one full traversal histograms stored

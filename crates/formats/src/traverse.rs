@@ -28,13 +28,14 @@
 //!
 //! # Scratch discipline
 //!
-//! The required methods are the `*_in` variants taking a `&mut
-//! StreamArena`; the arena-less methods are provided wrappers that build a
-//! fresh (heap-free) arena per call, so one-shot callers keep the PR-2
-//! signature and cost. Hot loops — the tile pipeline, kernel dispatchers,
-//! benches — thread one arena through every traversal so scratch-hungry
-//! formats (CSC's counting-sort transpose, HiCOO's re-sort, ELL/DIA/BSR
-//! fiber assembly) reach a zero-allocation steady state. See
+//! The one required walk is the ranged `for_each_fiber_range_in`, taking a
+//! `&mut StreamArena`. The full walk `for_each_fiber_in` is that walk over
+//! the whole extent, and the arena-less methods are provided wrappers that
+//! build a fresh (heap-free) arena per call, so one-shot callers pay
+//! nothing for the arena they do not reuse. Hot loops — the tile pipeline,
+//! kernel workers, benches — thread one arena through every traversal so
+//! scratch-hungry formats (CSC's counting-sort transpose, HiCOO's re-sort,
+//! ELL/DIA/BSR fiber assembly) reach a zero-allocation steady state. See
 //! [`crate::arena`] for the buffer-ownership rules.
 //!
 //! # Ordering contract
@@ -77,6 +78,7 @@ use crate::formats::{MatrixData, TensorData};
 use crate::hicoo::HiCooTensor;
 use crate::rlc::{RlcMatrix, RlcTensor3};
 use crate::tensor::{CooTensor3, DenseTensor3};
+use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::zvc::{ZvcMatrix, ZvcTensor3};
 use crate::Value;
 use std::ops::Range;
@@ -179,21 +181,19 @@ fn lower_bound(n: usize, below: impl Fn(usize) -> bool) -> usize {
 /// wrapper. Hub-only consumers that want individual nonzeros can use the
 /// derived triple streams [`for_each_nnz_in`](Self::for_each_nnz_in) /
 /// [`for_each_nnz`](Self::for_each_nnz) instead.
-/// The `Sync` supertrait lets parallel kernels share one `&dyn
-/// RowMajorStream` across scoped worker threads; every format is plain
-/// owned data, so this costs implementations nothing.
-pub trait RowMajorStream: Sync {
-    /// Push each non-empty row fiber `(row, col_ids, values)` in row-major
-    /// order, assembling scratch-built fibers in `arena`. `col_ids` and
-    /// `values` are parallel slices (borrowed from the format where the
-    /// layout allows, from the arena otherwise) and are only valid for the
-    /// duration of the callback. Implementations may use any arena buffer
-    /// except [`StreamArena::acc`], which is reserved for consumers.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>);
-
-    /// Ranged walk: [`for_each_fiber_in`](Self::for_each_fiber_in)
-    /// restricted to rows in `range` — same fibers, same order, same
-    /// scratch discipline, so concatenating the walks of a
+///
+/// Implementations provide only the ranged walk and the partitioner; the
+/// full walk is the ranged walk over `0..rows()`. The `Sync` supertrait
+/// lets parallel kernels share one `&dyn RowMajorStream` across scoped
+/// worker threads; every format is plain owned data, so this costs
+/// implementations nothing.
+pub trait RowMajorStream: SparseMatrix + Sync {
+    /// Ranged walk: push each non-empty row fiber `(row, col_ids, values)`
+    /// whose row lies in `range`, in row-major order, assembling
+    /// scratch-built fibers in `arena`. `col_ids` and `values` are
+    /// parallel slices (borrowed from the format where the layout allows,
+    /// from the arena otherwise) and are only valid for the duration of
+    /// the callback. Concatenating the walks of a
     /// [`row_partition`](Self::row_partition) reproduces the full stream
     /// exactly. Implementations seek to the range using their native
     /// structure (offset `partition_point`, run skip-scan, bitmask rank,
@@ -204,6 +204,11 @@ pub trait RowMajorStream: Sync {
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     );
+
+    /// Full walk: the ranged walk over every row.
+    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
+        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
+    }
 
     /// Phase 1 of the two-phase parallel split: cut `0..rows` into at most
     /// `parts` contiguous row ranges of near-equal stored-nonzero weight
@@ -242,20 +247,18 @@ pub trait RowMajorStream: Sync {
 /// ascending within each fiber. Scratch comes from the caller's
 /// [`StreamArena`]; [`for_each_fiber`](Self::for_each_fiber) is the
 /// one-shot wrapper.
-/// The `Sync` supertrait lets parallel kernels share one `&dyn
-/// FiberStream3` across scoped worker threads.
-pub trait FiberStream3: Sync {
-    /// Push each non-empty fiber `(x, y, z_ids, values)` in `(x, y)`
-    /// lexicographic order, assembling scratch-built fibers in `arena`.
-    /// `z_ids` and `values` are parallel slices valid only for the duration
-    /// of the callback. Implementations may use any arena buffer except
-    /// [`StreamArena::acc`], which is reserved for consumers.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>);
-
-    /// Ranged walk over the linearized fiber keys `x * dim_y + y`:
-    /// [`for_each_fiber_in`](Self::for_each_fiber_in) restricted to fibers
-    /// whose key lies in `range`, seeking via the native structure.
-    /// Concatenating the walks of a
+///
+/// Implementations provide only the ranged walk and the partitioner; the
+/// full walk is the ranged walk over every fiber key. The `Sync`
+/// supertrait lets parallel kernels share one `&dyn FiberStream3` across
+/// scoped worker threads.
+pub trait FiberStream3: SparseTensor3 + Sync {
+    /// Ranged walk over the linearized fiber keys `x * dim_y + y`: push
+    /// each non-empty fiber `(x, y, z_ids, values)` whose key lies in
+    /// `range`, in `(x, y)` lexicographic order, assembling scratch-built
+    /// fibers in `arena` and seeking via the native structure. `z_ids` and
+    /// `values` are parallel slices valid only for the duration of the
+    /// callback. Concatenating the walks of a
     /// [`fiber_partition`](Self::fiber_partition) reproduces the full
     /// stream exactly.
     fn for_each_fiber_range_in(
@@ -264,6 +267,11 @@ pub trait FiberStream3: Sync {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     );
+
+    /// Full walk: the ranged walk over `0..dim_x() * dim_y()`.
+    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
+        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
+    }
 
     /// Phase 1 of the two-phase parallel split: cut the fiber-key space
     /// `0..dim_x * dim_y` into at most `parts` contiguous ranges of
@@ -304,18 +312,12 @@ pub trait FiberStream3: Sync {
 
 impl RowMajorStream for CsrMatrix {
     /// Zero-copy: CSR rows *are* fibers. The arena is untouched.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         _arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         for r in range.start..range.end.min(self.rows()) {
             let (cols, vals) = self.row(r);
             if !cols.is_empty() {
@@ -333,11 +335,7 @@ impl RowMajorStream for CsrMatrix {
 impl RowMajorStream for CooMatrix {
     /// Zero-copy: the hub arrays are row-major sorted, so each row's
     /// entries form a contiguous run. The arena is untouched.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
+    ///
     /// Seeks the element window with two `partition_point`s on the sorted
     /// row ids, then run-scans only that window.
     fn for_each_fiber_range_in(
@@ -362,7 +360,6 @@ impl RowMajorStream for CooMatrix {
 
     /// Quantile split over the sorted row ids — no counting pass needed.
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
         let rids = self.row_ids();
         split_by_sorted_keys(rids.len(), self.rows(), parts, &|i| rids[i])
     }
@@ -377,18 +374,12 @@ impl RowMajorStream for CooMatrix {
 impl RowMajorStream for DenseMatrix {
     /// Arena-scratch: compacts each dense row's nonzeros into one fiber
     /// (the stream equivalent of `to_coo`'s row scan).
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let StreamArena { coords, vals, .. } = arena;
         for r in range.start..range.end.min(self.rows()) {
             coords.clear();
@@ -408,7 +399,6 @@ impl RowMajorStream for DenseMatrix {
     /// Counts the nonzeros the stream will emit per row (one value scan —
     /// dense storage has no cheaper structure to consult).
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
         let rows = self.rows();
         let mut prefix = Vec::with_capacity(rows + 1);
         prefix.push(0usize);
@@ -425,11 +415,7 @@ impl RowMajorStream for CscMatrix {
     /// (the same algorithm MINT's CSC→CSR pipeline runs in hardware,
     /// Fig. 8c), then a zero-copy walk of the transposed runs. Steady
     /// state reuses the arena's `idx_a`/`idx_b`/`coords`/`vals` capacity.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
+    ///
     /// The counting sort restricted to the row band `range`: each worker
     /// still scans the full column-major index (CSC stores nothing
     /// row-contiguous to seek by), but buckets, scatters, and emits only
@@ -440,7 +426,6 @@ impl RowMajorStream for CscMatrix {
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let rows = self.rows();
         let lo = range.start.min(rows);
         let hi = range.end.min(rows);
@@ -491,7 +476,6 @@ impl RowMajorStream for CscMatrix {
 
     /// Reuses the transpose's counting pass as the weight histogram.
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
         let rows = self.rows();
         let mut prefix = vec![0usize; rows + 1];
         for &r in self.row_ids() {
@@ -508,11 +492,7 @@ impl RowMajorStream for BsrMatrix {
     /// Arena-scratch: walks each block row once, merging the stored blocks'
     /// local rows (block columns are sorted, so concatenation is already
     /// column-ascending) and skipping padding zeros.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
+    ///
     /// Clamps the block-row window to `range.start / br_h ..
     /// ceil(range.end / br_h)` via the block offsets, then skips the local
     /// rows outside the range inside the two boundary block rows.
@@ -522,7 +502,6 @@ impl RowMajorStream for BsrMatrix {
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let (br_h, bc_w) = self.block_shape();
         let lo = range.start.min(self.rows());
         let hi = range.end.min(self.rows());
@@ -567,7 +546,6 @@ impl RowMajorStream for BsrMatrix {
     /// values into their global rows (padding zeros excluded, matching
     /// what the stream emits).
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
         let (br_h, bc_w) = self.block_shape();
         let rows = self.rows();
         let mut prefix = vec![0usize; rows + 1];
@@ -606,18 +584,12 @@ impl RowMajorStream for EllMatrix {
     /// whose stored slots are already column-ascending (the common case
     /// for encoder-produced ELL) emit directly; only genuinely unsorted
     /// builder-supplied rows pay the re-sort through `pairs`.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let StreamArena {
             coords,
             vals,
@@ -659,7 +631,6 @@ impl RowMajorStream for EllMatrix {
     /// One pass over the padded slots counting the entries the stream
     /// keeps (`c != ELL_PAD && v != 0.0`).
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
         let rows = self.rows();
         let mut prefix = Vec::with_capacity(rows + 1);
         prefix.push(0usize);
@@ -682,18 +653,12 @@ impl RowMajorStream for DiaMatrix {
     /// window `0 <= row + k < cols` is located by binary search over the
     /// sorted offsets, so out-of-bounds strip slots are never visited;
     /// padding zeros inside the window are skipped during the scan.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let (rows, cols_n) = (self.rows(), self.cols());
         let offsets = self.offsets();
         let StreamArena { coords, vals, .. } = arena;
@@ -718,7 +683,6 @@ impl RowMajorStream for DiaMatrix {
     /// Per-row scan of the valid diagonal window (the same binary-searched
     /// window the traversal walks), counting stored nonzeros.
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
         let (rows, cols_n) = (self.rows(), self.cols());
         let offsets = self.offsets();
         let mut prefix = Vec::with_capacity(rows + 1);
@@ -739,11 +703,7 @@ impl RowMajorStream for RlcMatrix {
     /// Native stream: decodes the run-length entries in flat order (which
     /// is row-major by construction), batching each row into one fiber in
     /// arena scratch.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
+    ///
     /// Skip-scan: the cursor decodes entry *positions* only (no fiber
     /// assembly) until it reaches the range, and stops at the first
     /// position past it — runs are strictly position-ascending.
@@ -753,7 +713,6 @@ impl RowMajorStream for RlcMatrix {
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let cols_n = self.cols();
         if cols_n == 0 {
             return;
@@ -794,7 +753,6 @@ impl RowMajorStream for RlcMatrix {
     /// One decode pass over the run entries, histogramming the value
     /// entries (extension entries excluded) into their rows.
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
         let (rows, cols_n) = (self.rows(), self.cols());
         let mut prefix = vec![0usize; rows + 1];
         let mut cursor = 0u64;
@@ -821,11 +779,7 @@ impl RowMajorStream for ZvcMatrix {
     /// Half zero-copy: values are packed row-major, so each row's values
     /// form a contiguous slice; only the column ids are decoded from the
     /// bitmask into arena scratch.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        use crate::traits::SparseMatrix;
-        self.for_each_fiber_range_in(0..self.rows(), arena, emit);
-    }
-
+    ///
     /// Seeks the packed-value cursor with one rank query (popcount of the
     /// mask words before the range), then decodes only the range's bits.
     fn for_each_fiber_range_in(
@@ -834,7 +788,6 @@ impl RowMajorStream for ZvcMatrix {
         arena: &mut StreamArena,
         emit: &mut RowFiberSink<'_>,
     ) {
-        use crate::traits::SparseMatrix;
         let (rows, cols_n) = (self.rows(), self.cols());
         let lo = range.start.min(rows);
         let hi = range.end.min(rows);
@@ -857,7 +810,6 @@ impl RowMajorStream for ZvcMatrix {
 
     /// Histogram of set mask bits per row — pure index work.
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseMatrix;
         let (rows, cols_n) = (self.rows(), self.cols());
         let mut prefix = Vec::with_capacity(rows + 1);
         prefix.push(0usize);
@@ -870,9 +822,6 @@ impl RowMajorStream for ZvcMatrix {
 }
 
 impl RowMajorStream for MatrixData {
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut RowFiberSink<'_>) {
-        self.row_stream().for_each_fiber_in(arena, emit);
-    }
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -915,11 +864,7 @@ impl MatrixData {
 impl FiberStream3 for CooTensor3 {
     /// Zero-copy: the hub arrays are x-major sorted, so each `(x, y)`
     /// fiber's entries form a contiguous run. The arena is untouched.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
+    ///
     /// Seek: binary-search the sorted hub keys for the range window, then
     /// run-scan only that window.
     fn for_each_fiber_range_in(
@@ -928,7 +873,6 @@ impl FiberStream3 for CooTensor3 {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
         let _ = arena;
         let dy = self.dim_y();
         let (xs, ys) = (self.x_ids(), self.y_ids());
@@ -947,7 +891,6 @@ impl FiberStream3 for CooTensor3 {
     }
 
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
         let dy = self.dim_y();
         let xs = self.x_ids();
         let ys = self.y_ids();
@@ -968,11 +911,7 @@ impl FiberStream3 for CooTensor3 {
 impl FiberStream3 for CsfTensor {
     /// Zero-copy tree walk: CSF's level-2 slices *are* the fibers — each
     /// `y_ptr` range is one `(x, y)` fiber's z ids and values.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
+    ///
     /// Seek: the tree walk skips whole x slices entirely outside the key
     /// range and clips the fiber loop at both ends (keys ascend within a
     /// slice because `y_fids` are sorted per slice).
@@ -982,7 +921,6 @@ impl FiberStream3 for CsfTensor {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
         let _ = arena;
         let dy = self.dim_y();
         for (si, &x) in self.x_fids().iter().enumerate() {
@@ -1017,7 +955,6 @@ impl FiberStream3 for CsfTensor {
     /// fiber found by two `partition_point` descents through the tree
     /// pointers (`y_ptr` locates the fiber, `x_ptr` locates its slice).
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
         let dy = self.dim_y();
         let key_at = |e: usize| {
             let fi = self.y_ptr().partition_point(|&p| p <= e) - 1;
@@ -1031,11 +968,7 @@ impl FiberStream3 for CsfTensor {
 impl FiberStream3 for DenseTensor3 {
     /// Arena-scratch: each `(x, y)` run of the flat buffer (z fastest) is
     /// one fiber; zeros are compacted away.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
+    ///
     /// Direct seek: keys address the flat buffer, so the ranged walk is the
     /// same compaction loop over `range` keys only.
     fn for_each_fiber_range_in(
@@ -1044,7 +977,6 @@ impl FiberStream3 for DenseTensor3 {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
         let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
         let StreamArena {
             coords: zs, vals, ..
@@ -1067,7 +999,6 @@ impl FiberStream3 for DenseTensor3 {
     }
 
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
         let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
         let keys = dx * dy;
         let mut prefix = vec![0usize; keys + 1];
@@ -1088,11 +1019,7 @@ impl FiberStream3 for HiCooTensor {
     /// `(x, y)` fiber may be split across blocks; the walk decodes the
     /// block-relative coordinates into the arena's `quads` and re-sorts
     /// them x-major once (O(nnz log nnz)) before emitting fibers.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
+    ///
     /// Block filter: only quads whose fiber key falls in `range` enter the
     /// arena sort, so each worker sorts just its share of the nonzeros.
     fn for_each_fiber_range_in(
@@ -1101,7 +1028,6 @@ impl FiberStream3 for HiCooTensor {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
         let dy = self.dim_y();
         let StreamArena {
             coords: zs,
@@ -1135,7 +1061,6 @@ impl FiberStream3 for HiCooTensor {
     /// quantile-split — the per-block clustering means no single structure
     /// pass yields sorted keys for free.
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
         let dy = self.dim_y();
         let mut keys: Vec<usize> = self.iter().map(|(x, y, _, _)| x * dy + y).collect();
         keys.sort_unstable();
@@ -1147,11 +1072,7 @@ impl FiberStream3 for RlcTensor3 {
     /// Native stream: the flattened run-length entries decode in `(x, y, z)`
     /// order; consecutive same-`(x, y)` elements batch into one fiber in
     /// arena scratch.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
+    ///
     /// Run skip-scan: decode positions ascend monotonically, so the walk
     /// skips entries below the range window and stops at the first entry
     /// past it.
@@ -1161,7 +1082,6 @@ impl FiberStream3 for RlcTensor3 {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
         let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
         if dy == 0 || dz == 0 {
             return;
@@ -1209,19 +1129,20 @@ impl FiberStream3 for RlcTensor3 {
     /// Run scan: one decode pass histograms stored elements per fiber key
     /// into a prefix array.
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
         let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
         let keys = dx * dy;
-        if dz == 0 {
-            return Vec::new();
-        }
         let mut prefix = vec![0usize; keys + 1];
         let mut cursor = 0u64;
         for e in self.entries() {
             let pos = cursor + e.zeros;
             cursor = pos + 1;
-            if e.value != 0.0 {
-                prefix[pos as usize / dz + 1] += 1;
+            if e.value == 0.0 {
+                continue;
+            }
+            // checked_div: a zero-depth tensor stores no positions at all,
+            // so `None` just skips the (impossible) entry.
+            if let Some(key) = (pos as usize).checked_div(dz) {
+                prefix[key + 1] += 1;
             }
         }
         for k in 0..keys {
@@ -1235,11 +1156,7 @@ impl FiberStream3 for ZvcTensor3 {
     /// Half zero-copy: values are packed in flat order, so each `(x, y)`
     /// fiber's values are contiguous; z ids decode from the bitmask into
     /// arena scratch.
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        use crate::traits::SparseTensor3;
-        self.for_each_fiber_range_in(0..self.dim_x() * self.dim_y(), arena, emit);
-    }
-
+    ///
     /// Bitmask rank seek: the packed-value cursor for the first in-range
     /// fiber is `rank(range.start * dz)` (a popcount over the mask prefix);
     /// from there the walk is the usual bit decode.
@@ -1249,7 +1166,6 @@ impl FiberStream3 for ZvcTensor3 {
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        use crate::traits::SparseTensor3;
         let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
         let lo = range.start.min(dx * dy);
         let hi = range.end.min(dx * dy);
@@ -1274,7 +1190,6 @@ impl FiberStream3 for ZvcTensor3 {
 
     /// Mask scan: per-key popcount into a prefix array.
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        use crate::traits::SparseTensor3;
         let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
         let keys = dx * dy;
         let mut prefix = vec![0usize; keys + 1];
@@ -1288,9 +1203,6 @@ impl FiberStream3 for ZvcTensor3 {
 }
 
 impl FiberStream3 for TensorData {
-    fn for_each_fiber_in(&self, arena: &mut StreamArena, emit: &mut FiberSink3<'_>) {
-        self.fiber_stream().for_each_fiber_in(arena, emit);
-    }
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -1345,12 +1257,8 @@ impl TensorData {
     clippy::expect_used,
     reason = "from_parts re-validates the CSR built from an ordered stream"
 )]
-pub fn csr_from_stream_in(
-    arena: &mut StreamArena,
-    rows: usize,
-    cols: usize,
-    stream: &dyn RowMajorStream,
-) -> CsrMatrix {
+pub fn csr_from_stream_in(arena: &mut StreamArena, stream: &dyn RowMajorStream) -> CsrMatrix {
+    let (rows, cols) = (stream.rows(), stream.cols());
     let (mut row_ptr, mut col_ids, mut values) = arena.take_csr_buffers();
     row_ptr.reserve(rows + 1);
     row_ptr.push(0usize);
@@ -1369,8 +1277,8 @@ pub fn csr_from_stream_in(
 }
 
 /// One-shot wrapper around [`csr_from_stream_in`] with a fresh arena.
-pub fn csr_from_stream(rows: usize, cols: usize, stream: &dyn RowMajorStream) -> CsrMatrix {
-    csr_from_stream_in(&mut StreamArena::new(), rows, cols, stream)
+pub fn csr_from_stream(stream: &dyn RowMajorStream) -> CsrMatrix {
+    csr_from_stream_in(&mut StreamArena::new(), stream)
 }
 
 /// Borrow the operand's CSR payload when it already is CSR, else
@@ -1381,15 +1289,9 @@ pub fn csr_cow_in<'a>(
     arena: &mut StreamArena,
     data: &'a MatrixData,
 ) -> std::borrow::Cow<'a, CsrMatrix> {
-    use crate::traits::SparseMatrix;
     match data {
         MatrixData::Csr(c) => std::borrow::Cow::Borrowed(c),
-        other => std::borrow::Cow::Owned(csr_from_stream_in(
-            arena,
-            other.rows(),
-            other.cols(),
-            other.row_stream(),
-        )),
+        other => std::borrow::Cow::Owned(csr_from_stream_in(arena, other.row_stream())),
     }
 }
 
@@ -1606,12 +1508,12 @@ mod tests {
         let coo = sample_matrix();
         for fmt in all_matrix_formats() {
             let data = MatrixData::encode(&coo, &fmt).unwrap();
-            let csr = csr_from_stream(data.rows(), data.cols(), data.row_stream());
+            let csr = csr_from_stream(data.row_stream());
             assert_eq!(csr, CsrMatrix::from_coo(&coo), "csr_from_stream for {fmt}");
         }
         // Trailing empty rows must still be pointed at.
         let tall = CooMatrix::from_triplets(6, 3, vec![(1, 1, 2.0)]).unwrap();
-        let csr = csr_from_stream(6, 3, &tall);
+        let csr = csr_from_stream(&tall);
         assert_eq!(csr.row_ptr(), &[0, 0, 1, 1, 1, 1, 1]);
     }
 
@@ -1624,7 +1526,7 @@ mod tests {
         let mut arena = StreamArena::new();
         for fmt in all_matrix_formats() {
             let data = MatrixData::encode(&coo, &fmt).unwrap();
-            let csr = csr_from_stream_in(&mut arena, data.rows(), data.cols(), data.row_stream());
+            let csr = csr_from_stream_in(&mut arena, data.row_stream());
             assert_eq!(csr, expect, "recycled csr_from_stream_in for {fmt}");
             arena.recycle_csr(csr);
         }
@@ -1739,7 +1641,6 @@ mod tests {
     /// Same contract for the tensor formats over linearized fiber keys.
     #[test]
     fn ranged_tensor_walks_concatenate_to_full_stream() {
-        use crate::traits::SparseTensor3;
         let coo = sample_tensor();
         for fmt in all_tensor_formats() {
             let data = TensorData::encode(&coo, &fmt).unwrap();

@@ -1,35 +1,35 @@
 //! Format-generic kernel entry points.
 //!
 //! Each kernel is written **once** against the fiber-stream traversal of
-//! `sparseflex_formats::traverse`
-//! ([`RowMajorStream`](sparseflex_formats::traverse::RowMajorStream) /
-//! [`FiberStream3`](sparseflex_formats::traverse::FiberStream3)),
+//! `sparseflex_formats::traverse` ([`RowMajorStream`] / [`FiberStream3`]),
 //! so it consumes an operand in *any* of the paper's compression formats
 //! (Fig. 3) without pre-conversion — the software analogue of the paper's
-//! flexible-ACF accelerator. Dispatch keeps the tuned concrete
-//! implementations as specializations: when the operand arrives in the
-//! format a fast path was written for (CSR SpMV/SpMM, COO Alg. 1, CSF
-//! fiber kernels, CSC-stationary SpMM), that path runs; every other format
-//! flows through the generic stream consumer, which produces identical
-//! results.
+//! flexible-ACF accelerator.
+//!
+//! Every stream kernel has one body, written over a row or fiber-key range
+//! with its own output band. The sequential entry point runs that body
+//! once over the whole extent (no partition pass); the `_parallel` entry
+//! point cuts the extent with the format's nnz-balanced partitioner and
+//! runs the body once per range through [`fan_out`]. Per-row accumulation
+//! order never changes, so the two are bit-for-bit identical for every
+//! format.
+//!
+//! Three tuned fast paths remain behind the dispatching entry points: CSR
+//! SpMV's row loop and COO MTTKRP's unfactored form, both measured faster
+//! than the stream body on their format, and CSC-stationary SpMM
+//! ([`spmm_sparse_b`]), a different algorithm on the stationary operand.
+//! [`spmv_via_stream`] and [`mttkrp_via_stream`] force the stream body so
+//! tests can pin `generic == specialized`.
 //!
 //! All entry points validate operand shapes and return
 //! [`KernelError::ShapeMismatch`] instead of panicking.
-//!
-//! The `*_via_stream` variants force the generic stream path even when a
-//! fast path exists; they exist so tests can pin `generic == specialized`
-//! and benches can price the dispatch/stream overhead (the `kernels_stream`
-//! criterion group).
 
 use crate::error::{check_dim, KernelError};
 use crate::lanes::{axpy, dot_indexed, fold_scaled, scatter_axpy};
-use crate::parallel::{split_at_ranges, worker_count};
-use crate::{
-    mttkrp as mttkrp_mod, spgemm as spgemm_mod, spmm as spmm_mod, spmv as spmv_mod,
-    spttm as spttm_mod,
-};
+use crate::parallel::{fan_out, split_at_ranges, worker_count};
+use crate::{mttkrp as mttkrp_mod, spgemm as spgemm_mod, spmm as spmm_mod, spmv as spmv_mod};
 use sparseflex_formats::{
-    ArenaPool, CsrMatrix, DenseMatrix, DenseTensor3, MatrixData, RowMajorStream, SparseMatrix,
+    CsrMatrix, DenseMatrix, DenseTensor3, FiberStream3, MatrixData, RowMajorStream, SparseMatrix,
     SparseTensor3, StreamArena, TensorData, Value,
 };
 use std::borrow::Cow;
@@ -53,22 +53,11 @@ pub fn spmv(a: &MatrixData, x: &[Value]) -> Result<Vec<Value>, KernelError> {
 
 /// SpMV forced through the generic fiber stream (no fast-path dispatch).
 pub fn spmv_via_stream(a: &MatrixData, x: &[Value]) -> Result<Vec<Value>, KernelError> {
-    spmv_via_stream_in(&mut StreamArena::new(), a, x)
-}
-
-/// [`spmv_via_stream`] drawing traversal scratch from the caller's arena:
-/// with a warm arena, the only allocation left is the output vector.
-pub fn spmv_via_stream_in(
-    arena: &mut StreamArena,
-    a: &MatrixData,
-    x: &[Value],
-) -> Result<Vec<Value>, KernelError> {
     check_dim("spmv", "A cols vs x len", a.cols(), x.len())?;
     let mut y = vec![0.0; a.rows()];
-    a.row_stream()
-        .for_each_fiber_in(arena, &mut |r, cols, vals| {
-            y[r] = dot_indexed(cols, vals, x);
-        });
+    a.row_stream().for_each_fiber(&mut |r, cols, vals| {
+        y[r] = dot_indexed(cols, vals, x);
+    });
     Ok(y)
 }
 
@@ -76,126 +65,55 @@ pub fn spmv_via_stream_in(
 // SpMM (sparse A, dense B)
 // ---------------------------------------------------------------------------
 
-/// SpMM over any matrix format: `O = A * B` with dense `B`.
+/// SpMM over **any** row-major stream: `O = A * B` with dense `B`.
 ///
-/// CSR takes the row loop, COO takes the paper's Algorithm 1 nnz stream;
-/// every other format streams its row fibers — same accumulation order,
-/// identical output.
-pub fn spmm(a: &MatrixData, b: &DenseMatrix) -> Result<DenseMatrix, KernelError> {
+/// Takes every [`MatrixData`] format and also payloads that are not
+/// [`MatrixData`] variants, such as the descriptor-encoded
+/// [`CustomMatrix`](sparseflex_formats::CustomMatrix) open formats.
+pub fn spmm(a: &dyn RowMajorStream, b: &DenseMatrix) -> Result<DenseMatrix, KernelError> {
     check_dim("spmm", "A cols vs B rows", a.cols(), b.rows())?;
-    match a {
-        MatrixData::Csr(m) => Ok(spmm_mod::csr_dense(m, b)),
-        MatrixData::Coo(m) => Ok(spmm_mod::coo_dense(m, b)),
-        _ => spmm_via_stream(a, b),
-    }
+    let mut o = DenseMatrix::zeros(a.rows(), b.cols());
+    spmm_rows(a, b, 0..a.rows(), o.data_mut());
+    Ok(o)
 }
 
-/// SpMM forced through the generic fiber stream (no fast-path dispatch).
-pub fn spmm_via_stream(a: &MatrixData, b: &DenseMatrix) -> Result<DenseMatrix, KernelError> {
-    spmm_via_stream_in(&mut StreamArena::new(), a, b)
-}
-
-/// [`spmm_via_stream`] drawing traversal scratch from the caller's arena:
-/// with a warm arena, the only allocation left is the output matrix.
-pub fn spmm_via_stream_in(
-    arena: &mut StreamArena,
-    a: &MatrixData,
+/// [`spmm`] under its older name: SpMM has no fast path left to bypass,
+/// so this is the same stream kernel.
+pub fn spmm_via_stream(
+    a: &dyn RowMajorStream,
     b: &DenseMatrix,
 ) -> Result<DenseMatrix, KernelError> {
-    spmm_from_stream_in(arena, a.rows(), a.cols(), a.row_stream(), b)
+    spmm(a, b)
 }
 
-/// SpMM over **any** row-major fiber stream — including payloads that
-/// are not [`MatrixData`] variants, such as the descriptor-encoded
-/// [`CustomMatrix`](sparseflex_formats::CustomMatrix) open formats. The
-/// operand's shape is passed explicitly because a bare stream carries
-/// none.
-pub fn spmm_from_stream(
-    a_rows: usize,
-    a_cols: usize,
-    a: &dyn sparseflex_formats::RowMajorStream,
-    b: &DenseMatrix,
-) -> Result<DenseMatrix, KernelError> {
-    spmm_from_stream_in(&mut StreamArena::new(), a_rows, a_cols, a, b)
+/// Multithreaded SpMM over any row-major stream.
+///
+/// The format's structure-only partitioner
+/// ([`RowMajorStream::row_partition`]) cuts the rows into near-equal-nnz
+/// contiguous ranges, and each range streams into its own disjoint output
+/// band with its own [`StreamArena`]. Bit-for-bit equal to [`spmm`] for
+/// every format.
+pub fn spmm_parallel(a: &dyn RowMajorStream, b: &DenseMatrix) -> Result<DenseMatrix, KernelError> {
+    check_dim("spmm", "A cols vs B rows", a.cols(), b.rows())?;
+    let mut o = DenseMatrix::zeros(a.rows(), b.cols());
+    let ranges = a.row_partition(worker_count(a.rows()));
+    let bands = split_at_ranges(o.data_mut(), &ranges, b.cols());
+    fan_out(ranges.into_iter().zip(bands).collect(), |(range, band)| {
+        spmm_rows(a, b, range, band)
+    });
+    Ok(o)
 }
 
-/// [`spmm_from_stream`] drawing traversal scratch from the caller's arena.
-pub fn spmm_from_stream_in(
-    arena: &mut StreamArena,
-    a_rows: usize,
-    a_cols: usize,
-    a: &dyn sparseflex_formats::RowMajorStream,
-    b: &DenseMatrix,
-) -> Result<DenseMatrix, KernelError> {
-    check_dim("spmm", "A cols vs B rows", a_cols, b.rows())?;
-    let n = b.cols();
-    let mut o = DenseMatrix::zeros(a_rows, n);
-    a.for_each_fiber_in(arena, &mut |r, cols, vals| {
-        let orow = &mut o.data_mut()[r * n..(r + 1) * n];
+/// The SpMM body: accumulate the rows of `A` in `range` into `out`, the
+/// output band holding exactly those rows.
+fn spmm_rows(a: &dyn RowMajorStream, b: &DenseMatrix, range: Range<usize>, out: &mut [Value]) {
+    let (n, r0) = (b.cols(), range.start);
+    a.for_each_fiber_range_in(range, &mut StreamArena::new(), &mut |r, cols, vals| {
+        let orow = &mut out[(r - r0) * n..(r - r0 + 1) * n];
         for (&c, &v) in cols.iter().zip(vals) {
             axpy(orow, b.row(c), v);
         }
     });
-    Ok(o)
-}
-
-/// Multithreaded SpMM over **any** matrix format — the two-phase parallel
-/// split over the generic stream.
-///
-/// Phase 1 cuts the rows into near-equal-nnz contiguous ranges with the
-/// format's structure-only partitioner
-/// ([`RowMajorStream::row_partition`]); phase 2 gives each scoped worker
-/// its own disjoint output band and its own [`StreamArena`], streaming
-/// only its range via [`RowMajorStream::for_each_fiber_range_in`]. Per-row
-/// accumulation order is untouched, so the result is bit-for-bit equal to
-/// [`spmm_via_stream`] (and [`spmm`]) for every format.
-pub fn spmm_parallel(a: &MatrixData, b: &DenseMatrix) -> Result<DenseMatrix, KernelError> {
-    spmm_parallel_in(&mut ArenaPool::new(), a, b)
-}
-
-/// [`spmm_parallel`] drawing each worker's arena from the caller's pool:
-/// with a warm pool, the per-worker traversals allocate nothing in steady
-/// state — PR 8's zero-alloc property, preserved per thread.
-pub fn spmm_parallel_in(
-    pool: &mut ArenaPool,
-    a: &MatrixData,
-    b: &DenseMatrix,
-) -> Result<DenseMatrix, KernelError> {
-    check_dim("spmm", "A cols vs B rows", a.cols(), b.rows())?;
-    let n = b.cols();
-    let stream = a.row_stream();
-    let ranges = stream.row_partition(worker_count(a.rows()));
-    let mut o = DenseMatrix::zeros(a.rows(), n);
-    if ranges.len() <= 1 {
-        let arena = &mut pool.slots(1)[0];
-        stream.for_each_fiber_in(arena, &mut |r, cols, vals| {
-            let orow = &mut o.data_mut()[r * n..(r + 1) * n];
-            for (&c, &v) in cols.iter().zip(vals) {
-                axpy(orow, b.row(c), v);
-            }
-        });
-        return Ok(o);
-    }
-    let slices = split_at_ranges(o.data_mut(), &ranges, n);
-    let arenas = pool.slots(ranges.len());
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the parallel kernels' per-range workers are a sanctioned spawn site"
-    )]
-    std::thread::scope(|s| {
-        for ((range, slice), arena) in ranges.iter().cloned().zip(slices).zip(arenas.iter_mut()) {
-            s.spawn(move || {
-                let r0 = range.start;
-                stream.for_each_fiber_range_in(range, arena, &mut |r, cols, vals| {
-                    let orow = &mut slice[(r - r0) * n..(r - r0 + 1) * n];
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        axpy(orow, b.row(c), v);
-                    }
-                });
-            });
-        }
-    });
-    Ok(o)
 }
 
 /// SpMM with the sparse operand on the right: `O = A * B` with dense `A`
@@ -259,68 +177,17 @@ pub fn spgemm(a: &MatrixData, b: &MatrixData) -> Result<CsrMatrix, KernelError> 
     spgemm_with(a, b, SpgemmAlgo::Gustavson)
 }
 
-/// Row-wise-product SpGEMM over any pair of matrix formats — identical
-/// output to [`spgemm`], merge-based dataflow (see [`SpgemmAlgo`]).
-pub fn spgemm_rowwise(a: &MatrixData, b: &MatrixData) -> Result<CsrMatrix, KernelError> {
-    spgemm_with(a, b, SpgemmAlgo::RowWise)
-}
-
 /// SpGEMM over any pair of matrix formats with an explicit dataflow
 /// choice — the entry point SAGE's dataflow pricing drives.
-#[expect(
-    clippy::expect_used,
-    reason = "from_parts re-validates the CSR both SpGEMM dataflows emit"
-)]
 pub fn spgemm_with(
     a: &MatrixData,
     b: &MatrixData,
     algo: SpgemmAlgo,
 ) -> Result<CsrMatrix, KernelError> {
     check_dim("spgemm", "A cols vs B rows", a.cols(), b.rows())?;
-    let b_csr = csr_view(b);
-    if let MatrixData::Csr(m) = a {
-        return Ok(match algo {
-            SpgemmAlgo::Gustavson => spgemm_mod::csr_csr(m, &b_csr),
-            SpgemmAlgo::RowWise => spgemm_mod::csr_csr_rowwise(m, &b_csr),
-        });
-    }
-    let (rows, n) = (a.rows(), b.cols());
-    let mut row_ptr = Vec::with_capacity(rows + 1);
-    row_ptr.push(0usize);
-    let mut col_ids = Vec::new();
-    let mut values = Vec::new();
-    match algo {
-        SpgemmAlgo::Gustavson => {
-            let mut scratch = spgemm_mod::Accumulator::new(n);
-            a.row_stream().for_each_fiber(&mut |r, acols, avals| {
-                while row_ptr.len() <= r {
-                    row_ptr.push(values.len());
-                }
-                spgemm_mod::gustavson_row(
-                    acols,
-                    avals,
-                    &b_csr,
-                    &mut scratch,
-                    &mut col_ids,
-                    &mut values,
-                );
-            });
-        }
-        SpgemmAlgo::RowWise => {
-            let mut heap: spgemm_mod::MergeHeap = Vec::new();
-            a.row_stream().for_each_fiber(&mut |r, acols, avals| {
-                while row_ptr.len() <= r {
-                    row_ptr.push(values.len());
-                }
-                spgemm_mod::rowwise_row(acols, avals, &b_csr, &mut heap, &mut col_ids, &mut values);
-            });
-        }
-    }
-    while row_ptr.len() <= rows {
-        row_ptr.push(values.len());
-    }
-    Ok(CsrMatrix::from_parts(rows, n, row_ptr, col_ids, values)
-        .expect("both SpGEMM dataflows emit ordered valid CSR over an ordered stream"))
+    let b_csr = sparseflex_formats::csr_cow(b);
+    let band = spgemm_band(a.row_stream(), 0..a.rows(), &b_csr, algo);
+    Ok(stitch_bands(a.rows(), b.cols(), vec![band]))
 }
 
 /// Row-parallel Gustavson SpGEMM over any pair of matrix formats —
@@ -334,56 +201,38 @@ pub fn spgemm_parallel(a: &MatrixData, b: &MatrixData) -> Result<CsrMatrix, Kern
 ///
 /// `B` is materialized as CSR once (itself row-parallel via
 /// [`csr_from_stream_parallel`] when not already CSR); `A`'s rows are then
-/// cut by its structure-only partitioner and each scoped worker runs the
-/// chosen per-row routine ([`SpgemmAlgo`]) over its own ranged stream with
-/// private scratch and output buffers. A final offset-stitch concatenates
-/// the bands. Both dataflows reuse the exact per-row routines of the
-/// sequential [`spgemm_with`], so output is bit-for-bit identical for
-/// every format pair.
+/// cut by its structure-only partitioner and each range runs the
+/// sequential [`spgemm_with`]'s body with private scratch and output
+/// buffers. A final offset-stitch concatenates the bands, so output is
+/// bit-for-bit identical for every format pair.
 pub fn spgemm_parallel_with(
     a: &MatrixData,
     b: &MatrixData,
     algo: SpgemmAlgo,
 ) -> Result<CsrMatrix, KernelError> {
     check_dim("spgemm", "A cols vs B rows", a.cols(), b.rows())?;
-    let b_csr = csr_view_parallel(b);
-    let (rows, n) = (a.rows(), b.cols());
-    let stream = a.row_stream();
-    let ranges = stream.row_partition(worker_count(rows));
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the parallel kernels' per-range workers are a sanctioned spawn site"
-    )]
-    let bands: Vec<(Vec<usize>, Vec<usize>, Vec<Value>)> = if ranges.len() <= 1 {
-        vec![spgemm_band(stream, 0..rows, &b_csr, algo)]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .map(|range| {
-                    let b_csr = &b_csr;
-                    s.spawn(move || spgemm_band(stream, range, b_csr, algo))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
+    let b_csr = match b {
+        MatrixData::Csr(c) => Cow::Borrowed(c),
+        other => Cow::Owned(csr_from_stream_parallel(other.row_stream())),
     };
-    Ok(stitch_bands(rows, n, bands))
+    let stream = a.row_stream();
+    let ranges = stream.row_partition(worker_count(a.rows()));
+    let bands = fan_out(ranges, |range| spgemm_band(stream, range, &b_csr, algo));
+    Ok(stitch_bands(a.rows(), b.cols(), bands))
 }
 
-/// One worker's share of the parallel SpGEMM: run the per-row routine over
-/// a ranged stream of `A`, recording each output row's length for the
-/// final stitch. Also the sequential body (one band covering all rows).
+/// One band of CSR output rows: each row's length, then the concatenated
+/// column ids and values.
+type Band = (Vec<usize>, Vec<usize>, Vec<Value>);
+
+/// The SpGEMM body: run the per-row routine over the rows of `A` in
+/// `range`, recording each output row's length for the final stitch.
 fn spgemm_band(
     stream: &dyn RowMajorStream,
     range: Range<usize>,
     b_csr: &CsrMatrix,
     algo: SpgemmAlgo,
-) -> (Vec<usize>, Vec<usize>, Vec<Value>) {
+) -> Band {
     let mut arena = StreamArena::new();
     let mut row_lens = vec![0usize; range.len()];
     let mut col_ids = Vec::new();
@@ -418,101 +267,58 @@ fn spgemm_band(
 }
 
 /// Offset-stitch: per-band row lengths become the global `row_ptr`, band
-/// payloads concatenate in range order.
+/// payloads concatenate in range order. The first non-empty band's
+/// buffers move in rather than being copied, so a lone band costs no copy.
 #[expect(
     clippy::expect_used,
     reason = "from_parts re-validates the CSR stitched from ordered bands"
 )]
-fn stitch_bands(
-    rows: usize,
-    cols: usize,
-    bands: Vec<(Vec<usize>, Vec<usize>, Vec<Value>)>,
-) -> CsrMatrix {
+fn stitch_bands(rows: usize, cols: usize, bands: Vec<Band>) -> CsrMatrix {
     let nnz: usize = bands.iter().map(|(_, c, _)| c.len()).sum();
     let mut row_ptr = Vec::with_capacity(rows + 1);
     row_ptr.push(0usize);
-    let mut col_ids = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
+    let (mut col_ids, mut values) = (Vec::new(), Vec::new());
     let mut total = 0usize;
     for (row_lens, cs, vs) in bands {
-        for len in row_lens {
+        row_ptr.extend(row_lens.into_iter().map(|len| {
             total += len;
-            row_ptr.push(total);
+            total
+        }));
+        if col_ids.is_empty() {
+            (col_ids, values) = (cs, vs);
+            col_ids.reserve(nnz - col_ids.len());
+            values.reserve(nnz - values.len());
+        } else {
+            col_ids.extend_from_slice(&cs);
+            values.extend_from_slice(&vs);
         }
-        col_ids.extend_from_slice(&cs);
-        values.extend_from_slice(&vs);
     }
     // Bands cover every row except when the operand had zero rows; pad the
     // pointer array either way (a no-op for covered rows).
-    while row_ptr.len() <= rows {
-        row_ptr.push(col_ids.len());
-    }
+    row_ptr.resize(rows + 1, total);
     CsrMatrix::from_parts(rows, cols, row_ptr, col_ids, values)
         .expect("stitched bands form valid CSR")
 }
 
 /// Row-parallel stream→CSR materialization: partition the rows, let each
-/// worker stream its range into private buffers, stitch. Bit-for-bit
-/// identical to [`csr_from_stream`](sparseflex_formats::csr_from_stream)
-/// for any format (the fibers and their order are the same; only which
-/// thread copies them changes).
-pub fn csr_from_stream_parallel(
-    rows: usize,
-    cols: usize,
-    stream: &dyn RowMajorStream,
-) -> CsrMatrix {
-    let ranges = stream.row_partition(worker_count(rows));
-    if ranges.len() <= 1 {
-        return sparseflex_formats::csr_from_stream(rows, cols, stream);
-    }
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the parallel kernels' per-range workers are a sanctioned spawn site"
-    )]
-    let bands: Vec<(Vec<usize>, Vec<usize>, Vec<Value>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .cloned()
-            .map(|range| {
-                s.spawn(move || {
-                    let mut arena = StreamArena::new();
-                    let mut row_lens = vec![0usize; range.len()];
-                    let mut col_ids = Vec::new();
-                    let mut values = Vec::new();
-                    let r0 = range.start;
-                    stream.for_each_fiber_range_in(range, &mut arena, &mut |r, cs, vs| {
-                        row_lens[r - r0] = cs.len();
-                        col_ids.extend_from_slice(cs);
-                        values.extend_from_slice(vs);
-                    });
-                    (row_lens, col_ids, values)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+/// range stream into private buffers, stitch. Bit-for-bit identical to
+/// [`csr_from_stream`](sparseflex_formats::csr_from_stream) for any format
+/// (the fibers and their order are the same; only which thread copies
+/// them changes).
+pub fn csr_from_stream_parallel(stream: &dyn RowMajorStream) -> CsrMatrix {
+    let ranges = stream.row_partition(worker_count(stream.rows()));
+    let bands = fan_out(ranges, |range| {
+        let mut row_lens = vec![0usize; range.len()];
+        let (mut col_ids, mut values) = (Vec::new(), Vec::new());
+        let r0 = range.start;
+        stream.for_each_fiber_range_in(range, &mut StreamArena::new(), &mut |r, cs, vs| {
+            row_lens[r - r0] = cs.len();
+            col_ids.extend_from_slice(cs);
+            values.extend_from_slice(vs);
+        });
+        (row_lens, col_ids, values)
     });
-    stitch_bands(rows, cols, bands)
-}
-
-/// Borrow `m` as CSR when it already is, else materialize through the
-/// fiber stream (shared with the accelerator runtimes).
-fn csr_view(m: &MatrixData) -> Cow<'_, CsrMatrix> {
-    sparseflex_formats::csr_cow(m)
-}
-
-/// [`csr_view`] with a row-parallel materialization for non-CSR operands.
-fn csr_view_parallel(m: &MatrixData) -> Cow<'_, CsrMatrix> {
-    match m {
-        MatrixData::Csr(c) => Cow::Borrowed(c),
-        other => Cow::Owned(csr_from_stream_parallel(
-            other.rows(),
-            other.cols(),
-            other.row_stream(),
-        )),
-    }
+    stitch_bands(stream.rows(), stream.cols(), bands)
 }
 
 // ---------------------------------------------------------------------------
@@ -522,9 +328,9 @@ fn csr_view_parallel(m: &MatrixData) -> Cow<'_, CsrMatrix> {
 /// MTTKRP over any 3-D tensor format:
 /// `O[i][j] = Σ_{k,l} A[i][k][l] * B[k][j] * C[l][j]`.
 ///
-/// COO and CSF operands take their tuned fast paths; every other format
-/// streams its mode-z fibers through the CSF-style factored accumulation
-/// (partial sum over `l` per fiber, then one scaling by `B[k][j]`).
+/// COO operands take the unfactored nnz loop; every other format streams
+/// its mode-z fibers through the CSF-style factored accumulation (partial
+/// sum over `l` per fiber, then one scaling by `B[k][j]`).
 pub fn mttkrp(
     a: &TensorData,
     b: &DenseMatrix,
@@ -533,7 +339,6 @@ pub fn mttkrp(
     mttkrp_mod::check_factors(a.dim_y(), a.dim_z(), b, c)?;
     match a {
         TensorData::Coo(t) => Ok(mttkrp_mod::coo(t, b, c)),
-        TensorData::Csf(t) => Ok(mttkrp_mod::csf(t, b, c)),
         _ => mttkrp_via_stream(a, b, c),
     }
 }
@@ -544,93 +349,72 @@ pub fn mttkrp_via_stream(
     b: &DenseMatrix,
     c: &DenseMatrix,
 ) -> Result<DenseMatrix, KernelError> {
-    mttkrp_via_stream_in(&mut StreamArena::new(), a, b, c)
-}
-
-/// [`mttkrp_via_stream`] drawing both traversal scratch and the per-fiber
-/// accumulator lane from the caller's arena: with a warm arena, the only
-/// allocation left is the output matrix.
-pub fn mttkrp_via_stream_in(
-    arena: &mut StreamArena,
-    a: &TensorData,
-    b: &DenseMatrix,
-    c: &DenseMatrix,
-) -> Result<DenseMatrix, KernelError> {
     mttkrp_mod::check_factors(a.dim_y(), a.dim_z(), b, c)?;
-    let j = b.cols();
-    let mut o = DenseMatrix::zeros(a.dim_x(), j);
-    // `acc` is reserved for stream *consumers*; traversals never touch it,
-    // so taking it out for the duration of the walk is safe.
-    let mut fiber_acc = std::mem::take(&mut arena.acc);
-    fiber_acc.clear();
-    fiber_acc.resize(j, 0.0);
-    a.fiber_stream()
-        .for_each_fiber_in(arena, &mut |i, k, zs, vals| {
-            fiber_acc.iter_mut().for_each(|v| *v = 0.0);
-            for (&l, &v) in zs.iter().zip(vals) {
-                axpy(&mut fiber_acc, c.row(l), v);
-            }
-            let orow = &mut o.data_mut()[i * j..(i + 1) * j];
-            fold_scaled(orow, &fiber_acc, b.row(k));
-        });
-    arena.acc = fiber_acc;
+    let mut o = DenseMatrix::zeros(a.dim_x(), b.cols());
+    mttkrp_fibers(
+        a.fiber_stream(),
+        b,
+        c,
+        0..a.dim_x() * a.dim_y(),
+        o.data_mut(),
+    );
     Ok(o)
 }
 
 /// Multithreaded MTTKRP over any 3-D tensor format — the two-phase split
 /// over the mode-z fiber stream.
 ///
-/// Fiber-key ranges from
-/// [`fiber_partition`](sparseflex_formats::FiberStream3::fiber_partition)
-/// are aligned down to whole x slices (MTTKRP's output row is `x`, so a
-/// slice split across workers would race); each worker then streams its
-/// range with a private arena and accumulator lane into its disjoint
-/// output band.
-/// Bit-for-bit identical to [`mttkrp_via_stream`] (same per-fiber
-/// accumulation, same order per output row).
+/// Fiber-key ranges from [`FiberStream3::fiber_partition`] are aligned
+/// down to whole x slices (MTTKRP's output row is `x`, so a slice split
+/// across ranges would race); each range then streams into its disjoint
+/// output band. Bit-for-bit identical to [`mttkrp_via_stream`].
 pub fn mttkrp_parallel(
     a: &TensorData,
     b: &DenseMatrix,
     c: &DenseMatrix,
 ) -> Result<DenseMatrix, KernelError> {
     mttkrp_mod::check_factors(a.dim_y(), a.dim_z(), b, c)?;
-    let (dx, dy) = (a.dim_x(), a.dim_y());
-    let j = b.cols();
+    let dy = a.dim_y();
     let stream = a.fiber_stream();
-    let mut ranges = stream.fiber_partition(worker_count(dx));
+    let mut ranges = stream.fiber_partition(worker_count(a.dim_x()));
     align_ranges_to(&mut ranges, dy);
-    if ranges.len() <= 1 {
-        return mttkrp_via_stream(a, b, c);
+    let mut o = DenseMatrix::zeros(a.dim_x(), b.cols());
+    if ranges.is_empty() {
+        // No fiber keys (`dim_y == 0`): nothing to stream, the output is zero.
+        return Ok(o);
     }
-    let mut o = DenseMatrix::zeros(dx, j);
     let row_ranges: Vec<Range<usize>> = ranges.iter().map(|r| r.start / dy..r.end / dy).collect();
-    let slices = split_at_ranges(o.data_mut(), &row_ranges, j);
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the parallel kernels' per-range workers are a sanctioned spawn site"
-    )]
-    std::thread::scope(|s| {
-        for (range, slice) in ranges.iter().cloned().zip(slices) {
-            s.spawn(move || {
-                let mut arena = StreamArena::new();
-                let mut fiber_acc = vec![0.0; j];
-                let x0 = range.start / dy;
-                stream.for_each_fiber_range_in(range, &mut arena, &mut |i, k, zs, vals| {
-                    fiber_acc.iter_mut().for_each(|v| *v = 0.0);
-                    for (&l, &v) in zs.iter().zip(vals) {
-                        axpy(&mut fiber_acc, c.row(l), v);
-                    }
-                    let orow = &mut slice[(i - x0) * j..(i - x0 + 1) * j];
-                    fold_scaled(orow, &fiber_acc, b.row(k));
-                });
-            });
-        }
+    let bands = split_at_ranges(o.data_mut(), &row_ranges, b.cols());
+    fan_out(ranges.into_iter().zip(bands).collect(), |(range, band)| {
+        mttkrp_fibers(stream, b, c, range, band)
     });
     Ok(o)
 }
 
+/// The MTTKRP body: accumulate the fibers whose key lies in `range` into
+/// `out`, the output band starting at x slice `range.start / dim_y`.
+fn mttkrp_fibers(
+    a: &dyn FiberStream3,
+    b: &DenseMatrix,
+    c: &DenseMatrix,
+    range: Range<usize>,
+    out: &mut [Value],
+) {
+    let j = b.cols();
+    let x0 = range.start.checked_div(a.dim_y()).unwrap_or(0);
+    let mut fiber_acc = vec![0.0; j];
+    a.for_each_fiber_range_in(range, &mut StreamArena::new(), &mut |i, k, zs, vals| {
+        fiber_acc.fill(0.0);
+        for (&l, &v) in zs.iter().zip(vals) {
+            axpy(&mut fiber_acc, c.row(l), v);
+        }
+        let orow = &mut out[(i - x0) * j..(i - x0 + 1) * j];
+        fold_scaled(orow, &fiber_acc, b.row(k));
+    });
+}
+
 /// Round each range boundary down to a multiple of `unit`, merging ranges
-/// that collapse — the alignment MTTKRP needs so every worker owns whole
+/// that collapse — the alignment MTTKRP needs so every range owns whole
 /// x slices (`unit = dim_y` fiber keys per slice).
 fn align_ranges_to(ranges: &mut Vec<Range<usize>>, unit: usize) {
     let Some(end) = ranges.last().map(|r| r.end) else {
@@ -658,53 +442,20 @@ fn align_ranges_to(ranges: &mut Vec<Range<usize>>, unit: usize) {
 // SpTTM
 // ---------------------------------------------------------------------------
 
-/// SpTTM over any 3-D tensor format:
+/// SpTTM over any 3-D tensor format, contracting the third (z) mode:
 /// `Y[x][y][j] = Σ_z A[x][y][z] * B[z][j]`.
 ///
-/// COO and CSF operands take their tuned fast paths; every other format
-/// streams its mode-z fibers through the CSF-style fiber-at-a-time
-/// accumulation.
+/// "Sparse tensor times dense matrix multiplication (SpTTM) is a standard
+/// building block for all tensor computations ... Tucker decomposition
+/// intensively uses SpTTM" (§II). TTM outputs are near-dense along the
+/// contracted mode, so `Y` is dense. Every format streams its mode-z
+/// fibers fiber-at-a-time — the access pattern that makes CSF the
+/// preferred tensor ACF in Table III's Crime/Uber rows — each `(x, y)`
+/// fiber accumulating straight into its own output row.
 pub fn spttm(a: &TensorData, b: &DenseMatrix) -> Result<DenseTensor3, KernelError> {
     check_dim("spttm", "B rows vs tensor mode-3", a.dim_z(), b.rows())?;
-    match a {
-        TensorData::Coo(t) => Ok(spttm_mod::coo(t, b)),
-        TensorData::Csf(t) => Ok(spttm_mod::csf(t, b)),
-        _ => spttm_via_stream(a, b),
-    }
-}
-
-/// SpTTM forced through the generic fiber stream (no fast-path dispatch).
-pub fn spttm_via_stream(a: &TensorData, b: &DenseMatrix) -> Result<DenseTensor3, KernelError> {
-    spttm_via_stream_in(&mut StreamArena::new(), a, b)
-}
-
-/// [`spttm_via_stream`] drawing both traversal scratch and the per-fiber
-/// accumulator lane from the caller's arena: with a warm arena, the only
-/// allocation left is the output tensor.
-pub fn spttm_via_stream_in(
-    arena: &mut StreamArena,
-    a: &TensorData,
-    b: &DenseMatrix,
-) -> Result<DenseTensor3, KernelError> {
-    check_dim("spttm", "B rows vs tensor mode-3", a.dim_z(), b.rows())?;
-    let j = b.cols();
-    let mut y = DenseTensor3::zeros(a.dim_x(), a.dim_y(), j);
-    let mut acc = std::mem::take(&mut arena.acc);
-    acc.clear();
-    acc.resize(j, 0.0);
-    a.fiber_stream()
-        .for_each_fiber_in(arena, &mut |x, yy, zs, vals| {
-            acc.iter_mut().for_each(|v| *v = 0.0);
-            for (&z, &v) in zs.iter().zip(vals) {
-                axpy(&mut acc, b.row(z), v);
-            }
-            for (jj, &av) in acc.iter().enumerate() {
-                if av != 0.0 {
-                    y.add_assign(x, yy, jj, av);
-                }
-            }
-        });
-    arena.acc = acc;
+    let mut y = DenseTensor3::zeros(a.dim_x(), a.dim_y(), b.cols());
+    spttm_fibers(a.fiber_stream(), b, 0..a.dim_x() * a.dim_y(), y.data_mut());
     Ok(y)
 }
 
@@ -712,56 +463,42 @@ pub fn spttm_via_stream_in(
 /// over the mode-z fiber stream.
 ///
 /// Each `(x, y)` fiber owns exactly output row `x * dim_y + y`, so the
-/// fiber-key ranges from
-/// [`fiber_partition`](sparseflex_formats::FiberStream3::fiber_partition)
-/// are already disjoint in the output; workers stream their range with a
-/// private arena and accumulator lane into their output band. Bit-for-bit
-/// identical to [`spttm_via_stream`].
+/// fiber-key ranges from [`FiberStream3::fiber_partition`] are already
+/// disjoint in the output; each range streams into its own output band.
+/// Bit-for-bit identical to [`spttm`].
 pub fn spttm_parallel(a: &TensorData, b: &DenseMatrix) -> Result<DenseTensor3, KernelError> {
     check_dim("spttm", "B rows vs tensor mode-3", a.dim_z(), b.rows())?;
-    let (dx, dy) = (a.dim_x(), a.dim_y());
-    let j = b.cols();
     let stream = a.fiber_stream();
-    let ranges = stream.fiber_partition(worker_count(dx * dy));
-    if ranges.len() <= 1 {
-        return spttm_via_stream(a, b);
-    }
-    let mut y = DenseTensor3::zeros(dx, dy, j);
-    let slices = split_at_ranges(y.data_mut(), &ranges, j);
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the parallel kernels' per-range workers are a sanctioned spawn site"
-    )]
-    std::thread::scope(|s| {
-        for (range, slice) in ranges.iter().cloned().zip(slices) {
-            s.spawn(move || {
-                let mut arena = StreamArena::new();
-                let mut acc = vec![0.0; j];
-                let k0 = range.start;
-                stream.for_each_fiber_range_in(range, &mut arena, &mut |x, yy, zs, vals| {
-                    acc.iter_mut().for_each(|v| *v = 0.0);
-                    for (&z, &v) in zs.iter().zip(vals) {
-                        axpy(&mut acc, b.row(z), v);
-                    }
-                    let key = x * dy + yy;
-                    let orow = &mut slice[(key - k0) * j..(key - k0 + 1) * j];
-                    for (jj, &av) in acc.iter().enumerate() {
-                        if av != 0.0 {
-                            orow[jj] += av;
-                        }
-                    }
-                });
-            });
-        }
+    let ranges = stream.fiber_partition(worker_count(a.dim_x() * a.dim_y()));
+    let mut y = DenseTensor3::zeros(a.dim_x(), a.dim_y(), b.cols());
+    let bands = split_at_ranges(y.data_mut(), &ranges, b.cols());
+    fan_out(ranges.into_iter().zip(bands).collect(), |(range, band)| {
+        spttm_fibers(stream, b, range, band)
     });
     Ok(y)
+}
+
+/// The SpTTM body: add each product of the fibers whose key lies in
+/// `range` straight into the fiber's output row in `out`, the band
+/// starting at key `range.start`. Every fiber owns its row and the row
+/// starts at +0.0, so this equals accumulating the fiber in a zeroed lane
+/// and copying its non-zeros out, bit for bit.
+fn spttm_fibers(a: &dyn FiberStream3, b: &DenseMatrix, range: Range<usize>, out: &mut [Value]) {
+    let (j, dy, k0) = (b.cols(), a.dim_y(), range.start);
+    a.for_each_fiber_range_in(range, &mut StreamArena::new(), &mut |x, y, zs, vals| {
+        let key = x * dy + y;
+        let orow = &mut out[(key - k0) * j..(key - k0 + 1) * j];
+        for (&z, &v) in zs.iter().zip(vals) {
+            axpy(orow, b.row(z), v);
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::gemm_naive;
-    use sparseflex_formats::{CooMatrix, CooTensor3, MatrixFormat, TensorFormat};
+    use sparseflex_formats::{CooMatrix, CooTensor3, CsfTensor, MatrixFormat, TensorFormat};
 
     fn all_matrix_formats() -> Vec<MatrixFormat> {
         vec![
@@ -833,11 +570,6 @@ mod tests {
             let data = MatrixData::encode(&coo, &fmt).unwrap();
             assert_eq!(spmm(&data, &b).unwrap(), reference, "spmm({fmt})");
             assert_eq!(
-                spmm_via_stream(&data, &b).unwrap(),
-                reference,
-                "spmm_via_stream({fmt})"
-            );
-            assert_eq!(
                 spmm_parallel(&data, &b).unwrap(),
                 reference,
                 "spmm_parallel({fmt})"
@@ -877,8 +609,8 @@ mod tests {
                 let b = MatrixData::encode(&b_coo, &fb).unwrap();
                 let o = spgemm(&a, &b).unwrap();
                 assert_eq!(o.to_dense(), reference, "spgemm({fa}, {fb})");
-                let orw = spgemm_rowwise(&a, &b).unwrap();
-                assert_eq!(orw, o, "spgemm_rowwise({fa}, {fb}) must be bit-identical");
+                let orw = spgemm_with(&a, &b, SpgemmAlgo::RowWise).unwrap();
+                assert_eq!(orw, o, "row-wise spgemm({fa}, {fb}) must be bit-identical");
                 let op = spgemm_parallel(&a, &b).unwrap();
                 assert_eq!(op.to_dense(), reference, "spgemm_parallel({fa}, {fb})");
             }
@@ -903,24 +635,59 @@ mod tests {
         .unwrap();
         let b = DenseMatrix::from_vec(3, 2, (0..6).map(|i| i as f64 + 1.0).collect()).unwrap();
         let c = DenseMatrix::from_vec(5, 2, (0..10).map(|i| (i as f64) - 4.0).collect()).unwrap();
-        let ref_mttkrp = mttkrp(
-            &TensorData::Csf(sparseflex_formats::CsfTensor::from_coo(&coo)),
-            &b,
-            &c,
-        )
-        .unwrap();
-        let ref_spttm = spttm(&TensorData::Coo(coo.clone()), &c).unwrap();
+        let ref_mttkrp = mttkrp(&TensorData::Coo(coo.clone()), &b, &c).unwrap();
+        let ref_spttm = naive_spttm(&coo, &c);
         for fmt in all_tensor_formats() {
             let data = TensorData::encode(&coo, &fmt).unwrap();
             let o = mttkrp_via_stream(&data, &b, &c).unwrap();
             assert!(o.approx_eq(&ref_mttkrp, 1e-12), "mttkrp({fmt})");
+            assert_eq!(mttkrp(&data, &b, &c).unwrap(), o, "mttkrp dispatch({fmt})");
             assert_eq!(spttm(&data, &c).unwrap(), ref_spttm, "spttm({fmt})");
             assert_eq!(
-                spttm_via_stream(&data, &c).unwrap(),
+                spttm_parallel(&data, &c).unwrap(),
                 ref_spttm,
-                "spttm_via_stream({fmt})"
+                "spttm_parallel({fmt})"
             );
         }
+    }
+
+    fn naive_spttm(a: &CooTensor3, b: &DenseMatrix) -> DenseTensor3 {
+        let mut y = DenseTensor3::zeros(a.dim_x(), a.dim_y(), b.cols());
+        for x in 0..a.dim_x() {
+            for yy in 0..a.dim_y() {
+                for jj in 0..b.cols() {
+                    let mut acc = 0.0;
+                    for z in 0..a.dim_z() {
+                        acc += a.get(x, yy, z) * b.get(z, jj);
+                    }
+                    y.set(x, yy, jj, acc);
+                }
+            }
+        }
+        y
+    }
+
+    #[test]
+    fn spttm_csf_equals_coo() {
+        let coo = CooTensor3::from_quads(
+            3,
+            4,
+            5,
+            vec![
+                (0, 0, 0, 1.0),
+                (0, 0, 4, 2.0),
+                (1, 2, 1, 3.0),
+                (2, 3, 2, -1.0),
+                (2, 3, 3, 4.0),
+            ],
+        )
+        .unwrap();
+        let b = DenseMatrix::from_vec(5, 3, (0..15).map(|i| i as f64 - 7.0).collect()).unwrap();
+        let csf = TensorData::Csf(CsfTensor::from_coo(&coo));
+        assert_eq!(
+            spttm(&csf, &b).unwrap(),
+            spttm(&TensorData::Coo(coo), &b).unwrap()
+        );
     }
 
     #[test]
@@ -949,5 +716,12 @@ mod tests {
         let b = sample_b_dense();
         assert_eq!(spmm(&a, &b).unwrap(), DenseMatrix::zeros(3, 3));
         assert_eq!(spmv(&a, &[1.0; 4]).unwrap(), vec![0.0; 3]);
+        let t = TensorData::Coo(CooTensor3::empty(2, 2, 5));
+        let f = DenseMatrix::zeros(5, 3);
+        assert_eq!(spttm(&t, &f).unwrap(), DenseTensor3::zeros(2, 2, 3));
+        assert_eq!(
+            spttm_parallel(&t, &f).unwrap(),
+            DenseTensor3::zeros(2, 2, 3)
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Dense GEMM: `O = A * B` with `A: MxK`, `B: KxN`, `O: MxN`.
 
-use crate::parallel::{even_ranges, par_chunks, worker_count};
+use crate::parallel::{even_ranges, fan_out, split_at_ranges, worker_count};
 use sparseflex_formats::{DenseMatrix, SparseMatrix};
 
 /// Cache-blocked sequential dense GEMM (ikj loop order so the innermost
@@ -9,12 +9,12 @@ pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     assert_eq!(a.cols(), b.rows(), "GEMM inner dimensions must agree");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = DenseMatrix::zeros(m, n);
-    gemm_into(a.data(), b.data(), out.data_mut(), m, k, n, 0);
+    gemm_into(a.data(), b.data(), out.data_mut(), m, k, n);
     out
 }
 
-/// Multithreaded dense GEMM: output rows are partitioned across scoped
-/// threads; each thread computes its rows independently.
+/// Multithreaded dense GEMM: whole output rows are partitioned across
+/// [`fan_out`] workers; each computes its rows independently.
 pub fn gemm_parallel(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     assert_eq!(a.cols(), b.rows(), "GEMM inner dimensions must agree");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -22,16 +22,16 @@ pub fn gemm_parallel(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let (a_data, b_data) = (a.data(), b.data());
     // Whole output rows per worker: `n` elements per row.
     let rows = even_ranges(m, worker_count(m));
-    par_chunks(out.data_mut(), &rows, n, |rows, chunk| {
+    let bands = split_at_ranges(out.data_mut(), &rows, n);
+    fan_out(rows.into_iter().zip(bands).collect(), |(rows, band)| {
         let a_rows = &a_data[rows.start * k..rows.end * k];
-        gemm_into(a_rows, b_data, chunk, rows.len(), k, n, 0);
+        gemm_into(a_rows, b_data, band, rows.len(), k, n);
     });
     out
 }
 
-/// Inner blocked kernel writing into a raw output slice. `_depth` is
-/// reserved for future recursive blocking.
-fn gemm_into(a: &[f64], b: &[f64], o: &mut [f64], m: usize, k: usize, n: usize, _depth: usize) {
+/// Inner blocked kernel writing into a raw output slice.
+fn gemm_into(a: &[f64], b: &[f64], o: &mut [f64], m: usize, k: usize, n: usize) {
     const BK: usize = 64;
     for k0 in (0..k).step_by(BK) {
         let k1 = (k0 + BK).min(k);

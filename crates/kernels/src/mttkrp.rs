@@ -7,11 +7,16 @@
 //!
 //! `O[i][j] = sum_{k,l} A[i][k][l] * B[k][j] * C[l][j]`
 //!
-//! The format-generic entry point is [`crate::mttkrp()`]; this module holds
-//! the retained COO and CSF fast paths.
+//! The format-generic entry points are [`crate::mttkrp()`] /
+//! [`crate::mttkrp_parallel`]. Their stream body runs the classic CSF
+//! factoring (Smith & Karypis) over any format's fiber stream: the partial
+//! sum over `l` within a fiber is computed once, then scaled by `B[k][j]`,
+//! reducing multiplies from `2 * nnz * J` to `(nnz + fibers) * J` plus the
+//! fiber scalings. This module holds the one retained fast path, COO's
+//! unfactored form, which measures faster than the factored body on COO.
 
-use crate::lanes::{axpy, axpy_mul3, fold_scaled};
-use sparseflex_formats::{CooTensor3, CsfTensor, DenseMatrix, SparseMatrix, SparseTensor3};
+use crate::lanes::axpy_mul3;
+use sparseflex_formats::{CooTensor3, DenseMatrix, SparseMatrix, SparseTensor3};
 
 /// MTTKRP with the tensor in COO: one fused multiply per nonzero per
 /// output column.
@@ -24,35 +29,6 @@ pub(crate) fn coo(a: &CooTensor3, b: &DenseMatrix, c: &DenseMatrix) -> DenseMatr
     for (i, k, l, v) in a.iter() {
         let orow = &mut o.data_mut()[i * j..(i + 1) * j];
         axpy_mul3(orow, b.row(k), c.row(l), v);
-    }
-    o
-}
-
-/// MTTKRP with the tensor in CSF, exploiting fiber-level factoring: the
-/// partial sum over `l` within a fiber is computed once, then scaled by
-/// `B[k][j]` — the classic CSF MTTKRP optimization (Smith & Karypis) that
-/// reduces multiplies from `2 * nnz * J` to `(nnz + fibers) * J` plus the
-/// fiber scalings. The generic stream dispatcher runs this same
-/// factored form over *any* tensor format's fiber stream.
-pub(crate) fn csf(a: &CsfTensor, b: &DenseMatrix, c: &DenseMatrix) -> DenseMatrix {
-    debug_assert_eq!(a.dim_y(), b.rows(), "MTTKRP: B rows must match mode-2");
-    debug_assert_eq!(a.dim_z(), c.rows(), "MTTKRP: C rows must match mode-3");
-    debug_assert_eq!(b.cols(), c.cols(), "MTTKRP: factor ranks must agree");
-    let j = b.cols();
-    let mut o = DenseMatrix::zeros(a.dim_x(), j);
-    let mut fiber_acc = vec![0.0f64; j];
-    for (si, &i) in a.x_fids().iter().enumerate() {
-        for fi in a.x_ptr()[si]..a.x_ptr()[si + 1] {
-            let k = a.y_fids()[fi];
-            fiber_acc.iter_mut().for_each(|v| *v = 0.0);
-            for zi in a.y_ptr()[fi]..a.y_ptr()[fi + 1] {
-                let l = a.z_fids()[zi];
-                let v = a.values()[zi];
-                axpy(&mut fiber_acc, c.row(l), v);
-            }
-            let orow = &mut o.data_mut()[i * j..(i + 1) * j];
-            fold_scaled(orow, &fiber_acc, b.row(k));
-        }
     }
     o
 }
@@ -71,7 +47,7 @@ pub(crate) fn check_factors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparseflex_formats::SparseMatrix;
+    use sparseflex_formats::{CsfTensor, TensorData};
 
     fn tensor() -> CooTensor3 {
         CooTensor3::from_quads(
@@ -124,9 +100,9 @@ mod tests {
     fn csf_matches_coo() {
         let a = tensor();
         let (b, c) = factors();
-        let t = CsfTensor::from_coo(&a);
-        let coo_result = coo(&a, &b, &c);
-        let csf_result = csf(&t, &b, &c);
+        let csf = TensorData::Csf(CsfTensor::from_coo(&a));
+        let coo_result = crate::mttkrp(&TensorData::Coo(a), &b, &c).unwrap();
+        let csf_result = crate::mttkrp(&csf, &b, &c).unwrap();
         assert!(csf_result.approx_eq(&coo_result, 1e-12));
     }
 

@@ -1,9 +1,12 @@
-//! Thread-pool helpers for the multithreaded kernel variants.
+//! The one fan-out behind every parallel path in the workspace.
 //!
-//! All parallel kernels partition their *output* rows into disjoint chunks
-//! and hand each chunk to one scoped thread, so no synchronization beyond
-//! the final join is needed and results are bit-identical to the
-//! sequential variants.
+//! Every parallel kernel, `gemm_parallel`, `FlexSystem::run_batch` and the
+//! planner's tile executor partition their work into independent items —
+//! typically a range of output rows zipped with the disjoint output band
+//! [`split_at_ranges`] cuts for it — and hand the items to [`fan_out`].
+//! No synchronization beyond the final join is needed, and because each
+//! item runs the same body the sequential entry point runs once over the
+//! whole extent, results are bit-identical to the sequential variants.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -95,31 +98,32 @@ pub fn even_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Run `f(range, slice)` for every partition range, one scoped thread per
-/// range, where `slice` is the range's disjoint window of `data` cut by
-/// [`split_at_ranges`] (`stride` elements per unit). A single range runs
-/// on the calling thread.
-pub fn par_chunks<T: Send, F>(data: &mut [T], ranges: &[Range<usize>], stride: usize, f: F)
-where
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
-    let slices = split_at_ranges(data, ranges, stride);
-    if slices.len() <= 1 {
-        for (range, slice) in ranges.iter().cloned().zip(slices) {
-            f(range, slice);
-        }
-        return;
+/// Run `f` on every item and return the results in item order.
+///
+/// The calling thread runs the first item and one scoped thread runs each
+/// other item, so a single item never spawns. A panic in any item resumes
+/// on the caller once every thread has joined; zero items return an empty
+/// `Vec`. This is the only place library code opens a thread scope.
+pub fn fan_out<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    if items.len() <= 1 {
+        return items.into_iter().map(f).collect();
     }
+    let f = &f;
+    let mut items = items.into_iter();
+    let first = items.next();
     #[expect(
         clippy::disallowed_methods,
-        reason = "the generic chunked fan-out is a sanctioned spawn site"
+        reason = "fan_out is the one sanctioned library spawn site"
     )]
     std::thread::scope(|s| {
-        for (range, slice) in ranges.iter().cloned().zip(slices) {
-            let f = &f;
-            s.spawn(move || f(range, slice));
+        let handles: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.extend(first.map(f));
+        for h in handles {
+            out.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
-    });
+        out
+    })
 }
 
 #[cfg(test)]
@@ -167,27 +171,74 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_writes_disjoint() {
-        let mut v = vec![0usize; 1000];
-        par_chunks(&mut v, &even_ranges(500, 8), 2, |range, chunk| {
-            assert_eq!(chunk.len(), range.len() * 2);
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = range.start * 2 + i;
+    fn fan_out_returns_results_in_item_order() {
+        // Item i waits for item i + 1 and then wakes item i - 1, so items
+        // finish in reverse order; results must still come back in order.
+        let n = 6;
+        let (wakes, waits): (Vec<_>, Vec<_>) =
+            (1..n).map(|_| std::sync::mpsc::channel::<()>()).unzip();
+        let waits = waits.into_iter().map(Some).chain([None]);
+        let wakes = [None].into_iter().chain(wakes.into_iter().map(Some));
+        let items: Vec<_> = waits.zip(wakes).enumerate().collect();
+        let out = fan_out(items, |(i, (wait, wake))| {
+            if let Some(rx) = wait {
+                rx.recv().expect("item i + 1 wakes item i");
             }
+            if let Some(tx) = wake {
+                tx.send(()).expect("item i - 1 is waiting");
+            }
+            i * 10
         });
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i);
+        assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fan_out_runs_a_single_item_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        assert_eq!(
+            fan_out(vec![()], |()| std::thread::current().id()),
+            [caller]
+        );
+        let ids = fan_out(vec![(); 3], |()| std::thread::current().id());
+        assert_eq!(ids[0], caller, "the first item runs on the caller");
+        assert!(ids[1..].iter().all(|&id| id != caller));
+    }
+
+    #[test]
+    fn fan_out_of_zero_items_is_empty() {
+        let out: Vec<u8> = fan_out(Vec::<u8>::new(), |x| x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn fan_out_reraises_a_worker_panic() {
+        for bad in [0, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                fan_out((0..4).collect(), |i: usize| {
+                    assert_ne!(i, bad, "item {bad} fails");
+                    i
+                })
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(msg.contains(&format!("item {bad} fails")), "{msg}");
         }
     }
 
     #[test]
-    fn par_chunks_single_thread_path() {
-        let mut v = vec![1u8; 3];
-        par_chunks(&mut v, &even_ranges(3, 1), 1, |_, chunk| {
-            for x in chunk {
-                *x += 1;
+    fn fan_out_fills_disjoint_bands() {
+        let mut v = vec![0usize; 1000];
+        let ranges = even_ranges(500, 8);
+        let bands = split_at_ranges(&mut v, &ranges, 2);
+        fan_out(ranges.into_iter().zip(bands).collect(), |(range, band)| {
+            assert_eq!(band.len(), range.len() * 2);
+            for (i, x) in band.iter_mut().enumerate() {
+                *x = range.start * 2 + i;
             }
         });
-        assert_eq!(v, vec![2, 2, 2]);
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i));
     }
 }

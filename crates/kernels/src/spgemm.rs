@@ -1,42 +1,15 @@
-//! SpGEMM: sparse × sparse matrix multiplication (Gustavson's algorithm).
+//! SpGEMM: sparse × sparse matrix multiplication.
 //!
 //! "SpGEMM dominates the setup times of applications that use multigrid
 //! methods" (§II). The CSR(A)-CSR(B)-CSR(O) ACF is the one the paper's
 //! Fig. 5 shows winning at extreme sparsity on GPUs.
 //!
 //! The format-generic entry points are [`crate::spgemm()`] /
-//! [`crate::spgemm_parallel`]; this module holds the retained CSR×CSR fast
-//! paths and the Gustavson row routine the generic stream consumer shares.
+//! [`crate::spgemm_with`] / [`crate::spgemm_parallel`]; this module holds
+//! the two per-row routines their one stream body drives, one fiber of
+//! `A` at a time: Gustavson's sparse accumulator and the row-wise merge.
 
-use sparseflex_formats::{CsrMatrix, SparseMatrix, Value};
-
-/// Gustavson SpGEMM fast path: `O = A * B`, all three in CSR.
-///
-/// Row `i` of `O` is the sparse linear combination of the rows of `B`
-/// selected by row `i` of `A`, accumulated in a dense scratch row (the
-/// classic sparse accumulator).
-#[expect(
-    clippy::expect_used,
-    reason = "from_parts re-validates the CSR rows Gustavson emits"
-)]
-pub(crate) fn csr_csr(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-    debug_assert_eq!(a.cols(), b.rows(), "SpGEMM inner dimensions must agree");
-    let m = a.rows();
-    let n = b.cols();
-    let mut row_ptr = Vec::with_capacity(m + 1);
-    row_ptr.push(0usize);
-    let mut col_ids = Vec::new();
-    let mut values = Vec::new();
-
-    let mut scratch = Accumulator::new(n);
-    for i in 0..m {
-        let (acols, avals) = a.row(i);
-        gustavson_row(acols, avals, b, &mut scratch, &mut col_ids, &mut values);
-        row_ptr.push(values.len());
-    }
-    CsrMatrix::from_parts(m, n, row_ptr, col_ids, values)
-        .expect("Gustavson emits sorted valid CSR rows")
-}
+use sparseflex_formats::{CsrMatrix, Value};
 
 /// Sparse-accumulator scratch reused across output rows: the dense value
 /// row, an occupancy stamp per column (so first-touch detection is O(1)
@@ -189,36 +162,13 @@ pub(crate) fn rowwise_row(
     }
 }
 
-/// Row-wise-product SpGEMM fast path: `O = A * B`, all three in CSR.
-#[expect(
-    clippy::expect_used,
-    reason = "from_parts re-validates the CSR rows the row-wise merge emits"
-)]
-pub(crate) fn csr_csr_rowwise(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-    debug_assert_eq!(a.cols(), b.rows(), "SpGEMM inner dimensions must agree");
-    let m = a.rows();
-    let n = b.cols();
-    let mut row_ptr = Vec::with_capacity(m + 1);
-    row_ptr.push(0usize);
-    let mut col_ids = Vec::new();
-    let mut values = Vec::new();
-    let mut heap: MergeHeap = Vec::new();
-    for i in 0..m {
-        let (acols, avals) = a.row(i);
-        rowwise_row(acols, avals, b, &mut heap, &mut col_ids, &mut values);
-        row_ptr.push(values.len());
-    }
-    CsrMatrix::from_parts(m, n, row_ptr, col_ids, values)
-        .expect("the row-wise merge emits sorted valid CSR rows")
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::gemm::gemm_naive;
-    use sparseflex_formats::{CooMatrix, SparseMatrix};
+    use crate::{spgemm, spgemm_with, SpgemmAlgo};
+    use sparseflex_formats::{CooMatrix, CsrMatrix, MatrixData, SparseMatrix};
 
-    fn mk(rows: usize, cols: usize, seed: u64, nnz: usize) -> CsrMatrix {
+    fn mk(rows: usize, cols: usize, seed: u64, nnz: usize) -> MatrixData {
         let mut state = seed;
         let mut triplets = Vec::new();
         for _ in 0..nnz {
@@ -238,89 +188,80 @@ mod tests {
                 triplets.push((r, c, v));
             }
         }
-        CsrMatrix::from_coo(&CooMatrix::from_triplets(rows, cols, triplets).unwrap())
+        csr(CooMatrix::from_triplets(rows, cols, triplets).unwrap())
+    }
+
+    fn csr(coo: CooMatrix) -> MatrixData {
+        MatrixData::Csr(CsrMatrix::from_coo(&coo))
+    }
+
+    /// A row combining +1 and -1 contributions that cancel exactly.
+    fn cancelling_pair() -> (MatrixData, MatrixData) {
+        (
+            csr(CooMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, 1.0)]).unwrap()),
+            csr(CooMatrix::from_triplets(2, 1, vec![(0, 0, 5.0), (1, 0, -5.0)]).unwrap()),
+        )
+    }
+
+    fn rowwise(a: &MatrixData, b: &MatrixData) -> CsrMatrix {
+        spgemm_with(a, b, SpgemmAlgo::RowWise).unwrap()
     }
 
     #[test]
     fn matches_dense_reference() {
         let a = mk(8, 10, 1, 20);
         let b = mk(10, 6, 2, 18);
-        let o = csr_csr(&a, &b);
-        let expect = gemm_naive(&a.to_dense(), &b.to_dense());
-        assert_eq!(o.to_dense(), expect);
+        let o = spgemm(&a, &b).unwrap();
+        assert_eq!(o.to_dense(), gemm_naive(&a.to_dense(), &b.to_dense()));
     }
 
     #[test]
     fn cancellation_drops_output_entry() {
-        // A row combining +1 and -1 contributions that cancel exactly.
-        let a = CsrMatrix::from_coo(
-            &CooMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, 1.0)]).unwrap(),
-        );
-        let b = CsrMatrix::from_coo(
-            &CooMatrix::from_triplets(2, 1, vec![(0, 0, 5.0), (1, 0, -5.0)]).unwrap(),
-        );
-        let o = csr_csr(&a, &b);
-        assert_eq!(o.nnz(), 0);
+        let (a, b) = cancelling_pair();
+        assert_eq!(spgemm(&a, &b).unwrap().nnz(), 0);
+        assert_eq!(rowwise(&a, &b).nnz(), 0);
     }
 
     #[test]
     fn identity_is_neutral() {
         let a = mk(12, 12, 5, 30);
-        let id = {
-            let t: Vec<_> = (0..12).map(|i| (i, i, 1.0)).collect();
-            CsrMatrix::from_coo(&CooMatrix::from_triplets(12, 12, t).unwrap())
-        };
-        assert_eq!(csr_csr(&a, &id).to_dense(), a.to_dense());
-        assert_eq!(csr_csr(&id, &a).to_dense(), a.to_dense());
+        let id =
+            csr(CooMatrix::from_triplets(12, 12, (0..12).map(|i| (i, i, 1.0)).collect()).unwrap());
+        assert_eq!(spgemm(&a, &id).unwrap().to_dense(), a.to_dense());
+        assert_eq!(spgemm(&id, &a).unwrap().to_dense(), a.to_dense());
     }
 
     #[test]
     fn empty_operand_yields_empty() {
-        let a = CsrMatrix::from_coo(&CooMatrix::empty(4, 5));
+        let a = csr(CooMatrix::empty(4, 5));
         let b = mk(5, 3, 6, 8);
-        assert_eq!(csr_csr(&a, &b).nnz(), 0);
+        assert_eq!(spgemm(&a, &b).unwrap().nnz(), 0);
+        assert_eq!(rowwise(&a, &b).nnz(), 0);
+        let wide = csr(CooMatrix::empty(5, 1000));
+        assert_eq!(rowwise(&a, &wide).nnz(), 0);
     }
 
     /// The row-wise merge must replay Gustavson's exact addition sequence,
-    /// so the two fast paths are bit-for-bit equal — including dropped
+    /// so the two dataflows are bit-for-bit equal — including dropped
     /// exact cancellations — on random operands.
     #[test]
     fn rowwise_is_bit_identical_to_gustavson() {
         for seed in 0..6u64 {
             let a = mk(30, 25, seed * 2 + 1, 150);
             let b = mk(25, 40, seed * 2 + 2, 170);
-            assert_eq!(csr_csr_rowwise(&a, &b), csr_csr(&a, &b), "seed {seed}");
+            assert_eq!(rowwise(&a, &b), spgemm(&a, &b).unwrap(), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn rowwise_drops_exact_cancellation_like_gustavson() {
-        let a = CsrMatrix::from_coo(
-            &CooMatrix::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, 1.0)]).unwrap(),
-        );
-        let b = CsrMatrix::from_coo(
-            &CooMatrix::from_triplets(2, 1, vec![(0, 0, 5.0), (1, 0, -5.0)]).unwrap(),
-        );
-        assert_eq!(csr_csr_rowwise(&a, &b).nnz(), 0);
-    }
-
-    #[test]
-    fn rowwise_handles_empty_operands() {
-        let a = CsrMatrix::from_coo(&CooMatrix::empty(4, 5));
-        let b = mk(5, 3, 6, 8);
-        assert_eq!(csr_csr_rowwise(&a, &b).nnz(), 0);
-        let wide = CsrMatrix::from_coo(&CooMatrix::empty(5, 1000));
-        assert_eq!(csr_csr_rowwise(&a, &wide).nnz(), 0);
     }
 
     #[test]
     fn output_rows_are_sorted() {
         let a = mk(20, 20, 7, 80);
         let b = mk(20, 20, 8, 80);
-        let o = csr_csr(&a, &b);
-        for r in 0..o.rows() {
-            let (cols, _) = o.row(r);
-            assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {r} unsorted");
+        for o in [spgemm(&a, &b).unwrap(), rowwise(&a, &b)] {
+            for r in 0..o.rows() {
+                let (cols, _) = o.row(r);
+                assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {r} unsorted");
+            }
         }
     }
 }

@@ -1,44 +1,13 @@
-//! SpMM: sparse matrix × dense matrix, in the ACF variants the paper
-//! contrasts (§III-B, Fig. 5).
+//! SpMM with a CSC **stationary** operand — the one SpMM fast path.
 //!
 //! The format-generic entry points are [`crate::spmm()`] /
-//! [`crate::spmm_parallel`] / [`crate::spmm_sparse_b`]; this module holds
-//! the retained concrete fast paths the dispatcher specializes to. Shapes
-//! are validated by the dispatcher, so the inner routines only
-//! debug-assert.
+//! [`crate::spmm_parallel`] (one stream body for every streaming-operand
+//! format) and [`crate::spmm_sparse_b`], which dispatches here when the
+//! stationary operand arrives in CSC. Shapes are validated by the
+//! dispatcher, so the routine only debug-asserts.
 
-use crate::lanes::{axpy, dot_indexed};
-use sparseflex_formats::{CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, SparseMatrix};
-
-/// SpMM with the streaming operand in COO — a faithful implementation of
-/// the paper's **Algorithm 1**: iterate the nonzeros of `A`, multiply each
-/// against the matching dense row of `B`, accumulate into dense `O`.
-pub(crate) fn coo_dense(a: &CooMatrix, b: &DenseMatrix) -> DenseMatrix {
-    debug_assert_eq!(a.cols(), b.rows(), "SpMM inner dimensions must agree");
-    let n = b.cols();
-    let mut o = DenseMatrix::zeros(a.rows(), n);
-    // Alg. 1: for i in 0..nnz { for j in 0..N { O[rid][j] += val * B[cid][j] } }
-    for (rid, cid, val) in a.iter() {
-        let orow = &mut o.data_mut()[rid * n..(rid + 1) * n];
-        axpy(orow, b.row(cid), val);
-    }
-    o
-}
-
-/// SpMM with the streaming operand in CSR: row-at-a-time accumulation.
-pub(crate) fn csr_dense(a: &CsrMatrix, b: &DenseMatrix) -> DenseMatrix {
-    debug_assert_eq!(a.cols(), b.rows(), "SpMM inner dimensions must agree");
-    let n = b.cols();
-    let mut o = DenseMatrix::zeros(a.rows(), n);
-    for r in 0..a.rows() {
-        let (cols, vals) = a.row(r);
-        let orow = &mut o.data_mut()[r * n..(r + 1) * n];
-        for (c, v) in cols.iter().zip(vals) {
-            axpy(orow, b.row(*c), *v);
-        }
-    }
-    o
-}
+use crate::lanes::dot_indexed;
+use sparseflex_formats::{CscMatrix, DenseMatrix, SparseMatrix};
 
 /// SpMM with a dense streaming operand and a CSC **stationary** operand:
 /// `O = A * B` where `B` is sparse-by-column — the Dense(A)-CSC(B) ACF the
@@ -61,10 +30,12 @@ pub(crate) fn dense_csc(a: &DenseMatrix, b: &CscMatrix) -> DenseMatrix {
 mod tests {
     use super::*;
     use crate::gemm::gemm_naive;
-    use sparseflex_formats::SparseMatrix;
+    use sparseflex_formats::CooMatrix;
 
-    fn sparse_a() -> CooMatrix {
-        CooMatrix::from_triplets(
+    #[test]
+    fn dense_csc_variant_matches() {
+        // O = A_dense * B_sparse with B in CSC.
+        let b_sparse = CooMatrix::from_triplets(
             5,
             4,
             vec![
@@ -76,40 +47,7 @@ mod tests {
                 (4, 3, 5.0),
             ],
         )
-        .unwrap()
-    }
-
-    fn dense_b() -> DenseMatrix {
-        DenseMatrix::from_rows(vec![
-            vec![1.0, 2.0, 3.0],
-            vec![4.0, 5.0, 6.0],
-            vec![7.0, 8.0, 9.0],
-            vec![10.0, 11.0, 12.0],
-        ])
-        .unwrap()
-    }
-
-    #[test]
-    fn alg1_coo_matches_dense_gemm() {
-        let a = sparse_a();
-        let b = dense_b();
-        let expect = gemm_naive(&a.to_dense(), &b);
-        assert_eq!(coo_dense(&a, &b), expect);
-    }
-
-    #[test]
-    fn csr_variant_matches() {
-        let a = sparse_a();
-        let b = dense_b();
-        let csr = CsrMatrix::from_coo(&a);
-        let expect = gemm_naive(&a.to_dense(), &b);
-        assert_eq!(csr_dense(&csr, &b), expect);
-    }
-
-    #[test]
-    fn dense_csc_variant_matches() {
-        // O = A_dense * B_sparse with B in CSC.
-        let b_sparse = sparse_a(); // reuse pattern as the sparse B (5x4)
+        .unwrap();
         let a_dense = DenseMatrix::from_rows(vec![
             vec![1.0, 0.0, 2.0, 0.0, 1.0],
             vec![0.0, 3.0, 0.0, 1.0, 0.0],
@@ -118,13 +56,5 @@ mod tests {
         let csc = CscMatrix::from_coo(&b_sparse);
         let expect = gemm_naive(&a_dense, &b_sparse.to_dense());
         assert_eq!(dense_csc(&a_dense, &csc), expect);
-    }
-
-    #[test]
-    fn empty_sparse_gives_zeros() {
-        let a = CooMatrix::empty(3, 4);
-        let b = dense_b();
-        let o = coo_dense(&a, &b);
-        assert_eq!(o, DenseMatrix::zeros(3, 3));
     }
 }

@@ -12,7 +12,7 @@ use sparseflex::formats::descriptor::{Level, RankOrder, ValuesLayout};
 use sparseflex::formats::size_model::{descriptor_matrix_bits, MatrixStructure};
 use sparseflex::formats::{CustomMatrix, DataType, FormatDescriptor, MatrixFormat, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
-use sparseflex::kernels::spmm_from_stream;
+use sparseflex::kernels::spmm;
 use sparseflex::mint::required_blocks;
 use sparseflex::system::FlexSystem;
 use sparseflex::workloads::synth::random_matrix;
@@ -73,7 +73,7 @@ fn main() {
         enc.storage_bits(DataType::Fp32)
     );
     let b_dense = b.clone().into_dense();
-    let via_stream = spmm_from_stream(a.rows(), a.cols(), &enc, &b_dense).unwrap();
+    let via_stream = spmm(&enc, &b_dense).unwrap();
     let reference = gemm_naive(&a.clone().into_dense(), &b_dense);
     assert!(via_stream.approx_eq(&reference, 1e-9));
     println!("fiber-stream SpMM matches the dense reference");

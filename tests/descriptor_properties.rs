@@ -324,9 +324,7 @@ proptest! {
                 continue;
             }
             let enc = CustomMatrix::encode(&coo, &desc).unwrap();
-            let out = sparseflex::kernels::spmm_from_stream(
-                coo.rows(), coo.cols(), &enc, &b_dense,
-            ).unwrap();
+            let out = sparseflex::kernels::spmm(&enc, &b_dense).unwrap();
             prop_assert!(out.approx_eq(&reference, 1e-9), "SpMM mismatch for {}", desc);
         }
     }

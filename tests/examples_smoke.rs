@@ -168,8 +168,7 @@ fn custom_format_path_end_to_end() {
     let enc = CustomMatrix::encode(&a, &custom).unwrap();
     let b_dense = b.clone().into_dense();
     let reference = gemm_naive(&a.clone().into_dense(), &b_dense);
-    let via_stream =
-        sparseflex::kernels::spmm_from_stream(a.rows(), a.cols(), &enc, &b_dense).unwrap();
+    let via_stream = sparseflex::kernels::spmm(&enc, &b_dense).unwrap();
     assert!(via_stream.approx_eq(&reference, 1e-9));
 
     // Accelerator end-to-end.

@@ -28,7 +28,7 @@ use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::kernels::parallel::with_workers;
 use sparseflex::kernels::{
     csr_from_stream_parallel, mttkrp_parallel, mttkrp_via_stream, spgemm_parallel_with,
-    spgemm_with, spmm_parallel, spmm_via_stream, spttm_parallel, spttm_via_stream, SpgemmAlgo,
+    spgemm_with, spmm_parallel, spmm_via_stream, spttm, spttm_parallel, SpgemmAlgo,
 };
 use sparseflex_bench::allocs;
 
@@ -283,7 +283,7 @@ proptest! {
             let seq_gus = spgemm_with(&da, &db, SpgemmAlgo::Gustavson).unwrap();
             let seq_row = spgemm_with(&da, &db, SpgemmAlgo::RowWise).unwrap();
             prop_assert_eq!(seq_gus.to_dense(), spgemm_expect.clone(), "{} sequential SpGEMM", fmt);
-            let seq_csr = csr_from_stream(a.rows(), a.cols(), da.row_stream());
+            let seq_csr = csr_from_stream(da.row_stream());
             for workers in WORKER_COUNTS {
                 with_workers(workers, || {
                     assert_eq!(
@@ -302,7 +302,7 @@ proptest! {
                         "{fmt} row-wise SpGEMM diverged at {workers} workers"
                     );
                     assert_eq!(
-                        csr_from_stream_parallel(a.rows(), a.cols(), da.row_stream()),
+                        csr_from_stream_parallel(da.row_stream()),
                         seq_csr,
                         "{fmt} CSR materialization diverged at {workers} workers"
                     );
@@ -326,7 +326,7 @@ proptest! {
         for fmt in tensor_formats() {
             let data = TensorData::encode(&t, &fmt).unwrap();
             let seq_mttkrp = mttkrp_via_stream(&data, &b, &c).unwrap();
-            let seq_spttm = spttm_via_stream(&data, &bz).unwrap();
+            let seq_spttm = spttm(&data, &bz).unwrap();
             prop_assert_eq!(&seq_mttkrp, &mttkrp_expect, "{} sequential MTTKRP", fmt);
             prop_assert_eq!(&seq_spttm, &spttm_expect, "{} sequential SpTTM", fmt);
             for workers in WORKER_COUNTS {

@@ -16,10 +16,10 @@
 use proptest::prelude::*;
 use sparseflex::formats::descriptor::{enumerate_matrix_iter, Level, RankOrder, ValuesLayout};
 use sparseflex::formats::{
-    CooMatrix, CustomMatrix, DataType, DenseMatrix, FormatDescriptor, SearchSpace, SparseMatrix,
+    CooMatrix, CustomMatrix, DataType, DenseMatrix, FormatDescriptor, SearchSpace,
 };
 use sparseflex::kernels::gemm::gemm_naive;
-use sparseflex::kernels::spmm_from_stream;
+use sparseflex::kernels::spmm;
 use sparseflex::sage::{BeamConfig, Sage, SageWorkload, SearchObjective};
 
 /// Every two-level row-major composition over the Open space's level
@@ -83,7 +83,7 @@ proptest! {
     ) {
         let enc = CustomMatrix::encode(&a, &desc).unwrap();
         let expect = gemm_naive(&a.clone().into_dense(), &x);
-        let got = spmm_from_stream(a.rows(), a.cols(), &enc, &x).unwrap();
+        let got = spmm(&enc, &x).unwrap();
         prop_assert_eq!(got, expect, "spmv through {}", desc);
     }
 
@@ -97,7 +97,7 @@ proptest! {
     ) {
         let enc = CustomMatrix::encode(&a, &desc).unwrap();
         let expect = gemm_naive(&a.clone().into_dense(), &b);
-        let got = spmm_from_stream(a.rows(), a.cols(), &enc, &b).unwrap();
+        let got = spmm(&enc, &b).unwrap();
         prop_assert_eq!(got, expect, "spmm through {}", desc);
     }
 

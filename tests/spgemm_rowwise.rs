@@ -1,5 +1,5 @@
 //! Row-wise-product SpGEMM acceptance suite: for **every** pair of
-//! matrix compression formats, `spgemm_rowwise` must equal Gustavson's
+//! matrix compression formats, the row-wise dataflow must equal Gustavson's
 //! `spgemm` bit-for-bit (same CSR structure, same value bits — the merge
 //! replays Gustavson's exact addition order), and both must equal the
 //! dense reference on integer-valued fixtures. Degenerate shapes (empty
@@ -8,7 +8,7 @@
 
 use sparseflex::formats::{CooMatrix, MatrixData, MatrixFormat, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
-use sparseflex::kernels::{spgemm, spgemm_rowwise, spgemm_with, SpgemmAlgo};
+use sparseflex::kernels::{spgemm, spgemm_with, SpgemmAlgo};
 
 fn matrix_formats() -> Vec<MatrixFormat> {
     vec![
@@ -52,7 +52,7 @@ fn assert_pairwise(a_coo: &CooMatrix, b_coo: &CooMatrix, label: &str) {
             let a = MatrixData::encode(a_coo, &fa).unwrap();
             let b = MatrixData::encode(b_coo, &fb).unwrap();
             let g = spgemm(&a, &b).unwrap();
-            let r = spgemm_rowwise(&a, &b).unwrap();
+            let r = spgemm_with(&a, &b, SpgemmAlgo::RowWise).unwrap();
             assert_eq!(r, g, "{label}: rowwise != gustavson for ({fa}, {fb})");
             assert_eq!(
                 g.to_dense(),

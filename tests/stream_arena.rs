@@ -223,14 +223,14 @@ fn csr_materialization_with_recycling_never_allocates_steady_state() {
     )
     .unwrap();
     let data = MatrixData::encode(&a, &MatrixFormat::Csc).unwrap();
-    let expect = csr_from_stream(24, 30, data.row_stream());
+    let expect = csr_from_stream(data.row_stream());
     let mut arena = StreamArena::new();
     // Warm-up cycle: build once, hand the triple back.
-    let warm = csr_from_stream_in(&mut arena, 24, 30, data.row_stream());
+    let warm = csr_from_stream_in(&mut arena, data.row_stream());
     assert_eq!(warm, expect, "arena-backed build must match arena-less");
     arena.recycle_csr(warm);
     let (n, rebuilt) = allocs::count_allocs(|| {
-        let c = csr_from_stream_in(&mut arena, 24, 30, data.row_stream());
+        let c = csr_from_stream_in(&mut arena, data.row_stream());
         let ok = c == expect;
         arena.recycle_csr(c);
         ok

@@ -18,7 +18,7 @@ use sparseflex::formats::{
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::kernels::{
     mttkrp, mttkrp_via_stream, spgemm, spmm, spmm_sparse_b, spmm_via_stream, spmv, spmv_via_stream,
-    spttm, spttm_via_stream,
+    spttm,
 };
 
 /// Every matrix format variant (structural parameters chosen to exercise
@@ -192,12 +192,6 @@ proptest! {
         for fmt in tensor_formats() {
             let data = TensorData::encode(&t, &fmt).unwrap();
             prop_assert_eq!(spttm(&data, &f).unwrap(), expect.clone(), "spttm({})", fmt);
-            prop_assert_eq!(
-                spttm_via_stream(&data, &f).unwrap(),
-                expect.clone(),
-                "spttm_via_stream({})",
-                fmt
-            );
         }
     }
 
