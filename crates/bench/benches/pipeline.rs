@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sparseflex_bench::pipeline::{batch_jobs, bench_system, exhibit_operands, exhibit_run};
-use sparseflex_core::Planner;
+use sparseflex_core::{FlexSystem, PlanDiscipline};
 use sparseflex_formats::{DataType, SparseMatrix};
 use sparseflex_sage::SageWorkload;
 use sparseflex_workloads::synth::random_matrix;
@@ -21,7 +21,10 @@ fn bench_overlapped_vs_serial(c: &mut Criterion) {
         // then compute) vs the tiled stage machine; the modeled cycle
         // ratio is in results/BENCH_pipeline.json.
         g.bench_function(&format!("monolithic/{name}"), |bench| {
-            bench.iter(|| sys.run_functional(&a, &b, &w).expect("exhibit shape runs"))
+            bench.iter(|| {
+                sys.run(&a, &b, &w, None, PlanDiscipline::Monolithic)
+                    .expect("exhibit shape runs")
+            })
         });
         g.bench_function(&format!("pipelined/{name}"), |bench| {
             bench.iter(|| exhibit_run(&sys, &a, &b))
@@ -35,17 +38,16 @@ fn bench_batch_throughput(c: &mut Criterion) {
     let jobs = batch_jobs();
     let mut g = c.benchmark_group("pipeline_batch");
     g.sample_size(10);
-    // Cold cache: every shape pays one SAGE search (a fresh planner per
-    // call isolates the cold case from the system's persistent cache).
+    // Cold cache: every shape pays one SAGE search (a fresh system per
+    // call isolates the cold case from the persistent cache).
     g.bench_function("batch_12_jobs_cold_cache", |bench| {
-        bench.iter(|| sys.run_batch_with_planner(&jobs, &Planner::default()))
+        bench.iter(|| FlexSystem::new(sys.sage.clone()).run_batch(&jobs))
     });
     // Warm cache: the serving steady state — repeated shapes skip the
     // MCF x ACF search entirely.
-    let planner = Planner::default();
-    sys.run_batch_with_planner(&jobs, &planner);
+    sys.run_batch(&jobs);
     g.bench_function("batch_12_jobs_warm_cache", |bench| {
-        bench.iter(|| sys.run_batch_with_planner(&jobs, &planner))
+        bench.iter(|| sys.run_batch(&jobs))
     });
     g.finish();
 }

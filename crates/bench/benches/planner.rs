@@ -1,4 +1,4 @@
-//! Criterion group pricing the planner layer: end-to-end `plan_job`
+//! Criterion group pricing the planner layer: end-to-end `Planner::plan`
 //! latency cold (full SAGE MCF×ACF search) vs cached (bounded LRU plan
 //! cache hit), plus the warm serving pass over the Table III suite.
 
@@ -19,21 +19,21 @@ fn bench_plan_latency(c: &mut Criterion) {
     let mut g = c.benchmark_group("planner");
     g.sample_size(10);
     // Cold: a fresh planner per call pays the full MCF x ACF search.
-    g.bench_function("plan_job_cold", |bench| {
+    g.bench_function("plan_cold", |bench| {
         bench.iter(|| {
             Planner::default()
-                .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+                .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
                 .expect("exhibit shape plans")
         })
     });
     // Cached: the serving steady state — the search is a cache hit and
     // only the tile schedule + prediction are rebuilt per job.
     let warm = Planner::default();
-    warm.plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+    warm.plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("exhibit shape plans");
-    g.bench_function("plan_job_cached", |bench| {
+    g.bench_function("plan_cached", |bench| {
         bench.iter(|| {
-            warm.plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+            warm.plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
                 .expect("exhibit shape plans")
         })
     });

@@ -89,7 +89,7 @@ mod tests {
         // dense format will lead to poor compute efficiency."
         let sys = FlexSystem::default();
         let w = spgemm_workload(WorkloadSpec::by_name("m3plates").unwrap());
-        let ours = sys.plan(&w).evaluation;
+        let ours = sys.sage.recommend(&w).best;
         assert_ne!(ours.choice.acf_a, MatrixFormat::Dense, "{}", ours.choice);
         assert_ne!(ours.choice.acf_b, MatrixFormat::Dense, "{}", ours.choice);
     }

@@ -8,9 +8,8 @@
 //! machine-readable `results/BENCH_pipeline.json` perf snapshot that CI
 //! uploads, so the perf trajectory is tracked across PRs.
 
-use sparseflex_core::{BatchJob, FlexSystem, PipelineRun};
+use sparseflex_core::{BatchJob, FlexSystem, PipelineRun, PlanDiscipline};
 use sparseflex_formats::{DataType, MatrixFormat, SparseMatrix};
-use sparseflex_sage::eval::ConversionMode;
 use sparseflex_sage::{FormatChoice, SageWorkload};
 use sparseflex_workloads::synth::random_matrix;
 
@@ -96,11 +95,7 @@ pub fn exhibit_run(
         acf_a: MatrixFormat::Csr,
         acf_b: MatrixFormat::Csc,
     };
-    let eval = sys
-        .sage
-        .evaluate(&w, &choice, ConversionMode::Hardware)
-        .expect("exhibit choice evaluates");
-    sys.run_pipelined_with_evaluation(a, b, eval, false)
+    sys.run(a, b, &w, Some(&choice), PlanDiscipline::Pipelined)
         .expect("exhibit workload runs")
 }
 

@@ -10,7 +10,7 @@
 use crate::fig12::spgemm_workload;
 use crate::fig13::spmm_workload;
 use crate::pipeline::{bench_system, exhibit_operands};
-use sparseflex_core::{PlanDiscipline, Planner};
+use sparseflex_core::{PlanCache, PlanDiscipline, Planner};
 use sparseflex_formats::{DataType, SparseMatrix};
 use sparseflex_sage::SageWorkload;
 use sparseflex_workloads::synth::random_matrix;
@@ -47,9 +47,9 @@ pub struct PlannerMeasurement {
     pub bounded_capacity: usize,
     /// LRU evictions that undersized cache suffered over two passes.
     pub bounded_evictions: u64,
-    /// Mean end-to-end `plan_job` latency with a cold cache (µs).
+    /// Mean end-to-end `Planner::plan` latency with a cold cache (µs).
     pub plan_cold_us: f64,
-    /// Mean end-to-end `plan_job` latency with a warm cache (µs).
+    /// Mean end-to-end `Planner::plan` latency with a warm cache (µs).
     pub plan_cached_us: f64,
 }
 
@@ -71,7 +71,8 @@ pub fn measure() -> PlannerMeasurement {
 
     // The bound at work: a cache smaller than the suite must evict (LRU)
     // yet never exceed its capacity.
-    let bounded = Planner::with_capacity(8);
+    let mut bounded = Planner::default();
+    bounded.cache = PlanCache::with_capacity(8);
     for _ in 0..2 {
         for (_, w) in &suite {
             bounded.evaluate_cached(&sys.sage, w);
@@ -80,7 +81,7 @@ pub fn measure() -> PlannerMeasurement {
     assert!(bounded.cache.len() <= bounded.cache.capacity());
 
     // Plan latency, cold vs cached, on the first Fig. 12-class exhibit
-    // shape (full plan_job: search-or-hit + tile schedule + prediction).
+    // shape (full `plan`: search-or-hit + tile schedule + prediction).
     let (_, m, k, n, nnz_a, nnz_b) = exhibit_operands()[0];
     let a = random_matrix(m, k, nnz_a, 42);
     let b = random_matrix(k, n, nnz_b, 43);
@@ -90,18 +91,18 @@ pub fn measure() -> PlannerMeasurement {
     for _ in 0..iters {
         let cold_planner = Planner::default();
         cold_planner
-            .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+            .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
             .expect("exhibit shape plans");
     }
     let plan_cold_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
     let warm_planner = Planner::default();
     warm_planner
-        .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("exhibit shape plans");
     let t1 = Instant::now();
     for _ in 0..iters {
         warm_planner
-            .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+            .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
             .expect("exhibit shape plans");
     }
     let plan_cached_us = t1.elapsed().as_secs_f64() * 1e6 / iters as f64;

@@ -178,7 +178,7 @@ pub fn measure() -> SearchMeasurement {
         let mut err_sum = 0.0;
         for (a, b, w) in &operands {
             let plan = planner
-                .plan_job(&sys.sage, a, b, w, PlanDiscipline::Pipelined)
+                .plan(&sys.sage, a, b, w, None, PlanDiscipline::Pipelined)
                 .expect("calibration shape plans");
             let run = planner
                 .execute_plan(&sys.sage, &plan, a, b)

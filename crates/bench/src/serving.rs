@@ -193,7 +193,8 @@ fn serve_once(frames: &[Vec<u8>], workers: usize, warm: Option<&[StoredTrace]>) 
 /// single-core host the scheduler decides how much the threads overlap.
 fn measured_contention(shards: usize, threads: usize, lookups: usize) -> u64 {
     let sys = bench_system();
-    let planner = Planner::with_cache(PlanCache::with_shards(256, shards));
+    let mut planner = Planner::default();
+    planner.cache = PlanCache::with_shards(256, shards);
     let suite = suite_workloads();
     for (_, w) in &suite {
         planner.evaluate_cached(&sys.sage, w);
@@ -251,7 +252,8 @@ pub fn modeled_stall_cycles(
 /// planner's real hash (not a re-implementation).
 fn suite_shard_map(shards: usize) -> Vec<usize> {
     let sys = bench_system();
-    let planner = Planner::with_cache(PlanCache::with_shards(256, shards));
+    let mut planner = Planner::default();
+    planner.cache = PlanCache::with_shards(256, shards);
     suite_workloads()
         .iter()
         .map(|(_, w)| planner.cache_shard(&sys.sage, w))

@@ -46,8 +46,8 @@ pub fn rows() -> Vec<String> {
                 ("SpGEMM", spgemm_workload(spec)),
                 ("SpMM", spmm_workload(spec)),
             ] {
-                let rec = sys.plan(&w);
-                let c = &rec.evaluation.choice;
+                let rec = sys.sage.recommend(&w);
+                let c = &rec.best.choice;
                 out.push(format!(
                     "{},{shape},{},{dens:.4},{kname},{},{},{},{}",
                     spec.name, spec.nnz, c.mcf_a, c.mcf_b, c.acf_a, c.acf_b

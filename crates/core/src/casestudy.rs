@@ -39,7 +39,7 @@ pub fn layer_edp(
     let nnz_b = ((k as f64 * n as f64) * weight_density).round().max(1.0) as u64;
     let w = SageWorkload::spgemm(m, k, n, nnz_a, nnz_b, DataType::Fp32);
     let clock = system.sage.accel.clock_hz;
-    let ours = system.plan(&w).evaluation.edp(clock);
+    let ours = system.sage.recommend(&w).best.edp(clock);
     let baselines = system
         .compare_classes(&w)
         .into_iter()

@@ -14,24 +14,27 @@
 //! fingerprint), and one shared executor runs plans on the accelerator,
 //! yielding a [`plan::PlanTrace`] of predicted vs measured cycles.
 //!
-//! Every run path is a thin front-end over that pair:
+//! One entry point runs a job, and a batch fans that sequence out:
 //!
-//! - [`FlexSystem::plan`] / [`FlexSystem::compare_classes`] — the
-//!   analytic path used by the Fig. 12/13/14 benches: SAGE searches the
-//!   format space and returns full cycle/energy/EDP breakdowns for this
-//!   work and for every Table II baseline class.
-//! - [`FlexSystem::run_functional`] — the monolithic functional path: a
-//!   single-tile plan (whole-operand conversion strictly before
-//!   compute), executed on the cycle-accurate simulator and verified
-//!   against the software kernels in tests.
-//! - [`FlexSystem::run_pipelined`] / [`FlexSystem::run_batch`] — the
-//!   tile-grained [`pipeline`] runtime: the stationary operand is cut
-//!   into scratchpad-sized column tiles and MINT converts tile *t+1*
-//!   while the array computes tile *t* (double-buffered), lifting the
+//! - [`FlexSystem::run`] — [`Planner::plan`] then
+//!   [`Planner::execute_plan`]. SAGE searches the format space, or the
+//!   caller pins a [`sparseflex_sage::FormatChoice`]; either way the
+//!   evaluation is cached. [`PlanDiscipline::Monolithic`] schedules one
+//!   tile (whole-operand conversion strictly before compute);
+//!   [`PlanDiscipline::Pipelined`] cuts the stationary operand into
+//!   scratchpad-sized column tiles and MINT converts tile *t+1* while
+//!   the array computes tile *t* (double-buffered), lifting the
 //!   one-residency operand limit and exposing overlapped vs serial cycle
-//!   totals; the batch front-end serves many workloads across parallel
-//!   virtual accelerator instances, sharing the system planner's cache
-//!   across jobs, threads and successive batch calls.
+//!   totals in the returned [`PipelineRun`].
+//! - [`FlexSystem::run_batch`] — many workloads across parallel virtual
+//!   accelerator instances, sharing the system planner's cache across
+//!   jobs, threads and successive batch calls.
+//! - [`FlexSystem::compare_classes`] / [`FlexSystem::normalized_edp`] —
+//!   the analytic path used by the Fig. 12/13/14 benches: SAGE's best
+//!   evaluation for this work and for every Table II baseline class.
+//! - [`FlexSystem::run_custom_mcf`] — open descriptor MCFs decoded
+//!   straight to the accelerator's CSR×Dense compute formats, outside
+//!   the planner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +53,7 @@ pub use casestudy::{layer_edp, LayerEdp};
 pub use pipeline::{BatchJob, BatchRun, PipelineRun, TileTrace};
 pub use plan::{CostModel, Dataflow, ExecutionPlan, PlanPrediction, PlanTrace, TileCompare};
 pub use planner::{CacheCounters, PlanCache, PlanDiscipline, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
-pub use system::{ClassComparison, CustomRun, FlexSystem, FunctionalRun, RunError, SystemPlan};
+pub use system::{ClassComparison, CustomRun, FlexSystem, RunError};
 pub use trace_io::{read_traces, traces_from_json, traces_to_json, write_traces, StoredTrace};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

@@ -1,31 +1,31 @@
-//! The pipelined and batched front-ends over the planner layer.
+//! The tile-grained run record and the batched front-end over the
+//! planner layer.
 //!
-//! [`FlexSystem::run_pipelined`] plans a tile-grained job
-//! ([`Planner::plan_job`] with [`PlanDiscipline::Pipelined`]) and hands
-//! the [`ExecutionPlan`] to the shared
-//! executor ([`Planner::execute_plan`]): the stationary operand is cut
-//! into scratchpad-sized column tiles and MINT converts tile *t+1* while
-//! the array computes tile *t* (double-buffered). [`PipelineRun`]
-//! reports both the overlapped and serial cycle totals, so the paper's
-//! "conversion is cheap because it overlaps" claim is measured
-//! end-to-end rather than assumed — and carries the
+//! A [`PlanDiscipline::Pipelined`] plan cuts the stationary operand into
+//! scratchpad-sized column tiles, and the shared executor
+//! ([`execute_plan`](crate::planner::Planner::execute_plan)) has MINT
+//! convert tile *t+1* while the array computes tile *t*
+//! (double-buffered). Every run — monolithic (one tile) or pipelined —
+//! yields a [`PipelineRun`], which reports both the overlapped and serial
+//! cycle totals, so the paper's "conversion is cheap because it overlaps"
+//! claim is measured end-to-end rather than assumed — and carries the
 //! [`PlanTrace`](crate::plan::PlanTrace) comparing the plan's predicted
 //! cycles against what the simulator measured.
 //!
 //! Tiling also lifts the residency limit: a stationary operand whose
 //! compressed rows overflow a PE buffer (the recoverable
 //! [`RunError::StationaryTooLarge`]) is split until every stationary
-//! unit fits, so workloads the monolithic path rejects run here.
+//! unit fits, so workloads a monolithic plan rejects run here.
 //!
 //! On top of the pipeline, [`FlexSystem::run_batch`] serves many
 //! independent workloads across parallel *virtual accelerator instances*
 //! (one [`fan_out`] worker each), sharing the system's own
-//! [`Planner`] — and therefore its bounded plan cache — across jobs,
-//! threads **and successive batch calls**, so a long-lived service pays
-//! each workload shape's MCF×ACF search once.
+//! [`Planner`](crate::planner::Planner) — and therefore its bounded plan
+//! cache — across jobs, threads **and successive batch calls**, so a
+//! long-lived service pays each workload shape's MCF×ACF search once.
 
 use crate::plan::ExecutionPlan;
-use crate::planner::{PlanDiscipline, Planner};
+use crate::planner::PlanDiscipline;
 use crate::system::{FlexSystem, RunError};
 use sparseflex_accel::exec::{ActivityCounts, CycleBreakdown};
 use sparseflex_formats::{CooMatrix, DenseMatrix, SparseMatrix};
@@ -96,7 +96,7 @@ impl PipelineRun {
     }
 
     /// Wall-clock cycles of the serial convert-then-compute discipline —
-    /// what the monolithic [`FlexSystem::run_functional`] models.
+    /// what a [`PlanDiscipline::Monolithic`] run models.
     pub fn serial_cycles(&self) -> u64 {
         self.conv_a.pipelined_cycles() + self.schedule().serial_cycles
     }
@@ -179,43 +179,21 @@ impl BatchRun {
 }
 
 impl FlexSystem {
-    /// Tile-grained pipelined run: the planner produces an
-    /// [`ExecutionPlan`] (cache-aware SAGE evaluation + column-tile
-    /// schedule + cycle prediction) and the shared executor runs it with
-    /// MINT converting tile *t+1* while the array computes tile *t*.
+    /// `run(a, b, w, None, PlanDiscipline::Pipelined)`: SAGE plans the
+    /// formats and the tiles are double-buffered. Kept as an alias only
+    /// because the benchmark calls it by this name.
     pub fn run_pipelined(
         &self,
         a: &CooMatrix,
         b: &CooMatrix,
         w: &SageWorkload,
     ) -> Result<PipelineRun, RunError> {
-        let plan = self
-            .planner
-            .plan_job(&self.sage, a, b, w, PlanDiscipline::Pipelined)?;
-        self.planner.execute_plan(&self.sage, &plan, a, b)
-    }
-
-    /// [`run_pipelined`](Self::run_pipelined) with the format choice
-    /// pinned by the caller (used by the property suite to exercise every
-    /// MCF×ACF pair); `plan_cached` is carried into the plan so batch
-    /// callers can report cache provenance.
-    pub fn run_pipelined_with_evaluation(
-        &self,
-        a: &CooMatrix,
-        b: &CooMatrix,
-        evaluation: Evaluation,
-        plan_cached: bool,
-    ) -> Result<PipelineRun, RunError> {
-        let w = Planner::derive_workload(&self.sage, a, b, &evaluation.choice);
-        let mut plan =
-            self.planner
-                .plan_pinned(&self.sage, a, b, w, evaluation, PlanDiscipline::Pipelined)?;
-        plan.from_cache = plan_cached;
-        self.planner.execute_plan(&self.sage, &plan, a, b)
+        self.run(a, b, w, None, PlanDiscipline::Pipelined)
     }
 
     /// Serve a batch of independent workloads across parallel virtual
-    /// accelerator instances, sharing the system's own [`Planner`].
+    /// accelerator instances, sharing the system's own
+    /// [`Planner`](crate::planner::Planner).
     ///
     /// Jobs are partitioned into contiguous chunks, one
     /// [`fan_out`] worker per chunk (each simulates its own accelerator
@@ -223,14 +201,12 @@ impl FlexSystem {
     /// workload shapes hit the bounded plan cache and skip the MCF×ACF
     /// search — **including shapes cached by earlier `run_batch` calls**
     /// on the same system, since the planner (and its cache) persists.
+    ///
+    /// Each job runs [`run`](Self::run)'s plan-then-execute sequence with
+    /// SAGE planning and the pipelined discipline; this is a fan-out over
+    /// jobs, not another planning variant.
     pub fn run_batch(&self, jobs: &[BatchJob]) -> BatchRun {
-        self.run_batch_with_planner(jobs, &self.planner)
-    }
-
-    /// [`run_batch`](Self::run_batch) against a caller-owned planner, so
-    /// several systems can share one plan cache (or a bench can isolate
-    /// a cold cache).
-    pub fn run_batch_with_planner(&self, jobs: &[BatchJob], planner: &Planner) -> BatchRun {
+        let planner = &self.planner;
         let before = planner.cache.counters();
         let workers = worker_count(jobs.len());
         // Hit/miss counts are tallied from this batch's own plans (the
@@ -249,11 +225,12 @@ impl FlexSystem {
                 for (job, slot) in jobs[range].iter().zip(chunk) {
                     *slot = Some(
                         planner
-                            .plan_job(
+                            .plan(
                                 &self.sage,
                                 &job.a,
                                 &job.b,
                                 &job.workload,
+                                None,
                                 PlanDiscipline::Pipelined,
                             )
                             .and_then(|plan| {
@@ -306,21 +283,17 @@ mod tests {
         )
     }
 
-    fn pinned_eval(sys: &FlexSystem, w: &SageWorkload, choice: FormatChoice) -> Evaluation {
-        sys.sage
-            .evaluate(w, &choice, sparseflex_sage::eval::ConversionMode::Hardware)
-            .expect("pinned choice evaluates")
-    }
-
     #[test]
     fn pipelined_output_matches_monolithic_run() {
         let sys = small_system();
         let a = random_matrix(24, 32, 90, 1);
         let b = random_matrix(32, 40, 120, 2);
         let w = spgemm_workload(&a, &b);
-        let mono = sys.run_functional(&a, &b, &w).unwrap();
+        let mono = sys
+            .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
+            .unwrap();
         let piped = sys.run_pipelined(&a, &b, &w).unwrap();
-        assert_eq!(piped.output, mono.sim.output, "tiling changed the product");
+        assert_eq!(piped.output, mono.output, "tiling changed the product");
         assert!(piped.tiles.len() > 1, "operand should span several tiles");
         // The second planning of the same workload stats hit the cache.
         assert!(piped.plan_cached(), "second run of the shape must hit");
@@ -345,9 +318,8 @@ mod tests {
             acf_a: MatrixFormat::Csr,
             acf_b: MatrixFormat::Csr,
         };
-        let eval = pinned_eval(&sys, &w, choice);
 
-        let mono = sys.run_with_choice(&a, &b, eval.clone());
+        let mono = sys.run(&a, &b, &w, Some(&choice), PlanDiscipline::Monolithic);
         match mono {
             Err(ref e @ RunError::StationaryTooLarge { needed, available }) => {
                 assert_eq!(needed, 32);
@@ -358,7 +330,7 @@ mod tests {
         }
 
         let piped = sys
-            .run_pipelined_with_evaluation(&a, &b, eval, false)
+            .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
             .expect("the tiler renders the rejection unreachable");
         let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
         assert!(piped.output.approx_eq(&expect, 1e-9));
@@ -380,9 +352,8 @@ mod tests {
             acf_a: MatrixFormat::Csr,
             acf_b: MatrixFormat::Csc,
         };
-        let eval = pinned_eval(&sys, &w, choice);
         let run = sys
-            .run_pipelined_with_evaluation(&a, &b, eval, false)
+            .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
             .unwrap();
         assert!(run.tiles.len() >= 2);
         assert!(
@@ -473,8 +444,7 @@ mod tests {
             acf_a: MatrixFormat::Csr,
             acf_b: MatrixFormat::Csr,
         };
-        let eval = pinned_eval(&sys, &w, choice);
-        match sys.run_pipelined_with_evaluation(&a, &b, eval, false) {
+        match sys.run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined) {
             Err(e @ RunError::StationaryTooLarge { .. }) => {
                 assert!(!e.is_recoverable(), "no tiling can fix a 1-slot buffer")
             }

@@ -96,7 +96,7 @@ impl PlanPrediction {
 
 /// One job's complete pre-execution decision record.
 ///
-/// Produced by the `Planner` (`plan_job`), consumed by `execute_plan`;
+/// Produced by `Planner::plan`, consumed by `Planner::execute_plan`;
 /// the evaluation half is what the bounded plan cache stores and reuses
 /// across jobs with equal workload statistics and hardware config.
 #[derive(Debug, Clone)]
@@ -263,16 +263,6 @@ impl PlanTrace {
     /// Measured compute cycles summed over all tiles.
     pub fn measured_compute_cycles(&self) -> u64 {
         self.tiles.iter().map(|t| t.measured_compute_cycles).sum()
-    }
-
-    /// Predicted stationary-conversion cycles summed over all tiles.
-    pub fn predicted_conversion_cycles(&self) -> u64 {
-        self.tiles.iter().map(|t| t.predicted_conv_cycles).sum()
-    }
-
-    /// Measured stationary-conversion cycles summed over all tiles.
-    pub fn measured_conversion_cycles(&self) -> u64 {
-        self.tiles.iter().map(|t| t.measured_conv_cycles).sum()
     }
 
     /// True when every tile's predicted compute cycles equal the

@@ -1,9 +1,8 @@
 //! The planning layer: one `Planner` producing [`ExecutionPlan`]s for
 //! every run path, backed by a bounded LRU [`PlanCache`].
 //!
-//! Before this layer existed, each `FlexSystem` entry point re-derived
-//! SAGE evaluations, tiling and MINT schedules inline. Now planning and
-//! execution are split exactly where the paper splits them (Fig. 1b):
+//! Planning and execution are split exactly where the paper splits them
+//! (Fig. 1b):
 //!
 //! ```text
 //!               ┌───────────────────────────┐
@@ -17,14 +16,15 @@
 //!               └───────────────────────────┘
 //! ```
 //!
-//! [`Planner::plan_job`] consults the cache (keyed on workload statistics
-//! **and** the hardware fingerprint, so config changes invalidate
-//! naturally), runs the SAGE search only on a miss, cuts the stationary
-//! operand's column-tile schedule, and fills the per-tile cycle
-//! prediction. [`Planner::execute_plan`] is the *only* place operands
-//! meet the accelerator: the double-buffered convert∥compute stage
-//! machine, shared verbatim by the monolithic, pipelined and batched
-//! front-ends — which therefore cannot diverge.
+//! [`Planner::plan`] consults the cache (keyed on workload statistics,
+//! the hardware fingerprint and, for a caller-pinned format choice, that
+//! choice's descriptor fingerprint, so config changes invalidate
+//! naturally), runs SAGE only on a miss — the full search, or the one
+//! pinned choice — cuts the stationary operand's column-tile schedule,
+//! and fills the per-tile cycle prediction. [`Planner::execute_plan`] is
+//! the *only* place operands meet the accelerator: the double-buffered
+//! convert∥compute stage machine that every run, monolithic, pipelined
+//! or batched, executes — so they cannot diverge.
 
 use crate::calibrate::{Calibrator, Coefficients};
 use crate::lock_clean;
@@ -40,8 +40,8 @@ use sparseflex_formats::{
 use sparseflex_kernels::parallel::{fan_out, worker_count};
 use sparseflex_mint::tiled::{overlap_schedule, split_cycles};
 use sparseflex_mint::{conversion_cost, ConversionReport};
-use sparseflex_sage::eval::Evaluation;
-use sparseflex_sage::{Sage, SageKernel, SageWorkload};
+use sparseflex_sage::eval::{ConversionMode, Evaluation};
+use sparseflex_sage::{FormatChoice, Sage, SageKernel, SageWorkload};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
@@ -65,8 +65,8 @@ pub enum PlanDiscipline {
 /// choices — the **format-descriptor fingerprint** of the choice. Equal
 /// keys provably yield equal evaluations. Keying the format half on
 /// descriptors (not the legacy enums) means the enum and descriptor
-/// entry points share cache rows, and cached plans survive the enum's
-/// deprecation.
+/// spellings of one choice share a cache row, and cached plans survive
+/// the enum's deprecation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
     kernel: SageKernel,
@@ -85,30 +85,6 @@ struct PlanKey {
     /// `None` for free-search plans; the choice's
     /// [`FormatChoice::descriptor_fingerprint`] when pinned.
     choice: Option<u64>,
-}
-
-impl PlanKey {
-    fn new(w: &SageWorkload, hw: u64, calibration: u64) -> Self {
-        PlanKey {
-            kernel: w.kernel,
-            m: w.m,
-            k: w.k,
-            n: w.n,
-            nnz_a: w.nnz_a,
-            nnz_b: w.nnz_b,
-            dtype: w.dtype,
-            hw,
-            calibration,
-            choice: None,
-        }
-    }
-
-    fn pinned(w: &SageWorkload, hw: u64, calibration: u64, choice_fingerprint: u64) -> Self {
-        PlanKey {
-            choice: Some(choice_fingerprint),
-            ..PlanKey::new(w, hw, calibration)
-        }
-    }
 }
 
 /// Monotonic cache counters (snapshot with [`PlanCache::counters`];
@@ -450,124 +426,92 @@ impl Clone for Planner {
 }
 
 impl Planner {
-    /// A planner with an explicit cache capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Planner {
-            cache: PlanCache::with_capacity(capacity),
-            cost_model: CostModel::default(),
-            calibrator: Calibrator::default(),
-            tile_arenas: Mutex::new(ArenaPool::new()),
-        }
-    }
-
-    /// A planner using the given cost model for predictions.
-    pub fn with_cost_model(cost_model: CostModel) -> Self {
-        Planner {
-            cache: PlanCache::default(),
-            cost_model,
-            calibrator: Calibrator::default(),
-            tile_arenas: Mutex::new(ArenaPool::new()),
-        }
-    }
-
-    /// A planner around an explicit (possibly sharded) cache — the hook
-    /// the serving layer uses to swap in a
-    /// [`PlanCache::with_shards`] cache for its worker pool.
-    pub fn with_cache(cache: PlanCache) -> Self {
-        Planner {
-            cache,
-            cost_model: CostModel::default(),
-            calibrator: Calibrator::default(),
-            tile_arenas: Mutex::new(ArenaPool::new()),
-        }
-    }
-
     /// The cache shard the (free-search) plan row for `w` lives in.
     ///
     /// `PlanKey` is private; this accessor exposes just the key→shard
     /// mapping so the serving bench's deterministic lock-service model
     /// can replay real workload streams against the true shard layout.
     pub fn cache_shard(&self, sage: &Sage, w: &SageWorkload) -> usize {
-        let key = PlanKey::new(w, sage.config_fingerprint(), self.calibrator.generation());
-        self.cache.shard_index(&key)
+        self.cache.shard_index(&self.key(sage, w, None))
+    }
+
+    /// The cache key for `w` on `sage`'s hardware under the current
+    /// calibration generation, with the pinned choice's fingerprint.
+    fn key(&self, sage: &Sage, w: &SageWorkload, choice: Option<u64>) -> PlanKey {
+        PlanKey {
+            kernel: w.kernel,
+            m: w.m,
+            k: w.k,
+            n: w.n,
+            nnz_a: w.nnz_a,
+            nnz_b: w.nnz_b,
+            dtype: w.dtype,
+            hw: sage.config_fingerprint(),
+            calibration: self.calibrator.generation(),
+            choice,
+        }
     }
 
     /// Fetch the evaluation for `w`, running the SAGE MCF×ACF search
     /// only on a cache miss. Returns the evaluation and whether it was
     /// served from cache. Keys include [`Sage::config_fingerprint`], so
     /// a reconfigured accelerator never reuses stale plans.
+    ///
+    /// The free-search first step of [`plan`](Self::plan), public on its
+    /// own because the benchmark's traced replay times it separately.
     pub fn evaluate_cached(&self, sage: &Sage, w: &SageWorkload) -> (Evaluation, bool) {
-        let key = PlanKey::new(w, sage.config_fingerprint(), self.calibrator.generation());
         let Ok(found) = self
             .cache
-            .get_or_try_insert_with(key, || Ok::<_, Infallible>(sage.recommend(w).best));
+            .get_or_try_insert_with(self.key(sage, w, None), || {
+                Ok::<_, Infallible>(sage.recommend(w).best)
+            });
         found
     }
 
-    /// Fetch the evaluation for `w` with the format choice pinned,
-    /// running SAGE's single-choice evaluator only on a cache miss. The
-    /// cache row is keyed on the choice's **descriptor fingerprint**, so
-    /// the legacy-enum and descriptor entry points hit the same rows for
-    /// the same formats.
-    pub fn evaluate_pinned_cached(
-        &self,
-        sage: &Sage,
-        w: &SageWorkload,
-        choice: &sparseflex_sage::FormatChoice,
-    ) -> Result<(Evaluation, bool), RunError> {
-        let key = PlanKey::pinned(
-            w,
-            sage.config_fingerprint(),
-            self.calibrator.generation(),
-            choice.descriptor_fingerprint(),
-        );
-        self.cache.get_or_try_insert_with(key, || {
-            sage.evaluate(w, choice, sparseflex_sage::eval::ConversionMode::Hardware)
-                .map_err(RunError::from)
-        })
-    }
-
-    /// Plan one job with the format choice pinned by the caller: the
-    /// cached-or-evaluated budget for that exact choice, then the tile
-    /// schedule and prediction — the caching complement of
-    /// [`plan_pinned`](Self::plan_pinned) (which takes a pre-computed
-    /// evaluation and never consults the cache).
-    pub fn plan_with_formats(
+    /// Plan one job: the SAGE evaluation (served from the cache or
+    /// computed on a miss), then the tile schedule and cycle prediction
+    /// for `discipline`.
+    ///
+    /// With `pin: None`, SAGE searches the full MCF×ACF space and the row
+    /// is keyed on the workload. With `Some(choice)`, SAGE evaluates only
+    /// that choice and the row is keyed on the choice's **descriptor
+    /// fingerprint** as well, so a preset [`DescriptorChoice`] translated
+    /// with [`DescriptorChoice::to_format_choice`] hits the same row. A
+    /// pinned choice the accelerator cannot execute fails with a typed
+    /// [`RunError`] and caches nothing.
+    ///
+    /// [`DescriptorChoice`]: sparseflex_sage::DescriptorChoice
+    /// [`DescriptorChoice::to_format_choice`]: sparseflex_sage::DescriptorChoice::to_format_choice
+    pub fn plan(
         &self,
         sage: &Sage,
         a: &CooMatrix,
         b: &CooMatrix,
         w: &SageWorkload,
-        choice: &sparseflex_sage::FormatChoice,
+        pin: Option<&FormatChoice>,
         discipline: PlanDiscipline,
     ) -> Result<ExecutionPlan, RunError> {
-        let (evaluation, from_cache) = self.evaluate_pinned_cached(sage, w, choice)?;
+        let (evaluation, from_cache) = match pin {
+            None => self.evaluate_cached(sage, w),
+            Some(choice) => self.cache.get_or_try_insert_with(
+                self.key(sage, w, Some(choice.descriptor_fingerprint())),
+                || {
+                    sage.evaluate(w, choice, ConversionMode::Hardware)
+                        .map_err(RunError::from)
+                },
+            )?,
+        };
         let mut plan = self.plan_pinned(sage, a, b, *w, evaluation, discipline)?;
         plan.from_cache = from_cache;
         Ok(plan)
     }
 
-    /// Plan one job end-to-end: cached-or-searched SAGE evaluation, then
-    /// the tile schedule and cycle prediction for the chosen discipline.
-    pub fn plan_job(
-        &self,
-        sage: &Sage,
-        a: &CooMatrix,
-        b: &CooMatrix,
-        w: &SageWorkload,
-        discipline: PlanDiscipline,
-    ) -> Result<ExecutionPlan, RunError> {
-        let (evaluation, from_cache) = self.evaluate_cached(sage, w);
-        let mut plan = self.plan_pinned(sage, a, b, *w, evaluation, discipline)?;
-        plan.from_cache = from_cache;
-        Ok(plan)
-    }
-
-    /// Plan with the evaluation pinned by the caller instead of searched
-    /// (used by the `run_with_choice` / `run_pipelined_with_evaluation`
-    /// front-ends and the property suites). The returned plan is marked
-    /// `from_cache: false`; callers relaying a cached evaluation set the
-    /// field themselves.
+    /// The tile schedule and cycle prediction around an evaluation the
+    /// caller already holds, with no cache lookup. The middle step of
+    /// [`plan`](Self::plan), public on its own because the benchmark's
+    /// traced replay times each step separately. The returned plan is
+    /// marked `from_cache: false`; callers relaying a cached evaluation
+    /// set the field themselves.
     pub fn plan_pinned(
         &self,
         sage: &Sage,
@@ -646,42 +590,6 @@ impl Planner {
         })
     }
 
-    /// Workload statistics derived from the operands and the pinned
-    /// choice, for front-ends that pin an evaluation without supplying a
-    /// [`SageWorkload`]. The kernel is inferred from what actually runs:
-    /// a CSR×CSR ACF pair executes Gustavson SpGEMM, a fully dense B is
-    /// an SpMM, anything else a sparse×sparse product. The datatype is
-    /// the accelerator's configured element type — [`Evaluation`] does
-    /// not carry one, so these stats label the plan record rather than
-    /// drive any decision (pinned plans never search or cache).
-    pub fn derive_workload(
-        sage: &Sage,
-        a: &CooMatrix,
-        b: &CooMatrix,
-        choice: &sparseflex_sage::FormatChoice,
-    ) -> SageWorkload {
-        let spgemm_pair = choice.acf_a == MatrixFormat::Csr && choice.acf_b == MatrixFormat::Csr;
-        let b_dense = b.nnz() == b.rows() * b.cols();
-        if !spgemm_pair && b_dense {
-            SageWorkload::spmm(
-                a.rows(),
-                a.cols(),
-                b.cols(),
-                a.nnz() as u64,
-                sage.accel.dtype,
-            )
-        } else {
-            SageWorkload::spgemm(
-                a.rows(),
-                a.cols(),
-                b.cols(),
-                a.nnz() as u64,
-                b.nnz() as u64,
-                sage.accel.dtype,
-            )
-        }
-    }
-
     /// Execute an [`ExecutionPlan`] on real operands: encode in the
     /// MCFs, convert the streaming operand once (pipeline prologue),
     /// then convert∥execute every scheduled stationary tile — on the
@@ -692,6 +600,9 @@ impl Planner {
     /// path funnels through this one executor, and every run yields a
     /// [`PlanTrace`] comparing the plan's prediction against the
     /// measured cycles.
+    /// `FlexSystem::run` is [`plan`](Self::plan) followed by this; it is
+    /// public on its own so a plan can be inspected before it runs, and
+    /// so the benchmark's traced replay can time it separately.
     pub fn execute_plan(
         &self,
         sage: &Sage,
@@ -964,6 +875,7 @@ fn stitch_columns(output: &mut DenseMatrix, tile_out: &DenseMatrix, col_start: u
 mod tests {
     use super::*;
     use sparseflex_formats::DataType;
+    use sparseflex_workloads::synth::random_matrix;
 
     fn workload(seed: usize) -> SageWorkload {
         // Distinct shapes per seed so each gets its own cache key.
@@ -1006,7 +918,10 @@ mod tests {
     #[test]
     fn eviction_is_lru_ordered() {
         let sage = Sage::default();
-        let planner = Planner::with_capacity(2);
+        let planner = Planner {
+            cache: PlanCache::with_capacity(2),
+            ..Planner::default()
+        };
         // Fill: w0, w1.
         planner.evaluate_cached(&sage, &workload(0));
         planner.evaluate_cached(&sage, &workload(1));
@@ -1024,7 +939,10 @@ mod tests {
     #[test]
     fn lookups_refresh_recency() {
         let sage = Sage::default();
-        let planner = Planner::with_capacity(2);
+        let planner = Planner {
+            cache: PlanCache::with_capacity(2),
+            ..Planner::default()
+        };
         planner.evaluate_cached(&sage, &workload(0)); // miss: {w0}
         planner.evaluate_cached(&sage, &workload(1)); // miss: {w0, w1}
         planner.evaluate_cached(&sage, &workload(0)); // hit: w0 now hot
@@ -1039,7 +957,10 @@ mod tests {
     #[test]
     fn capacity_bound_holds_under_sustained_traffic() {
         let sage = Sage::default();
-        let planner = Planner::with_capacity(4);
+        let planner = Planner {
+            cache: PlanCache::with_capacity(4),
+            ..Planner::default()
+        };
         for i in 0..32 {
             planner.evaluate_cached(&sage, &workload(i));
         }
@@ -1070,7 +991,10 @@ mod tests {
     #[test]
     fn sharded_cache_aggregates_counters_and_len() {
         let sage = Sage::default();
-        let planner = Planner::with_cache(PlanCache::with_shards(64, 8));
+        let planner = Planner {
+            cache: PlanCache::with_shards(64, 8),
+            ..Planner::default()
+        };
         assert_eq!(planner.cache.num_shards(), 8);
         assert_eq!(planner.cache.capacity(), 64);
         for i in 0..16 {
@@ -1092,7 +1016,10 @@ mod tests {
     fn sharded_cache_still_bounds_and_serves_hits() {
         let sage = Sage::default();
         // Tiny per-shard bound: ceil(8/4) = 2 entries per shard.
-        let planner = Planner::with_cache(PlanCache::with_shards(8, 4));
+        let planner = Planner {
+            cache: PlanCache::with_shards(8, 4),
+            ..Planner::default()
+        };
         for i in 0..64 {
             planner.evaluate_cached(&sage, &workload(i));
         }
@@ -1110,7 +1037,10 @@ mod tests {
     #[test]
     fn shard_mapping_is_stable_and_in_range() {
         let sage = Sage::default();
-        let planner = Planner::with_cache(PlanCache::with_shards(64, 8));
+        let planner = Planner {
+            cache: PlanCache::with_shards(64, 8),
+            ..Planner::default()
+        };
         for i in 0..32 {
             let s1 = planner.cache_shard(&sage, &workload(i));
             let s2 = planner.cache_shard(&sage, &workload(i));
@@ -1138,7 +1068,7 @@ mod tests {
     fn concurrent_misses_on_one_key_search_once() {
         let sage = Sage::default();
         let w = workload(0);
-        let key = PlanKey::new(&w, sage.config_fingerprint(), 0);
+        let key = Planner::default().key(&sage, &w, None);
         let best = sage.recommend(&w).best;
         let cache = PlanCache::with_capacity(8);
         let searches = AtomicU64::new(0);
@@ -1177,7 +1107,7 @@ mod tests {
         let sage = Sage::default();
         let best = sage.recommend(&workload(0)).best;
         let cache = PlanCache::with_capacity(8);
-        let key = PlanKey::new(&workload(0), sage.config_fingerprint(), 0);
+        let key = Planner::default().key(&sage, &workload(0), None);
         assert_eq!(
             cache.get_or_try_insert_with(key, || Err("no plan")),
             Err("no plan")
@@ -1192,5 +1122,30 @@ mod tests {
         let found = cache.get_or_try_insert_with(key, || Ok::<_, ()>(best.clone()));
         assert_eq!(found, Ok((best, false)));
         assert_eq!(cache.counters().misses, 3);
+    }
+
+    #[test]
+    fn pinned_and_free_search_rows_are_distinct() {
+        let sage = Sage::default();
+        let planner = Planner::default();
+        let a = random_matrix(24, 32, 80, 1);
+        let b = random_matrix(32, 20, 60, 2);
+        let w = SageWorkload::spgemm(24, 32, 20, 80, 60, DataType::Fp32);
+        let best = sage.recommend(&w).best;
+        let plan = |pin| {
+            planner
+                .plan(&sage, &a, &b, &w, pin, PlanDiscipline::Pipelined)
+                .unwrap()
+        };
+        assert!(!plan(None).from_cache);
+        // SAGE's own winner, pinned: the same evaluation, in its own row.
+        let pinned = plan(Some(&best.choice));
+        assert!(!pinned.from_cache, "a pin must not hit the free-search row");
+        assert_eq!(pinned.evaluation, best);
+        assert_eq!(planner.cache.len(), 2);
+        assert!(plan(None).from_cache);
+        assert!(plan(Some(&best.choice)).from_cache);
+        let c = planner.cache.counters();
+        assert_eq!((c.hits, c.misses), (2, 2));
     }
 }

@@ -1,7 +1,7 @@
 //! The integrated system: SAGE planning, MINT conversion, accelerator
 //! execution.
 
-use crate::plan::{ExecutionPlan, PlanTrace};
+use crate::pipeline::PipelineRun;
 use crate::planner::{PlanDiscipline, Planner};
 use sparseflex_accel::exec::{simulate_ws, SimError, SimResult};
 use sparseflex_accel::taxonomy::AcceleratorClass;
@@ -9,9 +9,7 @@ use sparseflex_formats::{
     csr_from_stream, encode_with_descriptor, CooMatrix, CsrMatrix, DenseMatrix, FormatDescriptor,
     FormatError, MatrixData, MatrixEncoding, MatrixFormat, SparseMatrix,
 };
-use sparseflex_mint::ConversionReport;
-use sparseflex_sage::eval::ConversionMode;
-use sparseflex_sage::{DescriptorChoice, Evaluation, FormatChoice, Sage, SageWorkload};
+use sparseflex_sage::{Evaluation, FormatChoice, Sage, SageWorkload};
 use std::fmt;
 
 /// Errors an end-to-end run can raise, typed so callers can distinguish
@@ -21,12 +19,11 @@ pub enum RunError {
     /// An indivisible stationary unit (one compressed column or row of
     /// the stationary operand) needs more PE-buffer slots than exist.
     ///
-    /// Usually **recoverable** (see [`RunError::is_recoverable`]): the
-    /// tile-grained pipeline ([`FlexSystem::run_pipelined`] /
-    /// [`FlexSystem::run_batch`]) splits the stationary operand into
-    /// column tiles until every unit fits, so the same workload runs
-    /// there. Only a buffer too small for even a single compressed pair
-    /// (`available < 2`) cannot be tiled around.
+    /// Usually **recoverable** (see [`RunError::is_recoverable`]): a
+    /// [`PlanDiscipline::Pipelined`] plan splits the stationary operand
+    /// into column tiles until every unit fits, so the same workload
+    /// runs there. Only a buffer too small for even a single compressed
+    /// pair (`available < 2`) cannot be tiled around.
     StationaryTooLarge {
         /// Slots the indivisible unit requires.
         needed: usize,
@@ -117,19 +114,10 @@ pub struct FlexSystem {
     /// The SAGE predictor (owns the accelerator/DRAM/MINT models).
     pub sage: Sage,
     /// The planning layer every run path routes through: produces
-    /// [`ExecutionPlan`]s, owns the bounded LRU plan cache (shared
-    /// across entry points, batch calls and worker threads), and
-    /// executes plans on the accelerator.
+    /// [`ExecutionPlan`](crate::plan::ExecutionPlan)s, owns the bounded
+    /// LRU plan cache (shared across runs, batch calls and worker
+    /// threads), and executes plans on the accelerator.
     pub planner: Planner,
-}
-
-/// The analytic plan SAGE produces for a workload.
-#[derive(Debug, Clone)]
-pub struct SystemPlan {
-    /// The winning evaluation (choice + breakdown).
-    pub evaluation: Evaluation,
-    /// Candidates SAGE searched.
-    pub candidates: usize,
 }
 
 /// One Table II baseline's best achievable result on a workload.
@@ -142,28 +130,6 @@ pub struct ClassComparison {
     /// Best evaluation within the class's format freedom (None when the
     /// class cannot run the kernel at all).
     pub best: Option<Evaluation>,
-}
-
-/// Result of a functional end-to-end run.
-#[derive(Debug)]
-pub struct FunctionalRun {
-    /// MINT conversion report for operand A (empty when MCF == ACF).
-    pub conv_a: ConversionReport,
-    /// MINT conversion report for operand B.
-    pub conv_b: ConversionReport,
-    /// Cycle-accurate simulation result (output + cycles + activity).
-    pub sim: SimResult,
-    /// The monolithic (single-tile) plan the run executed.
-    pub plan: ExecutionPlan,
-    /// Predicted vs measured cycles for the executed plan.
-    pub trace: PlanTrace,
-}
-
-impl FunctionalRun {
-    /// The evaluation the run executed (SAGE's choice or the caller's).
-    pub fn evaluation(&self) -> &Evaluation {
-        &self.plan.evaluation
-    }
 }
 
 /// Result of an end-to-end run whose memory formats were open
@@ -198,15 +164,6 @@ impl FlexSystem {
         }
     }
 
-    /// Analytic plan: SAGE searches the full MCF x ACF space.
-    pub fn plan(&self, w: &SageWorkload) -> SystemPlan {
-        let rec = self.sage.recommend(w);
-        SystemPlan {
-            evaluation: rec.best,
-            candidates: rec.candidates,
-        }
-    }
-
     /// Best evaluation per Table II accelerator class (the Fig. 12/13
     /// comparison row).
     pub fn compare_classes(&self, w: &SageWorkload) -> Vec<ClassComparison> {
@@ -220,98 +177,28 @@ impl FlexSystem {
             .collect()
     }
 
-    /// Functional end-to-end run on real (small) operands:
+    /// Run one job end to end: [`Planner::plan`] (`pin` as there), then
+    /// [`Planner::execute_plan`]. Operands are stored in their MCFs, as
+    /// they would arrive from DRAM; MINT converts them to the ACFs and the
+    /// cycle-accurate simulator executes every tile.
     ///
-    /// 1. The [`Planner`] plans the job: SAGE's MCF/ACF choice (cached
-    ///    or searched) captured in a single-tile [`ExecutionPlan`].
-    /// 2. Operands are *stored* in their MCFs (as they would arrive from
-    ///    DRAM).
-    /// 3. MINT's block engine converts MCF → ACF — the **whole** operand
-    ///    at once, strictly before compute.
-    /// 4. The cycle-accurate WS simulator executes the kernel.
-    ///
-    /// This is the monolithic (serial) path: operands must fit one
-    /// scratchpad residency, or the run fails with the recoverable
-    /// [`RunError::StationaryTooLarge`] — which the tile-grained
-    /// [`FlexSystem::run_pipelined`] renders unreachable by splitting the
-    /// stationary operand. Internally it is the same planner + executor
-    /// as every other run path, scheduled with one tile spanning all
-    /// stationary columns.
-    pub fn run_functional(
+    /// A [`PlanDiscipline::Monolithic`] plan has exactly one tile: the
+    /// whole operand is converted strictly before compute, and a
+    /// stationary operand larger than one scratchpad residency fails with
+    /// the recoverable [`RunError::StationaryTooLarge`].
+    /// [`PlanDiscipline::Pipelined`] cuts scratchpad-sized column tiles
+    /// instead, and MINT converts tile *t+1* while the array computes
+    /// tile *t*.
+    pub fn run(
         &self,
         a: &CooMatrix,
         b: &CooMatrix,
         w: &SageWorkload,
-    ) -> Result<FunctionalRun, RunError> {
-        let plan = self
-            .planner
-            .plan_job(&self.sage, a, b, w, PlanDiscipline::Monolithic)?;
-        self.execute_monolithic(&plan, a, b)
-    }
-
-    /// [`run_functional`](Self::run_functional) with the format choice
-    /// pinned by the caller instead of planned by SAGE (the evaluation is
-    /// carried through to the result unchanged).
-    pub fn run_with_choice(
-        &self,
-        a: &CooMatrix,
-        b: &CooMatrix,
-        evaluation: Evaluation,
-    ) -> Result<FunctionalRun, RunError> {
-        let w = Planner::derive_workload(&self.sage, a, b, &evaluation.choice);
-        let plan = self.planner.plan_pinned(
-            &self.sage,
-            a,
-            b,
-            w,
-            evaluation,
-            PlanDiscipline::Monolithic,
-        )?;
-        self.execute_monolithic(&plan, a, b)
-    }
-
-    /// [`run_functional`](Self::run_functional) with the four formats
-    /// pinned by the caller: SAGE evaluates (or serves from cache) that
-    /// exact choice instead of searching. Cache rows are keyed on the
-    /// choice's descriptor fingerprint, so this entry point and
-    /// [`run_with_descriptors`](Self::run_with_descriptors) share them.
-    pub fn run_with_formats(
-        &self,
-        a: &CooMatrix,
-        b: &CooMatrix,
-        w: &SageWorkload,
-        choice: &FormatChoice,
-    ) -> Result<FunctionalRun, RunError> {
-        let plan = self.planner.plan_with_formats(
-            &self.sage,
-            a,
-            b,
-            w,
-            choice,
-            PlanDiscipline::Monolithic,
-        )?;
-        self.execute_monolithic(&plan, a, b)
-    }
-
-    /// The descriptor spelling of [`run_with_formats`](Self::run_with_formats):
-    /// preset descriptors translate to the legacy choice and hit the
-    /// same plan-cache rows. Open (non-preset) compositions are MCF-only
-    /// constructs — run them through
-    /// [`run_custom_mcf`](Self::run_custom_mcf) instead.
-    pub fn run_with_descriptors(
-        &self,
-        a: &CooMatrix,
-        b: &CooMatrix,
-        w: &SageWorkload,
-        choice: &DescriptorChoice,
-    ) -> Result<FunctionalRun, RunError> {
-        let legacy =
-            choice
-                .to_format_choice()
-                .ok_or(RunError::Format(FormatError::Unsupported(
-                    "open compositions have no compute-format mapping; use run_custom_mcf",
-                )))?;
-        self.run_with_formats(a, b, w, &legacy)
+        pin: Option<&FormatChoice>,
+        discipline: PlanDiscipline,
+    ) -> Result<PipelineRun, RunError> {
+        let plan = self.planner.plan(&self.sage, a, b, w, pin, discipline)?;
+        self.planner.execute_plan(&self.sage, &plan, a, b)
     }
 
     /// Execute a workload whose **memory formats** are open descriptor
@@ -321,6 +208,11 @@ impl FlexSystem {
     /// storage for non-presets), decoded through the format-agnostic
     /// fiber stream into the accelerator's CSR×Dense compute formats,
     /// and run on the cycle-accurate weight-stationary simulator.
+    ///
+    /// This is not a [`run`](Self::run) variant: it never touches the
+    /// planner (no SAGE, no MINT, no tiles), because an
+    /// [`ExecutionPlan`](crate::plan::ExecutionPlan) names its formats
+    /// with the legacy enums and open compositions have none.
     pub fn run_custom_mcf(
         &self,
         a: &CooMatrix,
@@ -356,39 +248,6 @@ impl FlexSystem {
         })
     }
 
-    /// Execute a monolithic (single-tile) plan and repackage the one
-    /// tile's results in the classic [`FunctionalRun`] shape.
-    #[expect(
-        clippy::expect_used,
-        reason = "a monolithic plan schedules exactly one tile (TilePolicy::Whole)"
-    )]
-    fn execute_monolithic(
-        &self,
-        plan: &ExecutionPlan,
-        a: &CooMatrix,
-        b: &CooMatrix,
-    ) -> Result<FunctionalRun, RunError> {
-        let run = self.planner.execute_plan(&self.sage, plan, a, b)?;
-        let tile = run
-            .tiles
-            .into_iter()
-            .next()
-            .expect("a monolithic plan schedules exactly one tile");
-        Ok(FunctionalRun {
-            conv_a: run.conv_a,
-            conv_b: tile.conv,
-            sim: SimResult {
-                output: run.output,
-                cycles: tile.compute,
-                counts: tile.counts,
-                n_tiles: tile.array_col_tiles,
-                k_passes: tile.k_passes,
-            },
-            plan: run.plan,
-            trace: run.trace,
-        })
-    }
-
     /// Software reference output for verification.
     #[expect(
         clippy::expect_used,
@@ -404,16 +263,11 @@ impl FlexSystem {
     /// this work's, per workload; `None` for classes that cannot run it.
     pub fn normalized_edp(&self, w: &SageWorkload) -> Vec<(&'static str, Option<f64>)> {
         let clock = self.sage.accel.clock_hz;
-        let ours = self.plan(w).evaluation.edp(clock);
+        let ours = self.sage.recommend(w).best.edp(clock);
         self.compare_classes(w)
             .into_iter()
             .map(|c| (c.class_name, c.best.map(|b| b.edp(clock) / ours)))
             .collect()
-    }
-
-    /// The conversion mode this system uses (hardware MINT).
-    pub fn conversion_mode(&self) -> ConversionMode {
-        ConversionMode::Hardware
     }
 }
 
@@ -448,11 +302,13 @@ mod tests {
         let mut sys = FlexSystem::default();
         sys.sage.accel.num_pes = 8;
         sys.sage.accel.pe_buffer_elems = 64;
-        let run = sys.run_functional(&a, &b, &w).unwrap();
+        let run = sys
+            .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
+            .unwrap();
         let expect =
             sparseflex_kernels::gemm::gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
         assert!(
-            run.sim.output.approx_eq(&expect, 1e-9),
+            run.output.approx_eq(&expect, 1e-9),
             "functional output mismatch for choice {}",
             run.evaluation().choice
         );
@@ -466,10 +322,12 @@ mod tests {
         let mut sys = FlexSystem::default();
         sys.sage.accel.num_pes = 16;
         sys.sage.accel.pe_buffer_elems = 64;
-        let run = sys.run_functional(&a, &b, &w).unwrap();
+        let run = sys
+            .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
+            .unwrap();
         let expect =
             sparseflex_kernels::gemm::gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
-        assert!(run.sim.output.approx_eq(&expect, 1e-9));
+        assert!(run.output.approx_eq(&expect, 1e-9));
         // SpMM with dense B: SAGE must not pick a compressed ACF for B
         // (nothing to compress).
         assert_eq!(run.evaluation().choice.acf_b, MatrixFormat::Dense);
@@ -505,8 +363,37 @@ mod tests {
     fn plan_reports_search_size() {
         let sys = FlexSystem::default();
         let w = SageWorkload::spgemm(500, 500, 250, 2_500, 1_250, DataType::Fp32);
-        let plan = sys.plan(&w);
+        let plan = sys.sage.recommend(&w);
         assert!(plan.candidates > 50);
-        assert!(plan.evaluation.total_cycles() > 0.0);
+        assert!(plan.best.total_cycles() > 0.0);
+    }
+
+    #[test]
+    fn unexecutable_pin_fails_typed_and_caches_nothing() {
+        let sys = FlexSystem::default();
+        let a = random_matrix(16, 24, 60, 5);
+        let b = random_matrix(24, 12, 40, 6);
+        let w = workload_from(&a, &b, true);
+        // The WS array takes only a Dense or CSC stationary operand.
+        let choice = FormatChoice {
+            mcf_a: MatrixFormat::Csr,
+            mcf_b: MatrixFormat::Csr,
+            acf_a: MatrixFormat::Csr,
+            acf_b: MatrixFormat::Coo,
+        };
+        for _ in 0..2 {
+            let run = sys.run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined);
+            assert_eq!(
+                run.err(),
+                Some(RunError::UnsupportedChoice {
+                    a: MatrixFormat::Csr,
+                    b: MatrixFormat::Coo,
+                })
+            );
+            assert!(sys.planner.cache.is_empty(), "a failed pin caches nothing");
+        }
+        // The repeat searched again: the first failure cleared its marker.
+        assert_eq!(sys.planner.cache.misses(), 2);
+        assert_eq!(sys.planner.cache.hits(), 0);
     }
 }

@@ -28,7 +28,8 @@
 
 use crate::wire::{self, WireError, WireJob, WireResult};
 use sparseflex_core::{
-    lock_clean, BatchJob, CacheCounters, FlexSystem, PlanCache, RunError, StoredTrace,
+    lock_clean, BatchJob, CacheCounters, FlexSystem, PlanCache, PlanDiscipline, RunError,
+    StoredTrace,
 };
 use sparseflex_formats::SparseMatrix;
 use std::collections::{HashMap, VecDeque};
@@ -408,7 +409,13 @@ impl Shared {
         } = active;
         let outcome = self
             .system
-            .run_pipelined(&job.a, &job.b, &job.workload)
+            .run(
+                &job.a,
+                &job.b,
+                &job.workload,
+                None,
+                PlanDiscipline::Pipelined,
+            )
             .map_err(ServeError::Run)
             .and_then(|run| {
                 wire::encode_result(&WireResult {
@@ -602,11 +609,6 @@ impl FlexService {
             shared,
             workers: handles,
         })
-    }
-
-    /// Start with default tuning.
-    pub fn with_defaults(system: FlexSystem) -> Result<Self, StartError> {
-        FlexService::start(system, ServeConfig::default())
     }
 
     /// Warm-start the shared planner's calibrator from stored traces

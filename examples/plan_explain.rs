@@ -32,7 +32,7 @@ fn explain_and_run(sys: &FlexSystem, label: &str, m: usize, k: usize, n: usize, 
     // Plan without executing: the whole decision is inspectable first.
     let plan = sys
         .planner
-        .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("workload plans");
     println!("{}", plan.explain());
 
@@ -55,7 +55,7 @@ fn explain_and_run(sys: &FlexSystem, label: &str, m: usize, k: usize, n: usize, 
     // evaluation comes out of the bounded LRU plan cache.
     let replanned = sys
         .planner
-        .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("workload replans");
     println!(
         "replanned   : from_cache = {} (no repeated SAGE search)\n",
@@ -92,7 +92,7 @@ fn main() {
     let w = SageWorkload::spgemm(48, 48, 56, a.nnz() as u64, b.nnz() as u64, DataType::Fp32);
     let before = sys
         .planner
-        .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("workload plans");
     let before_run = sys
         .planner
@@ -115,7 +115,7 @@ fn main() {
 
     let after = sys
         .planner
-        .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("workload replans");
     let after_run = sys
         .planner

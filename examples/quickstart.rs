@@ -8,7 +8,7 @@
 use sparseflex::formats::{DataType, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::sage::SageWorkload;
-use sparseflex::system::FlexSystem;
+use sparseflex::system::{FlexSystem, PlanDiscipline};
 use sparseflex::workloads::synth::random_matrix;
 
 fn main() {
@@ -43,41 +43,43 @@ fn main() {
     system.sage.accel.pe_buffer_elems = 64;
 
     // 1. SAGE searches the MCF x ACF space.
-    let plan = system.plan(&w);
+    let plan = system.sage.recommend(&w);
     println!(
         "\nSAGE searched {} candidates and chose: {}",
-        plan.candidates, plan.evaluation.choice
+        plan.candidates, plan.best.choice
     );
     println!(
         "  predicted: {:.0} DRAM + {:.0} conversion + {:.0} compute cycles, {:.3e} J, utilization {:.1}%",
-        plan.evaluation.dram_cycles,
-        plan.evaluation.conv_cycles,
-        plan.evaluation.compute_cycles,
-        plan.evaluation.total_energy(),
-        100.0 * plan.evaluation.utilization,
+        plan.best.dram_cycles,
+        plan.best.conv_cycles,
+        plan.best.compute_cycles,
+        plan.best.total_energy(),
+        100.0 * plan.best.utilization,
     );
 
-    // 2-4. Encode in MCF, convert through MINT, execute on the simulator.
+    // 2-4. Encode in MCF, convert through MINT, execute on the simulator
+    // (monolithic: one tile, whole-operand conversion before compute).
     let run = system
-        .run_functional(&a, &b, &w)
+        .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
         .expect("supported ACF pair");
+    let tile = &run.tiles[0];
     println!(
         "\nfunctional run: {} stream cycles, {} total cycles, {} MACs ({:.1}% effective)",
-        run.sim.cycles.stream_a,
-        run.sim.cycles.total(),
-        run.sim.counts.macs,
-        100.0 * run.sim.counts.utilization(),
+        tile.compute.stream_a,
+        tile.compute.total(),
+        tile.counts.macs,
+        100.0 * tile.counts.utilization(),
     );
     println!(
         "MINT conversion: A {} cycles, B {} cycles (pipelined)",
         run.conv_a.pipelined_cycles(),
-        run.conv_b.pipelined_cycles()
+        tile.conv.pipelined_cycles()
     );
 
     // Verify against the software kernel.
     let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
     assert!(
-        run.sim.output.approx_eq(&expect, 1e-9),
+        run.output.approx_eq(&expect, 1e-9),
         "accelerator output mismatch"
     );
     println!("\noutput verified against the software kernel ✓");

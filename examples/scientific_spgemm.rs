@@ -24,7 +24,7 @@ fn main() {
         let (fr, fc) = spec.factor_dims();
         let nnz_b = ((fr as f64 * fc as f64) * spec.density()).round().max(1.0) as u64;
         let w = SageWorkload::spgemm(m, k, fc, spec.nnz as u64, nnz_b, DataType::Fp32);
-        let plan = system.plan(&w);
+        let plan = system.sage.recommend(&w);
         let worst = system
             .normalized_edp(&w)
             .into_iter()
@@ -35,7 +35,7 @@ fn main() {
             spec.name,
             100.0 * spec.density(),
             "SpGEMM",
-            plan.evaluation.choice.to_string(),
+            plan.best.choice.to_string(),
             worst
         );
     }

@@ -62,7 +62,7 @@ fn plans_record_and_explain_their_calibration_generation() {
 
     let plan = sys
         .planner
-        .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("plans");
     assert_eq!(plan.calibration_generation, 0);
     assert!(
@@ -74,7 +74,7 @@ fn plans_record_and_explain_their_calibration_generation() {
     sys.planner.calibrator.recalibrate();
     let replanned = sys
         .planner
-        .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("replans");
     assert!(!replanned.from_cache, "generation bump must force a replan");
     assert_eq!(replanned.calibration_generation, 1);
@@ -110,7 +110,7 @@ fn three_calibration_rounds_strictly_tighten_prediction_error() {
         for (a, b, w) in &operands {
             let plan = sys
                 .planner
-                .plan_job(&sys.sage, a, b, w, PlanDiscipline::Pipelined)
+                .plan(&sys.sage, a, b, w, None, PlanDiscipline::Pipelined)
                 .expect("plans");
             let run = sys
                 .planner
@@ -141,7 +141,7 @@ fn trace_file_round_trip_warm_starts_an_equal_calibrator() {
     for _ in 0..3 {
         let plan = sys
             .planner
-            .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+            .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
             .expect("plans");
         let run = sys
             .planner

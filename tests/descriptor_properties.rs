@@ -24,7 +24,7 @@ use sparseflex::formats::{
 };
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::sage::{DescriptorChoice, FormatChoice, SageWorkload};
-use sparseflex::system::FlexSystem;
+use sparseflex::system::{FlexSystem, PlanDiscipline};
 use sparseflex::workloads::synth::random_matrix;
 
 // ---------------------------------------------------------------------------
@@ -346,14 +346,21 @@ fn plan_cache_hits_across_legacy_and_descriptor_entry_points() {
         acf_b: MatrixFormat::Dense,
     };
 
-    // First run through the legacy enum entry point: a cache miss.
-    let run1 = sys.run_with_formats(&a, &b, &w, &choice).unwrap();
+    // First run pinned with the legacy enum choice: a cache miss.
+    let run1 = sys
+        .run(&a, &b, &w, Some(&choice), PlanDiscipline::Monolithic)
+        .unwrap();
     assert!(!run1.plan.from_cache, "first pinned run must evaluate");
 
-    // Second run through the descriptor entry point: same formats, same
+    // Second run pinned with the descriptor spelling: same formats, same
     // workload — must be served from the same cache row.
     let dchoice = DescriptorChoice::from(&choice);
-    let run2 = sys.run_with_descriptors(&a, &b, &w, &dchoice).unwrap();
+    let legacy = dchoice
+        .to_format_choice()
+        .expect("preset descriptors map to an enum choice");
+    let run2 = sys
+        .run(&a, &b, &w, Some(&legacy), PlanDiscipline::Monolithic)
+        .unwrap();
     assert!(
         run2.plan.from_cache,
         "descriptor entry point must hit the legacy entry's cache row"
@@ -367,15 +374,17 @@ fn plan_cache_hits_across_legacy_and_descriptor_entry_points() {
 
     // Both runs computed the same (correct) output.
     let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
-    assert!(run1.sim.output.approx_eq(&expect, 1e-9));
-    assert!(run2.sim.output.approx_eq(&expect, 1e-9));
+    assert!(run1.output.approx_eq(&expect, 1e-9));
+    assert!(run2.output.approx_eq(&expect, 1e-9));
 
     // A different choice is a different row.
     let other = FormatChoice {
         mcf_a: MatrixFormat::Coo,
         ..choice
     };
-    let run3 = sys.run_with_formats(&a, &b, &w, &other).unwrap();
+    let run3 = sys
+        .run(&a, &b, &w, Some(&other), PlanDiscipline::Monolithic)
+        .unwrap();
     assert!(!run3.plan.from_cache, "distinct formats must not collide");
 }
 

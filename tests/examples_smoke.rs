@@ -1,5 +1,5 @@
 //! Smoke test pinning the umbrella crate's public API surface: the exact
-//! call sequence of `examples/quickstart.rs` (plan -> run_functional ->
+//! call sequence of `examples/quickstart.rs` (recommend -> run ->
 //! normalized_edp) must keep compiling and producing verified results, so
 //! the example's API contract is enforced by the test suite rather than
 //! by docs alone.
@@ -32,31 +32,31 @@ fn quickstart_path_end_to_end() {
     system.sage.accel.pe_buffer_elems = 32;
 
     // 1. SAGE searches the MCF x ACF space.
-    let plan = system.plan(&w);
+    let plan = system.sage.recommend(&w);
     assert!(
         plan.candidates > 0,
         "SAGE searched an empty candidate space"
     );
-    assert!(plan.evaluation.compute_cycles > 0.0);
-    assert!(plan.evaluation.total_energy() > 0.0);
+    assert!(plan.best.compute_cycles > 0.0);
+    assert!(plan.best.total_energy() > 0.0);
     assert!(
-        (0.0..=1.0).contains(&plan.evaluation.utilization),
+        (0.0..=1.0).contains(&plan.best.utilization),
         "utilization {} out of range",
-        plan.evaluation.utilization
+        plan.best.utilization
     );
 
     // 2-4. Encode in MCF, convert through MINT, execute on the simulator.
     let run = system
-        .run_functional(&a, &b, &w)
+        .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
         .expect("supported ACF pair");
-    assert!(run.sim.cycles.total() > 0);
-    assert!(run.sim.counts.macs > 0);
+    assert!(run.tiles[0].compute.total() > 0);
+    assert!(run.tiles[0].counts.macs > 0);
 
     // The accelerator output must match the software kernel exactly
     // (integer-valued fixtures keep f64 arithmetic exact).
     let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
     assert!(
-        run.sim.output.approx_eq(&expect, 1e-9),
+        run.output.approx_eq(&expect, 1e-9),
         "accelerator output mismatch"
     );
 
@@ -90,7 +90,7 @@ fn plan_explain_path_end_to_end() {
         let w = SageWorkload::spgemm(m, k, n, a.nnz() as u64, b.nnz() as u64, DataType::Fp32);
         let plan = sys
             .planner
-            .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+            .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
             .expect("workload plans");
         let text = plan.explain();
         assert!(text.contains(&format!("SpGEMM {m}x{k}x{n}")), "{text}");
@@ -104,7 +104,7 @@ fn plan_explain_path_end_to_end() {
         // Replanning the same shape hits the cache, and explain says so.
         let again = sys
             .planner
-            .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+            .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
             .expect("workload replans");
         assert!(again.from_cache);
         assert!(again.explain().contains("plan-cache hit"));
@@ -129,7 +129,7 @@ fn plan_explain_path_end_to_end() {
     let w = SageWorkload::spgemm(m, k, n, a.nnz() as u64, b.nnz() as u64, DataType::Fp32);
     let recal = sys
         .planner
-        .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("workload replans after refit");
     assert!(!recal.from_cache, "refit must invalidate the cached row");
     assert_eq!(recal.calibration_generation, 1);
@@ -256,8 +256,8 @@ fn quickstart_operand_sizes_stay_supported() {
     system.sage.accel.num_pes = 32;
     system.sage.accel.pe_buffer_elems = 64;
     let run = system
-        .run_functional(&a, &b, &w)
+        .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
         .expect("supported ACF pair");
     let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
-    assert!(run.sim.output.approx_eq(&expect, 1e-9));
+    assert!(run.output.approx_eq(&expect, 1e-9));
 }

@@ -1,6 +1,6 @@
 //! Property suite for the tile-grained pipelined runtime: tiled,
-//! pipelined and batched execution must be **bit-for-bit** equal to the
-//! monolithic `run_functional` path across every matrix format, including
+//! pipelined and batched execution must be **bit-for-bit** equal to a
+//! monolithic run across every matrix format, including
 //! operands larger than one scratchpad residency and empty/degenerate
 //! tiles.
 
@@ -9,7 +9,7 @@ use sparseflex::formats::{CooMatrix, DataType, MatrixFormat, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::sage::eval::ConversionMode;
 use sparseflex::sage::{FormatChoice, SageWorkload};
-use sparseflex::system::{BatchJob, FlexSystem, RunError};
+use sparseflex::system::{BatchJob, FlexSystem, PlanDiscipline, RunError};
 
 fn small_system() -> FlexSystem {
     let mut sys = FlexSystem::default();
@@ -72,10 +72,10 @@ proptest! {
     fn pipelined_equals_monolithic((a, b) in arb_operands()) {
         let sys = small_system();
         let w = spgemm_workload(&a, &b);
-        let mono = sys.run_functional(&a, &b, &w).unwrap();
+        let mono = sys.run(&a, &b, &w, None, PlanDiscipline::Monolithic).unwrap();
         let piped = sys.run_pipelined(&a, &b, &w).unwrap();
         prop_assert_eq!(
-            &piped.output, &mono.sim.output,
+            &piped.output, &mono.output,
             "pipeline diverged under choice {}", piped.evaluation().choice
         );
         // And both match the software oracle.
@@ -98,14 +98,15 @@ proptest! {
                 acf_a: MatrixFormat::Csr,
                 acf_b: MatrixFormat::Csc,
             };
-            let eval = match sys.sage.evaluate(&w, &choice, ConversionMode::Hardware) {
-                Ok(e) => e,
+            if sys.sage.evaluate(&w, &choice, ConversionMode::Hardware).is_err() {
                 // Structured MCFs can exceed hardware bounds (e.g. DIA
                 // diagonal count) — planner-level rejection, not a
                 // pipeline property.
-                Err(_) => continue,
-            };
-            let run = sys.run_pipelined_with_evaluation(&a, &b, eval, false).unwrap();
+                continue;
+            }
+            let run = sys
+                .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
+                .unwrap();
             prop_assert!(
                 run.output.approx_eq(&expect, 1e-9),
                 "MCF {mcf} diverged"
@@ -178,13 +179,8 @@ fn oversized_operand_runs_and_overlap_beats_serial() {
         acf_a: MatrixFormat::Csr,
         acf_b: MatrixFormat::Csr,
     };
-    let eval = sys
-        .sage
-        .evaluate(&w, &choice, ConversionMode::Hardware)
-        .unwrap();
-
     // Monolithic: typed, recoverable rejection.
-    match sys.run_with_choice(&a, &b, eval.clone()) {
+    match sys.run(&a, &b, &w, Some(&choice), PlanDiscipline::Monolithic) {
         Err(e @ RunError::StationaryTooLarge { .. }) => assert!(e.is_recoverable()),
         other => panic!("expected StationaryTooLarge, got {other:?}"),
     }
@@ -192,7 +188,7 @@ fn oversized_operand_runs_and_overlap_beats_serial() {
     // Pipelined: runs, is correct, and the double-buffered schedule is
     // strictly faster than serial convert-then-compute.
     let run = sys
-        .run_pipelined_with_evaluation(&a, &b, eval.clone(), false)
+        .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
         .expect("tiling renders the rejection unreachable");
     let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
     assert!(run.output.approx_eq(&expect, 1e-9));
@@ -224,6 +220,8 @@ fn empty_operands_and_tiles() {
     let w = spgemm_workload(&a, &b);
     let run = sys.run_pipelined(&a, &b, &w).unwrap();
     assert_eq!(run.output.count_nonzeros(), 0);
-    let mono = sys.run_functional(&a, &b, &w).unwrap();
-    assert_eq!(run.output, mono.sim.output);
+    let mono = sys
+        .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
+        .unwrap();
+    assert_eq!(run.output, mono.output);
 }

@@ -10,7 +10,7 @@ use sparseflex::formats::{CooMatrix, DataType, MatrixFormat, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::sage::eval::ConversionMode;
 use sparseflex::sage::{FormatChoice, SageWorkload};
-use sparseflex::system::{BatchJob, CostModel, FlexSystem, PlanDiscipline, Planner};
+use sparseflex::system::{BatchJob, CostModel, FlexSystem, PlanDiscipline};
 
 fn small_system() -> FlexSystem {
     let mut sys = FlexSystem::default();
@@ -66,11 +66,10 @@ fn mcf_suite() -> Vec<MatrixFormat> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// (a) With the evaluation pinned, the monolithic front-end
-    /// (`run_with_choice`), the pipelined front-end
-    /// (`run_pipelined_with_evaluation`) and a raw
-    /// `plan_pinned -> execute_plan` round trip all execute the same
-    /// plan and produce **bit-for-bit identical** output, for every MCF.
+    /// (a) With the format choice pinned, a monolithic `run`, a
+    /// pipelined `run` and a raw `plan_pinned -> execute_plan` round
+    /// trip all execute the same plan and produce **bit-for-bit
+    /// identical** output, for every MCF.
     #[test]
     fn every_run_path_matches_the_monolithic_output((a, b) in arb_operands()) {
         let sys = small_system();
@@ -93,10 +92,12 @@ proptest! {
             // Monolithic path (may recoverably reject oversized rows;
             // under a WS CSC ACF with 64-slot buffers it never does for
             // these operand sizes).
-            let mono = sys.run_with_choice(&a, &b, eval.clone()).unwrap();
+            let mono = sys
+                .run(&a, &b, &w, Some(&choice), PlanDiscipline::Monolithic)
+                .unwrap();
             // Pipelined front-end.
             let piped = sys
-                .run_pipelined_with_evaluation(&a, &b, eval.clone(), false)
+                .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
                 .unwrap();
             // Raw planner round trip, pipelined discipline.
             let plan = sys
@@ -104,25 +105,25 @@ proptest! {
                 .plan_pinned(&sys.sage, &a, &b, w, eval, PlanDiscipline::Pipelined)
                 .unwrap();
             let raw = sys.planner.execute_plan(&sys.sage, &plan, &a, &b).unwrap();
-            prop_assert_eq!(&piped.output, &mono.sim.output, "pipelined diverged for MCF {}", mcf);
-            prop_assert_eq!(&raw.output, &mono.sim.output, "raw executor diverged for MCF {}", mcf);
-            prop_assert!(mono.sim.output.approx_eq(&expect, 1e-9), "MCF {} wrong vs oracle", mcf);
+            prop_assert_eq!(&piped.output, &mono.output, "pipelined diverged for MCF {}", mcf);
+            prop_assert_eq!(&raw.output, &mono.output, "raw executor diverged for MCF {}", mcf);
+            prop_assert!(mono.output.approx_eq(&expect, 1e-9), "MCF {} wrong vs oracle", mcf);
         }
     }
 
-    /// (a, SAGE-planned) The four public entry points plan through the
-    /// same cache-aware planner, so the same workload executes the same
-    /// plan everywhere: functional == pipelined == batched, bit for bit.
+    /// (a, SAGE-planned) Every run path plans through the same
+    /// cache-aware planner, so the same workload executes the same plan
+    /// everywhere: monolithic == pipelined == batched, bit for bit.
     #[test]
     fn sage_planned_paths_agree((a, b) in arb_operands()) {
         let sys = small_system();
         let w = spgemm_workload(&a, &b);
-        let mono = sys.run_functional(&a, &b, &w).unwrap();
+        let mono = sys.run(&a, &b, &w, None, PlanDiscipline::Monolithic).unwrap();
         let piped = sys.run_pipelined(&a, &b, &w).unwrap();
         let batch = sys.run_batch(&[BatchJob { a: a.clone(), b: b.clone(), workload: w }]);
         let batched = batch.results[0].as_ref().unwrap();
-        prop_assert_eq!(&piped.output, &mono.sim.output);
-        prop_assert_eq!(&batched.output, &mono.sim.output);
+        prop_assert_eq!(&piped.output, &mono.output);
+        prop_assert_eq!(&batched.output, &mono.output);
         // The later paths reused the first search through the cache.
         prop_assert!(piped.plan_cached(), "pipelined run must hit the cache");
         prop_assert!(batched.plan_cached(), "batched run must hit the cache");
@@ -139,7 +140,7 @@ proptest! {
     #[test]
     fn structure_model_trace_is_exact((a, b) in arb_operands()) {
         let mut sys = small_system();
-        sys.planner = Planner::with_cost_model(CostModel::Structure);
+        sys.planner.cost_model = CostModel::Structure;
         let w = spgemm_workload(&a, &b);
         let run = sys.run_pipelined(&a, &b, &w).unwrap();
         prop_assert!(run.trace.compute_exact(), "structure model must be cycle-exact");
@@ -150,7 +151,7 @@ proptest! {
         prop_assert_eq!(run.trace.predicted_schedule, run.trace.measured_schedule);
         prop_assert!((run.trace.compute_error_factor() - 1.0).abs() < 1e-12);
         // The monolithic path validates the same way.
-        let mono = sys.run_functional(&a, &b, &w).unwrap();
+        let mono = sys.run(&a, &b, &w, None, PlanDiscipline::Monolithic).unwrap();
         prop_assert!(mono.trace.compute_exact());
     }
 
@@ -216,7 +217,7 @@ fn explain_renders_the_decision() {
     let w = spgemm_workload(&a, &b);
     let plan = sys
         .planner
-        .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .unwrap();
     let text = plan.explain();
     assert!(text.contains("ExecutionPlan: SpGEMM 20x24x30"));
@@ -228,7 +229,7 @@ fn explain_renders_the_decision() {
     // A replanned job is marked as served from cache.
     let replanned = sys
         .planner
-        .plan_job(&sys.sage, &a, &b, &w, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .unwrap();
     assert!(replanned.explain().contains("plan-cache hit"));
 }
