@@ -105,21 +105,21 @@ fn main() -> std::io::Result<()> {
         dir.join("BENCH_planner.json"),
         sparseflex_bench::planner::json_from(&planner_measured) + "\n",
     )?;
-    // Search & calibration exhibit: beam search vs presets and the
-    // calibration error trajectory, as CSV + JSON snapshot.
-    eprintln!("generating search + BENCH_search.json ...");
-    let search_measured = sparseflex_bench::search::measure();
+    // Calibration exhibit: the calibration error trajectory, as CSV +
+    // JSON snapshot.
+    eprintln!("generating calibration + BENCH_calibration.json ...");
+    let calibration_measured = sparseflex_bench::calibration::measure();
     fs::write(
-        dir.join("search.csv"),
-        sparseflex_bench::search::rows_from(&search_measured).join("\n") + "\n",
+        dir.join("calibration.csv"),
+        sparseflex_bench::calibration::rows_from(&calibration_measured).join("\n") + "\n",
     )?;
     fs::write(
-        dir.join("BENCH_search.json"),
-        sparseflex_bench::search::json_from(&search_measured) + "\n",
+        dir.join("BENCH_calibration.json"),
+        sparseflex_bench::calibration::json_from(&calibration_measured) + "\n",
     )?;
     // Persist the calibration rounds' executed-plan traces so a later
     // process can warm-start its calibrator from this traffic.
-    sparseflex_core::write_traces(&dir.join("traces.json"), &search_measured.traces)?;
+    sparseflex_core::write_traces(&dir.join("traces.json"), &calibration_measured.traces)?;
     // Serving exhibit: multi-tenant throughput through the wire format
     // plus the plan-cache sharding comparison.
     eprintln!("generating serving + BENCH_serving.json ...");
@@ -161,7 +161,7 @@ fn main() -> std::io::Result<()> {
     )?;
     eprintln!(
         "wrote results/*.csv + results/BENCH_pipeline.json + results/BENCH_planner.json \
-         + results/BENCH_search.json + results/BENCH_serving.json + results/BENCH_kernels.json \
+         + results/BENCH_calibration.json + results/BENCH_serving.json + results/BENCH_kernels.json \
          + results/BENCH_parallel.json"
     );
     Ok(())

@@ -22,6 +22,7 @@
 //! | [`table2`] | Table II — evaluated accelerator configs |
 //! | [`table3`] | Table III — workloads + SAGE format selections |
 //! | [`pipeline`] | tile-grained runtime — overlapped vs serial vs batched |
+//! | [`calibration`] | online calibration — predicted-vs-measured cycle error per round |
 //! | [`serving`] | serving layer — multi-tenant throughput + plan-cache sharding |
 //! | [`kernels`] | streaming kernels — zero-alloc steady state + stream overhead budget |
 //! | [`parallel`] | data-parallel kernels — sequential/parallel bit-identity + ranged-arena allocs |
@@ -31,6 +32,7 @@
 
 pub mod ablation;
 pub mod allocs;
+pub mod calibration;
 pub mod fig04;
 pub mod fig05;
 pub mod fig05_measured;
@@ -46,7 +48,6 @@ pub mod kernels;
 pub mod parallel;
 pub mod pipeline;
 pub mod planner;
-pub mod search;
 pub mod serving;
 pub mod table1;
 pub mod table2;

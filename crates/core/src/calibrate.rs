@@ -206,9 +206,10 @@ impl Calibrator {
     }
 
     /// Mean |c·predicted − measured| / max(measured, 1) over every
-    /// stored sample under the **current** coefficients — the scalar the
-    /// `BENCH_search` exhibit tracks per calibration round. `None` until
-    /// a trace has been recorded.
+    /// stored sample under the **current** coefficients — the
+    /// stored-sample counterpart of the per-round plan error the
+    /// `BENCH_calibration` exhibit tracks. `None` until a trace has been
+    /// recorded.
     pub fn mean_abs_error(&self) -> Option<f64> {
         let s = lock_clean(&self.state);
         let lanes = [

@@ -32,9 +32,6 @@
 //! - [`FlexSystem::compare_classes`] / [`FlexSystem::normalized_edp`] —
 //!   the analytic path used by the Fig. 12/13/14 benches: SAGE's best
 //!   evaluation for this work and for every Table II baseline class.
-//! - [`FlexSystem::run_custom_mcf`] — open descriptor MCFs decoded
-//!   straight to the accelerator's CSR×Dense compute formats, outside
-//!   the planner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +50,7 @@ pub use casestudy::{layer_edp, LayerEdp};
 pub use pipeline::{BatchJob, BatchRun, PipelineRun, TileTrace};
 pub use plan::{CostModel, Dataflow, ExecutionPlan, PlanPrediction, PlanTrace, TileCompare};
 pub use planner::{CacheCounters, PlanCache, PlanDiscipline, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
-pub use system::{ClassComparison, CustomRun, FlexSystem, RunError};
+pub use system::{ClassComparison, FlexSystem, RunError};
 pub use trace_io::{read_traces, traces_from_json, traces_to_json, write_traces, StoredTrace};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

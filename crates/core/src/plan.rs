@@ -130,9 +130,8 @@ impl ExecutionPlan {
     }
 
     /// Stable fingerprint of the plan's four format descriptors — the
-    /// format identity plan caches and persisted artifacts key on (equal
-    /// for the enum and descriptor spellings of the same choice, and
-    /// independent of the legacy enums' representation).
+    /// format identity plan caches and persisted artifacts key on
+    /// (independent of the enums' in-memory representation).
     pub fn choice_fingerprint(&self) -> u64 {
         self.evaluation.choice.descriptor_fingerprint()
     }

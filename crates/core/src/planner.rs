@@ -63,10 +63,8 @@ pub enum PlanDiscipline {
 /// Key identifying a cached plan: the workload statistics SAGE's models
 /// consume, the hardware-configuration fingerprint, and — for pinned
 /// choices — the **format-descriptor fingerprint** of the choice. Equal
-/// keys provably yield equal evaluations. Keying the format half on
-/// descriptors (not the legacy enums) means the enum and descriptor
-/// spellings of one choice share a cache row, and cached plans survive
-/// the enum's deprecation.
+/// keys provably yield equal evaluations. The format half is the stable
+/// descriptor fingerprint, not the enums' in-memory representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
     kernel: SageKernel,
@@ -474,14 +472,11 @@ impl Planner {
     ///
     /// With `pin: None`, SAGE searches the full MCF×ACF space and the row
     /// is keyed on the workload. With `Some(choice)`, SAGE evaluates only
-    /// that choice and the row is keyed on the choice's **descriptor
-    /// fingerprint** as well, so a preset [`DescriptorChoice`] translated
-    /// with [`DescriptorChoice::to_format_choice`] hits the same row. A
-    /// pinned choice the accelerator cannot execute fails with a typed
-    /// [`RunError`] and caches nothing.
-    ///
-    /// [`DescriptorChoice`]: sparseflex_sage::DescriptorChoice
-    /// [`DescriptorChoice::to_format_choice`]: sparseflex_sage::DescriptorChoice::to_format_choice
+    /// that choice and the row is keyed on the choice's
+    /// [`descriptor_fingerprint`](FormatChoice::descriptor_fingerprint)
+    /// as well, so repeating a pin hits the same row. A pinned choice the
+    /// accelerator cannot execute fails with a typed [`RunError`] and
+    /// caches nothing.
     pub fn plan(
         &self,
         sage: &Sage,

@@ -3,11 +3,10 @@
 
 use crate::pipeline::PipelineRun;
 use crate::planner::{PlanDiscipline, Planner};
-use sparseflex_accel::exec::{simulate_ws, SimError, SimResult};
+use sparseflex_accel::exec::SimError;
 use sparseflex_accel::taxonomy::AcceleratorClass;
 use sparseflex_formats::{
-    csr_from_stream, encode_with_descriptor, CooMatrix, CsrMatrix, DenseMatrix, FormatDescriptor,
-    FormatError, MatrixData, MatrixEncoding, MatrixFormat, SparseMatrix,
+    CooMatrix, CsrMatrix, DenseMatrix, FormatError, MatrixData, MatrixFormat,
 };
 use sparseflex_sage::{Evaluation, FormatChoice, Sage, SageWorkload};
 use std::fmt;
@@ -132,29 +131,6 @@ pub struct ClassComparison {
     pub best: Option<Evaluation>,
 }
 
-/// Result of an end-to-end run whose memory formats were open
-/// descriptor compositions (see [`FlexSystem::run_custom_mcf`]).
-#[derive(Debug)]
-pub struct CustomRun {
-    /// Operand A as encoded per its memory descriptor.
-    pub mcf_a: MatrixEncoding,
-    /// Operand B as encoded per its memory descriptor.
-    pub mcf_b: MatrixEncoding,
-    /// Exact storage footprint of A's memory encoding (bits).
-    pub mcf_a_bits: u64,
-    /// Exact storage footprint of B's memory encoding (bits).
-    pub mcf_b_bits: u64,
-    /// Cycle-accurate simulation result (output + cycles + activity).
-    pub sim: SimResult,
-}
-
-impl CustomRun {
-    /// The computed output.
-    pub fn output(&self) -> &DenseMatrix {
-        &self.sim.output
-    }
-}
-
 impl FlexSystem {
     /// Build a system around a configured SAGE instance.
     pub fn new(sage: Sage) -> Self {
@@ -199,53 +175,6 @@ impl FlexSystem {
     ) -> Result<PipelineRun, RunError> {
         let plan = self.planner.plan(&self.sage, a, b, w, pin, discipline)?;
         self.planner.execute_plan(&self.sage, &plan, a, b)
-    }
-
-    /// Execute a workload whose **memory formats** are open descriptor
-    /// compositions (no legacy enum name required): each operand is
-    /// encoded exactly per its descriptor
-    /// ([`CustomMatrix`](sparseflex_formats::CustomMatrix) level
-    /// storage for non-presets), decoded through the format-agnostic
-    /// fiber stream into the accelerator's CSR×Dense compute formats,
-    /// and run on the cycle-accurate weight-stationary simulator.
-    ///
-    /// This is not a [`run`](Self::run) variant: it never touches the
-    /// planner (no SAGE, no MINT, no tiles), because an
-    /// [`ExecutionPlan`](crate::plan::ExecutionPlan) names its formats
-    /// with the legacy enums and open compositions have none.
-    pub fn run_custom_mcf(
-        &self,
-        a: &CooMatrix,
-        b: &CooMatrix,
-        mcf_a: &FormatDescriptor,
-        mcf_b: &FormatDescriptor,
-    ) -> Result<CustomRun, RunError> {
-        if a.cols() != b.rows() {
-            return Err(RunError::ShapeMismatch {
-                a_cols: a.cols(),
-                b_rows: b.rows(),
-            });
-        }
-        let a_mem = encode_with_descriptor(a, mcf_a)?;
-        let b_mem = encode_with_descriptor(b, mcf_b)?;
-        let dtype = self.sage.accel.dtype;
-        let (mcf_a_bits, mcf_b_bits) = (a_mem.storage_bits(dtype), b_mem.storage_bits(dtype));
-        // MCF -> ACF: decode each operand's fiber stream into the
-        // compute formats (CSR streaming, dense stationary).
-        let a_acf = MatrixData::Csr(csr_from_stream(a_mem.row_stream()));
-        let mut b_dense = DenseMatrix::zeros(b.rows(), b.cols());
-        b_mem.row_stream().for_each_nnz(&mut |r, c, v| {
-            b_dense.set(r, c, v);
-        });
-        let b_acf = MatrixData::Dense(b_dense);
-        let sim = simulate_ws(&a_acf, &b_acf, &self.sage.accel)?;
-        Ok(CustomRun {
-            mcf_a: a_mem,
-            mcf_b: b_mem,
-            mcf_a_bits,
-            mcf_b_bits,
-            sim,
-        })
     }
 
     /// Software reference output for verification.

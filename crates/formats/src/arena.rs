@@ -62,10 +62,6 @@ pub struct StreamArena {
     /// `(coord, value)` pairs for traversals that must re-sort a fiber
     /// (ELL rows with unsorted slots).
     pub pairs: Vec<(usize, Value)>,
-    /// `(row, col, value)` triples for traversals that must bucket the
-    /// whole operand by row (the descriptor-composed column-major
-    /// transpose in [`crate::custom`]).
-    pub triples: Vec<(usize, usize, Value)>,
     /// `(x, y, z, value)` quads for block-clustered tensor traversals
     /// that must re-sort the whole operand (HiCOO).
     pub quads: Vec<(usize, usize, usize, Value)>,
@@ -179,7 +175,6 @@ mod tests {
         assert_eq!(a.idx_a.capacity(), 0);
         assert_eq!(a.idx_b.capacity(), 0);
         assert_eq!(a.pairs.capacity(), 0);
-        assert_eq!(a.triples.capacity(), 0);
         assert_eq!(a.quads.capacity(), 0);
     }
 

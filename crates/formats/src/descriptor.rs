@@ -1,12 +1,13 @@
-//! Per-rank **level descriptors** — the open, composable format identity.
+//! Per-rank **level descriptors**: how the models charge a format.
 //!
 //! The paper treats a compression format as a per-rank choice
 //! (uncompressed, bitmask/ZVC, run-length, coordinate) applied dimension
-//! by dimension (§III, Fig. 3), but [`MatrixFormat`] / [`TensorFormat`]
-//! hard-code that zoo as closed enums. Following the level abstraction of
-//! *Format Abstraction for Sparse Tensor Algebra Compilers* (Chou et
-//! al.), a [`FormatDescriptor`] instead **composes** a format from an
-//! ordered list of per-rank [`Level`]s plus a [`ValuesLayout`]:
+//! by dimension (§III, Fig. 3). [`MatrixFormat`] / [`TensorFormat`] name
+//! the formats SAGE searches over and MINT converts between. A
+//! [`FormatDescriptor`] spells each of those presets as an ordered list
+//! of per-rank [`Level`]s plus a [`ValuesLayout`], following the level
+//! abstraction of *Format Abstraction for Sparse Tensor Algebra
+//! Compilers* (Chou et al.):
 //!
 //! | preset | rank order | levels | values |
 //! |---|---|---|---|
@@ -24,19 +25,16 @@
 //! multi-rank operand means the ranks are linearized into one flat
 //! stream first, which is exactly how the paper's RLC/ZVC work.)
 //!
-//! Every legacy enum variant round-trips losslessly through its
-//! descriptor ([`FormatDescriptor::to_matrix_format`] /
-//! [`FormatDescriptor::to_tensor_format`]), so the enums survive as thin
-//! named wrappers, while the descriptor opens the space *between* the
-//! presets: new combinations (bitmask rows × run-length columns, …) get
-//! storage sizing from the same generic level model
-//! ([`crate::size_model::descriptor_matrix_bits`]), an executable
-//! encoding ([`crate::custom::CustomMatrix`]), and a stable
+//! Every enum variant round-trips losslessly through its descriptor
+//! ([`FormatDescriptor::to_matrix_format`] /
+//! [`FormatDescriptor::to_tensor_format`]). The descriptors are what the
+//! models charge: the generic level size model
+//! ([`crate::size_model::descriptor_matrix_bits`]), MINT's descriptor
+//! cost model and the stable
 //! [`fingerprint`](FormatDescriptor::fingerprint) that plan caches key
-//! on — no per-format special cases anywhere downstream.
+//! on all read the levels, so no model special-cases a format.
 
 use crate::formats::{MatrixFormat, TensorFormat};
-use crate::rlc::DEFAULT_RUN_BITS;
 
 /// How one rank of the operand is represented — the per-dimension
 /// vocabulary of the paper's §III taxonomy.
@@ -125,7 +123,7 @@ pub enum ValuesLayout {
 
 /// A compression format composed from per-rank levels — the canonical
 /// format identity of the workspace (see the module docs for the preset
-/// table and the legacy-enum round-trip contract).
+/// table and the enum round-trip contract).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FormatDescriptor {
     /// Rank traversal order.
@@ -139,8 +137,7 @@ pub struct FormatDescriptor {
 }
 
 impl FormatDescriptor {
-    /// Compose a descriptor from parts (no validation; see
-    /// [`validate_matrix`](Self::validate_matrix)).
+    /// Compose a descriptor from parts (no validation).
     pub fn new(order: RankOrder, levels: Vec<Level>, values: ValuesLayout) -> Self {
         FormatDescriptor {
             order,
@@ -294,10 +291,10 @@ impl FormatDescriptor {
         Self::zvc()
     }
 
-    // ---- round trip to the legacy enums ---------------------------------
+    // ---- round trip to the enums -----------------------------------------
 
-    /// The legacy [`MatrixFormat`] this descriptor names, when it is one
-    /// of the nine matrix presets (`None` for open compositions).
+    /// The [`MatrixFormat`] this descriptor names, when it is one of the
+    /// nine matrix presets (`None` for any other composition).
     pub fn to_matrix_format(&self) -> Option<MatrixFormat> {
         use Level as L;
         use RankOrder as O;
@@ -330,8 +327,8 @@ impl FormatDescriptor {
         }
     }
 
-    /// The legacy [`TensorFormat`] this descriptor names, when it is one
-    /// of the six tensor presets.
+    /// The [`TensorFormat`] this descriptor names, when it is one of the
+    /// six tensor presets.
     pub fn to_tensor_format(&self) -> Option<TensorFormat> {
         use Level as L;
         use RankOrder as O;
@@ -368,14 +365,6 @@ impl FormatDescriptor {
         !self.levels.iter().any(Level::stores_coordinates)
     }
 
-    /// True when some rank keeps an offsets (pointer) array — rebuilding
-    /// it engages MINT's prefix-sum block.
-    pub fn has_offsets_rank(&self) -> bool {
-        self.levels
-            .iter()
-            .any(|l| matches!(l, Level::CompressedOffsets))
-    }
-
     /// True when some rank is bitmask-encoded — building it engages
     /// MINT's population counter.
     pub fn has_bitmask_rank(&self) -> bool {
@@ -403,84 +392,13 @@ impl FormatDescriptor {
             || self.levels.iter().all(|l| matches!(l, Level::Uncompressed))
     }
 
-    /// Check the descriptor is a matrix format this workspace can size
-    /// and (for the supported open subset) encode: one linearized level
-    /// or two ranks, with the structural constraints each level demands.
-    pub fn validate_matrix(&self) -> Result<(), String> {
-        match self.levels.len() {
-            1 => {
-                if self.order != RankOrder::RowMajor {
-                    return Err("linearized (single-level) descriptors are row-major".into());
-                }
-                if !matches!(
-                    self.levels[0],
-                    Level::RunLength { .. } | Level::Bitmask | Level::Uncompressed
-                ) {
-                    return Err(format!(
-                        "level {} cannot encode a linearized stream",
-                        self.levels[0].token()
-                    ));
-                }
-                if self.values != ValuesLayout::Contiguous {
-                    return Err("linearized descriptors store values contiguously".into());
-                }
-            }
-            2 => {
-                for l in &self.levels {
-                    if let Level::RunLength { run_bits } = l {
-                        if *run_bits == 0 || *run_bits > 24 {
-                            return Err(format!("run field of {run_bits} bits is out of range"));
-                        }
-                    }
-                    if let Level::Blocked { br, bc } = l {
-                        if *br == 0 || *bc == 0 {
-                            return Err("block dimensions must be non-zero".into());
-                        }
-                    }
-                }
-                if matches!(self.levels[1], Level::Blocked { .. }) {
-                    return Err("a blocked level must be the outer rank".into());
-                }
-                if self.order == RankOrder::Diagonal
-                    && self.to_matrix_format() != Some(MatrixFormat::Dia)
-                {
-                    return Err("diagonal rank order is only defined for the DIA preset".into());
-                }
-                if self.values == ValuesLayout::DenseBlocks
-                    && !matches!(self.levels[0], Level::Blocked { .. })
-                {
-                    return Err("dense-block values require a blocked outer rank".into());
-                }
-                if self.values == ValuesLayout::PaddedFibers && self.to_matrix_format().is_none() {
-                    return Err(
-                        "padded-fiber values are only defined for the DIA/ELL presets".into(),
-                    );
-                }
-                // Valid ⇔ sizable: the generic level model is the
-                // definition of which two-rank compositions exist in
-                // this workspace, so probe it (on a token shape) rather
-                // than maintain a second list that can drift.
-                if let Err(e) = crate::size_model::descriptor_matrix_bits(
-                    self,
-                    &crate::size_model::MatrixStructure::analytic(4, 4, 4),
-                    crate::dtype::DataType::Fp32,
-                ) {
-                    return Err(format!("{e}"));
-                }
-            }
-            n => return Err(format!("matrix descriptors have 1 or 2 levels, got {n}")),
-        }
-        Ok(())
-    }
-
     // ---- identity --------------------------------------------------------
 
     /// Stable 64-bit fingerprint of the descriptor (FNV-1a over a
     /// canonical byte rendering). Equal descriptors always produce equal
     /// fingerprints **across processes and releases** — unlike
     /// `DefaultHasher`, the constants are fixed — so plan caches and
-    /// persisted artifacts can key on it while the legacy enums are
-    /// phased out.
+    /// persisted artifacts can key on it.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -523,8 +441,8 @@ impl FormatDescriptor {
 
 /// Fold several descriptor fingerprints into one order-sensitive key
 /// (FNV-1a over the member fingerprints) — the shared rule plan caches
-/// use to key a multi-operand format choice, defined once here so the
-/// enum and descriptor spellings of a choice cannot drift apart.
+/// use to key a multi-operand format choice, defined once here so every
+/// keyed choice folds its operands the same way.
 pub fn combine_fingerprints<'a>(descs: impl IntoIterator<Item = &'a FormatDescriptor>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for d in descs {
@@ -535,8 +453,8 @@ pub fn combine_fingerprints<'a>(descs: impl IntoIterator<Item = &'a FormatDescri
 }
 
 impl std::fmt::Display for FormatDescriptor {
-    /// Preset name when the descriptor maps to a legacy enum, otherwise
-    /// the level notation, e.g. `B·R4[row]` for bitmask rows ×
+    /// Preset name when the descriptor maps to an enum, otherwise the
+    /// level notation, e.g. `B·R4[row]` for bitmask rows ×
     /// run-length columns.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if let Some(m) = self.to_matrix_format() {
@@ -589,179 +507,6 @@ impl From<TensorFormat> for FormatDescriptor {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Preset registry + search-space enumeration
-// ---------------------------------------------------------------------------
-
-/// The nine matrix presets (default structural parameters), in the
-/// canonical registry order: the paper's six unstructured MCFs first
-/// (matching Table III's column order), then the structured extensions.
-pub fn matrix_presets() -> Vec<FormatDescriptor> {
-    vec![
-        FormatDescriptor::dense(),
-        FormatDescriptor::rlc(DEFAULT_RUN_BITS),
-        FormatDescriptor::zvc(),
-        FormatDescriptor::coo(),
-        FormatDescriptor::csr(),
-        FormatDescriptor::csc(),
-        FormatDescriptor::bsr(4, 4),
-        FormatDescriptor::dia(),
-        FormatDescriptor::ell(),
-    ]
-}
-
-/// The six tensor presets (default structural parameters).
-pub fn tensor_presets() -> Vec<FormatDescriptor> {
-    vec![
-        FormatDescriptor::dense3(),
-        FormatDescriptor::rlc3(DEFAULT_RUN_BITS),
-        FormatDescriptor::zvc3(),
-        FormatDescriptor::coo3(),
-        FormatDescriptor::csf(),
-        FormatDescriptor::hicoo(4),
-    ]
-}
-
-/// Which slice of the descriptor space a search enumerates. The paper's
-/// §VII-A MCF/ACF spaces are *filters* over the composed space; the
-/// larger knobs open it beyond the paper's fixed lists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SearchSpace {
-    /// The paper's six memory formats: Dense, RLC, ZVC, COO, CSR, CSC.
-    McfPaper,
-    /// The paper's four compute formats: Dense, CSR, COO, CSC (the
-    /// streaming-operand order the generation engine iterates in).
-    AcfPaper,
-    /// `McfPaper` plus the structured extensions the paper defers to
-    /// future work (§VI): BSR at 2/4/8 blocks, DIA, ELL.
-    Structured,
-    /// `Structured` plus quantized run-length variants — every
-    /// enumerable level composition that still names a legacy preset.
-    Extended,
-    /// The open space: every valid level composition this workspace can
-    /// size, including non-preset combinations (bitmask rows ×
-    /// run-length columns, per-row run length, …). Members that do not
-    /// map to a legacy enum execute via
-    /// [`crate::custom::CustomMatrix`].
-    Open,
-}
-
-/// Enumerate matrix-format candidates by composing per-rank levels and
-/// filtering to the requested [`SearchSpace`]. The closed spaces
-/// (`McfPaper`, `AcfPaper`) reproduce the paper's §VII-A candidate lists
-/// element-for-element and in the same order the hand-maintained search
-/// loops used, which the SAGE regression tests pin.
-///
-/// Materializes the whole candidate list; search loops that only need to
-/// *stream* candidates (the beam search over the open space) should use
-/// [`enumerate_matrix_iter`] instead, which yields the same members in
-/// the same order without building the open cross product up front.
-pub fn enumerate_matrix(space: SearchSpace) -> Vec<FormatDescriptor> {
-    enumerate_matrix_iter(space).collect()
-}
-
-/// Lazy spelling of [`enumerate_matrix`]: the same members in the same
-/// order, produced on demand. The closed preset spaces are small fixed
-/// lists either way; the payoff is the `Open` tail, whose level
-/// cross product is composed, validated and deduplicated one candidate
-/// at a time as the consumer pulls — a beam search that prunes early
-/// never pays for the combinations it does not look at.
-pub fn enumerate_matrix_iter(space: SearchSpace) -> Box<dyn Iterator<Item = FormatDescriptor>> {
-    match space {
-        SearchSpace::McfPaper => Box::new(
-            vec![
-                FormatDescriptor::dense(),
-                FormatDescriptor::rlc(DEFAULT_RUN_BITS),
-                FormatDescriptor::zvc(),
-                FormatDescriptor::coo(),
-                FormatDescriptor::csr(),
-                FormatDescriptor::csc(),
-            ]
-            .into_iter(),
-        ),
-        SearchSpace::AcfPaper => Box::new(
-            vec![
-                FormatDescriptor::dense(),
-                FormatDescriptor::csr(),
-                FormatDescriptor::coo(),
-                FormatDescriptor::csc(),
-            ]
-            .into_iter(),
-        ),
-        SearchSpace::Structured => Box::new(
-            enumerate_matrix_iter(SearchSpace::McfPaper)
-                .chain(
-                    [2usize, 4, 8]
-                        .into_iter()
-                        .map(|e| FormatDescriptor::bsr(e, e)),
-                )
-                .chain([FormatDescriptor::dia(), FormatDescriptor::ell()]),
-        ),
-        SearchSpace::Extended => Box::new(
-            enumerate_matrix_iter(SearchSpace::Structured)
-                .chain([2u32, 8].into_iter().map(FormatDescriptor::rlc)),
-        ),
-        SearchSpace::Open => {
-            // Compose the two-rank space the presets don't cover: outer
-            // presence encodings × inner per-fiber encodings. Singleton
-            // inners are deliberately absent: under a fiber-grouping
-            // outer rank a delimited singleton is storage-identical to
-            // CompressedOffsets, so enumerating it would only add CSR
-            // (and friends) under a second fingerprint. Candidates that
-            // name a preset (U·C ≡ CSR) are already in the Extended
-            // prefix, so the tail keeps exactly the valid non-presets —
-            // the same dedup the eager list performed with `contains`.
-            let outers = [Level::Uncompressed, Level::Bitmask];
-            let inners = [
-                Level::CompressedOffsets,
-                Level::Bitmask,
-                Level::RunLength {
-                    run_bits: DEFAULT_RUN_BITS,
-                },
-            ];
-            let tail = outers.into_iter().flat_map(move |outer| {
-                inners.into_iter().filter_map(move |inner| {
-                    let d = FormatDescriptor::new(
-                        RankOrder::RowMajor,
-                        vec![outer, inner],
-                        ValuesLayout::Contiguous,
-                    );
-                    (d.validate_matrix().is_ok() && d.to_matrix_format().is_none()).then_some(d)
-                })
-            });
-            Box::new(enumerate_matrix_iter(SearchSpace::Extended).chain(tail))
-        }
-    }
-}
-
-/// Enumerate tensor-format candidates for the requested space (the
-/// tensor rows of Table III use the MCF space `{Dense, RLC, ZVC, COO,
-/// CSF}` and the ACF space `{Dense, COO, CSF}`).
-pub fn enumerate_tensor(space: SearchSpace) -> Vec<FormatDescriptor> {
-    match space {
-        SearchSpace::McfPaper => vec![
-            FormatDescriptor::dense3(),
-            FormatDescriptor::rlc3(DEFAULT_RUN_BITS),
-            FormatDescriptor::zvc3(),
-            FormatDescriptor::coo3(),
-            FormatDescriptor::csf(),
-        ],
-        SearchSpace::AcfPaper => vec![
-            FormatDescriptor::dense3(),
-            FormatDescriptor::coo3(),
-            FormatDescriptor::csf(),
-        ],
-        SearchSpace::Structured | SearchSpace::Extended => {
-            let mut v = enumerate_tensor(SearchSpace::McfPaper);
-            for block in [2usize, 4, 8] {
-                v.push(FormatDescriptor::hicoo(block));
-            }
-            v
-        }
-        SearchSpace::Open => enumerate_tensor(SearchSpace::Extended),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,7 +541,6 @@ mod tests {
         for f in all_matrix_formats() {
             let d = FormatDescriptor::from(f);
             assert_eq!(d.to_matrix_format(), Some(f), "round trip lost {f}");
-            assert!(d.validate_matrix().is_ok(), "preset {f} fails validation");
         }
     }
 
@@ -860,8 +604,6 @@ mod tests {
             );
             assert_eq!(d.is_flat(), legacy_flat, "flatness mismatch for {f}");
         }
-        assert!(FormatDescriptor::csr().has_offsets_rank());
-        assert!(!FormatDescriptor::coo().has_offsets_rank());
         assert!(FormatDescriptor::zvc().has_bitmask_rank());
         assert!(FormatDescriptor::bsr(2, 2).has_blocked_rank());
     }
@@ -883,116 +625,5 @@ mod tests {
                 "explicit-zero flag mismatch for {f}"
             );
         }
-    }
-
-    #[test]
-    fn paper_spaces_recover_the_enum_sets() {
-        let mcf: Vec<MatrixFormat> = enumerate_matrix(SearchSpace::McfPaper)
-            .iter()
-            .filter_map(FormatDescriptor::to_matrix_format)
-            .collect();
-        assert_eq!(mcf, MatrixFormat::mcf_set().to_vec());
-        let acf: Vec<MatrixFormat> = enumerate_matrix(SearchSpace::AcfPaper)
-            .iter()
-            .filter_map(FormatDescriptor::to_matrix_format)
-            .collect();
-        assert_eq!(acf.len(), 4);
-        for f in MatrixFormat::acf_set() {
-            assert!(acf.contains(&f), "ACF space lost {f}");
-        }
-        let tensor_mcf: Vec<TensorFormat> = enumerate_tensor(SearchSpace::McfPaper)
-            .iter()
-            .filter_map(FormatDescriptor::to_tensor_format)
-            .collect();
-        assert_eq!(tensor_mcf, TensorFormat::mcf_set().to_vec());
-        assert_eq!(enumerate_tensor(SearchSpace::AcfPaper).len(), 3);
-    }
-
-    #[test]
-    fn wider_spaces_nest() {
-        let mcf = enumerate_matrix(SearchSpace::McfPaper);
-        let structured = enumerate_matrix(SearchSpace::Structured);
-        let extended = enumerate_matrix(SearchSpace::Extended);
-        let open = enumerate_matrix(SearchSpace::Open);
-        for d in &mcf {
-            assert!(structured.contains(d));
-        }
-        for d in &structured {
-            assert!(extended.contains(d));
-        }
-        for d in &extended {
-            assert!(open.contains(d));
-        }
-        assert!(open.len() > extended.len(), "open space adds compositions");
-        // The open space genuinely leaves the enum: at least one member
-        // has no legacy name.
-        assert!(open
-            .iter()
-            .any(|d| d.to_matrix_format().is_none() && d.to_tensor_format().is_none()));
-        // And every member is valid.
-        for d in &open {
-            assert!(d.validate_matrix().is_ok(), "invalid member {d}");
-        }
-    }
-
-    #[test]
-    fn lazy_enumeration_matches_the_eager_lists_everywhere() {
-        // `enumerate_matrix` is defined as the collected lazy iterator,
-        // but pin the membership *and order* per space anyway so a
-        // future divergence (e.g. an eager fast path) cannot slip in.
-        for space in [
-            SearchSpace::McfPaper,
-            SearchSpace::AcfPaper,
-            SearchSpace::Structured,
-            SearchSpace::Extended,
-            SearchSpace::Open,
-        ] {
-            let lazy: Vec<FormatDescriptor> = enumerate_matrix_iter(space).collect();
-            assert_eq!(lazy, enumerate_matrix(space), "{space:?} diverged");
-        }
-    }
-
-    #[test]
-    fn open_space_streams_without_full_materialization() {
-        // Pulling only the first candidate past the Extended prefix must
-        // not require walking the rest of the cross product: the lazy
-        // tail yields incrementally and in the pinned order (U·B first —
-        // U·C is the CSR preset and is deduplicated into the prefix).
-        let extended = enumerate_matrix(SearchSpace::Extended).len();
-        let first_open = enumerate_matrix_iter(SearchSpace::Open)
-            .nth(extended)
-            .unwrap();
-        assert_eq!(first_open.to_matrix_format(), None, "tail is non-preset");
-        assert_eq!(first_open.to_string(), "U·B[row]");
-        // The closed spaces keep their exact §VII-A sizes.
-        assert_eq!(enumerate_matrix_iter(SearchSpace::McfPaper).count(), 6);
-        assert_eq!(enumerate_matrix_iter(SearchSpace::AcfPaper).count(), 4);
-    }
-
-    #[test]
-    fn validation_rejects_malformed_compositions() {
-        // Inner blocked rank.
-        let bad = FormatDescriptor::new(
-            RankOrder::RowMajor,
-            vec![Level::Uncompressed, Level::Blocked { br: 2, bc: 2 }],
-            ValuesLayout::Contiguous,
-        );
-        assert!(bad.validate_matrix().is_err());
-        // Diagonal order outside DIA.
-        let bad = FormatDescriptor::new(
-            RankOrder::Diagonal,
-            vec![Level::Uncompressed, Level::CompressedOffsets],
-            ValuesLayout::Contiguous,
-        );
-        assert!(bad.validate_matrix().is_err());
-        // Zero-width run field.
-        let bad = FormatDescriptor::new(
-            RankOrder::RowMajor,
-            vec![Level::Uncompressed, Level::RunLength { run_bits: 0 }],
-            ValuesLayout::Contiguous,
-        );
-        assert!(bad.validate_matrix().is_err());
-        // Three levels on a matrix.
-        assert!(FormatDescriptor::csf().validate_matrix().is_err());
     }
 }

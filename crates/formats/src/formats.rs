@@ -27,7 +27,9 @@ use crate::Value;
 ///
 /// The paper's MCF search space is `{Dense, RLC, ZVC, COO, CSR, CSC}` and
 /// its ACF space is `{Dense, COO, CSR, CSC}` (§VII-A); BSR/DIA/ELL extend
-/// the structured-format coverage flagged as future work in §VI.
+/// the structured-format coverage flagged as future work in §VI. Each
+/// variant names a per-rank [`FormatDescriptor`] preset
+/// ([`MatrixFormat::descriptor`]), which is what the models charge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatrixFormat {
     /// Uncompressed row-major.
@@ -59,24 +61,15 @@ pub enum MatrixFormat {
 }
 
 impl MatrixFormat {
-    /// The per-rank [`FormatDescriptor`] this named format is a preset
-    /// of — the canonical format identity (the enum is a thin wrapper
-    /// kept for one release; see [`crate::descriptor`]).
+    /// The per-rank [`FormatDescriptor`] this format is a preset of: the
+    /// enum names the format, the descriptor is what the size, conversion
+    /// and plan-cache models charge (see [`crate::descriptor`]).
     pub fn descriptor(&self) -> FormatDescriptor {
         FormatDescriptor::from(*self)
     }
 
-    /// Recover the named preset from a descriptor (`None` for open
-    /// compositions that have no legacy name).
-    pub fn from_descriptor(desc: &FormatDescriptor) -> Option<MatrixFormat> {
-        desc.to_matrix_format()
-    }
-
     /// The six MCF choices evaluated in the paper (§VII-A), with default
-    /// structural parameters. This is the
-    /// [`SearchSpace::McfPaper`](crate::descriptor::SearchSpace) filter
-    /// of the descriptor space rendered as enum values (pinned equal by
-    /// the descriptor round-trip tests).
+    /// structural parameters: SAGE's memory-format candidates.
     pub const fn mcf_set() -> [MatrixFormat; 6] {
         [
             MatrixFormat::Dense,
@@ -90,9 +83,7 @@ impl MatrixFormat {
         ]
     }
 
-    /// The four ACF choices evaluated in the paper (§VII-A) — the
-    /// [`SearchSpace::AcfPaper`](crate::descriptor::SearchSpace) filter
-    /// of the descriptor space.
+    /// The four ACF choices evaluated in the paper (§VII-A).
     pub const fn acf_set() -> [MatrixFormat; 4] {
         [
             MatrixFormat::Dense,
@@ -162,15 +153,10 @@ pub enum TensorFormat {
 }
 
 impl TensorFormat {
-    /// The per-rank [`FormatDescriptor`] this named format is a preset
-    /// of (see [`crate::descriptor`]).
+    /// The per-rank [`FormatDescriptor`] this format is a preset of (see
+    /// [`MatrixFormat::descriptor`]).
     pub fn descriptor(&self) -> FormatDescriptor {
         FormatDescriptor::from(*self)
-    }
-
-    /// Recover the named preset from a descriptor.
-    pub fn from_descriptor(desc: &FormatDescriptor) -> Option<TensorFormat> {
-        desc.to_tensor_format()
     }
 
     /// Tensor MCF choices used in the Table III tensor rows.

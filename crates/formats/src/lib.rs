@@ -79,7 +79,6 @@ pub mod coo;
 pub mod csc;
 pub mod csf;
 pub mod csr;
-pub mod custom;
 pub mod dense;
 pub mod descriptor;
 pub mod dia;
@@ -106,9 +105,8 @@ pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csf::CsfTensor;
 pub use csr::CsrMatrix;
-pub use custom::{encode_with_descriptor, CustomMatrix, MatrixEncoding};
 pub use dense::DenseMatrix;
-pub use descriptor::{FormatDescriptor, Level, RankOrder, SearchSpace, ValuesLayout};
+pub use descriptor::{FormatDescriptor, Level, RankOrder, ValuesLayout};
 pub use dia::DiaMatrix;
 pub use dtype::DataType;
 pub use ell::EllMatrix;

@@ -95,20 +95,6 @@ pub fn ell_expected_width(rows: usize, cols: usize, nnz: usize) -> u64 {
     width.min(k)
 }
 
-/// Expected number of non-empty fibers (rows of a row-major matrix) for
-/// a uniform-random pattern: `fibers * (1 - (1-d)^extent)`.
-pub fn expected_nonempty_fibers(fibers: u64, extent: u64, nnz: u64) -> u64 {
-    let total = fibers * extent;
-    if total == 0 {
-        return 0;
-    }
-    let d = nnz as f64 / total as f64;
-    let p = 1.0 - (1.0 - d).powf(extent as f64);
-    ((fibers as f64 * p).ceil() as u64)
-        .min(fibers)
-        .max(u64::from(nnz > 0))
-}
-
 /// The per-operand structural quantities the level model consumes.
 /// `None` fields fall back to the analytic (uniform-random) estimates;
 /// [`MatrixStructure::exact`] fills them from a real payload instead.
@@ -128,8 +114,6 @@ pub struct MatrixStructure {
     pub ell_width: Option<u64>,
     /// Stored run-length entries, extension entries included.
     pub rlc_entries: Option<u64>,
-    /// Non-empty outer fibers (bitmask outer ranks).
-    pub nonempty_fibers: Option<u64>,
 }
 
 impl MatrixStructure {
@@ -256,11 +240,11 @@ pub fn descriptor_matrix_bits(
     let values_slots: u64;
 
     match (desc.levels.as_slice(), desc.values) {
-        // ---- linearized single-rank encodings ---------------------------
-        ([L::Uncompressed], ValuesLayout::Contiguous)
-        | ([L::Uncompressed, L::Uncompressed], ValuesLayout::Contiguous) => {
+        // ---- uncompressed (Dense) ----------------------------------------
+        ([L::Uncompressed, L::Uncompressed], ValuesLayout::Contiguous) => {
             values_slots = total;
         }
+        // ---- linearized single-rank encodings (RLC / ZVC) ---------------
         ([L::RunLength { run_bits }], ValuesLayout::Contiguous) => {
             let entries = s
                 .rlc_entries
@@ -278,9 +262,8 @@ pub fn descriptor_matrix_bits(
             ranks[1].coord_bits = n * lg(e1);
             values_slots = n;
         }
-        // ---- offset-compressed inner rank (CSR / CSC / custom [U,S]) ----
-        ([L::Uncompressed, L::CompressedOffsets], ValuesLayout::Contiguous)
-        | ([L::Uncompressed, L::Singleton], ValuesLayout::Contiguous) => {
+        // ---- offset-compressed inner rank (CSR / CSC) --------------------
+        ([L::Uncompressed, L::CompressedOffsets], ValuesLayout::Contiguous) => {
             ranks[1].ptr_bits = (e0 + 1) * lg(n + 1);
             ranks[1].coord_bits = n * lg(e1);
             values_slots = n;
@@ -311,49 +294,6 @@ pub fn descriptor_matrix_bits(
                 .unwrap_or_else(|| ell_expected_width(s.rows, s.cols, s.nnz));
             ranks[1].coord_bits = e0 * width * lg(e1);
             values_slots = e0 * width;
-        }
-        // ---- open compositions: bitmask / run-length ranks --------------
-        ([L::Bitmask, inner], ValuesLayout::Contiguous) => {
-            let stored = s
-                .nonempty_fibers
-                .unwrap_or_else(|| expected_nonempty_fibers(e0, e1, n));
-            ranks[0].mask_bits = e0;
-            match inner {
-                L::CompressedOffsets | L::Singleton => {
-                    ranks[1].ptr_bits = (stored + 1) * lg(n + 1);
-                    ranks[1].coord_bits = n * lg(e1);
-                    values_slots = n;
-                }
-                L::Bitmask => {
-                    ranks[1].mask_bits = stored * e1;
-                    values_slots = n;
-                }
-                L::RunLength { run_bits } => {
-                    let entries = s
-                        .rlc_entries
-                        .unwrap_or_else(|| rlc_expected_entries(stored * e1, n, *run_bits));
-                    ranks[1].ptr_bits = (stored + 1) * lg(entries + 1);
-                    ranks[1].run_bits = entries * u64::from(*run_bits);
-                    values_slots = entries;
-                }
-                _ => {
-                    return Err(FormatError::Unsupported(
-                        "bitmask outer rank requires a compressed inner rank",
-                    ))
-                }
-            }
-        }
-        ([L::Uncompressed, L::Bitmask], ValuesLayout::Contiguous) => {
-            ranks[1].mask_bits = e0 * e1;
-            values_slots = n;
-        }
-        ([L::Uncompressed, L::RunLength { run_bits }], ValuesLayout::Contiguous) => {
-            let entries = s
-                .rlc_entries
-                .unwrap_or_else(|| rlc_expected_entries(total, n, *run_bits));
-            ranks[1].ptr_bits = (e0 + 1) * lg(entries + 1);
-            ranks[1].run_bits = entries * u64::from(*run_bits);
-            values_slots = entries;
         }
         _ => {
             return Err(FormatError::Unsupported(
@@ -797,30 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn open_compositions_are_sizable() {
-        // Bitmask rows x run-length columns: the example composition.
-        let desc = FormatDescriptor::new(
-            RankOrder::RowMajor,
-            vec![Level::Bitmask, Level::RunLength { run_bits: 4 }],
-            ValuesLayout::Contiguous,
-        );
-        let s = MatrixStructure::analytic(1_000, 1_000, 50);
-        let bd = descriptor_matrix_bits(&desc, &s, FP32).unwrap();
-        assert_eq!(bd.ranks[0].mask_bits, 1_000);
-        assert!(bd.ranks[1].run_bits > 0);
-        assert!(bd.total() > 0);
-        // On a hyper-sparse operand the row bitmask skips the empty rows
-        // entirely, beating ZVC's full mask (that is the point of
-        // composing per-rank levels).
-        let zvc = matrix_storage_bits(&MatrixFormat::Zvc, 1_000, 1_000, 50, FP32);
-        assert!(
-            bd.total() < zvc,
-            "row-bitmask+RLC {} should beat flat ZVC {zvc} at 0.005% density",
-            bd.total()
-        );
-    }
-
-    #[test]
     fn unsupported_compositions_error_instead_of_guessing() {
         let bad = FormatDescriptor::new(
             RankOrder::RowMajor,
@@ -829,13 +745,5 @@ mod tests {
         );
         let s = MatrixStructure::analytic(10, 10, 5);
         assert!(descriptor_matrix_bits(&bad, &s, FP32).is_err());
-    }
-
-    #[test]
-    fn nonempty_fiber_model_saturates() {
-        assert_eq!(expected_nonempty_fibers(10, 10, 0), 0);
-        assert_eq!(expected_nonempty_fibers(10, 10, 100), 10);
-        let mid = expected_nonempty_fibers(100, 100, 50);
-        assert!((1..=50).contains(&mid), "mid {mid}");
     }
 }

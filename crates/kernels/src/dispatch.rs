@@ -67,9 +67,8 @@ pub fn spmv_via_stream(a: &MatrixData, x: &[Value]) -> Result<Vec<Value>, Kernel
 
 /// SpMM over **any** row-major stream: `O = A * B` with dense `B`.
 ///
-/// Takes every [`MatrixData`] format and also payloads that are not
-/// [`MatrixData`] variants, such as the descriptor-encoded
-/// [`CustomMatrix`](sparseflex_formats::CustomMatrix) open formats.
+/// Takes every [`MatrixData`] format, and any other payload that
+/// implements [`RowMajorStream`].
 pub fn spmm(a: &dyn RowMajorStream, b: &DenseMatrix) -> Result<DenseMatrix, KernelError> {
     check_dim("spmm", "A cols vs B rows", a.cols(), b.rows())?;
     let mut o = DenseMatrix::zeros(a.rows(), b.cols());

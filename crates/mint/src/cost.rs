@@ -12,10 +12,8 @@
 use crate::blocks::{E_DIVMOD_OP, E_MEMCTRL_OP, E_SMALL_OP};
 use crate::engine::ConversionEngine;
 use sparseflex_formats::descriptor::Level;
-use sparseflex_formats::size_model::{
-    descriptor_matrix_bits, rlc_expected_entries, MatrixStructure,
-};
-use sparseflex_formats::{FormatDescriptor, MatrixFormat, RankOrder, TensorFormat, ValuesLayout};
+use sparseflex_formats::size_model::rlc_expected_entries;
+use sparseflex_formats::{FormatDescriptor, MatrixFormat, RankOrder, TensorFormat};
 
 /// Predicted cost of one conversion.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -53,13 +51,8 @@ impl ConversionCost {
 fn stream_slots(desc: &FormatDescriptor, rows: usize, cols: usize, nnz: u64) -> u64 {
     use Level as L;
     let total = rows as u64 * cols as u64;
-    if desc.values == ValuesLayout::PaddedFibers {
-        // Padded stores scale with their padded payloads (DIA strips,
-        // ELL rows); approximate with the dense stream.
-        return total;
-    }
     match (desc.levels.as_slice(), desc.order) {
-        ([L::Uncompressed, L::Uncompressed], _) | ([L::Uncompressed], _) => total,
+        ([L::Uncompressed, L::Uncompressed], _) => total,
         ([L::Singleton, L::Singleton], _) => 3 * nnz,
         ([L::Uncompressed, L::CompressedOffsets], RankOrder::RowMajor) => 2 * nnz + rows as u64 + 1,
         ([L::Uncompressed, L::CompressedOffsets], RankOrder::ColMajor) => 2 * nnz + cols as u64 + 1,
@@ -75,19 +68,9 @@ fn stream_slots(desc: &FormatDescriptor, rows: usize, cols: usize, nnz: u64) -> 
             );
             blocks * (*br * *bc) as u64 + blocks + rows.div_ceil(*br) as u64 + 1
         }
-        _ => {
-            // Open compositions: derive slots from the generic size
-            // model — one slot per stored value, one per 32 metadata
-            // bits moved alongside.
-            match descriptor_matrix_bits(
-                desc,
-                &MatrixStructure::analytic(rows, cols, nnz as usize),
-                sparseflex_formats::DataType::Fp32,
-            ) {
-                Ok(bd) => bd.stored_elements + bd.metadata_bits().div_ceil(32),
-                Err(_) => total,
-            }
-        }
+        // Padded stores (DIA strips, ELL rows) scale with their padded
+        // payloads; approximate with the dense stream.
+        _ => total,
     }
 }
 
@@ -166,7 +149,7 @@ pub fn required_blocks(src: &FormatDescriptor, dst: &FormatDescriptor) -> Vec<Co
 }
 
 /// Predict the MINT cost of converting a matrix between two format
-/// **descriptors** — the canonical costing path; the legacy
+/// **descriptors** — the canonical costing path; the
 /// [`conversion_cost`] enum entry point is a thin wrapper over this.
 ///
 /// The conversion is pipelined against the DRAM stream, so the returned
@@ -222,8 +205,8 @@ pub fn descriptor_conversion_cost(
 }
 
 /// Predict the MINT cost of converting a matrix from `src` to `dst` —
-/// the legacy enum entry point, now a thin wrapper translating each
-/// format to its per-rank descriptor.
+/// the enum entry point, a thin wrapper translating each format to its
+/// per-rank descriptor.
 pub fn conversion_cost(
     src: &MatrixFormat,
     dst: &MatrixFormat,
@@ -298,8 +281,8 @@ pub fn descriptor_tensor_conversion_cost(
     ConversionCost { cycles, energy }
 }
 
-/// Tensor-format conversion cost — the legacy enum entry point, a thin
-/// wrapper over [`descriptor_tensor_conversion_cost`].
+/// Tensor-format conversion cost — the enum entry point, a thin wrapper
+/// over [`descriptor_tensor_conversion_cost`].
 pub fn tensor_conversion_cost(
     src: &TensorFormat,
     dst: &TensorFormat,
@@ -602,31 +585,6 @@ mod tests {
         assert!(!required_blocks(&csr, &csc).contains(&ConverterBlock::Counter));
         // Everything non-identity moves data.
         assert!(required_blocks(&csr, &csc).contains(&ConverterBlock::MemoryController));
-    }
-
-    #[test]
-    fn open_compositions_are_costable() {
-        use sparseflex_formats::descriptor::{Level, RankOrder, ValuesLayout};
-        use sparseflex_formats::FormatDescriptor;
-        let eng = ConversionEngine::default();
-        let custom = FormatDescriptor::new(
-            RankOrder::RowMajor,
-            vec![Level::Bitmask, Level::RunLength { run_bits: 4 }],
-            ValuesLayout::Contiguous,
-        );
-        let c = descriptor_conversion_cost(
-            &custom,
-            &FormatDescriptor::csr(),
-            1_000,
-            1_000,
-            5_000,
-            &eng,
-        );
-        assert!(c.cycles > 0, "open composition must price a real decode");
-        // The custom format stores coordinates implicitly per rank, so
-        // recovering CSR's explicit columns needs the divide/mod array.
-        assert!(required_blocks(&custom, &FormatDescriptor::csr())
-            .contains(&ConverterBlock::DividerModulo));
     }
 
     #[test]

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod beam;
 pub mod dataflow;
 pub mod eval;
 pub mod search;
@@ -39,11 +38,9 @@ pub mod structured;
 pub mod tensor_model;
 pub mod workload;
 
-pub use beam::{BeamConfig, OpenEvaluation, OpenRecommendation, SearchObjective};
 pub use dataflow::{choose_spgemm_algo, gustavson_cost, rowwise_cost, DataflowCost};
 pub use eval::{Evaluation, Sage};
 pub use search::{
-    acf_stationary_candidates, acf_streaming_candidates, mcf_candidates, DescriptorChoice,
-    FormatChoice, Recommendation,
+    acf_stationary_candidates, acf_streaming_candidates, FormatChoice, Recommendation,
 };
 pub use workload::{SageKernel, SageWorkload, TensorWorkload};

@@ -1,19 +1,15 @@
 //! Exhaustive MCF x ACF search (the "Generation Engine" of SAGE).
 //!
-//! The candidate space is **derived from the descriptor preset
-//! registry** ([`sparseflex_formats::descriptor::enumerate_matrix`])
-//! rather than hand-maintained format lists: the paper's §VII-A MCF and
-//! ACF spaces are the `McfPaper` / `AcfPaper` filters of the composed
-//! level space, and the [`SearchSpace`] knob widens the same search to
-//! the structured and extended spaces without touching the loops.
+//! The candidate space is the paper's (§VII-A): six MCFs per operand
+//! ([`MatrixFormat::mcf_set`]) crossed with the four ACFs the
+//! weight-stationary array can stream and hold resident.
 
 use crate::eval::{ConversionMode, Evaluation, Sage};
 use crate::tensor_model::{evaluate_tensor, TensorChoice, TensorEvaluation};
 use crate::workload::{SageWorkload, TensorWorkload};
 use sparseflex_accel::taxonomy::AcceleratorClass;
 use sparseflex_accel::ConversionSupport;
-use sparseflex_formats::descriptor::{enumerate_matrix, enumerate_tensor};
-use sparseflex_formats::{FormatDescriptor, MatrixFormat, SearchSpace, TensorFormat};
+use sparseflex_formats::{FormatDescriptor, MatrixFormat, TensorFormat};
 
 /// One point in the search space: MCF and ACF per operand.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -41,9 +37,8 @@ impl FormatChoice {
     }
 
     /// Order-sensitive stable fingerprint of the four format
-    /// descriptors — the format half of a descriptor-keyed plan-cache
-    /// key (equal across the enum and descriptor entry points for the
-    /// same formats, stable across processes).
+    /// descriptors — the format half of a plan-cache key (stable across
+    /// processes).
     pub fn descriptor_fingerprint(&self) -> u64 {
         sparseflex_formats::descriptor::combine_fingerprints(self.descriptors().iter())
     }
@@ -59,91 +54,24 @@ impl std::fmt::Display for FormatChoice {
     }
 }
 
-/// A format choice expressed in per-rank descriptors — the
-/// forward-compatible spelling of [`FormatChoice`] the descriptor entry
-/// points accept. Preset descriptors translate losslessly to the legacy
-/// enums; open compositions run through the custom-format path instead.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DescriptorChoice {
-    /// Memory descriptor of the streaming operand A.
-    pub mcf_a: FormatDescriptor,
-    /// Memory descriptor of the stationary operand B.
-    pub mcf_b: FormatDescriptor,
-    /// Compute descriptor of A.
-    pub acf_a: FormatDescriptor,
-    /// Compute descriptor of B.
-    pub acf_b: FormatDescriptor,
-}
-
-impl DescriptorChoice {
-    /// Translate to the legacy enum choice (`None` when any member is an
-    /// open composition with no legacy name).
-    pub fn to_format_choice(&self) -> Option<FormatChoice> {
-        Some(FormatChoice {
-            mcf_a: self.mcf_a.to_matrix_format()?,
-            mcf_b: self.mcf_b.to_matrix_format()?,
-            acf_a: self.acf_a.to_matrix_format()?,
-            acf_b: self.acf_b.to_matrix_format()?,
-        })
-    }
-
-    /// Same fingerprint rule as [`FormatChoice::descriptor_fingerprint`]
-    /// (the two spellings of one choice collide by design — both
-    /// delegate to the one
-    /// [`combine_fingerprints`](sparseflex_formats::descriptor::combine_fingerprints)).
-    pub fn descriptor_fingerprint(&self) -> u64 {
-        sparseflex_formats::descriptor::combine_fingerprints([
-            &self.mcf_a,
-            &self.mcf_b,
-            &self.acf_a,
-            &self.acf_b,
-        ])
-    }
-}
-
-impl From<&FormatChoice> for DescriptorChoice {
-    fn from(c: &FormatChoice) -> Self {
-        let [mcf_a, mcf_b, acf_a, acf_b] = c.descriptors();
-        DescriptorChoice {
-            mcf_a,
-            mcf_b,
-            acf_a,
-            acf_b,
-        }
-    }
-}
-
-/// MCF candidates for a search space, derived from the descriptor
-/// registry and rendered as enum values (members of the wider spaces
-/// that have no legacy name are skipped — they are servable through the
-/// custom-format path, not the closed-enum evaluator).
-pub fn mcf_candidates(space: SearchSpace) -> Vec<MatrixFormat> {
-    enumerate_matrix(space)
-        .iter()
-        .filter_map(FormatDescriptor::to_matrix_format)
-        .collect()
-}
-
 /// Streaming-operand ACF candidates: the paper's ACF space in the
-/// generation engine's iteration order (Dense, CSR, COO, CSC).
+/// generation engine's iteration order (Dense, CSR, COO, CSC). This is
+/// not [`MatrixFormat::acf_set`]'s order, and it is part of SAGE's
+/// output: ties keep the first candidate.
 pub fn acf_streaming_candidates() -> Vec<MatrixFormat> {
-    enumerate_matrix(SearchSpace::AcfPaper)
-        .iter()
-        .filter_map(FormatDescriptor::to_matrix_format)
-        .collect()
+    vec![
+        MatrixFormat::Dense,
+        MatrixFormat::Csr,
+        MatrixFormat::Coo,
+        MatrixFormat::Csc,
+    ]
 }
 
 /// Stationary-operand ACF candidates: the subset of the ACF space the
 /// weight-stationary array can hold resident (Dense, CSC), plus CSR for
 /// the Gustavson SpGEMM pairing.
 pub fn acf_stationary_candidates() -> Vec<MatrixFormat> {
-    let mut v: Vec<MatrixFormat> = enumerate_matrix(SearchSpace::AcfPaper)
-        .iter()
-        .filter_map(FormatDescriptor::to_matrix_format)
-        .filter(|f| matches!(f, MatrixFormat::Dense | MatrixFormat::Csc))
-        .collect();
-    v.push(MatrixFormat::Csr);
-    v
+    vec![MatrixFormat::Dense, MatrixFormat::Csc, MatrixFormat::Csr]
 }
 
 /// The result of a SAGE search: the winning evaluation plus the number of
@@ -158,20 +86,10 @@ pub struct Recommendation {
 
 impl Sage {
     /// Search the full MCF x ACF cross product for the lowest-EDP
-    /// combination (the `Flex_Flex_HW` capability). The candidate space
-    /// is the paper's (`SearchSpace::McfPaper`); use
-    /// [`recommend_with_space`](Self::recommend_with_space) to widen it.
+    /// combination (the `Flex_Flex_HW` capability) over the paper's
+    /// candidate space.
     pub fn recommend(&self, w: &SageWorkload) -> Recommendation {
-        self.recommend_with_space(w, SearchSpace::McfPaper)
-    }
-
-    /// Search with the MCF candidate space selected by the
-    /// [`SearchSpace`] knob: the paper's six formats, the structured
-    /// extension (BSR/DIA/ELL), or the extended space with quantized
-    /// run-length variants. Wider spaces strictly contain narrower ones,
-    /// so the recommendation can only improve.
-    pub fn recommend_with_space(&self, w: &SageWorkload, space: SearchSpace) -> Recommendation {
-        self.recommend_constrained(w, None, &mcf_candidates(space), ConversionMode::Hardware)
+        self.recommend_constrained(w, None)
     }
 
     /// Search with the MCFs pinned by the programmer ("there might be
@@ -183,20 +101,13 @@ impl Sage {
         mcf_a: MatrixFormat,
         mcf_b: MatrixFormat,
     ) -> Recommendation {
-        self.recommend_constrained(
-            w,
-            Some((mcf_a, mcf_b)),
-            &mcf_candidates(SearchSpace::McfPaper),
-            ConversionMode::Hardware,
-        )
+        self.recommend_constrained(w, Some((mcf_a, mcf_b)))
     }
 
     fn recommend_constrained(
         &self,
         w: &SageWorkload,
         fixed_mcf: Option<(MatrixFormat, MatrixFormat)>,
-        mcf_set: &[MatrixFormat],
-        mode: ConversionMode,
     ) -> Recommendation {
         let acf_as = acf_streaming_candidates();
         let acf_bs = acf_stationary_candidates();
@@ -204,8 +115,8 @@ impl Sage {
             Some(p) => vec![p],
             None => {
                 let mut v = Vec::new();
-                for &a in mcf_set {
-                    for &b in mcf_set {
+                for a in MatrixFormat::mcf_set() {
+                    for b in MatrixFormat::mcf_set() {
                         v.push((a, b));
                     }
                 }
@@ -226,7 +137,7 @@ impl Sage {
                         acf_a,
                         acf_b,
                     };
-                    if let Ok(eval) = self.evaluate(w, &choice, mode) {
+                    if let Ok(eval) = self.evaluate(w, &choice, ConversionMode::Hardware) {
                         candidates += 1;
                         let better = match &best {
                             None => true,
@@ -294,20 +205,12 @@ impl Sage {
     }
 
     /// Search tensor MCF/ACF combinations for a tensor kernel (SpTTM /
-    /// MTTKRP rows of Table III). Candidates come from the tensor
-    /// descriptor registry's paper filters.
+    /// MTTKRP rows of Table III) over [`TensorFormat::mcf_set`] ×
+    /// [`TensorFormat::acf_set`].
     pub fn recommend_tensor(&self, w: &TensorWorkload) -> TensorEvaluation {
-        let mcfs: Vec<TensorFormat> = enumerate_tensor(SearchSpace::McfPaper)
-            .iter()
-            .filter_map(FormatDescriptor::to_tensor_format)
-            .collect();
-        let acfs: Vec<TensorFormat> = enumerate_tensor(SearchSpace::AcfPaper)
-            .iter()
-            .filter_map(FormatDescriptor::to_tensor_format)
-            .collect();
         let mut best: Option<TensorEvaluation> = None;
-        for &mcf in &mcfs {
-            for &acf in &acfs {
+        for mcf in TensorFormat::mcf_set() {
+            for acf in TensorFormat::acf_set() {
                 let choice = TensorChoice {
                     mcf_t: mcf,
                     acf_t: acf,
@@ -447,17 +350,26 @@ mod tests {
     }
 
     #[test]
-    fn registry_derived_spaces_match_paper_vii_a_counts() {
-        // §VII-A: "6 MCF choices ... and 4 ACF choices" — the descriptor
-        // registry's paper filters must reproduce those counts exactly,
-        // and element-for-element equal the legacy enum sets.
-        let mcf = mcf_candidates(SearchSpace::McfPaper);
-        assert_eq!(mcf.len(), 6, "paper MCF space is 6 formats");
-        assert_eq!(mcf, MatrixFormat::mcf_set().to_vec());
-        let acf = acf_streaming_candidates();
-        assert_eq!(acf.len(), 4, "paper ACF space is 4 formats");
+    fn candidate_lists_are_the_paper_vii_a_spaces_in_search_order() {
+        // §VII-A: "6 MCF choices ... and 4 ACF choices". The streaming
+        // ACFs are iterated Dense, CSR, COO, CSC (not acf_set()'s order),
+        // and ties keep the first candidate, so both ACF lists are pinned
+        // exactly, order included.
+        assert_eq!(MatrixFormat::mcf_set().len(), 6, "paper MCF space");
+        assert_eq!(
+            acf_streaming_candidates(),
+            vec![
+                MatrixFormat::Dense,
+                MatrixFormat::Csr,
+                MatrixFormat::Coo,
+                MatrixFormat::Csc
+            ]
+        );
         for f in MatrixFormat::acf_set() {
-            assert!(acf.contains(&f), "registry ACF space lost {f}");
+            assert!(
+                acf_streaming_candidates().contains(&f),
+                "ACF space lost {f}"
+            );
         }
         // Stationary candidates: the WS-resident subset plus CSR.
         assert_eq!(
@@ -465,9 +377,8 @@ mod tests {
             vec![MatrixFormat::Dense, MatrixFormat::Csc, MatrixFormat::Csr]
         );
         // Tensor rows of Table III: 5 MCFs x 3 ACFs.
-        use sparseflex_formats::descriptor::enumerate_tensor;
-        assert_eq!(enumerate_tensor(SearchSpace::McfPaper).len(), 5);
-        assert_eq!(enumerate_tensor(SearchSpace::AcfPaper).len(), 3);
+        assert_eq!(TensorFormat::mcf_set().len(), 5);
+        assert_eq!(TensorFormat::acf_set().len(), 3);
     }
 
     #[test]
@@ -483,35 +394,13 @@ mod tests {
     }
 
     #[test]
-    fn wider_search_spaces_never_lose() {
-        // Structured/Extended strictly contain the paper space, so their
-        // best EDP can only match or improve.
-        let s = sage();
-        let w = SageWorkload::spgemm(1_000, 1_000, 500, 20_000, 10_000, DataType::Fp32);
-        let paper = s.recommend_with_space(&w, SearchSpace::McfPaper);
-        let structured = s.recommend_with_space(&w, SearchSpace::Structured);
-        let extended = s.recommend_with_space(&w, SearchSpace::Extended);
-        let clock = s.accel.clock_hz;
-        assert!(structured.best.edp(clock) <= paper.best.edp(clock) * 1.0001);
-        assert!(extended.best.edp(clock) <= structured.best.edp(clock) * 1.0001);
-        assert!(structured.candidates > paper.candidates);
-        assert!(extended.candidates > structured.candidates);
-    }
-
-    #[test]
-    fn choice_fingerprints_agree_across_spellings() {
+    fn choice_fingerprints_are_operand_order_sensitive() {
         let choice = FormatChoice {
             mcf_a: MatrixFormat::Zvc,
             mcf_b: MatrixFormat::Dense,
             acf_a: MatrixFormat::Csr,
             acf_b: MatrixFormat::Dense,
         };
-        let desc = DescriptorChoice::from(&choice);
-        assert_eq!(
-            choice.descriptor_fingerprint(),
-            desc.descriptor_fingerprint()
-        );
-        assert_eq!(desc.to_format_choice(), Some(choice.clone()));
         // Operand position matters (MCF_A=ZVC differs from MCF_B=ZVC).
         let swapped = FormatChoice {
             mcf_a: MatrixFormat::Dense,
@@ -522,18 +411,5 @@ mod tests {
             choice.descriptor_fingerprint(),
             swapped.descriptor_fingerprint()
         );
-        // Open compositions have no enum spelling.
-        let open = DescriptorChoice {
-            mcf_a: sparseflex_formats::FormatDescriptor::new(
-                sparseflex_formats::RankOrder::RowMajor,
-                vec![
-                    sparseflex_formats::Level::Bitmask,
-                    sparseflex_formats::Level::RunLength { run_bits: 4 },
-                ],
-                sparseflex_formats::ValuesLayout::Contiguous,
-            ),
-            ..desc
-        };
-        assert_eq!(open.to_format_choice(), None);
     }
 }

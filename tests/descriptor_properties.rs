@@ -1,29 +1,25 @@
-//! Property suite for the per-rank format-descriptor redesign:
+//! Property suite for the per-rank format descriptors:
 //!
-//! (a) legacy enum → descriptor → legacy enum round-trips losslessly for
-//!     every preset (structural parameters included),
+//! (a) enum → descriptor → enum round-trips losslessly for every preset
+//!     (structural parameters included),
 //! (b) the descriptor-driven generic size model is **bit-identical** to
 //!     the paper's closed-form per-format formulas (copied verbatim
 //!     below as the pinned reference), analytic and exact,
-//! (c) the plan cache hits across the legacy-enum and descriptor entry
-//!     points for the same workload,
-//! (d) an open (non-preset) composition executes end-to-end — through
-//!     the fiber-stream SpMM and through `FlexSystem` — matching the
-//!     dense reference exactly,
-//! (e) stored-elements vs logical-nnz accounting is centralized and
+//! (c) a repeated pinned run hits the one plan-cache row its choice's
+//!     descriptor fingerprint keys,
+//! (d) stored-elements vs logical-nnz accounting is centralized and
 //!     consistent for the explicit-zero formats.
 
 use proptest::prelude::*;
-use sparseflex::formats::descriptor::{enumerate_matrix, Level, RankOrder, ValuesLayout};
 use sparseflex::formats::size_model::{
     matrix_storage_bits, matrix_storage_bits_exact, rlc_expected_entries, tensor_storage_bits,
 };
 use sparseflex::formats::{
-    ceil_log2, encode_with_descriptor, CooMatrix, CustomMatrix, DataType, FormatDescriptor,
-    MatrixData, MatrixFormat, SearchSpace, SparseMatrix, TensorFormat,
+    ceil_log2, CooMatrix, DataType, FormatDescriptor, MatrixData, MatrixFormat, SparseMatrix,
+    TensorFormat,
 };
 use sparseflex::kernels::gemm::gemm_naive;
-use sparseflex::sage::{DescriptorChoice, FormatChoice, SageWorkload};
+use sparseflex::sage::{FormatChoice, SageWorkload};
 use sparseflex::system::{FlexSystem, PlanDiscipline};
 use sparseflex::workloads::synth::random_matrix;
 
@@ -228,12 +224,10 @@ proptest! {
         for fmt in matrix_formats(br, bc, run_bits) {
             let desc = FormatDescriptor::from(fmt);
             prop_assert_eq!(desc.to_matrix_format(), Some(fmt));
-            prop_assert_eq!(MatrixFormat::from_descriptor(&desc), Some(fmt));
         }
         for fmt in tensor_formats(block, run_bits) {
             let desc = FormatDescriptor::from(fmt);
             prop_assert_eq!(desc.to_tensor_format(), Some(fmt));
-            prop_assert_eq!(TensorFormat::from_descriptor(&desc), Some(fmt));
         }
     }
 
@@ -285,7 +279,7 @@ proptest! {
         }
     }
 
-    // (e) Central explicit-zero accounting.
+    // (d) Central explicit-zero accounting.
     #[test]
     fn stored_elements_accounting_is_consistent(coo in arb_matrix()) {
         for fmt in matrix_formats(2, 2, 4) {
@@ -304,35 +298,11 @@ proptest! {
             }
         }
     }
-
-    // (d) Every open two-rank composition computes a correct SpMM via the
-    // fiber-stream path.
-    #[test]
-    fn open_compositions_compute_correct_spmm(coo in arb_matrix()) {
-        let b_dense = {
-            // A small dense factor with deterministic values.
-            let k = coo.cols();
-            let n = 5usize;
-            let trips: Vec<(usize, usize, f64)> = (0..k)
-                .flat_map(|r| (0..n).map(move |c| (r, c, (r * n + c + 1) as f64)))
-                .collect();
-            CooMatrix::from_triplets(k, n, trips).unwrap().into_dense()
-        };
-        let reference = gemm_naive(&coo.clone().into_dense(), &b_dense);
-        for desc in enumerate_matrix(SearchSpace::Open) {
-            if desc.to_matrix_format().is_some() || desc.levels.len() != 2 {
-                continue;
-            }
-            let enc = CustomMatrix::encode(&coo, &desc).unwrap();
-            let out = sparseflex::kernels::spmm(&enc, &b_dense).unwrap();
-            prop_assert!(out.approx_eq(&reference, 1e-9), "SpMM mismatch for {}", desc);
-        }
-    }
 }
 
-// (c) Plan-cache hits across the legacy and descriptor entry points.
+// (c) A repeated pinned run hits the cache row the first one filled.
 #[test]
-fn plan_cache_hits_across_legacy_and_descriptor_entry_points() {
+fn repeated_pinned_run_hits_one_cache_row() {
     let mut sys = FlexSystem::default();
     sys.sage.accel.num_pes = 16;
     sys.sage.accel.pe_buffer_elems = 64;
@@ -346,24 +316,19 @@ fn plan_cache_hits_across_legacy_and_descriptor_entry_points() {
         acf_b: MatrixFormat::Dense,
     };
 
-    // First run pinned with the legacy enum choice: a cache miss.
+    // First pinned run: a cache miss.
     let run1 = sys
         .run(&a, &b, &w, Some(&choice), PlanDiscipline::Monolithic)
         .unwrap();
     assert!(!run1.plan.from_cache, "first pinned run must evaluate");
 
-    // Second run pinned with the descriptor spelling: same formats, same
-    // workload — must be served from the same cache row.
-    let dchoice = DescriptorChoice::from(&choice);
-    let legacy = dchoice
-        .to_format_choice()
-        .expect("preset descriptors map to an enum choice");
+    // Same choice, same workload: served from the same cache row.
     let run2 = sys
-        .run(&a, &b, &w, Some(&legacy), PlanDiscipline::Monolithic)
+        .run(&a, &b, &w, Some(&choice), PlanDiscipline::Monolithic)
         .unwrap();
     assert!(
         run2.plan.from_cache,
-        "descriptor entry point must hit the legacy entry's cache row"
+        "repeated pin must hit the first run's cache row"
     );
     assert_eq!(
         run1.plan.choice_fingerprint(),
@@ -386,64 +351,4 @@ fn plan_cache_hits_across_legacy_and_descriptor_entry_points() {
         .run(&a, &b, &w, Some(&other), PlanDiscipline::Monolithic)
         .unwrap();
     assert!(!run3.plan.from_cache, "distinct formats must not collide");
-}
-
-// (d) An open composition runs end-to-end through FlexSystem, pinned
-// against the dense reference.
-#[test]
-fn custom_mcf_descriptor_executes_through_flex_system() {
-    let mut sys = FlexSystem::default();
-    sys.sage.accel.num_pes = 16;
-    sys.sage.accel.pe_buffer_elems = 64;
-    let a = random_matrix(24, 32, 90, 5);
-    let b = random_matrix(32, 12, 32 * 12, 6); // dense factor
-
-    // Bitmask rows x run-length columns — the paper's §III levels in a
-    // combination its format list never had.
-    let mcf_a = FormatDescriptor::new(
-        RankOrder::RowMajor,
-        vec![Level::Bitmask, Level::RunLength { run_bits: 4 }],
-        ValuesLayout::Contiguous,
-    );
-    assert_eq!(mcf_a.to_matrix_format(), None, "must be a non-preset");
-    let mcf_b = FormatDescriptor::dense();
-
-    let run = sys.run_custom_mcf(&a, &b, &mcf_a, &mcf_b).unwrap();
-    let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
-    assert!(
-        run.output().approx_eq(&expect, 1e-9),
-        "custom-MCF output mismatch"
-    );
-    assert!(run.sim.cycles.total() > 0, "simulator must actually run");
-    assert!(run.mcf_a_bits > 0 && run.mcf_b_bits > 0);
-    // The custom encoding must be more compact than dense storage at
-    // this sparsity (90 / 768 ≈ 12%).
-    let dense_bits = 24 * 32 * 32u64;
-    assert!(
-        run.mcf_a_bits < dense_bits,
-        "custom MCF {} bits should beat dense {} bits",
-        run.mcf_a_bits,
-        dense_bits
-    );
-}
-
-// Descriptor encodings round-trip through the preset router.
-#[test]
-fn encode_with_descriptor_is_descriptor_faithful() {
-    let coo = random_matrix(15, 17, 40, 9);
-    for desc in enumerate_matrix(SearchSpace::Open) {
-        if desc.levels.len() > 2 {
-            continue;
-        }
-        let enc = match encode_with_descriptor(&coo, &desc) {
-            Ok(enc) => enc,
-            Err(e) => panic!("{desc} failed to encode: {e}"),
-        };
-        assert_eq!(enc.as_sparse().to_coo(), coo, "payload drift for {desc}");
-        assert_eq!(
-            enc.descriptor().fingerprint(),
-            desc.fingerprint(),
-            "descriptor identity lost for {desc}"
-        );
-    }
 }

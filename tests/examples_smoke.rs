@@ -136,51 +136,6 @@ fn plan_explain_path_end_to_end() {
     assert!(recal.explain().contains("calibration: generation 1"));
 }
 
-/// The `examples/custom_format.rs` scenario end-to-end (shrunk for
-/// debug-build speed): compose a non-preset descriptor, size it, encode
-/// it, and run it through the fiber-stream SpMM and the accelerator —
-/// both verified against the dense reference.
-#[test]
-fn custom_format_path_end_to_end() {
-    use sparseflex::formats::descriptor::{Level, RankOrder, ValuesLayout};
-    use sparseflex::formats::size_model::{descriptor_matrix_bits, MatrixStructure};
-    use sparseflex::formats::{CustomMatrix, FormatDescriptor};
-
-    let a = random_matrix(32, 64, 200, 7);
-    let b = random_matrix(64, 16, 64 * 16, 8);
-    let custom = FormatDescriptor::new(
-        RankOrder::RowMajor,
-        vec![Level::Bitmask, Level::RunLength { run_bits: 4 }],
-        ValuesLayout::Contiguous,
-    );
-    assert_eq!(custom.to_matrix_format(), None, "must be a non-preset");
-
-    // Sizable by the generic level model.
-    let bd = descriptor_matrix_bits(
-        &custom,
-        &MatrixStructure::analytic(32, 64, a.nnz()),
-        DataType::Fp32,
-    )
-    .unwrap();
-    assert!(bd.total() > 0);
-
-    // Fiber-stream SpMM.
-    let enc = CustomMatrix::encode(&a, &custom).unwrap();
-    let b_dense = b.clone().into_dense();
-    let reference = gemm_naive(&a.clone().into_dense(), &b_dense);
-    let via_stream = sparseflex::kernels::spmm(&enc, &b_dense).unwrap();
-    assert!(via_stream.approx_eq(&reference, 1e-9));
-
-    // Accelerator end-to-end.
-    let mut sys = FlexSystem::default();
-    sys.sage.accel.num_pes = 16;
-    sys.sage.accel.pe_buffer_elems = 64;
-    let run = sys
-        .run_custom_mcf(&a, &b, &custom, &FormatDescriptor::dense())
-        .unwrap();
-    assert!(run.output().approx_eq(&reference, 1e-9));
-}
-
 /// The `examples/serve_demo.rs` scenario end-to-end (shrunk for
 /// debug-build speed): three weighted tenants submit wire frames into a
 /// running `FlexService`, every result frame decodes, and the printed
