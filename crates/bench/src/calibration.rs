@@ -10,7 +10,7 @@
 //! `results/BENCH_calibration.json` snapshot CI uploads.
 
 use crate::pipeline::bench_system;
-use sparseflex_core::{PlanDiscipline, Planner, StoredTrace};
+use sparseflex_core::{PlanDiscipline, Planner};
 use sparseflex_formats::{DataType, SparseMatrix};
 use sparseflex_sage::SageWorkload;
 use sparseflex_workloads::synth::random_matrix;
@@ -34,10 +34,6 @@ pub struct CalibrationRound {
 pub struct CalibrationMeasurement {
     /// Per-round calibration error (round 0 = uncalibrated).
     pub rounds: Vec<CalibrationRound>,
-    /// Every executed plan's trace from the calibration rounds — what
-    /// `run_all` persists to `results/traces.json` so a later process
-    /// can warm-start its calibrator from this traffic.
-    pub traces: Vec<StoredTrace>,
 }
 
 /// Number of calibration rounds the exhibit executes after the
@@ -67,7 +63,6 @@ pub fn measure() -> CalibrationMeasurement {
         })
         .collect();
     let mut rounds = Vec::with_capacity(CALIBRATION_ROUNDS + 1);
-    let mut traces = Vec::new();
     for round in 0..=CALIBRATION_ROUNDS {
         let generation = planner.calibrator.generation();
         let mut err_sum = 0.0;
@@ -79,10 +74,6 @@ pub fn measure() -> CalibrationMeasurement {
                 .execute_plan(&sys.sage, &plan, a, b)
                 .expect("calibration shape executes");
             err_sum += run.trace.mean_cycle_error();
-            traces.push(StoredTrace {
-                dataflow: plan.dataflow,
-                trace: run.trace.clone(),
-            });
         }
         rounds.push(CalibrationRound {
             round,
@@ -94,7 +85,7 @@ pub fn measure() -> CalibrationMeasurement {
         }
     }
 
-    CalibrationMeasurement { rounds, traces }
+    CalibrationMeasurement { rounds }
 }
 
 /// CSV rows (the `results/calibration.csv` exhibit).
@@ -157,12 +148,6 @@ mod tests {
             last.mean_cycle_error,
             uncalibrated
         );
-        // The persisted trace set covers every executed plan and
-        // survives the JSON round-trip `run_all` performs.
-        assert_eq!(m.traces.len(), 3 * (CALIBRATION_ROUNDS + 1));
-        let json = sparseflex_core::traces_to_json(&m.traces);
-        let back = sparseflex_core::traces_from_json(&json).expect("traces round-trip");
-        assert_eq!(back, m.traces);
     }
 
     #[test]

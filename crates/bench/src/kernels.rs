@@ -9,7 +9,7 @@
 //!   during the *warm-up* traversal (the arena growing to the format's
 //!   high-water mark) vs the *steady-state* traversal (same arena,
 //!   second pass). The tentpole claim is steady = 0 for every format
-//!   that needs scratch (CSC/BSR/ELL/DIA/RLC/ZVC/Custom), which
+//!   that needs scratch (CSC/BSR/ELL/DIA/RLC/ZVC), which
 //!   [`enforce`] gates. Counts read 0 unless the measuring binary
 //!   installs [`crate::allocs::CountingAllocator`]; `counting_installed`
 //!   records which case the snapshot was taken under.
@@ -247,15 +247,29 @@ pub fn measure_overhead() -> Vec<OverheadPoint> {
     ]
 }
 
+/// The SpGEMM dataflow points' shapes: (name, m, k, n, nnz_a, nnz_b,
+/// seed).
+const SPGEMM_SHAPES: [(&str, usize, usize, usize, usize, usize, u64); 2] = [
+    ("moderate_256", N, N, N, 10_000, 10_000, 19),
+    ("hypersparse_wide", 512, 512, 8_192, 1_500, 24_000, 23),
+];
+
+/// The workload SAGE prices for one SpGEMM dataflow point.
+fn spgemm_workload(m: usize, k: usize, n: usize, nnz_a: usize, nnz_b: usize) -> SageWorkload {
+    SageWorkload::spgemm(
+        m,
+        k,
+        n,
+        nnz_a as u64,
+        nnz_b as u64,
+        sparseflex_formats::DataType::Fp32,
+    )
+}
+
 /// Measure the SpGEMM dataflow points (and assert bit-identity while
 /// the operands are at hand).
 pub fn measure_spgemm() -> Vec<SpgemmPoint> {
-    // (name, m, k, n, nnz_a, nnz_b, seed)
-    let shapes = [
-        ("moderate_256", N, N, N, 10_000, 10_000, 19u64),
-        ("hypersparse_wide", 512, 512, 8_192, 1_500, 24_000, 23u64),
-    ];
-    shapes
+    SPGEMM_SHAPES
         .iter()
         .map(|&(name, m, k, n, nnz_a, nnz_b, seed)| {
             let a = MatrixData::Csr(CsrMatrix::from_coo(
@@ -267,21 +281,13 @@ pub fn measure_spgemm() -> Vec<SpgemmPoint> {
             let g = spgemm(&a, &b).expect("shapes agree");
             let r = spgemm_with(&a, &b, SpgemmAlgo::RowWise).expect("shapes agree");
             assert_eq!(g, r, "{name}: dataflows must be bit-identical");
-            let w = SageWorkload::spgemm(
-                m,
-                k,
-                n,
-                nnz_a as u64,
-                nnz_b as u64,
-                sparseflex_formats::DataType::Fp32,
-            );
             SpgemmPoint {
                 name,
                 gustavson_ns: time_median(|| spgemm(&a, &b).expect("shapes agree")),
                 rowwise_ns: time_median(|| {
                     spgemm_with(&a, &b, SpgemmAlgo::RowWise).expect("shapes agree")
                 }),
-                sage_choice: choose_spgemm_algo(&w),
+                sage_choice: choose_spgemm_algo(&spgemm_workload(m, k, n, nnz_a, nnz_b)),
             }
         })
         .collect()
@@ -467,14 +473,22 @@ mod tests {
 
     #[test]
     fn sage_prices_the_exhibit_shapes_apart() {
-        let m = measure_spgemm();
-        let by_name = |n: &str| {
-            m.iter()
-                .find(|p| p.name == n)
-                .unwrap_or_else(|| panic!("{n} measured"))
-        };
-        assert_eq!(by_name("moderate_256").sage_choice, SpgemmAlgo::Gustavson);
-        assert_eq!(by_name("hypersparse_wide").sage_choice, SpgemmAlgo::RowWise);
+        let choices: Vec<_> = SPGEMM_SHAPES
+            .iter()
+            .map(|&(name, m, k, n, nnz_a, nnz_b, _)| {
+                (
+                    name,
+                    choose_spgemm_algo(&spgemm_workload(m, k, n, nnz_a, nnz_b)),
+                )
+            })
+            .collect();
+        assert_eq!(
+            choices,
+            [
+                ("moderate_256", SpgemmAlgo::Gustavson),
+                ("hypersparse_wide", SpgemmAlgo::RowWise),
+            ]
+        );
     }
 
     #[test]

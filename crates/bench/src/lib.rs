@@ -4,12 +4,14 @@
 //! paper's evaluation (§VII). Each `fig*` / `table*` module exposes a
 //! `rows()` function returning the CSV series the paper plots; the
 //! binaries in `src/bin` print them, and `run_all` writes the complete
-//! set to `results/`.
+//! set to `results/`. The repository's performance benchmark is the
+//! separate `sfbench` package.
 //!
 //! | module | paper exhibit |
 //! |---|---|
 //! | [`fig04`] | Fig. 4 — MCF compactness vs density / dims / datatype |
 //! | [`fig05`] | Fig. 5 — GPU MM algorithms across density regions |
+//! | [`fig05_measured`] | Fig. 5, measured — this workspace's kernels across density regions |
 //! | [`fig06`] | Fig. 6 — ACF walkthrough cycle counts |
 //! | [`fig07`] | Fig. 7b — extended-PE area overhead |
 //! | [`fig09`] | Fig. 9 — prefix-sum design space |
@@ -21,11 +23,13 @@
 //! | [`table1`] | Table I — MCF/ACF taxonomy |
 //! | [`table2`] | Table II — evaluated accelerator configs |
 //! | [`table3`] | Table III — workloads + SAGE format selections |
+//! | [`ablation`] | ablations — structured SAGE, MINT merge levels, prefix-sum overlays, overlap |
 //! | [`pipeline`] | tile-grained runtime — overlapped vs serial vs batched |
 //! | [`calibration`] | online calibration — predicted-vs-measured cycle error per round |
-//! | [`serving`] | serving layer — multi-tenant throughput + plan-cache sharding |
 //! | [`kernels`] | streaming kernels — zero-alloc steady state + stream overhead budget |
-//! | [`parallel`] | data-parallel kernels — sequential/parallel bit-identity + ranged-arena allocs |
+//!
+//! [`allocs`] holds the counting allocator that `run_all`, `kernels_gate`
+//! and the allocation tests install.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,10 +49,7 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod kernels;
-pub mod parallel;
 pub mod pipeline;
-pub mod planner;
-pub mod serving;
 pub mod table1;
 pub mod table2;
 pub mod table3;

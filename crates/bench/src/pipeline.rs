@@ -64,7 +64,7 @@ pub fn bench_system() -> FlexSystem {
 /// The Fig. 12-class scaled workloads: same density classes as journals /
 /// speech2 / m3plates, shrunk so the cycle-accurate simulator stays
 /// bench-fast.
-pub fn exhibit_operands() -> Vec<(&'static str, usize, usize, usize, usize, usize)> {
+fn exhibit_operands() -> Vec<(&'static str, usize, usize, usize, usize, usize)> {
     // (name, m, k, n, nnz_a, nnz_b)
     vec![
         ("journals_scaled", 40, 40, 48, 1_200, 1_500),
@@ -76,7 +76,7 @@ pub fn exhibit_operands() -> Vec<(&'static str, usize, usize, usize, usize, usiz
 /// Run prebuilt operands through the pipelined runtime with a
 /// conversion-bearing format choice (MCF COO → ACF CSC for the stationary
 /// operand, so every tile exercises MINT).
-pub fn exhibit_run(
+fn exhibit_run(
     sys: &FlexSystem,
     a: &sparseflex_formats::CooMatrix,
     b: &sparseflex_formats::CooMatrix,
@@ -101,7 +101,7 @@ pub fn exhibit_run(
 
 /// Generate one exhibit workload's operands and run it (see
 /// [`exhibit_run`]).
-pub fn run_exhibit(
+fn run_exhibit(
     sys: &FlexSystem,
     m: usize,
     k: usize,
@@ -137,7 +137,7 @@ pub fn measure_pipeline() -> Vec<PipelinePoint> {
 
 /// The batch exhibit: 12 jobs over the 3 exhibit shapes served through
 /// `run_batch`.
-pub fn batch_jobs() -> Vec<BatchJob> {
+fn batch_jobs() -> Vec<BatchJob> {
     let mut jobs = Vec::new();
     for round in 0..4u64 {
         for (i, (_, m, k, n, nnz_a, nnz_b)) in exhibit_operands().into_iter().enumerate() {
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn overlap_strictly_beats_serial_on_every_exhibit_workload() {
-        // The acceptance criterion, priced where CI can see it: on the
+        // The acceptance bar, priced where CI can see it: on the
         // Fig. 12-class exhibit shapes the overlapped total is strictly
         // below the serial convert-then-compute total.
         for p in measure_pipeline() {

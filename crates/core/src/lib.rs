@@ -43,7 +43,6 @@ pub mod pipeline;
 pub mod plan;
 pub mod planner;
 pub mod system;
-pub mod trace_io;
 
 pub use calibrate::{Calibrator, Coefficients, MAX_SAMPLES_PER_LANE};
 pub use casestudy::{layer_edp, LayerEdp};
@@ -51,7 +50,6 @@ pub use pipeline::{BatchJob, BatchRun, PipelineRun, TileTrace};
 pub use plan::{CostModel, Dataflow, ExecutionPlan, PlanPrediction, PlanTrace, TileCompare};
 pub use planner::{CacheCounters, PlanCache, PlanDiscipline, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use system::{ClassComparison, FlexSystem, RunError};
-pub use trace_io::{read_traces, traces_from_json, traces_to_json, write_traces, StoredTrace};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

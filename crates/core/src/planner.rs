@@ -149,7 +149,7 @@ struct Shard {
     /// Notified whenever one of this shard's in-flight searches ends.
     searched: Condvar,
     /// Acquisitions whose `try_lock` failed before blocking — the
-    /// measured contention signal the serving bench tracks.
+    /// measured contention signal the service reports.
     contended: AtomicU64,
 }
 
@@ -362,7 +362,7 @@ impl PlanCache {
     }
 
     /// Lock acquisitions that found the mutex already held, summed over
-    /// shards — the measured-contention signal of the serving bench
+    /// shards — the measured-contention signal the service reports
     /// (reset never; subtract snapshots to scope a window).
     pub fn contended_acquisitions(&self) -> u64 {
         self.shards
@@ -424,15 +424,6 @@ impl Clone for Planner {
 }
 
 impl Planner {
-    /// The cache shard the (free-search) plan row for `w` lives in.
-    ///
-    /// `PlanKey` is private; this accessor exposes just the key→shard
-    /// mapping so the serving bench's deterministic lock-service model
-    /// can replay real workload streams against the true shard layout.
-    pub fn cache_shard(&self, sage: &Sage, w: &SageWorkload) -> usize {
-        self.cache.shard_index(&self.key(sage, w, None))
-    }
-
     /// The cache key for `w` on `sage`'s hardware under the current
     /// calibration generation, with the pinned choice's fingerprint.
     fn key(&self, sage: &Sage, w: &SageWorkload, choice: Option<u64>) -> PlanKey {
@@ -1036,17 +1027,27 @@ mod tests {
             cache: PlanCache::with_shards(64, 8),
             ..Planner::default()
         };
+        let shard = |i| {
+            planner
+                .cache
+                .shard_index(&planner.key(&sage, &workload(i), None))
+        };
         for i in 0..32 {
-            let s1 = planner.cache_shard(&sage, &workload(i));
-            let s2 = planner.cache_shard(&sage, &workload(i));
-            assert_eq!(s1, s2, "same key must always map to the same shard");
+            let s1 = shard(i);
+            assert_eq!(s1, shard(i), "same key must always map to the same shard");
             assert!(s1 < planner.cache.num_shards());
         }
-        // Distinct workloads must spread over more than one shard.
-        let distinct: std::collections::HashSet<usize> = (0..32)
-            .map(|i| planner.cache_shard(&sage, &workload(i)))
-            .collect();
-        assert!(distinct.len() > 1, "keys must not all land in one shard");
+        // Distinct workloads must spread across the shards, so concurrent
+        // workers planning disjoint shapes rarely meet on one lock. The
+        // bound is not all 8: `DefaultHasher` is not stable across Rust
+        // releases, and under a fresh hash 32 keys reach 5 or fewer
+        // shards with probability about 2e-5.
+        let distinct: std::collections::HashSet<usize> = (0..32).map(shard).collect();
+        assert!(
+            distinct.len() >= 6,
+            "32 keys must reach at least 6 of 8 shards, reached {}",
+            distinct.len()
+        );
     }
 
     #[test]

@@ -29,7 +29,6 @@
 use crate::wire::{self, WireError, WireJob, WireResult};
 use sparseflex_core::{
     lock_clean, BatchJob, CacheCounters, FlexSystem, PlanCache, PlanDiscipline, RunError,
-    StoredTrace,
 };
 use sparseflex_formats::SparseMatrix;
 use std::collections::{HashMap, VecDeque};
@@ -557,10 +556,9 @@ impl std::fmt::Debug for FlexService {
 
 impl FlexService {
     /// Start the service around `system` (its planner's cache is
-    /// replaced by a sharded cache per the config; calibrator state —
-    /// including any warm start — is preserved). Fails with
-    /// [`StartError`] if the OS refuses a worker thread; any workers
-    /// already spawned are torn down first.
+    /// replaced by a sharded cache per the config; calibrator state is
+    /// preserved). Fails with [`StartError`] if the OS refuses a worker
+    /// thread; any workers already spawned are torn down first.
     pub fn start(mut system: FlexSystem, config: ServeConfig) -> Result<Self, StartError> {
         system.planner.cache = PlanCache::with_shards(config.cache_capacity, config.cache_shards);
         let clock_hz = system.sage.accel.clock_hz;
@@ -609,15 +607,6 @@ impl FlexService {
             shared,
             workers: handles,
         })
-    }
-
-    /// Warm-start the shared planner's calibrator from stored traces
-    /// (see [`sparseflex_core::read_traces`]); returns the number of
-    /// traces replayed. Typically called right after
-    /// [`start`](Self::start), before traffic arrives.
-    pub fn warm_start(&self, traces: &[StoredTrace]) -> usize {
-        self.shared.system.planner.calibrator.warm_start(traces);
-        traces.len()
     }
 
     /// Set a tenant's fair-share weight (clamped to ≥ 1). Unregistered

@@ -1,14 +1,11 @@
 //! Calibration-loop properties: the online `Calibrator` must version
 //! the plan cache (a generation bump invalidates exactly the stale
-//! rows), stamp plans with the generation they were made under, tighten
-//! predicted-vs-measured error over repeated traffic, and survive the
-//! JSON trace round-trip that warm-starts a fresh process.
+//! rows), stamp plans with the generation they were made under, and
+//! tighten predicted-vs-measured error over repeated traffic.
 
 use sparseflex::formats::{DataType, SparseMatrix};
 use sparseflex::sage::SageWorkload;
-use sparseflex::system::{
-    read_traces, write_traces, Calibrator, FlexSystem, PlanDiscipline, StoredTrace,
-};
+use sparseflex::system::{FlexSystem, PlanDiscipline};
 use sparseflex::workloads::synth::random_matrix;
 
 fn small_system() -> FlexSystem {
@@ -125,47 +122,4 @@ fn three_calibration_rounds_strictly_tighten_prediction_error() {
         errors[3] < errors[0],
         "calibrated error must be strictly lower: {errors:?}"
     );
-}
-
-/// Executed traces round-trip through the JSON file format, and a fresh
-/// calibrator warm-started from the reloaded file refits to exactly the
-/// coefficients the live calibrator fit from the same traffic.
-#[test]
-fn trace_file_round_trip_warm_starts_an_equal_calibrator() {
-    let sys = small_system();
-    let a = random_matrix(40, 40, 420, 5);
-    let b = random_matrix(40, 32, 280, 6);
-    let w = SageWorkload::spgemm(40, 40, 32, a.nnz() as u64, b.nnz() as u64, DataType::Fp32);
-
-    let mut traces = Vec::new();
-    for _ in 0..3 {
-        let plan = sys
-            .planner
-            .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
-            .expect("plans");
-        let run = sys
-            .planner
-            .execute_plan(&sys.sage, &plan, &a, &b)
-            .expect("executes");
-        traces.push(StoredTrace {
-            dataflow: plan.dataflow,
-            trace: run.trace.clone(),
-        });
-    }
-
-    let dir = std::env::temp_dir().join(format!("sparseflex-cal-{}", std::process::id()));
-    let path = dir.join("traces.json");
-    write_traces(&path, &traces).expect("traces write");
-    let loaded = read_traces(&path).expect("traces read");
-    assert_eq!(loaded, traces, "round-trip must preserve every field");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // The live calibrator recorded the same three runs automatically;
-    // a warm-started one must refit to identical coefficients.
-    let warmed = Calibrator::default();
-    warmed.warm_start(&loaded);
-    assert_eq!(warmed.samples(), sys.planner.calibrator.samples());
-    let direct = sys.planner.calibrator.recalibrate();
-    let replayed = warmed.recalibrate();
-    assert_eq!(replayed, direct, "warm-start must reproduce the fit");
 }

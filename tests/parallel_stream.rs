@@ -11,13 +11,14 @@
 //!    (whole fibers are never split), and concatenating the ranged
 //!    walks in range order replays the full stream exactly.
 //! 2. **Parallel kernels are bit-for-bit sequential.** At forced worker
-//!    counts 1/2/3/7, every parallel kernel — SpMM, both SpGEMM
+//!    counts 1/2/3/4/7/8, every parallel kernel — SpMM, both SpGEMM
 //!    dataflows, MTTKRP, SpTTM, and parallel CSR materialization —
 //!    equals its sequential twin exactly (and the dense reference,
 //!    exact on the small-integer operands generated here).
 //! 3. **Warm worker arenas never allocate.** After one warm-up ranged
 //!    pass, each range's repeat traversal performs zero heap
-//!    allocations under the counting global allocator.
+//!    allocations under the counting global allocator, at 3 and 8
+//!    parts.
 
 use proptest::prelude::*;
 use sparseflex::formats::{
@@ -63,7 +64,10 @@ fn tensor_formats() -> Vec<TensorFormat> {
     ]
 }
 
-const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 7];
+const WORKER_COUNTS: [usize; 6] = [1, 2, 3, 4, 7, 8];
+
+/// Range counts the warm-arena allocation contract is checked at.
+const RANGED_PARTS: [usize; 2] = [3, 8];
 
 type MatrixFibers = Vec<(usize, Vec<usize>, Vec<f64>)>;
 type TensorFibers = Vec<(usize, usize, Vec<usize>, Vec<f64>)>;
@@ -405,34 +409,36 @@ fn warm_worker_arenas_never_allocate_per_range() {
             .collect(),
     )
     .unwrap();
-    for fmt in matrix_formats() {
-        let data = MatrixData::encode(&a, &fmt).unwrap();
-        let ranges = data.row_stream().row_partition(3);
-        let mut arenas: Vec<StreamArena> = ranges.iter().map(|_| StreamArena::new()).collect();
-        for (r, arena) in ranges.iter().zip(arenas.iter_mut()) {
-            let warm = matrix_range_checksum(&data, r.clone(), arena);
-            let (n, steady) =
-                allocs::count_allocs(|| matrix_range_checksum(&data, r.clone(), arena));
-            assert_eq!(warm, steady, "{fmt} range {r:?}: passes must agree");
-            assert_eq!(
-                n, 0,
-                "{fmt} range {r:?}: steady-state ranged traversal allocated"
-            );
+    for parts in RANGED_PARTS {
+        for fmt in matrix_formats() {
+            let data = MatrixData::encode(&a, &fmt).unwrap();
+            let ranges = data.row_stream().row_partition(parts);
+            let mut arenas: Vec<StreamArena> = ranges.iter().map(|_| StreamArena::new()).collect();
+            for (r, arena) in ranges.iter().zip(arenas.iter_mut()) {
+                let warm = matrix_range_checksum(&data, r.clone(), arena);
+                let (n, steady) =
+                    allocs::count_allocs(|| matrix_range_checksum(&data, r.clone(), arena));
+                assert_eq!(warm, steady, "{fmt} range {r:?}: passes must agree");
+                assert_eq!(
+                    n, 0,
+                    "{fmt} range {r:?} of {parts}: steady-state ranged traversal allocated"
+                );
+            }
         }
-    }
-    for fmt in tensor_formats() {
-        let data = TensorData::encode(&t, &fmt).unwrap();
-        let ranges = data.fiber_stream().fiber_partition(3);
-        let mut arenas: Vec<StreamArena> = ranges.iter().map(|_| StreamArena::new()).collect();
-        for (r, arena) in ranges.iter().zip(arenas.iter_mut()) {
-            let warm = tensor_range_checksum(&data, r.clone(), arena);
-            let (n, steady) =
-                allocs::count_allocs(|| tensor_range_checksum(&data, r.clone(), arena));
-            assert_eq!(warm, steady, "{fmt} range {r:?}: passes must agree");
-            assert_eq!(
-                n, 0,
-                "{fmt} range {r:?}: steady-state ranged traversal allocated"
-            );
+        for fmt in tensor_formats() {
+            let data = TensorData::encode(&t, &fmt).unwrap();
+            let ranges = data.fiber_stream().fiber_partition(parts);
+            let mut arenas: Vec<StreamArena> = ranges.iter().map(|_| StreamArena::new()).collect();
+            for (r, arena) in ranges.iter().zip(arenas.iter_mut()) {
+                let warm = tensor_range_checksum(&data, r.clone(), arena);
+                let (n, steady) =
+                    allocs::count_allocs(|| tensor_range_checksum(&data, r.clone(), arena));
+                assert_eq!(warm, steady, "{fmt} range {r:?}: passes must agree");
+                assert_eq!(
+                    n, 0,
+                    "{fmt} range {r:?} of {parts}: steady-state ranged traversal allocated"
+                );
+            }
         }
     }
 }
