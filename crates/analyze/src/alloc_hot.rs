@@ -15,7 +15,11 @@
 //!   the dynamic gate);
 //! - the whole of `kernels::lanes` (the shared vectorized inner loops);
 //! - the body of `spgemm::rowwise_row` (the k-way merge replaying
-//!   Gustavson's addition order from caller-owned buffers).
+//!   Gustavson's addition order from caller-owned buffers);
+//! - the per-format size and conversion-cost formulas
+//!   (`size_model::{matrix_charge, tensor_storage_bits}`,
+//!   `mint::cost::{conversion_cost, tensor_conversion_cost}`), which
+//!   SAGE calls for every candidate it prices.
 //!
 //! Deliberate warm-up allocation can be waived per line with
 //! `// sflint::allow(alloc-in-hot-path)`.

@@ -69,7 +69,16 @@ impl AnalysisConfig {
     pub fn workspace() -> Self {
         AnalysisConfig {
             hot_files: vec!["crates/kernels/src/lanes.rs".into()],
-            hot_fns: vec![("crates/kernels/src/spgemm.rs".into(), "rowwise_row".into())],
+            hot_fns: [
+                ("crates/kernels/src/spgemm.rs", "rowwise_row"),
+                ("crates/formats/src/size_model.rs", "matrix_charge"),
+                ("crates/formats/src/size_model.rs", "tensor_storage_bits"),
+                ("crates/mint/src/cost.rs", "conversion_cost"),
+                ("crates/mint/src/cost.rs", "tensor_conversion_cost"),
+            ]
+            .into_iter()
+            .map(|(file, func)| (file.into(), func.into()))
+            .collect(),
         }
     }
 }

@@ -129,13 +129,6 @@ impl ExecutionPlan {
         &self.evaluation.choice
     }
 
-    /// Stable fingerprint of the plan's four format descriptors — the
-    /// format identity plan caches and persisted artifacts key on
-    /// (independent of the enums' in-memory representation).
-    pub fn choice_fingerprint(&self) -> u64 {
-        self.evaluation.choice.descriptor_fingerprint()
-    }
-
     /// Number of stationary column tiles the plan schedules.
     pub fn tiles(&self) -> usize {
         self.schedule.len()
@@ -167,14 +160,13 @@ impl ExecutionPlan {
         );
         let _ = writeln!(
             out,
-            "  choice     : {}  [{}]  fp 0x{:016x}",
+            "  choice     : {}  [{}]",
             e.choice,
             if self.from_cache {
                 "plan-cache hit"
             } else {
                 "searched"
-            },
-            self.choice_fingerprint()
+            }
         );
         let _ = writeln!(out, "  dataflow   : {}", self.dataflow);
         let _ = writeln!(

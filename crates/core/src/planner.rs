@@ -18,13 +18,13 @@
 //!
 //! [`Planner::plan`] consults the cache (keyed on workload statistics,
 //! the hardware fingerprint and, for a caller-pinned format choice, that
-//! choice's descriptor fingerprint, so config changes invalidate
-//! naturally), runs SAGE only on a miss — the full search, or the one
-//! pinned choice — cuts the stationary operand's column-tile schedule,
-//! and fills the per-tile cycle prediction. [`Planner::execute_plan`] is
-//! the *only* place operands meet the accelerator: the double-buffered
-//! convert∥compute stage machine that every run, monolithic, pipelined
-//! or batched, executes — so they cannot diverge.
+//! choice itself, so config changes invalidate naturally), runs SAGE
+//! only on a miss — the full search, or the one pinned choice — cuts the
+//! stationary operand's column-tile schedule, and fills the per-tile
+//! cycle prediction. [`Planner::execute_plan`] is the *only* place
+//! operands meet the accelerator: the double-buffered convert∥compute
+//! stage machine that every run, monolithic, pipelined or batched,
+//! executes — so they cannot diverge.
 
 use crate::calibrate::{Calibrator, Coefficients};
 use crate::lock_clean;
@@ -62,9 +62,8 @@ pub enum PlanDiscipline {
 
 /// Key identifying a cached plan: the workload statistics SAGE's models
 /// consume, the hardware-configuration fingerprint, and — for pinned
-/// choices — the **format-descriptor fingerprint** of the choice. Equal
-/// keys provably yield equal evaluations. The format half is the stable
-/// descriptor fingerprint, not the enums' in-memory representation.
+/// choices — the choice itself. Equal keys provably yield equal
+/// evaluations, and two different pins never share a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
     kernel: SageKernel,
@@ -80,9 +79,8 @@ struct PlanKey {
     /// so exactly the rows planned under stale coefficients miss and
     /// replan.
     calibration: u64,
-    /// `None` for free-search plans; the choice's
-    /// [`FormatChoice::descriptor_fingerprint`] when pinned.
-    choice: Option<u64>,
+    /// `None` for free-search plans; the pinned choice otherwise.
+    choice: Option<FormatChoice>,
 }
 
 /// Monotonic cache counters (snapshot with [`PlanCache::counters`];
@@ -425,8 +423,8 @@ impl Clone for Planner {
 
 impl Planner {
     /// The cache key for `w` on `sage`'s hardware under the current
-    /// calibration generation, with the pinned choice's fingerprint.
-    fn key(&self, sage: &Sage, w: &SageWorkload, choice: Option<u64>) -> PlanKey {
+    /// calibration generation, with the pinned choice.
+    fn key(&self, sage: &Sage, w: &SageWorkload, choice: Option<FormatChoice>) -> PlanKey {
         PlanKey {
             kernel: w.kernel,
             m: w.m,
@@ -463,11 +461,9 @@ impl Planner {
     ///
     /// With `pin: None`, SAGE searches the full MCF×ACF space and the row
     /// is keyed on the workload. With `Some(choice)`, SAGE evaluates only
-    /// that choice and the row is keyed on the choice's
-    /// [`descriptor_fingerprint`](FormatChoice::descriptor_fingerprint)
-    /// as well, so repeating a pin hits the same row. A pinned choice the
-    /// accelerator cannot execute fails with a typed [`RunError`] and
-    /// caches nothing.
+    /// that choice and the row is keyed on the choice as well, so
+    /// repeating a pin hits the same row. A pinned choice the accelerator
+    /// cannot execute fails with a typed [`RunError`] and caches nothing.
     pub fn plan(
         &self,
         sage: &Sage,
@@ -479,13 +475,13 @@ impl Planner {
     ) -> Result<ExecutionPlan, RunError> {
         let (evaluation, from_cache) = match pin {
             None => self.evaluate_cached(sage, w),
-            Some(choice) => self.cache.get_or_try_insert_with(
-                self.key(sage, w, Some(choice.descriptor_fingerprint())),
-                || {
-                    sage.evaluate(w, choice, ConversionMode::Hardware)
-                        .map_err(RunError::from)
-                },
-            )?,
+            Some(choice) => {
+                self.cache
+                    .get_or_try_insert_with(self.key(sage, w, Some(*choice)), || {
+                        sage.evaluate(w, choice, ConversionMode::Hardware)
+                            .map_err(RunError::from)
+                    })?
+            }
         };
         let mut plan = self.plan_pinned(sage, a, b, *w, evaluation, discipline)?;
         plan.from_cache = from_cache;

@@ -202,9 +202,8 @@ impl<'a> ByteReader<'a> {
 }
 
 /// FNV-1a over a byte slice — the cheap, dependency-free integrity
-/// checksum the wire frames carry (the same family the descriptor
-/// fingerprints use). Not cryptographic; it exists to catch truncation
-/// and accidental corruption, not adversaries.
+/// checksum the wire frames carry. Not cryptographic; it exists to catch
+/// truncation and accidental corruption, not adversaries.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

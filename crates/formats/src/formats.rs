@@ -1,7 +1,8 @@
-//! Format descriptors and dynamically-typed format containers.
+//! Format names and dynamically-typed format containers.
 //!
-//! [`MatrixFormat`] / [`TensorFormat`] are the *names* (plus structural
-//! parameters) that SAGE searches over and MINT converts between;
+//! [`MatrixFormat`] / [`TensorFormat`] name the formats (plus structural
+//! parameters) that SAGE searches over, MINT converts between and the
+//! size and cost models price, one closed-form formula per variant;
 //! [`MatrixData`] / [`TensorData`] hold an actual encoded operand in any of
 //! those formats behind one type, which is what flows through the
 //! accelerator simulator and the conversion pipelines.
@@ -12,7 +13,6 @@ use crate::csc::CscMatrix;
 use crate::csf::CsfTensor;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
-use crate::descriptor::FormatDescriptor;
 use crate::dia::DiaMatrix;
 use crate::ell::EllMatrix;
 use crate::error::FormatError;
@@ -27,9 +27,7 @@ use crate::Value;
 ///
 /// The paper's MCF search space is `{Dense, RLC, ZVC, COO, CSR, CSC}` and
 /// its ACF space is `{Dense, COO, CSR, CSC}` (§VII-A); BSR/DIA/ELL extend
-/// the structured-format coverage flagged as future work in §VI. Each
-/// variant names a per-rank [`FormatDescriptor`] preset
-/// ([`MatrixFormat::descriptor`]), which is what the models charge.
+/// the structured-format coverage flagged as future work in §VI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatrixFormat {
     /// Uncompressed row-major.
@@ -61,13 +59,6 @@ pub enum MatrixFormat {
 }
 
 impl MatrixFormat {
-    /// The per-rank [`FormatDescriptor`] this format is a preset of: the
-    /// enum names the format, the descriptor is what the size, conversion
-    /// and plan-cache models charge (see [`crate::descriptor`]).
-    pub fn descriptor(&self) -> FormatDescriptor {
-        FormatDescriptor::from(*self)
-    }
-
     /// The six MCF choices evaluated in the paper (§VII-A), with default
     /// structural parameters: SAGE's memory-format candidates.
     pub const fn mcf_set() -> [MatrixFormat; 6] {
@@ -153,12 +144,6 @@ pub enum TensorFormat {
 }
 
 impl TensorFormat {
-    /// The per-rank [`FormatDescriptor`] this format is a preset of (see
-    /// [`MatrixFormat::descriptor`]).
-    pub fn descriptor(&self) -> FormatDescriptor {
-        FormatDescriptor::from(*self)
-    }
-
     /// Tensor MCF choices used in the Table III tensor rows.
     pub const fn mcf_set() -> [TensorFormat; 5] {
         [
@@ -200,6 +185,15 @@ impl std::fmt::Display for TensorFormat {
     }
 }
 
+/// An RLC run field counts zeros in a `u64` and the encoders compute
+/// `1 << run_bits`, so fields wider than 63 bits are rejected.
+fn checked_run_bits(run_bits: u32) -> Result<u32, FormatError> {
+    if run_bits > 63 {
+        return Err(FormatError::Unsupported("RLC run field wider than 63 bits"));
+    }
+    Ok(run_bits)
+}
+
 /// A matrix operand encoded in any supported format.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatrixData {
@@ -224,28 +218,14 @@ pub enum MatrixData {
 }
 
 impl MatrixData {
-    /// The canonical per-rank descriptor of this payload (see
-    /// [`crate::descriptor`]).
-    pub fn descriptor(&self) -> FormatDescriptor {
-        FormatDescriptor::from(self.format())
-    }
-
     /// Value slots this encoding physically stores, padding and explicit
-    /// zeros included — the **one** place the BSR/DIA/ELL (and Dense/RLC)
-    /// explicit-zero accounting lives. Always `>=` [`Self::logical_nnz`];
-    /// equal for the compact encodings (COO/CSR/CSC/ZVC).
-    #[expect(
-        clippy::expect_used,
-        reason = "every preset descriptor has a size model"
-    )]
+    /// zeros included — the value-slot count of the size model's formula,
+    /// so the BSR/DIA/ELL (and Dense/RLC) explicit-zero accounting lives
+    /// in one place. Always `>=` [`Self::logical_nnz`]; equal for the
+    /// compact encodings (COO/CSR/CSC/ZVC).
     pub fn stored_elements(&self) -> u64 {
-        crate::size_model::descriptor_matrix_bits(
-            &self.descriptor(),
-            &crate::size_model::MatrixStructure::exact(self),
-            crate::dtype::DataType::Fp32, // slot counts are dtype-independent
-        )
-        .expect("every preset descriptor has a size model")
-        .stored_elements
+        let structure = crate::size_model::MatrixStructure::exact(self);
+        crate::size_model::matrix_charge(&self.format(), &structure).1
     }
 
     /// Stored nonzeros — the [`SparseMatrix::nnz`] contract (explicit
@@ -299,7 +279,9 @@ impl MatrixData {
             MatrixFormat::Bsr { br, bc } => MatrixData::Bsr(BsrMatrix::from_coo(coo, br, bc)?),
             MatrixFormat::Dia => MatrixData::Dia(DiaMatrix::from_coo(coo)),
             MatrixFormat::Ell => MatrixData::Ell(EllMatrix::from_coo(coo)),
-            MatrixFormat::Rlc { run_bits } => MatrixData::Rlc(RlcMatrix::from_coo(coo, run_bits)),
+            MatrixFormat::Rlc { run_bits } => {
+                MatrixData::Rlc(RlcMatrix::from_coo(coo, checked_run_bits(run_bits)?))
+            }
             MatrixFormat::Zvc => MatrixData::Zvc(ZvcMatrix::from_coo(coo)),
         })
     }
@@ -350,11 +332,6 @@ pub enum TensorData {
 }
 
 impl TensorData {
-    /// The canonical per-rank descriptor of this payload.
-    pub fn descriptor(&self) -> FormatDescriptor {
-        FormatDescriptor::from(self.format())
-    }
-
     /// The named format of this payload.
     pub fn format(&self) -> TensorFormat {
         match self {
@@ -388,7 +365,9 @@ impl TensorData {
             TensorFormat::Coo => TensorData::Coo(coo.clone()),
             TensorFormat::Csf => TensorData::Csf(CsfTensor::from_coo(coo)),
             TensorFormat::HiCoo { block } => TensorData::HiCoo(HiCooTensor::from_coo(coo, block)?),
-            TensorFormat::Rlc { run_bits } => TensorData::Rlc(RlcTensor3::from_coo(coo, run_bits)),
+            TensorFormat::Rlc { run_bits } => {
+                TensorData::Rlc(RlcTensor3::from_coo(coo, checked_run_bits(run_bits)?))
+            }
             TensorFormat::Zvc => TensorData::Zvc(ZvcTensor3::from_coo(coo)),
         })
     }
@@ -479,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn format_descriptor_carries_params() {
+    fn format_carries_params() {
         let coo = sample_coo();
         let b = MatrixData::encode(&coo, &MatrixFormat::Bsr { br: 3, bc: 2 }).unwrap();
         assert_eq!(b.format(), MatrixFormat::Bsr { br: 3, bc: 2 });

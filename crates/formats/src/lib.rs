@@ -80,7 +80,6 @@ pub mod csc;
 pub mod csf;
 pub mod csr;
 pub mod dense;
-pub mod descriptor;
 pub mod dia;
 pub mod dtype;
 pub mod ell;
@@ -106,7 +105,6 @@ pub use csc::CscMatrix;
 pub use csf::CsfTensor;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use descriptor::{FormatDescriptor, Level, RankOrder, ValuesLayout};
 pub use dia::DiaMatrix;
 pub use dtype::DataType;
 pub use ell::EllMatrix;

@@ -1,19 +1,15 @@
-//! Storage-size (compactness) model — §III-A of the paper — computed
-//! **generically from per-rank level descriptors**.
+//! Storage-size (compactness) model — §III-A of the paper.
 //!
-//! The model charges each rank of a [`FormatDescriptor`] for the
-//! metadata its [`Level`] keeps (coordinate arrays, offset/pointer
-//! arrays, presence bitmasks, run fields) and the values for their
-//! [`ValuesLayout`] (contiguous, padded fibers, dense blocks); the sum
-//! over ranks is the footprint. The legacy per-format entry points
-//! ([`matrix_storage_bits`], [`tensor_storage_bits`],
-//! [`matrix_storage_bits_exact`]) are thin wrappers that translate the
-//! enum to its descriptor — they are pinned **bit-identical** to the
-//! paper's closed-form per-format formulas by the
-//! `tests/descriptor_properties.rs` suite, so nothing downstream (SAGE's
-//! cost model, the Fig. 4 sweeps, the Table III selections) moves.
+//! Each format is charged the metadata its layout keeps (coordinate
+//! arrays, offset/pointer arrays, presence bitmasks, run fields) plus one
+//! [`DataType`]-wide slot per stored value, padding and explicit zeros
+//! included. There is one closed-form formula per [`MatrixFormat`] /
+//! [`TensorFormat`] variant. `tests/size_model_properties.rs` pins them
+//! **bit-identical** to an independent copy of the paper's per-format
+//! formulas, so nothing downstream (SAGE's cost model, the Fig. 4
+//! sweeps, the Table III selections) moves.
 //!
-//! Two structure sources feed the per-level quantities:
+//! Two structure sources feed the matrix formulas:
 //!
 //! 1. **Analytic** ([`MatrixStructure::analytic`]): closed-form expected
 //!    counts (occupied blocks, diagonals, ELL width, RLC entries) under
@@ -27,9 +23,7 @@
 //! every element the [`DataType`] width.
 
 use crate::ceil_log2;
-use crate::descriptor::{FormatDescriptor, Level, RankOrder, ValuesLayout};
 use crate::dtype::DataType;
-use crate::error::FormatError;
 use crate::formats::{MatrixData, MatrixFormat, TensorFormat};
 use crate::traits::SparseMatrix;
 
@@ -95,7 +89,7 @@ pub fn ell_expected_width(rows: usize, cols: usize, nnz: usize) -> u64 {
     width.min(k)
 }
 
-/// The per-operand structural quantities the level model consumes.
+/// The per-operand structural quantities the matrix formulas consume.
 /// `None` fields fall back to the analytic (uniform-random) estimates;
 /// [`MatrixStructure::exact`] fills them from a real payload instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,19 +100,19 @@ pub struct MatrixStructure {
     pub cols: usize,
     /// Stored nonzeros.
     pub nnz: usize,
-    /// Occupied blocks (blocked outer ranks).
+    /// Occupied blocks (BSR).
     pub blocks: Option<u64>,
-    /// Occupied diagonals (diagonal rank order).
+    /// Occupied diagonals (DIA).
     pub diagonals: Option<u64>,
-    /// Padded row width (padded-fiber singleton ranks).
+    /// Padded row width (ELL).
     pub ell_width: Option<u64>,
     /// Stored run-length entries, extension entries included.
     pub rlc_entries: Option<u64>,
 }
 
 impl MatrixStructure {
-    /// A structure with only `(dims, nnz)` known — every level quantity
-    /// uses its analytic uniform-random estimate.
+    /// A structure with only `(dims, nnz)` known — every count uses its
+    /// analytic uniform-random estimate.
     pub fn analytic(rows: usize, cols: usize, nnz: usize) -> Self {
         MatrixStructure {
             rows,
@@ -128,8 +122,8 @@ impl MatrixStructure {
         }
     }
 
-    /// Measure the structure of an actual encoded payload, so the level
-    /// model charges real block/diagonal/width/run counts.
+    /// Measure the structure of an actual encoded payload, so the
+    /// formulas charge real block/diagonal/width/run counts.
     pub fn exact(data: &MatrixData) -> Self {
         let mut s = MatrixStructure::analytic(data.rows(), data.cols(), data.nnz());
         match data {
@@ -149,192 +143,54 @@ impl MatrixStructure {
     }
 }
 
-/// One rank's metadata charges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankCharge {
-    /// The level this rank is encoded with.
-    pub level: Level,
-    /// Bits in explicit coordinate arrays.
-    pub coord_bits: u64,
-    /// Bits in offset/pointer arrays delimiting parent fibers.
-    pub ptr_bits: u64,
-    /// Bits in presence bitmasks.
-    pub mask_bits: u64,
-    /// Bits in run-length fields.
-    pub run_bits: u64,
-}
-
-impl RankCharge {
-    fn new(level: Level) -> Self {
-        RankCharge {
-            level,
-            coord_bits: 0,
-            ptr_bits: 0,
-            mask_bits: 0,
-            run_bits: 0,
-        }
-    }
-
-    /// All metadata bits this rank charges.
-    pub fn metadata_bits(&self) -> u64 {
-        self.coord_bits + self.ptr_bits + self.mask_bits + self.run_bits
-    }
-}
-
-/// A descriptor-sized footprint, broken down by rank — what
-/// `ExecutionPlan::explain` and the compactness exhibits render.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SizeBreakdown {
-    /// Per-rank metadata charges, outermost first.
-    pub ranks: Vec<RankCharge>,
-    /// Bits spent on stored value slots (padding included).
-    pub values_bits: u64,
-    /// Value slots stored (≥ nnz for padded/blocked/run layouts).
-    pub stored_elements: u64,
-}
-
-impl SizeBreakdown {
-    /// Total footprint in bits.
-    pub fn total(&self) -> u64 {
-        self.ranks
-            .iter()
-            .map(RankCharge::metadata_bits)
-            .sum::<u64>()
-            + self.values_bits
-    }
-
-    /// Metadata share of the footprint (0 for dense).
-    pub fn metadata_bits(&self) -> u64 {
-        self.total() - self.values_bits
-    }
-}
-
-/// Extents of the two matrix ranks under the descriptor's traversal
-/// order (`Diagonal` enumerates the `rows + cols` signed offsets
-/// outermost, full-length `rows` strips innermost).
-fn matrix_extents(order: RankOrder, rows: u64, cols: u64) -> (u64, u64) {
-    match order {
-        RankOrder::RowMajor => (rows, cols),
-        RankOrder::ColMajor => (cols, rows),
-        RankOrder::Diagonal => (rows + cols, rows),
-    }
-}
-
-/// Size a matrix descriptor from per-rank level metadata — the generic
-/// model every matrix entry point delegates to. Returns the per-rank
-/// breakdown; unsupported level compositions yield an error rather than
-/// a guess.
-pub fn descriptor_matrix_bits(
-    desc: &FormatDescriptor,
-    s: &MatrixStructure,
-    dtype: DataType,
-) -> Result<SizeBreakdown, FormatError> {
-    use Level as L;
+/// Metadata bits and stored value slots of a matrix in `format` with
+/// structure `s`: the one per-format formula behind every matrix entry
+/// point and [`MatrixData::stored_elements`]. Value slots count padding
+/// and explicit zeros (every Dense slot, BSR blocks, DIA strips, ELL
+/// rows, RLC extension entries).
+pub(crate) fn matrix_charge(format: &MatrixFormat, s: &MatrixStructure) -> (u64, u64) {
     let (m, k, n) = (s.rows as u64, s.cols as u64, s.nnz as u64);
     let total = m * k;
-    let b = dtype.bits();
-    let (e0, e1) = matrix_extents(desc.order, m, k);
     let lg = |x: u64| u64::from(ceil_log2(x));
-
-    let mut ranks: Vec<RankCharge> = desc.levels.iter().map(|&l| RankCharge::new(l)).collect();
-    let values_slots: u64;
-
-    match (desc.levels.as_slice(), desc.values) {
-        // ---- uncompressed (Dense) ----------------------------------------
-        ([L::Uncompressed, L::Uncompressed], ValuesLayout::Contiguous) => {
-            values_slots = total;
-        }
-        // ---- linearized single-rank encodings (RLC / ZVC) ---------------
-        ([L::RunLength { run_bits }], ValuesLayout::Contiguous) => {
-            let entries = s
-                .rlc_entries
-                .unwrap_or_else(|| rlc_expected_entries(total, n, *run_bits));
-            ranks[0].run_bits = entries * u64::from(*run_bits);
-            values_slots = entries;
-        }
-        ([L::Bitmask], ValuesLayout::Contiguous) => {
-            ranks[0].mask_bits = total;
-            values_slots = n;
-        }
-        // ---- coordinate pairs (COO) -------------------------------------
-        ([L::Singleton, L::Singleton], ValuesLayout::Contiguous) => {
-            ranks[0].coord_bits = n * lg(e0);
-            ranks[1].coord_bits = n * lg(e1);
-            values_slots = n;
-        }
-        // ---- offset-compressed inner rank (CSR / CSC) --------------------
-        ([L::Uncompressed, L::CompressedOffsets], ValuesLayout::Contiguous) => {
-            ranks[1].ptr_bits = (e0 + 1) * lg(n + 1);
-            ranks[1].coord_bits = n * lg(e1);
-            values_slots = n;
-        }
-        // ---- blocked outer rank (BSR) -----------------------------------
-        ([L::Blocked { br, bc }, L::CompressedOffsets], ValuesLayout::DenseBlocks) => {
+    match *format {
+        MatrixFormat::Dense => (0, total),
+        MatrixFormat::Coo => (n * lg(m) + n * lg(k), n),
+        // Offsets over the outer rank, one coordinate per nonzero.
+        MatrixFormat::Csr => ((m + 1) * lg(n + 1) + n * lg(k), n),
+        MatrixFormat::Csc => ((k + 1) * lg(n + 1) + n * lg(m), n),
+        MatrixFormat::Bsr { br, bc } => {
             let blocks = s
                 .blocks
-                .unwrap_or_else(|| bsr_expected_blocks(s.rows, s.cols, s.nnz, *br, *bc));
-            let nbr = s.rows.div_ceil(*br) as u64;
-            let nbc = s.cols.div_ceil(*bc) as u64;
-            ranks[1].coord_bits = blocks * lg(nbc);
-            ranks[1].ptr_bits = (nbr + 1) * lg(blocks + 1);
-            values_slots = blocks * (*br * *bc) as u64;
+                .unwrap_or_else(|| bsr_expected_blocks(s.rows, s.cols, s.nnz, br, bc));
+            let nbr = s.rows.div_ceil(br) as u64;
+            let nbc = s.cols.div_ceil(bc) as u64;
+            (
+                blocks * lg(nbc) + (nbr + 1) * lg(blocks + 1),
+                blocks * (br * bc) as u64,
+            )
         }
-        // ---- padded fibers with explicit fiber coords (DIA) -------------
-        ([L::Singleton, L::Uncompressed], ValuesLayout::PaddedFibers) => {
-            let fibers = s
+        // One signed-offset coordinate per stored diagonal; each diagonal
+        // is a full `rows`-long strip.
+        MatrixFormat::Dia => {
+            let diagonals = s
                 .diagonals
                 .unwrap_or_else(|| dia_expected_diagonals(s.rows, s.cols, s.nnz));
-            ranks[0].coord_bits = fibers * lg(e0);
-            values_slots = fibers * e1;
+            (diagonals * lg(m + k), diagonals * m)
         }
-        // ---- uniform padded rows with per-slot coords (ELL) -------------
-        ([L::Uncompressed, L::Singleton], ValuesLayout::PaddedFibers) => {
+        // Every row padded to one width, a column id per slot.
+        MatrixFormat::Ell => {
             let width = s
                 .ell_width
                 .unwrap_or_else(|| ell_expected_width(s.rows, s.cols, s.nnz));
-            ranks[1].coord_bits = e0 * width * lg(e1);
-            values_slots = e0 * width;
+            (m * width * lg(k), m * width)
         }
-        _ => {
-            return Err(FormatError::Unsupported(
-                "level composition has no size model",
-            ))
+        MatrixFormat::Rlc { run_bits } => {
+            let entries = s
+                .rlc_entries
+                .unwrap_or_else(|| rlc_expected_entries(total, n, run_bits));
+            (entries * u64::from(run_bits), entries)
         }
-    }
-
-    Ok(SizeBreakdown {
-        ranks,
-        values_bits: values_slots * b,
-        stored_elements: values_slots,
-    })
-}
-
-/// Tensor structural quantities (the 3-D analogue of
-/// [`MatrixStructure`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TensorStructure {
-    /// Tensor shape.
-    pub dims: (usize, usize, usize),
-    /// Stored nonzeros.
-    pub nnz: usize,
-    /// Occupied x-slices (CSF top rank).
-    pub slices: Option<u64>,
-    /// Occupied (x, y) fibers (CSF middle rank).
-    pub fibers: Option<u64>,
-    /// Occupied cubic blocks (HiCOO outer rank).
-    pub blocks: Option<u64>,
-    /// Stored run-length entries, extension entries included.
-    pub rlc_entries: Option<u64>,
-}
-
-impl TensorStructure {
-    /// A structure with only `(dims, nnz)` known.
-    pub fn analytic(dims: (usize, usize, usize), nnz: usize) -> Self {
-        TensorStructure {
-            dims,
-            nnz,
-            ..Default::default()
-        }
+        MatrixFormat::Zvc => (total, n),
     }
 }
 
@@ -375,99 +231,10 @@ pub fn hicoo_expected_blocks(dims: (usize, usize, usize), nnz: usize, block: usi
     (nb * p).ceil() as u64
 }
 
-/// Size a 3-D tensor descriptor from per-rank level metadata.
-pub fn descriptor_tensor_bits(
-    desc: &FormatDescriptor,
-    s: &TensorStructure,
-    dtype: DataType,
-) -> Result<SizeBreakdown, FormatError> {
-    use Level as L;
-    let (x, y, z) = (s.dims.0 as u64, s.dims.1 as u64, s.dims.2 as u64);
-    let n = s.nnz as u64;
-    let total = x * y * z;
-    let b = dtype.bits();
-    let lg = |v: u64| u64::from(ceil_log2(v));
-
-    let mut ranks: Vec<RankCharge> = desc.levels.iter().map(|&l| RankCharge::new(l)).collect();
-    let values_slots: u64;
-
-    match (desc.levels.as_slice(), desc.values) {
-        ([L::Uncompressed, L::Uncompressed, L::Uncompressed], ValuesLayout::Contiguous) => {
-            values_slots = total;
-        }
-        ([L::Singleton, L::Singleton, L::Singleton], ValuesLayout::Contiguous) => {
-            ranks[0].coord_bits = n * lg(x);
-            ranks[1].coord_bits = n * lg(y);
-            ranks[2].coord_bits = n * lg(z);
-            values_slots = n;
-        }
-        (
-            [L::CompressedOffsets, L::CompressedOffsets, L::CompressedOffsets],
-            ValuesLayout::Contiguous,
-        ) => {
-            let slices = s
-                .slices
-                .unwrap_or_else(|| csf_expected_slices(s.dims, s.nnz));
-            let fibers = s
-                .fibers
-                .unwrap_or_else(|| csf_expected_fibers(s.dims, s.nnz));
-            // The outermost compressed rank stores only its coordinate
-            // list (the stored-slice count is a header quantity); each
-            // inner compressed rank additionally keeps the offsets array
-            // delimiting its parent's fibers.
-            ranks[0].coord_bits = slices * lg(x);
-            ranks[1].ptr_bits = (slices + 1) * lg(fibers + 1);
-            ranks[1].coord_bits = fibers * lg(y);
-            ranks[2].ptr_bits = (fibers + 1) * lg(n + 1);
-            ranks[2].coord_bits = n * lg(z);
-            values_slots = n;
-        }
-        ([L::Blocked { br, bc }, L::Singleton], ValuesLayout::Contiguous) if br == bc => {
-            let bl = *br as u64;
-            let blocks = s
-                .blocks
-                .unwrap_or_else(|| hicoo_expected_blocks(s.dims, s.nnz, *br));
-            let bbits = lg(x.div_ceil(bl)) + lg(y.div_ceil(bl)) + lg(z.div_ceil(bl));
-            ranks[0].coord_bits = blocks * bbits;
-            ranks[0].ptr_bits = (blocks + 1) * lg(n + 1);
-            ranks[1].coord_bits = n * 3 * lg(bl);
-            values_slots = n;
-        }
-        ([L::RunLength { run_bits }], ValuesLayout::Contiguous) => {
-            let entries = s
-                .rlc_entries
-                .unwrap_or_else(|| rlc_expected_entries(total, n, *run_bits));
-            ranks[0].run_bits = entries * u64::from(*run_bits);
-            values_slots = entries;
-        }
-        ([L::Bitmask], ValuesLayout::Contiguous) => {
-            ranks[0].mask_bits = total;
-            values_slots = n;
-        }
-        _ => {
-            return Err(FormatError::Unsupported(
-                "level composition has no tensor size model",
-            ))
-        }
-    }
-
-    Ok(SizeBreakdown {
-        ranks,
-        values_bits: values_slots * b,
-        stored_elements: values_slots,
-    })
-}
-
 /// Analytic storage size in bits of a matrix with the given shape/nnz in
 /// the given format, assuming uniformly random nonzero positions.
 ///
 /// `rows x cols` with `nnz` stored nonzeros and element type `dtype`.
-/// Thin wrapper over [`descriptor_matrix_bits`] via the format's
-/// [`FormatDescriptor`].
-#[expect(
-    clippy::expect_used,
-    reason = "every preset descriptor has a size model"
-)]
 pub fn matrix_storage_bits(
     format: &MatrixFormat,
     rows: usize,
@@ -475,48 +242,64 @@ pub fn matrix_storage_bits(
     nnz: usize,
     dtype: DataType,
 ) -> u64 {
-    descriptor_matrix_bits(
-        &FormatDescriptor::from(*format),
-        &MatrixStructure::analytic(rows, cols, nnz),
-        dtype,
-    )
-    .expect("every preset descriptor has a size model")
-    .total()
+    let (metadata, slots) = matrix_charge(format, &MatrixStructure::analytic(rows, cols, nnz));
+    metadata + slots * dtype.bits()
 }
 
 /// Exact storage size in bits of an encoded matrix payload: the same
-/// level model fed with the payload's measured structure
+/// formula fed with the payload's measured structure
 /// ([`MatrixStructure::exact`]).
-#[expect(
-    clippy::expect_used,
-    reason = "every preset descriptor has a size model"
-)]
 pub fn matrix_storage_bits_exact(data: &MatrixData, dtype: DataType) -> u64 {
-    descriptor_matrix_bits(&data.descriptor(), &MatrixStructure::exact(data), dtype)
-        .expect("every preset descriptor has a size model")
-        .total()
+    let (metadata, slots) = matrix_charge(&data.format(), &MatrixStructure::exact(data));
+    metadata + slots * dtype.bits()
 }
 
 /// Analytic storage size in bits of a 3-D tensor in the given format,
-/// assuming uniformly random nonzero positions. Thin wrapper over
-/// [`descriptor_tensor_bits`].
-#[expect(
-    clippy::expect_used,
-    reason = "every tensor preset descriptor has a size model"
-)]
+/// assuming uniformly random nonzero positions.
 pub fn tensor_storage_bits(
     format: &TensorFormat,
     dims: (usize, usize, usize),
     nnz: usize,
     dtype: DataType,
 ) -> u64 {
-    descriptor_tensor_bits(
-        &FormatDescriptor::from(*format),
-        &TensorStructure::analytic(dims, nnz),
-        dtype,
-    )
-    .expect("every tensor preset descriptor has a size model")
-    .total()
+    let (x, y, z) = (dims.0 as u64, dims.1 as u64, dims.2 as u64);
+    let n = nnz as u64;
+    let total = x * y * z;
+    let lg = |v: u64| u64::from(ceil_log2(v));
+    let (metadata, slots) = match *format {
+        TensorFormat::Dense => (0, total),
+        TensorFormat::Coo => (n * lg(x) + n * lg(y) + n * lg(z), n),
+        TensorFormat::Csf => {
+            let slices = csf_expected_slices(dims, nnz);
+            let fibers = csf_expected_fibers(dims, nnz);
+            // The x rank stores only its coordinate list (the stored-slice
+            // count is a header quantity); the y and z ranks each also
+            // keep the offsets delimiting their parent's fibers.
+            (
+                slices * lg(x)
+                    + (slices + 1) * lg(fibers + 1)
+                    + fibers * lg(y)
+                    + (fibers + 1) * lg(n + 1)
+                    + n * lg(z),
+                n,
+            )
+        }
+        TensorFormat::HiCoo { block } => {
+            let bl = block as u64;
+            let blocks = hicoo_expected_blocks(dims, nnz, block);
+            let bbits = lg(x.div_ceil(bl)) + lg(y.div_ceil(bl)) + lg(z.div_ceil(bl));
+            (
+                blocks * bbits + (blocks + 1) * lg(n + 1) + n * 3 * lg(bl),
+                n,
+            )
+        }
+        TensorFormat::Rlc { run_bits } => {
+            let entries = rlc_expected_entries(total, n, run_bits);
+            (entries * u64::from(run_bits), entries)
+        }
+        TensorFormat::Zvc => (total, n),
+    };
+    metadata + slots * dtype.bits()
 }
 
 /// Convenience: analytic size in **bytes** (rounded up).
@@ -534,7 +317,6 @@ pub fn matrix_storage_bytes(
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
-    use crate::descriptor::{Level, RankOrder, ValuesLayout};
 
     const FP32: DataType = DataType::Fp32;
 
@@ -715,35 +497,5 @@ mod tests {
             matrix_storage_bytes(&MatrixFormat::Coo, 3, 3, 1, DataType::Int8),
             bits.div_ceil(8)
         );
-    }
-
-    #[test]
-    fn breakdown_attributes_metadata_to_the_right_rank() {
-        // CSR: all pointer bits on the inner rank, no outer metadata.
-        let s = MatrixStructure::analytic(100, 200, 1_000);
-        let bd = descriptor_matrix_bits(&FormatDescriptor::csr(), &s, FP32).unwrap();
-        assert_eq!(bd.ranks[0].metadata_bits(), 0);
-        assert_eq!(bd.ranks[1].ptr_bits, 101 * u64::from(ceil_log2(1_001)));
-        assert_eq!(bd.ranks[1].coord_bits, 1_000 * u64::from(ceil_log2(200)));
-        assert_eq!(bd.values_bits, 1_000 * 32);
-        assert_eq!(
-            bd.total(),
-            matrix_storage_bits(&MatrixFormat::Csr, 100, 200, 1_000, FP32)
-        );
-        // ZVC: a single bitmask rank.
-        let bd = descriptor_matrix_bits(&FormatDescriptor::zvc(), &s, FP32).unwrap();
-        assert_eq!(bd.ranks[0].mask_bits, 100 * 200);
-        assert_eq!(bd.metadata_bits(), 100 * 200);
-    }
-
-    #[test]
-    fn unsupported_compositions_error_instead_of_guessing() {
-        let bad = FormatDescriptor::new(
-            RankOrder::RowMajor,
-            vec![Level::Singleton, Level::CompressedOffsets],
-            ValuesLayout::Contiguous,
-        );
-        let s = MatrixStructure::analytic(10, 10, 5);
-        assert!(descriptor_matrix_bits(&bad, &s, FP32).is_err());
     }
 }

@@ -19,7 +19,7 @@ pub trait SparseMatrix {
     /// DIA, ELL) may store explicit zeros; those are never counted here.
     /// The physical slot count lives in one place:
     /// `MatrixData::stored_elements()` (vs `MatrixData::logical_nnz()`),
-    /// computed from the format's per-rank descriptor.
+    /// the value-slot count of the size model's per-format formula.
     fn nnz(&self) -> usize;
     /// Random-access read of element `(row, col)`; zero if not stored.
     fn get(&self, row: usize, col: usize) -> Value;

@@ -6,14 +6,15 @@
 //! Unlike [`crate::engine`], which meters an actual conversion, this
 //! module predicts cycles and energy from `(dims, nnz, formats)` only, so
 //! SAGE can search format spaces for workloads too large to materialize.
-//! The model mirrors the engine's charging rules; tests cross-validate
-//! the two on random operands.
+//! Each stage's traffic is one match over the source and destination
+//! [`MatrixFormat`] / [`TensorFormat`]. The model mirrors the engine's
+//! charging rules; tests cross-validate the two on random operands and
+//! pin the matrix model bit-for-bit against a reference copy.
 
 use crate::blocks::{E_DIVMOD_OP, E_MEMCTRL_OP, E_SMALL_OP};
 use crate::engine::ConversionEngine;
-use sparseflex_formats::descriptor::Level;
-use sparseflex_formats::size_model::rlc_expected_entries;
-use sparseflex_formats::{FormatDescriptor, MatrixFormat, RankOrder, TensorFormat};
+use sparseflex_formats::size_model::{bsr_expected_blocks, rlc_expected_entries};
+use sparseflex_formats::{MatrixFormat, TensorFormat};
 
 /// Predicted cost of one conversion.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -42,123 +43,46 @@ impl ConversionCost {
     }
 }
 
-/// Elements a descriptor must stream through the converter for an
+/// Elements a format must stream through the converter for an
 /// `rows x cols` matrix with `nnz` nonzeros (values + metadata, in
-/// element slots), derived from its level structure: coordinate ranks
-/// stream one slot per stored coordinate, offsets ranks their pointer
-/// array, bitmask ranks one slot per 32 mask bits, padded layouts the
-/// full dense payload (conservative upper bound).
-fn stream_slots(desc: &FormatDescriptor, rows: usize, cols: usize, nnz: u64) -> u64 {
-    use Level as L;
+/// element slots): coordinate formats stream one slot per stored
+/// coordinate, CSR/CSC their pointer array, BSR its dense blocks, ZVC
+/// one slot per 32 mask bits, and the padded stores (DIA strips, ELL
+/// rows) the full dense payload (conservative upper bound).
+fn stream_slots(fmt: &MatrixFormat, rows: usize, cols: usize, nnz: u64) -> u64 {
     let total = rows as u64 * cols as u64;
-    match (desc.levels.as_slice(), desc.order) {
-        ([L::Uncompressed, L::Uncompressed], _) => total,
-        ([L::Singleton, L::Singleton], _) => 3 * nnz,
-        ([L::Uncompressed, L::CompressedOffsets], RankOrder::RowMajor) => 2 * nnz + rows as u64 + 1,
-        ([L::Uncompressed, L::CompressedOffsets], RankOrder::ColMajor) => 2 * nnz + cols as u64 + 1,
-        ([L::RunLength { run_bits }], _) => 2 * rlc_expected_entries(total, nnz, *run_bits),
-        ([L::Bitmask], _) => total.div_ceil(32) + nnz,
-        ([L::Blocked { br, bc }, L::CompressedOffsets], _) => {
-            let blocks = sparseflex_formats::size_model::bsr_expected_blocks(
-                rows,
-                cols,
-                nnz as usize,
-                *br,
-                *bc,
-            );
-            blocks * (*br * *bc) as u64 + blocks + rows.div_ceil(*br) as u64 + 1
+    match *fmt {
+        MatrixFormat::Dense | MatrixFormat::Dia | MatrixFormat::Ell => total,
+        MatrixFormat::Coo => 3 * nnz,
+        MatrixFormat::Csr => 2 * nnz + rows as u64 + 1,
+        MatrixFormat::Csc => 2 * nnz + cols as u64 + 1,
+        MatrixFormat::Rlc { run_bits } => 2 * rlc_expected_entries(total, nnz, run_bits),
+        MatrixFormat::Zvc => total.div_ceil(32) + nnz,
+        MatrixFormat::Bsr { br, bc } => {
+            let blocks = bsr_expected_blocks(rows, cols, nnz as usize, br, bc);
+            blocks * (br * bc) as u64 + blocks + rows.div_ceil(br) as u64 + 1
         }
-        // Padded stores (DIA strips, ELL rows) scale with their padded
-        // payloads; approximate with the dense stream.
-        _ => total,
     }
 }
 
-/// Divide/mod is needed only when recovering explicit coordinates from a
-/// flat stream (no rank of the source stores coordinates, some rank of
-/// the destination does), or when computing block positions for a
-/// blocked destination rank. Flat -> flat re-encodes (e.g. ZVC -> Dense)
-/// are pure expand/compact passes; coordinate -> flat needs only
-/// multiply-adds.
-fn needs_divmod(src: &FormatDescriptor, dst: &FormatDescriptor) -> bool {
-    (src.is_flat() && !dst.is_flat()) || dst.has_blocked_rank()
+/// True when positions are implicit in the stream order (Dense, RLC,
+/// ZVC): no coordinates are stored, so decoding needs no divide/mod.
+fn is_flat(fmt: &MatrixFormat) -> bool {
+    matches!(
+        fmt,
+        MatrixFormat::Dense | MatrixFormat::Rlc { .. } | MatrixFormat::Zvc
+    )
 }
 
-/// Does decoding/encoding this descriptor require the sorter? A
-/// column-major rank order must be regrouped into (or produced from) the
-/// row-major stream — the coordinate-order change MINT's sorter network
-/// handles (Fig. 8c).
-fn needs_sorter(desc: &FormatDescriptor) -> bool {
-    desc.order == RankOrder::ColMajor
-}
-
-/// Scan-stage traffic for decoding the source: uncompressed and bitmask
-/// linearized ranks scan the whole payload/bitmap; everything else
-/// rebuilds one pointer array.
-fn scan_items(src: &FormatDescriptor, rows: usize, cols: usize) -> u64 {
-    use Level as L;
-    let total = rows as u64 * cols as u64;
-    match src.levels.as_slice() {
-        [L::Uncompressed, L::Uncompressed] | [L::Uncompressed] => total,
-        [L::Bitmask] => total.div_ceil(32),
-        _ => (rows.max(cols) as u64) + 1,
-    }
-}
-
-/// The MINT hardware blocks a descriptor delta engages — the
-/// block-level rendering of a conversion plan. Each variant maps to a
-/// module of [`crate::blocks`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ConverterBlock {
-    /// Streams operand slots in and out ([`crate::blocks::memctrl`]).
-    MemoryController,
-    /// Rebuilds offset/pointer arrays and scans flat payloads
-    /// ([`crate::blocks::prefix_sum`]).
-    PrefixSum,
-    /// Regroups coordinates across a rank-order change
-    /// ([`crate::blocks::sorter`]).
-    Sorter,
-    /// Recovers explicit coordinates from flat streams and computes
-    /// block positions ([`crate::blocks::divmod`]).
-    DividerModulo,
-    /// Populates and pops presence bitmasks
-    /// ([`crate::blocks::counter`]).
-    Counter,
-}
-
-/// Which hardware blocks converting `src` to `dst` engages, derived
-/// from the descriptor delta: prefix-sum for offsets ranks, the sorter
-/// for coordinate-order changes, divide/mod for coordinate recovery and
-/// blocked ranks, the counter for bitmask ranks. Identity conversions
-/// engage nothing.
-pub fn required_blocks(src: &FormatDescriptor, dst: &FormatDescriptor) -> Vec<ConverterBlock> {
-    if src == dst {
-        return Vec::new();
-    }
-    let mut blocks = vec![ConverterBlock::MemoryController, ConverterBlock::PrefixSum];
-    if needs_sorter(src) || needs_sorter(dst) {
-        blocks.push(ConverterBlock::Sorter);
-    }
-    if needs_divmod(src, dst) {
-        blocks.push(ConverterBlock::DividerModulo);
-    }
-    if src.has_bitmask_rank() || dst.has_bitmask_rank() {
-        blocks.push(ConverterBlock::Counter);
-    }
-    blocks
-}
-
-/// Predict the MINT cost of converting a matrix between two format
-/// **descriptors** — the canonical costing path; the
-/// [`conversion_cost`] enum entry point is a thin wrapper over this.
+/// Predict the MINT cost of converting a matrix from `src` to `dst`.
 ///
 /// The conversion is pipelined against the DRAM stream, so the returned
 /// cycle count is the bottleneck-stage occupancy: the memory controller
 /// moving `in + out` slots, the divide/mod array (8 elements/cycle), or
 /// the scan/sort stages (16-32 elements/cycle) — whichever is slowest.
-pub fn descriptor_conversion_cost(
-    src: &FormatDescriptor,
-    dst: &FormatDescriptor,
+pub fn conversion_cost(
+    src: &MatrixFormat,
+    dst: &MatrixFormat,
     rows: usize,
     cols: usize,
     nnz: u64,
@@ -172,17 +96,29 @@ pub fn descriptor_conversion_cost(
 
     // Stage occupancies.
     let mem_cycles = engine.memctrl.cycles(in_slots + out_slots);
-    let divmod_items = if needs_divmod(src, dst) { nnz } else { 0 };
+    // Divide/mod recovers explicit coordinates from a flat stream and
+    // computes BSR block positions. Flat -> flat re-encodes (e.g. ZVC ->
+    // Dense) are pure expand/compact passes; coordinate -> flat needs
+    // only multiply-adds.
+    let needs_divmod = (is_flat(src) && !is_flat(dst)) || matches!(dst, MatrixFormat::Bsr { .. });
+    let divmod_items = if needs_divmod { nnz } else { 0 };
     let divmod_cycles = engine.divmod.cycles(divmod_items);
-    let sort_items = if needs_sorter(src) || needs_sorter(dst) {
+    // CSC's column-major order must be regrouped into (or produced from)
+    // the row-major stream: the coordinate-order change MINT's sorter
+    // network handles (Fig. 8c).
+    let sort_items = if *src == MatrixFormat::Csc || *dst == MatrixFormat::Csc {
         nnz
     } else {
         0
     };
     let sort_cycles = engine.sorter.cycles(sort_items);
-    // Scan traffic: dense/bitmask decodes scan the whole bitmap/matrix;
-    // pointer rebuilds scan one pointer array.
-    let scan_items = scan_items(src, rows, cols);
+    // Scan traffic: dense/bitmask decodes scan the whole matrix/bitmap;
+    // every other source rebuilds one pointer array.
+    let scan_items = match *src {
+        MatrixFormat::Dense => rows as u64 * cols as u64,
+        MatrixFormat::Zvc => (rows as u64 * cols as u64).div_ceil(32),
+        _ => (rows.max(cols) as u64) + 1,
+    };
     let scan_cycles = engine.prefix.cycles(scan_items);
 
     let fill = engine.prefix.latency()
@@ -204,72 +140,51 @@ pub fn descriptor_conversion_cost(
     ConversionCost { cycles, energy }
 }
 
-/// Predict the MINT cost of converting a matrix from `src` to `dst` —
-/// the enum entry point, a thin wrapper translating each format to its
-/// per-rank descriptor.
-pub fn conversion_cost(
-    src: &MatrixFormat,
-    dst: &MatrixFormat,
-    rows: usize,
-    cols: usize,
-    nnz: u64,
-    engine: &ConversionEngine,
-) -> ConversionCost {
-    descriptor_conversion_cost(
-        &src.descriptor(),
-        &dst.descriptor(),
-        rows,
-        cols,
-        nnz,
-        engine,
-    )
-}
-
-/// Tensor-format conversion cost between two descriptors (same stage
-/// structure as the matrix path, tensor stream sizes).
-pub fn descriptor_tensor_conversion_cost(
-    src: &FormatDescriptor,
-    dst: &FormatDescriptor,
+/// Tensor-format conversion cost (same stage structure as the matrix
+/// path, tensor stream sizes).
+pub fn tensor_conversion_cost(
+    src: &TensorFormat,
+    dst: &TensorFormat,
     dims: (usize, usize, usize),
     nnz: u64,
     engine: &ConversionEngine,
 ) -> ConversionCost {
-    use Level as L;
     if src == dst {
         return ConversionCost::free();
     }
     let total = dims.0 as u64 * dims.1 as u64 * dims.2 as u64;
-    let slots = |d: &FormatDescriptor| -> u64 {
-        match d.levels.as_slice() {
-            [L::Uncompressed, L::Uncompressed, L::Uncompressed] => total,
+    let slots = |fmt: &TensorFormat| -> u64 {
+        match *fmt {
+            TensorFormat::Dense => total,
             // One slot per coordinate rank plus the value, per nonzero
             // (explicit 3-D coordinates; HiCOO's block + element pair
             // streams the same four slots).
-            [L::Singleton, L::Singleton, L::Singleton] | [L::Blocked { .. }, L::Singleton] => {
-                4 * nnz
-            }
-            [L::CompressedOffsets, L::CompressedOffsets, L::CompressedOffsets] => {
-                2 * nnz + 2 * (nnz / 2).max(1) // fids + ptrs estimate
-            }
-            [L::RunLength { run_bits }] => 2 * rlc_expected_entries(total, nnz, *run_bits),
-            [L::Bitmask] => total.div_ceil(32) + nnz,
-            _ => total,
+            TensorFormat::Coo | TensorFormat::HiCoo { .. } => 4 * nnz,
+            TensorFormat::Csf => 2 * nnz + 2 * (nnz / 2).max(1), // fids + ptrs estimate
+            TensorFormat::Rlc { run_bits } => 2 * rlc_expected_entries(total, nnz, run_bits),
+            TensorFormat::Zvc => total.div_ceil(32) + nnz,
         }
+    };
+    let is_flat = |fmt: &TensorFormat| {
+        matches!(
+            fmt,
+            TensorFormat::Dense | TensorFormat::Rlc { .. } | TensorFormat::Zvc
+        )
     };
     let in_slots = slots(src);
     let out_slots = slots(dst);
     let mem_cycles = engine.memctrl.cycles(in_slots + out_slots);
     // Coordinate recovery (two div/mod rounds per nonzero) is needed only
     // when a flat stream must produce explicit coordinates.
-    let divmod_items = if src.is_flat() && !dst.is_flat() {
+    let divmod_items = if is_flat(src) && !is_flat(dst) {
         2 * nnz
     } else {
         0
     };
     let divmod_cycles = engine.divmod.cycles(divmod_items);
-    let scan_items = match src.levels.as_slice() {
-        [L::Uncompressed, L::Uncompressed, L::Uncompressed] => total,
-        [L::Bitmask] => total.div_ceil(32),
+    let scan_items = match *src {
+        TensorFormat::Dense => total,
+        TensorFormat::Zvc => total.div_ceil(32),
         _ => nnz,
     };
     let scan_cycles = engine.prefix.cycles(scan_items);
@@ -279,18 +194,6 @@ pub fn descriptor_tensor_conversion_cost(
         + divmod_items as f64 * E_DIVMOD_OP
         + scan_items as f64 * 2.0 * E_SMALL_OP;
     ConversionCost { cycles, energy }
-}
-
-/// Tensor-format conversion cost — the enum entry point, a thin wrapper
-/// over [`descriptor_tensor_conversion_cost`].
-pub fn tensor_conversion_cost(
-    src: &TensorFormat,
-    dst: &TensorFormat,
-    dims: (usize, usize, usize),
-    nnz: u64,
-    engine: &ConversionEngine,
-) -> ConversionCost {
-    descriptor_tensor_conversion_cost(&src.descriptor(), &dst.descriptor(), dims, nnz, engine)
 }
 
 #[cfg(test)]
@@ -446,10 +349,9 @@ mod tests {
         );
     }
 
-    /// The pre-descriptor cost model, copied verbatim — the bit-for-bit
-    /// pin proving the descriptor rebase moved the logic, not the
-    /// numbers (the wrapper test alone would compare the new code with
-    /// itself).
+    /// An independent copy of the closed-form cost model — the
+    /// bit-for-bit pin that any refactor of [`conversion_cost`] moves the
+    /// logic, not the numbers.
     fn legacy_conversion_cost(
         src: &MatrixFormat,
         dst: &MatrixFormat,
@@ -527,9 +429,9 @@ mod tests {
     }
 
     #[test]
-    fn descriptor_costing_matches_the_legacy_model_for_every_pair() {
-        // Pin the descriptor-delta engine bit-for-bit against the
-        // pre-refactor closed-form model for all 9x9 preset pairs.
+    fn conversion_cost_matches_the_legacy_model_for_every_pair() {
+        // Pin the cost model bit-for-bit against the reference copy for
+        // all 9x9 format pairs.
         let eng = ConversionEngine::default();
         let formats = [
             MatrixFormat::Dense,
@@ -546,45 +448,11 @@ mod tests {
             for dst in formats {
                 for (rows, cols, nnz) in [(500, 400, 3_000), (64, 2_000, 10), (33, 33, 900)] {
                     let legacy = legacy_conversion_cost(&src, &dst, rows, cols, nnz, &eng);
-                    let via_desc = descriptor_conversion_cost(
-                        &src.descriptor(),
-                        &dst.descriptor(),
-                        rows,
-                        cols,
-                        nnz,
-                        &eng,
-                    );
-                    assert_eq!(legacy, via_desc, "{src} -> {dst} at {rows}x{cols}/{nnz}");
+                    let cost = conversion_cost(&src, &dst, rows, cols, nnz, &eng);
+                    assert_eq!(legacy, cost, "{src} -> {dst} at {rows}x{cols}/{nnz}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn required_blocks_map_level_deltas_to_hardware() {
-        use sparseflex_formats::FormatDescriptor;
-        let csr = FormatDescriptor::csr();
-        let csc = FormatDescriptor::csc();
-        let dense = FormatDescriptor::dense();
-        let zvc = FormatDescriptor::zvc();
-        let bsr = FormatDescriptor::bsr(4, 4);
-        // Identity engages nothing.
-        assert!(required_blocks(&csr, &csr).is_empty());
-        // Coordinate-order change engages the sorter.
-        assert!(required_blocks(&csr, &csc).contains(&ConverterBlock::Sorter));
-        assert!(!required_blocks(&csr, &dense).contains(&ConverterBlock::Sorter));
-        // Offsets-rank destinations rebuild pointers with the prefix sum.
-        assert!(required_blocks(&dense, &csr).contains(&ConverterBlock::PrefixSum));
-        // Flat -> coordinate recovery and blocked ranks use divide/mod.
-        assert!(required_blocks(&dense, &csr).contains(&ConverterBlock::DividerModulo));
-        assert!(required_blocks(&csr, &bsr).contains(&ConverterBlock::DividerModulo));
-        assert!(!required_blocks(&csr, &dense).contains(&ConverterBlock::DividerModulo));
-        // Bitmask ranks engage the population counter.
-        assert!(required_blocks(&csr, &zvc).contains(&ConverterBlock::Counter));
-        assert!(required_blocks(&zvc, &csr).contains(&ConverterBlock::Counter));
-        assert!(!required_blocks(&csr, &csc).contains(&ConverterBlock::Counter));
-        // Everything non-identity moves data.
-        assert!(required_blocks(&csr, &csc).contains(&ConverterBlock::MemoryController));
     }
 
     #[test]

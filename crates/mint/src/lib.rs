@@ -38,10 +38,7 @@ pub mod report;
 pub mod tiled;
 pub mod variants;
 
-pub use cost::{
-    conversion_cost, descriptor_conversion_cost, descriptor_tensor_conversion_cost,
-    required_blocks, tensor_conversion_cost, ConversionCost, ConverterBlock,
-};
+pub use cost::{conversion_cost, tensor_conversion_cost, ConversionCost};
 pub use engine::ConversionEngine;
 pub use report::{BlockKind, ConversionReport};
 pub use tiled::{

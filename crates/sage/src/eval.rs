@@ -217,7 +217,7 @@ impl Sage {
         };
 
         Ok(Evaluation {
-            choice: choice.clone(),
+            choice: *choice,
             dram_cycles,
             dram_energy,
             conv_cycles,

@@ -9,10 +9,10 @@ use crate::tensor_model::{evaluate_tensor, TensorChoice, TensorEvaluation};
 use crate::workload::{SageWorkload, TensorWorkload};
 use sparseflex_accel::taxonomy::AcceleratorClass;
 use sparseflex_accel::ConversionSupport;
-use sparseflex_formats::{FormatDescriptor, MatrixFormat, TensorFormat};
+use sparseflex_formats::{MatrixFormat, TensorFormat};
 
 /// One point in the search space: MCF and ACF per operand.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FormatChoice {
     /// Memory format of the streaming operand A.
     pub mcf_a: MatrixFormat,
@@ -22,26 +22,6 @@ pub struct FormatChoice {
     pub acf_a: MatrixFormat,
     /// Compute format of B.
     pub acf_b: MatrixFormat,
-}
-
-impl FormatChoice {
-    /// The four formats as their canonical per-rank descriptors
-    /// `(mcf_a, mcf_b, acf_a, acf_b)`.
-    pub fn descriptors(&self) -> [FormatDescriptor; 4] {
-        [
-            self.mcf_a.descriptor(),
-            self.mcf_b.descriptor(),
-            self.acf_a.descriptor(),
-            self.acf_b.descriptor(),
-        ]
-    }
-
-    /// Order-sensitive stable fingerprint of the four format
-    /// descriptors — the format half of a plan-cache key (stable across
-    /// processes).
-    pub fn descriptor_fingerprint(&self) -> u64 {
-        sparseflex_formats::descriptor::combine_fingerprints(self.descriptors().iter())
-    }
 }
 
 impl std::fmt::Display for FormatChoice {
@@ -391,25 +371,5 @@ mod tests {
         assert_eq!(s.recommend(&spgemm).candidates, 36 * 9);
         let spmm = SageWorkload::spmm(200, 200, 100, 2_000, DataType::Fp32);
         assert_eq!(s.recommend(&spmm).candidates, 36 * 8);
-    }
-
-    #[test]
-    fn choice_fingerprints_are_operand_order_sensitive() {
-        let choice = FormatChoice {
-            mcf_a: MatrixFormat::Zvc,
-            mcf_b: MatrixFormat::Dense,
-            acf_a: MatrixFormat::Csr,
-            acf_b: MatrixFormat::Dense,
-        };
-        // Operand position matters (MCF_A=ZVC differs from MCF_B=ZVC).
-        let swapped = FormatChoice {
-            mcf_a: MatrixFormat::Dense,
-            mcf_b: MatrixFormat::Zvc,
-            ..choice.clone()
-        };
-        assert_ne!(
-            choice.descriptor_fingerprint(),
-            swapped.descriptor_fingerprint()
-        );
     }
 }

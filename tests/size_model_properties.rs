@@ -1,22 +1,20 @@
-//! Property suite for the per-rank format descriptors:
+//! Property suite for the storage-size model and the pinned plan-cache
+//! row:
 //!
-//! (a) enum → descriptor → enum round-trips losslessly for every preset
-//!     (structural parameters included),
-//! (b) the descriptor-driven generic size model is **bit-identical** to
-//!     the paper's closed-form per-format formulas (copied verbatim
-//!     below as the pinned reference), analytic and exact,
-//! (c) a repeated pinned run hits the one plan-cache row its choice's
-//!     descriptor fingerprint keys,
-//! (d) stored-elements vs logical-nnz accounting is centralized and
-//!     consistent for the explicit-zero formats.
+//! (a) the per-format size model is **bit-identical** to the paper's
+//!     closed-form per-format formulas (an independent copy below is the
+//!     pinned reference), analytic and exact,
+//! (b) stored-elements vs logical-nnz accounting is centralized and
+//!     consistent for the explicit-zero formats,
+//! (c) a repeated pinned run hits the one plan-cache row its choice
+//!     keys, and any other pin (operands swapped included) misses.
 
 use proptest::prelude::*;
 use sparseflex::formats::size_model::{
     matrix_storage_bits, matrix_storage_bits_exact, rlc_expected_entries, tensor_storage_bits,
 };
 use sparseflex::formats::{
-    ceil_log2, CooMatrix, DataType, FormatDescriptor, MatrixData, MatrixFormat, SparseMatrix,
-    TensorFormat,
+    ceil_log2, CooMatrix, DataType, MatrixData, MatrixFormat, SparseMatrix, TensorFormat,
 };
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::sage::{FormatChoice, SageWorkload};
@@ -24,9 +22,9 @@ use sparseflex::system::{FlexSystem, PlanDiscipline};
 use sparseflex::workloads::synth::random_matrix;
 
 // ---------------------------------------------------------------------------
-// The paper's closed-form per-format formulas, copied verbatim from the
-// pre-descriptor size model. These are the bit-for-bit pin: if the
-// generic level model ever drifts from them, this file fails.
+// The paper's closed-form per-format formulas, written out independently
+// of the size model. These are the bit-for-bit pin: if the model ever
+// drifts from them, this file fails.
 // ---------------------------------------------------------------------------
 
 fn legacy_matrix_storage_bits(
@@ -216,24 +214,9 @@ fn arb_matrix() -> impl Strategy<Value = CooMatrix> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // (a) Round trips, with random structural parameters.
+    // (a) Analytic sizes: size model == legacy formulas, bit for bit.
     #[test]
-    fn every_preset_round_trips_through_its_descriptor(
-        br in 1usize..7, bc in 1usize..7, run_bits in 1u32..12, block in 1usize..9
-    ) {
-        for fmt in matrix_formats(br, bc, run_bits) {
-            let desc = FormatDescriptor::from(fmt);
-            prop_assert_eq!(desc.to_matrix_format(), Some(fmt));
-        }
-        for fmt in tensor_formats(block, run_bits) {
-            let desc = FormatDescriptor::from(fmt);
-            prop_assert_eq!(desc.to_tensor_format(), Some(fmt));
-        }
-    }
-
-    // (b) Analytic sizes: descriptor model == legacy formulas, bit for bit.
-    #[test]
-    fn descriptor_sizes_match_legacy_formulas_bit_for_bit(
+    fn sizes_match_legacy_formulas_bit_for_bit(
         rows in 1usize..3000, cols in 1usize..3000, dens_ppm in 0u64..1_000_000,
         br in 1usize..7, bc in 1usize..7, run_bits in 1u32..12,
         dtype_ix in 0usize..3
@@ -250,7 +233,7 @@ proptest! {
     }
 
     #[test]
-    fn descriptor_tensor_sizes_match_legacy_formulas_bit_for_bit(
+    fn tensor_sizes_match_legacy_formulas_bit_for_bit(
         x in 1usize..200, y in 1usize..200, z in 1usize..60, dens_ppm in 0u64..1_000_000,
         block in 1usize..9, run_bits in 1u32..12,
         dtype_ix in 0usize..2
@@ -266,9 +249,9 @@ proptest! {
         }
     }
 
-    // (b) Exact sizes on real payloads.
+    // (a) Exact sizes on real payloads.
     #[test]
-    fn exact_descriptor_sizes_match_legacy_on_real_payloads(coo in arb_matrix()) {
+    fn exact_sizes_match_legacy_on_real_payloads(coo in arb_matrix()) {
         for fmt in matrix_formats(2, 3, 3) {
             let data = MatrixData::encode(&coo, &fmt).unwrap();
             prop_assert_eq!(
@@ -279,7 +262,7 @@ proptest! {
         }
     }
 
-    // (d) Central explicit-zero accounting.
+    // (b) Central explicit-zero accounting.
     #[test]
     fn stored_elements_accounting_is_consistent(coo in arb_matrix()) {
         for fmt in matrix_formats(2, 2, 4) {
@@ -291,9 +274,11 @@ proptest! {
                 stored >= logical,
                 "{} stores {} slots for {} nonzeros", fmt, stored, logical
             );
-            // The descriptor knows which presets pad; compact ones store
-            // exactly their nonzeros.
-            if !data.descriptor().stores_explicit_zeros() {
+            // The compact formats store exactly their nonzeros.
+            if matches!(
+                fmt,
+                MatrixFormat::Coo | MatrixFormat::Csr | MatrixFormat::Csc | MatrixFormat::Zvc
+            ) {
                 prop_assert_eq!(stored, logical, "compact format {} padded", fmt);
             }
         }
@@ -330,10 +315,7 @@ fn repeated_pinned_run_hits_one_cache_row() {
         run2.plan.from_cache,
         "repeated pin must hit the first run's cache row"
     );
-    assert_eq!(
-        run1.plan.choice_fingerprint(),
-        run2.plan.choice_fingerprint()
-    );
+    assert_eq!(run1.plan.choice(), run2.plan.choice());
     let counters = sys.planner.cache.counters();
     assert_eq!((counters.hits, counters.misses), (1, 1));
 
@@ -342,13 +324,22 @@ fn repeated_pinned_run_hits_one_cache_row() {
     assert!(run1.output.approx_eq(&expect, 1e-9));
     assert!(run2.output.approx_eq(&expect, 1e-9));
 
-    // A different choice is a different row.
+    // A different choice is a different row, and so is the same pair
+    // of MCFs on swapped operands (MCF_A=ZVC differs from MCF_B=ZVC).
     let other = FormatChoice {
         mcf_a: MatrixFormat::Coo,
         ..choice
     };
-    let run3 = sys
-        .run(&a, &b, &w, Some(&other), PlanDiscipline::Monolithic)
-        .unwrap();
-    assert!(!run3.plan.from_cache, "distinct formats must not collide");
+    let swapped = FormatChoice {
+        mcf_a: choice.mcf_b,
+        mcf_b: choice.mcf_a,
+        ..choice
+    };
+    for pin in [other, swapped] {
+        let run = sys
+            .run(&a, &b, &w, Some(&pin), PlanDiscipline::Monolithic)
+            .unwrap();
+        assert!(!run.plan.from_cache, "{pin} must not share the first row");
+        assert_eq!(*run.plan.choice(), pin);
+    }
 }

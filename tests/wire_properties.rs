@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use sparseflex::formats::{
-    CooMatrix, CooTensor3, DataType, MatrixData, MatrixFormat, TensorData, TensorFormat,
+    fnv1a, CooMatrix, CooTensor3, DataType, MatrixData, MatrixFormat, SparseMatrix, SparseTensor3,
+    TensorData, TensorFormat,
 };
 use sparseflex::serve::wire;
 use sparseflex::serve::{Priority, WireError, WireJob};
@@ -182,4 +183,50 @@ fn typed_errors_name_the_failure() {
         wire::decode_matrix(&trailing),
         Err(WireError::ChecksumMismatch { .. }) | Err(WireError::TrailingBytes { .. })
     ));
+}
+
+/// Rewrite an RLC frame's run field (frame bytes 17..21, right after the
+/// format tag) and re-checksum the body, so the field is the only thing
+/// wrong with the frame.
+fn with_run_bits(frame: &[u8], run_bits: u32) -> Vec<u8> {
+    let mut out = frame.to_vec();
+    out[17..21].copy_from_slice(&run_bits.to_le_bytes());
+    let sum = fnv1a(&out[wire::HEADER_LEN..]);
+    out[8..16].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+#[test]
+fn rlc_run_fields_wider_than_63_bits_are_rejected() {
+    let coo = CooMatrix::from_triplets(4, 5, vec![(0, 1, 2.0), (3, 4, -1.0)]).unwrap();
+    let data = MatrixData::encode(&coo, &MatrixFormat::Rlc { run_bits: 4 }).unwrap();
+    let frame = wire::encode_matrix(&data).unwrap();
+    for run_bits in [64, u32::MAX] {
+        assert!(
+            matches!(
+                wire::decode_matrix(&with_run_bits(&frame, run_bits)),
+                Err(WireError::Format(_))
+            ),
+            "matrix run field of {run_bits} bits must be rejected"
+        );
+    }
+    let widest = wire::decode_matrix(&with_run_bits(&frame, 63)).unwrap();
+    assert_eq!(widest.format(), MatrixFormat::Rlc { run_bits: 63 });
+    assert_eq!(widest.to_coo(), coo);
+
+    let coo = CooTensor3::from_quads(3, 4, 5, vec![(0, 1, 2, 2.0), (2, 3, 4, -1.0)]).unwrap();
+    let data = TensorData::encode(&coo, &TensorFormat::Rlc { run_bits: 4 }).unwrap();
+    let frame = wire::encode_tensor(&data).unwrap();
+    for run_bits in [64, u32::MAX] {
+        assert!(
+            matches!(
+                wire::decode_tensor(&with_run_bits(&frame, run_bits)),
+                Err(WireError::Format(_))
+            ),
+            "tensor run field of {run_bits} bits must be rejected"
+        );
+    }
+    let widest = wire::decode_tensor(&with_run_bits(&frame, 63)).unwrap();
+    assert_eq!(widest.format(), TensorFormat::Rlc { run_bits: 63 });
+    assert_eq!(widest.to_coo(), coo);
 }
