@@ -16,7 +16,7 @@
 //! library crate roots and the workspace `clippy.toml`: `unwrap_used` /
 //! `expect_used` (panic-free library code), `cast_possible_truncation`
 //! (wire encode paths in `serve`) and `disallowed_methods` (threads are
-//! spawned only at sanctioned sites). Each deliberate exception carries
+//! spawned only in `kernels::parallel`). Each deliberate exception carries
 //! `#[expect(<lint>, reason = "…")]`, which fails as
 //! `unfulfilled_lint_expectations` once the exception goes away.
 //!

@@ -49,6 +49,9 @@ pub use casestudy::{layer_edp, LayerEdp};
 pub use pipeline::{BatchJob, BatchRun, PipelineRun, TileTrace};
 pub use plan::{CostModel, Dataflow, ExecutionPlan, PlanPrediction, PlanTrace, TileCompare};
 pub use planner::{CacheCounters, PlanCache, PlanDiscipline, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
+// Serve starts its workers through this re-export: a direct
+// `sparseflex-kernels` dependency would change sfbench's lock file.
+pub use sparseflex_kernels::parallel::spawn_worker;
 pub use system::{ClassComparison, FlexSystem, RunError};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

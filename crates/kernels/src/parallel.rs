@@ -1,4 +1,6 @@
-//! The one fan-out behind every parallel path in the workspace.
+//! The one library module that creates threads: [`fan_out`] for borrowed
+//! work that joins before it returns, [`spawn_worker`] for persistent
+//! threads.
 //!
 //! Every parallel kernel, `gemm_parallel`, `FlexSystem::run_batch` and the
 //! planner's tile executor partition their work into independent items —
@@ -7,6 +9,18 @@
 //! No synchronization beyond the final join is needed, and because each
 //! item runs the same body the sequential entry point runs once over the
 //! whole extent, results are bit-identical to the sequential variants.
+//!
+//! One parallel level is active at a time, OpenMP's default: every item of
+//! a multi-item [`fan_out`], and every persistent thread [`spawn_worker`]
+//! starts, runs inside a one-worker [`with_workers`] scope. A parallel
+//! path nested there sees [`worker_count`] return 1 and runs its items
+//! inline on the calling thread, so it never spawns: a served job, or a
+//! job of a multi-job `run_batch`, converts and simulates its own tiles in
+//! schedule order. The cost is on many-core hosts: a lightly loaded
+//! service, or a `run_batch` with fewer jobs than cores, no longer spreads
+//! one job's tiles across idle cores. Handing nested work to an idle
+//! sibling needs a persistent pool, and a long-lived thread cannot run
+//! `fan_out`'s borrowed items without `unsafe`, which every crate forbids.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -17,15 +31,19 @@ thread_local! {
     static FORCED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// `SPARSEFLEX_WORKERS` parsed once per process (invalid or zero values
-/// are ignored).
-fn env_workers() -> Option<usize> {
-    static ENV_WORKERS: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV_WORKERS.get_or_init(|| {
+/// The worker count outside any [`with_workers`] scope, fixed at first use:
+/// `SPARSEFLEX_WORKERS` when it parses to a positive count, else the
+/// machine's [`std::thread::available_parallelism`]. Cached because std
+/// re-reads the cgroup CPU quota on every call; a later quota change is
+/// not seen.
+fn default_workers() -> usize {
+    static DEFAULT_WORKERS: OnceLock<usize> = OnceLock::new();
+    *DEFAULT_WORKERS.get_or_init(|| {
         std::env::var("SPARSEFLEX_WORKERS")
             .ok()
             .and_then(|s| s.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     })
 }
 
@@ -33,22 +51,23 @@ fn env_workers() -> Option<usize> {
 /// work, always in `1..=work_items.max(1)`.
 ///
 /// Precedence of the thread-count source (highest first):
-/// 1. a [`with_workers`] scope active on the calling thread — benches and
-///    the parallel-vs-sequential equality tests pin exact counts this way;
-/// 2. the `SPARSEFLEX_WORKERS` environment variable (parsed once per
-///    process; zero or unparsable values are ignored) — CI runs set this
-///    for reproducible behavior on any core count;
+/// 1. the innermost [`with_workers`] scope active on the calling thread —
+///    benches and the parallel-vs-sequential equality tests pin exact
+///    counts this way, and every item of a multi-item [`fan_out`] and every
+///    [`spawn_worker`] thread runs in a one-worker scope, so a nested
+///    parallel path gets 1 unless it opens its own scope;
+/// 2. the `SPARSEFLEX_WORKERS` environment variable (zero or unparsable
+///    values are ignored) — CI runs set this for reproducible behavior on
+///    any core count;
 /// 3. the machine's [`std::thread::available_parallelism`].
+///
+/// Sources 2 and 3 are read once per process.
 pub fn worker_count(work_items: usize) -> usize {
-    let base = FORCED_WORKERS
+    FORCED_WORKERS
         .with(Cell::get)
-        .or_else(env_workers)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    base.min(work_items).max(1)
+        .unwrap_or_else(default_workers)
+        .min(work_items)
+        .max(1)
 }
 
 /// Run `f` with [`worker_count`] pinned to exactly `n` on this thread
@@ -101,19 +120,25 @@ pub fn even_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
 /// Run `f` on every item and return the results in item order.
 ///
 /// The calling thread runs the first item and one scoped thread runs each
-/// other item, so a single item never spawns. A panic in any item resumes
-/// on the caller once every thread has joined; zero items return an empty
-/// `Vec`. This is the only place library code opens a thread scope.
+/// other item, each inside `with_workers(1, ..)`, so a parallel path an
+/// item calls runs inline on that item's thread unless it opens a wider
+/// [`with_workers`] scope. Inside a one-worker scope (an item of another
+/// fan-out, a [`spawn_worker`] thread, `with_workers(1, ..)`) every item
+/// runs inline on the caller, in order. A single item is not a parallel
+/// level: it runs on the caller, under the caller's scope. A panic in any
+/// item resumes on the caller once every thread has joined; zero items
+/// return an empty `Vec`. This is the only place library code opens a
+/// thread scope.
 pub fn fan_out<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    if items.len() <= 1 {
+    if items.len() <= 1 || FORCED_WORKERS.with(Cell::get) == Some(1) {
         return items.into_iter().map(f).collect();
     }
-    let f = &f;
+    let f = &|item| with_workers(1, || f(item));
     let mut items = items.into_iter();
     let first = items.next();
     #[expect(
         clippy::disallowed_methods,
-        reason = "fan_out is the one sanctioned library spawn site"
+        reason = "fan_out is the one sanctioned library spawn site for borrowed work"
     )]
     std::thread::scope(|s| {
         let handles: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
@@ -124,6 +149,24 @@ pub fn fan_out<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Ve
         }
         out
     })
+}
+
+/// Start a persistent thread named `name` that runs `f` inside
+/// `with_workers(1, ..)`, as [`fan_out`] runs each of its items: parallel
+/// paths on that thread run inline. This is the one sanctioned spawn site
+/// for threads that outlive their caller, such as the serving workers;
+/// the caller joins the returned handle.
+pub fn spawn_worker<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::io::Result<std::thread::JoinHandle<T>> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "spawn_worker is the one sanctioned spawn site for persistent threads"
+    )]
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || with_workers(1, f))
 }
 
 #[cfg(test)]
@@ -202,6 +245,41 @@ mod tests {
         let ids = fan_out(vec![(); 3], |()| std::thread::current().id());
         assert_eq!(ids[0], caller, "the first item runs on the caller");
         assert!(ids[1..].iter().all(|&id| id != caller));
+        let outside = worker_count(64);
+        assert_eq!(
+            fan_out(vec![()], |()| worker_count(64)),
+            [outside],
+            "one item is not a parallel level"
+        );
+    }
+
+    #[test]
+    fn fan_out_nested_in_an_item_runs_inline() {
+        fan_out(vec![(); 3], |()| {
+            let me = std::thread::current().id();
+            assert_eq!(worker_count(64), 1);
+            let inner = fan_out(vec![(); 4], |()| std::thread::current().id());
+            assert_eq!(inner, [me; 4], "a nested fan-out runs on the item's thread");
+            let forced = with_workers(3, || fan_out(vec![(); 3], |()| std::thread::current().id()));
+            assert!(
+                forced[1..].iter().all(|&id| id != me),
+                "an explicit inner scope still spawns"
+            );
+        });
+    }
+
+    #[test]
+    fn spawn_worker_names_its_thread_and_runs_fan_outs_inline() {
+        let worker = spawn_worker("sparseflex-test-worker".to_owned(), || {
+            let me = std::thread::current();
+            let inner = fan_out(vec![(); 4], |()| std::thread::current().id());
+            assert_eq!(inner, [me.id(); 4], "a fan-out runs on the worker itself");
+            (me.name().map(str::to_owned), worker_count(64))
+        })
+        .expect("the OS creates the thread");
+        let (name, workers) = worker.join().expect("the worker returns");
+        assert_eq!(name.as_deref(), Some("sparseflex-test-worker"));
+        assert_eq!(workers, 1);
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! instance with its own deque: a worker pulls a batch from the central
 //! queues, executes the first job, and parks the rest in its deque; idle
 //! workers **steal** from the back of siblings' deques before sleeping,
-//! so one worker's burst spreads across the pool.
+//! so one worker's burst spreads across the pool. Workers start through
+//! [`spawn_worker`], so a worker converts and simulates its job's tiles
+//! itself, in schedule order, and never spawns a thread per job; jobs,
+//! not tiles, are what spread across cores.
 //!
 //! The pool shares one planner whose [`PlanCache`] is sharded by key
 //! hash ([`PlanCache::with_shards`]), so concurrent workers planning
@@ -28,7 +31,8 @@
 
 use crate::wire::{self, WireError, WireJob, WireResult};
 use sparseflex_core::{
-    lock_clean, BatchJob, CacheCounters, FlexSystem, PlanCache, PlanDiscipline, RunError,
+    lock_clean, spawn_worker, BatchJob, CacheCounters, FlexSystem, PlanCache, PlanDiscipline,
+    RunError,
 };
 use sparseflex_formats::SparseMatrix;
 use std::collections::{HashMap, VecDeque};
@@ -216,7 +220,9 @@ impl JobTicket {
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads (virtual accelerator instances).
+    /// Worker threads (virtual accelerator instances). Each runs its
+    /// job's tiles itself, in schedule order, so jobs execute on at most
+    /// this many cores.
     pub workers: usize,
     /// Central submission-queue bound; submissions beyond it are
     /// rejected with [`SubmitError::QueueFull`].
@@ -584,14 +590,7 @@ impl FlexService {
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let s = Arc::clone(&shared);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the service's persistent workers are a sanctioned spawn site"
-            )]
-            let spawned = std::thread::Builder::new()
-                .name(format!("sparseflex-serve-{i}"))
-                .spawn(move || s.worker_loop(i));
-            match spawned {
+            match spawn_worker(format!("sparseflex-serve-{i}"), move || s.worker_loop(i)) {
                 Ok(h) => handles.push(h),
                 Err(source) => {
                     lock_clean(&shared.central).shutdown = true;
