@@ -23,9 +23,6 @@
 //! [`Planner`](crate::planner::Planner) — and therefore its bounded plan
 //! cache — across jobs, threads **and successive batch calls**, so a
 //! long-lived service pays each workload shape's MCF×ACF search once.
-//! With two or more instances, each runs its jobs' tiles itself, in
-//! schedule order: the tile fan-out is nested in the job fan-out, and a
-//! nested fan-out runs inline instead of spawning.
 
 use crate::plan::ExecutionPlan;
 use crate::planner::PlanDiscipline;
@@ -200,14 +197,10 @@ impl FlexSystem {
     ///
     /// Jobs are partitioned into contiguous chunks, one
     /// [`fan_out`] worker per chunk (each simulates its own accelerator
-    /// instance); results come back in submission order. With two or more
-    /// chunks, a worker runs each job's tiles itself, in schedule order,
-    /// so a batch with fewer jobs than cores leaves cores idle rather than
-    /// spawning per job; a one-chunk batch still fans its tiles out.
-    /// Repeated workload shapes hit the bounded plan cache and skip the
-    /// MCF×ACF search — **including shapes cached by earlier `run_batch`
-    /// calls** on the same system, since the planner (and its cache)
-    /// persists.
+    /// instance); results come back in submission order. Repeated
+    /// workload shapes hit the bounded plan cache and skip the MCF×ACF
+    /// search — **including shapes cached by earlier `run_batch` calls**
+    /// on the same system, since the planner (and its cache) persists.
     ///
     /// Each job runs [`run`](Self::run)'s plan-then-execute sequence with
     /// SAGE planning and the pipelined discipline; this is a fan-out over

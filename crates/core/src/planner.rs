@@ -674,9 +674,9 @@ fn prepare_operands(
 /// allocations. Tiles are independent (disjoint column ranges, shared
 /// read-only `A`), so results are identical to a sequential loop and come
 /// back in schedule order; a single worker is simply one chunk. That is
-/// the case inside a serve worker or a multi-job `run_batch` item, where
-/// [`worker_count`] returns 1, so the job's own thread runs every tile
-/// with one leased arena and spawns nothing.
+/// the case on a serve worker, where [`worker_count`] returns 1, so the
+/// job's own thread runs every tile with one leased arena and spawns
+/// nothing.
 fn convert_and_execute_tiles(
     sage: &Sage,
     choice: &sparseflex_sage::FormatChoice,

@@ -10,17 +10,18 @@
 //! item runs the same body the sequential entry point runs once over the
 //! whole extent, results are bit-identical to the sequential variants.
 //!
-//! One parallel level is active at a time, OpenMP's default: every item of
-//! a multi-item [`fan_out`], and every persistent thread [`spawn_worker`]
-//! starts, runs inside a one-worker [`with_workers`] scope. A parallel
-//! path nested there sees [`worker_count`] return 1 and runs its items
-//! inline on the calling thread, so it never spawns: a served job, or a
-//! job of a multi-job `run_batch`, converts and simulates its own tiles in
-//! schedule order. The cost is on many-core hosts: a lightly loaded
-//! service, or a `run_batch` with fewer jobs than cores, no longer spreads
-//! one job's tiles across idle cores. Handing nested work to an idle
-//! sibling needs a persistent pool, and a long-lived thread cannot run
-//! `fan_out`'s borrowed items without `unsafe`, which every crate forbids.
+//! Each thread [`spawn_worker`] starts runs inside a one-worker
+//! [`with_workers`] scope, so a parallel path called there sees
+//! [`worker_count`] return 1, takes its one-range path and never spawns:
+//! a serve worker converts and simulates its job's tiles itself, in
+//! schedule order. The cost is that a lightly loaded service no longer
+//! spreads one job's tiles across idle cores. What that does to tail
+//! latency is unresolved: on a 2-vCPU host, sfbench serve_hot's
+//! open-loop p99 median went from 1.87 to 3.64 ms over 10 seeds, with a
+//! spread wider than the gap. Handing a worker's tiles to an idle sibling
+//! needs a persistent pool, and a long-lived thread cannot run
+//! [`fan_out`]'s borrowed items without `unsafe`, which every crate
+//! forbids.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -53,9 +54,9 @@ fn default_workers() -> usize {
 /// Precedence of the thread-count source (highest first):
 /// 1. the innermost [`with_workers`] scope active on the calling thread —
 ///    benches and the parallel-vs-sequential equality tests pin exact
-///    counts this way, and every item of a multi-item [`fan_out`] and every
-///    [`spawn_worker`] thread runs in a one-worker scope, so a nested
-///    parallel path gets 1 unless it opens its own scope;
+///    counts this way, and every [`spawn_worker`] thread runs in a
+///    one-worker scope, so a parallel path there gets 1 unless it opens
+///    its own scope;
 /// 2. the `SPARSEFLEX_WORKERS` environment variable (zero or unparsable
 ///    values are ignored) — CI runs set this for reproducible behavior on
 ///    any core count;
@@ -120,20 +121,14 @@ pub fn even_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
 /// Run `f` on every item and return the results in item order.
 ///
 /// The calling thread runs the first item and one scoped thread runs each
-/// other item, each inside `with_workers(1, ..)`, so a parallel path an
-/// item calls runs inline on that item's thread unless it opens a wider
-/// [`with_workers`] scope. Inside a one-worker scope (an item of another
-/// fan-out, a [`spawn_worker`] thread, `with_workers(1, ..)`) every item
-/// runs inline on the caller, in order. A single item is not a parallel
-/// level: it runs on the caller, under the caller's scope. A panic in any
-/// item resumes on the caller once every thread has joined; zero items
-/// return an empty `Vec`. This is the only place library code opens a
-/// thread scope.
+/// other item, so a single item never spawns. A panic in any item resumes
+/// on the caller once every thread has joined; zero items return an empty
+/// `Vec`. This is the only place library code opens a thread scope.
 pub fn fan_out<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    if items.len() <= 1 || FORCED_WORKERS.with(Cell::get) == Some(1) {
+    if items.len() <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let f = &|item| with_workers(1, || f(item));
+    let f = &f;
     let mut items = items.into_iter();
     let first = items.next();
     #[expect(
@@ -152,10 +147,10 @@ pub fn fan_out<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Ve
 }
 
 /// Start a persistent thread named `name` that runs `f` inside
-/// `with_workers(1, ..)`, as [`fan_out`] runs each of its items: parallel
-/// paths on that thread run inline. This is the one sanctioned spawn site
-/// for threads that outlive their caller, such as the serving workers;
-/// the caller joins the returned handle.
+/// `with_workers(1, ..)`, so parallel paths on that thread run on it
+/// alone. This is the one sanctioned spawn site for threads that outlive
+/// their caller, such as the serving workers; the caller joins the
+/// returned handle.
 pub fn spawn_worker<T: Send + 'static>(
     name: String,
     f: impl FnOnce() -> T + Send + 'static,
@@ -245,41 +240,24 @@ mod tests {
         let ids = fan_out(vec![(); 3], |()| std::thread::current().id());
         assert_eq!(ids[0], caller, "the first item runs on the caller");
         assert!(ids[1..].iter().all(|&id| id != caller));
-        let outside = worker_count(64);
-        assert_eq!(
-            fan_out(vec![()], |()| worker_count(64)),
-            [outside],
-            "one item is not a parallel level"
-        );
     }
 
     #[test]
-    fn fan_out_nested_in_an_item_runs_inline() {
-        fan_out(vec![(); 3], |()| {
-            let me = std::thread::current().id();
-            assert_eq!(worker_count(64), 1);
-            let inner = fan_out(vec![(); 4], |()| std::thread::current().id());
-            assert_eq!(inner, [me; 4], "a nested fan-out runs on the item's thread");
-            let forced = with_workers(3, || fan_out(vec![(); 3], |()| std::thread::current().id()));
-            assert!(
-                forced[1..].iter().all(|&id| id != me),
-                "an explicit inner scope still spawns"
-            );
-        });
-    }
-
-    #[test]
-    fn spawn_worker_names_its_thread_and_runs_fan_outs_inline() {
+    fn spawn_worker_runs_parallel_paths_on_itself() {
         let worker = spawn_worker("sparseflex-test-worker".to_owned(), || {
             let me = std::thread::current();
-            let inner = fan_out(vec![(); 4], |()| std::thread::current().id());
-            assert_eq!(inner, [me.id(); 4], "a fan-out runs on the worker itself");
-            (me.name().map(str::to_owned), worker_count(64))
+            // Library paths size their fan-outs with worker_count.
+            let ranges = even_ranges(100, worker_count(100));
+            let ids = fan_out(ranges, |_| std::thread::current().id());
+            assert_eq!(ids, [me.id()], "one range, run on the worker itself");
+            let inner = with_workers(3, || worker_count(64));
+            (me.name().map(str::to_owned), worker_count(64), inner)
         })
         .expect("the OS creates the thread");
-        let (name, workers) = worker.join().expect("the worker returns");
+        let (name, workers, inner) = worker.join().expect("the worker returns");
         assert_eq!(name.as_deref(), Some("sparseflex-test-worker"));
         assert_eq!(workers, 1);
+        assert_eq!(inner, 3, "an explicit inner scope still wins");
     }
 
     #[test]
