@@ -17,11 +17,12 @@
 //! schedule order. The cost is that a lightly loaded service no longer
 //! spreads one job's tiles across idle cores. What that does to tail
 //! latency is unresolved: on a 2-vCPU host, sfbench serve_hot's
-//! open-loop p99 median went from 1.87 to 3.64 ms over 10 seeds, with a
-//! spread wider than the gap. Handing a worker's tiles to an idle sibling
-//! needs a persistent pool, and a long-lived thread cannot run
-//! [`fan_out`]'s borrowed items without `unsafe`, which every crate
-//! forbids.
+//! open-loop p99 median went from 1.87 to 3.64 ms over one set of 10
+//! seeds and from 1.26 to 0.62 ms over another, and single runs of
+//! either commit spread from 0.4 to 61 ms. Handing a worker's tiles to
+//! an idle sibling needs a persistent pool, and a long-lived thread
+//! cannot run [`fan_out`]'s borrowed items without `unsafe`, which every
+//! crate forbids.
 
 use std::cell::Cell;
 use std::ops::Range;
