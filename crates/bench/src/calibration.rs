@@ -23,9 +23,9 @@ pub struct CalibrationRound {
     /// Calibration generation the round's plans were made under.
     pub generation: u64,
     /// Mean per-tile relative cycle error across the round's executed
-    /// plans ([`PlanTrace::mean_cycle_error`]).
+    /// plans ([`PipelineRun::mean_cycle_error`]).
     ///
-    /// [`PlanTrace::mean_cycle_error`]: sparseflex_core::PlanTrace::mean_cycle_error
+    /// [`PipelineRun::mean_cycle_error`]: sparseflex_core::PipelineRun::mean_cycle_error
     pub mean_cycle_error: f64,
 }
 
@@ -73,7 +73,7 @@ pub fn measure() -> CalibrationMeasurement {
             let run = planner
                 .execute_plan(&sys.sage, &plan, a, b)
                 .expect("calibration shape executes");
-            err_sum += run.trace.mean_cycle_error();
+            err_sum += run.mean_cycle_error();
         }
         rounds.push(CalibrationRound {
             round,

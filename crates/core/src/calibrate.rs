@@ -1,31 +1,32 @@
-//! Online calibration of the stats cost model from executed-plan traces.
+//! Online calibration of the stats cost model from executed runs.
 //!
-//! Every executed plan yields a [`PlanTrace`] comparing the planner's
-//! predicted per-tile cycles against what the cycle-accurate simulator
-//! measured. The [`Calibrator`] closes that loop: it accumulates the
-//! (predicted, measured) pairs per cost-model *lane* — MINT conversion,
-//! weight-stationary compute, Gustavson SpGEMM compute — and refits a
-//! multiplicative coefficient per lane by least squares, so repeated
-//! traffic tightens the stats model toward the machine it actually runs
-//! on. The cycle-exact [`CostModel::Structure`] oracle needs no
-//! calibration and its traces are ignored.
+//! Every executed plan yields a [`PipelineRun`] whose measured tiles sit
+//! beside the planner's per-tile prediction. The [`Calibrator`] closes
+//! that loop: it accumulates the (predicted, measured) pairs per
+//! cost-model *lane* — MINT conversion, weight-stationary compute,
+//! Gustavson SpGEMM compute — and refits a multiplicative coefficient
+//! per lane by least squares, so repeated traffic tightens the stats
+//! model toward the machine it actually runs on.
 //!
 //! The fit is a slope through the origin: measured ≈ c · predicted, with
 //! `c = Σ p·m / Σ p²` minimizing the squared residual. Predictions are
-//! stored **de-scaled** (divided by the coefficient that produced them),
-//! so samples stay in raw model units across generations and the fit
-//! never compounds its own corrections.
+//! stored **de-scaled** (divided by the coefficients the plan was scaled
+//! with), so samples stay in raw model units across generations, the
+//! fit never compounds its own corrections, and a plan executed after a
+//! refit is stored in the same units as one executed before it.
 //!
-//! Calibration is **versioned**: [`Calibrator::recalibrate`] bumps a
-//! generation counter that the planner folds into its cache keys, so
-//! every plan-cache row planned under stale coefficients misses exactly
-//! once and replans — and [`ExecutionPlan::explain`] prints the
-//! generation a plan was made under.
+//! [`Calibrator::recalibrate`] bumps a generation counter, and
+//! [`ExecutionPlan::explain`] prints the generation whose coefficients
+//! scaled a plan. The plan cache does not depend on it: a cached SAGE
+//! evaluation reads no coefficient, and every plan is scaled by the
+//! coefficients current when it is made, whether its evaluation is
+//! cached or searched.
 //!
+//! [`PipelineRun`]: crate::PipelineRun
 //! [`ExecutionPlan::explain`]: crate::plan::ExecutionPlan::explain
 
 use crate::lock_clean;
-use crate::plan::{CostModel, Dataflow, PlanTrace};
+use crate::plan::Dataflow;
 use std::sync::Mutex;
 
 /// Per-lane sample cap: under sustained traffic the calibrator keeps the
@@ -118,10 +119,9 @@ struct CalState {
     compute_spgemm: LaneSamples,
 }
 
-/// Accumulates executed-plan traces and refits the stats cost model's
-/// per-lane coefficients by least squares (see the module docs).
-/// Thread-safe and shared by reference, like the plan cache it
-/// invalidates.
+/// Accumulates executed runs and refits the stats cost model's per-lane
+/// coefficients by least squares (see the module docs). Thread-safe and
+/// shared by reference, like the plan cache beside it.
 #[derive(Debug, Default)]
 pub struct Calibrator {
     state: Mutex<CalState>,
@@ -137,16 +137,17 @@ impl Clone for Calibrator {
 
 impl Calibrator {
     /// The calibration generation: 0 until the first
-    /// [`recalibrate`](Self::recalibrate), bumped by one per refit. Plan
-    /// cache keys include this, so a bump invalidates exactly the rows
-    /// planned under older coefficients.
+    /// [`recalibrate`](Self::recalibrate), bumped by one per refit.
     pub fn generation(&self) -> u64 {
         lock_clean(&self.state).generation
     }
 
-    /// The coefficients currently applied to stats-model predictions.
-    pub fn coefficients(&self) -> Coefficients {
-        lock_clean(&self.state).coeffs
+    /// The current generation and the coefficients it names, read under
+    /// one lock, so a plan scaled by these coefficients records the
+    /// generation that produced them.
+    pub fn current(&self) -> (u64, Coefficients) {
+        let s = lock_clean(&self.state);
+        (s.generation, s.coeffs)
     }
 
     /// Total (predicted, measured) pairs accumulated across lanes.
@@ -157,32 +158,29 @@ impl Calibrator {
             + s.compute_spgemm.raw_predicted.len()
     }
 
-    /// Record one executed plan's trace. Only [`CostModel::Stats`]
-    /// traces feed the fit — the structure oracle is already cycle-exact
-    /// — and each tile contributes one conversion-lane and one
-    /// compute-lane sample. The trace's predictions carry the
-    /// coefficients they were planned under; they are de-scaled by the
-    /// current coefficients so stored samples stay in raw model units.
-    pub fn record_trace(&self, dataflow: Dataflow, trace: &PlanTrace) {
-        if trace.cost_model != CostModel::Stats {
-            return;
-        }
+    /// Record one executed plan: per tile, the (predicted, measured)
+    /// cycles of the conversion lane and of the compute lane (see
+    /// `PipelineRun::lane_cycles`). Each tile contributes one sample to
+    /// the conversion lane and one to `dataflow`'s compute lane.
+    /// Predictions are divided by `coeffs`, the coefficients the plan was
+    /// scaled with, so stored samples stay in raw model units even when
+    /// a refit lands between planning and execution.
+    pub(crate) fn record(
+        &self,
+        dataflow: Dataflow,
+        coeffs: &Coefficients,
+        tiles: impl IntoIterator<Item = [(u64, u64); 2]>,
+    ) {
+        let c_conv = coeffs.conv.max(f64::MIN_POSITIVE);
+        let c_comp = coeffs.compute(dataflow).max(f64::MIN_POSITIVE);
         let mut s = lock_clean(&self.state);
-        let c_conv = s.coeffs.conv.max(f64::MIN_POSITIVE);
-        let c_comp = s.coeffs.compute(dataflow).max(f64::MIN_POSITIVE);
-        for t in &trace.tiles {
-            s.conv.push(
-                t.predicted_conv_cycles as f64 / c_conv,
-                t.measured_conv_cycles as f64,
-            );
+        for [(p_conv, m_conv), (p_comp, m_comp)] in tiles {
+            s.conv.push(p_conv as f64 / c_conv, m_conv as f64);
             let lane = match dataflow {
                 Dataflow::GustavsonSpGemm => &mut s.compute_spgemm,
                 Dataflow::WeightStationary => &mut s.compute_ws,
             };
-            lane.push(
-                t.predicted_compute_cycles as f64 / c_comp,
-                t.measured_compute_cycles as f64,
-            );
+            lane.push(p_comp as f64 / c_comp, m_comp as f64);
         }
     }
 
@@ -208,7 +206,7 @@ impl Calibrator {
     /// Mean |c·predicted − measured| / max(measured, 1) over every
     /// stored sample under the **current** coefficients — the
     /// stored-sample counterpart of the per-round plan error the
-    /// `BENCH_calibration` exhibit tracks. `None` until a trace has been
+    /// `BENCH_calibration` exhibit tracks. `None` until a run has been
     /// recorded.
     pub fn mean_abs_error(&self) -> Option<f64> {
         let s = lock_clean(&self.state);
@@ -230,37 +228,28 @@ impl Calibrator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::TileCompare;
-    use sparseflex_mint::OverlapSchedule;
 
-    /// A stats trace whose measured cycles are exactly `factor` × the
-    /// predicted ones in both lanes.
-    fn scaled_trace(predicted: &[(u64, u64)], factor: f64) -> PlanTrace {
-        let tiles = predicted
+    /// Per-tile lane pairs whose measured cycles are exactly `factor` ×
+    /// the predicted ones in both lanes.
+    fn scaled_tiles(predicted: &[(u64, u64)], factor: f64) -> Vec<[(u64, u64); 2]> {
+        predicted
             .iter()
-            .map(|&(conv, comp)| TileCompare {
-                col_start: 0,
-                col_end: 1,
-                predicted_conv_cycles: conv,
-                measured_conv_cycles: (conv as f64 * factor) as u64,
-                predicted_compute_cycles: comp,
-                measured_compute_cycles: (comp as f64 * factor) as u64,
+            .map(|&(conv, comp)| {
+                [
+                    (conv, (conv as f64 * factor) as u64),
+                    (comp, (comp as f64 * factor) as u64),
+                ]
             })
-            .collect();
-        PlanTrace {
-            cost_model: CostModel::Stats,
-            tiles,
-            predicted_schedule: OverlapSchedule::default(),
-            measured_schedule: OverlapSchedule::default(),
-        }
+            .collect()
     }
 
     #[test]
     fn recalibration_recovers_a_uniform_scale_factor() {
         let cal = Calibrator::default();
-        cal.record_trace(
+        cal.record(
             Dataflow::WeightStationary,
-            &scaled_trace(&[(100, 1_000), (240, 2_200), (60, 800)], 1.5),
+            &Coefficients::default(),
+            scaled_tiles(&[(100, 1_000), (240, 2_200), (60, 800)], 1.5),
         );
         let before = cal.mean_abs_error().unwrap();
         let c = cal.recalibrate();
@@ -276,37 +265,35 @@ mod tests {
     }
 
     #[test]
-    fn generations_count_refits_and_structure_traces_are_ignored() {
+    fn generations_count_refits() {
         let cal = Calibrator::default();
         assert_eq!(cal.generation(), 0);
-        let mut t = scaled_trace(&[(10, 100)], 2.0);
-        t.cost_model = CostModel::Structure;
-        cal.record_trace(Dataflow::GustavsonSpGemm, &t);
-        assert_eq!(cal.samples(), 0, "structure traces must not feed the fit");
         cal.recalibrate();
         cal.recalibrate();
         assert_eq!(cal.generation(), 2);
         // No samples: coefficients stay identity.
-        assert_eq!(cal.coefficients(), Coefficients::default());
+        assert_eq!(cal.current(), (2, Coefficients::default()));
     }
 
     #[test]
     fn descaling_keeps_samples_in_raw_units_across_generations() {
         let cal = Calibrator::default();
         // Round 1: raw model underpredicts 2x.
-        cal.record_trace(
+        cal.record(
             Dataflow::WeightStationary,
-            &scaled_trace(&[(100, 500)], 2.0),
+            &Coefficients::default(),
+            scaled_tiles(&[(100, 500)], 2.0),
         );
         let c1 = cal.recalibrate();
         assert!((c1.compute_ws - 2.0).abs() < 1e-12);
         // Round 2: the *planner* now predicts with the 2.0 coefficient
-        // applied, so a perfectly-calibrated trace has predicted ==
+        // applied, so a perfectly-calibrated run has predicted ==
         // measured. De-scaling must map it back to raw units and keep
         // the slope at 2.0 instead of compounding to 4.0.
-        cal.record_trace(
+        cal.record(
             Dataflow::WeightStationary,
-            &scaled_trace(&[(200, 1_000)], 1.0),
+            &c1,
+            scaled_tiles(&[(200, 1_000)], 1.0),
         );
         let c2 = cal.recalibrate();
         assert!(
@@ -323,14 +310,22 @@ mod tests {
         let big: Vec<(u64, u64)> = (0..MAX_SAMPLES_PER_LANE as u64 + 100)
             .map(|i| (i + 1, i + 1))
             .collect();
-        cal.record_trace(Dataflow::WeightStationary, &scaled_trace(&big, 1.0));
+        cal.record(
+            Dataflow::WeightStationary,
+            &Coefficients::default(),
+            scaled_tiles(&big, 1.0),
+        );
         assert_eq!(cal.samples(), 2 * MAX_SAMPLES_PER_LANE);
     }
 
     #[test]
     fn clones_are_independent() {
         let cal = Calibrator::default();
-        cal.record_trace(Dataflow::WeightStationary, &scaled_trace(&[(10, 20)], 2.0));
+        cal.record(
+            Dataflow::WeightStationary,
+            &Coefficients::default(),
+            scaled_tiles(&[(10, 20)], 2.0),
+        );
         let snap = cal.clone();
         cal.recalibrate();
         assert_eq!(snap.generation(), 0, "clone must not see later refits");

@@ -12,7 +12,8 @@
 //! schedule, predicted cycle budget — cached in a bounded LRU
 //! [`planner::PlanCache`] keyed on workload statistics + hardware
 //! fingerprint), and one shared executor runs plans on the accelerator,
-//! yielding a [`plan::PlanTrace`] of predicted vs measured cycles.
+//! yielding a [`PipelineRun`] whose measured tiles sit beside the plan's
+//! predicted cycles and feed the [`Calibrator`].
 //!
 //! One entry point runs a job, and a batch fans that sequence out:
 //!
@@ -47,7 +48,7 @@ pub mod system;
 pub use calibrate::{Calibrator, Coefficients, MAX_SAMPLES_PER_LANE};
 pub use casestudy::{layer_edp, LayerEdp};
 pub use pipeline::{BatchJob, BatchRun, PipelineRun, TileTrace};
-pub use plan::{CostModel, Dataflow, ExecutionPlan, PlanPrediction, PlanTrace, TileCompare};
+pub use plan::{Dataflow, ExecutionPlan, PlanPrediction};
 pub use planner::{CacheCounters, PlanCache, PlanDiscipline, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
 // Serve starts its workers through this re-export: a direct
 // `sparseflex-kernels` dependency would change sfbench's lock file.

@@ -8,9 +8,9 @@
 //! (double-buffered). Every run — monolithic (one tile) or pipelined —
 //! yields a [`PipelineRun`], which reports both the overlapped and serial
 //! cycle totals, so the paper's "conversion is cheap because it overlaps"
-//! claim is measured end-to-end rather than assumed — and carries the
-//! [`PlanTrace`](crate::plan::PlanTrace) comparing the plan's predicted
-//! cycles against what the simulator measured.
+//! claim is measured end-to-end rather than assumed. It is also the one
+//! predicted-vs-measured record: its tiles are measured against the
+//! plan's per-tile prediction, and that comparison feeds the calibrator.
 //!
 //! Tiling also lifts the residency limit: a stationary operand whose
 //! compressed rows overflow a PE buffer (the recoverable
@@ -47,10 +47,6 @@ pub struct TileTrace {
     pub compute: CycleBreakdown,
     /// Accelerator activity counters for this tile.
     pub counts: ActivityCounts,
-    /// Column tiles the WS array split this tile into internally.
-    pub array_col_tiles: usize,
-    /// K-range passes the simulator made across those internal tiles.
-    pub k_passes: usize,
 }
 
 /// Result of executing one [`ExecutionPlan`] (tile-grained or
@@ -67,9 +63,9 @@ pub struct PipelineRun {
     pub conv_a: ConversionReport,
     /// One trace per stationary column tile, in execution order.
     pub tiles: Vec<TileTrace>,
-    /// Predicted vs measured cycles, tile by tile (the measured
-    /// double-buffered schedule lives in `trace.measured_schedule`).
-    pub trace: crate::plan::PlanTrace,
+    /// The measured double-buffered vs serial cycle totals over the
+    /// tile stream (the plan's prediction is `plan.predicted.schedule`).
+    pub schedule: OverlapSchedule,
 }
 
 impl PipelineRun {
@@ -83,22 +79,16 @@ impl PipelineRun {
         self.plan.from_cache
     }
 
-    /// The measured double-buffered vs serial cycle totals over the
-    /// tile stream.
-    pub fn schedule(&self) -> OverlapSchedule {
-        self.trace.measured_schedule
-    }
-
     /// Wall-clock cycles with conversion overlapped behind compute
     /// (prologue A conversion + the double-buffered tile schedule).
     pub fn overlapped_cycles(&self) -> u64 {
-        self.conv_a.pipelined_cycles() + self.schedule().overlapped_cycles
+        self.conv_a.pipelined_cycles() + self.schedule.overlapped_cycles
     }
 
     /// Wall-clock cycles of the serial convert-then-compute discipline —
     /// what a [`PlanDiscipline::Monolithic`] run models.
     pub fn serial_cycles(&self) -> u64 {
-        self.conv_a.pipelined_cycles() + self.schedule().serial_cycles
+        self.conv_a.pipelined_cycles() + self.schedule.serial_cycles
     }
 
     /// Total accelerator compute cycles across all tiles.
@@ -114,6 +104,60 @@ impl PipelineRun {
                 .iter()
                 .map(|t| t.conv.pipelined_cycles())
                 .sum::<u64>()
+    }
+
+    /// Per executed tile, in order: the (predicted, measured) cycles of
+    /// the conversion lane and of the compute lane. A tile the plan
+    /// holds no prediction for counts as predicted at 0 cycles.
+    pub(crate) fn lane_cycles(&self) -> impl Iterator<Item = [(u64, u64); 2]> + '_ {
+        let p = &self.plan.predicted;
+        self.tiles.iter().enumerate().map(move |(i, t)| {
+            [
+                (
+                    p.per_tile_conv.get(i).copied().unwrap_or(0),
+                    t.conv.pipelined_cycles(),
+                ),
+                (
+                    p.per_tile_compute.get(i).copied().unwrap_or(0),
+                    t.compute.total(),
+                ),
+            ]
+        })
+    }
+
+    /// Mean per-tile relative cycle error of the plan's prediction: the
+    /// average over tiles of `|predicted − measured| / max(measured, 1)`,
+    /// with conversion and compute lanes summed per tile (0.0 for a
+    /// perfect prediction or no tiles). The scalar the calibration loop
+    /// drives down.
+    pub fn mean_cycle_error(&self) -> f64 {
+        if self.tiles.is_empty() {
+            return 0.0;
+        }
+        let sum: f64 = self
+            .lane_cycles()
+            .map(|[(pc, mc), (pk, mk)]| {
+                let (p, m) = ((pc + pk) as f64, (mc + mk) as f64);
+                (p - m).abs() / m.max(1.0)
+            })
+            .sum();
+        sum / self.tiles.len() as f64
+    }
+
+    /// Multiplicative total-compute error of the plan's prediction:
+    /// `max(p, m) / min(p, m)` over the summed compute cycles (1.0 for a
+    /// perfect prediction; also 1.0 when both sides are zero, e.g. empty
+    /// operands).
+    pub fn compute_error_factor(&self) -> f64 {
+        let p = self.plan.predicted.compute_cycles() as f64;
+        let m = self.compute_cycles() as f64;
+        if p == 0.0 && m == 0.0 {
+            return 1.0;
+        }
+        if p == 0.0 || m == 0.0 {
+            return f64::INFINITY;
+        }
+        (p / m).max(m / p)
     }
 }
 

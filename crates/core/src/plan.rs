@@ -13,39 +13,18 @@
 //! - the predicted MINT-conversion / compute overlap schedule (the
 //!   per-tile cycle lanes folded by `mint::tiled::overlap_schedule`).
 //!
-//! Executing a plan yields a [`PlanTrace`] — predicted vs measured
-//! cycles per tile — so the cost model is *validated* on every run, not
-//! assumed. [`ExecutionPlan::explain`] renders the whole decision as a
-//! human-readable dump (see `examples/plan_explain.rs`).
+//! Executing a plan yields a [`PipelineRun`](crate::PipelineRun), whose
+//! measured tiles sit beside this prediction, so the cost model is
+//! *validated* on every run, not assumed. [`ExecutionPlan::explain`]
+//! renders the whole decision as a human-readable dump (see
+//! `examples/plan_explain.rs`).
 
+use crate::calibrate::Coefficients;
 use sparseflex_formats::ColumnSchedule;
 use sparseflex_mint::OverlapSchedule;
 use sparseflex_sage::eval::Evaluation;
 use sparseflex_sage::{FormatChoice, SageKernel, SageWorkload};
 use std::fmt::Write as _;
-
-/// Which cost model the planner used to fill a plan's prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModel {
-    /// SAGE's analytic models over workload statistics (cheap; per-tile
-    /// cycles are whole-operand totals split by tile nonzero weight).
-    #[default]
-    Stats,
-    /// A planning-time dry run over the *actual operand structure*: each
-    /// tile is converted and simulated once while planning, so the
-    /// prediction matches the measured execution cycle-for-cycle. This
-    /// is the model-validation oracle — it costs one extra execution.
-    Structure,
-}
-
-impl std::fmt::Display for CostModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CostModel::Stats => write!(f, "stats"),
-            CostModel::Structure => write!(f, "structure"),
-        }
-    }
-}
 
 /// The dataflow a plan executes under (decided by the ACF pair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,11 +44,13 @@ impl std::fmt::Display for Dataflow {
     }
 }
 
-/// The planner's a-priori cycle picture of one job, tile by tile.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The planner's a-priori cycle picture of one job, tile by tile: SAGE's
+/// analytic whole-operand totals, scaled by the calibrator's
+/// coefficients and split across tiles by stored-nonzero weight.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanPrediction {
-    /// Cost model that produced the numbers.
-    pub cost_model: CostModel,
+    /// The calibration coefficients every lane below was scaled by.
+    pub coefficients: Coefficients,
     /// Predicted MINT cycles to convert the streaming operand A
     /// (pipeline prologue; hidden only behind A's own DRAM fetch).
     pub conv_a_cycles: u64,
@@ -116,10 +97,9 @@ pub struct ExecutionPlan {
     /// True when the evaluation was served from the plan cache rather
     /// than searched.
     pub from_cache: bool,
-    /// The calibration generation the stats prediction was scaled under
-    /// (0 = the uncalibrated analytic model). Part of the plan-cache
-    /// key: a recalibration bump invalidates rows planned under older
-    /// coefficients.
+    /// The calibration generation whose coefficients scaled the
+    /// prediction (0 = the uncalibrated analytic model), read under the
+    /// same lock as `predicted.coefficients`.
     pub calibration_generation: u64,
 }
 
@@ -192,13 +172,12 @@ impl ExecutionPlan {
         let _ = writeln!(
             out,
             "  overlap    : predicted {} overlapped vs {} serial ({:.3}x, {} hidden) \
-             + {}cy A-conversion prologue  [{} model]",
+             + {}cy A-conversion prologue",
             s.overlapped_cycles,
             s.serial_cycles,
             s.speedup(),
             s.hidden_cycles(),
-            self.predicted.conv_a_cycles,
-            self.predicted.cost_model
+            self.predicted.conv_a_cycles
         );
         let _ = writeln!(
             out,
@@ -211,91 +190,5 @@ impl ExecutionPlan {
             }
         );
         out
-    }
-}
-
-/// Predicted vs measured cycles for one executed stationary tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileCompare {
-    /// First stationary column of the tile.
-    pub col_start: usize,
-    /// One past the last stationary column of the tile.
-    pub col_end: usize,
-    /// Planner-predicted MINT conversion cycles.
-    pub predicted_conv_cycles: u64,
-    /// Measured MINT conversion cycles (pipelined wall clock).
-    pub measured_conv_cycles: u64,
-    /// Planner-predicted accelerator compute cycles.
-    pub predicted_compute_cycles: u64,
-    /// Measured accelerator compute cycles.
-    pub measured_compute_cycles: u64,
-}
-
-/// The validation record every executed plan yields: the plan's
-/// prediction lanes against what `accel::exec` actually measured.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanTrace {
-    /// Cost model the prediction side came from.
-    pub cost_model: CostModel,
-    /// Per-tile comparison, in execution order.
-    pub tiles: Vec<TileCompare>,
-    /// The predicted double-buffered schedule (from the plan).
-    pub predicted_schedule: OverlapSchedule,
-    /// The measured double-buffered schedule (from execution).
-    pub measured_schedule: OverlapSchedule,
-}
-
-impl PlanTrace {
-    /// Predicted compute cycles summed over all tiles.
-    pub fn predicted_compute_cycles(&self) -> u64 {
-        self.tiles.iter().map(|t| t.predicted_compute_cycles).sum()
-    }
-
-    /// Measured compute cycles summed over all tiles.
-    pub fn measured_compute_cycles(&self) -> u64 {
-        self.tiles.iter().map(|t| t.measured_compute_cycles).sum()
-    }
-
-    /// True when every tile's predicted compute cycles equal the
-    /// measured ones exactly (the [`CostModel::Structure`] guarantee).
-    pub fn compute_exact(&self) -> bool {
-        self.tiles
-            .iter()
-            .all(|t| t.predicted_compute_cycles == t.measured_compute_cycles)
-    }
-
-    /// Mean per-tile relative cycle error: the average over tiles of
-    /// `|predicted − measured| / max(measured, 1)`, with conversion and
-    /// compute lanes summed per tile (0.0 for a perfect prediction or
-    /// an empty trace). The scalar the calibration loop drives down.
-    pub fn mean_cycle_error(&self) -> f64 {
-        if self.tiles.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .tiles
-            .iter()
-            .map(|t| {
-                let p = (t.predicted_conv_cycles + t.predicted_compute_cycles) as f64;
-                let m = (t.measured_conv_cycles + t.measured_compute_cycles) as f64;
-                (p - m).abs() / m.max(1.0)
-            })
-            .sum();
-        sum / self.tiles.len() as f64
-    }
-
-    /// Multiplicative total-compute error: `max(p, m) / min(p, m)` over
-    /// the summed compute cycles (1.0 for a perfect prediction; also 1.0
-    /// when both sides are zero, e.g. empty operands).
-    pub fn compute_error_factor(&self) -> f64 {
-        let p = self.predicted_compute_cycles() as f64;
-        let m = self.measured_compute_cycles() as f64;
-        if p == 0.0 && m == 0.0 {
-            return 1.0;
-        }
-        if p == 0.0 || m == 0.0 {
-            return f64::INFINITY;
-        }
-        (p / m).max(m / p)
     }
 }

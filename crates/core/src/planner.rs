@@ -11,7 +11,7 @@
 //!               │ tiler schedule ─ overlap  │        │
 //!               └───────────────────────────┘        ▼
 //!               ┌───────────────────────────┐   execute_plan
-//!               │  EXECUTOR (stage machine) │──→ PipelineRun + PlanTrace
+//!               │  EXECUTOR (stage machine) │──→ PipelineRun
 //!               │  MINT convert ∥ accel     │
 //!               └───────────────────────────┘
 //! ```
@@ -21,15 +21,17 @@
 //! choice itself, so config changes invalidate naturally), runs SAGE
 //! only on a miss — the full search, or the one pinned choice — cuts the
 //! stationary operand's column-tile schedule, and fills the per-tile
-//! cycle prediction. [`Planner::execute_plan`] is the *only* place
+//! cycle prediction from SAGE's statistics, scaled by the calibrator's
+//! current coefficients. [`Planner::execute_plan`] is the *only* place
 //! operands meet the accelerator: the double-buffered convert∥compute
 //! stage machine that every run, monolithic, pipelined or batched,
-//! executes — so they cannot diverge.
+//! executes — so they cannot diverge. Its [`PipelineRun`] measures each
+//! tile against the prediction and feeds the calibrator.
 
 use crate::calibrate::{Calibrator, Coefficients};
 use crate::lock_clean;
 use crate::pipeline::{PipelineRun, TileTrace};
-use crate::plan::{CostModel, Dataflow, ExecutionPlan, PlanPrediction, PlanTrace, TileCompare};
+use crate::plan::{Dataflow, ExecutionPlan, PlanPrediction};
 use crate::system::RunError;
 use sparseflex_accel::exec::{simulate_spgemm, simulate_ws, SimResult};
 use sparseflex_formats::{
@@ -74,11 +76,6 @@ struct PlanKey {
     nnz_b: u64,
     dtype: sparseflex_formats::DataType,
     hw: u64,
-    /// The calibration generation the row was planned under: a
-    /// [`Calibrator::recalibrate`] bump changes this for every new key,
-    /// so exactly the rows planned under stale coefficients miss and
-    /// replan.
-    calibration: u64,
     /// `None` for free-search plans; the pinned choice otherwise.
     choice: Option<FormatChoice>,
 }
@@ -391,13 +388,10 @@ impl PlanCache {
 pub struct Planner {
     /// The bounded evaluation cache.
     pub cache: PlanCache,
-    /// Cost model filling plan predictions ([`CostModel::Stats`] unless
-    /// the caller opts into the dry-run validation oracle).
-    pub cost_model: CostModel,
-    /// Online calibration of the stats model: every executed plan's
-    /// trace is recorded here, and [`Calibrator::recalibrate`] refits
-    /// the per-lane coefficients that scale new stats predictions
-    /// (bumping the generation invalidates stale cache rows).
+    /// Online calibration of the stats model: every executed run is
+    /// recorded here, and [`Calibrator::recalibrate`] refits the
+    /// per-lane coefficients that scale the predictions of later plans.
+    /// Cached evaluations read no coefficient, so a refit keeps them.
     pub calibrator: Calibrator,
     /// Grow-only per-worker arena pool for the tile executor: the first
     /// pipelined run warms one arena per tile worker, later runs convert
@@ -414,7 +408,6 @@ impl Clone for Planner {
     fn clone(&self) -> Self {
         Planner {
             cache: self.cache.clone(),
-            cost_model: self.cost_model,
             calibrator: self.calibrator.clone(),
             tile_arenas: Mutex::new(ArenaPool::new()),
         }
@@ -422,8 +415,8 @@ impl Clone for Planner {
 }
 
 impl Planner {
-    /// The cache key for `w` on `sage`'s hardware under the current
-    /// calibration generation, with the pinned choice.
+    /// The cache key for `w` on `sage`'s hardware, with the pinned
+    /// choice.
     fn key(&self, sage: &Sage, w: &SageWorkload, choice: Option<FormatChoice>) -> PlanKey {
         PlanKey {
             kernel: w.kernel,
@@ -434,7 +427,6 @@ impl Planner {
             nnz_b: w.nnz_b,
             dtype: w.dtype,
             hw: sage.config_fingerprint(),
-            calibration: self.calibrator.generation(),
             choice,
         }
     }
@@ -542,24 +534,9 @@ impl Planner {
                 available: accel.pe_buffer_elems,
             })?;
 
-        // ---- Cycle prediction (stats predictions are scaled by the
-        // calibrator's fitted coefficients; the structure oracle is
-        // cycle-exact and takes none).
-        let predicted = match self.cost_model {
-            CostModel::Stats => {
-                let coeffs = self.calibrator.coefficients();
-                predict_stats(sage, a, b, &evaluation, &schedule, &coeffs, dataflow)
-            }
-            CostModel::Structure => predict_structure(
-                sage,
-                a,
-                b,
-                &evaluation,
-                &schedule,
-                spgemm,
-                &self.tile_arenas,
-            )?,
-        };
+        // ---- Cycle prediction, scaled by the calibrator's coefficients.
+        let (calibration_generation, coeffs) = self.calibrator.current();
+        let predicted = predict_stats(sage, a, b, &evaluation, &schedule, coeffs, dataflow);
 
         Ok(ExecutionPlan {
             workload,
@@ -568,7 +545,7 @@ impl Planner {
             schedule,
             predicted,
             from_cache: false,
-            calibration_generation: self.calibrator.generation(),
+            calibration_generation,
         })
     }
 
@@ -579,9 +556,8 @@ impl Planner {
     /// while the array computes tile *t*, a double-buffered overlap
     /// priced by the per-tile cycle lanes folded into the run's
     /// [`OverlapSchedule`](sparseflex_mint::OverlapSchedule). Every run
-    /// path funnels through this one executor, and every run yields a
-    /// [`PlanTrace`] comparing the plan's prediction against the
-    /// measured cycles.
+    /// path funnels through this one executor, and every run's tiles,
+    /// measured against the plan's prediction, feed the calibrator.
     /// `FlexSystem::run` is [`plan`](Self::plan) followed by this; it is
     /// public on its own so a plan can be inspected before it runs, and
     /// so the benchmark's traced replay can time it separately.
@@ -594,8 +570,23 @@ impl Planner {
     ) -> Result<PipelineRun, RunError> {
         let choice = plan.choice();
         let spgemm = plan.dataflow == Dataflow::GustavsonSpGemm;
-        let (a_acf, conv_a, tiles_mem, b_cols) =
-            prepare_operands(sage, choice, &plan.schedule.ranges, a, b)?;
+        let a_mem = MatrixData::encode(a, &choice.mcf_a)?;
+        let b_mem = MatrixData::encode(b, &choice.mcf_b)?;
+        let b_cols = b_mem.cols();
+        // A schedule of one range spanning every column (the monolithic
+        // discipline) uses the encoded operand directly instead of
+        // round-tripping it through triplet extraction.
+        let tiles_mem = if plan.schedule.ranges == [(0, b_cols)] {
+            vec![MatrixTile {
+                col_start: 0,
+                col_end: b_cols,
+                data: b_mem,
+            }]
+        } else {
+            tile_column_ranges(&b_mem, &plan.schedule.ranges)?
+        };
+        // The streaming operand converts once, in the pipeline prologue.
+        let (a_acf, conv_a) = sage.mint.convert_matrix(&a_mem, &choice.acf_a)?;
         let executed =
             convert_and_execute_tiles(sage, choice, spgemm, &a_acf, &tiles_mem, &self.tile_arenas)?;
 
@@ -609,63 +600,32 @@ impl Planner {
                 conv,
                 compute: sim.cycles,
                 counts: sim.counts,
-                array_col_tiles: sim.n_tiles,
-                k_passes: sim.k_passes,
             });
         }
 
         let conv_cycles: Vec<u64> = tiles.iter().map(|t| t.conv.pipelined_cycles()).collect();
         let compute_cycles: Vec<u64> = tiles.iter().map(|t| t.compute.total()).collect();
-        let schedule = overlap_schedule(&conv_cycles, &compute_cycles);
-        let trace = build_trace(plan, &tiles, schedule);
-        // Close the loop: every executed stats plan feeds the online
-        // calibrator (recalibration itself stays an explicit caller
-        // decision, so predictions never shift mid-batch).
-        self.calibrator.record_trace(plan.dataflow, &trace);
-        Ok(PipelineRun {
+        let run = PipelineRun {
             plan: plan.clone(),
             output,
             conv_a,
             tiles,
-            trace,
-        })
+            schedule: overlap_schedule(&conv_cycles, &compute_cycles),
+        };
+        // Close the loop: every executed plan feeds the online calibrator
+        // (recalibration itself stays an explicit caller decision, so
+        // predictions never shift mid-batch).
+        self.calibrator.record(
+            plan.dataflow,
+            &plan.predicted.coefficients,
+            run.lane_cycles(),
+        );
+        Ok(run)
     }
 }
 
-/// Encode both operands in their MCFs, cut the stationary operand into
-/// the scheduled tiles, and convert the streaming operand (the pipeline
-/// prologue). A schedule consisting of one range spanning every column
-/// (the monolithic discipline) uses the encoded operand directly instead
-/// of round-tripping it through triplet extraction.
-#[allow(clippy::type_complexity)]
-fn prepare_operands(
-    sage: &Sage,
-    choice: &sparseflex_sage::FormatChoice,
-    ranges: &[(usize, usize)],
-    a: &CooMatrix,
-    b: &CooMatrix,
-) -> Result<(MatrixData, ConversionReport, Vec<MatrixTile>, usize), RunError> {
-    let a_mem = MatrixData::encode(a, &choice.mcf_a)?;
-    let b_mem = MatrixData::encode(b, &choice.mcf_b)?;
-    let b_cols = b_mem.cols();
-    let tiles_mem = if ranges == [(0, b_cols)] {
-        vec![MatrixTile {
-            col_start: 0,
-            col_end: b_cols,
-            data: b_mem,
-        }]
-    } else {
-        tile_column_ranges(&b_mem, ranges)?
-    };
-    let (a_acf, conv_a) = sage.mint.convert_matrix(&a_mem, &choice.acf_a)?;
-    Ok((a_acf, conv_a, tiles_mem, b_cols))
-}
-
 /// Convert each scheduled tile MCF→ACF and run it on the cycle-accurate
-/// simulator, with the tiles fanned out across workers. This is the
-/// **one** per-tile sequence shared by `execute_plan` and the
-/// structure-model oracle, so the oracle's cycle-exactness guarantee
-/// cannot drift from what execution does.
+/// simulator, with the tiles fanned out across workers.
 ///
 /// Tiles are chunked contiguously, one chunk per [`fan_out`] worker, and
 /// each chunk travels with one grow-only arena leased from the planner's
@@ -722,7 +682,7 @@ fn predict_stats(
     b: &CooMatrix,
     evaluation: &Evaluation,
     schedule: &ColumnSchedule,
-    coeffs: &Coefficients,
+    coeffs: Coefficients,
     dataflow: Dataflow,
 ) -> PlanPrediction {
     let choice = &evaluation.choice;
@@ -750,42 +710,12 @@ fn predict_stats(
         &schedule.tile_nnz,
     );
     PlanPrediction {
-        cost_model: CostModel::Stats,
+        coefficients: coeffs,
         conv_a_cycles: (conv_a as f64 * coeffs.conv).round() as u64,
         schedule: overlap_schedule(&per_tile_conv, &per_tile_compute),
         per_tile_conv,
         per_tile_compute,
     }
-}
-
-/// Structure-model prediction: a planning-time dry run over the actual
-/// operand structure — every tile is converted and simulated once, so
-/// predicted cycles equal the measured execution exactly. The
-/// model-validation oracle; costs one extra execution per plan.
-fn predict_structure(
-    sage: &Sage,
-    a: &CooMatrix,
-    b: &CooMatrix,
-    evaluation: &Evaluation,
-    schedule: &ColumnSchedule,
-    spgemm: bool,
-    pool: &Mutex<ArenaPool>,
-) -> Result<PlanPrediction, RunError> {
-    let choice = &evaluation.choice;
-    let (a_acf, conv_a, tiles_mem, _) = prepare_operands(sage, choice, &schedule.ranges, a, b)?;
-    let executed = convert_and_execute_tiles(sage, choice, spgemm, &a_acf, &tiles_mem, pool)?;
-    let per_tile_conv: Vec<u64> = executed
-        .iter()
-        .map(|(conv, _)| conv.pipelined_cycles())
-        .collect();
-    let per_tile_compute: Vec<u64> = executed.iter().map(|(_, sim)| sim.cycles.total()).collect();
-    Ok(PlanPrediction {
-        cost_model: CostModel::Structure,
-        conv_a_cycles: conv_a.pipelined_cycles(),
-        schedule: overlap_schedule(&per_tile_conv, &per_tile_compute),
-        per_tile_conv,
-        per_tile_compute,
-    })
 }
 
 /// Run one converted stationary tile on the cycle-accurate simulator:
@@ -815,32 +745,6 @@ fn execute_tile(
         None => simulate_ws(a_acf, tile_acf, &sage.accel)?,
     };
     Ok(sim)
-}
-
-/// Fold the measured tile traces against the plan's prediction.
-fn build_trace(
-    plan: &ExecutionPlan,
-    tiles: &[TileTrace],
-    measured: sparseflex_mint::OverlapSchedule,
-) -> PlanTrace {
-    let compares = tiles
-        .iter()
-        .enumerate()
-        .map(|(i, t)| TileCompare {
-            col_start: t.col_start,
-            col_end: t.col_end,
-            predicted_conv_cycles: plan.predicted.per_tile_conv.get(i).copied().unwrap_or(0),
-            measured_conv_cycles: t.conv.pipelined_cycles(),
-            predicted_compute_cycles: plan.predicted.per_tile_compute.get(i).copied().unwrap_or(0),
-            measured_compute_cycles: t.compute.total(),
-        })
-        .collect();
-    PlanTrace {
-        cost_model: plan.predicted.cost_model,
-        tiles: compares,
-        predicted_schedule: plan.predicted.schedule,
-        measured_schedule: measured,
-    }
 }
 
 /// Copy a tile's `m x width` output into the full output at column

@@ -25,8 +25,8 @@
 //! `sparseflex-formats`) and metered (returns per-block cycle and energy
 //! usage). A generic any→any path routes through COO. The [`cost`] module
 //! provides the closed-form cost model SAGE queries, and the [`tiled`]
-//! module adds the per-tile conversion API plus the double-buffered
-//! overlap schedule shared by the pipelined runtime and SAGE.
+//! module the double-buffered overlap schedule shared by the pipelined
+//! runtime and SAGE.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +41,5 @@ pub mod variants;
 pub use cost::{conversion_cost, tensor_conversion_cost, ConversionCost};
 pub use engine::ConversionEngine;
 pub use report::{BlockKind, ConversionReport};
-pub use tiled::{
-    added_hardware_cycles, overlap_schedule, split_cycles, OverlapSchedule, TiledConversion,
-};
+pub use tiled::{added_hardware_cycles, overlap_schedule, split_cycles, OverlapSchedule};
 pub use variants::{MintVariant, PrefixSumOverlay};

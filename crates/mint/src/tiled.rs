@@ -1,79 +1,20 @@
-//! Per-tile conversion and the overlap schedule model.
+//! The overlap schedule model of tiled conversion.
 //!
 //! "MINT is pipelined to start conversion while streaming in data from
 //! memory" (§V-B) — and the system-level consequence the paper's Fig. 12
 //! prices is that conversion of the *next* operand tile overlaps compute
-//! on the *current* one. This module provides the two halves of that
-//! story:
+//! on the *current* one. The runtime converts each tile with
+//! [`ConversionEngine::convert_matrix`](crate::ConversionEngine::convert_matrix);
+//! this module prices the overlap:
 //!
-//! - [`ConversionEngine::convert_tiles`] converts a sequence of operand
-//!   tiles one by one, returning a [`TiledConversion`] whose per-tile
-//!   [`ConversionReport`]s compose into the whole-operand report (the
-//!   composition is exact: tile reports merged equal the metered cost of
-//!   converting the tiles sequentially).
 //! - [`overlap_schedule`] folds per-tile conversion and compute cycle
 //!   vectors into the double-buffered pipeline total (convert tile `t+1`
 //!   while computing tile `t`) alongside the serial convert-then-compute
 //!   total, so callers (the `sparseflex-core` stage machine, SAGE's
-//!   conversion model) price the overlap instead of assuming it.
-
-use crate::engine::ConversionEngine;
-use crate::report::ConversionReport;
-use sparseflex_formats::{FormatError, MatrixData, MatrixFormat};
-
-/// The result of converting one operand tile sequence MCF → ACF.
-#[derive(Debug, Clone, Default)]
-pub struct TiledConversion {
-    /// Converted tiles, in input order, encoded in the target ACF.
-    pub tiles: Vec<MatrixData>,
-    /// One metered report per tile (degenerate tiles report near-zero
-    /// cost; identity conversions report exactly zero).
-    pub reports: Vec<ConversionReport>,
-}
-
-impl TiledConversion {
-    /// Whole-operand report: the sequential composition of every per-tile
-    /// report (same accounting `convert_matrix` on the unsplit operand
-    /// would produce, up to per-tile pipeline fills).
-    pub fn composed_report(&self) -> ConversionReport {
-        let mut total = ConversionReport::default();
-        for r in &self.reports {
-            total.merge(r);
-        }
-        total
-    }
-
-    /// Per-tile pipelined wall-clock cycles (the conversion lane of the
-    /// overlap schedule).
-    pub fn tile_cycles(&self) -> Vec<u64> {
-        self.reports
-            .iter()
-            .map(ConversionReport::pipelined_cycles)
-            .collect()
-    }
-}
-
-impl ConversionEngine {
-    /// Convert each tile in `tiles` to `target`, metering every tile
-    /// separately so the runtime can schedule tile `t+1`'s conversion
-    /// against tile `t`'s compute.
-    pub fn convert_tiles(
-        &self,
-        tiles: &[MatrixData],
-        target: &MatrixFormat,
-    ) -> Result<TiledConversion, FormatError> {
-        let mut out = TiledConversion {
-            tiles: Vec::with_capacity(tiles.len()),
-            reports: Vec::with_capacity(tiles.len()),
-        };
-        for tile in tiles {
-            let (converted, report) = self.convert_matrix(tile, target)?;
-            out.tiles.push(converted);
-            out.reports.push(report);
-        }
-        Ok(out)
-    }
-}
+//!   conversion model) price the overlap instead of assuming it;
+//! - [`split_cycles`] spreads a whole-operand cycle prediction across
+//!   tiles, and [`added_hardware_cycles`] is SAGE's analytic view of the
+//!   same pipeline.
 
 /// Cycle totals of a tiled plan→convert→execute run under the two
 /// disciplines the acceptance comparison needs.
@@ -199,51 +140,6 @@ pub fn added_hardware_cycles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparseflex_formats::{tile_column_ranges, uniform_column_ranges, SparseMatrix};
-    use sparseflex_workloads::synth::random_matrix;
-
-    #[test]
-    fn tile_reports_compose_to_the_whole_operand() {
-        let eng = ConversionEngine::default();
-        let coo = random_matrix(32, 40, 200, 11);
-        let data = MatrixData::encode(&coo, &MatrixFormat::Csr).unwrap();
-        let ranges = uniform_column_ranges(40, 8);
-        let raw_tiles: Vec<MatrixData> = tile_column_ranges(&data, &ranges)
-            .unwrap()
-            .into_iter()
-            .map(|t| t.data)
-            .collect();
-        let tiled = eng.convert_tiles(&raw_tiles, &MatrixFormat::Csc).unwrap();
-        assert_eq!(tiled.tiles.len(), ranges.len());
-        // Functional: every tile converted exactly.
-        for (tile, raw) in tiled.tiles.iter().zip(&raw_tiles) {
-            assert_eq!(tile.format(), MatrixFormat::Csc);
-            assert_eq!(tile.to_coo(), raw.to_coo());
-        }
-        // Composition: merged tile reports account for every nonzero.
-        let composed = tiled.composed_report();
-        assert_eq!(composed.elements, coo.nnz() as u64);
-        assert_eq!(
-            composed.serialized_cycles(),
-            tiled
-                .reports
-                .iter()
-                .map(ConversionReport::serialized_cycles)
-                .sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn identity_tiles_are_free() {
-        let eng = ConversionEngine::default();
-        let coo = random_matrix(10, 10, 20, 3);
-        let data = MatrixData::encode(&coo, &MatrixFormat::Coo).unwrap();
-        let tiled = eng
-            .convert_tiles(std::slice::from_ref(&data), &MatrixFormat::Coo)
-            .unwrap();
-        assert_eq!(tiled.composed_report().serialized_cycles(), 0);
-        assert_eq!(tiled.tile_cycles(), vec![0]);
-    }
 
     #[test]
     fn overlap_schedule_hides_conversion_behind_compute() {

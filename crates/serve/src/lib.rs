@@ -10,9 +10,9 @@
 //! - [`wire`] — the compact binary frame format jobs and results travel
 //!   in: a 16-byte header (magic, version, kind, FNV-1a body checksum)
 //!   followed by a format tag, shape header, index arrays and IEEE-754
-//!   values. Round-trips every matrix and tensor format in the
-//!   workspace losslessly and rejects truncated or garbled frames with
-//!   typed errors.
+//!   values. Round-trips every matrix format in the workspace
+//!   losslessly and rejects truncated or garbled frames with typed
+//!   errors.
 //! - [`service`] — [`FlexService`]: a bounded submission queue with
 //!   admission control (queue-full backpressure + per-tenant in-flight
 //!   caps), per-tenant weighted-fair stride scheduling with three

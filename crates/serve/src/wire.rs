@@ -6,7 +6,7 @@
 //! |-------:|-----:|------------------------------------------------|
 //! |      0 |    4 | magic `b"SFLX"`                                 |
 //! |      4 |    1 | version ([`WIRE_VERSION`])                      |
-//! |      5 |    1 | kind (0 matrix, 1 tensor, 2 job, 3 result)      |
+//! |      5 |    1 | kind (0 matrix, 2 job, 3 result)                |
 //! |      6 |    2 | reserved (must be zero)                         |
 //! |      8 |    8 | FNV-1a checksum of the body, little-endian      |
 //! |     16 |    — | body (kind-specific)                            |
@@ -18,18 +18,18 @@
 //! `u32`, values as IEEE-754 `f64` bit patterns). Decoding re-encodes
 //! the triplets into the tagged format, which is lossless because every
 //! format in the workspace round-trips exactly through the COO hub (the
-//! invariant `formats::roundtrip_tests` pins). A **tensor body** is the
-//! same shape with three index arrays. A **job body** carries tenant,
-//! priority and datatype plus two embedded matrix frames; a **result
-//! body** carries the job id and the embedded Dense output frame.
+//! invariant `formats::roundtrip_tests` pins). A **job body** carries
+//! tenant, priority and datatype plus two embedded matrix frames; a
+//! **result body** carries the job id and the embedded Dense output
+//! frame.
 //!
 //! Malformed input never panics: truncation, bad magic, version or kind
 //! mismatches, checksum failures, oversized counts and trailing garbage
 //! all surface as typed [`WireError`]s.
 
 use sparseflex_formats::{
-    ByteError, ByteReader, ByteWriter, CooMatrix, CooTensor3, DataType, DenseMatrix, FormatError,
-    MatrixData, MatrixFormat, SparseMatrix, SparseTensor3, TensorData, TensorFormat,
+    ByteError, ByteReader, ByteWriter, CooMatrix, DataType, DenseMatrix, FormatError, MatrixData,
+    MatrixFormat, SparseMatrix,
 };
 
 use crate::service::Priority;
@@ -45,7 +45,6 @@ pub const WIRE_VERSION: u8 = 1;
 pub const HEADER_LEN: usize = 16;
 
 const KIND_MATRIX: u8 = 0;
-const KIND_TENSOR: u8 = 1;
 const KIND_JOB: u8 = 2;
 const KIND_RESULT: u8 = 3;
 
@@ -308,45 +307,6 @@ fn take_matrix_format(r: &mut ByteReader<'_>) -> Result<MatrixFormat, WireError>
     })
 }
 
-fn put_tensor_format(w: &mut ByteWriter, fmt: &TensorFormat) -> Result<(), WireError> {
-    match *fmt {
-        TensorFormat::Dense => w.put_u8(0),
-        TensorFormat::Coo => w.put_u8(1),
-        TensorFormat::Csf => w.put_u8(2),
-        TensorFormat::HiCoo { block } => {
-            w.put_u8(3);
-            put_u32_checked(w, block, "HiCOO block exceeds u32")?;
-        }
-        TensorFormat::Rlc { run_bits } => {
-            w.put_u8(4);
-            w.put_u32(run_bits);
-        }
-        TensorFormat::Zvc => w.put_u8(5),
-    }
-    Ok(())
-}
-
-fn take_tensor_format(r: &mut ByteReader<'_>) -> Result<TensorFormat, WireError> {
-    Ok(match r.take_u8()? {
-        0 => TensorFormat::Dense,
-        1 => TensorFormat::Coo,
-        2 => TensorFormat::Csf,
-        3 => TensorFormat::HiCoo {
-            block: r.take_u32()? as usize,
-        },
-        4 => TensorFormat::Rlc {
-            run_bits: r.take_u32()?,
-        },
-        5 => TensorFormat::Zvc,
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "tensor format",
-                tag,
-            })
-        }
-    })
-}
-
 // ---------------------------------------------------------------------
 // Matrix frames
 // ---------------------------------------------------------------------
@@ -437,99 +397,6 @@ pub fn decode_matrix(bytes: &[u8]) -> Result<MatrixData, WireError> {
     let m = take_matrix_body(&mut r)?;
     expect_end(&r)?;
     Ok(m)
-}
-
-// ---------------------------------------------------------------------
-// Tensor frames
-// ---------------------------------------------------------------------
-
-/// Encode a 3-D tensor payload into a standalone wire frame.
-pub fn encode_tensor(t: &TensorData) -> Result<Vec<u8>, WireError> {
-    let mut w = begin_frame(KIND_TENSOR);
-    put_tensor_format(&mut w, &t.format())?;
-    put_dim(&mut w, t.dim_x())?;
-    put_dim(&mut w, t.dim_y())?;
-    put_dim(&mut w, t.dim_z())?;
-    match t {
-        TensorData::Dense(d) => {
-            for &v in d.data() {
-                w.put_f64(v);
-            }
-        }
-        other => {
-            let coo = other.to_coo();
-            w.put_u64(coo.values().len() as u64);
-            for &x in coo.x_ids() {
-                put_u32_checked(&mut w, x, "tensor x id exceeds u32")?;
-            }
-            for &y in coo.y_ids() {
-                put_u32_checked(&mut w, y, "tensor y id exceeds u32")?;
-            }
-            for &z in coo.z_ids() {
-                put_u32_checked(&mut w, z, "tensor z id exceeds u32")?;
-            }
-            for &v in coo.values() {
-                w.put_f64(v);
-            }
-        }
-    }
-    Ok(finish_frame(w))
-}
-
-/// Decode a standalone tensor frame.
-pub fn decode_tensor(bytes: &[u8]) -> Result<TensorData, WireError> {
-    let mut r = open_frame(bytes, KIND_TENSOR)?;
-    let fmt = take_tensor_format(&mut r)?;
-    let dx = r.take_len("tensor dim x")?;
-    let dy = r.take_len("tensor dim y")?;
-    let dz = r.take_len("tensor dim z")?;
-    if dx > u32::MAX as usize || dy > u32::MAX as usize || dz > u32::MAX as usize {
-        return Err(WireError::Overflow("dimension exceeds u32 wire indices"));
-    }
-    let t = if fmt == TensorFormat::Dense {
-        let count = dx
-            .checked_mul(dy)
-            .and_then(|p| p.checked_mul(dz))
-            .ok_or(WireError::Overflow("dense element count"))?;
-        let need = count
-            .checked_mul(8)
-            .ok_or(WireError::Overflow("dense byte count"))?;
-        if r.remaining() < need {
-            return Err(WireError::Truncated {
-                needed: need,
-                available: r.remaining(),
-            });
-        }
-        let mut data = Vec::with_capacity(count);
-        for _ in 0..count {
-            data.push(r.take_f64()?);
-        }
-        TensorData::Dense(sparseflex_formats::DenseTensor3::from_vec(
-            dx, dy, dz, data,
-        )?)
-    } else {
-        let nnz = take_count(&mut r, "tensor nnz", 4 + 4 + 4 + 8)?;
-        let mut xs = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            xs.push(r.take_u32()? as usize);
-        }
-        let mut ys = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            ys.push(r.take_u32()? as usize);
-        }
-        let mut zs = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            zs.push(r.take_u32()? as usize);
-        }
-        let mut quads = Vec::with_capacity(nnz);
-        for i in 0..nnz {
-            quads.push((xs[i], ys[i], zs[i], r.take_f64()?));
-        }
-        let coo = CooTensor3::from_quads(dx, dy, dz, quads)?;
-        TensorData::encode(&coo, &fmt)?
-    };
-    expect_end(&r)?;
-    Ok(t)
 }
 
 // ---------------------------------------------------------------------
@@ -715,31 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn tensor_frames_roundtrip_every_format() {
-        let coo = CooTensor3::from_quads(
-            4,
-            5,
-            6,
-            vec![(0, 0, 0, 1.0), (1, 4, 5, -2.5), (3, 2, 3, 3.0)],
-        )
-        .unwrap();
-        let formats = [
-            TensorFormat::Dense,
-            TensorFormat::Coo,
-            TensorFormat::Csf,
-            TensorFormat::HiCoo { block: 2 },
-            TensorFormat::Rlc { run_bits: 6 },
-            TensorFormat::Zvc,
-        ];
-        for fmt in formats {
-            let data = TensorData::encode(&coo, &fmt).unwrap();
-            let bytes = encode_tensor(&data).unwrap();
-            let back = decode_tensor(&bytes).unwrap();
-            assert_eq!(back, data, "tensor wire roundtrip failed for {fmt}");
-        }
-    }
-
-    #[test]
     fn truncation_and_garbling_are_typed() {
         let data = MatrixData::encode(&sample_coo(), &MatrixFormat::Csr).unwrap();
         let bytes = encode_matrix(&data).unwrap();
@@ -764,9 +606,9 @@ mod tests {
         wrong[0] = b'X';
         assert_eq!(decode_matrix(&wrong), Err(WireError::BadMagic));
         assert!(matches!(
-            decode_tensor(&bytes),
+            decode_job(&bytes),
             Err(WireError::WrongKind {
-                expected: KIND_TENSOR,
+                expected: KIND_JOB,
                 found: KIND_MATRIX
             })
         ));

@@ -47,8 +47,8 @@ fn explain_and_run(sys: &FlexSystem, label: &str, m: usize, k: usize, n: usize, 
         run.tiles.len(),
         run.overlapped_cycles(),
         run.serial_cycles(),
-        run.trace.predicted_compute_cycles(),
-        run.trace.measured_compute_cycles(),
+        plan.predicted.compute_cycles(),
+        run.compute_cycles(),
     );
 
     // Replan the same shape: the MCF x ACF search is skipped — the
@@ -82,10 +82,11 @@ fn main() {
     );
 
     // The calibration loop: the two runs above already fed their
-    // predicted-vs-measured traces to the planner's calibrator. Refit
+    // predicted-vs-measured cycles to the planner's calibrator. Refit
     // the stats model's coefficients and replan the dense-regime shape
-    // — the stale cache row is invalidated (the plan is searched, not
-    // hit) and the new prediction is scaled by the fitted coefficients.
+    // — the cached evaluation is reused (a refit changes no SAGE
+    // evaluation) and the new prediction is scaled by the fitted
+    // coefficients.
     println!("\n== calibration: before vs after one refit ==\n");
     let a = random_matrix(48, 48, 1_800, 1);
     let b = random_matrix(48, 56, 901, 2);
@@ -101,7 +102,7 @@ fn main() {
     println!("{}", before.explain());
     println!(
         "before      : mean cycle error {:.4}\n",
-        before_run.trace.mean_cycle_error()
+        before_run.mean_cycle_error()
     );
 
     let coeffs = sys.planner.calibrator.recalibrate();
@@ -124,7 +125,7 @@ fn main() {
     println!("{}", after.explain());
     println!(
         "after       : mean cycle error {:.4} (was {:.4})",
-        after_run.trace.mean_cycle_error(),
-        before_run.trace.mean_cycle_error()
+        after_run.mean_cycle_error(),
+        before_run.mean_cycle_error()
     );
 }

@@ -1,11 +1,12 @@
-//! Calibration-loop properties: the online `Calibrator` must version
-//! the plan cache (a generation bump invalidates exactly the stale
-//! rows), stamp plans with the generation they were made under, and
-//! tighten predicted-vs-measured error over repeated traffic.
+//! Calibration-loop properties: a refit of the online `Calibrator`
+//! keeps every plan-cache row, plans are stamped with the generation
+//! whose coefficients scaled them, a run is de-scaled by its own plan's
+//! coefficients, and repeated traffic tightens predicted-vs-measured
+//! error.
 
-use sparseflex::formats::{DataType, SparseMatrix};
+use sparseflex::formats::{CooMatrix, DataType, SparseMatrix};
 use sparseflex::sage::SageWorkload;
-use sparseflex::system::{FlexSystem, PlanDiscipline};
+use sparseflex::system::{Coefficients, FlexSystem, PlanDiscipline};
 use sparseflex::workloads::synth::random_matrix;
 
 fn small_system() -> FlexSystem {
@@ -15,37 +16,68 @@ fn small_system() -> FlexSystem {
     sys
 }
 
-/// A recalibration bump changes every new cache key, so exactly the
-/// rows planned under older coefficients go stale: the first lookup per
-/// shape after the bump misses and replans, the second hits again — all
-/// asserted through the cache's hit/miss counters.
+fn spgemm_job(
+    m: usize,
+    k: usize,
+    n: usize,
+    nnz: usize,
+    seed: u64,
+) -> (CooMatrix, CooMatrix, SageWorkload) {
+    let a = random_matrix(m, k, nnz, seed);
+    let b = random_matrix(k, n, nnz / 2 + 1, seed + 1);
+    let w = SageWorkload::spgemm(m, k, n, a.nnz() as u64, b.nnz() as u64, DataType::Fp32);
+    (a, b, w)
+}
+
+/// A refit changes no SAGE evaluation, so it keeps every cached row:
+/// after `recalibrate`, every shape's lookup hits, the replanned choice
+/// is the one planned before the refit, and the replanned prediction is
+/// scaled by the new coefficients under generation 1.
 #[test]
-fn calibration_generation_bump_invalidates_exactly_the_stale_rows() {
+fn a_refit_keeps_every_cached_row() {
     let sys = small_system();
-    let w1 = SageWorkload::spgemm(100, 100, 50, 1_000, 500, DataType::Fp32);
+    let (a, b, w) = spgemm_job(32, 32, 24, 300, 1);
     let w2 = SageWorkload::spgemm(120, 100, 50, 1_200, 500, DataType::Fp32);
 
-    sys.planner.evaluate_cached(&sys.sage, &w1); // miss
-    sys.planner.evaluate_cached(&sys.sage, &w2); // miss
-    sys.planner.evaluate_cached(&sys.sage, &w1); // hit
+    let plan = sys
+        .planner
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .expect("plans");
+    sys.planner
+        .execute_plan(&sys.sage, &plan, &a, &b)
+        .expect("executes");
+    sys.planner.evaluate_cached(&sys.sage, &w2);
     let before = sys.planner.cache.counters();
-    assert_eq!((before.hits, before.misses), (1, 2));
+    assert_eq!((before.hits, before.misses), (0, 2));
 
-    sys.planner.calibrator.recalibrate();
-    assert_eq!(sys.planner.calibrator.generation(), 1);
+    let coeffs = sys.planner.calibrator.recalibrate();
+    assert_ne!(
+        coeffs,
+        Coefficients::default(),
+        "the refit must move a lane"
+    );
 
-    // Every pre-bump row is stale: one miss per shape, then hits again.
-    sys.planner.evaluate_cached(&sys.sage, &w1); // miss (stale)
-    sys.planner.evaluate_cached(&sys.sage, &w2); // miss (stale)
-    sys.planner.evaluate_cached(&sys.sage, &w1); // hit (fresh row)
+    let replanned = sys
+        .planner
+        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .expect("replans");
+    sys.planner.evaluate_cached(&sys.sage, &w2);
     let delta = sys.planner.cache.counters().since(before);
     assert_eq!(
         (delta.hits, delta.misses),
-        (1, 2),
-        "exactly the stale rows must miss once each"
+        (2, 0),
+        "a refit must keep every cached row"
     );
-    // Stale rows linger until LRU evicts them; the generations coexist.
-    assert_eq!(sys.planner.cache.len(), 4);
+    assert_eq!(sys.planner.cache.len(), 2);
+    assert!(replanned.from_cache);
+    assert_eq!(replanned.evaluation, plan.evaluation);
+    assert_eq!(replanned.predicted.coefficients, coeffs);
+    assert_eq!(replanned.calibration_generation, 1);
+    assert!(
+        replanned.explain().contains("calibration: generation 1"),
+        "{}",
+        replanned.explain()
+    );
 }
 
 /// Plans carry the calibration generation they were made under, and
@@ -73,13 +105,52 @@ fn plans_record_and_explain_their_calibration_generation() {
         .planner
         .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("replans");
-    assert!(!replanned.from_cache, "generation bump must force a replan");
+    assert!(replanned.from_cache, "a refit keeps the cached evaluation");
     assert_eq!(replanned.calibration_generation, 1);
     assert!(
         replanned.explain().contains("calibration: generation 1"),
         "{}",
         replanned.explain()
     );
+}
+
+/// A run is de-scaled by the coefficients its plan was scaled with, not
+/// by the calibrator's current ones. Two systems run job X and plan job
+/// Y; one executes Y and then refits, the other refits and then
+/// executes Y. Both have then recorded the same raw samples, so one more
+/// refit fits the same coefficients on both.
+#[test]
+fn a_run_is_descaled_by_the_coefficients_its_plan_used() {
+    let (x, y) = (
+        spgemm_job(40, 48, 32, 500, 10),
+        spgemm_job(48, 56, 40, 300, 20),
+    );
+    let fit = |refit_before_executing_y: bool| {
+        let mut sys = FlexSystem::default();
+        sys.sage.accel.num_pes = 4;
+        sys.sage.accel.pe_buffer_elems = 64;
+        let plan = |(a, b, w): &(CooMatrix, CooMatrix, SageWorkload)| {
+            sys.planner
+                .plan(&sys.sage, a, b, w, None, PlanDiscipline::Pipelined)
+                .expect("plans")
+        };
+        let plan_x = plan(&x);
+        sys.planner
+            .execute_plan(&sys.sage, &plan_x, &x.0, &x.1)
+            .expect("X executes");
+        let plan_y = plan(&y);
+        if refit_before_executing_y {
+            sys.planner.calibrator.recalibrate();
+        }
+        sys.planner
+            .execute_plan(&sys.sage, &plan_y, &y.0, &y.1)
+            .expect("Y executes");
+        if !refit_before_executing_y {
+            sys.planner.calibrator.recalibrate();
+        }
+        sys.planner.calibrator.recalibrate()
+    };
+    assert_eq!(fit(false), fit(true));
 }
 
 /// Repeated traffic through plan → execute → recalibrate rounds makes
@@ -113,7 +184,7 @@ fn three_calibration_rounds_strictly_tighten_prediction_error() {
                 .planner
                 .execute_plan(&sys.sage, &plan, a, b)
                 .expect("executes");
-            err += run.trace.mean_cycle_error();
+            err += run.mean_cycle_error();
         }
         errors.push(err / operands.len() as f64);
         sys.planner.calibrator.recalibrate();

@@ -117,7 +117,7 @@ fn plan_explain_path_end_to_end() {
 
     // The example's calibration epilogue: the executed runs fed the
     // calibrator, a refit bumps the generation, and the replanned shape
-    // is searched (stale row) with the new generation in its dump.
+    // keeps its cached row with the new generation in its dump.
     assert!(
         sys.planner.calibrator.samples() > 0,
         "executed plans must feed the calibrator"
@@ -131,7 +131,7 @@ fn plan_explain_path_end_to_end() {
         .planner
         .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
         .expect("workload replans after refit");
-    assert!(!recal.from_cache, "refit must invalidate the cached row");
+    assert!(recal.from_cache, "a refit keeps the cached row");
     assert_eq!(recal.calibration_generation, 1);
     assert!(recal.explain().contains("calibration: generation 1"));
 }

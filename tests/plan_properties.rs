@@ -1,16 +1,15 @@
 //! Property suite for the planner layer: every run path executing the
 //! same [`ExecutionPlan`] must produce bit-for-bit identical output to
-//! the monolithic path across all nine matrix MCFs, and the
-//! [`PlanTrace`] every execution yields must match the cycle-accurate
-//! simulator exactly under the structure cost model and within a
-//! constant factor under the stats model.
+//! the monolithic path across all nine matrix MCFs, and the plan's
+//! predicted cycles must track what the cycle-accurate simulator
+//! measured in the [`PipelineRun`] within tolerance.
 
 use proptest::prelude::*;
 use sparseflex::formats::{CooMatrix, DataType, MatrixFormat, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::sage::eval::ConversionMode;
 use sparseflex::sage::{FormatChoice, SageWorkload};
-use sparseflex::system::{BatchJob, CostModel, FlexSystem, PlanDiscipline};
+use sparseflex::system::{BatchJob, FlexSystem, PlanDiscipline};
 
 fn small_system() -> FlexSystem {
     let mut sys = FlexSystem::default();
@@ -133,29 +132,7 @@ proptest! {
         );
     }
 
-    /// (b, structure model) Planning with the dry-run structure model
-    /// makes the trace exact: predicted cycles equal `accel::exec`
-    /// measured cycles tile for tile, for both conversion and compute,
-    /// and the predicted overlap schedule is the measured one.
-    #[test]
-    fn structure_model_trace_is_exact((a, b) in arb_operands()) {
-        let mut sys = small_system();
-        sys.planner.cost_model = CostModel::Structure;
-        let w = spgemm_workload(&a, &b);
-        let run = sys.run_pipelined(&a, &b, &w).unwrap();
-        prop_assert!(run.trace.compute_exact(), "structure model must be cycle-exact");
-        for t in &run.trace.tiles {
-            prop_assert_eq!(t.predicted_conv_cycles, t.measured_conv_cycles);
-            prop_assert_eq!(t.predicted_compute_cycles, t.measured_compute_cycles);
-        }
-        prop_assert_eq!(run.trace.predicted_schedule, run.trace.measured_schedule);
-        prop_assert!((run.trace.compute_error_factor() - 1.0).abs() < 1e-12);
-        // The monolithic path validates the same way.
-        let mono = sys.run(&a, &b, &w, None, PlanDiscipline::Monolithic).unwrap();
-        prop_assert!(mono.trace.compute_exact());
-    }
-
-    /// (b, stats model) The default analytic prediction tracks the
+    /// (b) The analytic prediction tracks the
     /// simulator within tolerance: a constant factor when compute
     /// dominates (the regime `tests/system_validation.rs` validates the
     /// models in), or a bounded per-tile absolute error in hyper-sparse
@@ -166,9 +143,9 @@ proptest! {
         let sys = small_system();
         let w = spgemm_workload(&a, &b);
         let run = sys.run_pipelined(&a, &b, &w).unwrap();
-        let predicted = run.trace.predicted_compute_cycles();
-        let measured = run.trace.measured_compute_cycles();
-        let f = run.trace.compute_error_factor();
+        let predicted = run.plan.predicted.compute_cycles();
+        let measured = run.compute_cycles();
+        let f = run.compute_error_factor();
         let per_tile_slack = 128 * run.plan.tiles().max(1) as u64;
         prop_assert!(
             f <= 8.0 || predicted.abs_diff(measured) <= per_tile_slack,

@@ -1,7 +1,7 @@
 //! Property tests on the serving wire format: encode→decode is lossless
-//! for every matrix and tensor format in the workspace, job frames
-//! round-trip, and hostile bytes (truncation, single-byte garbles, bad
-//! counts) are rejected with typed errors — never panics.
+//! for every matrix format in the workspace, job frames round-trip, and
+//! hostile bytes (truncation, single-byte garbles, bad counts) are
+//! rejected with typed errors — never panics.
 
 use proptest::prelude::*;
 use sparseflex::formats::{
@@ -24,19 +24,6 @@ fn arb_matrix() -> impl Strategy<Value = CooMatrix> {
     })
 }
 
-/// Strategy: a random sparse 3-tensor up to 8x8x8.
-fn arb_tensor() -> impl Strategy<Value = CooTensor3> {
-    (1usize..8, 1usize..8, 1usize..8).prop_flat_map(|(x, y, z)| {
-        proptest::collection::vec(
-            ((0..x), (0..y), (0..z), -50i32..50).prop_map(|(a, b, c, v)| (a, b, c, v as f64)),
-            0..24,
-        )
-        .prop_map(move |quads| {
-            CooTensor3::from_quads(x, y, z, quads).expect("in-bounds by construction")
-        })
-    })
-}
-
 fn all_matrix_formats() -> Vec<MatrixFormat> {
     vec![
         MatrixFormat::Dense,
@@ -51,17 +38,6 @@ fn all_matrix_formats() -> Vec<MatrixFormat> {
     ]
 }
 
-fn all_tensor_formats() -> Vec<TensorFormat> {
-    vec![
-        TensorFormat::Dense,
-        TensorFormat::Coo,
-        TensorFormat::Csf,
-        TensorFormat::HiCoo { block: 4 },
-        TensorFormat::Rlc { run_bits: 3 },
-        TensorFormat::Zvc,
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -71,16 +47,6 @@ proptest! {
             let data = MatrixData::encode(&coo, &fmt).unwrap();
             let frame = wire::encode_matrix(&data).unwrap();
             let back = wire::decode_matrix(&frame).unwrap();
-            prop_assert_eq!(&back, &data, "wire roundtrip failed for {}", fmt);
-        }
-    }
-
-    #[test]
-    fn wire_roundtrips_every_tensor_format(coo in arb_tensor()) {
-        for fmt in all_tensor_formats() {
-            let data = TensorData::encode(&coo, &fmt).unwrap();
-            let frame = wire::encode_tensor(&data).unwrap();
-            let back = wire::decode_tensor(&frame).unwrap();
             prop_assert_eq!(&back, &data, "wire roundtrip failed for {}", fmt);
         }
     }
@@ -138,7 +104,6 @@ proptest! {
     fn random_bytes_never_panic(raw in proptest::collection::vec(0i32..256, 0..256)) {
         let bytes: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
         let _ = wire::decode_matrix(&bytes);
-        let _ = wire::decode_tensor(&bytes);
         let _ = wire::decode_job(&bytes);
         let _ = wire::decode_result(&bytes);
     }
@@ -164,9 +129,9 @@ fn typed_errors_name_the_failure() {
         Err(WireError::UnsupportedVersion(99))
     ));
 
-    // A matrix frame is not a tensor frame.
+    // A matrix frame is not a job frame.
     assert!(matches!(
-        wire::decode_tensor(&frame),
+        wire::decode_job(&frame),
         Err(WireError::WrongKind { .. })
     ));
 
@@ -214,19 +179,15 @@ fn rlc_run_fields_wider_than_63_bits_are_rejected() {
     assert_eq!(widest.format(), MatrixFormat::Rlc { run_bits: 63 });
     assert_eq!(widest.to_coo(), coo);
 
+    // The tensor encoder applies the same guard.
     let coo = CooTensor3::from_quads(3, 4, 5, vec![(0, 1, 2, 2.0), (2, 3, 4, -1.0)]).unwrap();
-    let data = TensorData::encode(&coo, &TensorFormat::Rlc { run_bits: 4 }).unwrap();
-    let frame = wire::encode_tensor(&data).unwrap();
     for run_bits in [64, u32::MAX] {
         assert!(
-            matches!(
-                wire::decode_tensor(&with_run_bits(&frame, run_bits)),
-                Err(WireError::Format(_))
-            ),
+            TensorData::encode(&coo, &TensorFormat::Rlc { run_bits }).is_err(),
             "tensor run field of {run_bits} bits must be rejected"
         );
     }
-    let widest = wire::decode_tensor(&with_run_bits(&frame, 63)).unwrap();
+    let widest = TensorData::encode(&coo, &TensorFormat::Rlc { run_bits: 63 }).unwrap();
     assert_eq!(widest.format(), TensorFormat::Rlc { run_bits: 63 });
     assert_eq!(widest.to_coo(), coo);
 }
