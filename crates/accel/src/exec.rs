@@ -6,19 +6,29 @@
 //! CSC. [`simulate_spgemm`] runs the CSR(A)-CSR(B) Gustavson dataflow
 //! (rows of `B` stationary) used by the extreme-sparsity workloads.
 //!
-//! The simulator is *functional* — it walks every bus beat, performs the
-//! index matching the extended PEs do in hardware, and produces the
-//! actual output matrix alongside exact cycle counts. Tests validate the
-//! output against the software kernels and the cycle counts against the
-//! paper's Fig. 6 walkthrough.
+//! The simulator is *functional*: it performs the index matching the
+//! extended PEs do in hardware and produces the actual output matrix
+//! alongside exact cycle counts. It reads each operand in place through
+//! its own ACF (Dense rows, CSR rows, COO triplets in storage order, CSC
+//! columns) and packs the stream into beats by the [`BusPacking`] rules
+//! without materializing them. A CSC stationary tile is indexed once per
+//! k-pass by `k`; against a Dense one every PE matches every streamed
+//! `k`, so a beat's PE work, buffer reads and flushes follow from its
+//! length and rows and only the value MACs run per element. Tests
+//! validate the output against the software kernels and the cycle counts
+//! against the paper's Fig. 6 walkthrough.
 
 use crate::bus::BusPacking;
 use crate::config::AccelConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use sparseflex_formats::{
-    CscMatrix, CsrMatrix, DenseMatrix, MatrixData, MatrixFormat, SparseMatrix, Value,
+    CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, MatrixData, MatrixFormat, SparseMatrix, Value,
 };
 use std::fmt;
+use std::ops::Range;
+
+#[cfg(test)]
+mod oracle;
 
 /// Errors a simulation can raise before running.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +55,12 @@ pub enum SimError {
         /// Slots available.
         available: usize,
     },
+    /// An [`AccelConfig`] field the array cannot run with is zero: no MAC
+    /// lanes (`vector_width`) or no bus slots (`bus_slots`).
+    ZeroConfig {
+        /// The zero field.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -64,6 +80,9 @@ impl fmt::Display for SimError {
                     f,
                     "stationary unit needs {needed} slots, PE buffer has {available}"
                 )
+            }
+            SimError::ZeroConfig { field } => {
+                write!(f, "accelerator config has {field} = 0")
             }
         }
     }
@@ -143,58 +162,462 @@ pub struct SimResult {
     pub k_passes: usize,
 }
 
-/// One streamed element: `(k, value, row)` — `row` is the output row the
-/// element contributes to (for CSC-A streams, `k` is the shared column and
-/// the element index is the row).
-#[derive(Debug, Clone, Copy)]
-struct StreamElem {
-    k: usize,
-    value: Value,
-    row: usize,
+/// Open-row marker of a PE that has accumulated nothing this pass.
+const NO_ROW: usize = usize::MAX;
+
+/// Reject a configuration the array cannot run with, before any work.
+fn check_config(cfg: &AccelConfig) -> Result<(), SimError> {
+    for (field, value) in [
+        ("vector_width", cfg.vector_width),
+        ("bus_slots", cfg.bus_slots),
+    ] {
+        if value == 0 {
+            return Err(SimError::ZeroConfig { field });
+        }
+    }
+    Ok(())
 }
 
-/// One bus beat: a group of elements sharing the beat.
-#[derive(Debug, Clone)]
-struct Beat {
-    elems: Vec<StreamElem>,
-    slots: u64,
+/// The output and the counters one simulation accumulates.
+struct Sim {
+    out: DenseMatrix,
+    cycles: CycleBreakdown,
+    counts: ActivityCounts,
+    bus: BusPacking,
+    vector_width: u64,
 }
 
-/// Stationary content of one PE for one (n_tile, k_range) pass.
-enum Station {
-    /// Dense column segment: values for `k in k0..k0+len`.
-    Dense { k0: usize, values: Vec<Value> },
-    /// Compressed column: sorted `(k, value)` pairs.
-    Csc { entries: Vec<(usize, Value)> },
-}
-
-impl Station {
-    fn footprint_slots(&self) -> usize {
-        match self {
-            Station::Dense { values, .. } => values.len(),
-            Station::Csc { entries } => 2 * entries.len(),
+impl Sim {
+    fn new(m: usize, n: usize, cfg: &AccelConfig) -> Self {
+        Sim {
+            out: DenseMatrix::zeros(m, n),
+            cycles: CycleBreakdown::default(),
+            counts: ActivityCounts::default(),
+            bus: BusPacking {
+                slots: cfg.bus_slots,
+            },
+            vector_width: cfg.vector_width as u64,
         }
     }
 
-    /// Look up the stationary value matched by stream index `k`.
-    /// Returns `None` when the index misses (no MAC issued), `Some(v)`
-    /// when a MAC is issued with stationary operand `v` (which may be a
-    /// stored zero for Dense stations — a wasted MAC).
-    fn match_k(&self, k: usize) -> Option<Value> {
-        match self {
-            Station::Dense { k0, values } => {
-                if k >= *k0 && k - *k0 < values.len() {
-                    Some(values[k - *k0])
-                } else {
-                    None
+    /// Broadcast `slots` stationary element slots into the PE buffers.
+    fn load(&mut self, slots: usize) {
+        let load = self.bus.load_run(slots);
+        self.cycles.load_b += load.beats;
+        self.counts.bus_slots_used += load.slots_used;
+        self.counts.pe_buffer_writes += slots as u64;
+    }
+
+    /// One bus beat of `slots` slots whose busiest PE issued `work` MACs:
+    /// the vector unit retires `vector_width` of them per cycle, and a
+    /// beat takes at least one cycle.
+    fn beat(&mut self, slots: u64, work: u64) {
+        self.counts.bus_slots_used += slots;
+        self.cycles.stream_a += work.div_ceil(self.vector_width).max(1);
+    }
+
+    fn finish(mut self, cfg: &AccelConfig, n_tiles: usize, k_passes: usize) -> SimResult {
+        // Output registers drain through per-PE ports into the banked
+        // global buffer (one flush per PE per cycle), not over the shared
+        // input bus.
+        self.cycles.drain = self
+            .counts
+            .output_flushes
+            .div_ceil(cfg.num_pes.max(1) as u64);
+        SimResult {
+            output: self.out,
+            cycles: self.cycles,
+            counts: self.counts,
+            n_tiles,
+            k_passes,
+        }
+    }
+}
+
+/// Matrix A as the bus streams it, read in place through its ACF.
+#[derive(Clone, Copy)]
+enum Stream<'a> {
+    Dense(&'a DenseMatrix),
+    Csr(&'a CsrMatrix),
+    Coo(&'a CooMatrix),
+    Csc(&'a CscMatrix),
+}
+
+/// The stationary side of one k-pass: what the tile's PEs do with each
+/// streamed element.
+trait Stations {
+    /// Match element `a = A(row, k)` against every PE of the tile.
+    fn elem(&mut self, sim: &mut Sim, k: usize, a: Value, row: usize);
+    /// Close the beat of `slots` bus slots holding the elements since the
+    /// previous call.
+    fn end_beat(&mut self, sim: &mut Sim, slots: u64);
+    /// Close the pass: flush the output rows the PEs still hold.
+    fn end_pass(&mut self, sim: &mut Sim);
+}
+
+/// Stream A's elements with `k` in `ks` through `st`, beat by beat. A
+/// Dense or CSR beat holds one row's elements and a CSC beat one
+/// column's; COO beats run across rows. `whole` says `ks` covers every
+/// `k`, so no row needs searching.
+fn stream_pass(a: Stream, ks: Range<usize>, whole: bool, st: &mut impl Stations, sim: &mut Sim) {
+    match a {
+        Stream::Dense(d) => {
+            let cap = sim.bus.dense_capacity();
+            for r in 0..d.rows() {
+                for (i, beat) in d.row(r)[ks.clone()].chunks(cap).enumerate() {
+                    for (k, &v) in (ks.start + i * cap..).zip(beat) {
+                        st.elem(sim, k, v, r);
+                    }
+                    st.end_beat(sim, beat.len() as u64 + 1); // + shared row id
                 }
             }
-            Station::Csc { entries } => entries
-                .binary_search_by_key(&k, |&(kk, _)| kk)
-                .ok()
-                .map(|i| entries[i].1),
+        }
+        Stream::Csr(c) => {
+            let cap = sim.bus.pair_capacity();
+            for r in 0..c.rows() {
+                let (cols, vals) = c.row(r);
+                let w = window(cols, &ks, whole);
+                for (kb, vb) in cols[w.clone()].chunks(cap).zip(vals[w].chunks(cap)) {
+                    for (&k, &v) in kb.iter().zip(vb) {
+                        st.elem(sim, k, v, r);
+                    }
+                    st.end_beat(sim, 2 * kb.len() as u64 + 1); // pairs + shared row id
+                }
+            }
+        }
+        Stream::Coo(c) => {
+            let cap = sim.bus.triple_capacity();
+            let mut pending = 0usize;
+            for ((&r, &k), &v) in c.row_ids().iter().zip(c.col_ids()).zip(c.values()) {
+                if !ks.contains(&k) {
+                    continue;
+                }
+                st.elem(sim, k, v, r);
+                pending += 1;
+                if pending == cap {
+                    st.end_beat(sim, 3 * cap as u64);
+                    pending = 0;
+                }
+            }
+            if pending > 0 {
+                st.end_beat(sim, 3 * pending as u64);
+            }
+        }
+        Stream::Csc(c) => {
+            let cap = sim.bus.pair_capacity();
+            for k in ks {
+                let (rows, vals) = c.col(k);
+                for (rb, vb) in rows.chunks(cap).zip(vals.chunks(cap)) {
+                    for (&r, &v) in rb.iter().zip(vb) {
+                        st.elem(sim, k, v, r);
+                    }
+                    st.end_beat(sim, 2 * rb.len() as u64 + 1); // pairs + shared col id
+                }
+            }
         }
     }
+    st.end_pass(sim);
+}
+
+/// The positions of a sorted index list that fall in `ks`.
+fn window(idx: &[usize], ks: &Range<usize>, whole: bool) -> Range<usize> {
+    if whole {
+        0..idx.len()
+    } else {
+        idx.partition_point(|&k| k < ks.start)..idx.partition_point(|&k| k < ks.end)
+    }
+}
+
+/// A Dense stationary tile, columns `c0..c1` of B: every PE holds the
+/// pass's whole k-range, so every streamed element matches every PE.
+struct DenseStations<'a> {
+    b: &'a DenseMatrix,
+    c0: usize,
+    c1: usize,
+    /// A column-major (CSC) stream changes the output row on every
+    /// element, so each MAC flushes.
+    col_major: bool,
+    /// The output row every PE accumulates (row-major streams).
+    open_row: usize,
+    beat_len: u64,
+}
+
+impl Stations for DenseStations<'_> {
+    fn elem(&mut self, sim: &mut Sim, k: usize, a: Value, row: usize) {
+        self.beat_len += 1;
+        if !self.col_major && self.open_row != row {
+            if self.open_row != NO_ROW {
+                sim.counts.output_flushes += (self.c1 - self.c0) as u64;
+            }
+            self.open_row = row;
+        }
+        if a == 0.0 {
+            return;
+        }
+        let n = sim.out.cols();
+        let out = &mut sim.out.data_mut()[row * n + self.c0..row * n + self.c1];
+        for (o, &bv) in out.iter_mut().zip(&self.b.row(k)[self.c0..self.c1]) {
+            if bv != 0.0 {
+                sim.counts.effective_macs += 1;
+                *o += a * bv;
+            }
+        }
+    }
+
+    fn end_beat(&mut self, sim: &mut Sim, slots: u64) {
+        let len = std::mem::take(&mut self.beat_len);
+        let width = (self.c1 - self.c0) as u64;
+        sim.counts.macs += len * width;
+        sim.counts.pe_buffer_reads += len * width;
+        if self.col_major {
+            sim.counts.output_flushes += len * width;
+        }
+        sim.beat(slots, if width == 0 { 0 } else { len });
+    }
+
+    fn end_pass(&mut self, sim: &mut Sim) {
+        if self.open_row != NO_ROW {
+            sim.counts.output_flushes += (self.c1 - self.c0) as u64;
+            self.open_row = NO_ROW;
+        }
+    }
+}
+
+/// Run one Dense stationary tile in k-passes of `pe_buffer_elems` rows;
+/// returns the pass count.
+fn dense_b_tile(
+    sim: &mut Sim,
+    a: Stream,
+    st: &mut DenseStations,
+    cfg: &AccelConfig,
+) -> Result<usize, SimError> {
+    let buf = cfg.pe_buffer_elems;
+    if buf == 0 {
+        return Err(SimError::BufferTooSmall {
+            needed: 1,
+            available: 0,
+        });
+    }
+    let k_dim = st.b.rows();
+    let mut passes = 0;
+    // An empty K still takes one (empty) pass.
+    for k0 in (0..k_dim.max(1)).step_by(buf) {
+        let k1 = (k0 + buf).min(k_dim);
+        passes += 1;
+        sim.load((st.c1 - st.c0) * (k1 - k0));
+        stream_pass(a, k0..k1, k0 == 0 && k1 == k_dim, st, sim);
+    }
+    Ok(passes)
+}
+
+/// Each PE's MACs within the current beat. A counter is reset lazily:
+/// it holds the beat it counts for, and a stale beat reads as zero.
+struct BeatWork {
+    work: Vec<(u64, u64)>,
+    beat: u64,
+    max: u64,
+}
+
+impl BeatWork {
+    fn new(pes: usize) -> Self {
+        BeatWork {
+            work: vec![(0, 0); pes],
+            beat: 1,
+            max: 0,
+        }
+    }
+
+    /// PE `pe` issues `macs` more MACs in this beat.
+    fn add(&mut self, pe: usize, macs: u64) {
+        let slot = &mut self.work[pe];
+        if slot.0 != self.beat {
+            *slot = (self.beat, 0);
+        }
+        slot.1 += macs;
+        self.max = self.max.max(slot.1);
+    }
+
+    /// End the beat: the busiest PE's MACs in it.
+    fn end(&mut self) -> u64 {
+        self.beat += 1;
+        std::mem::take(&mut self.max)
+    }
+}
+
+/// A CSC stationary tile, columns `c0..c0 + width` of B (PE `p` holds
+/// column `c0 + p`), loaded one k-pass at a time as a by-`k` index of
+/// `(PE, value)` pairs. The buffers are sized once per simulation.
+struct CscStations<'a> {
+    b: &'a CscMatrix,
+    c0: usize,
+    width: usize,
+    col_major: bool,
+    k0: usize,
+    /// `by_k[ptr[k - k0]..ptr[k - k0 + 1]]` are the pass's pairs at `k`.
+    ptr: Vec<usize>,
+    by_k: Vec<(usize, Value)>,
+    /// Per PE: the first stored entry of its column not yet loaded.
+    next: Vec<usize>,
+    /// Per PE: the output row it accumulates (row-major streams).
+    open_row: Vec<usize>,
+    work: BeatWork,
+}
+
+impl<'a> CscStations<'a> {
+    fn new(b: &'a CscMatrix, a: Stream, cfg: &AccelConfig) -> Self {
+        let pes = cfg.num_pes.min(b.cols());
+        let pairs = (cfg.pe_buffer_elems / 2).saturating_mul(pes);
+        CscStations {
+            b,
+            c0: 0,
+            width: 0,
+            col_major: matches!(a, Stream::Csc(_)),
+            k0: 0,
+            ptr: Vec::with_capacity(b.rows() + 2),
+            by_k: Vec::with_capacity(b.nnz().min(pairs)),
+            next: vec![0; pes],
+            open_row: vec![NO_ROW; pes],
+            work: BeatWork::new(pes),
+        }
+    }
+
+    /// Start the tile of columns `cols`.
+    fn start_tile(&mut self, cols: Range<usize>) {
+        self.c0 = cols.start;
+        self.width = cols.len();
+        self.next[..self.width].copy_from_slice(&self.b.col_ptr()[cols]);
+    }
+
+    /// End of the next k-pass: the largest `k1` for which no PE's column
+    /// holds more than `cap` pairs from its first unloaded entry to `k1`.
+    fn pass_end(&self, cap: usize) -> usize {
+        let (col_ptr, ks) = (self.b.col_ptr(), self.b.row_ids());
+        let mut k1 = self.b.rows();
+        for (p, &s) in self.next[..self.width].iter().enumerate() {
+            if s + cap < col_ptr[self.c0 + p + 1] {
+                k1 = k1.min(ks[s + cap]);
+            }
+        }
+        k1
+    }
+
+    /// Load every PE's entries in `ks` and index them by `k` (a counting
+    /// sort); returns the slots loaded.
+    fn load_pass(&mut self, ks: Range<usize>) -> usize {
+        let (col_ptr, rows, vals) = (self.b.col_ptr(), self.b.row_ids(), self.b.values());
+        self.k0 = ks.start;
+        // Count into ptr[k - k0 + 2]; after the prefix sum ptr[k - k0 + 1]
+        // is bucket k's start, and filling advances it to bucket k+1's.
+        self.ptr.clear();
+        self.ptr.resize(ks.len() + 2, 0);
+        for (p, &s) in self.next[..self.width].iter().enumerate() {
+            let end = col_ptr[self.c0 + p + 1];
+            for &k in rows[s..end].iter().take_while(|&&k| k < ks.end) {
+                self.ptr[k - ks.start + 2] += 1;
+            }
+        }
+        for i in 2..self.ptr.len() {
+            self.ptr[i] += self.ptr[i - 1];
+        }
+        let total = self.ptr[ks.len() + 1];
+        self.by_k.clear();
+        self.by_k.resize(total, (0, 0.0));
+        for (p, next) in self.next[..self.width].iter_mut().enumerate() {
+            let end = col_ptr[self.c0 + p + 1];
+            while *next < end && rows[*next] < ks.end {
+                let slot = &mut self.ptr[rows[*next] - ks.start + 1];
+                self.by_k[*slot] = (p, vals[*next]);
+                *slot += 1;
+                *next += 1;
+            }
+        }
+        2 * total
+    }
+}
+
+impl Stations for CscStations<'_> {
+    fn elem(&mut self, sim: &mut Sim, k: usize, a: Value, row: usize) {
+        let i = k - self.k0;
+        let n = sim.out.cols();
+        let matches = &self.by_k[self.ptr[i]..self.ptr[i + 1]];
+        sim.counts.macs += matches.len() as u64;
+        sim.counts.pe_buffer_reads += matches.len() as u64;
+        for &(p, bv) in matches {
+            self.work.add(p, 1);
+            if a != 0.0 && bv != 0.0 {
+                sim.counts.effective_macs += 1;
+                sim.out.data_mut()[row * n + self.c0 + p] += a * bv;
+            }
+            if self.col_major {
+                sim.counts.output_flushes += 1;
+            } else if self.open_row[p] != row {
+                if self.open_row[p] != NO_ROW {
+                    sim.counts.output_flushes += 1;
+                }
+                self.open_row[p] = row;
+            }
+        }
+    }
+
+    fn end_beat(&mut self, sim: &mut Sim, slots: u64) {
+        sim.beat(slots, self.work.end());
+    }
+
+    fn end_pass(&mut self, sim: &mut Sim) {
+        for open in &mut self.open_row[..self.width] {
+            if *open != NO_ROW {
+                sim.counts.output_flushes += 1;
+                *open = NO_ROW;
+            }
+        }
+    }
+}
+
+/// Run one CSC stationary tile, each k-pass as long as the fullest
+/// column allows; returns the pass count.
+fn csc_b_tile(
+    sim: &mut Sim,
+    a: Stream,
+    st: &mut CscStations,
+    cfg: &AccelConfig,
+) -> Result<usize, SimError> {
+    // Compressed stationary columns take 2 slots per stored entry.
+    let buf = cfg.pe_buffer_elems;
+    if buf < 2 {
+        return Err(SimError::BufferTooSmall {
+            needed: 2,
+            available: buf,
+        });
+    }
+    let cap = buf / 2;
+    let k_dim = st.b.rows();
+    let mut passes = 0;
+    let mut k0 = 0;
+    loop {
+        let k1 = st.pass_end(cap);
+        if k1 <= k0 && k_dim > 0 {
+            // Unreachable for a valid CSC: a column holds at most one
+            // entry per k.
+            return Err(SimError::BufferTooSmall {
+                needed: 2 * (cap + 1),
+                available: buf,
+            });
+        }
+        passes += 1;
+        let slots = st.load_pass(k0..k1);
+        sim.load(slots);
+        stream_pass(a, k0..k1, k0 == 0 && k1 == k_dim, st, sim);
+        k0 = k1;
+        if k0 >= k_dim {
+            return Ok(passes);
+        }
+    }
+}
+
+/// The stationary operand of [`simulate_ws`].
+enum Stationary<'a> {
+    Dense(&'a DenseMatrix),
+    Csc(CscStations<'a>),
 }
 
 /// Simulate `O = A x B` on the weight-stationary array.
@@ -206,356 +629,56 @@ pub fn simulate_ws(
     b: &MatrixData,
     cfg: &AccelConfig,
 ) -> Result<SimResult, SimError> {
+    check_config(cfg)?;
     if a.cols() != b.rows() {
         return Err(SimError::DimMismatch {
             a_cols: a.cols(),
             b_rows: b.rows(),
         });
     }
-    let a_fmt = a.format();
-    let b_fmt = b.format();
-    let a_ok = matches!(
-        a_fmt,
-        MatrixFormat::Dense | MatrixFormat::Csr | MatrixFormat::Coo | MatrixFormat::Csc
-    );
-    let b_ok = matches!(b_fmt, MatrixFormat::Dense | MatrixFormat::Csc);
-    if !a_ok || !b_ok {
-        return Err(SimError::UnsupportedAcf { a: a_fmt, b: b_fmt });
-    }
-
-    let bus = BusPacking {
-        slots: cfg.bus_slots,
+    let unsupported = SimError::UnsupportedAcf {
+        a: a.format(),
+        b: b.format(),
     };
-    let m = a.rows();
-    let k_dim = a.cols();
+    let stream = match a {
+        MatrixData::Dense(d) => Stream::Dense(d),
+        MatrixData::Csr(c) => Stream::Csr(c),
+        MatrixData::Coo(c) => Stream::Coo(c),
+        MatrixData::Csc(c) => Stream::Csc(c),
+        _ => return Err(unsupported),
+    };
+    let mut stationary = match b {
+        MatrixData::Csc(c) => Stationary::Csc(CscStations::new(c, stream, cfg)),
+        MatrixData::Dense(d) => Stationary::Dense(d),
+        _ => return Err(unsupported),
+    };
+
     let n = b.cols();
-    // Canonical accessors for B columns.
-    let b_csc = match b {
-        MatrixData::Csc(c) => Some(c.clone()),
-        _ => None,
-    };
-    let b_dense = match b {
-        MatrixData::Dense(d) => Some(d.clone()),
-        _ => None,
-    };
-
-    let mut output = DenseMatrix::zeros(m, n);
-    let mut cycles = CycleBreakdown::default();
-    let mut counts = ActivityCounts::default();
+    let mut sim = Sim::new(a.rows(), n, cfg);
     let mut n_tiles = 0usize;
     let mut k_passes = 0usize;
-
-    // Pre-extract A in CSR form for sparse streaming (row-major order).
-    let a_csr = match a {
-        MatrixData::Csr(c) => c.clone(),
-        other => CsrMatrix::from_coo(&other.to_coo()),
-    };
-    let a_dense_rows: Option<&DenseMatrix> = match a {
-        MatrixData::Dense(d) => Some(d),
-        _ => None,
-    };
-    // For CSC-A streaming we need A by columns.
-    let a_csc = match a {
-        MatrixData::Csc(c) => Some(c.clone()),
-        _ => None,
-    };
-
-    for tile_start in (0..n).step_by(cfg.num_pes.max(1)) {
+    for c0 in (0..n).step_by(cfg.num_pes.max(1)) {
+        let c1 = (c0 + cfg.num_pes).min(n);
         n_tiles += 1;
-        let tile_cols: Vec<usize> = (tile_start..(tile_start + cfg.num_pes).min(n)).collect();
-
-        // Partition the K dimension into ranges that fit the PE buffers.
-        let k_ranges = compute_k_ranges(&tile_cols, k_dim, cfg.pe_buffer_elems, b_csc.as_ref())?;
-
-        for (k0, k1) in k_ranges {
-            k_passes += 1;
-            // ---- Load stationary tiles.
-            let stations: Vec<Station> = tile_cols
-                .iter()
-                .map(|&j| match (&b_dense, &b_csc) {
-                    (Some(d), _) => {
-                        let values: Vec<Value> = (k0..k1).map(|k| d.get(k, j)).collect();
-                        Station::Dense { k0, values }
-                    }
-                    (_, Some(c)) => {
-                        let (rows, vals) = c.col(j);
-                        let entries: Vec<(usize, Value)> = rows
-                            .iter()
-                            .zip(vals)
-                            .filter(|(&k, _)| k >= k0 && k < k1)
-                            .map(|(&k, &v)| (k, v))
-                            .collect();
-                        Station::Csc { entries }
-                    }
-                    _ => unreachable!("b format checked above"),
-                })
-                .collect();
-            let load_slots: usize = stations.iter().map(Station::footprint_slots).sum();
-            let load = bus.load_run(load_slots);
-            cycles.load_b += load.beats;
-            counts.bus_slots_used += load.slots_used;
-            counts.pe_buffer_writes += load_slots as u64;
-
-            // ---- Build the A beat stream for this k range.
-            let beats = build_beats(
-                &a_fmt,
-                a_dense_rows,
-                &a_csr,
-                a_csc.as_ref(),
-                m,
-                k0,
-                k1,
-                &bus,
-            );
-
-            // ---- Process beats.
-            // Per-PE open output row (for flush counting).
-            let mut open_row: Vec<Option<usize>> = vec![None; stations.len()];
-            let col_major_stream = a_fmt == MatrixFormat::Csc;
-            for beat in &beats {
-                counts.bus_slots_used += beat.slots;
-                let mut max_work = 0u64;
-                for (pi, station) in stations.iter().enumerate() {
-                    let mut work = 0u64;
-                    for e in &beat.elems {
-                        if let Some(bv) = station.match_k(e.k) {
-                            work += 1;
-                            counts.pe_buffer_reads += 1;
-                            counts.macs += 1;
-                            if e.value != 0.0 && bv != 0.0 {
-                                counts.effective_macs += 1;
-                                output.add_assign(e.row, tile_cols[pi], e.value * bv);
-                            }
-                            if col_major_stream {
-                                // Column-major streaming changes the output
-                                // row on every element: each MAC flushes.
-                                counts.output_flushes += 1;
-                            } else if open_row[pi] != Some(e.row) {
-                                if open_row[pi].is_some() {
-                                    counts.output_flushes += 1;
-                                }
-                                open_row[pi] = Some(e.row);
-                            }
-                        }
-                    }
-                    max_work = max_work.max(work);
-                }
-                cycles.stream_a += max_work.div_ceil(cfg.vector_width as u64).max(1);
+        k_passes += match &mut stationary {
+            Stationary::Dense(d) => {
+                let mut st = DenseStations {
+                    b: d,
+                    c0,
+                    c1,
+                    col_major: matches!(stream, Stream::Csc(_)),
+                    open_row: NO_ROW,
+                    beat_len: 0,
+                };
+                dense_b_tile(&mut sim, stream, &mut st, cfg)?
             }
-            // Close any open accumulators at the end of the pass.
-            if !col_major_stream {
-                counts.output_flushes += open_row.iter().filter(|r| r.is_some()).count() as u64;
+            Stationary::Csc(st) => {
+                st.start_tile(c0..c1);
+                csc_b_tile(&mut sim, stream, st, cfg)?
             }
-        }
+        };
     }
-
-    // Output registers drain through per-PE ports into the banked
-    // global buffer (one flush per PE per cycle), not over the shared
-    // input bus.
-    cycles.drain = counts.output_flushes.div_ceil(cfg.num_pes.max(1) as u64);
-    Ok(SimResult {
-        output,
-        cycles,
-        counts,
-        n_tiles,
-        k_passes,
-    })
-}
-
-/// Compute K-dimension ranges such that every PE's stationary footprint
-/// fits its buffer.
-fn compute_k_ranges(
-    tile_cols: &[usize],
-    k_dim: usize,
-    buffer_elems: usize,
-    b_csc: Option<&CscMatrix>,
-) -> Result<Vec<(usize, usize)>, SimError> {
-    match b_csc {
-        None => {
-            // Dense stationary columns: footprint = range length.
-            if buffer_elems == 0 {
-                return Err(SimError::BufferTooSmall {
-                    needed: 1,
-                    available: 0,
-                });
-            }
-            let mut ranges = Vec::new();
-            let mut k0 = 0;
-            while k0 < k_dim {
-                let k1 = (k0 + buffer_elems).min(k_dim);
-                ranges.push((k0, k1));
-                k0 = k1;
-            }
-            if ranges.is_empty() {
-                ranges.push((0, 0));
-            }
-            Ok(ranges)
-        }
-        Some(csc) => {
-            // Compressed stationary columns: footprint = 2 x entries in
-            // range; grow each range greedily until the fullest column
-            // would overflow.
-            if buffer_elems < 2 {
-                return Err(SimError::BufferTooSmall {
-                    needed: 2,
-                    available: buffer_elems,
-                });
-            }
-            let cap_pairs = buffer_elems / 2;
-            // Per-column sorted k lists for the tile.
-            let cols_k: Vec<&[usize]> = tile_cols.iter().map(|&j| csc.col(j).0).collect();
-            let mut ranges = Vec::new();
-            let mut k0 = 0usize;
-            // Cursor per column into its k list (all start at zero).
-            let mut cursors: Vec<usize> = vec![0; cols_k.len()];
-            while k0 < k_dim {
-                // Find the largest k1 such that every column's entry count
-                // in [k0, k1) fits cap_pairs. Binary search over k1 via
-                // per-column index arithmetic: the limiting column is the
-                // one whose (cursor + cap_pairs)-th entry is smallest.
-                let mut k1 = k_dim;
-                for (ci, ks) in cols_k.iter().enumerate() {
-                    let cur = cursors[ci];
-                    if cur + cap_pairs < ks.len() {
-                        // This column's (cap_pairs+1)-th entry must fall
-                        // outside the range.
-                        k1 = k1.min(ks[cur + cap_pairs]);
-                    }
-                }
-                if k1 <= k0 {
-                    // A single k index overflows a buffer — impossible
-                    // since each column holds at most one entry per k.
-                    return Err(SimError::BufferTooSmall {
-                        needed: 2 * (cap_pairs + 1),
-                        available: buffer_elems,
-                    });
-                }
-                ranges.push((k0, k1));
-                for (ci, ks) in cols_k.iter().enumerate() {
-                    cursors[ci] = ks.partition_point(|&k| k < k1);
-                }
-                k0 = k1;
-            }
-            if ranges.is_empty() {
-                ranges.push((0, 0));
-            }
-            Ok(ranges)
-        }
-    }
-}
-
-/// Build the beat stream for matrix A restricted to `k in [k0, k1)`.
-#[allow(clippy::too_many_arguments)]
-fn build_beats(
-    a_fmt: &MatrixFormat,
-    a_dense: Option<&DenseMatrix>,
-    a_csr: &CsrMatrix,
-    a_csc: Option<&CscMatrix>,
-    m: usize,
-    k0: usize,
-    k1: usize,
-    bus: &BusPacking,
-) -> Vec<Beat> {
-    let mut beats = Vec::new();
-    match a_fmt {
-        MatrixFormat::Dense => {
-            let d = a_dense.expect("dense payload for dense ACF");
-            let cap = bus.dense_capacity();
-            for r in 0..m {
-                let row = d.row(r);
-                let mut k = k0;
-                while k < k1 {
-                    let end = (k + cap).min(k1);
-                    let elems: Vec<StreamElem> = (k..end)
-                        .map(|kk| StreamElem {
-                            k: kk,
-                            value: row[kk],
-                            row: r,
-                        })
-                        .collect();
-                    let slots = elems.len() as u64 + 1; // +1 shared row id
-                    beats.push(Beat { elems, slots });
-                    k = end;
-                }
-            }
-        }
-        MatrixFormat::Csr => {
-            let cap = bus.pair_capacity();
-            for r in 0..m {
-                let (cols, vals) = a_csr.row(r);
-                let lo = cols.partition_point(|&c| c < k0);
-                let hi = cols.partition_point(|&c| c < k1);
-                let mut i = lo;
-                while i < hi {
-                    let end = (i + cap).min(hi);
-                    let elems: Vec<StreamElem> = (i..end)
-                        .map(|ii| StreamElem {
-                            k: cols[ii],
-                            value: vals[ii],
-                            row: r,
-                        })
-                        .collect();
-                    let slots = 2 * elems.len() as u64 + 1; // pairs + shared row id
-                    beats.push(Beat { elems, slots });
-                    i = end;
-                }
-            }
-        }
-        MatrixFormat::Coo => {
-            let cap = bus.triple_capacity();
-            let mut pending: Vec<StreamElem> = Vec::with_capacity(cap);
-            for r in 0..m {
-                let (cols, vals) = a_csr.row(r);
-                let lo = cols.partition_point(|&c| c < k0);
-                let hi = cols.partition_point(|&c| c < k1);
-                for i in lo..hi {
-                    pending.push(StreamElem {
-                        k: cols[i],
-                        value: vals[i],
-                        row: r,
-                    });
-                    if pending.len() == cap {
-                        let slots = 3 * pending.len() as u64;
-                        beats.push(Beat {
-                            elems: std::mem::take(&mut pending),
-                            slots,
-                        });
-                        pending = Vec::with_capacity(cap);
-                    }
-                }
-            }
-            if !pending.is_empty() {
-                let slots = 3 * pending.len() as u64;
-                beats.push(Beat {
-                    elems: pending,
-                    slots,
-                });
-            }
-        }
-        MatrixFormat::Csc => {
-            let c = a_csc.expect("csc payload for csc ACF");
-            let cap = bus.pair_capacity();
-            for k in k0..k1 {
-                let (rows, vals) = c.col(k);
-                let mut i = 0;
-                while i < rows.len() {
-                    let end = (i + cap).min(rows.len());
-                    let elems: Vec<StreamElem> = (i..end)
-                        .map(|ii| StreamElem {
-                            k,
-                            value: vals[ii],
-                            row: rows[ii],
-                        })
-                        .collect();
-                    let slots = 2 * elems.len() as u64 + 1; // pairs + shared col id
-                    beats.push(Beat { elems, slots });
-                    i = end;
-                }
-            }
-        }
-        _ => unreachable!("ACF validated by caller"),
-    }
-    beats
+    Ok(sim.finish(cfg, n_tiles, k_passes))
 }
 
 /// Simulate CSR(A)-CSR(B) SpGEMM with the Gustavson dataflow: rows of `B`
@@ -567,33 +690,25 @@ pub fn simulate_spgemm(
     b: &CsrMatrix,
     cfg: &AccelConfig,
 ) -> Result<SimResult, SimError> {
+    check_config(cfg)?;
     if a.cols() != b.rows() {
         return Err(SimError::DimMismatch {
             a_cols: a.cols(),
             b_rows: b.rows(),
         });
     }
-    let bus = BusPacking {
-        slots: cfg.bus_slots,
-    };
-    let m = a.rows();
     let k_dim = a.cols();
-    let n = b.cols();
     let p = cfg.num_pes.max(1);
 
-    let mut output = DenseMatrix::zeros(m, n);
-    let mut cycles = CycleBreakdown::default();
-    let mut counts = ActivityCounts::default();
-
     // Greedy K ranges: add B rows k0..k1 while every PE's footprint
-    // (2 slots per stored nonzero of its assigned rows) fits.
+    // (2 slots per stored nonzero of its assigned rows) fits. Row k sits
+    // on PE k mod p. No PE overflows when all of B fits one buffer.
     let cap = cfg.pe_buffer_elems;
-    let mut k_ranges: Vec<(usize, usize)> = Vec::new();
-    {
-        let mut k0 = 0usize;
-        let mut per_pe = vec![0usize; p];
-        let mut k = 0usize;
-        while k < k_dim {
+    let mut ranges: Vec<Range<usize>> = Vec::new();
+    if 2 * b.nnz() > cap {
+        let mut footprint = vec![0usize; p];
+        let (mut k0, mut pe) = (0, 0);
+        for k in 0..k_dim {
             let foot = 2 * b.row_nnz(k);
             if foot > cap {
                 return Err(SimError::BufferTooSmall {
@@ -601,73 +716,75 @@ pub fn simulate_spgemm(
                     available: cap,
                 });
             }
-            let pe = k % p;
-            if per_pe[pe] + foot > cap {
-                k_ranges.push((k0, k));
+            if footprint[pe] + foot > cap {
+                ranges.push(k0..k);
                 k0 = k;
-                per_pe.iter_mut().for_each(|x| *x = 0);
+                footprint.fill(0);
             }
-            per_pe[pe] += foot;
-            k += 1;
+            footprint[pe] += foot;
+            pe = if pe + 1 == p { 0 } else { pe + 1 };
         }
-        k_ranges.push((k0, k_dim));
+        ranges.push(k0..k_dim);
+    } else {
+        ranges.push(0..k_dim);
     }
 
-    let k_passes = k_ranges.len();
-    for &(k0, k1) in &k_ranges {
-        // Load stationary B rows for this range.
-        let load_slots: usize = (k0..k1).map(|k| 2 * b.row_nnz(k)).sum();
-        let load = bus.load_run(load_slots);
-        cycles.load_b += load.beats;
-        counts.bus_slots_used += load.slots_used;
-        counts.pe_buffer_writes += load_slots as u64;
+    let mut sim = Sim::new(a.rows(), b.cols(), cfg);
+    let mut work = BeatWork::new(p);
+    let mut macs = 0u64;
+    let whole = ranges.len() == 1;
+    for ks in &ranges {
+        sim.load(2 * (b.row_ptr()[ks.end] - b.row_ptr()[ks.start]));
+        macs += spgemm_pass(&mut sim, a, b, ks, whole, p, &mut work);
+    }
+    // Every streamed nonzero multiplies its whole B row: each MAC reads
+    // metadata and value and scatters one accumulation.
+    sim.counts.macs += macs;
+    sim.counts.effective_macs += macs;
+    sim.counts.pe_buffer_reads += 2 * macs;
+    sim.counts.output_flushes += macs;
+    Ok(sim.finish(cfg, 1, ranges.len()))
+}
 
-        // Stream A (CSR beats restricted to the range).
-        let cap_pairs = bus.pair_capacity();
-        for r in 0..m {
-            let (cols, vals) = a.row(r);
-            let lo = cols.partition_point(|&c| c < k0);
-            let hi = cols.partition_point(|&c| c < k1);
-            let mut i = lo;
-            while i < hi {
-                let end = (i + cap_pairs).min(hi);
-                counts.bus_slots_used += 2 * (end - i) as u64 + 1;
-                // Per-PE work in this beat.
-                let mut pe_work = vec![0u64; p];
-                for ii in i..end {
-                    let k = cols[ii];
-                    let v = vals[ii];
-                    let work = b.row_nnz(k) as u64;
-                    pe_work[k % p] += work;
-                    counts.macs += work;
-                    counts.effective_macs += work;
-                    counts.pe_buffer_reads += 2 * work; // metadata + value
-                    counts.output_flushes += work; // scatter accumulations
-                    let (bcols, bvals) = b.row(k);
-                    for (j, bv) in bcols.iter().zip(bvals) {
-                        output.add_assign(r, *j, v * bv);
-                    }
+/// Stream A's CSR rows restricted to `ks` (Fig. 6's CSR beats) against
+/// the B rows resident for the pass; returns the MACs issued.
+fn spgemm_pass(
+    sim: &mut Sim,
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    ks: &Range<usize>,
+    whole: bool,
+    p: usize,
+    work: &mut BeatWork,
+) -> u64 {
+    let cap = sim.bus.pair_capacity();
+    let n = sim.out.cols();
+    let mut macs = 0u64;
+    for r in 0..a.rows() {
+        let (cols, vals) = a.row(r);
+        let w = window(cols, ks, whole);
+        for (kb, vb) in cols[w.clone()].chunks(cap).zip(vals[w].chunks(cap)) {
+            let out = &mut sim.out.data_mut()[r * n..(r + 1) * n];
+            for (&k, &v) in kb.iter().zip(vb) {
+                let (bcols, bvals) = b.row(k);
+                if bcols.is_empty() {
+                    continue; // no MAC, so no PE to find
                 }
-                let max_work = pe_work.iter().copied().max().unwrap_or(0);
-                cycles.stream_a += max_work.div_ceil(cfg.vector_width as u64).max(1);
-                i = end;
+                work.add(k % p, bcols.len() as u64);
+                macs += bcols.len() as u64;
+                for (&j, &bv) in bcols.iter().zip(bvals) {
+                    out[j] += v * bv;
+                }
             }
+            sim.beat(2 * kb.len() as u64 + 1, work.end()); // pairs + shared row id
         }
     }
-    cycles.drain = counts.output_flushes.div_ceil(cfg.num_pes.max(1) as u64);
-    Ok(SimResult {
-        output,
-        cycles,
-        counts,
-        n_tiles: 1,
-        k_passes,
-    })
+    macs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparseflex_formats::CooMatrix;
 
     /// The Fig. 6 walkthrough operands.
     /// Matrix A (4x8): A@(0,0), B@(0,2), C@(0,4), H@(3,5).
@@ -888,6 +1005,209 @@ mod tests {
         let b = encode(&fig6_b(), MatrixFormat::Dense);
         let r = simulate_ws(&a, &b, &cfg).unwrap();
         assert_eq!(r.cycles.stream_a, 8 * 4);
+    }
+
+    /// Zero `field` in the walkthrough configuration.
+    fn zeroed(field: &str) -> AccelConfig {
+        let mut cfg = AccelConfig::walkthrough();
+        match field {
+            "vector_width" => cfg.vector_width = 0,
+            _ => cfg.bus_slots = 0,
+        }
+        cfg
+    }
+
+    fn ws_with(cfg: &AccelConfig) -> Result<SimResult, SimError> {
+        let a = encode(&fig6_a(), MatrixFormat::Dense);
+        let b = encode(&fig6_b(), MatrixFormat::Csc);
+        simulate_ws(&a, &b, cfg)
+    }
+
+    fn spgemm_with(cfg: &AccelConfig) -> Result<SimResult, SimError> {
+        let a = CsrMatrix::from_coo(&fig6_a());
+        let b = CsrMatrix::from_coo(&fig6_b());
+        simulate_spgemm(&a, &b, cfg)
+    }
+
+    #[test]
+    fn ws_rejects_zero_vector_width() {
+        let field = "vector_width";
+        assert_eq!(ws_with(&zeroed(field)), Err(SimError::ZeroConfig { field }));
+    }
+
+    #[test]
+    fn ws_rejects_zero_bus_slots() {
+        let field = "bus_slots";
+        assert_eq!(ws_with(&zeroed(field)), Err(SimError::ZeroConfig { field }));
+    }
+
+    #[test]
+    fn spgemm_rejects_zero_vector_width() {
+        let field = "vector_width";
+        assert_eq!(
+            spgemm_with(&zeroed(field)),
+            Err(SimError::ZeroConfig { field })
+        );
+    }
+
+    #[test]
+    fn spgemm_rejects_zero_bus_slots() {
+        let field = "bus_slots";
+        assert_eq!(
+            spgemm_with(&zeroed(field)),
+            Err(SimError::ZeroConfig { field })
+        );
+    }
+
+    /// SplitMix64: the oracle property's deterministic input stream.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Mostly sevenths (so the summation order shows in the rounded
+        /// bits), some exact zeros, which a sparse format stores and WS
+        /// must skip, and rare infinities, which make a skipped zero
+        /// product visible (`0 x inf` is NaN).
+        fn value(&mut self) -> Value {
+            match self.below(40) {
+                0..=4 => 0.0,
+                5 => Value::INFINITY,
+                6 => Value::NEG_INFINITY,
+                _ => (self.below(2001) as Value - 1000.0) / 7.0,
+            }
+        }
+    }
+
+    /// A random `rows x cols` operand in every format the simulators
+    /// take. Its stored entries, rows may be empty, and the sparse
+    /// formats keep the explicit zeros (COO drops them, by its contract).
+    struct Operand {
+        dense: MatrixData,
+        csr: CsrMatrix,
+        coo: MatrixData,
+        csc: MatrixData,
+    }
+
+    fn operand(g: &mut Gen, rows: usize, cols: usize) -> Operand {
+        let density = g.below(101);
+        let mut entries = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                if g.below(100) < density {
+                    entries.push((r, c, g.value()));
+                }
+            }
+        }
+        let mut dense = vec![0.0; rows * cols];
+        let mut row_ptr = vec![0; rows + 1];
+        let mut col_ptr = vec![0; cols + 1];
+        for &(r, c, v) in &entries {
+            dense[r * cols + c] = v;
+            row_ptr[r + 1] += 1;
+            col_ptr[c + 1] += 1;
+        }
+        for i in 1..row_ptr.len() {
+            row_ptr[i] += row_ptr[i - 1];
+        }
+        for i in 1..col_ptr.len() {
+            col_ptr[i] += col_ptr[i - 1];
+        }
+        let csr = CsrMatrix::from_parts(
+            rows,
+            cols,
+            row_ptr,
+            entries.iter().map(|e| e.1).collect(),
+            entries.iter().map(|e| e.2).collect(),
+        )
+        .unwrap();
+        let mut by_col = entries.clone();
+        by_col.sort_by_key(|&(r, c, _)| (c, r));
+        let csc = CscMatrix::from_parts(
+            rows,
+            cols,
+            col_ptr,
+            by_col.iter().map(|e| e.0).collect(),
+            by_col.iter().map(|e| e.2).collect(),
+        )
+        .unwrap();
+        Operand {
+            dense: MatrixData::Dense(DenseMatrix::from_vec(rows, cols, dense).unwrap()),
+            coo: MatrixData::Coo(CooMatrix::from_triplets(rows, cols, entries).unwrap()),
+            csr,
+            csc: MatrixData::Csc(csc),
+        }
+    }
+
+    /// Identical cycles, counts, tiling, error and output bit patterns.
+    fn assert_same(
+        new: Result<SimResult, SimError>,
+        old: Result<SimResult, SimError>,
+        what: &dyn Fn() -> String,
+    ) {
+        match (new, old) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(
+                    (new.cycles, new.counts, new.n_tiles, new.k_passes),
+                    (old.cycles, old.counts, old.n_tiles, old.k_passes),
+                    "{}",
+                    what()
+                );
+                let bits = |m: &DenseMatrix| {
+                    let data = m.data().iter().map(|v| v.to_bits());
+                    (m.rows(), m.cols(), data.collect::<Vec<_>>())
+                };
+                assert_eq!(bits(&new.output), bits(&old.output), "{}", what());
+            }
+            (new, old) => assert_eq!(new.err(), old.err(), "{}", what()),
+        }
+    }
+
+    #[test]
+    fn simulators_match_the_oracle_bit_for_bit() {
+        let mut g = Gen(0x5eed);
+        for case in 0..6000 {
+            let (m, k, n) = (g.below(7), g.below(10), g.below(10));
+            let cfg = AccelConfig {
+                num_pes: g.below(6),
+                vector_width: 1 + g.below(4),
+                pe_buffer_elems: g.below(10),
+                bus_slots: 1 + g.below(8),
+                ..AccelConfig::walkthrough()
+            };
+            let a = operand(&mut g, m, k);
+            let b = operand(&mut g, k, n);
+            let a_csr = MatrixData::Csr(a.csr.clone());
+            for (a_fmt, a) in [
+                ("Dense", &a.dense),
+                ("CSR", &a_csr),
+                ("COO", &a.coo),
+                ("CSC", &a.csc),
+            ] {
+                for (b_fmt, b) in [("Dense", &b.dense), ("CSC", &b.csc)] {
+                    assert_same(
+                        simulate_ws(a, b, &cfg),
+                        oracle::simulate_ws(a, b, &cfg),
+                        &|| format!("case {case}: {a_fmt}(A)-{b_fmt}(B) {m}x{k}x{n} {cfg:?}"),
+                    );
+                }
+            }
+            assert_same(
+                simulate_spgemm(&a.csr, &b.csr, &cfg),
+                oracle::simulate_spgemm(&a.csr, &b.csr, &cfg),
+                &|| format!("case {case}: SpGEMM {m}x{k}x{n} {cfg:?}"),
+            );
+        }
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //!
 //! Three model layers are provided and cross-validated by tests:
 //!
-//! - [`exec`] — cycle-accurate functional simulation (walks every bus
-//!   beat, produces the actual output matrix and exact cycle counts).
-//!   Reproduces the Fig. 6 walkthrough exactly (8 / 3 / 4 cycles).
-//! - [`model`] — analytic cycle/energy estimates from matrix *structure*
-//!   (per-row populations; exact w.r.t. `exec`) or from *statistics*
-//!   (dims + nnz only; the layer SAGE uses).
+//! - [`exec`] — cycle-accurate functional simulation: streams each
+//!   operand in place through its ACF, beat by beat, and produces the
+//!   actual output matrix and exact cycle counts. Reproduces the Fig. 6
+//!   walkthrough exactly (8 / 3 / 4 cycles).
+//! - [`model`] — analytic cycle/energy estimates from *statistics*
+//!   (dims + nnz only; the layer SAGE uses), checked against `exec`.
 //! - [`taxonomy`] — the Table I / Table II accelerator classes
 //!   (`Fix_Fix_None` … `Flex_Flex_HW`) with their MCF/ACF freedom.
 //!
@@ -47,5 +47,5 @@ pub use config::AccelConfig;
 pub use dram::DramModel;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use exec::{simulate_spgemm, simulate_ws, ActivityCounts, CycleBreakdown, SimResult};
-pub use model::{AnalyticCycles, StructureModel};
+pub use model::AnalyticCycles;
 pub use taxonomy::{AcceleratorClass, ConversionSupport, FormatFreedom};

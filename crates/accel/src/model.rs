@@ -1,12 +1,13 @@
 //! Analytic performance model — the "performance model" half of SAGE
 //! (§VI).
 //!
-//! Where [`crate::exec`] walks every bus beat, this module predicts the
-//! same quantities in closed form from `(M, K, N, nnz_A, nnz_B)` under
-//! the paper's uniform-random assumption ("we assume a uniform random
-//! distribution of the dense values ... this has minimal effect on the
-//! performance of unstructured format conversions", §VI). Tests
-//! cross-validate these estimates against the cycle-accurate simulator.
+//! Where [`crate::exec`] streams the operands beat by beat, this module
+//! predicts the same quantities in closed form from `(M, K, N, nnz_A,
+//! nnz_B)` under the paper's uniform-random assumption ("we assume a
+//! uniform random distribution of the dense values ... this has minimal
+//! effect on the performance of unstructured format conversions", §VI).
+//! Tests cross-validate these estimates against the cycle-accurate
+//! simulator.
 
 use crate::bus::BusPacking;
 use crate::config::AccelConfig;
@@ -104,10 +105,6 @@ impl AnalyticEstimate {
         }
     }
 }
-
-/// Structure-agnostic alias retained for API clarity: the analytic model
-/// is what SAGE queries.
-pub type StructureModel = AnalyticEstimate;
 
 /// Predict a WS execution analytically.
 pub fn ws_estimate(w: &WsWorkload, cfg: &AccelConfig) -> Result<AnalyticEstimate, SimError> {

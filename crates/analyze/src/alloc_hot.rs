@@ -19,7 +19,9 @@
 //! - the per-format size and conversion-cost formulas
 //!   (`size_model::{matrix_charge, tensor_storage_bits}`,
 //!   `mint::cost::{conversion_cost, tensor_conversion_cost}`), which
-//!   SAGE calls for every candidate it prices.
+//!   SAGE calls for every candidate it prices;
+//! - the per-pass and per-beat loops of the cycle simulators
+//!   (`accel::exec`), which run once per stationary tile.
 //!
 //! Deliberate warm-up allocation can be waived per line with
 //! `// sflint::allow(alloc-in-hot-path)`.

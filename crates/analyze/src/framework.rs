@@ -75,6 +75,16 @@ impl AnalysisConfig {
                 ("crates/formats/src/size_model.rs", "tensor_storage_bits"),
                 ("crates/mint/src/cost.rs", "conversion_cost"),
                 ("crates/mint/src/cost.rs", "tensor_conversion_cost"),
+                // The cycle simulators' per-pass and per-beat loops; their
+                // scratch is sized once per call, outside these bodies.
+                ("crates/accel/src/exec.rs", "dense_b_tile"),
+                ("crates/accel/src/exec.rs", "csc_b_tile"),
+                ("crates/accel/src/exec.rs", "load_pass"),
+                ("crates/accel/src/exec.rs", "stream_pass"),
+                ("crates/accel/src/exec.rs", "elem"),
+                ("crates/accel/src/exec.rs", "end_beat"),
+                ("crates/accel/src/exec.rs", "end_pass"),
+                ("crates/accel/src/exec.rs", "spgemm_pass"),
             ]
             .into_iter()
             .map(|(file, func)| (file.into(), func.into()))

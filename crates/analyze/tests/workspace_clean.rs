@@ -2,7 +2,7 @@
 //! same check CI's `sflint` step enforces, kept in-tree so `cargo test`
 //! alone catches a regression.
 
-use sparseflex_analyze::framework;
+use sparseflex_analyze::{framework, SourceFile};
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -26,6 +26,20 @@ fn workspace_has_zero_findings() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+#[test]
+fn every_hot_fn_names_a_function() {
+    // A renamed hot function would silently drop out of the lint.
+    let root = workspace_root();
+    for (file, func) in framework::AnalysisConfig::workspace().hot_fns {
+        let text = std::fs::read_to_string(root.join(&file)).expect("hot file reads");
+        let src = SourceFile::parse(&file, &text);
+        assert!(
+            src.fns.iter().any(|f| f.name == func),
+            "{file} has no fn {func}"
+        );
+    }
 }
 
 #[test]

@@ -44,8 +44,6 @@ pub struct BatchPoint {
     pub jobs: usize,
     /// Distinct workload shapes among them.
     pub distinct_shapes: usize,
-    /// Virtual accelerator instances used.
-    pub workers: usize,
     /// SAGE searches skipped via the plan cache.
     pub plan_cache_hits: u64,
     /// Modeled single-instance service cycles (sum of overlapped totals).
@@ -160,7 +158,6 @@ pub fn measure_batch() -> BatchPoint {
     BatchPoint {
         jobs: jobs.len(),
         distinct_shapes: exhibit_operands().len(),
-        workers: batch.workers,
         plan_cache_hits: batch.plan_cache_hits,
         total_overlapped_cycles: batch.total_overlapped_cycles(),
     }
@@ -212,10 +209,10 @@ pub fn rows_from(m: &PipelineMeasurement) -> Vec<String> {
     let b = &m.batch;
     out.push(String::new());
     out.push("# batch front-end (run_batch over the exhibit shapes)".to_string());
-    out.push("jobs,distinct_shapes,workers,plan_cache_hits,total_overlapped_cycles".to_string());
+    out.push("jobs,distinct_shapes,plan_cache_hits,total_overlapped_cycles".to_string());
     out.push(format!(
-        "{},{},{},{},{}",
-        b.jobs, b.distinct_shapes, b.workers, b.plan_cache_hits, b.total_overlapped_cycles
+        "{},{},{},{}",
+        b.jobs, b.distinct_shapes, b.plan_cache_hits, b.total_overlapped_cycles
     ));
     out
 }
@@ -247,13 +244,9 @@ pub fn json_from(m: &PipelineMeasurement) -> String {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"batch\": {{\"jobs\": {}, \"distinct_shapes\": {}, \"workers\": {}, \
+        "  \"batch\": {{\"jobs\": {}, \"distinct_shapes\": {}, \
          \"plan_cache_hits\": {}, \"total_overlapped_cycles\": {}}}\n",
-        batch.jobs,
-        batch.distinct_shapes,
-        batch.workers,
-        batch.plan_cache_hits,
-        batch.total_overlapped_cycles
+        batch.jobs, batch.distinct_shapes, batch.plan_cache_hits, batch.total_overlapped_cycles
     ));
     json.push('}');
     json

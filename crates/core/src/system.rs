@@ -43,6 +43,11 @@ pub enum RunError {
         /// Rows of B.
         b_rows: usize,
     },
+    /// The accelerator configuration has no MAC lanes or no bus slots.
+    ZeroConfig {
+        /// The zero `AccelConfig` field.
+        field: &'static str,
+    },
     /// Encoding or converting an operand failed structurally.
     Format(FormatError),
 }
@@ -82,6 +87,7 @@ impl fmt::Display for RunError {
                     "dimension mismatch: A has {a_cols} cols, B has {b_rows} rows"
                 )
             }
+            RunError::ZeroConfig { field } => write!(f, "accelerator config has {field} = 0"),
             RunError::Format(e) => write!(f, "operand encoding failed: {e}"),
         }
     }
@@ -97,6 +103,7 @@ impl From<SimError> for RunError {
             }
             SimError::UnsupportedAcf { a, b } => RunError::UnsupportedChoice { a, b },
             SimError::DimMismatch { a_cols, b_rows } => RunError::ShapeMismatch { a_cols, b_rows },
+            SimError::ZeroConfig { field } => RunError::ZeroConfig { field },
         }
     }
 }
