@@ -16,6 +16,8 @@ fn main() {
     );
     let m = sparseflex_bench::kernels::measure();
     sparseflex_bench::emit(&sparseflex_bench::kernels::rows_from(&m));
+    println!();
+    sparseflex_bench::emit(&sparseflex_bench::kernels::measured_rows_from(&m));
     let violations = sparseflex_bench::kernels::enforce(&m);
     if violations.is_empty() {
         eprintln!("kernels_gate: all budgets hold");

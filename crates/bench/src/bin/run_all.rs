@@ -29,6 +29,7 @@ fn main() -> std::io::Result<()> {
         ("table2", sparseflex_bench::table2::rows),
         ("table3", sparseflex_bench::table3::rows),
         ("fig05_measured", sparseflex_bench::fig05_measured::rows),
+        ("fig10_measured", sparseflex_bench::fig10::measured_rows),
         ("ablation", sparseflex_bench::ablation::rows),
     ];
     for (name, job) in jobs {
@@ -62,13 +63,18 @@ fn main() -> std::io::Result<()> {
         sparseflex_bench::calibration::json_from(&calibration_measured) + "\n",
     )?;
     // Streaming-kernel exhibit: zero-alloc steady-state evidence plus
-    // the stream-vs-fast-path overhead, measured once, rendered as CSV
-    // and the JSON snapshot the kernels_gate CI step prices.
-    eprintln!("generating kernels + BENCH_kernels.json ...");
+    // the stream-vs-fast-path overhead, measured once, rendered as the
+    // host-independent CSV, the wall-clock CSV and the JSON snapshot the
+    // kernels_gate CI step prices.
+    eprintln!("generating kernels + kernels_measured + BENCH_kernels.json ...");
     let kernels_measured = sparseflex_bench::kernels::measure();
     fs::write(
         dir.join("kernels.csv"),
         sparseflex_bench::kernels::rows_from(&kernels_measured).join("\n") + "\n",
+    )?;
+    fs::write(
+        dir.join("kernels_measured.csv"),
+        sparseflex_bench::kernels::measured_rows_from(&kernels_measured).join("\n") + "\n",
     )?;
     fs::write(
         dir.join("BENCH_kernels.json"),

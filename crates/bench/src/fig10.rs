@@ -1,12 +1,15 @@
 //! Fig. 10 — conversion execution time and energy: MKL-class CPU vs
 //! cuSPARSE-class GPU vs MINT, over the Table III matrix workloads.
 //!
-//! Three baselines per conversion:
+//! Two modeled baselines per conversion ([`rows`]):
 //! - `cpu_model_s` / `gpu_model_s`: analytic roofline stand-ins for MKL
 //!   and cuSPARSE (the paper's hardware is not available here).
-//! - `rust_measured_s`: real wall time of this workspace's software
-//!   conversion on the build machine (sanity anchor).
 //! - `mint_s`: MINT's pipelined cycle count at 1 GHz.
+//!
+//! [`measured_rows`] adds the host-timed anchor, `rust_measured_s`: real
+//! wall time of this workspace's software conversion on the build
+//! machine. It lives apart so the modeled rows depend on nothing but the
+//! models.
 
 use sparseflex_formats::{CsrMatrix, MatrixFormat};
 use sparseflex_host::device::{conversion_time, DeviceModel};
@@ -27,7 +30,7 @@ pub fn rows() -> Vec<String> {
     let gpu = DeviceModel::titan_rtx();
     let mut out = vec![
         "# fig10 conversion time & energy; MINT at 1 GHz".to_string(),
-        "workload,conversion,cpu_model_s,gpu_model_s,rust_measured_s,mint_s,cpu_energy_j,gpu_energy_j,mint_energy_j"
+        "workload,conversion,cpu_model_s,gpu_model_s,mint_s,cpu_energy_j,gpu_energy_j,mint_energy_j"
             .to_string(),
     ];
     for w in TABLE_III.iter() {
@@ -62,37 +65,48 @@ pub fn rows() -> Vec<String> {
             // MINT.
             let mint = conversion_cost(&src, &dst, m, k, nnz, &engine);
             let mint_s = mint.cycles as f64 / 1.0e9;
-            // Measured Rust conversion (scaled workloads only).
-            let measured = if measurable(w.nnz) {
-                let coo = w.generate_matrix(42).expect("matrix workload");
-                let csr = CsrMatrix::from_coo(&coo);
-                match conv_name {
-                    "csr_to_csc" => {
-                        time_conversion(TimedConversion::CsrToCsc, &csr, None, 2).seconds
-                    }
-                    _ => {
-                        // Dense materialization is capped harder: skip
-                        // matrices over 40M elements.
-                        if m * k <= 40_000_000 {
-                            let dense = coo.clone().into_dense();
-                            time_conversion(TimedConversion::DenseToCsr, &csr, Some(&dense), 2)
-                                .seconds
-                        } else {
-                            f64::NAN
-                        }
-                    }
-                }
-            } else {
-                f64::NAN
-            };
             out.push(format!(
-                "{},{conv_name},{cpu_s:.4e},{gpu_s:.4e},{measured:.4e},{mint_s:.4e},{:.4e},{:.4e},{:.4e}",
+                "{},{conv_name},{cpu_s:.4e},{gpu_s:.4e},{mint_s:.4e},{:.4e},{:.4e},{:.4e}",
                 w.name,
                 cpu.energy(cpu_s),
                 gpu.energy(gpu_s),
                 mint.energy,
             ));
         }
+    }
+    out
+}
+
+/// Host-timed rows: this workspace's software conversion on the build
+/// machine (`results/fig10_measured.csv`), the sanity anchor beside the
+/// modeled [`rows`]. Workloads too large to materialize read `NaN`.
+pub fn measured_rows() -> Vec<String> {
+    let mut out = vec![
+        "# fig10 measured: this workspace's software conversion wall time".to_string(),
+        "workload,conversion,rust_measured_s".to_string(),
+    ];
+    for w in TABLE_III.iter() {
+        let WorkloadShape::Matrix { rows: m, cols: k } = w.shape else {
+            continue;
+        };
+        let operands = measurable(w.nnz).then(|| {
+            let coo = w.generate_matrix(42).expect("matrix workload");
+            (CsrMatrix::from_coo(&coo), coo)
+        });
+        let csr_to_csc = operands.as_ref().map_or(f64::NAN, |(csr, _)| {
+            time_conversion(TimedConversion::CsrToCsc, csr, None, 2).seconds
+        });
+        // Dense materialization is capped harder: skip matrices over 40M
+        // elements.
+        let dense_to_csr = match &operands {
+            Some((csr, coo)) if m * k <= 40_000_000 => {
+                let dense = coo.clone().into_dense();
+                time_conversion(TimedConversion::DenseToCsr, csr, Some(&dense), 2).seconds
+            }
+            _ => f64::NAN,
+        };
+        out.push(format!("{},csr_to_csc,{csr_to_csc:.4e}", w.name));
+        out.push(format!("{},dense_to_csr,{dense_to_csr:.4e}", w.name));
     }
     out
 }

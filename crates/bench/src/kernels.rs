@@ -340,7 +340,9 @@ pub fn rows() -> Vec<String> {
     rows_from(&measure())
 }
 
-/// Render a measurement as the CSV exhibit.
+/// Render a measurement's host-independent part as the CSV exhibit: the
+/// allocation counts and SAGE's dataflow choice per SpGEMM shape. The
+/// wall-clock rows are [`measured_rows_from`]'s.
 pub fn rows_from(m: &KernelsMeasurement) -> Vec<String> {
     let mut out = vec![
         format!(
@@ -356,8 +358,22 @@ pub fn rows_from(m: &KernelsMeasurement) -> Vec<String> {
         ));
     }
     out.push(String::new());
-    out.push("# stream path vs fast path (median ns)".to_string());
-    out.push("kernel,fast_ns,stream_ns,ratio,gated".to_string());
+    out.push("# spgemm dataflow SAGE's pricing picks".to_string());
+    out.push("workload,sage_choice".to_string());
+    for p in &m.spgemm_points {
+        out.push(format!("{},{:?}", p.name, p.sage_choice));
+    }
+    out
+}
+
+/// Render a measurement's wall-clock part as CSV
+/// (`results/kernels_measured.csv`): the stream-vs-fast-path overhead
+/// and the two SpGEMM dataflows' times.
+pub fn measured_rows_from(m: &KernelsMeasurement) -> Vec<String> {
+    let mut out = vec![
+        "# stream path vs fast path (median ns)".to_string(),
+        "kernel,fast_ns,stream_ns,ratio,gated".to_string(),
+    ];
     for p in &m.overhead_points {
         out.push(format!(
             "{},{},{},{:.3},{}",
@@ -369,13 +385,10 @@ pub fn rows_from(m: &KernelsMeasurement) -> Vec<String> {
         ));
     }
     out.push(String::new());
-    out.push("# spgemm dataflows (median ns) + SAGE pricing choice".to_string());
-    out.push("workload,gustavson_ns,rowwise_ns,sage_choice".to_string());
+    out.push("# spgemm dataflows (median ns)".to_string());
+    out.push("workload,gustavson_ns,rowwise_ns".to_string());
     for p in &m.spgemm_points {
-        out.push(format!(
-            "{},{},{},{:?}",
-            p.name, p.gustavson_ns, p.rowwise_ns, p.sage_choice
-        ));
+        out.push(format!("{},{},{}", p.name, p.gustavson_ns, p.rowwise_ns));
     }
     out
 }
@@ -469,6 +482,10 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         let rows = rows_from(&m);
         assert!(rows.iter().any(|r| r.starts_with("csc,")));
+        assert!(rows.iter().any(|r| r == "moderate_256,Gustavson"));
+        let measured = measured_rows_from(&m);
+        assert!(measured.iter().any(|r| r.starts_with("spmv_csr,")));
+        assert!(measured.iter().any(|r| r.starts_with("hypersparse_wide,")));
     }
 
     #[test]
