@@ -21,7 +21,10 @@
 //!   `mint::cost::{conversion_cost, tensor_conversion_cost}`), which
 //!   SAGE calls for every candidate it prices;
 //! - the per-pass and per-beat loops of the cycle simulators
-//!   (`accel::exec`), which run once per stationary tile.
+//!   (`accel::exec`), which run once per stationary tile;
+//! - the per-element loops of the stationary operand's schedule, cut and
+//!   conversion walks (`formats::{tiler, build}` and CSC's column
+//!   slice), which run over every stored entry of every tile.
 //!
 //! Deliberate warm-up allocation can be waived per line with
 //! `// sflint::allow(alloc-in-hot-path)`.

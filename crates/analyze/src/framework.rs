@@ -85,6 +85,17 @@ impl AnalysisConfig {
                 ("crates/accel/src/exec.rs", "end_beat"),
                 ("crates/accel/src/exec.rs", "end_pass"),
                 ("crates/accel/src/exec.rs", "spgemm_pass"),
+                // The stationary tile's schedule, cut and conversion walks;
+                // their buffers are sized once per call or per tile, outside
+                // these bodies.
+                ("crates/formats/src/tiler.rs", "count_columns"),
+                ("crates/formats/src/tiler.rs", "stage_pairs"),
+                ("crates/formats/src/tiler.rs", "group_rows"),
+                ("crates/formats/src/tiler.rs", "widen_ranges"),
+                ("crates/formats/src/tiler.rs", "split_row"),
+                ("crates/formats/src/csc.rs", "copy_columns"),
+                ("crates/formats/src/build.rs", "push_run"),
+                ("crates/formats/src/convert.rs", "transpose_nonzeros"),
             ]
             .into_iter()
             .map(|(file, func)| (file.into(), func.into()))

@@ -332,4 +332,30 @@ mod tests {
         assert_eq!(sys.planner.cache.misses(), 2);
         assert_eq!(sys.planner.cache.hits(), 0);
     }
+
+    #[test]
+    fn rlc_streaming_operand_with_zero_columns_runs_on_every_acf() {
+        // A 3x0 . 0x4 job whose A sits in memory as RLC: MINT decodes the
+        // empty run stream for every ACF instead of dividing by zero.
+        let a = CooMatrix::empty(3, 0);
+        let b = CooMatrix::empty(0, 4);
+        let w = workload_from(&a, &b, true);
+        let sys = FlexSystem::default();
+        let pairs = MatrixFormat::acf_set()
+            .map(|acf_a| (acf_a, MatrixFormat::Csc))
+            .into_iter()
+            .chain([(MatrixFormat::Csr, MatrixFormat::Csr)]);
+        for (acf_a, acf_b) in pairs {
+            let choice = FormatChoice {
+                mcf_a: MatrixFormat::Rlc { run_bits: 4 },
+                mcf_b: MatrixFormat::Csr,
+                acf_a,
+                acf_b,
+            };
+            let run = sys
+                .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
+                .unwrap_or_else(|e| panic!("{choice}: {e}"));
+            assert_eq!(run.output, DenseMatrix::zeros(3, 4), "{choice}");
+        }
+    }
 }

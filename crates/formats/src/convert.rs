@@ -4,10 +4,10 @@
 //! (MKL / cuSPARSE in the paper's Fig. 10) would run — and also the
 //! functional oracle that MINT's hardware pipelines are tested against.
 //!
-//! All conversions are available generically through the COO hub
-//! ([`crate::MatrixData::convert_to`]); this module adds the *direct* algorithms
-//! that skip the hub where a faster dedicated path exists, mirroring the
-//! four conversions the paper walks through in Fig. 8:
+//! All conversions are available generically through
+//! [`crate::MatrixData::convert_to`], which walks the source once into a
+//! builder of the target; this module adds the *direct* algorithms the
+//! paper walks through in Fig. 8:
 //!
 //! - [`csr_to_csc`] (Fig. 8c) — counting-sort transpose-of-representation.
 //! - [`rlc_to_coo`] (Fig. 8d) — prefix-sum over runs, then divide/mod.
@@ -25,13 +25,10 @@ use crate::rlc::RlcMatrix;
 use crate::tensor::DenseTensor3;
 use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::zvc::ZvcMatrix;
+use crate::Value;
 
 /// CSR → CSC by counting sort on column ids (the software equivalent of
 /// MINT's Fig. 8c pipeline: histogram → prefix sum → scatter).
-#[expect(
-    clippy::expect_used,
-    reason = "from_parts re-validates the CSC structure the counting sort just built"
-)]
 pub fn csr_to_csc(csr: &CsrMatrix) -> CscMatrix {
     let rows = csr.rows();
     let cols = csr.cols();
@@ -55,37 +52,55 @@ pub fn csr_to_csc(csr: &CsrMatrix) -> CscMatrix {
         row_ids[slot] = r;
         values[slot] = v;
     }
-    CscMatrix::from_parts(rows, cols, col_ptr, row_ids, values)
-        .expect("counting sort yields valid CSC structure")
+    CscMatrix::from_parts_unchecked(rows, cols, col_ptr, row_ids, values)
 }
 
-/// CSC → CSR — the symmetric counting sort.
-#[expect(
-    clippy::expect_used,
-    reason = "from_parts re-validates the CSR structure the counting sort just built"
-)]
+/// CSC → CSR — the symmetric counting sort. Explicit stored zeros are
+/// dropped, as `to_coo` drops them, so the result equals
+/// `CsrMatrix::from_coo(&csc.to_coo())`.
 pub fn csc_to_csr(csc: &CscMatrix) -> CsrMatrix {
     let rows = csc.rows();
-    let cols = csc.cols();
-    let nnz = csc.nnz();
-    let mut row_ptr = vec![0usize; rows + 1];
-    for &r in csc.row_ids() {
-        row_ptr[r + 1] += 1;
-    }
-    for r in 0..rows {
-        row_ptr[r + 1] += row_ptr[r];
-    }
-    let mut cursor = row_ptr.clone();
+    let nnz = csc.values().iter().filter(|&&v| v != 0.0).count();
+    // One spare slot: see `transpose_nonzeros`.
+    let mut row_ptr = vec![0usize; rows + 2];
     let mut col_ids = vec![0usize; nnz];
     let mut values = vec![0.0; nnz];
-    for (r, c, v) in csc.iter_col_major() {
-        let slot = cursor[r];
-        cursor[r] += 1;
-        col_ids[slot] = c;
-        values[slot] = v;
+    transpose_nonzeros(csc, &mut row_ptr, &mut col_ids, &mut values);
+    row_ptr.truncate(rows + 1);
+    CsrMatrix::from_parts_unchecked(rows, csc.cols(), row_ptr, col_ids, values)
+}
+
+/// [`csc_to_csr`]'s per-element passes, into zeroed buffers sized by the
+/// caller, `row_ptr` one slot longer than a CSR's: row `r` is counted at
+/// `row_ptr[r + 2]`, the scan turns that into row `r + 1`'s start, and
+/// the scatter in column order advances `row_ptr[r + 1]` as row `r`'s
+/// cursor, from row `r`'s start to its end — which leaves
+/// `row_ptr[..=rows]` the CSR row pointer.
+fn transpose_nonzeros(
+    csc: &CscMatrix,
+    row_ptr: &mut [usize],
+    col_ids: &mut [usize],
+    values: &mut [Value],
+) {
+    for (&r, &v) in csc.row_ids().iter().zip(csc.values()) {
+        if v != 0.0 {
+            row_ptr[r + 2] += 1;
+        }
     }
-    CsrMatrix::from_parts(rows, cols, row_ptr, col_ids, values)
-        .expect("counting sort yields valid CSR structure")
+    for r in 2..row_ptr.len() {
+        row_ptr[r] += row_ptr[r - 1];
+    }
+    for c in 0..csc.cols() {
+        let (rs, vs) = csc.col(c);
+        for (&r, &v) in rs.iter().zip(vs) {
+            if v != 0.0 {
+                let slot = row_ptr[r + 1];
+                row_ptr[r + 1] += 1;
+                col_ids[slot] = c;
+                values[slot] = v;
+            }
+        }
+    }
 }
 
 /// RLC → COO (Fig. 8d): prefix-sum the run lengths to recover flat

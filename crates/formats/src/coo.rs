@@ -10,8 +10,10 @@ use crate::Value;
 /// Stores parallel arrays `(row_ids, col_ids, values)` sorted row-major
 /// (row, then column) with no duplicates and no explicit zeros. COO is the
 /// paper's most compact MCF at extreme sparsity (Fig. 4a, left of the first
-/// red line) and also serves as the intermediate hub for the generic
-/// any-to-any conversions in both software ([`crate::convert`]) and MINT.
+/// red line) and the canonical form every format encodes from
+/// ([`crate::MatrixData::encode`]) and decodes to (`to_coo`). Matrix
+/// conversions between two other formats skip it
+/// ([`crate::MatrixData::convert_to`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CooMatrix {
     rows: usize,
@@ -172,6 +174,26 @@ impl CooMatrix {
             .map(|((r, c), v)| (r, c, v))
             .collect();
         Self::from_sorted_triplets(rows, cols, triplets)
+    }
+
+    /// Assemble from parallel arrays that already hold every invariant
+    /// [`from_parts`](Self::from_parts) checks (sorted row-major, no
+    /// duplicates, in bounds, no zeros): the format builders' output,
+    /// correct by construction.
+    pub(crate) fn from_parts_unchecked(
+        rows: usize,
+        cols: usize,
+        row_ids: Vec<usize>,
+        col_ids: Vec<usize>,
+        values: Vec<Value>,
+    ) -> Self {
+        CooMatrix {
+            rows,
+            cols,
+            row_ids,
+            col_ids,
+            values,
+        }
     }
 
     /// Row coordinates, parallel to [`values`](Self::values).

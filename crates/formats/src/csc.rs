@@ -82,6 +82,61 @@ impl CscMatrix {
         })
     }
 
+    /// Assemble from parts that already hold every invariant
+    /// [`from_parts`](Self::from_parts) checks: the counting sorts'
+    /// output, correct by construction.
+    pub(crate) fn from_parts_unchecked(
+        rows: usize,
+        cols: usize,
+        col_ptr: Vec<usize>,
+        row_ids: Vec<usize>,
+        values: Vec<Value>,
+    ) -> Self {
+        CscMatrix {
+            rows,
+            cols,
+            col_ptr,
+            row_ids,
+            values,
+        }
+    }
+
+    /// Columns `c0..c1` as a matrix of their own, columns rebased to
+    /// `0..c1 - c0`, explicit zeros dropped (so the slice holds exactly
+    /// the entries `to_coo` yields for those columns). Requires
+    /// `c0 <= c1 <= cols`.
+    pub(crate) fn column_range(&self, c0: usize, c1: usize) -> CscMatrix {
+        let n = self.col_ptr[c1] - self.col_ptr[c0];
+        let mut col_ptr = Vec::with_capacity(c1 - c0 + 1);
+        let mut row_ids = Vec::with_capacity(n);
+        let mut values = Vec::with_capacity(n);
+        self.copy_columns(c0, c1, &mut col_ptr, &mut row_ids, &mut values);
+        CscMatrix::from_parts_unchecked(self.rows, c1 - c0, col_ptr, row_ids, values)
+    }
+
+    /// [`column_range`](Self::column_range)'s per-element loop, into
+    /// buffers sized by the caller.
+    fn copy_columns(
+        &self,
+        c0: usize,
+        c1: usize,
+        col_ptr: &mut Vec<usize>,
+        row_ids: &mut Vec<usize>,
+        values: &mut Vec<Value>,
+    ) {
+        col_ptr.push(0);
+        for c in c0..c1 {
+            let (rs, vs) = self.col(c);
+            for (&r, &v) in rs.iter().zip(vs) {
+                if v != 0.0 {
+                    row_ids.push(r);
+                    values.push(v);
+                }
+            }
+            col_ptr.push(values.len());
+        }
+    }
+
     /// Convert from the COO hub with a counting sort on columns.
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let cols = coo.cols();

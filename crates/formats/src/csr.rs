@@ -79,6 +79,25 @@ impl CsrMatrix {
         })
     }
 
+    /// Assemble from parts that already hold every invariant
+    /// [`from_parts`](Self::from_parts) checks: the format builders' and
+    /// counting sorts' output, correct by construction.
+    pub(crate) fn from_parts_unchecked(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_ids: Vec<usize>,
+        values: Vec<Value>,
+    ) -> Self {
+        CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_ids,
+            values,
+        }
+    }
+
     /// Convert from the COO hub (linear time; COO is already row-major).
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let rows = coo.rows();

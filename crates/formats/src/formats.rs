@@ -8,6 +8,7 @@
 //! accelerator simulator and the conversion pipelines.
 
 use crate::bsr::BsrMatrix;
+use crate::build::MatrixBuilder;
 use crate::coo::CooMatrix;
 use crate::csc::CscMatrix;
 use crate::csf::CsfTensor;
@@ -187,7 +188,7 @@ impl std::fmt::Display for TensorFormat {
 
 /// An RLC run field counts zeros in a `u64` and the encoders compute
 /// `1 << run_bits`, so fields wider than 63 bits are rejected.
-fn checked_run_bits(run_bits: u32) -> Result<u32, FormatError> {
+pub(crate) fn checked_run_bits(run_bits: u32) -> Result<u32, FormatError> {
     if run_bits > 63 {
         return Err(FormatError::Unsupported("RLC run field wider than 63 bits"));
     }
@@ -286,13 +287,22 @@ impl MatrixData {
         })
     }
 
-    /// Convert this payload into the given format (via the COO hub; the
-    /// dedicated fast paths live in [`crate::convert`]).
+    /// Convert this payload into the given format straight from its own
+    /// layout, with no COO hub: one row-major walk of the stored nonzeros
+    /// into a builder of the target (CSC → CSR is one counting sort). The
+    /// result equals [`encode`](Self::encode) of [`to_coo`](SparseMatrix::to_coo)
+    /// bit for bit; the same format is a clone.
     pub fn convert_to(&self, target: &MatrixFormat) -> Result<MatrixData, FormatError> {
         if self.format() == *target {
             return Ok(self.clone());
         }
-        Self::encode(&self.as_sparse().to_coo(), target)
+        if let (MatrixData::Csc(c), MatrixFormat::Csr) = (self, target) {
+            return Ok(MatrixData::Csr(crate::convert::csc_to_csr(c)));
+        }
+        let mut builder = MatrixBuilder::new(*target, self.rows(), self.cols())?;
+        self.row_stream()
+            .for_each_fiber(&mut |r, cs, vs| builder.push_run(r, cs, vs, 0));
+        builder.finish()
     }
 }
 

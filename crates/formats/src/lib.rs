@@ -73,6 +73,7 @@
 
 pub mod arena;
 pub mod bsr;
+mod build;
 pub mod bytes;
 pub mod convert;
 pub mod coo;

@@ -112,6 +112,25 @@ impl RlcMatrix {
         })
     }
 
+    /// Assemble from entries that already hold every invariant
+    /// [`from_parts`](Self::from_parts) checks: the format builders'
+    /// output, correct by construction.
+    pub(crate) fn from_parts_unchecked(
+        rows: usize,
+        cols: usize,
+        run_bits: u32,
+        entries: Vec<RlcEntry>,
+        trailing_zeros: u64,
+    ) -> Self {
+        RlcMatrix {
+            rows,
+            cols,
+            run_bits,
+            entries,
+            trailing_zeros,
+        }
+    }
+
     /// Run-field width in bits.
     #[inline]
     pub fn run_bits(&self) -> u32 {

@@ -4,14 +4,20 @@
 //! The pipelined runtime in `sparseflex-core` overlaps MINT conversion
 //! with accelerator compute at **tile** granularity: while the array
 //! computes on stationary tile *t*, the converter prepares tile *t+1*.
-//! That only works if every format can be sliced into column ranges
-//! cheaply — which is exactly what the [`RowMajorStream`](crate::traverse::RowMajorStream) traversal
-//! already provides. A tile is extracted with one pass over the operand's
-//! fibers (columns filtered to the range and rebased), then re-encoded in
-//! the operand's own format, so tiling never round-trips through a dense
-//! intermediate.
+//! That only works if every format can be cut into column ranges
+//! cheaply, so both steps read the operand once, in its own layout:
 //!
-//! Two planners are provided:
+//! - The schedule ([`plan_column_schedule`]) counts each column's stored
+//!   entries: CSC reads its column pointer in place, and any other format
+//!   is counted in one row-major walk. Per-tile nonzeros come from the
+//!   same counts.
+//! - The cut ([`tile_column_ranges`]) slices a CSC operand's column
+//!   ranges directly. Any other format is walked once, row by row, and
+//!   each row is split at the range boundaries into one builder per tile
+//!   of the operand's own format. No tile round-trips through COO or a
+//!   dense intermediate.
+//!
+//! Two range planners are provided:
 //!
 //! - [`uniform_column_ranges`] — fixed-width strips, the geometry of one
 //!   weight-stationary array residency (`num_pes` columns at a time).
@@ -22,10 +28,15 @@
 //!   whose individual rows overflow a PE buffer is split until every
 //!   segment fits.
 
-use crate::coo::CooMatrix;
+use crate::build::MatrixBuilder;
 use crate::error::FormatError;
 use crate::formats::MatrixData;
 use crate::traits::SparseMatrix;
+use crate::Value;
+use std::borrow::Cow;
+
+#[cfg(test)]
+mod oracle;
 
 /// One column tile of a matrix operand.
 #[derive(Debug, Clone)]
@@ -81,36 +92,135 @@ pub fn bounded_column_ranges(
     max_row_entries: usize,
     max_width: usize,
 ) -> Option<Vec<(usize, usize)>> {
-    if max_row_entries == 0 {
-        return None;
-    }
-    let cols = data.cols();
-    let max_width = max_width.max(1);
-    // Invert to per-column row lists (one stream pass), then widen each
-    // range greedily with incremental per-row counts — O(nnz + cols)
-    // overall: each column's entries are touched once when the column
-    // joins a range, once when the range closes.
-    let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); cols];
-    data.row_stream().for_each_fiber(&mut |r, cs, _| {
-        for &c in cs {
-            col_rows[c].push(r);
-        }
-    });
+    (max_row_entries > 0)
+        .then(|| bounded_ranges(&column_index(data), data.rows(), max_row_entries, max_width))
+}
 
-    let mut count = vec![0usize; data.rows()];
-    let mut touched: Vec<usize> = Vec::new();
+/// Every stored entry's row, grouped by column: column `c`'s rows are
+/// `row_ids[col_ptr[c]..col_ptr[c + 1]]`, counting exactly the entries
+/// the operand's row stream emits.
+struct ColumnIndex<'a> {
+    col_ptr: Cow<'a, [usize]>,
+    row_ids: Cow<'a, [usize]>,
+}
+
+/// The column index of `data`: a CSC operand is its own index; any other
+/// format is walked once, its (column, row) pairs staged and then
+/// grouped by a counting sort.
+fn column_index(data: &MatrixData) -> ColumnIndex<'_> {
+    if let MatrixData::Csc(c) = data {
+        return ColumnIndex {
+            col_ptr: Cow::Borrowed(c.col_ptr()),
+            row_ids: Cow::Borrowed(c.row_ids()),
+        };
+    }
+    let mut col_ptr = vec![0usize; data.cols() + 1];
+    let mut pairs = Vec::new();
+    data.row_stream()
+        .for_each_fiber(&mut |r, cs, _| stage_pairs(&mut col_ptr, &mut pairs, r, cs));
+    scan(&mut col_ptr);
+    let mut row_ids = vec![0usize; pairs.len()];
+    group_rows(&pairs, &mut col_ptr, &mut row_ids);
+    ColumnIndex {
+        col_ptr: Cow::Owned(col_ptr),
+        row_ids: Cow::Owned(row_ids),
+    }
+}
+
+/// Count each entry of row `r` into its column and stage its pair.
+fn stage_pairs(col_ptr: &mut [usize], pairs: &mut Vec<(usize, usize)>, r: usize, cs: &[usize]) {
+    for &c in cs {
+        col_ptr[c + 1] += 1;
+        pairs.push((c, r));
+    }
+}
+
+/// Scatter the staged pairs' rows into their columns, using the scanned
+/// `col_ptr[c]` as column `c`'s cursor, then shift the advanced cursors
+/// back into column starts.
+fn group_rows(pairs: &[(usize, usize)], col_ptr: &mut [usize], row_ids: &mut [usize]) {
+    for &(c, r) in pairs {
+        row_ids[col_ptr[c]] = r;
+        col_ptr[c] += 1;
+    }
+    for c in (1..col_ptr.len()).rev() {
+        col_ptr[c] = col_ptr[c - 1];
+    }
+    col_ptr[0] = 0;
+}
+
+/// Inclusive scan of per-column counts held at `ptr[c + 1]`.
+fn scan(ptr: &mut [usize]) {
+    for i in 1..ptr.len() {
+        ptr[i] += ptr[i - 1];
+    }
+}
+
+/// The column pointer of `data`'s stored entries: CSC's own, read in
+/// place; any other format's counted in one walk.
+fn column_ptr(data: &MatrixData) -> Cow<'_, [usize]> {
+    if let MatrixData::Csc(c) = data {
+        return Cow::Borrowed(c.col_ptr());
+    }
+    let mut col_ptr = vec![0usize; data.cols() + 1];
+    data.row_stream()
+        .for_each_fiber(&mut |_, cs, _| count_columns(&mut col_ptr, cs));
+    scan(&mut col_ptr);
+    Cow::Owned(col_ptr)
+}
+
+/// Count one row fiber's entries into their columns.
+fn count_columns(col_ptr: &mut [usize], cs: &[usize]) {
+    for &c in cs {
+        col_ptr[c + 1] += 1;
+    }
+}
+
+/// [`bounded_column_ranges`] over a column index, with its scratch.
+fn bounded_ranges(
+    index: &ColumnIndex<'_>,
+    rows: usize,
+    max_row_entries: usize,
+    max_width: usize,
+) -> Vec<(usize, usize)> {
+    let mut count = vec![0usize; rows];
+    let mut touched = Vec::new();
     let mut ranges = Vec::new();
+    widen_ranges(
+        index,
+        max_row_entries,
+        max_width.max(1),
+        &mut count,
+        &mut touched,
+        &mut ranges,
+    );
+    ranges
+}
+
+/// Widen each range greedily with incremental per-row counts — O(nnz +
+/// cols) overall: each column's entries are touched once when the column
+/// joins a range, once when the range closes.
+fn widen_ranges(
+    index: &ColumnIndex<'_>,
+    max_row_entries: usize,
+    max_width: usize,
+    count: &mut [usize],
+    touched: &mut Vec<usize>,
+    ranges: &mut Vec<(usize, usize)>,
+) {
+    let cols = index.col_ptr.len() - 1;
+    let rows_of = |c: usize| &index.row_ids[index.col_ptr[c]..index.col_ptr[c + 1]];
     let mut c0 = 0usize;
     while c0 < cols {
         let mut c1 = c0;
         while c1 < cols && c1 - c0 < max_width {
             // A single column holds at most one entry per row, so the
             // first column always fits (max_row_entries >= 1).
-            let fits = c1 == c0 || col_rows[c1].iter().all(|&r| count[r] < max_row_entries);
+            let fits = c1 == c0 || rows_of(c1).iter().all(|&r| count[r] < max_row_entries);
             if !fits {
                 break;
             }
-            for &r in &col_rows[c1] {
+            for &r in rows_of(c1) {
                 if count[r] == 0 {
                     touched.push(r);
                 }
@@ -124,7 +234,6 @@ pub fn bounded_column_ranges(
         }
         c0 = c1;
     }
-    Some(ranges)
 }
 
 /// How a planner cuts the stationary operand into column tiles.
@@ -210,28 +319,32 @@ impl ColumnSchedule {
 ///
 /// Returns `None` only for [`TilePolicy::Bounded`] with
 /// `max_row_entries == 0` (a single stored element already overflows the
-/// budget; no tiling can fix that). Per-tile nonzero counts are gathered
-/// in one extra stream pass.
+/// budget; no tiling can fix that). Per-tile nonzero counts come from the
+/// same per-column counts the ranges were planned on.
 pub fn plan_column_schedule(data: &MatrixData, policy: TilePolicy) -> Option<ColumnSchedule> {
-    let ranges = match policy {
+    let (ranges, col_ptr) = match policy {
         // `Whole` keeps exactly one range even for a zero-column operand,
         // so the monolithic executor always has one tile to run.
-        TilePolicy::Whole => vec![(0, data.cols())],
-        TilePolicy::Uniform { width } => uniform_column_ranges(data.cols(), width),
+        TilePolicy::Whole => (vec![(0, data.cols())], column_ptr(data)),
+        TilePolicy::Uniform { width } => {
+            (uniform_column_ranges(data.cols(), width), column_ptr(data))
+        }
         TilePolicy::Bounded {
             max_row_entries,
             max_width,
-        } => bounded_column_ranges(data, max_row_entries, max_width)?,
-    };
-    let mut tile_nnz = vec![0usize; ranges.len()];
-    data.row_stream().for_each_fiber(&mut |_, cs, _| {
-        for &c in cs {
-            let i = ranges.partition_point(|&(c0, _)| c0 <= c);
-            if i > 0 && c < ranges[i - 1].1 {
-                tile_nnz[i - 1] += 1;
+        } => {
+            if max_row_entries == 0 {
+                return None;
             }
+            let index = column_index(data);
+            let ranges = bounded_ranges(&index, data.rows(), max_row_entries, max_width);
+            (ranges, index.col_ptr)
         }
-    });
+    };
+    let tile_nnz = ranges
+        .iter()
+        .map(|&(c0, c1)| col_ptr[c1] - col_ptr[c0])
+        .collect();
     Some(ColumnSchedule {
         policy,
         ranges,
@@ -239,49 +352,122 @@ pub fn plan_column_schedule(data: &MatrixData, policy: TilePolicy) -> Option<Col
     })
 }
 
-/// Cut every range in `ranges` out of `data` in **one** stream pass
-/// (requires the ranges sorted ascending and disjoint, as the planners
-/// produce them): each stored entry is bucketed into its destination
-/// tile, then every bucket is encoded — O(nnz + tiles), not
-/// O(tiles × nnz).
+/// Marks a column in a gap between ranges.
+const NO_TILE: usize = usize::MAX;
+
+/// Cut every range in `ranges` out of `data`, each tile in the operand's
+/// own format with columns rebased to `0..width()` and explicit zeros
+/// dropped. A CSC operand is sliced column range by column range; any
+/// other format is walked once, each row split at the range boundaries
+/// into one builder per tile — O(nnz + cols + tiles), with no COO
+/// intermediate.
+///
+/// The ranges must be ascending and disjoint, each within `0..=cols` and
+/// not reversed, as the planners produce them; gaps and zero-width ranges
+/// are fine. Anything else is a typed error: [`FormatError::MalformedPointer`]
+/// for a reversed, out-of-order or overlapping range, and
+/// [`FormatError::IndexOutOfBounds`] for one ending past the last column.
 pub fn tile_column_ranges(
     data: &MatrixData,
     ranges: &[(usize, usize)],
 ) -> Result<Vec<MatrixTile>, FormatError> {
-    debug_assert!(
-        ranges.windows(2).all(|w| w[0].1 <= w[1].0),
-        "ranges must be sorted ascending and disjoint"
-    );
-    let mut buckets: Vec<Vec<(usize, usize, crate::Value)>> = vec![Vec::new(); ranges.len()];
-    data.row_stream().for_each_fiber(&mut |r, cs, vs| {
-        for (&c, &v) in cs.iter().zip(vs) {
-            // Last range starting at or before c (ranges may have gaps).
-            let i = ranges.partition_point(|&(c0, _)| c0 <= c);
-            if i > 0 && c < ranges[i - 1].1 {
-                buckets[i - 1].push((r, c - ranges[i - 1].0, v));
-            }
-        }
-    });
+    check_ranges(ranges, data.cols())?;
+    if let MatrixData::Csc(csc) = data {
+        return Ok(ranges
+            .iter()
+            .map(|&(c0, c1)| MatrixTile {
+                col_start: c0,
+                col_end: c1,
+                data: MatrixData::Csc(csc.column_range(c0, c1)),
+            })
+            .collect());
+    }
+    let mut tile_of = vec![NO_TILE; data.cols()];
+    for (t, &(c0, c1)) in ranges.iter().enumerate() {
+        tile_of[c0..c1].fill(t);
+    }
+    let mut builders = ranges
+        .iter()
+        .map(|&(c0, c1)| MatrixBuilder::new(data.format(), data.rows(), c1 - c0))
+        .collect::<Result<Vec<_>, _>>()?;
+    data.row_stream()
+        .for_each_fiber(&mut |r, cs, vs| split_row(&mut builders, &tile_of, ranges, r, cs, vs));
     ranges
         .iter()
-        .zip(buckets)
-        .map(|(&(c0, c1), triplets)| {
-            // Stream order is row-major with ascending columns, so each
-            // bucket's triplets arrive already sorted.
-            let coo = CooMatrix::from_sorted_triplets(data.rows(), c1 - c0, triplets)?;
+        .zip(builders)
+        .map(|(&(c0, c1), builder)| {
             Ok(MatrixTile {
                 col_start: c0,
                 col_end: c1,
-                data: MatrixData::encode(&coo, &data.format())?,
+                data: builder.finish()?,
             })
         })
         .collect()
+}
+
+/// [`tile_column_ranges`]'s precondition, checked.
+fn check_ranges(ranges: &[(usize, usize)], cols: usize) -> Result<(), FormatError> {
+    let mut prev: Option<(usize, usize)> = None;
+    for &(c0, c1) in ranges {
+        if c0 > c1 {
+            return Err(FormatError::MalformedPointer {
+                what: "tile range ends before it starts",
+            });
+        }
+        if c1 > cols {
+            return Err(FormatError::IndexOutOfBounds {
+                index: c1,
+                bound: cols,
+                axis: 1,
+            });
+        }
+        if let Some((p0, p1)) = prev {
+            if c0 < p0 {
+                return Err(FormatError::MalformedPointer {
+                    what: "tile ranges not ascending",
+                });
+            }
+            if c0 < p1 {
+                return Err(FormatError::MalformedPointer {
+                    what: "tile ranges overlap",
+                });
+            }
+        }
+        prev = Some((c0, c1));
+    }
+    Ok(())
+}
+
+/// Split row `r` at the range boundaries: each run of entries whose
+/// columns fall in one tile goes to that tile's builder, rebased to the
+/// tile's first column.
+fn split_row(
+    builders: &mut [MatrixBuilder],
+    tile_of: &[usize],
+    ranges: &[(usize, usize)],
+    r: usize,
+    cs: &[usize],
+    vs: &[Value],
+) {
+    let mut i = 0;
+    while i < cs.len() {
+        let t = tile_of[cs[i]];
+        let mut j = i + 1;
+        while j < cs.len() && tile_of[cs[j]] == t {
+            j += 1;
+        }
+        if t != NO_TILE {
+            builders[t].push_run(r, &cs[i..j], &vs[i..j], ranges[t].0);
+        }
+        i = j;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::formats::MatrixFormat;
+    use crate::{CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, RlcMatrix, ZvcMatrix};
 
     fn sample() -> CooMatrix {
         CooMatrix::from_triplets(
@@ -413,5 +599,233 @@ mod tests {
         assert!(ranges.iter().all(|&(a, b)| b - a <= 4));
         assert_eq!(ranges.first().unwrap().0, 0);
         assert_eq!(ranges.last().unwrap().1, 10);
+    }
+
+    /// A splitmix64 stream: the oracle properties' deterministic inputs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n` (0 when `n == 0`).
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+
+        fn value(&mut self) -> Value {
+            match self.below(8) {
+                0 => f64::INFINITY,
+                1 => f64::NEG_INFINITY,
+                k => k as f64 * if self.below(2) == 0 { 1.0 } else { -0.5 },
+            }
+        }
+
+        /// Some stored values replaced by explicit zeros of either sign.
+        fn zero_some(&mut self, values: &mut [Value]) {
+            for v in values {
+                match self.below(6) {
+                    0 => *v = 0.0,
+                    1 => *v = -0.0,
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    fn all_formats() -> [MatrixFormat; 9] {
+        [
+            MatrixFormat::Dense,
+            MatrixFormat::Coo,
+            MatrixFormat::Csr,
+            MatrixFormat::Csc,
+            MatrixFormat::Bsr { br: 2, bc: 3 },
+            MatrixFormat::Dia,
+            MatrixFormat::Ell,
+            MatrixFormat::Rlc { run_bits: 2 },
+            MatrixFormat::Zvc,
+        ]
+    }
+
+    /// A random operand in `fmt` (zero-sized dimensions, empty rows and
+    /// columns and ±inf included), with explicit stored zeros wherever
+    /// the format can hold them.
+    fn random_operand(rng: &mut Rng, fmt: MatrixFormat) -> MatrixData {
+        let (rows, cols) = (rng.below(9), rng.below(13));
+        let n = rng.below(rows * cols + 1);
+        let triplets = (0..n)
+            .map(|_| (rng.below(rows), rng.below(cols), rng.value()))
+            .collect();
+        let coo = CooMatrix::from_triplets(rows, cols, triplets).unwrap();
+        match MatrixData::encode(&coo, &fmt).unwrap() {
+            MatrixData::Csr(c) => {
+                let (rows, cols, row_ptr, col_ids, mut values) = c.into_parts();
+                rng.zero_some(&mut values);
+                MatrixData::Csr(
+                    CsrMatrix::from_parts(rows, cols, row_ptr, col_ids, values).unwrap(),
+                )
+            }
+            MatrixData::Csc(c) => {
+                let mut values = c.values().to_vec();
+                rng.zero_some(&mut values);
+                let (col_ptr, row_ids) = (c.col_ptr().to_vec(), c.row_ids().to_vec());
+                MatrixData::Csc(
+                    CscMatrix::from_parts(rows, cols, col_ptr, row_ids, values).unwrap(),
+                )
+            }
+            MatrixData::Zvc(z) => {
+                let mut values = z.values().to_vec();
+                rng.zero_some(&mut values);
+                MatrixData::Zvc(
+                    ZvcMatrix::from_parts(rows, cols, z.mask().to_vec(), values).unwrap(),
+                )
+            }
+            MatrixData::Rlc(r) => {
+                let mut entries = r.entries().to_vec();
+                for e in &mut entries {
+                    if rng.below(6) == 0 {
+                        e.value = 0.0;
+                    }
+                }
+                let (bits, trailing) = (r.run_bits(), r.trailing_zeros());
+                MatrixData::Rlc(RlcMatrix::from_parts(rows, cols, bits, entries, trailing).unwrap())
+            }
+            MatrixData::Dense(d) => {
+                // Negative zeros where the matrix is zero.
+                let mut data = d.data().to_vec();
+                for v in &mut data {
+                    if *v == 0.0 && rng.below(3) == 0 {
+                        *v = -0.0;
+                    }
+                }
+                MatrixData::Dense(DenseMatrix::from_vec(rows, cols, data).unwrap())
+            }
+            other => other,
+        }
+    }
+
+    /// A random valid range list over `0..cols`: gaps, zero-width and
+    /// 1-column ranges.
+    fn random_ranges(rng: &mut Rng, cols: usize) -> Vec<(usize, usize)> {
+        let mut ranges = Vec::new();
+        let mut c = 0;
+        while c < cols {
+            let c0 = (c + rng.below(3)).min(cols);
+            let c1 = (c0 + rng.below(4)).min(cols);
+            ranges.push((c0, c1));
+            c = c1.max(c0 + 1);
+        }
+        ranges
+    }
+
+    fn random_policy(rng: &mut Rng) -> TilePolicy {
+        match rng.below(3) {
+            0 => TilePolicy::Whole,
+            1 => TilePolicy::Uniform {
+                width: rng.below(5),
+            },
+            _ => TilePolicy::Bounded {
+                max_row_entries: rng.below(4),
+                max_width: [1, 2, 5, usize::MAX][rng.below(4)],
+            },
+        }
+    }
+
+    /// Bitwise comparison: `Debug` prints every `f64` exactly, signed
+    /// zeros and NaN included.
+    fn bits<T: std::fmt::Debug>(x: &T) -> String {
+        format!("{x:?}")
+    }
+
+    #[test]
+    fn schedule_and_cut_equal_the_hub_oracle_bit_for_bit() {
+        let mut rng = Rng(0x5eed);
+        for case in 0..400 {
+            for fmt in all_formats() {
+                let data = random_operand(&mut rng, fmt);
+                for _ in 0..3 {
+                    let policy = random_policy(&mut rng);
+                    assert_eq!(
+                        plan_column_schedule(&data, policy),
+                        oracle::plan_column_schedule(&data, policy),
+                        "case {case}: {fmt} schedule under {policy}"
+                    );
+                }
+                let cols = data.cols();
+                for ranges in [
+                    vec![(0, cols)],
+                    uniform_column_ranges(cols, 1),
+                    random_ranges(&mut rng, cols),
+                ] {
+                    assert_eq!(
+                        bits(&tile_column_ranges(&data, &ranges).unwrap()),
+                        bits(&oracle::tile_column_ranges(&data, &ranges).unwrap()),
+                        "case {case}: {fmt} cut at {ranges:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cut_rejects_unsorted_ranges() {
+        let data = MatrixData::encode(&sample(), &MatrixFormat::Csr).unwrap();
+        assert_eq!(
+            tile_column_ranges(&data, &[(4, 8), (0, 4)]).unwrap_err(),
+            FormatError::MalformedPointer {
+                what: "tile ranges not ascending"
+            }
+        );
+    }
+
+    #[test]
+    fn cut_rejects_overlapping_ranges() {
+        let data = MatrixData::encode(&sample(), &MatrixFormat::Csc).unwrap();
+        assert_eq!(
+            tile_column_ranges(&data, &[(0, 5), (4, 8)]).unwrap_err(),
+            FormatError::MalformedPointer {
+                what: "tile ranges overlap"
+            }
+        );
+    }
+
+    #[test]
+    fn cut_rejects_reversed_ranges() {
+        let data = MatrixData::encode(&sample(), &MatrixFormat::Zvc).unwrap();
+        assert_eq!(
+            tile_column_ranges(&data, &[(0, 2), (6, 3)]).unwrap_err(),
+            FormatError::MalformedPointer {
+                what: "tile range ends before it starts"
+            }
+        );
+    }
+
+    #[test]
+    fn cut_rejects_ranges_past_the_last_column() {
+        let data = MatrixData::encode(&sample(), &MatrixFormat::Coo).unwrap();
+        assert_eq!(
+            tile_column_ranges(&data, &[(8, 12)]).unwrap_err(),
+            FormatError::IndexOutOfBounds {
+                index: 12,
+                bound: 11,
+                axis: 1
+            }
+        );
+    }
+
+    #[test]
+    fn cut_accepts_gaps_and_zero_width_ranges() {
+        let data = MatrixData::encode(&sample(), &MatrixFormat::Dense).unwrap();
+        let tiles =
+            tile_column_ranges(&data, &[(0, 0), (0, 2), (5, 5), (6, 11), (11, 11)]).unwrap();
+        let widths: Vec<usize> = tiles.iter().map(MatrixTile::width).collect();
+        assert_eq!(widths, [0, 2, 0, 5, 0]);
+        let nnz: Vec<usize> = tiles.iter().map(MatrixTile::nnz).collect();
+        assert_eq!(nnz, [0, 1, 0, 4, 0]);
     }
 }

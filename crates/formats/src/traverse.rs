@@ -781,7 +781,8 @@ impl RowMajorStream for ZvcMatrix {
     /// bitmask into arena scratch.
     ///
     /// Seeks the packed-value cursor with one rank query (popcount of the
-    /// mask words before the range), then decodes only the range's bits.
+    /// mask words before the range), then decodes only the range's bits,
+    /// a mask word at a time: each row visits its set bits only.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -796,12 +797,23 @@ impl RowMajorStream for ZvcMatrix {
         for r in lo..hi {
             coords.clear();
             let start = vi;
-            for c in 0..cols_n {
-                if self.bit(r * cols_n + c) {
-                    coords.push(c);
-                    vi += 1;
+            let row_start = r * cols_n;
+            let row_end = row_start + cols_n;
+            let mut pos = row_start;
+            while pos < row_end {
+                // The row's bits in this mask word, from `pos` on.
+                let span = (64 - pos % 64).min(row_end - pos);
+                let mut word = self.mask()[pos / 64] >> (pos % 64);
+                if span < 64 {
+                    word &= (1u64 << span) - 1;
                 }
+                while word != 0 {
+                    coords.push(pos - row_start + word.trailing_zeros() as usize);
+                    word &= word - 1;
+                }
+                pos += span;
             }
+            vi += coords.len();
             if !coords.is_empty() {
                 emit(r, coords, &self.values()[start..vi]);
             }

@@ -23,7 +23,7 @@ pub struct ZvcMatrix {
 }
 
 #[inline]
-fn mask_words(len: usize) -> usize {
+pub(crate) fn mask_words(len: usize) -> usize {
     len.div_ceil(64)
 }
 
@@ -86,6 +86,23 @@ impl ZvcMatrix {
             mask,
             values,
         })
+    }
+
+    /// Assemble from a mask and values that already hold every invariant
+    /// [`from_parts`](Self::from_parts) checks: the format builders'
+    /// output, correct by construction.
+    pub(crate) fn from_parts_unchecked(
+        rows: usize,
+        cols: usize,
+        mask: Vec<u64>,
+        values: Vec<Value>,
+    ) -> Self {
+        ZvcMatrix {
+            rows,
+            cols,
+            mask,
+            values,
+        }
     }
 
     /// Packed mask words (row-major flat order, LSB first).

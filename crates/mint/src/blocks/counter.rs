@@ -31,6 +31,12 @@ impl ClusterCounter {
         n as f64 * 2.0 * E_SMALL_OP
     }
 
+    /// Charge the report for counting `n` elements, without building
+    /// the histogram (for conversions that need only the cost).
+    pub fn charge(&self, n: u64, report: &mut ConversionReport) {
+        report.charge(BlockKind::ClusterCounter, self.cycles(n), self.energy(n));
+    }
+
     /// Count occurrences of each value in a (chunk-)sorted stream into a
     /// histogram of the given domain size, charging the report.
     pub fn count_into(
@@ -39,11 +45,7 @@ impl ClusterCounter {
         domain: usize,
         report: &mut ConversionReport,
     ) -> Vec<u64> {
-        report.charge(
-            BlockKind::ClusterCounter,
-            self.cycles(sorted.len() as u64),
-            self.energy(sorted.len() as u64),
-        );
+        self.charge(sorted.len() as u64, report);
         let mut hist = vec![0u64; domain];
         for &v in sorted {
             hist[v as usize] += 1;

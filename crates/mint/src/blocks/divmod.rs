@@ -41,6 +41,13 @@ impl DivModArray {
         n as f64 * E_DIVMOD_OP
     }
 
+    /// Charge the report for `n` divide+mod operations, without
+    /// computing them (for conversions that need only the cost).
+    pub fn charge(&self, n: u64, report: &mut ConversionReport) {
+        report.charge(BlockKind::Divider, self.cycles(n), self.energy(n) / 2.0);
+        report.charge(BlockKind::Modulo, self.cycles(n), self.energy(n) / 2.0);
+    }
+
     /// Functional divide+mod over a slice, charging the report once for
     /// the whole batch.
     pub fn div_mod(
@@ -50,9 +57,7 @@ impl DivModArray {
         report: &mut ConversionReport,
     ) -> Vec<(u64, u64)> {
         assert!(divisor > 0, "divide by zero in DivModArray");
-        let n = values.len() as u64;
-        report.charge(BlockKind::Divider, self.cycles(n), self.energy(n) / 2.0);
-        report.charge(BlockKind::Modulo, self.cycles(n), self.energy(n) / 2.0);
+        self.charge(values.len() as u64, report);
         values.iter().map(|&v| (v / divisor, v % divisor)).collect()
     }
 }

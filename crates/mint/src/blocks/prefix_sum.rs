@@ -103,13 +103,15 @@ impl PrefixSumUnit {
         n as f64 * per_elem * E_SMALL_OP
     }
 
+    /// Charge the report for scanning `n` elements, without computing
+    /// the scan (for conversions that need only the cost).
+    pub fn charge(&self, n: u64, report: &mut ConversionReport) {
+        report.charge(BlockKind::PrefixSum, self.cycles(n), self.energy(n));
+    }
+
     /// Functional inclusive scan, charging the report.
     pub fn scan(&self, input: &[u64], report: &mut ConversionReport) -> Vec<u64> {
-        report.charge(
-            BlockKind::PrefixSum,
-            self.cycles(input.len() as u64),
-            self.energy(input.len() as u64),
-        );
+        self.charge(input.len() as u64, report);
         let mut out = Vec::with_capacity(input.len());
         let mut acc = 0u64;
         for &x in input {
@@ -121,11 +123,7 @@ impl PrefixSumUnit {
 
     /// Functional exclusive scan (shifted), charging the report.
     pub fn scan_exclusive(&self, input: &[u64], report: &mut ConversionReport) -> Vec<u64> {
-        report.charge(
-            BlockKind::PrefixSum,
-            self.cycles(input.len() as u64),
-            self.energy(input.len() as u64),
-        );
+        self.charge(input.len() as u64, report);
         let mut out = Vec::with_capacity(input.len());
         let mut acc = 0u64;
         for &x in input {

@@ -53,14 +53,16 @@ impl SortingNetwork {
         n as f64 * self.stages() as f64 * E_SORT_STAGE
     }
 
+    /// Charge the report for sorting `n` elements, without computing
+    /// the sort (for conversions that need only the cost).
+    pub fn charge(&self, n: u64, report: &mut ConversionReport) {
+        report.charge(BlockKind::Sorter, self.cycles(n), self.energy(n));
+    }
+
     /// Functionally sort chunks of `width` (chunk-local sort, exactly
     /// what the hardware produces), charging the report.
     pub fn sort_chunks(&self, input: &[u64], report: &mut ConversionReport) -> Vec<u64> {
-        report.charge(
-            BlockKind::Sorter,
-            self.cycles(input.len() as u64),
-            self.energy(input.len() as u64),
-        );
+        self.charge(input.len() as u64, report);
         let mut out = input.to_vec();
         for chunk in out.chunks_mut(self.width.max(1)) {
             chunk.sort_unstable();

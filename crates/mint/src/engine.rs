@@ -4,6 +4,13 @@
 //! against the software conversions in `sparseflex-formats`) and *meters*
 //! the building blocks it occupies, returning a [`ConversionReport`] that
 //! the cost model and SAGE consume.
+//!
+//! Fig. 8's direct paths (CSR→CSC, RLC→COO, CSR→BSR, Dense→CSF) run
+//! their blocks functionally. Every other matrix pair builds the target
+//! straight from the source's own layout
+//! ([`MatrixData::convert_to`]) and charges each block the hardware would
+//! occupy decoding the source and encoding the target from the counts
+//! alone: the charges depend on nothing else.
 
 use crate::blocks::{
     small_op_cycles, ClusterCounter, DivModArray, MemController, PrefixSumUnit, SortingNetwork,
@@ -11,9 +18,12 @@ use crate::blocks::{
 };
 use crate::report::{BlockKind, ConversionReport};
 use sparseflex_formats::{
-    BsrMatrix, CooMatrix, CscMatrix, CsfTensor, CsrMatrix, DenseMatrix, DenseTensor3, FormatError,
-    MatrixData, MatrixFormat, RlcMatrix, SparseMatrix, SparseTensor3, ZvcMatrix,
+    BsrMatrix, CooMatrix, CscMatrix, CsfTensor, CsrMatrix, DenseTensor3, FormatError, MatrixData,
+    MatrixFormat, RlcMatrix, SparseMatrix, SparseTensor3,
 };
+
+#[cfg(test)]
+mod oracle;
 
 /// A configured MINT instance (one of each merged building block).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,7 +133,9 @@ impl ConversionEngine {
         let prefix = self.prefix.scan(&steps, &mut rep);
         // Step 4: parallel divide/mod by K.
         let flats: Vec<u64> = prefix.iter().map(|p| p - 1).collect();
-        let coords = self.divmod.div_mod(&flats, cols, &mut rep);
+        // A zero-column matrix stores no positions; the clamp keeps the
+        // empty batch's divisor legal, as at every other div/mod site.
+        let coords = self.divmod.div_mod(&flats, cols.max(1), &mut rep);
         // Extension-entry suppression (value == 0 emits nothing).
         rep.charge(
             BlockKind::Comparators,
@@ -153,41 +165,36 @@ impl ConversionEngine {
         br: usize,
         bc: usize,
     ) -> Result<(BsrMatrix, ConversionReport), FormatError> {
+        let bsr = BsrMatrix::from_coo(&csr.to_coo(), br, bc)?;
+        let rep = self.bsr_report(csr.rows() as u64, csr.nnz() as u64, &bsr);
+        Ok((bsr, rep))
+    }
+
+    /// The blocks Fig. 8e occupies building `bsr` from a `rows`-row CSR
+    /// holding `nnz` entries.
+    fn bsr_report(&self, rows: u64, nnz: u64, bsr: &BsrMatrix) -> ConversionReport {
         let mut rep = self.fresh_report();
-        let nnz = csr.nnz() as u64;
         // Step 1: read the CSR fields.
-        self.memctrl
-            .transfer(2 * nnz + csr.rows() as u64 + 1, &mut rep);
+        self.memctrl.transfer(2 * nnz + rows + 1, &mut rep);
         // Step 2: block-position mods and initialization comparators.
-        let cols_u64: Vec<u64> = csr.col_ids().iter().map(|&c| c as u64).collect();
-        let _ = self.divmod.div_mod(&cols_u64, bc.max(1) as u64, &mut rep);
+        self.divmod.charge(nnz, &mut rep);
         rep.charge(
             BlockKind::Comparators,
             small_op_cycles(nnz),
             nnz as f64 * E_SMALL_OP,
         );
-
-        let bsr = BsrMatrix::from_coo(&csr.to_coo(), br, bc)?;
         // Step 3: scatter values into padded block payloads (padding
         // zeros are written too — that is BSR's cost).
         self.memctrl.transfer(bsr.stored_values() as u64, &mut rep);
         // Counter tallies unique blocks per row block.
-        rep.charge(
-            BlockKind::ClusterCounter,
-            self.counter.cycles(nnz),
-            self.counter.energy(nnz),
-        );
+        self.counter.charge(nnz, &mut rep);
         // Step 5: prefix sum over the block row pointers.
         let nbr = bsr.num_block_rows() as u64;
-        rep.charge(
-            BlockKind::PrefixSum,
-            self.prefix.cycles(nbr + 1),
-            self.prefix.energy(nbr + 1),
-        );
+        self.prefix.charge(nbr + 1, &mut rep);
         self.memctrl
             .transfer(nbr + 1 + bsr.num_blocks() as u64, &mut rep);
         rep.elements += nnz;
-        Ok((bsr, rep))
+        rep
     }
 
     /// Dense tensor → CSF (Fig. 8f): nonzero scan + prefix sum for output
@@ -245,21 +252,36 @@ impl ConversionEngine {
         (csf, rep)
     }
 
-    /// Decode any matrix payload into the COO hub through the blocks.
-    pub fn decode_to_coo(&self, data: &MatrixData) -> (CooMatrix, ConversionReport) {
+    /// The blocks decoding `data` into the COO hub would occupy, charged
+    /// from counts: `kept` is the number of stored nonzeros (explicit
+    /// zeros dropped). RLC runs the Fig. 8d pipeline's charges.
+    fn decode_report(&self, data: &MatrixData, kept: u64) -> ConversionReport {
         let mut rep = self.fresh_report();
-        let coo = match data {
+        match data {
             MatrixData::Coo(c) => {
                 // Pass-through: stream copy only.
                 self.memctrl.transfer(3 * c.nnz() as u64, &mut rep);
-                c.clone()
             }
             MatrixData::Rlc(r) => {
-                let (coo, sub) = self.rlc_to_coo(r);
+                let n = r.stored_entries() as u64;
+                let mut sub = self.fresh_report();
+                self.memctrl.transfer(2 * n, &mut sub);
+                sub.charge(BlockKind::Adders, small_op_cycles(n), n as f64 * E_SMALL_OP);
+                self.prefix.charge(n, &mut sub);
+                self.divmod.charge(n, &mut sub);
+                sub.charge(
+                    BlockKind::Comparators,
+                    small_op_cycles(n),
+                    n as f64 * E_SMALL_OP,
+                );
+                self.memctrl.transfer(3 * kept, &mut sub);
+                sub.elements += n;
                 rep.merge(&sub);
-                return (coo, rep);
+                return rep;
             }
             MatrixData::Dense(d) => {
+                // Zero-check comparators and slot prefix sum over every
+                // element, then div/mod for each nonzero's coordinates.
                 let total = (d.rows() * d.cols()) as u64;
                 self.memctrl.transfer(total, &mut rep);
                 rep.charge(
@@ -267,41 +289,17 @@ impl ConversionEngine {
                     small_op_cycles(total),
                     total as f64 * E_SMALL_OP,
                 );
-                rep.charge(
-                    BlockKind::PrefixSum,
-                    self.prefix.cycles(total),
-                    self.prefix.energy(total),
-                );
-                let coo = d.to_coo();
-                let flats: Vec<u64> = coo
-                    .iter()
-                    .map(|(r, c, _)| (r * d.cols() + c) as u64)
-                    .collect();
-                let _ = self
-                    .divmod
-                    .div_mod(&flats, d.cols().max(1) as u64, &mut rep);
-                self.memctrl.transfer(3 * coo.nnz() as u64, &mut rep);
-                coo
+                self.prefix.charge(total, &mut rep);
+                self.divmod.charge(kept, &mut rep);
+                self.memctrl.transfer(3 * kept, &mut rep);
             }
             MatrixData::Zvc(z) => {
                 // Rank/select via prefix sums over mask popcounts.
                 let words = z.mask().len() as u64;
                 self.memctrl.transfer(words + z.nnz() as u64, &mut rep);
-                rep.charge(
-                    BlockKind::PrefixSum,
-                    self.prefix.cycles(words),
-                    self.prefix.energy(words),
-                );
-                let coo = z.to_coo();
-                let flats: Vec<u64> = coo
-                    .iter()
-                    .map(|(r, c, _)| (r * z.cols() + c) as u64)
-                    .collect();
-                let _ = self
-                    .divmod
-                    .div_mod(&flats, z.cols().max(1) as u64, &mut rep);
-                self.memctrl.transfer(3 * coo.nnz() as u64, &mut rep);
-                coo
+                self.prefix.charge(words, &mut rep);
+                self.divmod.charge(kept, &mut rep);
+                self.memctrl.transfer(3 * kept, &mut rep);
             }
             MatrixData::Csr(c) => {
                 // Row-pointer expansion: adders walk row_ptr while values
@@ -315,87 +313,63 @@ impl ConversionEngine {
                     nnz as f64 * E_SMALL_OP,
                 );
                 self.memctrl.transfer(3 * nnz, &mut rep);
-                c.to_coo()
             }
             MatrixData::Csc(c) => {
                 // Column-major to row-major: counting sort on row ids.
                 let nnz = c.nnz() as u64;
                 self.memctrl
                     .transfer(2 * nnz + c.cols() as u64 + 1, &mut rep);
-                let row_u64: Vec<u64> = c.row_ids().iter().map(|&r| r as u64).collect();
-                let sorted = self.sorter.sort_chunks(&row_u64, &mut rep);
-                let hist = self.counter.count_into(&sorted, c.rows(), &mut rep);
-                let _ = self.prefix.scan_exclusive(&hist, &mut rep);
+                self.sorter.charge(nnz, &mut rep);
+                self.counter.charge(nnz, &mut rep);
+                self.prefix.charge(c.rows() as u64, &mut rep);
                 self.memctrl.transfer(3 * nnz, &mut rep);
-                c.to_coo()
             }
-            other => {
-                // Structured formats (BSR/DIA/ELL): stream stored slots.
-                let stored = match other {
-                    MatrixData::Bsr(b) => b.stored_values() as u64,
-                    MatrixData::Dia(d) => d.stored_values() as u64,
-                    MatrixData::Ell(e) => e.stored_values() as u64,
-                    _ => unreachable!("all unstructured formats handled above"),
-                };
+            MatrixData::Bsr(_) | MatrixData::Dia(_) | MatrixData::Ell(_) => {
+                // Structured formats: stream stored slots.
+                let stored = structured_slots(data);
                 self.memctrl.transfer(stored, &mut rep);
                 rep.charge(
                     BlockKind::Comparators,
                     small_op_cycles(stored),
                     stored as f64 * E_SMALL_OP,
                 );
-                let coo = other.to_coo();
-                self.memctrl.transfer(3 * coo.nnz() as u64, &mut rep);
-                coo
+                self.memctrl.transfer(3 * kept, &mut rep);
             }
-        };
-        rep.elements += coo.nnz() as u64;
-        (coo, rep)
+        }
+        rep.elements += kept;
+        rep
     }
 
-    /// Encode the COO hub into any matrix format through the blocks.
-    pub fn encode_from_coo(
-        &self,
-        coo: &CooMatrix,
-        target: &MatrixFormat,
-    ) -> Result<(MatrixData, ConversionReport), FormatError> {
+    /// The blocks encoding `nnz` hub entries into `out` would occupy,
+    /// charged from counts.
+    fn encode_report(&self, out: &MatrixData, nnz: u64) -> ConversionReport {
         let mut rep = self.fresh_report();
-        let nnz = coo.nnz() as u64;
-        let data = match *target {
-            MatrixFormat::Coo => {
-                self.memctrl.transfer(3 * nnz, &mut rep);
-                MatrixData::Coo(coo.clone())
-            }
-            MatrixFormat::Csr => {
+        let (rows, cols) = (out.rows() as u64, out.cols() as u64);
+        match out {
+            MatrixData::Coo(_) => self.memctrl.transfer(3 * nnz, &mut rep),
+            MatrixData::Csr(_) => {
                 // Histogram rows (already sorted) + prefix + stream write.
-                let rows_u64: Vec<u64> = coo.row_ids().iter().map(|&r| r as u64).collect();
-                let hist = self.counter.count_into(&rows_u64, coo.rows(), &mut rep);
-                let _ = self.prefix.scan_exclusive(&hist, &mut rep);
-                self.memctrl
-                    .transfer(2 * nnz + coo.rows() as u64 + 1, &mut rep);
-                MatrixData::Csr(CsrMatrix::from_coo(coo))
+                self.counter.charge(nnz, &mut rep);
+                self.prefix.charge(rows, &mut rep);
+                self.memctrl.transfer(2 * nnz + rows + 1, &mut rep);
             }
-            MatrixFormat::Csc => {
-                let cols_u64: Vec<u64> = coo.col_ids().iter().map(|&c| c as u64).collect();
-                let sorted = self.sorter.sort_chunks(&cols_u64, &mut rep);
-                let hist = self.counter.count_into(&sorted, coo.cols(), &mut rep);
-                let _ = self.prefix.scan_exclusive(&hist, &mut rep);
+            MatrixData::Csc(_) => {
+                self.sorter.charge(nnz, &mut rep);
+                self.counter.charge(nnz, &mut rep);
+                self.prefix.charge(cols, &mut rep);
                 rep.charge(
                     BlockKind::Adders,
                     small_op_cycles(nnz),
                     nnz as f64 * E_SMALL_OP,
                 );
-                self.memctrl
-                    .transfer(2 * nnz + coo.cols() as u64 + 1, &mut rep);
-                MatrixData::Csc(CscMatrix::from_coo(coo))
+                self.memctrl.transfer(2 * nnz + cols + 1, &mut rep);
             }
-            MatrixFormat::Dense => {
+            MatrixData::Dense(_) => {
                 // Zero-init + scatter.
-                let total = (coo.rows() * coo.cols()) as u64;
-                self.memctrl.transfer(total, &mut rep);
+                self.memctrl.transfer(rows * cols, &mut rep);
                 self.memctrl.transfer(nnz, &mut rep);
-                MatrixData::Dense(coo.clone().into_dense())
             }
-            MatrixFormat::Rlc { run_bits } => {
+            MatrixData::Rlc(r) => {
                 // Position deltas (adders) + run splitting (comparators).
                 rep.charge(
                     BlockKind::Adders,
@@ -407,51 +381,36 @@ impl ConversionEngine {
                     small_op_cycles(nnz),
                     nnz as f64 * E_SMALL_OP,
                 );
-                let rlc = RlcMatrix::from_coo(coo, run_bits);
                 self.memctrl
-                    .transfer(2 * rlc.stored_entries() as u64, &mut rep);
-                MatrixData::Rlc(rlc)
+                    .transfer(2 * r.stored_entries() as u64, &mut rep);
             }
-            MatrixFormat::Zvc => {
-                let zvc = ZvcMatrix::from_coo(coo);
-                self.memctrl
-                    .transfer(zvc.mask().len() as u64 + nnz, &mut rep);
+            MatrixData::Zvc(z) => {
+                self.memctrl.transfer(z.mask().len() as u64 + nnz, &mut rep);
                 rep.charge(
                     BlockKind::Adders,
                     small_op_cycles(nnz),
                     nnz as f64 * E_SMALL_OP,
                 );
-                MatrixData::Zvc(zvc)
             }
-            MatrixFormat::Bsr { br, bc } => {
-                let csr = CsrMatrix::from_coo(coo);
-                let (bsr, sub) = self.csr_to_bsr(&csr, br, bc)?;
-                rep.merge(&sub);
-                MatrixData::Bsr(bsr)
-            }
-            MatrixFormat::Dia | MatrixFormat::Ell => {
+            MatrixData::Bsr(b) => rep.merge(&self.bsr_report(rows, nnz, b)),
+            MatrixData::Dia(_) | MatrixData::Ell(_) => {
                 // Structured scatter: offset arithmetic + padded writes.
-                let data = MatrixData::encode(coo, target)?;
-                let stored = match &data {
-                    MatrixData::Dia(d) => d.stored_values() as u64,
-                    MatrixData::Ell(e) => e.stored_values() as u64,
-                    _ => unreachable!(),
-                };
                 rep.charge(
                     BlockKind::Adders,
                     small_op_cycles(nnz),
                     nnz as f64 * E_SMALL_OP,
                 );
-                self.memctrl.transfer(stored, &mut rep);
-                data
+                self.memctrl.transfer(structured_slots(out), &mut rep);
             }
-        };
+        }
         rep.elements += nnz;
-        Ok((data, rep))
+        rep
     }
 
-    /// Generic any→any matrix conversion: direct fast paths where Fig. 8
-    /// defines them, otherwise decode→COO→encode.
+    /// Generic any→any matrix conversion. Fig. 8's direct paths run their
+    /// blocks; every other pair builds the target straight from the
+    /// source's own layout, with no COO hub, and is charged the blocks a
+    /// decode into the hub and an encode out of it occupy.
     pub fn convert_matrix(
         &self,
         data: &MatrixData,
@@ -477,9 +436,10 @@ impl ConversionEngine {
             }
             _ => {}
         }
-        let (coo, mut rep) = self.decode_to_coo(data);
-        let (out, enc) = self.encode_from_coo(&coo, target)?;
-        rep.merge(&enc);
+        let out = data.convert_to(target)?;
+        let kept = out.nnz() as u64;
+        let mut rep = self.decode_report(data, kept);
+        rep.merge(&self.encode_report(&out, kept));
         Ok((out, rep))
     }
 
@@ -674,26 +634,23 @@ impl ConversionEngine {
         rep.merge(&enc);
         Ok((out, rep))
     }
+}
 
-    /// Dense matrix → CSR through the blocks (the Fig. 10b benchmark
-    /// conversion).
-    pub fn dense_to_csr(&self, dense: &DenseMatrix) -> (CsrMatrix, ConversionReport) {
-        let (coo, mut rep) = self.decode_to_coo(&MatrixData::Dense(dense.clone()));
-        let (out, enc) = self
-            .encode_from_coo(&coo, &MatrixFormat::Csr)
-            .expect("CSR encode cannot fail");
-        rep.merge(&enc);
-        match out {
-            MatrixData::Csr(c) => (c, rep),
-            _ => unreachable!(),
-        }
+/// Value slots a BSR, DIA or ELL payload stores, padding included (0
+/// for every other format).
+fn structured_slots(data: &MatrixData) -> u64 {
+    match data {
+        MatrixData::Bsr(b) => b.stored_values() as u64,
+        MatrixData::Dia(d) => d.stored_values() as u64,
+        MatrixData::Ell(e) => e.stored_values() as u64,
+        _ => 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparseflex_formats::convert;
+    use sparseflex_formats::{convert, DenseMatrix};
     use sparseflex_workloads::synth::random_matrix;
 
     fn engine() -> ConversionEngine {
@@ -818,10 +775,166 @@ mod tests {
     fn dense_to_csr_pipeline() {
         let coo = random_matrix(16, 16, 40, 3);
         let dense = coo.clone().into_dense();
-        let (csr, rep) = engine().dense_to_csr(&dense);
-        assert_eq!(csr, convert::dense_to_csr(&dense));
+        let (csr, rep) = engine()
+            .convert_matrix(&MatrixData::Dense(dense.clone()), &MatrixFormat::Csr)
+            .unwrap();
+        assert_eq!(csr, MatrixData::Csr(convert::dense_to_csr(&dense)));
         // Dense decode must stream the whole matrix through the memctrl.
         assert!(rep.block_cycles[&BlockKind::MemController] >= (16 * 16) / 16);
+    }
+
+    #[test]
+    fn rlc_with_zero_columns_converts_to_every_acf() {
+        let rlc = MatrixData::encode(&CooMatrix::empty(3, 0), &MatrixFormat::Rlc { run_bits: 4 })
+            .unwrap();
+        for dst in MatrixFormat::acf_set() {
+            let (out, rep) = engine().convert_matrix(&rlc, &dst).unwrap();
+            assert_eq!((out.format(), out.rows(), out.cols()), (dst, 3, 0));
+            assert_eq!(rep.elements, 0, "RLC -> {dst}");
+        }
+    }
+
+    /// A splitmix64 stream: the oracle property's deterministic inputs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n` (0 when `n == 0`).
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+
+        /// A stored value: ordinary, ±inf, or (when `zeros`) an explicit
+        /// zero of either sign.
+        fn value(&mut self, zeros: bool) -> f64 {
+            match self.below(10) {
+                0 => f64::INFINITY,
+                1 => f64::NEG_INFINITY,
+                2 | 3 if zeros => [0.0, -0.0][self.below(2)],
+                k => k as f64 * if self.below(2) == 0 { 1.0 } else { -0.25 },
+            }
+        }
+    }
+
+    /// A random operand in `fmt`: zero-sized dimensions, empty rows and
+    /// columns, ±inf, and explicit stored zeros wherever the format can
+    /// hold them.
+    fn random_operand(rng: &mut Rng, fmt: MatrixFormat) -> MatrixData {
+        let (rows, cols) = (rng.below(9), rng.below(11));
+        let n = rng.below(rows * cols + 1);
+        let triplets = (0..n)
+            .map(|_| (rng.below(rows), rng.below(cols), rng.value(false)))
+            .collect();
+        let coo = CooMatrix::from_triplets(rows, cols, triplets).unwrap();
+        match MatrixData::encode(&coo, &fmt).unwrap() {
+            MatrixData::Csr(c) => {
+                let values = c.values().iter().map(|_| rng.value(true)).collect();
+                let (row_ptr, col_ids) = (c.row_ptr().to_vec(), c.col_ids().to_vec());
+                MatrixData::Csr(
+                    CsrMatrix::from_parts(rows, cols, row_ptr, col_ids, values).unwrap(),
+                )
+            }
+            MatrixData::Csc(c) => {
+                let values = c.values().iter().map(|_| rng.value(true)).collect();
+                let (col_ptr, row_ids) = (c.col_ptr().to_vec(), c.row_ids().to_vec());
+                MatrixData::Csc(
+                    CscMatrix::from_parts(rows, cols, col_ptr, row_ids, values).unwrap(),
+                )
+            }
+            MatrixData::Zvc(z) => {
+                let values = z.values().iter().map(|_| rng.value(true)).collect();
+                let zvc = sparseflex_formats::ZvcMatrix::from_parts(
+                    rows,
+                    cols,
+                    z.mask().to_vec(),
+                    values,
+                );
+                MatrixData::Zvc(zvc.unwrap())
+            }
+            MatrixData::Rlc(r) => {
+                let mut entries = r.entries().to_vec();
+                for e in &mut entries {
+                    e.value = rng.value(true);
+                }
+                let (bits, trailing) = (r.run_bits(), r.trailing_zeros());
+                MatrixData::Rlc(RlcMatrix::from_parts(rows, cols, bits, entries, trailing).unwrap())
+            }
+            MatrixData::Dense(_) => {
+                let data = (0..rows * cols)
+                    .map(|_| {
+                        if rng.below(3) == 0 {
+                            rng.value(true)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                MatrixData::Dense(DenseMatrix::from_vec(rows, cols, data).unwrap())
+            }
+            other => other,
+        }
+    }
+
+    /// The report, with energies as bits.
+    fn report_bits(rep: &ConversionReport) -> impl PartialEq + std::fmt::Debug {
+        let energies: Vec<(BlockKind, u64)> = rep
+            .block_energy
+            .iter()
+            .map(|(&k, e)| (k, e.to_bits()))
+            .collect();
+        (
+            rep.block_cycles.clone(),
+            energies,
+            rep.fill_latency,
+            rep.elements,
+        )
+    }
+
+    #[test]
+    fn conversions_equal_the_hub_oracle_bit_for_bit() {
+        let formats = [
+            MatrixFormat::Dense,
+            MatrixFormat::Coo,
+            MatrixFormat::Csr,
+            MatrixFormat::Csc,
+            MatrixFormat::Bsr { br: 2, bc: 3 },
+            MatrixFormat::Dia,
+            MatrixFormat::Ell,
+            MatrixFormat::Rlc { run_bits: 2 },
+            MatrixFormat::Zvc,
+        ];
+        let eng = engine();
+        let mut rng = Rng(0xacf);
+        for case in 0..400 {
+            for src in formats {
+                let data = random_operand(&mut rng, src);
+                for dst in formats {
+                    // Today's RLC decode divides by the column count.
+                    if matches!(data, MatrixData::Rlc(_)) && data.cols() == 0 {
+                        continue;
+                    }
+                    let (out, rep) = eng.convert_matrix(&data, &dst).unwrap();
+                    let (want, want_rep) = oracle::convert_matrix(&eng, &data, &dst).unwrap();
+                    assert_eq!(
+                        format!("{out:?}"),
+                        format!("{want:?}"),
+                        "case {case}: {src} -> {dst} payload"
+                    );
+                    assert_eq!(
+                        report_bits(&rep),
+                        report_bits(&want_rep),
+                        "case {case}: {src} -> {dst} report"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! the building blocks — each conversion is functional (produces the
 //! converted operand, verified against the software oracle in
 //! `sparseflex-formats`) and metered (returns per-block cycle and energy
-//! usage). A generic any→any path routes through COO. The [`cost`] module
+//! usage). Every other matrix pair builds its target straight from the
+//! source's own layout, with no COO hub, and is charged the blocks a
+//! decode into COO and an encode out of it occupy. The [`cost`] module
 //! provides the closed-form cost model SAGE queries, and the [`tiled`]
 //! module the double-buffered overlap schedule shared by the pipelined
 //! runtime and SAGE.
