@@ -1075,11 +1075,15 @@ mod tests {
             (self.next() % n as u64) as usize
         }
 
-        /// Mostly sevenths, and some exact zeros, which a sparse format
-        /// stores and WS must skip.
+        /// Mostly sevenths (so the summation order shows in the rounded
+        /// bits), some exact zeros, which a sparse format stores and WS
+        /// must skip, and rare infinities, which make a skipped zero
+        /// product visible (`0 x inf` is NaN).
         fn value(&mut self) -> Value {
             match self.below(40) {
                 0..=4 => 0.0,
+                5 => Value::INFINITY,
+                6 => Value::NEG_INFINITY,
                 _ => (self.below(2001) as Value - 1000.0) / 7.0,
             }
         }
@@ -1145,10 +1149,67 @@ mod tests {
         }
     }
 
+    /// `A x B` summed over every product of a stored `A(i, k)` and a
+    /// stored `B(k, j)`, or only those with no zero factor when
+    /// `skip_zeros`; and the number of products summed.
+    fn product(a: &CsrMatrix, b: &CsrMatrix, skip_zeros: bool) -> (DenseMatrix, u64) {
+        let mut out = DenseMatrix::zeros(a.rows(), b.cols());
+        let mut products = 0;
+        for i in 0..a.rows() {
+            for (&k, &av) in a.row(i).0.iter().zip(a.row(i).1) {
+                let (js, bvs) = b.row(k);
+                for (&j, &bv) in js.iter().zip(bvs) {
+                    if !skip_zeros || (av != 0.0 && bv != 0.0) {
+                        out.add_assign(i, j, av * bv);
+                        products += 1;
+                    }
+                }
+            }
+        }
+        (out, products)
+    }
+
+    /// The same product up to summation order: every non-finite cell
+    /// exactly (a NaN for a NaN, the same infinity), every finite cell
+    /// within `1e-9`.
+    fn same_product(got: &DenseMatrix, want: &DenseMatrix) -> bool {
+        (got.rows(), got.cols()) == (want.rows(), want.cols())
+            && got.data().iter().zip(want.data()).all(|(&g, &w)| {
+                if g.is_finite() && w.is_finite() {
+                    (g - w).abs() <= 1e-9
+                } else {
+                    g == w || (g.is_nan() && w.is_nan())
+                }
+            })
+    }
+
+    /// The error a WS run must return: a PE buffer too small for one
+    /// stationary unit of B (a Dense value, or a CSC row id and value),
+    /// if B has a column to tile at all.
+    fn ws_overflow(b: &MatrixData, cfg: &AccelConfig) -> Option<SimError> {
+        let needed = match b {
+            MatrixData::Csc(_) => 2,
+            _ => 1,
+        };
+        let available = cfg.pe_buffer_elems;
+        (b.cols() > 0 && available < needed)
+            .then_some(SimError::BufferTooSmall { needed, available })
+    }
+
+    /// The error an SpGEMM run must return: the first row of B whose
+    /// stored entries, two slots each, overflow a PE buffer.
+    fn spgemm_overflow(b: &CsrMatrix, cfg: &AccelConfig) -> Option<SimError> {
+        let available = cfg.pe_buffer_elems;
+        (0..b.rows())
+            .map(|k| 2 * b.row_nnz(k))
+            .find(|&needed| needed > available)
+            .map(|needed| SimError::BufferTooSmall { needed, available })
+    }
+
     #[test]
     fn simulators_compute_the_reference_product() {
         let mut g = Gen(0x5eed);
-        for case in 0..3000 {
+        for case in 0..6000 {
             let (m, k, n) = (g.below(7), g.below(10), g.below(10));
             let cfg = AccelConfig {
                 num_pes: g.below(6),
@@ -1159,19 +1220,31 @@ mod tests {
             };
             let a = operand(&mut g, m, k);
             let b = operand(&mut g, k, n);
-            let expect = reference(&a.coo.to_coo(), &b.coo.to_coo());
-            // A run either computes the product or finds a stationary
-            // unit too large for the drawn PE buffer.
-            let check = |sim: &str, r: Result<SimResult, SimError>| match r {
-                Ok(r) => assert!(
-                    r.output.approx_eq(&expect, 1e-9),
-                    "case {case}: {sim} {m}x{k}x{n} {cfg:?}"
-                ),
-                Err(e) => assert!(
-                    matches!(e, SimError::BufferTooSmall { .. }),
-                    "case {case}: {sim} {m}x{k}x{n} {cfg:?}: {e}"
-                ),
+            // A run computes the product, with one effective MAC per
+            // product summed, or returns exactly the overflow B forces.
+            let check = |sim: &str,
+                         got: Result<SimResult, SimError>,
+                         (want, products): &(DenseMatrix, u64),
+                         overflow: Option<SimError>,
+                         tiles: usize| {
+                let what = || format!("case {case}: {sim} {m}x{k}x{n} {cfg:?}");
+                match (got, overflow) {
+                    (Ok(r), None) => {
+                        assert!(same_product(&r.output, want), "{}", what());
+                        assert_eq!(
+                            (r.counts.effective_macs, r.n_tiles),
+                            (*products, tiles),
+                            "{}",
+                            what()
+                        );
+                    }
+                    (got, overflow) => assert_eq!(got.err(), overflow, "{}", what()),
+                }
             };
+            // WS skips every product with a zero factor; SpGEMM
+            // multiplies every stored pair.
+            let ws = product(&a.csr, &b.csr, true);
+            let ws_tiles = n.div_ceil(cfg.num_pes.max(1));
             let a_csr = MatrixData::Csr(a.csr.clone());
             for (a_fmt, a) in [
                 ("Dense", &a.dense),
@@ -1180,10 +1253,22 @@ mod tests {
                 ("CSC", &a.csc),
             ] {
                 for (b_fmt, b) in [("Dense", &b.dense), ("CSC", &b.csc)] {
-                    check(&format!("{a_fmt}(A)-{b_fmt}(B)"), simulate_ws(a, b, &cfg));
+                    check(
+                        &format!("{a_fmt}(A)-{b_fmt}(B)"),
+                        simulate_ws(a, b, &cfg),
+                        &ws,
+                        ws_overflow(b, &cfg),
+                        ws_tiles,
+                    );
                 }
             }
-            check("SpGEMM", simulate_spgemm(&a.csr, &b.csr, &cfg));
+            check(
+                "SpGEMM",
+                simulate_spgemm(&a.csr, &b.csr, &cfg),
+                &product(&a.csr, &b.csr, false),
+                spgemm_overflow(&b.csr, &cfg),
+                1,
+            );
         }
     }
 

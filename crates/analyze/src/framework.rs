@@ -95,7 +95,9 @@ impl AnalysisConfig {
                 ("crates/formats/src/tiler.rs", "split_row"),
                 ("crates/formats/src/csc.rs", "copy_columns"),
                 ("crates/formats/src/build.rs", "push_run"),
-                ("crates/formats/src/convert.rs", "transpose_nonzeros"),
+                ("crates/formats/src/csr.rs", "push"),
+                ("crates/formats/src/rlc.rs", "push"),
+                ("crates/formats/src/zvc.rs", "push"),
             ]
             .into_iter()
             .map(|(file, func)| (file.into(), func.into()))

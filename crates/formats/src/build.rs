@@ -9,12 +9,12 @@
 //! [`MatrixData::encode`] yields for the COO of the same entries.
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use crate::csr::RowEncoder;
 use crate::dense::DenseMatrix;
 use crate::error::FormatError;
 use crate::formats::{checked_run_bits, MatrixData, MatrixFormat};
-use crate::rlc::{RlcEntry, RlcMatrix};
-use crate::zvc::{mask_words, ZvcMatrix};
+use crate::rlc::{RlcMatrix, RunEncoder};
+use crate::zvc::{MaskEncoder, ZvcMatrix};
 use crate::Value;
 
 /// Where a builder keeps its entries until [`MatrixBuilder::finish`].
@@ -27,26 +27,18 @@ enum Stage {
         col_ids: Vec<usize>,
         values: Vec<Value>,
     },
-    /// CSR, and CSC counting-sorted from it. `row_ptr` holds the start of
-    /// every row up to the last one pushed.
-    Rows {
-        row_ptr: Vec<usize>,
-        col_ids: Vec<usize>,
-        values: Vec<Value>,
-    },
-    /// RLC: the runs so far and the next flat position they must cover.
-    Runs {
-        run_bits: u32,
-        cursor: u64,
-        entries: Vec<RlcEntry>,
-    },
-    /// ZVC: the mask and the packed values.
-    Mask { mask: Vec<u64>, values: Vec<Value> },
+    /// CSR, and CSC counting-sorted from it.
+    Rows(RowEncoder),
+    /// RLC, with its run-field width.
+    Runs { run_bits: u32, runs: RunEncoder },
+    /// ZVC.
+    Mask(MaskEncoder),
 }
 
 /// Builds one `rows x cols` matrix of a fixed format from nonzeros pushed
 /// in row-major order: rows ascending, columns strictly ascending within
-/// a row, no zero values.
+/// a row, no zero values. CSR, RLC and ZVC encode with the same encoder
+/// their `from_coo` uses.
 pub(crate) struct MatrixBuilder {
     format: MatrixFormat,
     rows: usize,
@@ -62,24 +54,15 @@ impl MatrixBuilder {
     pub(crate) fn new(format: MatrixFormat, rows: usize, cols: usize) -> Result<Self, FormatError> {
         let stage = match format {
             MatrixFormat::Dense => Stage::Dense(vec![0.0; rows * cols]),
-            MatrixFormat::Csr | MatrixFormat::Csc => {
-                let mut row_ptr = Vec::with_capacity(rows + 1);
-                row_ptr.push(0);
-                Stage::Rows {
-                    row_ptr,
-                    col_ids: Vec::new(),
-                    values: Vec::new(),
+            MatrixFormat::Csr | MatrixFormat::Csc => Stage::Rows(RowEncoder::new(rows, 0)),
+            MatrixFormat::Rlc { run_bits } => {
+                let run_bits = checked_run_bits(run_bits)?;
+                Stage::Runs {
+                    run_bits,
+                    runs: RunEncoder::new(run_bits, 0),
                 }
             }
-            MatrixFormat::Rlc { run_bits } => Stage::Runs {
-                run_bits: checked_run_bits(run_bits)?,
-                cursor: 0,
-                entries: Vec::new(),
-            },
-            MatrixFormat::Zvc => Stage::Mask {
-                mask: vec![0; mask_words(rows * cols)],
-                values: Vec::new(),
-            },
+            MatrixFormat::Zvc => Stage::Mask(MaskEncoder::new(rows * cols, 0)),
             MatrixFormat::Coo
             | MatrixFormat::Bsr { .. }
             | MatrixFormat::Dia
@@ -125,49 +108,19 @@ impl MatrixBuilder {
                     values.push(v);
                 }
             }
-            Stage::Rows {
-                row_ptr,
-                col_ids,
-                values,
-            } => {
-                while row_ptr.len() <= r {
-                    row_ptr.push(col_ids.len());
-                }
+            Stage::Rows(enc) => {
                 for (c, v) in nonzeros {
-                    col_ids.push(c);
-                    values.push(v);
+                    enc.push(r, c, v);
                 }
             }
-            Stage::Runs {
-                run_bits,
-                cursor,
-                entries,
-            } => {
-                // `RlcMatrix::from_coo`'s run encoder, one entry at a time.
-                let max_run = (1u64 << *run_bits) - 1;
+            Stage::Runs { runs, .. } => {
                 for (c, v) in nonzeros {
-                    let flat = (row_start + c) as u64;
-                    debug_assert!(flat >= *cursor, "RLC entries pushed out of order");
-                    let mut gap = flat - *cursor;
-                    while gap > max_run {
-                        entries.push(RlcEntry {
-                            zeros: max_run,
-                            value: 0.0,
-                        });
-                        gap -= max_run + 1;
-                    }
-                    entries.push(RlcEntry {
-                        zeros: gap,
-                        value: v,
-                    });
-                    *cursor = flat + 1;
+                    runs.push((row_start + c) as u64, v);
                 }
             }
-            Stage::Mask { mask, values } => {
+            Stage::Mask(enc) => {
                 for (c, v) in nonzeros {
-                    let flat = row_start + c;
-                    mask[flat / 64] |= 1u64 << (flat % 64);
-                    values.push(v);
+                    enc.push(row_start + c, v);
                 }
             }
         }
@@ -194,30 +147,25 @@ impl MatrixBuilder {
                     _ => MatrixData::encode(&coo, &format)?,
                 }
             }
-            Stage::Rows {
-                mut row_ptr,
-                col_ids,
-                values,
-            } => {
-                row_ptr.resize(rows + 1, col_ids.len());
-                let csr = CsrMatrix::from_parts_unchecked(rows, cols, row_ptr, col_ids, values);
+            Stage::Rows(enc) => {
+                let csr = enc.finish(rows, cols);
                 match format {
                     MatrixFormat::Csr => MatrixData::Csr(csr),
                     _ => MatrixData::Csc(crate::convert::csr_to_csc(&csr)),
                 }
             }
-            Stage::Runs {
-                run_bits,
-                cursor,
-                entries,
-            } => MatrixData::Rlc(RlcMatrix::from_parts_unchecked(
-                rows,
-                cols,
-                run_bits,
-                entries,
-                (rows * cols) as u64 - cursor,
-            )),
-            Stage::Mask { mask, values } => {
+            Stage::Runs { run_bits, runs } => {
+                let (entries, trailing_zeros) = runs.finish((rows * cols) as u64);
+                MatrixData::Rlc(RlcMatrix::from_parts_unchecked(
+                    rows,
+                    cols,
+                    run_bits,
+                    entries,
+                    trailing_zeros,
+                ))
+            }
+            Stage::Mask(enc) => {
+                let (mask, values) = enc.finish();
                 MatrixData::Zvc(ZvcMatrix::from_parts_unchecked(rows, cols, mask, values))
             }
         })

@@ -25,7 +25,6 @@ use crate::rlc::RlcMatrix;
 use crate::tensor::DenseTensor3;
 use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::zvc::ZvcMatrix;
-use crate::Value;
 
 /// CSR → CSC by counting sort on column ids (the software equivalent of
 /// MINT's Fig. 8c pipeline: histogram → prefix sum → scatter).
@@ -55,52 +54,28 @@ pub fn csr_to_csc(csr: &CsrMatrix) -> CscMatrix {
     CscMatrix::from_parts_unchecked(rows, cols, col_ptr, row_ids, values)
 }
 
-/// CSC → CSR — the symmetric counting sort. Explicit stored zeros are
-/// dropped, as `to_coo` drops them, so the result equals
-/// `CsrMatrix::from_coo(&csc.to_coo())`.
+/// CSC → CSR — the symmetric counting sort.
 pub fn csc_to_csr(csc: &CscMatrix) -> CsrMatrix {
     let rows = csc.rows();
-    let nnz = csc.values().iter().filter(|&&v| v != 0.0).count();
-    // One spare slot: see `transpose_nonzeros`.
-    let mut row_ptr = vec![0usize; rows + 2];
+    let cols = csc.cols();
+    let nnz = csc.nnz();
+    let mut row_ptr = vec![0usize; rows + 1];
+    for &r in csc.row_ids() {
+        row_ptr[r + 1] += 1;
+    }
+    for r in 0..rows {
+        row_ptr[r + 1] += row_ptr[r];
+    }
+    let mut cursor = row_ptr.clone();
     let mut col_ids = vec![0usize; nnz];
     let mut values = vec![0.0; nnz];
-    transpose_nonzeros(csc, &mut row_ptr, &mut col_ids, &mut values);
-    row_ptr.truncate(rows + 1);
-    CsrMatrix::from_parts_unchecked(rows, csc.cols(), row_ptr, col_ids, values)
-}
-
-/// [`csc_to_csr`]'s per-element passes, into zeroed buffers sized by the
-/// caller, `row_ptr` one slot longer than a CSR's: row `r` is counted at
-/// `row_ptr[r + 2]`, the scan turns that into row `r + 1`'s start, and
-/// the scatter in column order advances `row_ptr[r + 1]` as row `r`'s
-/// cursor, from row `r`'s start to its end — which leaves
-/// `row_ptr[..=rows]` the CSR row pointer.
-fn transpose_nonzeros(
-    csc: &CscMatrix,
-    row_ptr: &mut [usize],
-    col_ids: &mut [usize],
-    values: &mut [Value],
-) {
-    for (&r, &v) in csc.row_ids().iter().zip(csc.values()) {
-        if v != 0.0 {
-            row_ptr[r + 2] += 1;
-        }
+    for (r, c, v) in csc.iter_col_major() {
+        let slot = cursor[r];
+        cursor[r] += 1;
+        col_ids[slot] = c;
+        values[slot] = v;
     }
-    for r in 2..row_ptr.len() {
-        row_ptr[r] += row_ptr[r - 1];
-    }
-    for c in 0..csc.cols() {
-        let (rs, vs) = csc.col(c);
-        for (&r, &v) in rs.iter().zip(vs) {
-            if v != 0.0 {
-                let slot = row_ptr[r + 1];
-                row_ptr[r + 1] += 1;
-                col_ids[slot] = c;
-                values[slot] = v;
-            }
-        }
-    }
+    CsrMatrix::from_parts_unchecked(rows, cols, row_ptr, col_ids, values)
 }
 
 /// RLC → COO (Fig. 8d): prefix-sum the run lengths to recover flat

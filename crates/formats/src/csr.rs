@@ -100,21 +100,11 @@ impl CsrMatrix {
 
     /// Convert from the COO hub (linear time; COO is already row-major).
     pub fn from_coo(coo: &CooMatrix) -> Self {
-        let rows = coo.rows();
-        let mut row_ptr = vec![0usize; rows + 1];
-        for &r in coo.row_ids() {
-            row_ptr[r + 1] += 1;
+        let mut enc = RowEncoder::new(coo.rows(), coo.nnz());
+        for (r, c, v) in coo.iter() {
+            enc.push(r, c, v);
         }
-        for r in 0..rows {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        CsrMatrix {
-            rows,
-            cols: coo.cols(),
-            row_ptr,
-            col_ids: coo.col_ids().to_vec(),
-            values: coo.values().to_vec(),
-        }
+        enc.finish(coo.rows(), coo.cols())
     }
 
     /// Row pointer array (`rows + 1` entries; `row_ptr[0] == 0`).
@@ -197,6 +187,51 @@ impl CsrMatrix {
             col_ids: out_rows,
             values: out_vals,
         }
+    }
+}
+
+/// The one CSR encoder: entries pushed in row-major order (rows
+/// ascending, columns strictly ascending within a row) append to the
+/// payload as they come. [`CsrMatrix::from_coo`] and the format builders
+/// both encode with it.
+pub(crate) struct RowEncoder {
+    /// The start of every row up to the last one pushed.
+    row_ptr: Vec<usize>,
+    col_ids: Vec<usize>,
+    values: Vec<Value>,
+}
+
+impl RowEncoder {
+    /// An empty encoder for `rows` rows, with room for `nnz` entries.
+    pub(crate) fn new(rows: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        RowEncoder {
+            row_ptr,
+            col_ids: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Append `(r, c, v)` after every entry pushed so far.
+    #[inline]
+    pub(crate) fn push(&mut self, r: usize, c: usize, v: Value) {
+        if self.row_ptr.len() <= r {
+            self.row_ptr.resize(r + 1, self.col_ids.len());
+        }
+        self.col_ids.push(c);
+        self.values.push(v);
+    }
+
+    /// The finished `rows x cols` matrix.
+    pub(crate) fn finish(self, rows: usize, cols: usize) -> CsrMatrix {
+        let RowEncoder {
+            mut row_ptr,
+            col_ids,
+            values,
+        } = self;
+        row_ptr.resize(rows + 1, col_ids.len());
+        CsrMatrix::from_parts_unchecked(rows, cols, row_ptr, col_ids, values)
     }
 }
 

@@ -289,15 +289,12 @@ impl MatrixData {
 
     /// Convert this payload into the given format straight from its own
     /// layout, with no COO hub: one row-major walk of the stored nonzeros
-    /// into a builder of the target (CSC → CSR is one counting sort). The
-    /// result equals [`encode`](Self::encode) of [`to_coo`](SparseMatrix::to_coo)
-    /// bit for bit; the same format is a clone.
+    /// into a builder of the target. The result equals
+    /// [`encode`](Self::encode) of [`to_coo`](SparseMatrix::to_coo) bit
+    /// for bit; the same format is a clone.
     pub fn convert_to(&self, target: &MatrixFormat) -> Result<MatrixData, FormatError> {
         if self.format() == *target {
             return Ok(self.clone());
-        }
-        if let (MatrixData::Csc(c), MatrixFormat::Csr) = (self, target) {
-            return Ok(MatrixData::Csr(crate::convert::csc_to_csr(c)));
         }
         let mut builder = MatrixBuilder::new(*target, self.rows(), self.cols())?;
         self.row_stream()

@@ -42,28 +42,11 @@ impl RlcMatrix {
     pub fn from_coo(coo: &CooMatrix, run_bits: u32) -> Self {
         let rows = coo.rows();
         let cols = coo.cols();
-        // Walk the row-major flat index space, emitting runs between
-        // consecutive nonzeros without materializing the dense stream.
-        let max_run = (1u64 << run_bits) - 1;
-        let mut entries = Vec::with_capacity(coo.nnz());
-        let mut cursor = 0u64; // next flat index to account for
+        let mut runs = RunEncoder::new(run_bits, coo.nnz());
         for (r, c, v) in coo.iter() {
-            let flat = (r * cols + c) as u64;
-            let mut gap = flat - cursor;
-            while gap > max_run {
-                entries.push(RlcEntry {
-                    zeros: max_run,
-                    value: 0.0,
-                });
-                gap -= max_run + 1;
-            }
-            entries.push(RlcEntry {
-                zeros: gap,
-                value: v,
-            });
-            cursor = flat + 1;
+            runs.push((r * cols + c) as u64, v);
         }
-        let trailing_zeros = (rows * cols) as u64 - cursor;
+        let (entries, trailing_zeros) = runs.finish((rows * cols) as u64);
         RlcMatrix {
             rows,
             cols,
@@ -202,6 +185,53 @@ impl SparseMatrix for RlcMatrix {
     }
 }
 
+/// The one run encoder, for matrices and tensors alike: stored elements
+/// pushed at strictly ascending positions of the row-major flattened
+/// stream become entries as they come. When a run of zeros exceeds the
+/// field, it emits extension entries. [`RlcMatrix::from_coo`],
+/// [`RlcTensor3::from_coo`] and the format builders all encode with it.
+pub(crate) struct RunEncoder {
+    max_run: u64,
+    /// The next flat position the entries must cover.
+    cursor: u64,
+    entries: Vec<RlcEntry>,
+}
+
+impl RunEncoder {
+    /// An empty encoder for a `run_bits`-bit run field, with room for
+    /// `nnz` entries.
+    pub(crate) fn new(run_bits: u32, nnz: usize) -> Self {
+        RunEncoder {
+            max_run: (1u64 << run_bits) - 1,
+            cursor: 0,
+            entries: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Encode `value` at flat position `flat`, past every position
+    /// pushed so far.
+    #[inline]
+    pub(crate) fn push(&mut self, flat: u64, value: Value) {
+        debug_assert!(flat >= self.cursor, "RLC entries pushed out of order");
+        let mut gap = flat - self.cursor;
+        while gap > self.max_run {
+            self.entries.push(RlcEntry {
+                zeros: self.max_run,
+                value: 0.0,
+            });
+            gap -= self.max_run + 1;
+        }
+        self.entries.push(RlcEntry { zeros: gap, value });
+        self.cursor = flat + 1;
+    }
+
+    /// The entries, and the zeros after the last one in a stream of
+    /// `len` positions.
+    pub(crate) fn finish(self, len: u64) -> (Vec<RlcEntry>, u64) {
+        (self.entries, len - self.cursor)
+    }
+}
+
 /// Run-length coded 3-D tensor over the `x -> y -> z` (z fastest)
 /// flattened stream, matching Fig. 3b's RLC example.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,26 +246,11 @@ impl RlcTensor3 {
     /// Encode from the COO tensor hub.
     pub fn from_coo(coo: &CooTensor3, run_bits: u32) -> Self {
         let (dx, dy, dz) = coo.shape();
-        let max_run = (1u64 << run_bits) - 1;
-        let mut entries = Vec::with_capacity(coo.nnz());
-        let mut cursor = 0u64;
+        let mut runs = RunEncoder::new(run_bits, coo.nnz());
         for (x, y, z, v) in coo.iter() {
-            let flat = ((x * dy + y) * dz + z) as u64;
-            let mut gap = flat - cursor;
-            while gap > max_run {
-                entries.push(RlcEntry {
-                    zeros: max_run,
-                    value: 0.0,
-                });
-                gap -= max_run + 1;
-            }
-            entries.push(RlcEntry {
-                zeros: gap,
-                value: v,
-            });
-            cursor = flat + 1;
+            runs.push(((x * dy + y) * dz + z) as u64, v);
         }
-        let trailing_zeros = (dx * dy * dz) as u64 - cursor;
+        let (entries, trailing_zeros) = runs.finish((dx * dy * dz) as u64);
         RlcTensor3 {
             dims: (dx, dy, dz),
             run_bits,

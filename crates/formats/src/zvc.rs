@@ -23,8 +23,41 @@ pub struct ZvcMatrix {
 }
 
 #[inline]
-pub(crate) fn mask_words(len: usize) -> usize {
+fn mask_words(len: usize) -> usize {
     len.div_ceil(64)
+}
+
+/// The one ZVC encoder, for matrices and tensors alike: stored elements
+/// pushed at ascending positions of the row-major flattened stream set
+/// their mask bit and append their value. [`ZvcMatrix::from_coo`],
+/// [`ZvcTensor3::from_coo`] and the format builders all encode with it.
+pub(crate) struct MaskEncoder {
+    mask: Vec<u64>,
+    values: Vec<Value>,
+}
+
+impl MaskEncoder {
+    /// An empty encoder for a stream of `len` positions, with room for
+    /// `nnz` values.
+    pub(crate) fn new(len: usize, nnz: usize) -> Self {
+        MaskEncoder {
+            mask: vec![0; mask_words(len)],
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Store `value` at flat position `flat`, past every position pushed
+    /// so far.
+    #[inline]
+    pub(crate) fn push(&mut self, flat: usize, value: Value) {
+        self.mask[flat / 64] |= 1u64 << (flat % 64);
+        self.values.push(value);
+    }
+
+    /// The mask and the packed values.
+    pub(crate) fn finish(self) -> (Vec<u64>, Vec<Value>) {
+        (self.mask, self.values)
+    }
 }
 
 impl ZvcMatrix {
@@ -32,13 +65,11 @@ impl ZvcMatrix {
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let rows = coo.rows();
         let cols = coo.cols();
-        let mut mask = vec![0u64; mask_words(rows * cols)];
-        let mut values = Vec::with_capacity(coo.nnz());
+        let mut enc = MaskEncoder::new(rows * cols, coo.nnz());
         for (r, c, v) in coo.iter() {
-            let flat = r * cols + c;
-            mask[flat / 64] |= 1u64 << (flat % 64);
-            values.push(v);
+            enc.push(r * cols + c, v);
         }
+        let (mask, values) = enc.finish();
         ZvcMatrix {
             rows,
             cols,
@@ -187,13 +218,11 @@ impl ZvcTensor3 {
     /// Encode from the COO tensor hub.
     pub fn from_coo(coo: &CooTensor3) -> Self {
         let (dx, dy, dz) = coo.shape();
-        let mut mask = vec![0u64; mask_words(dx * dy * dz)];
-        let mut values = Vec::with_capacity(coo.nnz());
+        let mut enc = MaskEncoder::new(dx * dy * dz, coo.nnz());
         for (x, y, z, v) in coo.iter() {
-            let flat = (x * dy + y) * dz + z;
-            mask[flat / 64] |= 1u64 << (flat % 64);
-            values.push(v);
+            enc.push((x * dy + y) * dz + z, v);
         }
+        let (mask, values) = enc.finish();
         ZvcTensor3 {
             dims: (dx, dy, dz),
             mask,

@@ -5,9 +5,10 @@
 //! the building blocks it occupies, returning a [`ConversionReport`] that
 //! the cost model and SAGE consume.
 //!
-//! Fig. 8's direct paths (CSR→CSC, RLC→COO, CSR→BSR, Dense→CSF) run
-//! their blocks functionally. Every other matrix pair builds the target
-//! straight from the source's own layout
+//! Fig. 8's CSR→CSC and Dense→CSF paths run their blocks functionally.
+//! Its RLC→COO and CSR→BSR paths compute with the software conversions
+//! and charge their blocks from counts. Every other matrix pair builds
+//! the target straight from the source's own layout
 //! ([`MatrixData::convert_to`]) and charges each block the hardware would
 //! occupy decoding the source and encoding the target from the counts
 //! alone: the charges depend on nothing else.
@@ -120,22 +121,23 @@ impl ConversionEngine {
     /// RLC → COO (Fig. 8d): add one to each run, prefix-sum to recover
     /// flat positions, divide/mod by the row length for coordinates.
     pub fn rlc_to_coo(&self, rlc: &RlcMatrix) -> (CooMatrix, ConversionReport) {
-        let mut rep = self.fresh_report();
-        let n = rlc.stored_entries() as u64;
-        let cols = rlc.cols() as u64;
+        let coo = sparseflex_formats::convert::rlc_to_coo(rlc);
+        let rep = self.rlc_report(rlc.stored_entries() as u64, coo.nnz() as u64);
+        (coo, rep)
+    }
 
+    /// The blocks Fig. 8d occupies decoding `n` RLC entries, `kept` of
+    /// them nonzero.
+    fn rlc_report(&self, n: u64, kept: u64) -> ConversionReport {
+        let mut rep = self.fresh_report();
         // Step 1: stream the RLC entries in.
         self.memctrl.transfer(2 * n, &mut rep);
         // Step 2: +1 offset per element.
         rep.charge(BlockKind::Adders, small_op_cycles(n), n as f64 * E_SMALL_OP);
-        let steps: Vec<u64> = rlc.entries().iter().map(|e| e.zeros + 1).collect();
         // Step 3: prefix sum -> positions + 1.
-        let prefix = self.prefix.scan(&steps, &mut rep);
+        self.prefix.charge(n, &mut rep);
         // Step 4: parallel divide/mod by K.
-        let flats: Vec<u64> = prefix.iter().map(|p| p - 1).collect();
-        // A zero-column matrix stores no positions; the clamp keeps the
-        // empty batch's divisor legal, as at every other div/mod site.
-        let coords = self.divmod.div_mod(&flats, cols.max(1), &mut rep);
+        self.divmod.charge(n, &mut rep);
         // Extension-entry suppression (value == 0 emits nothing).
         rep.charge(
             BlockKind::Comparators,
@@ -143,17 +145,9 @@ impl ConversionEngine {
             n as f64 * E_SMALL_OP,
         );
         // Step 5: store values + coordinates.
-        let mut triplets = Vec::with_capacity(rlc.nnz());
-        for (i, e) in rlc.entries().iter().enumerate() {
-            if e.value != 0.0 {
-                triplets.push((coords[i].0 as usize, coords[i].1 as usize, e.value));
-            }
-        }
-        self.memctrl.transfer(3 * triplets.len() as u64, &mut rep);
+        self.memctrl.transfer(3 * kept, &mut rep);
         rep.elements += n;
-        let coo = CooMatrix::from_sorted_triplets(rlc.rows(), rlc.cols(), triplets)
-            .expect("RLC stream order is row-major");
-        (coo, rep)
+        rep
     }
 
     /// CSR → BSR (Fig. 8e): walk row blocks, find block columns with
@@ -263,20 +257,7 @@ impl ConversionEngine {
                 self.memctrl.transfer(3 * c.nnz() as u64, &mut rep);
             }
             MatrixData::Rlc(r) => {
-                let n = r.stored_entries() as u64;
-                let mut sub = self.fresh_report();
-                self.memctrl.transfer(2 * n, &mut sub);
-                sub.charge(BlockKind::Adders, small_op_cycles(n), n as f64 * E_SMALL_OP);
-                self.prefix.charge(n, &mut sub);
-                self.divmod.charge(n, &mut sub);
-                sub.charge(
-                    BlockKind::Comparators,
-                    small_op_cycles(n),
-                    n as f64 * E_SMALL_OP,
-                );
-                self.memctrl.transfer(3 * kept, &mut sub);
-                sub.elements += n;
-                rep.merge(&sub);
+                rep.merge(&self.rlc_report(r.stored_entries() as u64, kept));
                 return rep;
             }
             MatrixData::Dense(d) => {
