@@ -447,8 +447,12 @@ impl RowMajorStream for CscMatrix {
                 row_ptr[r - lo + 1] += 1;
             }
         }
-        for i in 0..band {
-            row_ptr[i + 1] += row_ptr[i];
+        // The running sum stays in a register: re-reading each slot just
+        // written would wait on the store, and a tile is mostly rows.
+        let mut start = 0;
+        for p in row_ptr.iter_mut() {
+            start += *p;
+            *p = start;
         }
         let band_nnz = row_ptr[band];
         coords.clear();
