@@ -61,12 +61,15 @@ proptest! {
 
     #[test]
     fn conversion_composition_is_identity(coo in arb_matrix()) {
-        // X -> Y -> X preserves the logical matrix for every pair.
+        // X -> Y -> X preserves the logical matrix for every pair, and
+        // X -> Y builds exactly Y's encoding of the same COO.
         let formats = all_matrix_formats();
         for src in &formats {
             let original = MatrixData::encode(&coo, src).unwrap();
             for dst in &formats {
                 let there = original.convert_to(dst).unwrap();
+                let encoded = MatrixData::encode(&coo, dst).unwrap();
+                prop_assert_eq!(&there, &encoded, "{} -> {}", src, dst);
                 let back = there.convert_to(src).unwrap();
                 prop_assert_eq!(back.to_coo(), coo.clone(), "{} -> {} -> {}", src, dst, src);
             }
