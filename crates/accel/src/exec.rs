@@ -1156,7 +1156,8 @@ mod tests {
         let mut out = DenseMatrix::zeros(a.rows(), b.cols());
         let mut products = 0;
         for i in 0..a.rows() {
-            for (&k, &av) in a.row(i).0.iter().zip(a.row(i).1) {
+            let (ks, avs) = a.row(i);
+            for (&k, &av) in ks.iter().zip(avs) {
                 let (js, bvs) = b.row(k);
                 for (&j, &bv) in js.iter().zip(bvs) {
                     if !skip_zeros || (av != 0.0 && bv != 0.0) {
