@@ -8,15 +8,34 @@
 //!
 //! The simulator is *functional*: it performs the index matching the
 //! extended PEs do in hardware and produces the actual output matrix
-//! alongside exact cycle counts. It reads each operand in place through
-//! its own ACF (Dense rows, CSR rows, COO triplets in storage order, CSC
-//! columns) and packs the stream into beats by the [`BusPacking`] rules
-//! without materializing them. A CSC stationary tile is indexed once per
-//! k-pass by `k`; against a Dense one every PE matches every streamed
-//! `k`, so a beat's PE work, buffer reads and flushes follow from its
-//! length and rows and only the value MACs run per element. Tests
-//! validate the output against the software kernels and the cycle counts
-//! against the paper's Fig. 6 walkthrough.
+//! alongside exact cycle counts, at a host cost that tracks the MACs it
+//! models. It reads each operand in place through its own ACF (Dense
+//! rows, CSR rows, COO triplets in storage order, CSC columns) and packs
+//! the stream into beats by the [`BusPacking`] rules without
+//! materializing them:
+//!
+//! - A CSC stationary tile is indexed once per k-pass by `k`. Against a
+//!   Dense one every PE matches every streamed `k`, so a beat's PE work,
+//!   buffer reads and flushes follow from its length and rows.
+//! - A Dense stream sends every row over the same k-window, so a pass's
+//!   beats, MACs, buffer reads and flushes are counted for one row and
+//!   multiplied by the row count.
+//! - Weight-stationary value MACs run as branch-free lanes: a product
+//!   with a zero factor adds +0.0, which leaves an accumulator that
+//!   starts at +0.0 bit for bit as it was (it never holds −0.0).
+//! - A Gustavson tile walks only B's non-empty rows, through a by-column
+//!   index of A ([`GustavsonA`]) built once per operand and shared by
+//!   every tile. A pass's beats are a function of A alone; only the beats
+//!   that do work add cycles beyond each beat's one-cycle minimum.
+//!
+//! [`simulate_ws_into`] and [`simulate_spgemm_into`] accumulate the
+//! product into a caller's [`OutBand`] (a row stride and a column offset),
+//! so a tiled run writes each tile straight into its job's output, with
+//! scratch ([`SimScratch`]) sized once for a run of tiles.
+//! [`simulate_ws`] and [`simulate_spgemm`] wrap them with an owned
+//! output. Tests validate the output against the software kernels, the
+//! cycle counts against the paper's Fig. 6 walkthrough, and everything
+//! bit for bit against the simulator as it was before the band form.
 
 use crate::bus::BusPacking;
 use crate::config::AccelConfig;
@@ -26,6 +45,9 @@ use sparseflex_formats::{
 };
 use std::fmt;
 use std::ops::Range;
+
+#[cfg(test)]
+mod oracle;
 
 /// Errors a simulation can raise before running.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,8 +181,77 @@ pub struct SimResult {
     pub k_passes: usize,
 }
 
+/// The totals of one simulation, without its output: what
+/// [`simulate_ws_into`] and [`simulate_spgemm_into`] return, the product
+/// having gone to the caller's [`OutBand`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SimStats {
+    /// Cycle breakdown.
+    pub cycles: CycleBreakdown,
+    /// Activity counters.
+    pub counts: ActivityCounts,
+    /// Number of stationary column tiles executed.
+    pub n_tiles: usize,
+    /// Total number of k-range passes across all column tiles.
+    pub k_passes: usize,
+}
+
+impl SimResult {
+    fn owned(output: DenseMatrix, stats: SimStats) -> Self {
+        SimResult {
+            output,
+            cycles: stats.cycles,
+            counts: stats.counts,
+            n_tiles: stats.n_tiles,
+            k_passes: stats.k_passes,
+        }
+    }
+}
+
+/// The caller's buffer a simulation accumulates its product into: entry
+/// `(r, j)` of the product is `data[r * stride + col + j]`. Every cell the
+/// product covers must hold +0.0 before the run; the run touches no other
+/// cell.
+#[derive(Debug)]
+pub struct OutBand<'a> {
+    data: &'a mut [Value],
+    stride: usize,
+    col: usize,
+}
+
+impl<'a> OutBand<'a> {
+    /// A band over `data` whose rows lie `stride` values apart, the
+    /// product's columns starting at column `col` of each row.
+    pub fn new(data: &'a mut [Value], stride: usize, col: usize) -> Self {
+        OutBand { data, stride, col }
+    }
+
+    /// Panic unless an `m x n` product fits the band: a caller's bug.
+    fn check(&self, m: usize, n: usize) {
+        assert!(
+            m == 0
+                || n == 0
+                || (self.col + n <= self.stride
+                    && (m - 1) * self.stride + self.col + n <= self.data.len()),
+            "a {m}x{n} product does not fit an output band of stride {} at column {}",
+            self.stride,
+            self.col
+        );
+    }
+
+    /// Columns `c0..c1` of product row `r`.
+    #[inline]
+    fn row(&mut self, r: usize, c0: usize, c1: usize) -> &mut [Value] {
+        let base = r * self.stride + self.col;
+        &mut self.data[base + c0..base + c1]
+    }
+}
+
 /// Open-row marker of a PE that has accumulated nothing this pass.
 const NO_ROW: usize = usize::MAX;
+
+/// End of a column's list of entries of A.
+const END: usize = usize::MAX;
 
 /// Reject a configuration the array cannot run with, before any work.
 fn check_config(cfg: &AccelConfig) -> Result<(), SimError> {
@@ -175,19 +266,49 @@ fn check_config(cfg: &AccelConfig) -> Result<(), SimError> {
     Ok(())
 }
 
-/// The output and the counters one simulation accumulates.
-struct Sim {
-    out: DenseMatrix,
+/// Scratch a run of simulations reuses, on one thread: sized by the first
+/// tiles and grown by later ones, never per beat or pass.
+#[derive(Debug, Default)]
+pub struct SimScratch {
+    /// A CSC stationary pass's by-`k` index: `by_k[ptr[k - k0]..ptr[k -
+    /// k0 + 1]]` are its `(PE, value)` pairs at `k`.
+    ptr: Vec<usize>,
+    by_k: Vec<(usize, Value)>,
+    /// The same pass laid out densely, `k - k0` by PE (Dense streams).
+    block: Vec<Value>,
+    /// Per PE: the first stored entry of its column not yet loaded.
+    next: Vec<usize>,
+    /// Per PE: the output row it accumulates (row-major streams).
+    open_row: Vec<usize>,
+    work: BeatWork,
+    /// Gustavson: the per-PE footprints and k-ranges of the passes.
+    footprint: Vec<usize>,
+    ranges: Vec<Range<usize>>,
+    /// Gustavson, in a pass narrower than K: per row of A, its window's
+    /// start and end and its first beat.
+    windows: Vec<(usize, usize, usize)>,
+    /// Gustavson: per beat, the pass it last did work in and its MACs in
+    /// that pass; and the `(beat, row, k)` of the beats whose MACs exceed
+    /// the vector width.
+    beats: Vec<(u64, u64)>,
+    pass: u64,
+    over: Vec<(usize, usize, usize)>,
+}
+
+/// The counters one simulation accumulates, and the band its product
+/// goes to.
+struct Sim<'o> {
+    out: OutBand<'o>,
     cycles: CycleBreakdown,
     counts: ActivityCounts,
     bus: BusPacking,
     vector_width: u64,
 }
 
-impl Sim {
-    fn new(m: usize, n: usize, cfg: &AccelConfig) -> Self {
+impl<'o> Sim<'o> {
+    fn new(out: OutBand<'o>, cfg: &AccelConfig) -> Self {
         Sim {
-            out: DenseMatrix::zeros(m, n),
+            out,
             cycles: CycleBreakdown::default(),
             counts: ActivityCounts::default(),
             bus: BusPacking {
@@ -205,15 +326,25 @@ impl Sim {
         self.counts.pe_buffer_writes += slots as u64;
     }
 
-    /// One bus beat of `slots` slots whose busiest PE issued `work` MACs:
-    /// the vector unit retires `vector_width` of them per cycle, and a
-    /// beat takes at least one cycle.
-    fn beat(&mut self, slots: u64, work: u64) {
-        self.counts.bus_slots_used += slots;
-        self.cycles.stream_a += work.div_ceil(self.vector_width).max(1);
+    /// Cycles of a beat whose busiest PE issued `work` MACs: the vector
+    /// unit retires `vector_width` of them per cycle, and a beat takes at
+    /// least one cycle.
+    fn beat_cycles(&self, work: u64) -> u64 {
+        if work <= self.vector_width {
+            1
+        } else {
+            work.div_ceil(self.vector_width)
+        }
     }
 
-    fn finish(mut self, cfg: &AccelConfig, n_tiles: usize, k_passes: usize) -> SimResult {
+    /// One bus beat of `slots` slots whose busiest PE issued `work` MACs.
+    fn beat(&mut self, slots: u64, work: u64) {
+        let cycles = self.beat_cycles(work);
+        self.counts.bus_slots_used += slots;
+        self.cycles.stream_a += cycles;
+    }
+
+    fn finish(mut self, cfg: &AccelConfig, n_tiles: usize, k_passes: usize) -> SimStats {
         // Output registers drain through per-PE ports into the banked
         // global buffer (one flush per PE per cycle), not over the shared
         // input bus.
@@ -221,14 +352,28 @@ impl Sim {
             .counts
             .output_flushes
             .div_ceil(cfg.num_pes.max(1) as u64);
-        SimResult {
-            output: self.out,
+        SimStats {
             cycles: self.cycles,
             counts: self.counts,
             n_tiles,
             k_passes,
         }
     }
+}
+
+/// Branch-free MAC lanes `out[j] += a * b[j]` for a nonzero `a`: a zero
+/// `b[j]` adds +0.0 instead of branching, which leaves the accumulator's
+/// bits as they were (it starts at +0.0, so it never holds −0.0). Returns
+/// the effective MACs, those whose factors are both nonzero.
+#[inline]
+fn mac_lanes(out: &mut [Value], a: Value, b: &[Value]) -> u64 {
+    let mut effective = 0;
+    for (o, &bv) in out.iter_mut().zip(b) {
+        let live = bv != 0.0;
+        *o += if live { a * bv } else { 0.0 };
+        effective += u64::from(live);
+    }
+    effective
 }
 
 /// Matrix A as the bus streams it, read in place through its ACF.
@@ -250,6 +395,10 @@ trait Stations {
     fn end_beat(&mut self, sim: &mut Sim, slots: u64);
     /// Close the pass: flush the output rows the PEs still hold.
     fn end_pass(&mut self, sim: &mut Sim);
+    /// Stream every row of a Dense `d` over `ks`: each row sends the same
+    /// k-window, so one row's beats, MACs, buffer reads and flushes are
+    /// counted for all, and only the value MACs run per row.
+    fn dense_rows(&mut self, sim: &mut Sim, d: &DenseMatrix, ks: Range<usize>);
 }
 
 /// Stream A's elements with `k` in `ks` through `st`, beat by beat. A
@@ -258,17 +407,7 @@ trait Stations {
 /// `k`, so no row needs searching.
 fn stream_pass(a: Stream, ks: Range<usize>, whole: bool, st: &mut impl Stations, sim: &mut Sim) {
     match a {
-        Stream::Dense(d) => {
-            let cap = sim.bus.dense_capacity();
-            for r in 0..d.rows() {
-                for (i, beat) in d.row(r)[ks.clone()].chunks(cap).enumerate() {
-                    for (k, &v) in (ks.start + i * cap..).zip(beat) {
-                        st.elem(sim, k, v, r);
-                    }
-                    st.end_beat(sim, beat.len() as u64 + 1); // + shared row id
-                }
-            }
-        }
+        Stream::Dense(d) => st.dense_rows(sim, d, ks),
         Stream::Csr(c) => {
             let cap = sim.bus.pair_capacity();
             for r in 0..c.rows() {
@@ -325,6 +464,17 @@ fn window(idx: &[usize], ks: &Range<usize>, whole: bool) -> Range<usize> {
     }
 }
 
+/// Count a Dense stream's `m` rows of one `len`-element k-window: the
+/// beats of one row, with `row_cycles` cycles and `macs` MACs (as many
+/// buffer reads) in all, repeated for every row.
+fn count_dense_rows(sim: &mut Sim, m: u64, len: usize, row_cycles: u64, macs: u64) {
+    let beats = len.div_ceil(sim.bus.dense_capacity()) as u64;
+    sim.cycles.stream_a += m * row_cycles;
+    sim.counts.bus_slots_used += m * (len as u64 + beats); // + shared row id
+    sim.counts.macs += m * macs;
+    sim.counts.pe_buffer_reads += m * macs;
+}
+
 /// A Dense stationary tile, columns `c0..c1` of B: every PE holds the
 /// pass's whole k-range, so every streamed element matches every PE.
 struct DenseStations<'a> {
@@ -348,16 +498,9 @@ impl Stations for DenseStations<'_> {
             }
             self.open_row = row;
         }
-        if a == 0.0 {
-            return;
-        }
-        let n = sim.out.cols();
-        let out = &mut sim.out.data_mut()[row * n + self.c0..row * n + self.c1];
-        for (o, &bv) in out.iter_mut().zip(&self.b.row(k)[self.c0..self.c1]) {
-            if bv != 0.0 {
-                sim.counts.effective_macs += 1;
-                *o += a * bv;
-            }
+        if a != 0.0 {
+            let out = sim.out.row(row, self.c0, self.c1);
+            sim.counts.effective_macs += mac_lanes(out, a, &self.b.row(k)[self.c0..self.c1]);
         }
     }
 
@@ -377,6 +520,38 @@ impl Stations for DenseStations<'_> {
             sim.counts.output_flushes += (self.c1 - self.c0) as u64;
             self.open_row = NO_ROW;
         }
+    }
+
+    fn dense_rows(&mut self, sim: &mut Sim, d: &DenseMatrix, ks: Range<usize>) {
+        let (m, len, width) = (d.rows() as u64, ks.len(), (self.c1 - self.c0) as u64);
+        if m == 0 || len == 0 {
+            return;
+        }
+        let cap = sim.bus.dense_capacity();
+        let row_cycles = (0..len)
+            .step_by(cap)
+            .map(|i| {
+                sim.beat_cycles(if width == 0 {
+                    0
+                } else {
+                    (len - i).min(cap) as u64
+                })
+            })
+            .sum();
+        count_dense_rows(sim, m, len, row_cycles, len as u64 * width);
+        // Each row's outputs flush once, when the next row opens or the
+        // pass ends.
+        sim.counts.output_flushes += m * width;
+        let mut effective = 0;
+        for r in 0..d.rows() {
+            let out = sim.out.row(r, self.c0, self.c1);
+            for (k, &a) in ks.clone().zip(&d.row(r)[ks.clone()]) {
+                if a != 0.0 {
+                    effective += mac_lanes(out, a, &self.b.row(k)[self.c0..self.c1]);
+                }
+            }
+        }
+        sim.counts.effective_macs += effective;
     }
 }
 
@@ -409,19 +584,29 @@ fn dense_b_tile(
 
 /// Each PE's MACs within the current beat. A counter is reset lazily:
 /// it holds the beat it counts for, and a stale beat reads as zero.
+#[derive(Debug)]
 struct BeatWork {
     work: Vec<(u64, u64)>,
     beat: u64,
     max: u64,
 }
 
-impl BeatWork {
-    fn new(pes: usize) -> Self {
+impl Default for BeatWork {
+    fn default() -> Self {
         BeatWork {
-            work: vec![(0, 0); pes],
+            work: Vec::new(),
             beat: 1,
             max: 0,
         }
+    }
+}
+
+impl BeatWork {
+    /// Count for `pes` PEs. The beat counter only grows, so counters left
+    /// by an earlier run read as stale.
+    fn reset(&mut self, pes: usize) {
+        self.work.resize(pes, (0, 0));
+        self.end();
     }
 
     /// PE `pe` issues `macs` more MACs in this beat.
@@ -443,38 +628,39 @@ impl BeatWork {
 
 /// A CSC stationary tile, columns `c0..c0 + width` of B (PE `p` holds
 /// column `c0 + p`), loaded one k-pass at a time as a by-`k` index of
-/// `(PE, value)` pairs. The buffers are sized once per simulation.
-struct CscStations<'a> {
+/// `(PE, value)` pairs in the scratch.
+struct CscStations<'a, 's> {
     b: &'a CscMatrix,
     c0: usize,
     width: usize,
     col_major: bool,
     k0: usize,
-    /// `by_k[ptr[k - k0]..ptr[k - k0 + 1]]` are the pass's pairs at `k`.
-    ptr: Vec<usize>,
-    by_k: Vec<(usize, Value)>,
-    /// Per PE: the first stored entry of its column not yet loaded.
-    next: Vec<usize>,
-    /// Per PE: the output row it accumulates (row-major streams).
-    open_row: Vec<usize>,
-    work: BeatWork,
+    /// PEs holding at least one entry in the pass.
+    holding: u64,
+    s: &'s mut SimScratch,
 }
 
-impl<'a> CscStations<'a> {
-    fn new(b: &'a CscMatrix, a: Stream, cfg: &AccelConfig) -> Self {
+impl<'a, 's> CscStations<'a, 's> {
+    fn new(b: &'a CscMatrix, a: Stream, cfg: &AccelConfig, s: &'s mut SimScratch) -> Self {
         let pes = cfg.num_pes.max(1).min(b.cols());
         let pairs = (cfg.pe_buffer_elems / 2).saturating_mul(pes);
+        s.ptr.clear();
+        s.ptr.reserve(b.rows() + 2);
+        s.by_k.clear();
+        s.by_k.reserve(b.nnz().min(pairs));
+        s.next.clear();
+        s.next.resize(pes, 0);
+        s.open_row.clear();
+        s.open_row.resize(pes, NO_ROW);
+        s.work.reset(pes);
         CscStations {
             b,
             c0: 0,
             width: 0,
             col_major: matches!(a, Stream::Csc(_)),
             k0: 0,
-            ptr: Vec::with_capacity(b.rows() + 2),
-            by_k: Vec::with_capacity(b.nnz().min(pairs)),
-            next: vec![0; pes],
-            open_row: vec![NO_ROW; pes],
-            work: BeatWork::new(pes),
+            holding: 0,
+            s,
         }
     }
 
@@ -482,7 +668,7 @@ impl<'a> CscStations<'a> {
     fn start_tile(&mut self, cols: Range<usize>) {
         self.c0 = cols.start;
         self.width = cols.len();
-        self.next[..self.width].copy_from_slice(&self.b.col_ptr()[cols]);
+        self.s.next[..self.width].copy_from_slice(&self.b.col_ptr()[cols]);
     }
 
     /// End of the next k-pass: the largest `k1` for which no PE's column
@@ -490,7 +676,7 @@ impl<'a> CscStations<'a> {
     fn pass_end(&self, cap: usize) -> usize {
         let (col_ptr, ks) = (self.b.col_ptr(), self.b.row_ids());
         let mut k1 = self.b.rows();
-        for (p, &s) in self.next[..self.width].iter().enumerate() {
+        for (p, &s) in self.s.next[..self.width].iter().enumerate() {
             if s + cap < col_ptr[self.c0 + p + 1] {
                 k1 = k1.min(ks[s + cap]);
             }
@@ -502,71 +688,121 @@ impl<'a> CscStations<'a> {
     /// sort); returns the slots loaded.
     fn load_pass(&mut self, ks: Range<usize>) -> usize {
         let (col_ptr, rows, vals) = (self.b.col_ptr(), self.b.row_ids(), self.b.values());
+        let s = &mut *self.s;
         self.k0 = ks.start;
         // Count into ptr[k - k0 + 2]; after the prefix sum ptr[k - k0 + 1]
         // is bucket k's start, and filling advances it to bucket k+1's.
-        self.ptr.clear();
-        self.ptr.resize(ks.len() + 2, 0);
-        for (p, &s) in self.next[..self.width].iter().enumerate() {
+        s.ptr.clear();
+        s.ptr.resize(ks.len() + 2, 0);
+        for (p, &first) in s.next[..self.width].iter().enumerate() {
             let end = col_ptr[self.c0 + p + 1];
-            for &k in rows[s..end].iter().take_while(|&&k| k < ks.end) {
-                self.ptr[k - ks.start + 2] += 1;
+            for &k in rows[first..end].iter().take_while(|&&k| k < ks.end) {
+                s.ptr[k - ks.start + 2] += 1;
             }
         }
-        for i in 2..self.ptr.len() {
-            self.ptr[i] += self.ptr[i - 1];
+        let mut sum = 0;
+        for p in &mut s.ptr {
+            sum += *p;
+            *p = sum;
         }
-        let total = self.ptr[ks.len() + 1];
-        self.by_k.clear();
-        self.by_k.resize(total, (0, 0.0));
-        for (p, next) in self.next[..self.width].iter_mut().enumerate() {
-            let end = col_ptr[self.c0 + p + 1];
+        s.by_k.clear();
+        s.by_k.resize(sum, (0, 0.0));
+        self.holding = 0;
+        for (p, next) in s.next[..self.width].iter_mut().enumerate() {
+            let (first, end) = (*next, col_ptr[self.c0 + p + 1]);
             while *next < end && rows[*next] < ks.end {
-                let slot = &mut self.ptr[rows[*next] - ks.start + 1];
-                self.by_k[*slot] = (p, vals[*next]);
+                let slot = &mut s.ptr[rows[*next] - ks.start + 1];
+                s.by_k[*slot] = (p, vals[*next]);
                 *slot += 1;
                 *next += 1;
             }
+            self.holding += u64::from(*next > first);
         }
-        2 * total
+        2 * sum
     }
 }
 
-impl Stations for CscStations<'_> {
+impl Stations for CscStations<'_, '_> {
     fn elem(&mut self, sim: &mut Sim, k: usize, a: Value, row: usize) {
         let i = k - self.k0;
-        let n = sim.out.cols();
-        let matches = &self.by_k[self.ptr[i]..self.ptr[i + 1]];
+        let s = &mut *self.s;
+        let matches = &s.by_k[s.ptr[i]..s.ptr[i + 1]];
         sim.counts.macs += matches.len() as u64;
         sim.counts.pe_buffer_reads += matches.len() as u64;
+        let out = sim.out.row(row, self.c0, self.c0 + self.width);
         for &(p, bv) in matches {
-            self.work.add(p, 1);
-            if a != 0.0 && bv != 0.0 {
-                sim.counts.effective_macs += 1;
-                sim.out.data_mut()[row * n + self.c0 + p] += a * bv;
-            }
+            s.work.add(p, 1);
+            let live = a != 0.0 && bv != 0.0;
+            out[p] += if live { a * bv } else { 0.0 };
+            sim.counts.effective_macs += u64::from(live);
             if self.col_major {
                 sim.counts.output_flushes += 1;
-            } else if self.open_row[p] != row {
-                if self.open_row[p] != NO_ROW {
+            } else if s.open_row[p] != row {
+                if s.open_row[p] != NO_ROW {
                     sim.counts.output_flushes += 1;
                 }
-                self.open_row[p] = row;
+                s.open_row[p] = row;
             }
         }
     }
 
     fn end_beat(&mut self, sim: &mut Sim, slots: u64) {
-        sim.beat(slots, self.work.end());
+        sim.beat(slots, self.s.work.end());
     }
 
     fn end_pass(&mut self, sim: &mut Sim) {
-        for open in &mut self.open_row[..self.width] {
+        for open in &mut self.s.open_row[..self.width] {
             if *open != NO_ROW {
                 sim.counts.output_flushes += 1;
                 *open = NO_ROW;
             }
         }
+    }
+
+    fn dense_rows(&mut self, sim: &mut Sim, d: &DenseMatrix, ks: Range<usize>) {
+        let (m, len) = (d.rows() as u64, ks.len());
+        if m == 0 || len == 0 {
+            return;
+        }
+        let s = &mut *self.s;
+        // One row's beats: a streamed k matches the PEs holding an entry
+        // at k, whatever A's value there.
+        let cap = sim.bus.dense_capacity();
+        let (mut row_cycles, mut macs) = (0, 0);
+        for i0 in (0..len).step_by(cap) {
+            for i in i0..(i0 + cap).min(len) {
+                let matches = &s.by_k[s.ptr[i]..s.ptr[i + 1]];
+                macs += matches.len() as u64;
+                for &(p, _) in matches {
+                    s.work.add(p, 1);
+                }
+            }
+            row_cycles += sim.beat_cycles(s.work.end());
+        }
+        count_dense_rows(sim, m, len, row_cycles, macs);
+        // A PE holding an entry in the pass opens each row, and flushes it
+        // when the next row opens or the pass ends.
+        sim.counts.output_flushes += m * self.holding;
+        // The values MAC as lanes over the pass laid out densely: a PE
+        // holding nothing at k adds +0.0, as a stored zero does.
+        let w = self.width;
+        s.block.clear();
+        s.block.resize(len * w, 0.0);
+        for i in 0..len {
+            for &(p, bv) in &s.by_k[s.ptr[i]..s.ptr[i + 1]] {
+                s.block[i * w + p] = bv;
+            }
+        }
+        let mut effective = 0;
+        for r in 0..d.rows() {
+            let out = sim.out.row(r, self.c0, self.c0 + w);
+            for (&a, lanes) in d.row(r)[ks.clone()].iter().zip(s.block.chunks_exact(w)) {
+                if a != 0.0 {
+                    effective += mac_lanes(out, a, lanes);
+                }
+            }
+        }
+        sim.counts.effective_macs += effective;
     }
 }
 
@@ -611,10 +847,10 @@ fn csc_b_tile(
     }
 }
 
-/// The stationary operand of [`simulate_ws`].
-enum Stationary<'a> {
+/// The stationary operand of [`simulate_ws_into`].
+enum Stationary<'a, 's> {
     Dense(&'a DenseMatrix),
-    Csc(CscStations<'a>),
+    Csc(CscStations<'a, 's>),
 }
 
 /// Simulate `O = A x B` on the weight-stationary array.
@@ -626,6 +862,21 @@ pub fn simulate_ws(
     b: &MatrixData,
     cfg: &AccelConfig,
 ) -> Result<SimResult, SimError> {
+    let mut output = DenseMatrix::zeros(a.rows(), b.cols());
+    let band = OutBand::new(output.data_mut(), b.cols(), 0);
+    let stats = simulate_ws_into(a, b, cfg, &mut SimScratch::default(), band)?;
+    Ok(SimResult::owned(output, stats))
+}
+
+/// [`simulate_ws`] accumulating the product into `out`, with `scratch`
+/// kept for the caller's next simulation.
+pub fn simulate_ws_into(
+    a: &MatrixData,
+    b: &MatrixData,
+    cfg: &AccelConfig,
+    scratch: &mut SimScratch,
+    out: OutBand<'_>,
+) -> Result<SimStats, SimError> {
     check_config(cfg)?;
     if a.cols() != b.rows() {
         return Err(SimError::DimMismatch {
@@ -645,13 +896,14 @@ pub fn simulate_ws(
         _ => return Err(unsupported),
     };
     let mut stationary = match b {
-        MatrixData::Csc(c) => Stationary::Csc(CscStations::new(c, stream, cfg)),
+        MatrixData::Csc(c) => Stationary::Csc(CscStations::new(c, stream, cfg, scratch)),
         MatrixData::Dense(d) => Stationary::Dense(d),
         _ => return Err(unsupported),
     };
 
     let n = b.cols();
-    let mut sim = Sim::new(a.rows(), n, cfg);
+    out.check(a.rows(), n);
+    let mut sim = Sim::new(out, cfg);
     let mut n_tiles = 0usize;
     let mut k_passes = 0usize;
     // A zero-PE configuration runs as one PE, as in `simulate_spgemm`
@@ -681,6 +933,78 @@ pub fn simulate_ws(
     Ok(sim.finish(cfg, n_tiles, k_passes))
 }
 
+/// Matrix A of a Gustavson run indexed by column, so that a tile walks
+/// only B's non-empty rows and the A entries each meets. Built once per
+/// operand, for one bus width, and shared read-only by every tile.
+#[derive(Debug)]
+pub struct GustavsonA<'a> {
+    a: &'a CsrMatrix,
+    /// Column `k`'s entries are a list from `head[k]` through `entries`.
+    head: Vec<usize>,
+    /// `(row, beat, value, next)`: `beat` numbers the entry's beat among
+    /// those streaming all of A over all of K, and `next` is the column's
+    /// next entry (rows descending).
+    entries: Vec<(usize, usize, Value, usize)>,
+    /// (data, col id) pairs per beat of the bus it was built for.
+    cap: usize,
+    /// Beats streaming all of A over all of K.
+    beats: usize,
+}
+
+impl<'a> GustavsonA<'a> {
+    /// Index `a` for runs on `cfg`'s bus.
+    pub fn new(a: &'a CsrMatrix, cfg: &AccelConfig) -> Self {
+        Self::of_columns(a, cfg, |_| true)
+    }
+
+    /// Index the entries of `a` in the columns `keep` selects, in one walk
+    /// of A: a run against one B needs only those its non-empty rows meet.
+    fn of_columns(a: &'a CsrMatrix, cfg: &AccelConfig, keep: impl Fn(usize) -> bool) -> Self {
+        let cap = BusPacking {
+            slots: cfg.bus_slots,
+        }
+        .pair_capacity();
+        let mut head = vec![END; a.cols()];
+        let mut entries = Vec::with_capacity(a.nnz());
+        let mut beats = 0;
+        for r in 0..a.rows() {
+            let (ks, vs) = a.row(r);
+            // Each row opens a beat at its first entry and every `cap`.
+            let mut in_beat = cap;
+            for (&k, &v) in ks.iter().zip(vs) {
+                if in_beat == cap {
+                    beats += 1;
+                    in_beat = 0;
+                }
+                in_beat += 1;
+                if keep(k) {
+                    entries.push((r, beats - 1, v, head[k]));
+                    head[k] = entries.len() - 1;
+                }
+            }
+        }
+        GustavsonA {
+            a,
+            head,
+            entries,
+            cap,
+            beats,
+        }
+    }
+}
+
+/// The number of leading row ends in `ends` at or before entry `e`: the
+/// offset of the row holding `e`. A galloping search, so a near row costs
+/// a step or two and a far one a logarithm of its distance.
+fn next_row(ends: &[usize], e: usize) -> usize {
+    let mut bound = 1;
+    while bound < ends.len() && ends[bound - 1] <= e {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    lo + ends[lo..bound.min(ends.len())].partition_point(|&end| end <= e)
+}
+
 /// Simulate CSR(A)-CSR(B) SpGEMM with the Gustavson dataflow: rows of `B`
 /// are distributed round-robin across PE buffers; each streamed nonzero
 /// `A(r, k)` activates the PE holding row `k` of `B`, which multiplies it
@@ -690,27 +1014,57 @@ pub fn simulate_spgemm(
     b: &CsrMatrix,
     cfg: &AccelConfig,
 ) -> Result<SimResult, SimError> {
+    let mut output = DenseMatrix::zeros(a.rows(), b.cols());
+    let band = OutBand::new(output.data_mut(), b.cols(), 0);
+    // One tile meets only the columns of A that B's non-empty rows select.
+    let a_cols = GustavsonA::of_columns(a, cfg, |k| k < b.rows() && b.row_nnz(k) > 0);
+    let stats = simulate_spgemm_into(&a_cols, b, cfg, &mut SimScratch::default(), band)?;
+    Ok(SimResult::owned(output, stats))
+}
+
+/// [`simulate_spgemm`] over an indexed A, accumulating the product into
+/// `out`, with `scratch` kept for the caller's next simulation. `a` must
+/// have been indexed for `cfg`'s bus.
+pub fn simulate_spgemm_into(
+    a: &GustavsonA,
+    b: &CsrMatrix,
+    cfg: &AccelConfig,
+    scratch: &mut SimScratch,
+    out: OutBand<'_>,
+) -> Result<SimStats, SimError> {
     check_config(cfg)?;
-    if a.cols() != b.rows() {
+    let (m, k_dim) = (a.a.rows(), a.a.cols());
+    if k_dim != b.rows() {
         return Err(SimError::DimMismatch {
-            a_cols: a.cols(),
+            a_cols: k_dim,
             b_rows: b.rows(),
         });
     }
-    let k_dim = a.cols();
+    assert_eq!(
+        a.cap,
+        BusPacking {
+            slots: cfg.bus_slots
+        }
+        .pair_capacity(),
+        "A was indexed for another bus"
+    );
     let p = cfg.num_pes.max(1);
 
     // Greedy K ranges: add B rows k0..k1 while every PE's footprint
     // (2 slots per stored nonzero of its assigned rows) fits. Row k sits
     // on PE k mod p. No PE overflows when all of B fits one buffer.
     let cap = cfg.pe_buffer_elems;
-    let mut ranges: Vec<Range<usize>> = Vec::new();
+    let mut ranges = std::mem::take(&mut scratch.ranges);
+    ranges.clear();
     if 2 * b.nnz() > cap {
-        let mut footprint = vec![0usize; p];
+        let footprint = &mut scratch.footprint;
+        footprint.clear();
+        footprint.resize(p, 0);
         let (mut k0, mut pe) = (0, 0);
         for k in 0..k_dim {
             let foot = 2 * b.row_nnz(k);
             if foot > cap {
+                scratch.ranges = ranges;
                 return Err(SimError::BufferTooSmall {
                     needed: foot,
                     available: cap,
@@ -729,55 +1083,120 @@ pub fn simulate_spgemm(
         ranges.push(0..k_dim);
     }
 
-    let mut sim = Sim::new(a.rows(), b.cols(), cfg);
-    let mut work = BeatWork::new(p);
+    out.check(m, b.cols());
+    let mut sim = Sim::new(out, cfg);
+    scratch.work.reset(p);
     let mut macs = 0u64;
     let whole = ranges.len() == 1;
     for ks in &ranges {
         sim.load(2 * (b.row_ptr()[ks.end] - b.row_ptr()[ks.start]));
-        macs += spgemm_pass(&mut sim, a, b, ks, whole, p, &mut work);
+        macs += gustavson_pass(&mut sim, a, b, ks, whole, p, scratch);
     }
+    let passes = ranges.len();
+    scratch.ranges = ranges;
     // Every streamed nonzero multiplies its whole B row: each MAC reads
     // metadata and value and scatters one accumulation.
     sim.counts.macs += macs;
     sim.counts.effective_macs += macs;
     sim.counts.pe_buffer_reads += 2 * macs;
     sim.counts.output_flushes += macs;
-    Ok(sim.finish(cfg, 1, ranges.len()))
+    Ok(sim.finish(cfg, 1, passes))
 }
 
 /// Stream A's CSR rows restricted to `ks` (Fig. 6's CSR beats) against
 /// the B rows resident for the pass; returns the MACs issued.
-fn spgemm_pass(
+///
+/// The pass's beats are A's rows cut `cap` entries to a beat, a function
+/// of A alone, and each takes at least one cycle. The walk visits only
+/// B's non-empty rows and the A entries in their columns: those MACs
+/// accumulate the product and count toward their beat. A beat's busiest
+/// PE issues at most all its MACs, so only a beat whose MACs exceed the
+/// vector width can take more than one cycle; such a beat's MACs are then
+/// summed PE by PE.
+fn gustavson_pass(
     sim: &mut Sim,
-    a: &CsrMatrix,
+    a: &GustavsonA,
     b: &CsrMatrix,
     ks: &Range<usize>,
     whole: bool,
     p: usize,
-    work: &mut BeatWork,
+    s: &mut SimScratch,
 ) -> u64 {
-    let cap = sim.bus.pair_capacity();
-    let n = sim.out.cols();
-    let mut macs = 0u64;
-    for r in 0..a.rows() {
-        let (cols, vals) = a.row(r);
-        let w = window(cols, ks, whole);
-        for (kb, vb) in cols[w.clone()].chunks(cap).zip(vals[w].chunks(cap)) {
-            let out = &mut sim.out.data_mut()[r * n..(r + 1) * n];
-            for (&k, &v) in kb.iter().zip(vb) {
-                let (bcols, bvals) = b.row(k);
-                if bcols.is_empty() {
-                    continue; // no MAC, so no PE to find
-                }
-                work.add(k % p, bcols.len() as u64);
-                macs += bcols.len() as u64;
-                for (&j, &bv) in bcols.iter().zip(bvals) {
-                    out[j] += v * bv;
-                }
-            }
-            sim.beat(2 * kb.len() as u64 + 1, work.end()); // pairs + shared row id
+    let (csr, cap) = (a.a, a.cap);
+    let (beats, entries) = if whole {
+        (a.beats, csr.nnz())
+    } else {
+        // A pass narrower than K streams each row's window of it.
+        s.windows.clear();
+        let (mut beats, mut entries) = (0, 0);
+        for r in 0..csr.rows() {
+            let w = window(csr.row(r).0, ks, false);
+            s.windows.push((w.start, w.end, beats));
+            beats += w.len().div_ceil(cap);
+            entries += w.len();
         }
+        (beats, entries)
+    };
+    sim.counts.bus_slots_used += 2 * entries as u64 + beats as u64; // pairs + shared row id
+    sim.cycles.stream_a += beats as u64;
+    if s.beats.len() < beats {
+        s.beats.resize(beats, (0, 0));
+    }
+    s.pass += 1;
+    s.over.clear();
+
+    let (row_ptr, b_cols, b_vals) = (b.row_ptr(), b.col_ids(), b.values());
+    let (n, vw) = (b.cols(), sim.vector_width);
+    let mut macs = 0u64;
+    let (mut k, mut e) = (ks.start, row_ptr[ks.start]);
+    while e < row_ptr[ks.end] {
+        // B's next non-empty row: the one holding its entry `e`.
+        k += next_row(&row_ptr[k + 1..=ks.end], e);
+        let end = row_ptr[k + 1];
+        let (js, bvs) = (&b_cols[e..end], &b_vals[e..end]);
+        let len = js.len() as u64;
+        let mut next = a.head[k];
+        while next != END {
+            let (r, whole_beat, av, after) = a.entries[next];
+            next = after;
+            macs += len;
+            let beat = if whole {
+                whole_beat
+            } else {
+                let i = csr.row(r).0.partition_point(|&c| c < k);
+                s.windows[r].2 + (i - s.windows[r].0) / cap
+            };
+            // A count from an older pass reads as zero.
+            let (pass, count) = &mut s.beats[beat];
+            let before = if *pass == s.pass { *count } else { 0 };
+            (*pass, *count) = (s.pass, before + len);
+            if before <= vw && before + len > vw {
+                s.over.push((beat, r, k));
+            }
+            let out = sim.out.row(r, 0, n);
+            for (&c, &bv) in js.iter().zip(bvs) {
+                out[c] += av * bv;
+            }
+        }
+        e = end;
+        k += 1;
+    }
+
+    // A beat past the vector width: its entries' B rows, PE by PE.
+    for &(beat, r, k) in &s.over {
+        let cols = csr.row(r).0;
+        let (start, end, first) = if whole {
+            let i = cols.partition_point(|&c| c < k);
+            (0, cols.len(), beat - i / cap)
+        } else {
+            s.windows[r]
+        };
+        let lo = start + (beat - first) * cap;
+        for &k in &cols[lo..(lo + cap).min(end)] {
+            s.work.add(k % p, (row_ptr[k + 1] - row_ptr[k]) as u64);
+        }
+        let extra = sim.beat_cycles(s.work.end()) - 1;
+        sim.cycles.stream_a += extra;
     }
     macs
 }
@@ -1077,13 +1496,15 @@ mod tests {
 
         /// Mostly sevenths (so the summation order shows in the rounded
         /// bits), some exact zeros, which a sparse format stores and WS
-        /// must skip, and rare infinities, which make a skipped zero
-        /// product visible (`0 x inf` is NaN).
+        /// must skip, rare infinities, which make a skipped zero product
+        /// visible (`0 x inf` is NaN), and rare tiny magnitudes, two of
+        /// which multiply to a ±0.0 that underflowed.
         fn value(&mut self) -> Value {
-            match self.below(40) {
+            match self.below(44) {
                 0..=4 => 0.0,
                 5 => Value::INFINITY,
                 6 => Value::NEG_INFINITY,
+                7..=9 => [1e-170, -1e-170][self.below(2)],
                 _ => (self.below(2001) as Value - 1000.0) / 7.0,
             }
         }
@@ -1210,6 +1631,7 @@ mod tests {
     #[test]
     fn simulators_compute_the_reference_product() {
         let mut g = Gen(0x5eed);
+        let mut scratch = SimScratch::default();
         for case in 0..6000 {
             let (m, k, n) = (g.below(7), g.below(10), g.below(10));
             let cfg = AccelConfig {
@@ -1269,6 +1691,121 @@ mod tests {
                 &product(&a.csr, &b.csr, false),
                 spgemm_overflow(&b.csr, &cfg),
                 1,
+            );
+
+            // Both forms equal the oracle cycle for cycle and bit for bit:
+            // the owned output, and a band at a random stride and column
+            // offset whose cells outside the product keep a sentinel.
+            let col = g.below(3);
+            let stride = col + n + g.below(3);
+            for (a_fmt, a) in [
+                ("Dense", &a.dense),
+                ("CSR", &a_csr),
+                ("COO", &a.coo),
+                ("CSC", &a.csc),
+            ] {
+                for (b_fmt, b) in [("Dense", &b.dense), ("CSC", &b.csc)] {
+                    let what = format!("case {case}: {a_fmt}(A)-{b_fmt}(B) {m}x{k}x{n} {cfg:?}");
+                    let want = oracle::simulate_ws(a, b, &cfg);
+                    assert_same_run(&simulate_ws(a, b, &cfg), &want, &what);
+                    let mut data = band(m, n, stride, col);
+                    let got = simulate_ws_into(
+                        a,
+                        b,
+                        &cfg,
+                        &mut scratch,
+                        OutBand::new(&mut data, stride, col),
+                    );
+                    assert_same_band(got, &data, stride, col, &want, &what);
+                }
+            }
+            let what = format!("case {case}: SpGEMM {m}x{k}x{n} {cfg:?}");
+            let want = oracle::simulate_spgemm(&a.csr, &b.csr, &cfg);
+            assert_same_run(&simulate_spgemm(&a.csr, &b.csr, &cfg), &want, &what);
+            let mut data = band(m, n, stride, col);
+            let got = simulate_spgemm_into(
+                &GustavsonA::new(&a.csr, &cfg),
+                &b.csr,
+                &cfg,
+                &mut scratch,
+                OutBand::new(&mut data, stride, col),
+            );
+            assert_same_band(got, &data, stride, col, &want, &what);
+        }
+    }
+
+    /// A cell outside the product: any write to it shows.
+    const SENTINEL: Value = -12345.5;
+
+    /// An `m`-row band of `stride`, +0.0 on the product's `n` columns
+    /// from `col` and the sentinel everywhere else.
+    fn band(m: usize, n: usize, stride: usize, col: usize) -> Vec<Value> {
+        let mut data = vec![SENTINEL; m * stride];
+        for row in data.chunks_mut(stride.max(1)) {
+            row[col..col + n].fill(0.0);
+        }
+        data
+    }
+
+    fn bits(values: &[Value]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Two runs with the same error, or the same cycles, counts, tiles,
+    /// passes and output bits.
+    fn assert_same_run(
+        got: &Result<SimResult, SimError>,
+        want: &Result<SimResult, SimError>,
+        what: &str,
+    ) {
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(
+                    (g.cycles, g.counts, g.n_tiles, g.k_passes),
+                    (w.cycles, w.counts, w.n_tiles, w.k_passes),
+                    "{what}"
+                );
+                assert_eq!(bits(g.output.data()), bits(w.output.data()), "{what}");
+            }
+            _ => assert_eq!(got.as_ref().err(), want.as_ref().err(), "{what}"),
+        }
+    }
+
+    /// A band run equals the oracle's owned run: the same totals or
+    /// error, the product's bits in its cells and the sentinel elsewhere.
+    fn assert_same_band(
+        got: Result<SimStats, SimError>,
+        data: &[Value],
+        stride: usize,
+        col: usize,
+        want: &Result<SimResult, SimError>,
+        what: &str,
+    ) {
+        let w = match (got, want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(
+                    (g.cycles, g.counts, g.n_tiles, g.k_passes),
+                    (w.cycles, w.counts, w.n_tiles, w.k_passes),
+                    "{what}"
+                );
+                w
+            }
+            (got, want) => {
+                assert_eq!(got.err(), want.as_ref().err().cloned(), "{what}");
+                return;
+            }
+        };
+        let n = w.output.cols();
+        for (r, row) in data.chunks(stride.max(1)).enumerate() {
+            assert_eq!(
+                bits(&row[col..col + n]),
+                bits(w.output.row(r)),
+                "{what}: row {r}"
+            );
+            let outside: Vec<Value> = row[..col].iter().chain(&row[col + n..]).copied().collect();
+            assert!(
+                outside.iter().all(|v| v.to_bits() == SENTINEL.to_bits()),
+                "{what}: row {r} wrote outside the product"
             );
         }
     }

@@ -20,8 +20,10 @@
 //!   (`size_model::{matrix_charge, tensor_storage_bits}`,
 //!   `mint::cost::{conversion_cost, tensor_conversion_cost}`), which
 //!   SAGE calls for every candidate it prices;
-//! - the per-pass and per-beat loops of the cycle simulators
-//!   (`accel::exec`), which run once per stationary tile;
+//! - the per-pass, per-beat and per-MAC loops of the cycle simulators
+//!   (`accel::exec`), which run once per stationary tile, and the copy
+//!   of a tile chunk's output band into its job's output
+//!   (`core::planner`);
 //! - the per-element loops of the stationary operand's schedule, cut and
 //!   conversion walks (`formats::{tiler, build}` and CSC's column
 //!   slice), which run over every stored entry of every tile.

@@ -75,8 +75,9 @@ impl AnalysisConfig {
                 ("crates/formats/src/size_model.rs", "tensor_storage_bits"),
                 ("crates/mint/src/cost.rs", "conversion_cost"),
                 ("crates/mint/src/cost.rs", "tensor_conversion_cost"),
-                // The cycle simulators' per-pass and per-beat loops; their
-                // scratch is sized once per call, outside these bodies.
+                // The cycle simulators' per-pass, per-beat and per-MAC
+                // loops; their scratch is sized once per run of tiles,
+                // outside these bodies.
                 ("crates/accel/src/exec.rs", "dense_b_tile"),
                 ("crates/accel/src/exec.rs", "csc_b_tile"),
                 ("crates/accel/src/exec.rs", "load_pass"),
@@ -84,7 +85,14 @@ impl AnalysisConfig {
                 ("crates/accel/src/exec.rs", "elem"),
                 ("crates/accel/src/exec.rs", "end_beat"),
                 ("crates/accel/src/exec.rs", "end_pass"),
-                ("crates/accel/src/exec.rs", "spgemm_pass"),
+                ("crates/accel/src/exec.rs", "dense_rows"),
+                ("crates/accel/src/exec.rs", "count_dense_rows"),
+                ("crates/accel/src/exec.rs", "mac_lanes"),
+                ("crates/accel/src/exec.rs", "gustavson_pass"),
+                ("crates/accel/src/exec.rs", "next_row"),
+                // A chunk's band copied into the job's output, block by
+                // block.
+                ("crates/core/src/planner.rs", "copy_band"),
                 // The stationary tile's schedule, cut and conversion walks;
                 // their buffers are sized once per call or per tile, outside
                 // these bodies.
@@ -94,6 +102,7 @@ impl AnalysisConfig {
                 ("crates/formats/src/tiler.rs", "widen_ranges"),
                 ("crates/formats/src/tiler.rs", "split_row"),
                 ("crates/formats/src/csc.rs", "copy_columns"),
+                ("crates/formats/src/traverse.rs", "csc_sorted_band"),
                 ("crates/formats/src/build.rs", "push_run"),
                 ("crates/formats/src/csr.rs", "push"),
                 ("crates/formats/src/rlc.rs", "push"),

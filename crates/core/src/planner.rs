@@ -33,11 +33,13 @@ use crate::lock_clean;
 use crate::pipeline::{PipelineRun, TileTrace};
 use crate::plan::{Dataflow, ExecutionPlan, PlanPrediction};
 use crate::system::RunError;
-use sparseflex_accel::exec::{simulate_spgemm, simulate_ws, SimResult};
+use sparseflex_accel::exec::{
+    simulate_spgemm_into, simulate_ws_into, GustavsonA, OutBand, SimScratch, SimStats,
+};
 use sparseflex_formats::{
     csr_cow, csr_cow_in, plan_column_schedule, tile_column_ranges, ArenaPool, ColumnSchedule,
-    CooMatrix, CsrMatrix, DenseMatrix, MatrixData, MatrixFormat, MatrixTile, SparseMatrix,
-    StreamArena, TilePolicy,
+    CooMatrix, DenseMatrix, MatrixData, MatrixFormat, MatrixTile, SparseMatrix, StreamArena,
+    TilePolicy, Value,
 };
 use sparseflex_kernels::parallel::{fan_out, worker_count};
 use sparseflex_mint::tiled::{overlap_schedule, split_cycles};
@@ -587,21 +589,28 @@ impl Planner {
         };
         // The streaming operand converts once, in the pipeline prologue.
         let (a_acf, conv_a) = sage.mint.convert_matrix(&a_mem, &choice.acf_a)?;
-        let executed =
-            convert_and_execute_tiles(sage, choice, spgemm, &a_acf, &tiles_mem, &self.tile_arenas)?;
-
         let mut output = DenseMatrix::zeros(a.rows(), b_cols);
-        let mut tiles = Vec::with_capacity(tiles_mem.len());
-        for (tile, (conv, sim)) in tiles_mem.iter().zip(executed) {
-            stitch_columns(&mut output, &sim.output, tile.col_start);
-            tiles.push(TileTrace {
+        let executed = convert_and_execute_tiles(
+            sage,
+            choice,
+            spgemm,
+            &a_acf,
+            &tiles_mem,
+            &self.tile_arenas,
+            &mut output,
+        )?;
+
+        let tiles: Vec<TileTrace> = tiles_mem
+            .iter()
+            .zip(executed)
+            .map(|(tile, (conv, sim))| TileTrace {
                 col_start: tile.col_start,
                 col_end: tile.col_end,
                 conv,
                 compute: sim.cycles,
                 counts: sim.counts,
-            });
-        }
+            })
+            .collect();
 
         let conv_cycles: Vec<u64> = tiles.iter().map(|t| t.conv.pipelined_cycles()).collect();
         let compute_cycles: Vec<u64> = tiles.iter().map(|t| t.compute.total()).collect();
@@ -625,18 +634,21 @@ impl Planner {
 }
 
 /// Convert each scheduled tile MCF→ACF and run it on the cycle-accurate
-/// simulator, with the tiles fanned out across workers.
+/// simulator, with the tiles fanned out across workers, accumulating each
+/// tile's product straight into `output`.
 ///
 /// Tiles are chunked contiguously, one chunk per [`fan_out`] worker, and
 /// each chunk travels with one grow-only arena leased from the planner's
 /// pool: the first run warms each worker's buffers (traversal scratch and
 /// the recycled CSR triple), later runs convert without fresh
-/// allocations. Tiles are independent (disjoint column ranges, shared
-/// read-only `A`), so results are identical to a sequential loop and come
-/// back in schedule order; a single worker is simply one chunk. That is
-/// the case on a serve worker, where [`worker_count`] returns 1, so the
-/// job's own thread runs every tile with one leased arena and spawns
-/// nothing.
+/// allocations; the simulator's scratch is sized once per chunk. Tiles
+/// are independent (disjoint column ranges, shared read-only `A` and its
+/// Gustavson index), so results are identical to a sequential loop and
+/// come back in schedule order. The chunk on the calling thread writes
+/// `output` itself; every other chunk writes a band of its own columns,
+/// copied in afterwards. A single worker is simply one chunk. That is the
+/// case on a serve worker, where [`worker_count`] returns 1, so the job's
+/// own thread runs every tile with one leased arena and spawns nothing.
 fn convert_and_execute_tiles(
     sage: &Sage,
     choice: &sparseflex_sage::FormatChoice,
@@ -644,33 +656,80 @@ fn convert_and_execute_tiles(
     a_acf: &MatrixData,
     tiles_mem: &[MatrixTile],
     pool: &Mutex<ArenaPool>,
-) -> Result<Vec<(ConversionReport, SimResult)>, RunError> {
+    output: &mut DenseMatrix,
+) -> Result<Vec<(ConversionReport, SimStats)>, RunError> {
     let a_csr = if spgemm { Some(csr_cow(a_acf)) } else { None };
-    let a_csr_ref = a_csr.as_deref();
+    let a_cols = a_csr.as_deref().map(|a| GustavsonA::new(a, &sage.accel));
+    let (m, n) = (output.rows(), output.cols());
     let chunk = tiles_mem.len().div_ceil(worker_count(tiles_mem.len()));
     let chunks: Vec<&[MatrixTile]> = tiles_mem.chunks(chunk.max(1)).collect();
     let mut arenas = lock_clean(pool).lease(chunks.len());
-    let results = fan_out(
-        chunks.into_iter().zip(arenas.iter_mut()).collect(),
-        |(tiles, arena)| {
-            tiles
-                .iter()
-                .map(|tile| {
-                    let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
-                    let sim = execute_tile(sage, arena, a_acf, a_csr_ref, &tile_acf)?;
-                    Ok((conv, sim))
-                })
-                .collect::<Result<Vec<_>, RunError>>()
-        },
-    );
+    // The first chunk runs on the calling thread: it takes the output.
+    let mut job_output = Some(output.data_mut());
+    let items: Vec<_> = chunks
+        .into_iter()
+        .zip(arenas.iter_mut())
+        .map(|(tiles, arena)| (tiles, arena, job_output.take()))
+        .collect();
+    let results = fan_out(items, |(tiles, arena, job_output)| {
+        let c0 = tiles.first().map_or(0, |t| t.col_start);
+        let span = tiles.last().map_or(0, |t| t.col_end) - c0;
+        let mut own = Vec::new();
+        let (data, stride, base) = match job_output {
+            Some(data) => (data, n, 0),
+            None => {
+                own = vec![0.0; m * span];
+                (own.as_mut_slice(), span, c0)
+            }
+        };
+        let mut scratch = SimScratch::default();
+        let executed = tiles
+            .iter()
+            .map(|tile| {
+                let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
+                let band = OutBand::new(data, stride, tile.col_start - base);
+                let sim = execute_tile(
+                    sage,
+                    arena,
+                    &mut scratch,
+                    a_acf,
+                    a_cols.as_ref(),
+                    &tile_acf,
+                    band,
+                )?;
+                Ok((conv, sim))
+            })
+            .collect::<Result<Vec<_>, RunError>>();
+        (executed, own, c0, span)
+    });
     // Arenas go back to the pool before error propagation so a failed
     // tile does not leak the warmed buffers.
     lock_clean(pool).restore(arenas);
     let mut out = Vec::with_capacity(tiles_mem.len());
-    for r in results {
-        out.extend(r?);
+    for (executed, band, c0, span) in results {
+        out.extend(executed?);
+        copy_band(output, &band, c0, span);
     }
     Ok(out)
+}
+
+/// Copy a chunk's band, `span` values a row, into the output's columns
+/// from `c0`, touching only the 8-value blocks that hold a nonzero, so the
+/// output's pages a sparse product never reaches stay untouched. The
+/// output is +0.0 there, and a band never holds −0.0.
+fn copy_band(output: &mut DenseMatrix, band: &[Value], c0: usize, span: usize) {
+    if span == 0 {
+        return;
+    }
+    let n = output.cols();
+    for (r, src) in band.chunks_exact(span).enumerate() {
+        let dst = &mut output.data_mut()[r * n + c0..r * n + c0 + span];
+        for (d, s) in dst.chunks_mut(8).zip(src.chunks(8)) {
+            if s.iter().any(|&v| v != 0.0) {
+                d.copy_from_slice(s);
+            }
+        }
+    }
 }
 
 /// Stats-model prediction: SAGE's whole-operand analytic totals scaled
@@ -718,9 +777,10 @@ fn predict_stats(
     }
 }
 
-/// Run one converted stationary tile on the cycle-accurate simulator:
-/// Gustavson SpGEMM when `a_csr` (the streaming operand's CSR view) is
-/// given, weight-stationary otherwise.
+/// Run one converted stationary tile on the cycle-accurate simulator,
+/// accumulating its product into `out`: Gustavson SpGEMM when `a_cols`
+/// (the streaming operand's by-column index) is given, weight-stationary
+/// otherwise.
 ///
 /// SpGEMM tiles that need a CSR view draw both the traversal scratch and
 /// the CSR triple itself from `arena`, and hand the triple back
@@ -729,35 +789,24 @@ fn predict_stats(
 fn execute_tile(
     sage: &Sage,
     arena: &mut StreamArena,
+    scratch: &mut SimScratch,
     a_acf: &MatrixData,
-    a_csr: Option<&CsrMatrix>,
+    a_cols: Option<&GustavsonA>,
     tile_acf: &MatrixData,
-) -> Result<SimResult, RunError> {
-    let sim = match a_csr {
+    out: OutBand<'_>,
+) -> Result<SimStats, RunError> {
+    let sim = match a_cols {
         Some(a) => {
             let tile_csr = csr_cow_in(arena, tile_acf);
-            let sim = simulate_spgemm(a, &tile_csr, &sage.accel)?;
+            let sim = simulate_spgemm_into(a, &tile_csr, &sage.accel, scratch, out)?;
             if let std::borrow::Cow::Owned(c) = tile_csr {
                 arena.recycle_csr(c);
             }
             sim
         }
-        None => simulate_ws(a_acf, tile_acf, &sage.accel)?,
+        None => simulate_ws_into(a_acf, tile_acf, &sage.accel, scratch, out)?,
     };
     Ok(sim)
-}
-
-/// Copy a tile's `m x width` output into the full output at column
-/// `col_start` (tiles cover disjoint column ranges).
-fn stitch_columns(output: &mut DenseMatrix, tile_out: &DenseMatrix, col_start: usize) {
-    for r in 0..tile_out.rows() {
-        let row = tile_out.row(r);
-        for (j, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                output.set(r, col_start + j, v);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -62,8 +62,9 @@ pub struct StreamArena {
     /// `(coord, value)` pairs for traversals that must re-sort a fiber
     /// (ELL rows with unsorted slots).
     pub pairs: Vec<(usize, Value)>,
-    /// `(x, y, z, value)` quads for block-clustered tensor traversals
-    /// that must re-sort the whole operand (HiCOO).
+    /// `(x, y, z, value)` quads for traversals that must re-sort the
+    /// whole operand: block-clustered tensors (HiCOO) and tall, sparse
+    /// CSC bands (as `(row, col, 0, value)`).
     pub quads: Vec<(usize, usize, usize, Value)>,
     // Recycled csr_from_stream_in output capacity (private: only the
     // take/recycle pair below may touch these, keeping the invariant

@@ -25,57 +25,44 @@ use crate::rlc::RlcMatrix;
 use crate::tensor::DenseTensor3;
 use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::zvc::ZvcMatrix;
+use crate::Value;
 
 /// CSR → CSC by counting sort on column ids (the software equivalent of
 /// MINT's Fig. 8c pipeline: histogram → prefix sum → scatter).
 pub fn csr_to_csc(csr: &CsrMatrix) -> CscMatrix {
-    let rows = csr.rows();
-    let cols = csr.cols();
-    let nnz = csr.nnz();
-    // Step 1-4 of Fig. 8c: histogram of col_ids into col_ptr.
+    let (col_ptr, row_ids, values) = bucket_by_column(csr.cols(), csr.col_ids(), csr.iter());
+    CscMatrix::from_parts_unchecked(csr.rows(), csr.cols(), col_ptr, row_ids, values)
+}
+
+/// The one counting-sort transpose: bucket `entries`, given row-major
+/// with column ids `col_ids`, by column. Returns the column pointer and
+/// each column's row ids and values, rows ascending within a column.
+pub(crate) fn bucket_by_column(
+    cols: usize,
+    col_ids: &[usize],
+    entries: impl Iterator<Item = (usize, usize, Value)>,
+) -> (Vec<usize>, Vec<usize>, Vec<Value>) {
     let mut col_ptr = vec![0usize; cols + 1];
-    for &c in csr.col_ids() {
+    for &c in col_ids {
         col_ptr[c + 1] += 1;
     }
-    // Step 5: prefix sum.
-    for c in 0..cols {
-        col_ptr[c + 1] += col_ptr[c];
+    // The running sum stays in a register instead of re-reading the slot
+    // just written.
+    let mut sum = 0;
+    for p in &mut col_ptr {
+        sum += *p;
+        *p = sum;
     }
-    // Steps 6-9: iterate CSR fields, scatter values/row ids into CSC slots.
-    let mut cursor = col_ptr.clone();
-    let mut row_ids = vec![0usize; nnz];
-    let mut values = vec![0.0; nnz];
-    for (r, c, v) in csr.iter() {
-        let slot = cursor[c];
-        cursor[c] += 1;
+    let mut next = col_ptr[..cols].to_vec();
+    let mut row_ids = vec![0usize; sum];
+    let mut values = vec![0.0; sum];
+    for (r, c, v) in entries {
+        let slot = next[c];
+        next[c] += 1;
         row_ids[slot] = r;
         values[slot] = v;
     }
-    CscMatrix::from_parts_unchecked(rows, cols, col_ptr, row_ids, values)
-}
-
-/// CSC → CSR — the symmetric counting sort.
-pub fn csc_to_csr(csc: &CscMatrix) -> CsrMatrix {
-    let rows = csc.rows();
-    let cols = csc.cols();
-    let nnz = csc.nnz();
-    let mut row_ptr = vec![0usize; rows + 1];
-    for &r in csc.row_ids() {
-        row_ptr[r + 1] += 1;
-    }
-    for r in 0..rows {
-        row_ptr[r + 1] += row_ptr[r];
-    }
-    let mut cursor = row_ptr.clone();
-    let mut col_ids = vec![0usize; nnz];
-    let mut values = vec![0.0; nnz];
-    for (r, c, v) in csc.iter_col_major() {
-        let slot = cursor[r];
-        cursor[r] += 1;
-        col_ids[slot] = c;
-        values[slot] = v;
-    }
-    CsrMatrix::from_parts_unchecked(rows, cols, row_ptr, col_ids, values)
+    (col_ptr, row_ids, values)
 }
 
 /// RLC → COO (Fig. 8d): prefix-sum the run lengths to recover flat
@@ -205,16 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn csc_to_csr_inverse() {
-        let coo = fig8b();
-        let csc = CscMatrix::from_coo(&coo);
-        let csr = csc_to_csr(&csc);
-        assert_eq!(csr, CsrMatrix::from_coo(&coo));
-        // Round trip through both directions.
-        assert_eq!(csr_to_csc(&csr), csc);
-    }
-
-    #[test]
     fn rlc_to_coo_recovers_positions() {
         let coo = fig8b();
         let rlc = RlcMatrix::from_coo(&coo, 4);
@@ -281,9 +258,6 @@ mod tests {
     fn conversion_composition_is_identity() {
         // X -> Y -> X returns the original for a chain of direct paths.
         let coo = fig8b();
-        let csr = CsrMatrix::from_coo(&coo);
-        let back = csc_to_csr(&csr_to_csc(&csr));
-        assert_eq!(back, csr);
         let rlc = RlcMatrix::from_coo(&coo, 4);
         let back2 = RlcMatrix::from_coo(&rlc_to_coo(&rlc), 4);
         assert_eq!(back2, rlc);

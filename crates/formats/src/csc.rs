@@ -139,26 +139,11 @@ impl CscMatrix {
 
     /// Convert from the COO hub with a counting sort on columns.
     pub fn from_coo(coo: &CooMatrix) -> Self {
-        let cols = coo.cols();
-        let mut col_ptr = vec![0usize; cols + 1];
-        for &c in coo.col_ids() {
-            col_ptr[c + 1] += 1;
-        }
-        for c in 0..cols {
-            col_ptr[c + 1] += col_ptr[c];
-        }
-        let mut next = col_ptr.clone();
-        let mut row_ids = vec![0usize; coo.nnz()];
-        let mut values = vec![0.0; coo.nnz()];
-        for (r, c, v) in coo.iter() {
-            let slot = next[c];
-            next[c] += 1;
-            row_ids[slot] = r;
-            values[slot] = v;
-        }
+        let (col_ptr, row_ids, values) =
+            crate::convert::bucket_by_column(coo.cols(), coo.col_ids(), coo.iter());
         CscMatrix {
             rows: coo.rows(),
-            cols,
+            cols: coo.cols(),
             col_ptr,
             row_ids,
             values,

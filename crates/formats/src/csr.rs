@@ -159,35 +159,6 @@ impl CsrMatrix {
             self.values,
         )
     }
-
-    /// Transpose by converting to CSC-ordered arrays and reinterpreting —
-    /// the classic counting-sort transpose (same algorithm MINT runs in
-    /// hardware for CSR→CSC, Fig. 8c).
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut col_ptr = vec![0usize; self.cols + 1];
-        for &c in &self.col_ids {
-            col_ptr[c + 1] += 1;
-        }
-        for c in 0..self.cols {
-            col_ptr[c + 1] += col_ptr[c];
-        }
-        let mut next = col_ptr.clone();
-        let mut out_rows = vec![0usize; self.values.len()];
-        let mut out_vals = vec![0.0; self.values.len()];
-        for (r, c, v) in self.iter() {
-            let slot = next[c];
-            next[c] += 1;
-            out_rows[slot] = r;
-            out_vals[slot] = v;
-        }
-        CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            row_ptr: col_ptr,
-            col_ids: out_rows,
-            values: out_vals,
-        }
-    }
 }
 
 /// The one CSR encoder: entries pushed in row-major order (rows
@@ -309,25 +280,6 @@ mod tests {
         let m = fig3a_csr();
         let coo = m.to_coo();
         assert_eq!(CsrMatrix::from_coo(&coo), m);
-    }
-
-    #[test]
-    fn transpose_matches_dense_transpose() {
-        let m = fig3a_csr();
-        let td = m.to_dense().transpose();
-        assert_eq!(m.transpose().to_dense(), td);
-    }
-
-    #[test]
-    fn transpose_rectangular() {
-        let coo =
-            CooMatrix::from_triplets(2, 5, vec![(0, 4, 1.0), (1, 0, 2.0), (1, 3, 3.0)]).unwrap();
-        let m = CsrMatrix::from_coo(&coo);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 5);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.get(4, 0), 1.0);
-        assert_eq!(t.get(3, 1), 3.0);
     }
 
     #[test]

@@ -420,6 +420,9 @@ impl RowMajorStream for CscMatrix {
     /// still scans the full column-major index (CSC stores nothing
     /// row-contiguous to seek by), but buckets, scatters, and emits only
     /// its own rows, so scratch is band-sized and bands are independent.
+    /// A band far taller than the operand holds entries (`nnz·log₂nnz`
+    /// below its rows) sorts its entries by row instead, so the walk
+    /// never visits its empty rows.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -433,6 +436,11 @@ impl RowMajorStream for CscMatrix {
             return;
         }
         let band = hi - lo;
+        let nnz = self.nnz();
+        if nnz.saturating_mul(nnz.max(2).ilog2() as usize) < band {
+            csc_sorted_band(self, lo..hi, arena, emit);
+            return;
+        }
         let StreamArena {
             coords,
             vals,
@@ -480,15 +488,55 @@ impl RowMajorStream for CscMatrix {
 
     /// Reuses the transpose's counting pass as the weight histogram.
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let rows = self.rows();
-        let mut prefix = vec![0usize; rows + 1];
+        let mut prefix = vec![0usize; self.rows() + 1];
         for &r in self.row_ids() {
             prefix[r + 1] += 1;
         }
-        for r in 0..rows {
-            prefix[r + 1] += prefix[r];
+        let mut sum = 0;
+        for p in &mut prefix {
+            sum += *p;
+            *p = sum;
         }
         split_by_prefix(&prefix, parts)
+    }
+}
+
+/// CSC's walk of the row band `rows` in O(entries): stage the band's
+/// entries, sort them by (row, column) and emit each row's run.
+fn csc_sorted_band(
+    csc: &CscMatrix,
+    rows: Range<usize>,
+    arena: &mut StreamArena,
+    emit: &mut RowFiberSink<'_>,
+) {
+    let StreamArena {
+        coords,
+        vals,
+        quads,
+        ..
+    } = arena;
+    quads.clear();
+    for c in 0..csc.cols() {
+        let (rs, vs) = csc.col(c);
+        for (&r, &v) in rs.iter().zip(vs) {
+            if rows.contains(&r) {
+                quads.push((r, c, 0, v));
+            }
+        }
+    }
+    // (row, column) pairs are distinct, so the unstable sort is the
+    // stable one: each row's columns ascending.
+    quads.sort_unstable_by_key(|q| (q.0, q.1));
+    coords.clear();
+    coords.extend(quads.iter().map(|q| q.1));
+    vals.clear();
+    vals.extend(quads.iter().map(|q| q.3));
+    let mut s = 0;
+    while s < quads.len() {
+        let r = quads[s].0;
+        let e = s + quads[s..].partition_point(|q| q.0 == r);
+        emit(r, &coords[s..e], &vals[s..e]);
+        s = e;
     }
 }
 

@@ -39,6 +39,14 @@ impl MemController {
     pub fn transfer(&self, n: u64, report: &mut ConversionReport) {
         report.charge(BlockKind::MemController, self.cycles(n), self.energy(n));
     }
+
+    /// Charge the transfers of `ns` elements as one: their cycles and
+    /// energies are summed, in order, before they reach the report.
+    pub fn transfer_all(&self, ns: &[u64], report: &mut ConversionReport) {
+        let cycles = ns.iter().map(|&n| self.cycles(n)).sum();
+        let energy = ns.iter().fold(0.0, |e, &n| e + self.energy(n));
+        report.charge(BlockKind::MemController, cycles, energy);
+    }
 }
 
 #[cfg(test)]
@@ -58,7 +66,7 @@ mod tests {
         let m = MemController::mint_default();
         let mut r = ConversionReport::default();
         m.transfer(32, &mut r);
-        assert_eq!(r.block_cycles[&BlockKind::MemController], 2);
+        assert_eq!(r.cycles(BlockKind::MemController), 2);
         assert!(r.total_energy() > 0.0);
     }
 }

@@ -74,7 +74,7 @@ fn main() {
         } else {
             "exceeds"
         },
-        report.block_cycles.len(),
+        report.busy_blocks().count(),
         report.total_energy()
     );
 }

@@ -65,7 +65,7 @@ fn print_report(name: &str, rep: &sparseflex::mint::ConversionReport) {
         rep.serialized_cycles(),
         rep.total_energy()
     );
-    for (kind, cycles) in &rep.block_cycles {
+    for (kind, cycles) in rep.busy_blocks() {
         println!("    {:<16} {:>8} busy cycles", kind.name(), cycles);
     }
 }
