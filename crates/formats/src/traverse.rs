@@ -1702,6 +1702,49 @@ mod tests {
         }
     }
 
+    #[test]
+    fn tall_sparse_csc_bands_sort_as_narrow_bands_count() {
+        // 300 rows, 30 entries three to a row (one an explicit zero):
+        // the whole band sorts its entries (30·log₂30 < 300); 8-row bands
+        // count rows.
+        let entries: Vec<(usize, usize)> = (0..30)
+            .map(|i| (((i / 3) * 97 + 5) % 300, (i * 5) % 7))
+            .collect();
+        let mut by_col = entries.clone();
+        by_col.sort_by_key(|&(r, c)| (c, r));
+        let mut col_ptr = vec![0; 8];
+        for &(_, c) in &by_col {
+            col_ptr[c + 1] += 1;
+        }
+        for c in 1..8 {
+            col_ptr[c] += col_ptr[c - 1];
+        }
+        let values = (0..30).map(|i| if i == 3 { 0.0 } else { i as f64 + 0.5 });
+        let csc = CscMatrix::from_parts(
+            300,
+            7,
+            col_ptr,
+            by_col.iter().map(|e| e.0).collect(),
+            values.collect(),
+        )
+        .unwrap();
+        let mut arena = StreamArena::new();
+        let mut walk = |range: Range<usize>| {
+            let mut out: Vec<(usize, Vec<usize>, Vec<Value>)> = Vec::new();
+            csc.for_each_fiber_range_in(range, &mut arena, &mut |r, cs, vs| {
+                out.push((r, cs.to_vec(), vs.to_vec()))
+            });
+            out
+        };
+        let sorted = walk(0..300);
+        let counted: Vec<_> = (0..300)
+            .step_by(8)
+            .flat_map(|r0| walk(r0..r0 + 8))
+            .collect();
+        assert_eq!(sorted, counted);
+        assert_eq!(sorted.iter().map(|f| f.1.len()).sum::<usize>(), 30);
+    }
+
     /// Same contract for the tensor formats over linearized fiber keys.
     #[test]
     fn ranged_tensor_walks_concatenate_to_full_stream() {
