@@ -56,7 +56,8 @@ pub struct PipelineRun {
     /// The executed plan: format choice, tile schedule, predicted
     /// budget, and whether the evaluation came from the plan cache.
     pub plan: ExecutionPlan,
-    /// The full output matrix, stitched from the per-tile outputs.
+    /// The full output matrix; every tile accumulated its product into
+    /// its own columns.
     pub output: DenseMatrix,
     /// Conversion report for the streaming operand A (converted once, in
     /// the pipeline prologue).
