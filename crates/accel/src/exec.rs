@@ -33,9 +33,9 @@
 //! so a tiled run writes each tile straight into its job's output, with
 //! scratch ([`SimScratch`]) sized once for a run of tiles.
 //! [`simulate_ws`] and [`simulate_spgemm`] wrap them with an owned
-//! output. Tests validate the output against the software kernels, the
-//! cycle counts against the paper's Fig. 6 walkthrough, and everything
-//! bit for bit against the simulator as it was before the band form.
+//! output. Tests validate the output against a reference product and the
+//! software kernels, the cycle counts against the paper's Fig. 6
+//! walkthrough, and the band form bit for bit against the owned one.
 
 use crate::bus::BusPacking;
 use crate::config::AccelConfig;
@@ -45,9 +45,6 @@ use sparseflex_formats::{
 };
 use std::fmt;
 use std::ops::Range;
-
-#[cfg(test)]
-mod oracle;
 
 /// Errors a simulation can raise before running.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1643,31 +1640,38 @@ mod tests {
             };
             let a = operand(&mut g, m, k);
             let b = operand(&mut g, k, n);
+            let what = |sim: &str| format!("case {case}: {sim} {m}x{k}x{n} {cfg:?}");
             // A run computes the product, with one effective MAC per
             // product summed, or returns exactly the overflow B forces.
             let check = |sim: &str,
-                         got: Result<SimResult, SimError>,
+                         got: &Result<SimResult, SimError>,
                          (want, products): &(DenseMatrix, u64),
                          overflow: Option<SimError>,
                          tiles: usize| {
-                let what = || format!("case {case}: {sim} {m}x{k}x{n} {cfg:?}");
                 match (got, overflow) {
                     (Ok(r), None) => {
-                        assert!(same_product(&r.output, want), "{}", what());
+                        assert!(same_product(&r.output, want), "{}", what(sim));
                         assert_eq!(
                             (r.counts.effective_macs, r.n_tiles),
                             (*products, tiles),
                             "{}",
-                            what()
+                            what(sim)
                         );
                     }
-                    (got, overflow) => assert_eq!(got.err(), overflow, "{}", what()),
+                    (got, overflow) => {
+                        assert_eq!(got.as_ref().err(), overflow.as_ref(), "{}", what(sim))
+                    }
                 }
             };
             // WS skips every product with a zero factor; SpGEMM
-            // multiplies every stored pair.
+            // multiplies every stored pair. Each band run equals its owned
+            // run cycle for cycle and bit for bit, at a random stride and
+            // column offset whose cells outside the product keep a
+            // sentinel, with one scratch reused across every case.
             let ws = product(&a.csr, &b.csr, true);
             let ws_tiles = n.div_ceil(cfg.num_pes.max(1));
+            let col = g.below(3);
+            let stride = col + n + g.below(3);
             let a_csr = MatrixData::Csr(a.csr.clone());
             for (a_fmt, a) in [
                 ("Dense", &a.dense),
@@ -1676,61 +1680,23 @@ mod tests {
                 ("CSC", &a.csc),
             ] {
                 for (b_fmt, b) in [("Dense", &b.dense), ("CSC", &b.csc)] {
-                    check(
-                        &format!("{a_fmt}(A)-{b_fmt}(B)"),
-                        simulate_ws(a, b, &cfg),
-                        &ws,
-                        ws_overflow(b, &cfg),
-                        ws_tiles,
-                    );
-                }
-            }
-            check(
-                "SpGEMM",
-                simulate_spgemm(&a.csr, &b.csr, &cfg),
-                &product(&a.csr, &b.csr, false),
-                spgemm_overflow(&b.csr, &cfg),
-                1,
-            );
-
-            // Both forms equal the oracle cycle for cycle and bit for bit:
-            // the owned output, and a band at a random stride and column
-            // offset whose cells outside the product keep a sentinel.
-            let col = g.below(3);
-            let stride = col + n + g.below(3);
-            for (a_fmt, a) in [
-                ("Dense", &a.dense),
-                ("CSR", &a_csr),
-                ("COO", &a.coo),
-                ("CSC", &a.csc),
-            ] {
-                for (b_fmt, b) in [("Dense", &b.dense), ("CSC", &b.csc)] {
-                    let what = format!("case {case}: {a_fmt}(A)-{b_fmt}(B) {m}x{k}x{n} {cfg:?}");
-                    let want = oracle::simulate_ws(a, b, &cfg);
-                    assert_same_run(&simulate_ws(a, b, &cfg), &want, &what);
+                    let sim = format!("{a_fmt}(A)-{b_fmt}(B)");
+                    let owned = simulate_ws(a, b, &cfg);
+                    check(&sim, &owned, &ws, ws_overflow(b, &cfg), ws_tiles);
                     let mut data = band(m, n, stride, col);
-                    let got = simulate_ws_into(
-                        a,
-                        b,
-                        &cfg,
-                        &mut scratch,
-                        OutBand::new(&mut data, stride, col),
-                    );
-                    assert_same_band(got, &data, stride, col, &want, &what);
+                    let out = OutBand::new(&mut data, stride, col);
+                    let got = simulate_ws_into(a, b, &cfg, &mut scratch, out);
+                    assert_same_band(got, &data, stride, col, &owned, &what(&sim));
                 }
             }
-            let what = format!("case {case}: SpGEMM {m}x{k}x{n} {cfg:?}");
-            let want = oracle::simulate_spgemm(&a.csr, &b.csr, &cfg);
-            assert_same_run(&simulate_spgemm(&a.csr, &b.csr, &cfg), &want, &what);
+            let owned = simulate_spgemm(&a.csr, &b.csr, &cfg);
+            let ab = product(&a.csr, &b.csr, false);
+            check("SpGEMM", &owned, &ab, spgemm_overflow(&b.csr, &cfg), 1);
             let mut data = band(m, n, stride, col);
-            let got = simulate_spgemm_into(
-                &GustavsonA::new(&a.csr, &cfg),
-                &b.csr,
-                &cfg,
-                &mut scratch,
-                OutBand::new(&mut data, stride, col),
-            );
-            assert_same_band(got, &data, stride, col, &want, &what);
+            let out = OutBand::new(&mut data, stride, col);
+            let a_cols = GustavsonA::new(&a.csr, &cfg);
+            let got = simulate_spgemm_into(&a_cols, &b.csr, &cfg, &mut scratch, out);
+            assert_same_band(got, &data, stride, col, &owned, &what("SpGEMM"));
         }
     }
 
@@ -1751,28 +1717,8 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Two runs with the same error, or the same cycles, counts, tiles,
-    /// passes and output bits.
-    fn assert_same_run(
-        got: &Result<SimResult, SimError>,
-        want: &Result<SimResult, SimError>,
-        what: &str,
-    ) {
-        match (got, want) {
-            (Ok(g), Ok(w)) => {
-                assert_eq!(
-                    (g.cycles, g.counts, g.n_tiles, g.k_passes),
-                    (w.cycles, w.counts, w.n_tiles, w.k_passes),
-                    "{what}"
-                );
-                assert_eq!(bits(g.output.data()), bits(w.output.data()), "{what}");
-            }
-            _ => assert_eq!(got.as_ref().err(), want.as_ref().err(), "{what}"),
-        }
-    }
-
-    /// A band run equals the oracle's owned run: the same totals or
-    /// error, the product's bits in its cells and the sentinel elsewhere.
+    /// A band run equals the owned run: the same totals or error, the
+    /// product's bits in its cells and the sentinel elsewhere.
     fn assert_same_band(
         got: Result<SimStats, SimError>,
         data: &[Value],

@@ -90,9 +90,6 @@ impl AnalysisConfig {
                 ("crates/accel/src/exec.rs", "mac_lanes"),
                 ("crates/accel/src/exec.rs", "gustavson_pass"),
                 ("crates/accel/src/exec.rs", "next_row"),
-                // A chunk's band copied into the job's output, block by
-                // block.
-                ("crates/core/src/planner.rs", "copy_band"),
                 // The stationary tile's schedule, cut and conversion walks;
                 // their buffers are sized once per call or per tile, outside
                 // these bodies.

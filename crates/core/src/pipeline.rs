@@ -17,12 +17,16 @@
 //! [`RunError::StationaryTooLarge`]) is split until every stationary
 //! unit fits, so workloads a monolithic plan rejects run here.
 //!
-//! On top of the pipeline, [`FlexSystem::run_batch`] serves many
+//! One job's tiles run in schedule order on the thread that executes the
+//! job: as in the paper, one array streams a job's tiles, and the
+//! convert∥compute overlap is modeled in cycles. Parallelism is across
+//! jobs. On top of the pipeline, [`FlexSystem::run_batch`] serves many
 //! independent workloads across parallel *virtual accelerator instances*
-//! (one [`fan_out`] worker each), sharing the system's own
-//! [`Planner`](crate::planner::Planner) — and therefore its bounded plan
-//! cache — across jobs, threads **and successive batch calls**, so a
-//! long-lived service pays each workload shape's MCF×ACF search once.
+//! (one [`fan_out`] worker each, which runs its jobs' tiles itself),
+//! sharing the system's own [`Planner`](crate::planner::Planner) — and
+//! therefore its bounded plan cache — across jobs, threads **and
+//! successive batch calls**, so a long-lived service pays each workload
+//! shape's MCF×ACF search once.
 
 use crate::plan::ExecutionPlan;
 use crate::planner::PlanDiscipline;
@@ -242,7 +246,8 @@ impl FlexSystem {
     ///
     /// Jobs are partitioned into contiguous chunks, one
     /// [`fan_out`] worker per chunk (each simulates its own accelerator
-    /// instance); results come back in submission order. Repeated
+    /// instance and runs its jobs' tiles itself, so no job nests a
+    /// fan-out); results come back in submission order. Repeated
     /// workload shapes hit the bounded plan cache and skip the MCF×ACF
     /// search — **including shapes cached by earlier `run_batch` calls**
     /// on the same system, since the planner (and its cache) persists.

@@ -37,11 +37,9 @@ use sparseflex_accel::exec::{
     simulate_spgemm_into, simulate_ws_into, GustavsonA, OutBand, SimScratch, SimStats,
 };
 use sparseflex_formats::{
-    csr_cow, csr_cow_in, plan_column_schedule, tile_column_ranges, ArenaPool, ColumnSchedule,
-    CooMatrix, DenseMatrix, MatrixData, MatrixFormat, MatrixTile, SparseMatrix, StreamArena,
-    TilePolicy, Value,
+    csr_cow, csr_cow_in, plan_column_schedule, tile_column_ranges, ColumnSchedule, CooMatrix,
+    DenseMatrix, MatrixData, MatrixFormat, MatrixTile, SparseMatrix, StreamArena, TilePolicy,
 };
-use sparseflex_kernels::parallel::{fan_out, worker_count};
 use sparseflex_mint::tiled::{overlap_schedule, split_cycles};
 use sparseflex_mint::{conversion_cost, ConversionReport};
 use sparseflex_sage::eval::{ConversionMode, Evaluation};
@@ -395,13 +393,14 @@ pub struct Planner {
     /// per-lane coefficients that scale the predictions of later plans.
     /// Cached evaluations read no coefficient, so a refit keeps them.
     pub calibrator: Calibrator,
-    /// Grow-only per-worker arena pool for the tile executor: the first
-    /// pipelined run warms one arena per tile worker, later runs convert
-    /// and simulate their tiles without fresh traversal allocations. A
+    /// Grow-only arena pool for the tile executor, one arena per job
+    /// executing at once: a job pops one (or starts a fresh one), runs
+    /// every tile with it and pushes it back, so later runs convert and
+    /// simulate their tiles without fresh traversal allocations. A
     /// `Mutex` (not per-call arenas) because one planner is shared across
-    /// batch worker threads; lock hold times are the lease/restore pair,
+    /// batch worker threads; the lock is held for the pop and the push,
     /// never a whole execution.
-    tile_arenas: Mutex<ArenaPool>,
+    tile_arenas: Mutex<Vec<StreamArena>>,
 }
 
 impl Clone for Planner {
@@ -411,7 +410,7 @@ impl Clone for Planner {
         Planner {
             cache: self.cache.clone(),
             calibrator: self.calibrator.clone(),
-            tile_arenas: Mutex::new(ArenaPool::new()),
+            tile_arenas: Mutex::new(Vec::new()),
         }
     }
 }
@@ -634,102 +633,53 @@ impl Planner {
 }
 
 /// Convert each scheduled tile MCF→ACF and run it on the cycle-accurate
-/// simulator, with the tiles fanned out across workers, accumulating each
-/// tile's product straight into `output`.
+/// simulator, in schedule order on the calling thread, accumulating each
+/// tile's product straight into `output` at the tile's column offset.
 ///
-/// Tiles are chunked contiguously, one chunk per [`fan_out`] worker, and
-/// each chunk travels with one grow-only arena leased from the planner's
-/// pool: the first run warms each worker's buffers (traversal scratch and
-/// the recycled CSR triple), later runs convert without fresh
-/// allocations; the simulator's scratch is sized once per chunk. Tiles
-/// are independent (disjoint column ranges, shared read-only `A` and its
-/// Gustavson index), so results are identical to a sequential loop and
-/// come back in schedule order. The chunk on the calling thread writes
-/// `output` itself; every other chunk writes a band of its own columns,
-/// copied in afterwards. A single worker is simply one chunk. That is the
-/// case on a serve worker, where [`worker_count`] returns 1, so the job's
-/// own thread runs every tile with one leased arena and spawns nothing.
+/// One array streams a job's tiles, as in the paper (§V-B): MINT's
+/// convert∥compute overlap is modeled in cycles, not run on host threads.
+/// Jobs run in parallel as separate accelerator instances (`run_batch`'s
+/// workers and the serve workers), so the executor opens no fan-out of
+/// its own. The loop takes one grow-only arena from the planner's pool:
+/// the first run warms its buffers (traversal scratch and the recycled
+/// CSR triple), later runs convert without fresh allocations. The
+/// simulator's scratch is sized once per job, and the streaming operand's
+/// Gustavson index is built once and read by every tile.
 fn convert_and_execute_tiles(
     sage: &Sage,
     choice: &sparseflex_sage::FormatChoice,
     spgemm: bool,
     a_acf: &MatrixData,
     tiles_mem: &[MatrixTile],
-    pool: &Mutex<ArenaPool>,
+    arenas: &Mutex<Vec<StreamArena>>,
     output: &mut DenseMatrix,
 ) -> Result<Vec<(ConversionReport, SimStats)>, RunError> {
     let a_csr = if spgemm { Some(csr_cow(a_acf)) } else { None };
     let a_cols = a_csr.as_deref().map(|a| GustavsonA::new(a, &sage.accel));
-    let (m, n) = (output.rows(), output.cols());
-    let chunk = tiles_mem.len().div_ceil(worker_count(tiles_mem.len()));
-    let chunks: Vec<&[MatrixTile]> = tiles_mem.chunks(chunk.max(1)).collect();
-    let mut arenas = lock_clean(pool).lease(chunks.len());
-    // The first chunk runs on the calling thread: it takes the output.
-    let mut job_output = Some(output.data_mut());
-    let items: Vec<_> = chunks
-        .into_iter()
-        .zip(arenas.iter_mut())
-        .map(|(tiles, arena)| (tiles, arena, job_output.take()))
-        .collect();
-    let results = fan_out(items, |(tiles, arena, job_output)| {
-        let c0 = tiles.first().map_or(0, |t| t.col_start);
-        let span = tiles.last().map_or(0, |t| t.col_end) - c0;
-        let mut own = Vec::new();
-        let (data, stride, base) = match job_output {
-            Some(data) => (data, n, 0),
-            None => {
-                own = vec![0.0; m * span];
-                (own.as_mut_slice(), span, c0)
-            }
-        };
-        let mut scratch = SimScratch::default();
-        let executed = tiles
-            .iter()
-            .map(|tile| {
-                let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
-                let band = OutBand::new(data, stride, tile.col_start - base);
-                let sim = execute_tile(
-                    sage,
-                    arena,
-                    &mut scratch,
-                    a_acf,
-                    a_cols.as_ref(),
-                    &tile_acf,
-                    band,
-                )?;
-                Ok((conv, sim))
-            })
-            .collect::<Result<Vec<_>, RunError>>();
-        (executed, own, c0, span)
-    });
-    // Arenas go back to the pool before error propagation so a failed
-    // tile does not leak the warmed buffers.
-    lock_clean(pool).restore(arenas);
-    let mut out = Vec::with_capacity(tiles_mem.len());
-    for (executed, band, c0, span) in results {
-        out.extend(executed?);
-        copy_band(output, &band, c0, span);
-    }
-    Ok(out)
-}
-
-/// Copy a chunk's band, `span` values a row, into the output's columns
-/// from `c0`, touching only the 8-value blocks that hold a nonzero, so the
-/// output's pages a sparse product never reaches stay untouched. The
-/// output is +0.0 there, and a band never holds −0.0.
-fn copy_band(output: &mut DenseMatrix, band: &[Value], c0: usize, span: usize) {
-    if span == 0 {
-        return;
-    }
     let n = output.cols();
-    for (r, src) in band.chunks_exact(span).enumerate() {
-        let dst = &mut output.data_mut()[r * n + c0..r * n + c0 + span];
-        for (d, s) in dst.chunks_mut(8).zip(src.chunks(8)) {
-            if s.iter().any(|&v| v != 0.0) {
-                d.copy_from_slice(s);
-            }
-        }
-    }
+    let mut arena = lock_clean(arenas).pop().unwrap_or_default();
+    let mut scratch = SimScratch::default();
+    let executed = tiles_mem
+        .iter()
+        .map(|tile| {
+            let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
+            let band = OutBand::new(output.data_mut(), n, tile.col_start);
+            let sim = execute_tile(
+                sage,
+                &mut arena,
+                &mut scratch,
+                a_acf,
+                a_cols.as_ref(),
+                &tile_acf,
+                band,
+            )?;
+            Ok((conv, sim))
+        })
+        .collect();
+    // The arena goes back to the pool before error propagation so a failed
+    // tile does not drop the warmed buffers.
+    lock_clean(arenas).push(arena);
+    executed
 }
 
 /// Stats-model prediction: SAGE's whole-operand analytic totals scaled
@@ -1095,5 +1045,65 @@ mod tests {
         assert!(plan(Some(&best.choice)).from_cache);
         let c = planner.cache.counters();
         assert_eq!((c.hits, c.misses), (2, 2));
+    }
+
+    /// One job, one thread: `run_batch` across four workers gives every
+    /// job the output bits, tile traces and cycles of a one-worker `run`,
+    /// and leaves the planner's pool at most one arena per job that ran
+    /// at once.
+    #[test]
+    fn batched_jobs_match_one_worker_runs_and_pool_one_arena_each() {
+        use crate::pipeline::BatchJob;
+        use crate::system::FlexSystem;
+        use sparseflex_kernels::parallel::with_workers;
+        let mut sys = FlexSystem::default();
+        sys.sage.accel.num_pes = 4;
+        sys.sage.accel.pe_buffer_elems = 32;
+        // Dense-ish to hypersparse, so SAGE picks both dataflows.
+        let jobs: Vec<BatchJob> = [(24, 16, 40, 300, 400), (30, 40, 64, 60, 90)]
+            .iter()
+            .cycle()
+            .take(8)
+            .zip(0u64..)
+            .map(|(&(m, k, n, nnz_a, nnz_b), seed)| {
+                let a = random_matrix(m, k, nnz_a, seed);
+                let b = random_matrix(k, n, nnz_b, 100 + seed);
+                BatchJob::spgemm(a, b, DataType::Fp32)
+            })
+            .collect();
+        let batch = with_workers(4, || sys.run_batch(&jobs));
+        assert_eq!(batch.workers, 4);
+        let pooled = lock_clean(&sys.planner.tile_arenas).len();
+        assert!(pooled <= batch.workers, "{pooled} arenas pooled");
+
+        let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut dataflows = Vec::new();
+        for (job, batched) in jobs.iter().zip(&batch.results) {
+            let batched = batched.as_ref().unwrap();
+            let solo = with_workers(1, || {
+                sys.run(
+                    &job.a,
+                    &job.b,
+                    &job.workload,
+                    None,
+                    PlanDiscipline::Pipelined,
+                )
+            })
+            .unwrap();
+            assert_eq!(bits(&batched.output), bits(&solo.output));
+            assert_eq!(batched.tiles.len(), solo.tiles.len());
+            for (t, s) in batched.tiles.iter().zip(&solo.tiles) {
+                assert_eq!((t.col_start, t.col_end), (s.col_start, s.col_end));
+                assert_eq!(
+                    (&t.conv, t.compute, t.counts),
+                    (&s.conv, s.compute, s.counts)
+                );
+            }
+            assert_eq!(batched.schedule, solo.schedule);
+            assert!(batched.tiles.len() > 1, "every job runs several tiles");
+            dataflows.push(batched.plan.dataflow);
+        }
+        assert!(dataflows.contains(&Dataflow::GustavsonSpGemm));
+        assert!(dataflows.contains(&Dataflow::WeightStationary));
     }
 }

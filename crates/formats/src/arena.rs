@@ -115,58 +115,10 @@ impl StreamArena {
     }
 }
 
-/// A grow-only pool of [`StreamArena`]s for data-parallel stream fan-out.
-///
-/// A caller that fans the same kind of work out repeatedly — the
-/// planner's tile executor — gives each worker its own arena so every
-/// per-thread traversal keeps the zero-alloc steady state. The pool owns
-/// those arenas across calls: [`lease`](Self::lease) moves `n` warm arenas
-/// out (so they can cross a `Mutex` and travel with the workers'
-/// items) and [`restore`](Self::restore) takes them back. The first
-/// fan-out grows each arena to fit its share; every later one at the
-/// same (or lower) worker count allocates nothing.
-#[derive(Debug, Default)]
-pub struct ArenaPool {
-    arenas: Vec<StreamArena>,
-}
-
-impl ArenaPool {
-    /// A fresh pool holding no arenas (and no heap memory).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Move `n` arenas out of the pool (warmest first), topping up with
-    /// fresh ones if needed. Pair with [`restore`](Self::restore).
-    pub fn lease(&mut self, n: usize) -> Vec<StreamArena> {
-        if self.arenas.len() < n {
-            self.arenas.resize_with(n, StreamArena::new);
-        }
-        self.arenas.split_off(self.arenas.len() - n)
-    }
-
-    /// Return leased arenas (with whatever capacity they grew) to the
-    /// pool for the next caller.
-    pub fn restore(&mut self, arenas: Vec<StreamArena>) {
-        self.arenas.extend(arenas);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CsrMatrix;
-
-    #[test]
-    fn pool_lease_restore_round_trips_capacity() {
-        let mut pool = ArenaPool::new();
-        let mut leased = pool.lease(2);
-        leased[0].vals.reserve(64);
-        pool.restore(leased);
-        let again = pool.lease(2);
-        assert!(again.iter().any(|a| a.vals.capacity() >= 64));
-        pool.restore(again);
-    }
 
     #[test]
     fn fresh_arena_holds_no_heap_memory() {

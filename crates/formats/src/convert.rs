@@ -24,6 +24,7 @@ use crate::error::FormatError;
 use crate::rlc::RlcMatrix;
 use crate::tensor::DenseTensor3;
 use crate::traits::{SparseMatrix, SparseTensor3};
+use crate::traverse::scan;
 use crate::zvc::ZvcMatrix;
 use crate::Value;
 
@@ -46,16 +47,10 @@ pub(crate) fn bucket_by_column(
     for &c in col_ids {
         col_ptr[c + 1] += 1;
     }
-    // The running sum stays in a register instead of re-reading the slot
-    // just written.
-    let mut sum = 0;
-    for p in &mut col_ptr {
-        sum += *p;
-        *p = sum;
-    }
+    scan(&mut col_ptr);
     let mut next = col_ptr[..cols].to_vec();
-    let mut row_ids = vec![0usize; sum];
-    let mut values = vec![0.0; sum];
+    let mut row_ids = vec![0usize; col_ids.len()];
+    let mut values = vec![0.0; col_ids.len()];
     for (r, c, v) in entries {
         let slot = next[c];
         next[c] += 1;

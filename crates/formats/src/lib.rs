@@ -98,7 +98,7 @@ pub mod traits;
 pub mod traverse;
 pub mod zvc;
 
-pub use arena::{ArenaPool, StreamArena};
+pub use arena::StreamArena;
 pub use bsr::BsrMatrix;
 pub use bytes::{fnv1a, ByteError, ByteReader, ByteWriter};
 pub use coo::CooMatrix;

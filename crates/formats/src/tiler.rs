@@ -32,6 +32,7 @@ use crate::build::MatrixBuilder;
 use crate::error::FormatError;
 use crate::formats::MatrixData;
 use crate::traits::SparseMatrix;
+use crate::traverse::scan;
 use crate::Value;
 use std::borrow::Cow;
 
@@ -144,16 +145,6 @@ fn group_rows(pairs: &[(usize, usize)], col_ptr: &mut [usize], row_ids: &mut [us
         col_ptr[c] = col_ptr[c - 1];
     }
     col_ptr[0] = 0;
-}
-
-/// Inclusive scan of per-column counts held at `ptr[c + 1]`, the running
-/// sum in a register.
-fn scan(ptr: &mut [usize]) {
-    let mut sum = 0;
-    for p in ptr {
-        sum += *p;
-        *p = sum;
-    }
 }
 
 /// The column pointer of `data`'s stored entries: CSC's own, read in

@@ -121,6 +121,40 @@ pub fn split_by_prefix(prefix: &[usize], parts: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// Inclusive scan of a histogram held at `prefix[u + 1]`, in place, the
+/// running sum in a register: re-reading each slot just written would
+/// wait on the store. Row, column and fiber pointers are built with it.
+pub(crate) fn scan(prefix: &mut [usize]) {
+    let mut sum = 0;
+    for p in prefix {
+        sum += *p;
+        *p = sum;
+    }
+}
+
+/// The [`split_by_prefix`] weights of a ZVC mask cut into `units` runs of
+/// `width` positions (matrix rows, tensor fibers): `prefix[u]` is the set
+/// bits before position `u * width`. A running rank, so O(words + units):
+/// one popcount per mask word and one masked popcount per unit boundary.
+fn mask_prefix(mask: &[u64], units: usize, width: usize) -> Vec<usize> {
+    let mut prefix = Vec::with_capacity(units + 1);
+    // Set bits in `mask[..word]`.
+    let (mut word, mut before) = (0, 0);
+    for u in 0..=units {
+        let end = u * width;
+        while word < end / 64 {
+            before += mask[word].count_ones() as usize;
+            word += 1;
+        }
+        let partial = match end % 64 {
+            0 => 0,
+            bits => (mask[word] & ((1u64 << bits) - 1)).count_ones() as usize,
+        };
+        prefix.push(before + partial);
+    }
+    prefix
+}
+
 /// [`split_by_prefix`] for streams whose elements are stored sorted by
 /// unit key (COO's row ids, a tensor's `x*dim_y + y` fiber keys): instead
 /// of building a prefix array, boundary `p` is the key of element
@@ -455,13 +489,7 @@ impl RowMajorStream for CscMatrix {
                 row_ptr[r - lo + 1] += 1;
             }
         }
-        // The running sum stays in a register: re-reading each slot just
-        // written would wait on the store, and a tile is mostly rows.
-        let mut start = 0;
-        for p in row_ptr.iter_mut() {
-            start += *p;
-            *p = start;
-        }
+        scan(row_ptr);
         let band_nnz = row_ptr[band];
         coords.clear();
         coords.resize(band_nnz, 0);
@@ -492,11 +520,7 @@ impl RowMajorStream for CscMatrix {
         for &r in self.row_ids() {
             prefix[r + 1] += 1;
         }
-        let mut sum = 0;
-        for p in &mut prefix {
-            sum += *p;
-            *p = sum;
-        }
+        scan(&mut prefix);
         split_by_prefix(&prefix, parts)
     }
 }
@@ -622,9 +646,7 @@ impl RowMajorStream for BsrMatrix {
                 }
             }
         }
-        for r in 0..rows {
-            prefix[r + 1] += prefix[r];
-        }
+        scan(&mut prefix);
         split_by_prefix(&prefix, parts)
     }
 }
@@ -820,9 +842,7 @@ impl RowMajorStream for RlcMatrix {
                 prefix[r + 1] += 1;
             }
         }
-        for r in 0..rows {
-            prefix[r + 1] += prefix[r];
-        }
+        scan(&mut prefix);
         split_by_prefix(&prefix, parts)
     }
 }
@@ -872,16 +892,9 @@ impl RowMajorStream for ZvcMatrix {
         }
     }
 
-    /// Histogram of set mask bits per row — pure index work.
+    /// Set mask bits per row, a mask word at a time — pure index work.
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let (rows, cols_n) = (self.rows(), self.cols());
-        let mut prefix = Vec::with_capacity(rows + 1);
-        prefix.push(0usize);
-        for r in 0..rows {
-            let nz = (0..cols_n).filter(|&c| self.bit(r * cols_n + c)).count();
-            prefix.push(prefix[r] + nz);
-        }
-        split_by_prefix(&prefix, parts)
+        split_by_prefix(&mask_prefix(self.mask(), self.rows(), self.cols()), parts)
     }
 }
 
@@ -1209,9 +1222,7 @@ impl FiberStream3 for RlcTensor3 {
                 prefix[key + 1] += 1;
             }
         }
-        for k in 0..keys {
-            prefix[k + 1] += prefix[k];
-        }
+        scan(&mut prefix);
         split_by_prefix(&prefix, parts)
     }
 }
@@ -1252,17 +1263,10 @@ impl FiberStream3 for ZvcTensor3 {
         }
     }
 
-    /// Mask scan: per-key popcount into a prefix array.
+    /// Set mask bits per fiber key, a mask word at a time.
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        let keys = dx * dy;
-        let mut prefix = vec![0usize; keys + 1];
-        for key in 0..keys {
-            let base = key * dz;
-            let nnz = (0..dz).filter(|&z| self.bit(base + z)).count();
-            prefix[key + 1] = prefix[key] + nnz;
-        }
-        split_by_prefix(&prefix, parts)
+        let keys = self.dim_x() * self.dim_y();
+        split_by_prefix(&mask_prefix(self.mask(), keys, self.dim_z()), parts)
     }
 }
 
@@ -1645,6 +1649,73 @@ mod tests {
         }
         assert!(split_by_prefix(&[0], 4).is_empty(), "zero units");
         assert_eq!(split_by_prefix(&[0, 0, 0], 4), vec![0..2], "zero weight");
+    }
+
+    /// The weight prefix of units holding the given entries, one unit id
+    /// per entry: the reference the ZVC partitions must match.
+    fn counted_prefix(units: usize, entries: impl Iterator<Item = usize>) -> Vec<usize> {
+        let mut counts = vec![0; units];
+        for u in entries {
+            counts[u] += 1;
+        }
+        let running = counts.iter().scan(0, |sum, &c| {
+            *sum += c;
+            Some(*sum)
+        });
+        std::iter::once(0).chain(running).collect()
+    }
+
+    /// ZVC's word-at-a-time partitions weigh each row (or fiber) by the
+    /// entries `to_coo()` finds there, at widths on both sides of a mask
+    /// word, with an empty and a full row.
+    #[test]
+    fn zvc_partitions_weigh_each_row_by_its_set_bits() {
+        // Unit 0 empty, unit 1 full, the rest a scattered fill.
+        let stored = |u: usize, c: usize| u == 1 || (u > 1 && (u * 31 + c * 17) % 7 < 3);
+        for width in [0, 1, 63, 64, 65, 130] {
+            let rows = 6;
+            let triplets = (0..rows).flat_map(|r| {
+                (0..width)
+                    .filter(move |&c| stored(r, c))
+                    .map(move |c| (r, c, 1.0 + c as Value))
+            });
+            let zvc = ZvcMatrix::from_coo(
+                &CooMatrix::from_triplets(rows, width, triplets.collect()).unwrap(),
+            );
+            let prefix = counted_prefix(rows, zvc.to_coo().iter().map(|(r, _, _)| r));
+            assert_eq!(
+                mask_prefix(zvc.mask(), rows, width),
+                prefix,
+                "width {width}"
+            );
+            for parts in 1..=7 {
+                let want = split_by_prefix(&prefix, parts);
+                assert_eq!(
+                    zvc.row_partition(parts),
+                    want,
+                    "width {width}, {parts} parts"
+                );
+            }
+
+            let (dx, dy) = (2, 3);
+            let quads = (0..dx * dy).flat_map(|key| {
+                (0..width)
+                    .filter(move |&z| stored(key, z))
+                    .map(move |z| (key / dy, key % dy, z, 1.0 + z as Value))
+            });
+            let zvc = ZvcTensor3::from_coo(
+                &CooTensor3::from_quads(dx, dy, width, quads.collect()).unwrap(),
+            );
+            let prefix = counted_prefix(dx * dy, zvc.to_coo().iter().map(|(x, y, ..)| x * dy + y));
+            for parts in 1..=7 {
+                let want = split_by_prefix(&prefix, parts);
+                assert_eq!(
+                    zvc.fiber_partition(parts),
+                    want,
+                    "depth {width}, {parts} parts"
+                );
+            }
+        }
     }
 
     #[test]

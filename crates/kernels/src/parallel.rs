@@ -2,27 +2,21 @@
 //! work that joins before it returns, [`spawn_worker`] for persistent
 //! threads.
 //!
-//! Every parallel kernel, `gemm_parallel`, `FlexSystem::run_batch` and the
-//! planner's tile executor partition their work into independent items —
-//! typically a range of output rows zipped with the disjoint output band
-//! [`split_at_ranges`] cuts for it — and hand the items to [`fan_out`].
+//! Every parallel kernel, `gemm_parallel` and `FlexSystem::run_batch`
+//! partition their work into independent items — typically a range of
+//! output rows zipped with the disjoint output band [`split_at_ranges`]
+//! cuts for it — and hand the items to [`fan_out`]. The planner's tile
+//! executor is not among them: a job's tiles run in order on the thread
+//! that executes the job, so jobs, not tiles, are what runs in parallel.
 //! No synchronization beyond the final join is needed, and because each
 //! item runs the same body the sequential entry point runs once over the
 //! whole extent, results are bit-identical to the sequential variants.
 //!
 //! Each thread [`spawn_worker`] starts runs inside a one-worker
 //! [`with_workers`] scope, so a parallel path called there sees
-//! [`worker_count`] return 1, takes its one-range path and never spawns:
-//! a serve worker converts and simulates its job's tiles itself, in
-//! schedule order. The cost is that a lightly loaded service no longer
-//! spreads one job's tiles across idle cores. What that does to tail
-//! latency is unresolved: on a 2-vCPU host, sfbench serve_hot's
-//! open-loop p99 median went from 1.87 to 3.64 ms over one set of 10
-//! seeds and from 1.26 to 0.62 ms over another, and single runs of
-//! either commit spread from 0.4 to 61 ms. Handing a worker's tiles to
-//! an idle sibling needs a persistent pool, and a long-lived thread
-//! cannot run [`fan_out`]'s borrowed items without `unsafe`, which every
-//! crate forbids.
+//! [`worker_count`] return 1, takes its one-range path and never spawns.
+//! A long-lived thread cannot run [`fan_out`]'s borrowed items without
+//! `unsafe`, which every crate forbids, so there is no persistent pool.
 
 use std::cell::Cell;
 use std::ops::Range;

@@ -21,9 +21,10 @@
 //! queues, executes the first job, and parks the rest in its deque; idle
 //! workers **steal** from the back of siblings' deques before sleeping,
 //! so one worker's burst spreads across the pool. Workers start through
-//! [`spawn_worker`], so a worker converts and simulates its job's tiles
-//! itself, in schedule order, and never spawns a thread per job; jobs,
-//! not tiles, are what spread across cores.
+//! [`spawn_worker`] and never spawn a thread per job: a worker converts
+//! and simulates its job's tiles itself, in schedule order, as every
+//! caller of `execute_plan` does; jobs, not tiles, are what spread across
+//! cores.
 //!
 //! The pool shares one planner whose [`PlanCache`] is sharded by key
 //! hash ([`PlanCache::with_shards`]), so concurrent workers planning

@@ -501,7 +501,7 @@ pub fn decode_job(bytes: &[u8]) -> Result<WireJob, WireError> {
 pub struct WireResult {
     /// Service-assigned job id (unique per service instance).
     pub job_id: u64,
-    /// The SpGEMM output, stitched from the per-tile outputs.
+    /// The SpGEMM output, every tile's product accumulated in its columns.
     pub output: DenseMatrix,
 }
 
