@@ -14,19 +14,21 @@
 //!   implementations draw scratch from the arena and are exercised by
 //!   the dynamic gate);
 //! - the whole of `kernels::lanes` (the shared vectorized inner loops);
-//! - the body of `spgemm::rowwise_row` (the k-way merge replaying
-//!   Gustavson's addition order from caller-owned buffers);
+//! - the bodies of `spgemm::{gustavson_row, rowwise_row}` (the bitmap
+//!   accumulator and the k-way merge replaying its addition order, both
+//!   on caller-owned buffers);
 //! - the per-format size and conversion-cost formulas
 //!   (`size_model::{matrix_charge, tensor_storage_bits}`,
 //!   `mint::cost::{conversion_cost, tensor_conversion_cost}`), which
 //!   SAGE calls for every candidate it prices;
 //! - the per-pass, per-beat and per-MAC loops of the cycle simulators
-//!   (`accel::exec`), which run once per stationary tile, and the copy
-//!   of a tile chunk's output band into its job's output
-//!   (`core::planner`);
+//!   (`accel::exec`), which run once per stationary tile;
 //! - the per-element loops of the stationary operand's schedule, cut and
 //!   conversion walks (`formats::{tiler, build}` and CSC's column
-//!   slice), which run over every stored entry of every tile.
+//!   slice), which run over every stored entry of every tile;
+//! - the per-entry loops inside the format walks that draw their scratch
+//!   from the arena: ZVC's set-bit decoder (`zvc::for_each_set_bit`) and
+//!   HiCOO's radix sort (`traverse::radix_order`).
 //!
 //! Deliberate warm-up allocation can be waived per line with
 //! `// sflint::allow(alloc-in-hot-path)`.

@@ -70,7 +70,12 @@ impl AnalysisConfig {
         AnalysisConfig {
             hot_files: vec!["crates/kernels/src/lanes.rs".into()],
             hot_fns: [
+                ("crates/kernels/src/spgemm.rs", "gustavson_row"),
                 ("crates/kernels/src/spgemm.rs", "rowwise_row"),
+                // The shared ZVC set-bit decoder and HiCOO's radix sort,
+                // which run over every stored entry of a walk.
+                ("crates/formats/src/zvc.rs", "for_each_set_bit"),
+                ("crates/formats/src/traverse.rs", "radix_order"),
                 ("crates/formats/src/size_model.rs", "matrix_charge"),
                 ("crates/formats/src/size_model.rs", "tensor_storage_bits"),
                 ("crates/mint/src/cost.rs", "conversion_cost"),

@@ -9,7 +9,7 @@
 //!
 //! | lint | rule |
 //! |---|---|
-//! | `alloc-in-hot-path` | no allocation tokens inside fiber-traversal call bodies, `kernels::lanes`, `spgemm::rowwise_row`, the size and conversion-cost formulas SAGE prices every candidate with, or the cycle simulators' per-pass and per-beat loops |
+//! | `alloc-in-hot-path` | no allocation tokens inside fiber-traversal call bodies, `kernels::lanes`, `spgemm::{gustavson_row, rowwise_row}`, the size and conversion-cost formulas SAGE prices every candidate with, the cycle simulators' per-pass and per-beat loops, or the per-entry loops of the format walks (ZVC's set-bit decoder, HiCOO's radix sort) |
 //! | `lock-order-cycle` | the Mutex-acquisition graph must stay acyclic (deadlock freedom) |
 //!
 //! The type-aware rules live in clippy instead, configured in the

@@ -1,8 +1,8 @@
 //! Grow-only scratch arena for the fiber-stream traversals.
 //!
 //! The streaming traversals in [`crate::traverse`] assemble fibers for
-//! padded or transposed layouts (CSC, BSR, ELL, DIA, RLC, Dense, HiCOO)
-//! in scratch buffers. Before the arena, every `for_each_fiber` call
+//! padded, transposed or block-clustered layouts (CSC, BSR, ELL, DIA,
+//! RLC, ZVC, Dense, HiCOO) in scratch buffers. Before the arena, every `for_each_fiber` call
 //! built fresh `Vec`s, so a consumer that streams the same operand
 //! repeatedly — the tile loop in `sparseflex-core`'s pipeline, a batch
 //! worker, a kernel bench — paid heap allocations on every pass.
@@ -50,21 +50,23 @@ use crate::Value;
 #[derive(Debug, Default)]
 pub struct StreamArena {
     /// Primary coordinate scratch: the column ids (matrices) or z ids
-    /// (tensors) of the fiber being assembled.
+    /// (tensors) of the fiber being assembled, and HiCOO's radix-sort
+    /// ping-pong buffer before its walk emits.
     pub coords: Vec<usize>,
     /// Values parallel to [`coords`](Self::coords).
     pub vals: Vec<Value>,
     /// Secondary index scratch (the CSC/column-major transpose's row
-    /// pointer array).
+    /// pointer array; HiCOO's staged fiber keys).
     pub idx_a: Vec<usize>,
-    /// Tertiary index scratch (the transpose's next-free-slot cursors).
+    /// Tertiary index scratch (the transpose's next-free-slot cursors;
+    /// HiCOO's radix-sorted entry order).
     pub idx_b: Vec<usize>,
     /// `(coord, value)` pairs for traversals that must re-sort a fiber
-    /// (ELL rows with unsorted slots).
+    /// (ELL rows with unsorted slots) or stage entries for a sort
+    /// (HiCOO's `(z, value)`s).
     pub pairs: Vec<(usize, Value)>,
-    /// `(x, y, z, value)` quads for traversals that must re-sort the
-    /// whole operand: block-clustered tensors (HiCOO) and tall, sparse
-    /// CSC bands (as `(row, col, 0, value)`).
+    /// `(row, col, 0, value)` quads for tall, sparse CSC bands, whose
+    /// walk sorts the band's entries by `(row, col)`.
     pub quads: Vec<(usize, usize, usize, Value)>,
     // Recycled csr_from_stream_in output capacity (private: only the
     // take/recycle pair below may touch these, keeping the invariant

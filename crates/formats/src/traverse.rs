@@ -34,9 +34,9 @@
 //! build a fresh (heap-free) arena per call, so one-shot callers pay
 //! nothing for the arena they do not reuse. Hot loops — the tile pipeline,
 //! kernel workers, benches — thread one arena through every traversal so
-//! scratch-hungry formats (CSC's counting-sort transpose, HiCOO's re-sort,
-//! ELL/DIA/BSR fiber assembly) reach a zero-allocation steady state. See
-//! [`crate::arena`] for the buffer-ownership rules.
+//! scratch-hungry formats (CSC's counting-sort transpose, HiCOO's fiber-key
+//! radix sort, ELL/DIA/BSR fiber assembly) reach a zero-allocation steady
+//! state. See [`crate::arena`] for the buffer-ownership rules.
 //!
 //! # Ordering contract
 //!
@@ -79,7 +79,7 @@ use crate::hicoo::HiCooTensor;
 use crate::rlc::{RlcMatrix, RlcTensor3};
 use crate::tensor::{CooTensor3, DenseTensor3};
 use crate::traits::{SparseMatrix, SparseTensor3};
-use crate::zvc::{ZvcMatrix, ZvcTensor3};
+use crate::zvc::{for_each_set_bit, ZvcMatrix, ZvcTensor3};
 use crate::Value;
 use std::ops::Range;
 
@@ -186,6 +186,37 @@ pub fn split_by_sorted_keys(
         out.push(start..key_end);
     }
     out
+}
+
+/// Stable LSD radix sort: fills `order` with `0..keys.len()` ordered by
+/// `keys[i]`, equal keys in index order, one byte of the key per pass,
+/// through `scratch`. Passes stop at the largest key's top byte, so time
+/// is O(entries) per byte of the key span and scratch is O(entries) at
+/// any span — where a counting sort would take O(span) scratch.
+fn radix_order(keys: &[usize], order: &mut Vec<usize>, scratch: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..keys.len());
+    let max = keys.iter().copied().max().unwrap_or(0);
+    let mut shift = 0;
+    while shift < usize::BITS && max >> shift != 0 {
+        let mut starts = [0usize; 256];
+        for &i in order.iter() {
+            starts[keys[i] >> shift & 0xff] += 1;
+        }
+        let mut sum = 0;
+        for start in &mut starts {
+            (*start, sum) = (sum, sum + *start);
+        }
+        scratch.clear();
+        scratch.resize(order.len(), 0);
+        for &i in order.iter() {
+            let digit = keys[i] >> shift & 0xff;
+            scratch[starts[digit]] = i;
+            starts[digit] += 1;
+        }
+        std::mem::swap(order, scratch);
+        shift += 8;
+    }
 }
 
 /// First index in `0..n` for which `below` turns false (standard binary
@@ -869,22 +900,8 @@ impl RowMajorStream for ZvcMatrix {
         for r in lo..hi {
             coords.clear();
             let start = vi;
-            let row_start = r * cols_n;
-            let row_end = row_start + cols_n;
-            let mut pos = row_start;
-            while pos < row_end {
-                // The row's bits in this mask word, from `pos` on.
-                let span = (64 - pos % 64).min(row_end - pos);
-                let mut word = self.mask()[pos / 64] >> (pos % 64);
-                if span < 64 {
-                    word &= (1u64 << span) - 1;
-                }
-                while word != 0 {
-                    coords.push(pos - row_start + word.trailing_zeros() as usize);
-                    word &= word - 1;
-                }
-                pos += span;
-            }
+            let base = r * cols_n;
+            for_each_set_bit(self.mask(), base..base + cols_n, |c| coords.push(c));
             vi += coords.len();
             if !coords.is_empty() {
                 emit(r, coords, &self.values()[start..vi]);
@@ -1091,14 +1108,38 @@ impl FiberStream3 for DenseTensor3 {
     }
 }
 
+/// Calls `f(key, z, value)` for every stored HiCOO entry whose fiber key
+/// `x * dim_y + y` falls in `keys`, in storage order. Blocks ascend by
+/// `bx`, so two `partition_point`s find the block rows the keys' x span
+/// touches and no other block is visited.
+fn hicoo_entries(h: &HiCooTensor, keys: Range<usize>, mut f: impl FnMut(usize, usize, Value)) {
+    let (dy, b) = (h.dim_y(), h.block());
+    if keys.is_empty() {
+        return;
+    }
+    let bx = h.bx();
+    let first = bx.partition_point(|&x| x < keys.start / dy / b);
+    let last = bx.partition_point(|&x| x <= (keys.end - 1) / dy / b);
+    for (blk, &block_x) in bx.iter().enumerate().take(last).skip(first) {
+        let (x0, y0, z0) = (block_x * b, h.by()[blk] * b, h.bz()[blk] * b);
+        for i in h.bptr()[blk]..h.bptr()[blk + 1] {
+            let key = (x0 + h.ex()[i] as usize) * dy + y0 + h.ey()[i] as usize;
+            if keys.contains(&key) {
+                f(key, z0 + h.ez()[i] as usize, h.values()[i]);
+            }
+        }
+    }
+}
+
 impl FiberStream3 for HiCooTensor {
-    /// Arena sort: HiCOO clusters nonzeros by spatial block, so one
-    /// `(x, y)` fiber may be split across blocks; the walk decodes the
-    /// block-relative coordinates into the arena's `quads` and re-sorts
-    /// them x-major once (O(nnz log nnz)) before emitting fibers.
-    ///
-    /// Block filter: only quads whose fiber key falls in `range` enter the
-    /// arena sort, so each worker sorts just its share of the nonzeros.
+    /// Block-row seek and radix sort: HiCOO clusters nonzeros by spatial
+    /// block, so one `(x, y)` fiber may be split across blocks. The walk
+    /// stages the range's entries (`hicoo_entries`) in the arena and
+    /// orders them by fiber key with one stable radix sort
+    /// (`radix_order`). A fiber's entries are staged in storage order,
+    /// which is ascending z (its blocks ascend by `bz`, a block's entries
+    /// by `ez`), so stability keeps each fiber's z ids ascending. Time and
+    /// scratch are O(entries) per byte of the range's key span.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -1106,42 +1147,47 @@ impl FiberStream3 for HiCooTensor {
         emit: &mut FiberSink3<'_>,
     ) {
         let dy = self.dim_y();
+        let (lo, hi) = (range.start, range.end.min(self.dim_x() * dy));
         let StreamArena {
             coords: zs,
             vals,
-            quads,
+            idx_a: keys,
+            idx_b: order,
+            pairs: staged,
             ..
         } = arena;
-        quads.clear();
-        quads.extend(self.iter().filter(|&(x, y, _, _)| {
-            let key = x * dy + y;
-            key >= range.start && key < range.end
-        }));
-        quads.sort_unstable_by_key(|&(x, y, z, _)| (x, y, z));
+        keys.clear();
+        staged.clear();
+        hicoo_entries(self, lo..hi, |key, z, v| {
+            keys.push(key - lo);
+            staged.push((z, v));
+        });
+        radix_order(keys, order, zs);
         let mut s = 0;
-        while s < quads.len() {
-            let (x, y) = (quads[s].0, quads[s].1);
+        while s < order.len() {
+            let key = keys[order[s]];
             zs.clear();
             vals.clear();
-            let mut e = s;
-            while e < quads.len() && quads[e].0 == x && quads[e].1 == y {
-                zs.push(quads[e].2);
-                vals.push(quads[e].3);
-                e += 1;
+            while s < order.len() && keys[order[s]] == key {
+                let (z, v) = staged[order[s]];
+                zs.push(z);
+                vals.push(v);
+                s += 1;
             }
-            emit(x, y, zs, vals);
-            s = e;
+            emit((lo + key) / dy, (lo + key) % dy, zs, vals);
         }
     }
 
-    /// Block scan: decode every quad's fiber key once, sort the keys, and
-    /// quantile-split — the per-block clustering means no single structure
-    /// pass yields sorted keys for free.
+    /// Block scan: decode every entry's fiber key once, radix-sort the
+    /// keys, and quantile-split — the per-block clustering means no single
+    /// structure pass yields sorted keys for free.
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let dy = self.dim_y();
-        let mut keys: Vec<usize> = self.iter().map(|(x, y, _, _)| x * dy + y).collect();
-        keys.sort_unstable();
-        split_by_sorted_keys(keys.len(), self.dim_x() * dy, parts, &|i| keys[i])
+        let key_end = self.dim_x() * self.dim_y();
+        let mut keys = Vec::with_capacity(self.nnz());
+        hicoo_entries(self, 0..key_end, |key, _, _| keys.push(key));
+        let (mut order, mut scratch) = (Vec::new(), Vec::new());
+        radix_order(&keys, &mut order, &mut scratch);
+        split_by_sorted_keys(keys.len(), key_end, parts, &|i| keys[order[i]])
     }
 }
 
@@ -1234,7 +1280,8 @@ impl FiberStream3 for ZvcTensor3 {
     ///
     /// Bitmask rank seek: the packed-value cursor for the first in-range
     /// fiber is `rank(range.start * dz)` (a popcount over the mask prefix);
-    /// from there the walk is the usual bit decode.
+    /// from there each fiber decodes its set bits a mask word at a time,
+    /// as the matrix walk decodes a row.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -1247,18 +1294,13 @@ impl FiberStream3 for ZvcTensor3 {
         let zs = &mut arena.coords;
         let mut vi = self.rank(lo * dz);
         for key in lo..hi {
-            let (x, y) = (key / dy, key % dy);
             let base = key * dz;
             zs.clear();
-            let start = vi;
-            for z in 0..dz {
-                if self.bit(base + z) {
-                    zs.push(z);
-                    vi += 1;
-                }
-            }
+            for_each_set_bit(self.mask(), base..base + dz, |z| zs.push(z));
             if !zs.is_empty() {
-                emit(x, y, zs, &self.values()[start..vi]);
+                let start = vi;
+                vi += zs.len();
+                emit(key / dy, key % dy, zs, &self.values()[start..vi]);
             }
         }
     }
@@ -1666,8 +1708,9 @@ mod tests {
     }
 
     /// ZVC's word-at-a-time partitions weigh each row (or fiber) by the
-    /// entries `to_coo()` finds there, at widths on both sides of a mask
-    /// word, with an empty and a full row.
+    /// entries `to_coo()` finds there, and its word-at-a-time walks and
+    /// `to_coo()` decode exactly the stored entries, at widths on both
+    /// sides of a mask word, with an empty and a full row (fiber).
     #[test]
     fn zvc_partitions_weigh_each_row_by_its_set_bits() {
         // Unit 0 empty, unit 1 full, the rest a scattered fill.
@@ -1679,9 +1722,17 @@ mod tests {
                     .filter(move |&c| stored(r, c))
                     .map(move |c| (r, c, 1.0 + c as Value))
             });
-            let zvc = ZvcMatrix::from_coo(
-                &CooMatrix::from_triplets(rows, width, triplets.collect()).unwrap(),
-            );
+            let coo = CooMatrix::from_triplets(rows, width, triplets.collect()).unwrap();
+            let zvc = ZvcMatrix::from_coo(&coo);
+            assert_eq!(zvc.to_coo(), coo, "width {width}");
+            let mut want: Vec<(usize, Vec<usize>, Vec<Value>)> = Vec::new();
+            coo.for_each_fiber(&mut |r, cs, vs| want.push((r, cs.to_vec(), vs.to_vec())));
+            let mut got: Vec<(usize, Vec<usize>, Vec<Value>)> = Vec::new();
+            zvc.for_each_fiber(&mut |r, cs, vs| got.push((r, cs.to_vec(), vs.to_vec())));
+            assert_eq!(got, want, "width {width}");
+            if width > 0 {
+                assert_eq!((want[0].0, want[0].1.len()), (1, width), "row 1 is full");
+            }
             let prefix = counted_prefix(rows, zvc.to_coo().iter().map(|(r, _, _)| r));
             assert_eq!(
                 mask_prefix(zvc.mask(), rows, width),
@@ -1703,9 +1754,18 @@ mod tests {
                     .filter(move |&z| stored(key, z))
                     .map(move |z| (key / dy, key % dy, z, 1.0 + z as Value))
             });
-            let zvc = ZvcTensor3::from_coo(
-                &CooTensor3::from_quads(dx, dy, width, quads.collect()).unwrap(),
-            );
+            let coo = CooTensor3::from_quads(dx, dy, width, quads.collect()).unwrap();
+            let zvc = ZvcTensor3::from_coo(&coo);
+            assert_eq!(zvc.to_coo(), coo, "depth {width}");
+            let mut want: Vec<(usize, usize, Vec<usize>, Vec<Value>)> = Vec::new();
+            coo.for_each_fiber(&mut |x, y, zs, vs| want.push((x, y, zs.to_vec(), vs.to_vec())));
+            let mut got: Vec<(usize, usize, Vec<usize>, Vec<Value>)> = Vec::new();
+            zvc.for_each_fiber(&mut |x, y, zs, vs| got.push((x, y, zs.to_vec(), vs.to_vec())));
+            assert_eq!(got, want, "depth {width}");
+            if width > 0 {
+                let first = (want[0].0, want[0].1, want[0].2.len());
+                assert_eq!(first, (0, 1, width), "fiber (0, 1) is full");
+            }
             let prefix = counted_prefix(dx * dy, zvc.to_coo().iter().map(|(x, y, ..)| x * dy + y));
             for parts in 1..=7 {
                 let want = split_by_prefix(&prefix, parts);
@@ -1716,6 +1776,87 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A small tensor with uneven dims, fibers split across z-blocks and
+    /// block rows, and a value per coordinate.
+    fn block_straddling_tensor(dx: usize, dy: usize, dz: usize) -> CooTensor3 {
+        let quads = (0..dx * dy * dz)
+            .filter(|&p| (p * 37 + p / 5) % 11 < 4)
+            .map(|p| (p / (dy * dz), p / dz % dy, p % dz, p as Value + 0.5));
+        CooTensor3::from_quads(dx, dy, dz, quads.collect()).unwrap()
+    }
+
+    /// HiCOO's ranged walk equals the COO tensor's on every range of
+    /// small tensors whose dims are not multiples of the block, at blocks
+    /// of 1, 2 and 4 (so ranges split block rows), and its partition
+    /// equals the quantile split of the COO tensor's sorted fiber keys.
+    #[test]
+    fn hicoo_ranged_walks_and_partitions_match_coo() {
+        type Fibers = Vec<(usize, usize, Vec<usize>, Vec<Value>)>;
+        let walk = |t: &dyn FiberStream3, range: Range<usize>, arena: &mut StreamArena| {
+            let mut out: Fibers = Vec::new();
+            t.for_each_fiber_range_in(range, arena, &mut |x, y, zs, vs| {
+                out.push((x, y, zs.to_vec(), vs.to_vec()))
+            });
+            out
+        };
+        for (dx, dy, dz) in [(5, 7, 6), (3, 5, 9), (9, 2, 3)] {
+            let coo = block_straddling_tensor(dx, dy, dz);
+            let keys = dx * dy;
+            for block in [1, 2, 4] {
+                let hicoo = HiCooTensor::from_coo(&coo, block).unwrap();
+                let mut arena = StreamArena::new();
+                for lo in 0..=keys {
+                    for hi in lo..=keys + 1 {
+                        assert_eq!(
+                            walk(&hicoo, lo..hi, &mut arena),
+                            walk(&coo, lo..hi, &mut arena),
+                            "{dx}x{dy}x{dz}, block {block}, range {lo}..{hi}"
+                        );
+                    }
+                }
+                let (xs, ys) = (coo.x_ids(), coo.y_ids());
+                for parts in 1..=7 {
+                    let want =
+                        split_by_sorted_keys(coo.nnz(), keys, parts, &|i| xs[i] * dy + ys[i]);
+                    assert_eq!(
+                        hicoo.fiber_partition(parts),
+                        want,
+                        "block {block}, {parts} parts"
+                    );
+                }
+            }
+        }
+    }
+
+    /// On a hypersparse tensor (fiber keys outnumber its entries by over
+    /// 10⁶), HiCOO's walk takes arena scratch in proportion to the
+    /// entries, not to the key span.
+    #[test]
+    fn hypersparse_hicoo_walk_scratch_follows_its_entries() {
+        let (dx, dy, dz) = (2_000, 1_000, 4);
+        let quads = (0..50).map(|i| ((i * 397) % dx, (i * 611) % dy, i % dz, 1.0 + i as Value));
+        let coo = CooTensor3::from_quads(dx, dy, dz, quads.collect()).unwrap();
+        assert!(dx * dy >= coo.nnz() + 1_000_000);
+        let hicoo = HiCooTensor::from_coo(&coo, 2).unwrap();
+        let mut arena = StreamArena::new();
+        let mut fibers = Vec::new();
+        hicoo.for_each_fiber_in(&mut arena, &mut |x, y, zs, _| {
+            fibers.push((x, y, zs.to_vec()))
+        });
+        let mut want = Vec::new();
+        coo.for_each_fiber(&mut |x, y, zs, _| want.push((x, y, zs.to_vec())));
+        assert_eq!(fibers, want);
+        let caps = [
+            arena.coords.capacity(),
+            arena.vals.capacity(),
+            arena.idx_a.capacity(),
+            arena.idx_b.capacity(),
+            arena.pairs.capacity(),
+            arena.quads.capacity(),
+        ];
+        assert!(caps.iter().all(|&c| c <= 4 * coo.nnz()), "{caps:?}");
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::error::FormatError;
 use crate::tensor::CooTensor3;
 use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::Value;
+use std::ops::Range;
 
 /// Zero-value compressed matrix (Fig. 3a, "Zero-value Compression (ZVC)").
 ///
@@ -57,6 +58,29 @@ impl MaskEncoder {
     /// The mask and the packed values.
     pub(crate) fn finish(self) -> (Vec<u64>, Vec<Value>) {
         (self.mask, self.values)
+    }
+}
+
+/// The one ZVC decoder, the [`MaskEncoder`]'s inverse: calls `f` with the
+/// offset from `bits.start` of every set bit of `mask` in `bits`,
+/// ascending, a mask word at a time, so a run of positions costs its
+/// words plus its set bits. The streams and `to_coo` decode rows and
+/// fibers with it.
+#[inline]
+pub(crate) fn for_each_set_bit(mask: &[u64], bits: Range<usize>, mut f: impl FnMut(usize)) {
+    let mut pos = bits.start;
+    while pos < bits.end {
+        // The run's bits in this mask word, from `pos` on.
+        let span = (64 - pos % 64).min(bits.end - pos);
+        let mut word = mask[pos / 64] >> (pos % 64);
+        if span < 64 {
+            word &= (1u64 << span) - 1;
+        }
+        while word != 0 {
+            f(pos - bits.start + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+        pos += span;
     }
 }
 
@@ -193,12 +217,12 @@ impl SparseMatrix for ZvcMatrix {
     )]
     fn to_coo(&self) -> CooMatrix {
         let mut triplets = Vec::with_capacity(self.values.len());
-        let mut vi = 0;
-        for flat in 0..self.rows * self.cols {
-            if self.bit(flat) {
-                triplets.push((flat / self.cols, flat % self.cols, self.values[vi]));
-                vi += 1;
-            }
+        for r in 0..self.rows {
+            let row_start = r * self.cols;
+            for_each_set_bit(&self.mask, row_start..row_start + self.cols, |c| {
+                let v = self.values[triplets.len()];
+                triplets.push((r, c, v));
+            });
         }
         CooMatrix::from_sorted_triplets(self.rows, self.cols, triplets)
             .expect("mask scan is row-major ordered")
@@ -288,20 +312,18 @@ impl SparseTensor3 for ZvcTensor3 {
         reason = "from_quads re-validates coordinates from this tensor's mask scan"
     )]
     fn to_coo(&self) -> CooTensor3 {
-        let (dy, dz) = (self.dims.1, self.dims.2);
+        let (dx, dy, dz) = self.dims;
         let mut quads = Vec::with_capacity(self.values.len());
-        let mut vi = 0;
-        for flat in 0..self.dims.0 * dy * dz {
-            if self.bit(flat) {
-                let x = flat / (dy * dz);
-                let y = (flat / dz) % dy;
-                let z = flat % dz;
-                quads.push((x, y, z, self.values[vi]));
-                vi += 1;
+        for x in 0..dx {
+            for y in 0..dy {
+                let base = (x * dy + y) * dz;
+                for_each_set_bit(&self.mask, base..base + dz, |z| {
+                    let v = self.values[quads.len()];
+                    quads.push((x, y, z, v));
+                });
             }
         }
-        CooTensor3::from_quads(self.dims.0, dy, dz, quads)
-            .expect("mask scan coordinates remain in-bounds")
+        CooTensor3::from_quads(dx, dy, dz, quads).expect("mask scan coordinates remain in-bounds")
     }
 }
 

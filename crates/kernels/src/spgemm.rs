@@ -12,29 +12,34 @@
 use sparseflex_formats::{CsrMatrix, Value};
 
 /// Sparse-accumulator scratch reused across output rows: the dense value
-/// row, an occupancy stamp per column (so first-touch detection is O(1)
-/// even when cancellation leaves `acc[j] == 0.0` mid-row), and the touched
-/// column list.
+/// row and a two-level occupancy bitmap over it — one bit per column, and
+/// one summary bit per 64-column word. The bits, not the values, say
+/// which columns a row touched, so a column whose products cancel to
+/// `0.0` mid-row is still visited (and dropped) on emit. Emitting scans
+/// the set bits in word order, so columns come out ascending with no sort,
+/// and clears every bit it visits.
 pub(crate) struct Accumulator {
     acc: Vec<f64>,
-    occupied: Vec<bool>,
-    touched: Vec<usize>,
+    occupied: Vec<u64>,
+    summary: Vec<u64>,
 }
 
 impl Accumulator {
     /// Scratch for output rows of width `n`.
     pub(crate) fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
         Accumulator {
             acc: vec![0.0; n],
-            occupied: vec![false; n],
-            touched: Vec::with_capacity(n),
+            occupied: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
         }
     }
 }
 
 /// One Gustavson row — the sparse-accumulator step the generic stream
 /// dispatcher also drives, one fiber of `A` at a time: accumulate
-/// `Σ A[i][k] * B[k][:]` into the scratch row, emit sorted nonzeros.
+/// `Σ A[i][k] * B[k][:]` into the scratch row, then emit its nonzeros in
+/// ascending column order. O(width/4096 + touched words + MACs).
 pub(crate) fn gustavson_row(
     acols: &[usize],
     avals: &[Value],
@@ -43,26 +48,46 @@ pub(crate) fn gustavson_row(
     col_ids: &mut Vec<usize>,
     values: &mut Vec<f64>,
 ) {
+    let Accumulator {
+        acc,
+        occupied,
+        summary,
+    } = scratch;
     for (k, av) in acols.iter().zip(avals) {
         let (bcols, bvals) = b.row(*k);
-        for (j, bv) in bcols.iter().zip(bvals) {
-            if !scratch.occupied[*j] {
-                scratch.occupied[*j] = true;
-                scratch.touched.push(*j);
+        for (&j, bv) in bcols.iter().zip(bvals) {
+            // Store only on a column's first touch: a bit set on every MAC
+            // would chain each MAC to the last one's store to that word.
+            let (w, bit) = (j / 64, 1 << (j % 64));
+            if occupied[w] & bit == 0 {
+                if occupied[w] == 0 {
+                    summary[w / 64] |= 1 << (w % 64);
+                }
+                occupied[w] |= bit;
             }
-            scratch.acc[*j] += av * bv;
+            acc[j] += av * bv;
         }
     }
-    scratch.touched.sort_unstable();
-    for &j in &scratch.touched {
-        if scratch.acc[j] != 0.0 {
-            col_ids.push(j);
-            values.push(scratch.acc[j]);
+    for (s, sum) in summary.iter_mut().enumerate() {
+        if *sum == 0 {
+            continue;
         }
-        scratch.acc[j] = 0.0;
-        scratch.occupied[j] = false;
+        let mut words = std::mem::take(sum);
+        while words != 0 {
+            let w = s * 64 + words.trailing_zeros() as usize;
+            words &= words - 1;
+            let mut bits = std::mem::take(&mut occupied[w]);
+            while bits != 0 {
+                let j = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if acc[j] != 0.0 {
+                    col_ids.push(j);
+                    values.push(acc[j]);
+                }
+                acc[j] = 0.0;
+            }
+        }
     }
-    scratch.touched.clear();
 }
 
 /// Min-heap scratch for the row-wise merge: `(output column j, A-slot s,
@@ -169,6 +194,17 @@ mod tests {
     use sparseflex_formats::{CooMatrix, CsrMatrix, MatrixData, SparseMatrix};
 
     fn mk(rows: usize, cols: usize, seed: u64, nnz: usize) -> MatrixData {
+        let triplets = random_triplets(rows, cols, seed, nnz);
+        csr(CooMatrix::from_triplets(rows, cols, triplets).unwrap())
+    }
+
+    /// Up to `nnz` integer-valued entries in -4..=4 (exact in f64).
+    fn random_triplets(
+        rows: usize,
+        cols: usize,
+        seed: u64,
+        nnz: usize,
+    ) -> Vec<(usize, usize, f64)> {
         let mut state = seed;
         let mut triplets = Vec::new();
         for _ in 0..nnz {
@@ -188,7 +224,7 @@ mod tests {
                 triplets.push((r, c, v));
             }
         }
-        csr(CooMatrix::from_triplets(rows, cols, triplets).unwrap())
+        triplets
     }
 
     fn csr(coo: CooMatrix) -> MatrixData {
@@ -243,13 +279,69 @@ mod tests {
 
     /// The row-wise merge must replay Gustavson's exact addition sequence,
     /// so the two dataflows are bit-for-bit equal — including dropped
-    /// exact cancellations — on random operands.
+    /// exact cancellations — on random operands, and at B widths on both
+    /// sides of an occupancy word (64 columns) and of a summary word
+    /// (4,096 columns), up to a hypersparse B 100,003 columns wide.
+    ///
+    /// At each width, output row 0 cancels exactly at two columns that
+    /// straddle a word boundary and row 1 then reuses them: an occupancy
+    /// or summary bit left stale by the cancelled row would drop or
+    /// misplace row 1's entries.
     #[test]
     fn rowwise_is_bit_identical_to_gustavson() {
         for seed in 0..6u64 {
             let a = mk(30, 25, seed * 2 + 1, 150);
             let b = mk(25, 40, seed * 2 + 2, 170);
             assert_eq!(rowwise(&a, &b), spgemm(&a, &b).unwrap(), "seed {seed}");
+        }
+        let k = 12;
+        for (seed, n) in (0u64..).zip([1, 63, 64, 65, 4095, 4096, 4097, 100_003]) {
+            let boundary = (n - 1) / 64 * 64;
+            let (c0, c1) = if boundary == 0 {
+                (0, n - 1)
+            } else {
+                (boundary - 1, boundary)
+            };
+            // B's rows 0-2 hold the straddling pair; rows 3.. are random.
+            let mut b = vec![
+                (0, c0, 1.0),
+                (0, c1, 1.0),
+                (1, c0, -1.0),
+                (1, c1, -1.0),
+                (2, c0, 2.0),
+                (2, c1, 3.0),
+            ];
+            let fill = random_triplets(k - 3, n, seed * 2 + 101, 40);
+            b.extend(fill.into_iter().map(|(r, c, v)| (r + 3, c, v)));
+            // A's row 0 sums B's rows 0 and 1 (the cancellation), row 1
+            // reads row 2 (the reuse); rows 2.. are random.
+            let mut a = vec![(0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0)];
+            let fill = random_triplets(6, k, seed * 2 + 102, 30);
+            a.extend(fill.into_iter().map(|(r, c, v)| (r + 2, c, v)));
+            let a = csr(CooMatrix::from_triplets(8, k, a).unwrap());
+            let b = csr(CooMatrix::from_triplets(k, n, b).unwrap());
+            let g = spgemm(&a, &b).unwrap();
+            assert_eq!(rowwise(&a, &b), g, "width {n}");
+            assert_eq!(
+                g.to_dense(),
+                gemm_naive(&a.to_dense(), &b.to_dense()),
+                "width {n}"
+            );
+            let (cols, vals) = g.row(1);
+            let want = if c0 == c1 {
+                vec![(c0, 5.0)]
+            } else {
+                vec![(c0, 2.0), (c1, 3.0)]
+            };
+            assert_eq!(
+                cols.iter()
+                    .copied()
+                    .zip(vals.iter().copied())
+                    .collect::<Vec<_>>(),
+                want,
+                "width {n}: the row after the cancellation"
+            );
+            assert_eq!(g.row(0).0, &[] as &[usize], "width {n}: the cancelled row");
         }
     }
 
