@@ -8,8 +8,6 @@
 //! units calibrated so that ratio holds, then scale to the evaluation
 //! configuration.
 
-use crate::config::AccelConfig;
-
 /// Area accounting in mm² (28nm-class, calibrated to the paper's reported
 /// ratios rather than to a real PDK).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,11 +57,6 @@ impl AreaModel {
         let base = self.base_pe_mm2(vector_width, buffer_bytes);
         (self.extended_pe_mm2(vector_width, buffer_bytes) - base) / base
     }
-
-    /// Total PE-array area for a configuration (extended PEs).
-    pub fn array_mm2(&self, cfg: &AccelConfig) -> f64 {
-        self.extended_pe_mm2(cfg.vector_width, cfg.pe_buffer_bytes()) * cfg.num_pes as f64
-    }
 }
 
 impl Default for AreaModel {
@@ -92,24 +85,5 @@ mod tests {
         let small = a.extension_overhead(8, 128);
         let large = a.extension_overhead(8, 512);
         assert!(large < small);
-    }
-
-    #[test]
-    fn array_area_scales_with_pe_count() {
-        let a = AreaModel::default_28nm();
-        let mut cfg = AccelConfig::paper();
-        let full = a.array_mm2(&cfg);
-        cfg.num_pes /= 2;
-        let half = a.array_mm2(&cfg);
-        assert!((full - 2.0 * half).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_array_area_is_plausible() {
-        // 2048 extended PEs with 512B buffers should land in the tens of
-        // mm² — the scale of a real 16K-MAC accelerator die.
-        let a = AreaModel::default_28nm();
-        let area = a.array_mm2(&AccelConfig::paper());
-        assert!((10.0..100.0).contains(&area), "array area {area} mm2");
     }
 }

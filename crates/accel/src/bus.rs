@@ -32,14 +32,6 @@ pub struct StreamBeats {
     pub slots_used: u64,
 }
 
-impl StreamBeats {
-    /// Accumulate another stream's traffic.
-    pub fn add(&mut self, other: StreamBeats) {
-        self.beats += other.beats;
-        self.slots_used += other.slots_used;
-    }
-}
-
 impl BusPacking {
     /// Data elements per beat for a Dense stream (row id shares the beat).
     pub fn dense_capacity(&self) -> usize {
@@ -54,47 +46,6 @@ impl BusPacking {
     /// (data, col id, row id) triples per beat for COO streams.
     pub fn triple_capacity(&self) -> usize {
         (self.slots / 3).max(1)
-    }
-
-    /// Beats to stream one dense row segment of `len` elements.
-    pub fn dense_row(&self, len: usize) -> StreamBeats {
-        if len == 0 {
-            return StreamBeats::default();
-        }
-        let cap = self.dense_capacity();
-        let beats = (len as u64).div_ceil(cap as u64);
-        // Each beat carries its data slots plus one row-id slot.
-        StreamBeats {
-            beats,
-            slots_used: len as u64 + beats,
-        }
-    }
-
-    /// Beats to stream one compressed row (CSR) or column (CSC) of
-    /// `nnz` nonzeros.
-    pub fn pair_run(&self, nnz: usize) -> StreamBeats {
-        if nnz == 0 {
-            return StreamBeats::default();
-        }
-        let cap = self.pair_capacity();
-        let beats = (nnz as u64).div_ceil(cap as u64);
-        StreamBeats {
-            beats,
-            slots_used: 2 * nnz as u64 + beats,
-        }
-    }
-
-    /// Beats to stream `nnz` COO elements (rows may mix freely).
-    pub fn coo_run(&self, nnz: usize) -> StreamBeats {
-        if nnz == 0 {
-            return StreamBeats::default();
-        }
-        let cap = self.triple_capacity();
-        let beats = (nnz as u64).div_ceil(cap as u64);
-        StreamBeats {
-            beats,
-            slots_used: 3 * nnz as u64,
-        }
     }
 
     /// Beats to broadcast-load `elems` stationary element slots into PE
@@ -123,30 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn fig6_dense_stream_is_8_beats() {
-        // Matrix A is 4x8: each row needs ceil(8/4) = 2 beats; 4 rows = 8.
-        let mut total = StreamBeats::default();
-        for _ in 0..4 {
-            total.add(FIG6.dense_row(8));
-        }
-        assert_eq!(total.beats, 8);
-    }
-
-    #[test]
-    fn fig6_csr_stream_is_3_beats() {
-        // Row 0 has 3 nonzeros (A, B, C) -> 2 beats; row 3 has 1 (H) -> 1.
-        let mut total = StreamBeats::default();
-        total.add(FIG6.pair_run(3));
-        total.add(FIG6.pair_run(1));
-        assert_eq!(total.beats, 3);
-    }
-
-    #[test]
-    fn fig6_coo_stream_is_4_beats() {
-        assert_eq!(FIG6.coo_run(4).beats, 4);
-    }
-
-    #[test]
     fn paper_bus_capacities() {
         let bus = BusPacking { slots: 16 };
         assert_eq!(bus.dense_capacity(), 15);
@@ -155,19 +82,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_runs_cost_nothing() {
-        assert_eq!(FIG6.dense_row(0).beats, 0);
-        assert_eq!(FIG6.pair_run(0).beats, 0);
-        assert_eq!(FIG6.coo_run(0).beats, 0);
-    }
-
-    #[test]
     fn degenerate_narrow_bus_still_progresses() {
         let bus = BusPacking { slots: 1 };
         assert!(bus.dense_capacity() >= 1);
         assert!(bus.pair_capacity() >= 1);
         assert!(bus.triple_capacity() >= 1);
-        assert_eq!(bus.dense_row(4).beats, 4);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl AccelConfig {
     pub fn pe_buffer_bytes(&self) -> u64 {
         self.pe_buffer_elems as u64 * self.dtype.bytes()
     }
-
-    /// Seconds per cycle.
-    pub fn cycle_time(&self) -> f64 {
-        1.0 / self.clock_hz
-    }
 }
 
 impl Default for AccelConfig {
@@ -101,11 +96,5 @@ mod tests {
         assert_eq!(c.num_pes, 4);
         assert_eq!(c.bus_slots, 5);
         assert_eq!(c.pe_buffer_elems, 8);
-    }
-
-    #[test]
-    fn cycle_time_inverse_of_clock() {
-        let c = AccelConfig::paper();
-        assert_eq!(c.cycle_time(), 1e-9);
     }
 }

@@ -6,8 +6,8 @@
 //! directly proportional to the compression size of the MCF."
 
 use crate::energy::EnergyModel;
-use sparseflex_formats::size_model::{matrix_storage_bits, tensor_storage_bits};
-use sparseflex_formats::{DataType, MatrixFormat, TensorFormat};
+use sparseflex_formats::size_model::matrix_storage_bits;
+use sparseflex_formats::{DataType, MatrixFormat};
 
 /// DRAM interface parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,28 +62,6 @@ impl DramModel {
     ) -> f64 {
         self.transfer_energy(matrix_storage_bits(mcf, rows, cols, nnz, dtype))
     }
-
-    /// Cycles to fetch a tensor operand stored in `mcf`.
-    pub fn tensor_fetch_cycles(
-        &self,
-        mcf: &TensorFormat,
-        dims: (usize, usize, usize),
-        nnz: usize,
-        dtype: DataType,
-    ) -> u64 {
-        self.transfer_cycles(tensor_storage_bits(mcf, dims, nnz, dtype))
-    }
-
-    /// Energy to fetch a tensor operand stored in `mcf`.
-    pub fn tensor_fetch_energy(
-        &self,
-        mcf: &TensorFormat,
-        dims: (usize, usize, usize),
-        nnz: usize,
-        dtype: DataType,
-    ) -> f64 {
-        self.transfer_energy(tensor_storage_bits(mcf, dims, nnz, dtype))
-    }
 }
 
 impl Default for DramModel {
@@ -126,16 +104,5 @@ mod tests {
         let e_csr = d.matrix_fetch_energy(&MatrixFormat::Csr, m, k, nnz, DataType::Fp32);
         let e_dense = d.matrix_fetch_energy(&MatrixFormat::Dense, m, k, nnz, DataType::Fp32);
         assert!(e_csr < e_dense);
-    }
-
-    #[test]
-    fn tensor_fetch_consistent_with_size_model() {
-        let d = DramModel::paper();
-        let dims = (100, 100, 100);
-        let bits = tensor_storage_bits(&TensorFormat::Coo, dims, 5000, DataType::Fp32);
-        assert_eq!(
-            d.tensor_fetch_cycles(&TensorFormat::Coo, dims, 5000, DataType::Fp32),
-            bits.div_ceil(512)
-        );
     }
 }

@@ -58,7 +58,7 @@ pub struct AcceleratorClass {
 impl AcceleratorClass {
     /// `Fix_Fix_None` — TPUv1: Dense-Dense storage and compute, no
     /// conversion.
-    pub fn fix_fix_none() -> Self {
+    fn fix_fix_none() -> Self {
         AcceleratorClass {
             name: "Fix_Fix_None",
             example: "TPUv1",
@@ -72,7 +72,7 @@ impl AcceleratorClass {
 
     /// `Fix_Fix_None2` — EIE: CSR-Dense and Dense-CSC, identical MCF and
     /// ACF, no conversion.
-    pub fn fix_fix_none2() -> Self {
+    fn fix_fix_none2() -> Self {
         let pairs = vec![
             (MatrixFormat::Csr, MatrixFormat::Dense),
             (MatrixFormat::Dense, MatrixFormat::Csc),
@@ -90,7 +90,7 @@ impl AcceleratorClass {
 
     /// `Fix_Flex_HW` — SIGMA: fixed ZVC-ZVC storage, flexible compute
     /// formats, hardware decoder.
-    pub fn fix_flex_hw() -> Self {
+    fn fix_flex_hw() -> Self {
         AcceleratorClass {
             name: "Fix_Flex_HW",
             example: "SIGMA",
@@ -108,7 +108,7 @@ impl AcceleratorClass {
 
     /// `Flex_Fix_HW` — NVDLA: ZVC or Dense storage, dense-only compute,
     /// hardware ZVC decompressor.
-    pub fn flex_fix_hw() -> Self {
+    fn flex_fix_hw() -> Self {
         AcceleratorClass {
             name: "Flex_Fix_HW",
             example: "NVDLA",
@@ -127,7 +127,7 @@ impl AcceleratorClass {
 
     /// `Flex_Flex_None` — ExTensor: several formats, but MCF must equal
     /// ACF (no converter).
-    pub fn flex_flex_none() -> Self {
+    fn flex_flex_none() -> Self {
         let pairs = vec![
             (MatrixFormat::Csr, MatrixFormat::Dense),
             (MatrixFormat::Csr, MatrixFormat::Csc),
@@ -147,7 +147,7 @@ impl AcceleratorClass {
 
     /// `Flex_Flex_SW` — CPU/GPU libraries: any MCF, any ACF, conversion
     /// offloaded to the host.
-    pub fn flex_flex_sw() -> Self {
+    fn flex_flex_sw() -> Self {
         AcceleratorClass {
             name: "Flex_Flex_SW",
             example: "MKL/cuSPARSE",
@@ -174,7 +174,7 @@ impl AcceleratorClass {
     }
 
     /// All MCF pairs over the paper's six-format MCF set.
-    pub fn full_mcf_pairs() -> Vec<FormatPair> {
+    fn full_mcf_pairs() -> Vec<FormatPair> {
         let set = [
             MatrixFormat::Dense,
             RLC,
@@ -194,7 +194,7 @@ impl AcceleratorClass {
 
     /// All ACF pairs the WS array supports: A in {Dense, CSR, COO, CSC}
     /// x B in {Dense, CSC}, plus the CSR-CSR SpGEMM dataflow.
-    pub fn full_acf_pairs() -> Vec<FormatPair> {
+    fn full_acf_pairs() -> Vec<FormatPair> {
         let mut out = Vec::new();
         for a in [
             MatrixFormat::Dense,

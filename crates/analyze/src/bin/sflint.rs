@@ -5,9 +5,10 @@
 //! - default: analyze the workspace, print the lock graph's edges and
 //!   every finding, and exit 1 if there is any finding. This is the CI
 //!   mode.
-//! - `--check <file>`: analyze one file with no extra hot code
-//!   configured; exit 1 if it has findings. Used by CI to prove each
-//!   fixture violation class actually trips its lint.
+//! - `--check <path>`: analyze one file, or every `.rs` file under a
+//!   directory as one tree, with no extra hot code configured; exit 1
+//!   if it has findings. Used by CI to prove each fixture violation
+//!   class actually trips its lint.
 
 use sparseflex_analyze::{framework, Report};
 use std::path::{Path, PathBuf};
@@ -21,7 +22,7 @@ fn main() -> ExitCode {
         [] => run_workspace(&root),
         [flag, file] if flag == "--check" => check_one(&root, Path::new(file)),
         _ => {
-            eprintln!("usage: sflint [--check <file.rs>]");
+            eprintln!("usage: sflint [--check <file.rs | dir>]");
             ExitCode::from(2)
         }
     }
@@ -59,8 +60,8 @@ fn check_one(root: &Path, file: &Path) -> ExitCode {
     } else {
         root.join(file)
     };
-    if !path.is_file() {
-        eprintln!("sflint: no such file: {}", path.display());
+    if !path.exists() {
+        eprintln!("sflint: no such file or directory: {}", path.display());
         return ExitCode::from(2);
     }
     let report = framework::analyze_paths(root, &[path], &framework::AnalysisConfig::default());

@@ -3,7 +3,7 @@
 //! walker, and the runner that produces a [`Report`].
 
 use crate::lexer::SourceFile;
-use crate::{alloc_hot, lock_order};
+use crate::{alloc_hot, lock_order, pub_caller};
 use std::path::{Path, PathBuf};
 
 /// One lint finding: a violation at a specific line.
@@ -136,26 +136,47 @@ impl Report {
     }
 }
 
-/// Collect the `.rs` files the workspace policy scans: `src/` trees of
+/// Collect the `.rs` files the workspace policy lints: `src/` trees of
 /// the root package and every `crates/*` member. Vendored stand-ins,
 /// integration tests, examples, benches and the analyzer's own fixture
-/// corpus are out of scope.
-pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
+/// corpus are not linted; tests, examples and the benchmark only count
+/// as callers (`caller_files`).
+fn workspace_files(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     collect_rs(&root.join("src"), &mut files);
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates_dir) {
-        let mut members: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect();
-        members.sort();
-        for member in members {
-            collect_rs(&member.join("src"), &mut files);
-        }
+    for member in members(root) {
+        collect_rs(&member.join("src"), &mut files);
     }
     files.sort();
     files
+}
+
+/// The files that may call a library crate's `pub` items without being
+/// linted themselves: every member's `tests/`, and the root `tests/`,
+/// `examples/` and the benchmark's `sfbench/src/`.
+fn caller_files(root: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for dir in ["tests", "examples", "sfbench/src"] {
+        collect_rs(&root.join(dir), &mut files);
+    }
+    for member in members(root) {
+        collect_rs(&member.join("tests"), &mut files);
+    }
+    files.sort();
+    files
+}
+
+/// The `crates/*` member directories, sorted.
+fn members(root: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(root.join("crates")) else {
+        return Vec::new();
+    };
+    let mut members: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.is_dir())
+        .collect();
+    members.sort();
+    members
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -173,13 +194,32 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Parse `paths` (made root-relative) and run every lint.
+/// Parse `paths` (made root-relative) and run every lint. A directory
+/// stands for every `.rs` file under it, so a fixture can span files.
 ///
 /// A first pass over the texts finds braceless `#[cfg(test)] mod x;`
 /// declarations: the referenced files (`x.rs` / `x/mod.rs`) are test
 /// code even though nothing inside them says so, and are marked
 /// entirely in-test before linting.
 pub fn analyze_paths(root: &Path, paths: &[PathBuf], config: &AnalysisConfig) -> Report {
+    let mut files = Vec::new();
+    for p in paths {
+        if p.is_dir() {
+            collect_rs(p, &mut files);
+        } else {
+            files.push(p.clone());
+        }
+    }
+    analyze_with_callers(root, &files, &[], config)
+}
+
+/// Lint `paths`; `callers` only count as callers of their `pub` items.
+fn analyze_with_callers(
+    root: &Path,
+    paths: &[PathBuf],
+    callers: &[PathBuf],
+    config: &AnalysisConfig,
+) -> Report {
     let mut texts: Vec<(PathBuf, String)> = Vec::new();
     for p in paths {
         if let Ok(text) = std::fs::read_to_string(p) {
@@ -196,12 +236,7 @@ pub fn analyze_paths(root: &Path, paths: &[PathBuf], config: &AnalysisConfig) ->
     }
     let mut sources = Vec::new();
     for (p, text) in &texts {
-        let rel = p
-            .strip_prefix(root)
-            .unwrap_or(p)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let mut src = SourceFile::parse(&rel, text);
+        let mut src = SourceFile::parse(&relative(root, p), text);
         if test_files.iter().any(|t| t == p) {
             for line in &mut src.lines {
                 line.in_test = true;
@@ -209,7 +244,22 @@ pub fn analyze_paths(root: &Path, paths: &[PathBuf], config: &AnalysisConfig) ->
         }
         sources.push(src);
     }
-    analyze_sources(&sources, config)
+    let callers: Vec<SourceFile> = callers
+        .iter()
+        .filter_map(|p| {
+            let text = std::fs::read_to_string(p).ok()?;
+            Some(SourceFile::parse(&relative(root, p), &text))
+        })
+        .collect();
+    analyze_sources(&sources, &callers, config)
+}
+
+/// `path` relative to `root`, with forward slashes.
+fn relative(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
 }
 
 /// Names of braceless modules declared under a `#[cfg(test)]`
@@ -239,13 +289,18 @@ fn cfg_test_mod_decls(text: &str) -> Vec<String> {
 }
 
 /// Run every lint over already-parsed sources.
-pub fn analyze_sources(sources: &[SourceFile], config: &AnalysisConfig) -> Report {
+fn analyze_sources(
+    sources: &[SourceFile],
+    callers: &[SourceFile],
+    config: &AnalysisConfig,
+) -> Report {
     let mut findings = Vec::new();
     for src in sources {
         findings.extend(alloc_hot::run(src, config));
     }
     let (edges, cycle_findings) = lock_order::run(sources);
     findings.extend(cycle_findings);
+    findings.extend(pub_caller::run(sources, callers));
     findings.sort_by(|a, b| {
         (&a.file, a.line, &a.lint, &a.excerpt).cmp(&(&b.file, b.line, &b.lint, &b.excerpt))
     });
@@ -258,6 +313,10 @@ pub fn analyze_sources(sources: &[SourceFile], config: &AnalysisConfig) -> Repor
 
 /// Convenience: run the workspace policy over the whole tree at `root`.
 pub fn analyze_workspace(root: &Path) -> Report {
-    let files = workspace_files(root);
-    analyze_paths(root, &files, &AnalysisConfig::workspace())
+    analyze_with_callers(
+        root,
+        &workspace_files(root),
+        &caller_files(root),
+        &AnalysisConfig::workspace(),
+    )
 }

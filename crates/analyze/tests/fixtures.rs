@@ -15,7 +15,7 @@ fn workspace_root() -> PathBuf {
 fn analyze_fixture(name: &str) -> Report {
     let root = workspace_root();
     let path = root.join("crates/analyze/fixtures").join(name);
-    assert!(path.is_file(), "missing fixture {}", path.display());
+    assert!(path.exists(), "missing fixture {}", path.display());
     framework::analyze_paths(&root, &[path], &AnalysisConfig::default())
 }
 
@@ -64,6 +64,23 @@ fn lock_cycle_fixture_reports_the_opposite_order_pair() {
         .edges
         .iter()
         .any(|e| e.from == "stats" && e.to == "queue"));
+}
+
+#[test]
+fn pub_fixture_flags_the_orphans_and_spares_the_called_item() {
+    let report = analyze_fixture("pub_without_caller");
+    assert_eq!(report.files_scanned, 2);
+    let found: Vec<(&str, usize)> = report
+        .of("pub-without-caller")
+        .iter()
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    let lib = "crates/analyze/fixtures/pub_without_caller/src/lib.rs";
+    // `orphan_helper` and `ORPHAN_LIMIT`, not `called_helper`, the
+    // `pub(crate)` item or the test helper; the caller file, outside
+    // `src/`, is not library code.
+    assert_eq!(found, vec![(lib, 15), (lib, 20)], "{:?}", lints(&report));
+    assert_eq!(report.findings.len(), 2, "{:?}", lints(&report));
 }
 
 #[test]

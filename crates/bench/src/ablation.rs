@@ -14,7 +14,7 @@ use sparseflex_workloads::synth::{
 
 /// Structured-SAGE ablation: uniform-random SAGE vs structure-aware SAGE
 /// on blocked / banded / scattered patterns.
-pub fn structured_rows() -> Vec<String> {
+fn structured_rows() -> Vec<String> {
     let sage = Sage::default();
     let mut out = vec![
         "# ablation: structure-aware SAGE (paper future work) vs uniform model".to_string(),
@@ -53,7 +53,7 @@ pub fn structured_rows() -> Vec<String> {
 }
 
 /// MINT merge-level and overlay ablation (the §VII-B area/power story).
-pub fn mint_rows() -> Vec<String> {
+fn mint_rows() -> Vec<String> {
     let mut out = vec![
         "# ablation: MINT merge levels and prefix-sum overlays".to_string(),
         "variant,area_mm2,power_w,divmod_area_share".to_string(),

@@ -71,7 +71,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 /// `alloc`/`realloc` calls the calling thread has made so far (0 unless
 /// a [`CountingAllocator`] is installed as the global allocator).
-pub fn allocations() -> u64 {
+fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 

@@ -38,7 +38,7 @@ pub struct CalibrationMeasurement {
 
 /// Number of calibration rounds the exhibit executes after the
 /// uncalibrated baseline round (the acceptance bar is ≥ 3).
-pub const CALIBRATION_ROUNDS: usize = 3;
+const CALIBRATION_ROUNDS: usize = 3;
 
 /// Measure the whole exhibit once.
 pub fn measure() -> CalibrationMeasurement {

@@ -2,7 +2,6 @@
 //! dimensions, and datatype (normalized to CSR).
 
 use sparseflex_accel::DramModel;
-use sparseflex_formats::size_model::matrix_storage_bits;
 use sparseflex_formats::{DataType, MatrixFormat};
 
 /// The format set of Fig. 4a's legend.
@@ -19,7 +18,7 @@ fn formats() -> [MatrixFormat; 6] {
 
 /// Fig. 4a: 11k x 11k matrix, density sweep 1e-8..1, per datatype.
 /// Values are energy normalized to CSR at the same density.
-pub fn part_a(dtype: DataType) -> Vec<String> {
+fn part_a(dtype: DataType) -> Vec<String> {
     let dram = DramModel::paper();
     let (m, k) = (11_000usize, 11_000usize);
     let mut rows = vec![format!(
@@ -30,11 +29,11 @@ pub fn part_a(dtype: DataType) -> Vec<String> {
     for i in 0..=32 {
         let dens = 10f64.powf(-8.0 + 8.0 * i as f64 / 32.0);
         let nnz = ((m as f64 * k as f64) * dens).round().max(1.0) as usize;
-        let csr_e = dram.transfer_energy(matrix_storage_bits(&MatrixFormat::Csr, m, k, nnz, dtype));
+        let csr_e = dram.matrix_fetch_energy(&MatrixFormat::Csr, m, k, nnz, dtype);
         let cells: Vec<String> = formats()
             .iter()
             .map(|f| {
-                let e = dram.transfer_energy(matrix_storage_bits(f, m, k, nnz, dtype));
+                let e = dram.matrix_fetch_energy(f, m, k, nnz, dtype);
                 format!("{:.4}", e / csr_e)
             })
             .collect();
@@ -44,7 +43,7 @@ pub fn part_a(dtype: DataType) -> Vec<String> {
 }
 
 /// Fig. 4b: extremely sparse matrices, 16-bit elements, M = 1k, K sweep.
-pub fn part_b(density: f64) -> Vec<String> {
+fn part_b(density: f64) -> Vec<String> {
     let dram = DramModel::paper();
     let dtype = DataType::Int16;
     let m = 1_000usize;
@@ -55,11 +54,11 @@ pub fn part_b(density: f64) -> Vec<String> {
     rows.push(format!("K,{}", header.join(",")));
     for k in [1_000usize, 10_000, 100_000, 1_000_000, 10_000_000] {
         let nnz = ((m as f64 * k as f64) * density).round().max(1.0) as usize;
-        let csr_e = dram.transfer_energy(matrix_storage_bits(&MatrixFormat::Csr, m, k, nnz, dtype));
+        let csr_e = dram.matrix_fetch_energy(&MatrixFormat::Csr, m, k, nnz, dtype);
         let cells: Vec<String> = formats()
             .iter()
             .map(|f| {
-                let e = dram.transfer_energy(matrix_storage_bits(f, m, k, nnz, dtype));
+                let e = dram.matrix_fetch_energy(f, m, k, nnz, dtype);
                 format!("{:.4}", e / csr_e)
             })
             .collect();

@@ -16,7 +16,7 @@ pub fn rows() -> Vec<String> {
             let ext = a.extended_pe_mm2(vw, buf);
             out.push(format!(
                 "{vw},{buf},{base:.6},{ext:.6},{:.2}",
-                100.0 * (ext - base) / base
+                100.0 * a.extension_overhead(vw, buf)
             ));
         }
     }

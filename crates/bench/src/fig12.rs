@@ -18,7 +18,7 @@ pub fn spgemm_workload(spec: &WorkloadSpec) -> SageWorkload {
 }
 
 /// The three Fig. 12 workloads.
-pub const FIG12_WORKLOADS: [&str; 3] = ["journals", "speech2", "m3plates"];
+const FIG12_WORKLOADS: [&str; 3] = ["journals", "speech2", "m3plates"];
 
 /// Breakdown rows.
 pub fn rows() -> Vec<String> {

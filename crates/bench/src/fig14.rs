@@ -8,7 +8,7 @@ use sparseflex_workloads::{PruningStrategy, RESNET_LAYERS};
 use std::collections::BTreeMap;
 
 /// Batch size of the §VII-D evaluation.
-pub const BATCH: usize = 64;
+const BATCH: usize = 64;
 
 /// Per-layer, per-strategy EDP rows plus baseline averages.
 pub fn rows() -> Vec<String> {

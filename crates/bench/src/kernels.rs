@@ -15,7 +15,7 @@
 //!   records which case the snapshot was taken under.
 //! - **Overhead points** — median wall-clock of the format-generic
 //!   stream path over the tuned CSR SpMV row loop for the same operand,
-//!   gated against [`STREAM_OVERHEAD_BUDGET`]. (SpMM has no fast path
+//!   gated against `STREAM_OVERHEAD_BUDGET`. (SpMM has no fast path
 //!   left to compare against.) ZVC rows ride along uninspected: they
 //!   price running a hub-only format directly against the CSR kernel,
 //!   not wrapper overhead.
@@ -43,14 +43,14 @@ const REPS: usize = 9;
 /// Steady-state traversal allocations allowed per format: none. The
 /// arena's warm-up pass grows every buffer to its high-water mark; after
 /// that the stream must not touch the heap.
-pub const STEADY_ALLOC_BUDGET: u64 = 0;
+const STEADY_ALLOC_BUDGET: u64 = 0;
 
 /// Maximum allowed `stream_ns / fast_ns` ratio for the gated kernels.
 /// Locally the CSR stream path measures within ~1.3x of the tuned row
 /// loop (same inner routines, one dispatch layer); 3x leaves generous
 /// headroom for noisy shared CI runners while still catching a
 /// regression that re-introduces per-fiber allocation or copying.
-pub const STREAM_OVERHEAD_BUDGET: f64 = 3.0;
+const STREAM_OVERHEAD_BUDGET: f64 = 3.0;
 
 /// Heap-allocation counts for one format's arena-backed traversal.
 #[derive(Debug, Clone)]
@@ -61,7 +61,7 @@ pub struct AllocPoint {
     pub warmup_allocs: u64,
     /// Allocations during the second traversal over the same arena.
     pub steady_allocs: u64,
-    /// Whether [`enforce`] holds this point to [`STEADY_ALLOC_BUDGET`].
+    /// Whether [`enforce`] holds this point to `STEADY_ALLOC_BUDGET`.
     pub gated: bool,
 }
 
@@ -74,7 +74,7 @@ pub struct OverheadPoint {
     pub fast_ns: u64,
     /// Median ns of the format-generic stream path.
     pub stream_ns: u64,
-    /// Whether [`enforce`] holds this ratio to [`STREAM_OVERHEAD_BUDGET`].
+    /// Whether [`enforce`] holds this ratio to `STREAM_OVERHEAD_BUDGET`.
     pub gated: bool,
 }
 
@@ -170,7 +170,7 @@ fn traverse_checksum(data: &MatrixData, arena: &mut StreamArena) -> f64 {
 }
 
 /// Measure the per-format allocation points.
-pub fn measure_allocs() -> Vec<AllocPoint> {
+fn measure_allocs() -> Vec<AllocPoint> {
     let coo = exhibit_coo(11);
     let mut out = Vec::new();
     for (label, fmt, gated) in alloc_formats() {
@@ -213,7 +213,7 @@ pub fn measure_allocs() -> Vec<AllocPoint> {
 }
 
 /// Measure the fast-vs-stream overhead points.
-pub fn measure_overhead() -> Vec<OverheadPoint> {
+fn measure_overhead() -> Vec<OverheadPoint> {
     let coo = exhibit_coo(13);
     let a_csr = MatrixData::Csr(CsrMatrix::from_coo(&coo));
     let a_zvc = MatrixData::encode(&coo, &MatrixFormat::Zvc).expect("ZVC encodes");
@@ -268,7 +268,7 @@ fn spgemm_workload(m: usize, k: usize, n: usize, nnz_a: usize, nnz_b: usize) -> 
 
 /// Measure the SpGEMM dataflow points (and assert bit-identity while
 /// the operands are at hand).
-pub fn measure_spgemm() -> Vec<SpgemmPoint> {
+fn measure_spgemm() -> Vec<SpgemmPoint> {
     SPGEMM_SHAPES
         .iter()
         .map(|&(name, m, k, n, nnz_a, nnz_b, seed)| {

@@ -114,7 +114,7 @@ fn run_exhibit(
 }
 
 /// Measure every exhibit workload.
-pub fn measure_pipeline() -> Vec<PipelinePoint> {
+fn measure_pipeline() -> Vec<PipelinePoint> {
     let sys = bench_system();
     exhibit_operands()
         .into_iter()
@@ -150,7 +150,7 @@ fn batch_jobs() -> Vec<BatchJob> {
 }
 
 /// Measure the batch front-end.
-pub fn measure_batch() -> BatchPoint {
+fn measure_batch() -> BatchPoint {
     let sys = bench_system();
     let jobs = batch_jobs();
     let batch = sys.run_batch(&jobs);

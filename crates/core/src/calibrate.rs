@@ -32,7 +32,7 @@ use std::sync::Mutex;
 /// Per-lane sample cap: under sustained traffic the calibrator keeps the
 /// first `MAX_SAMPLES_PER_LANE` (raw predicted, measured) pairs per lane
 /// and drops the rest, bounding memory like the plan cache bounds plans.
-pub const MAX_SAMPLES_PER_LANE: usize = 4096;
+const MAX_SAMPLES_PER_LANE: usize = 4096;
 
 /// Multiplicative corrections applied to the stats model's cycle lanes
 /// (1.0 = the uncalibrated analytic model).
@@ -96,17 +96,6 @@ impl LaneSamples {
             .sum();
         let c = spm / spp;
         (c.is_finite() && c > 0.0).then_some(c)
-    }
-
-    /// Mean |c·p − m| / max(m, 1) over the lane's samples.
-    fn error_sum(&self, c: f64) -> (f64, usize) {
-        let sum = self
-            .raw_predicted
-            .iter()
-            .zip(&self.measured)
-            .map(|(p, m)| (c * p - m).abs() / m.max(1.0))
-            .sum();
-        (sum, self.raw_predicted.len())
     }
 }
 
@@ -202,27 +191,6 @@ impl Calibrator {
         s.generation += 1;
         s.coeffs
     }
-
-    /// Mean |c·predicted − measured| / max(measured, 1) over every
-    /// stored sample under the **current** coefficients — the
-    /// stored-sample counterpart of the per-round plan error the
-    /// `BENCH_calibration` exhibit tracks. `None` until a run has been
-    /// recorded.
-    pub fn mean_abs_error(&self) -> Option<f64> {
-        let s = lock_clean(&self.state);
-        let lanes = [
-            (&s.conv, s.coeffs.conv),
-            (&s.compute_ws, s.coeffs.compute_ws),
-            (&s.compute_spgemm, s.coeffs.compute_spgemm),
-        ];
-        let (mut sum, mut n) = (0.0, 0usize);
-        for (lane, c) in lanes {
-            let (e, k) = lane.error_sum(c);
-            sum += e;
-            n += k;
-        }
-        (n > 0).then(|| sum / n as f64)
-    }
 }
 
 #[cfg(test)]
@@ -251,17 +219,10 @@ mod tests {
             &Coefficients::default(),
             scaled_tiles(&[(100, 1_000), (240, 2_200), (60, 800)], 1.5),
         );
-        let before = cal.mean_abs_error().unwrap();
         let c = cal.recalibrate();
         assert!((c.conv - 1.5).abs() < 1e-12, "conv slope {}", c.conv);
         assert!((c.compute_ws - 1.5).abs() < 1e-12);
         assert_eq!(c.compute_spgemm, 1.0, "untouched lane keeps identity");
-        let after = cal.mean_abs_error().unwrap();
-        assert!(
-            after < before,
-            "fit must shrink the error: {after} >= {before}"
-        );
-        assert!(after < 1e-9, "a uniform scale is fit exactly");
     }
 
     #[test]

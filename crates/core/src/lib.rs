@@ -45,7 +45,7 @@ pub mod plan;
 pub mod planner;
 pub mod system;
 
-pub use calibrate::{Calibrator, Coefficients, MAX_SAMPLES_PER_LANE};
+pub use calibrate::{Calibrator, Coefficients};
 pub use casestudy::{layer_edp, LayerEdp};
 pub use pipeline::{BatchJob, BatchRun, PipelineRun, TileTrace};
 pub use plan::{Dataflow, ExecutionPlan, PlanPrediction};

@@ -259,11 +259,6 @@ impl PlanCache {
         self.shard_capacity * self.shards.len()
     }
 
-    /// Number of independent lock domains.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a key hashes to (stable within a process run).
     fn shard_index(&self, key: &PlanKey) -> usize {
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -872,7 +867,7 @@ mod tests {
     #[test]
     fn with_capacity_is_single_shard() {
         let cache = PlanCache::with_capacity(8);
-        assert_eq!(cache.num_shards(), 1);
+        assert_eq!(cache.shards.len(), 1);
         assert_eq!(cache.capacity(), 8);
     }
 
@@ -883,7 +878,7 @@ mod tests {
             cache: PlanCache::with_shards(64, 8),
             ..Planner::default()
         };
-        assert_eq!(planner.cache.num_shards(), 8);
+        assert_eq!(planner.cache.shards.len(), 8);
         assert_eq!(planner.cache.capacity(), 64);
         for i in 0..16 {
             planner.evaluate_cached(&sage, &workload(i)); // misses
@@ -937,7 +932,7 @@ mod tests {
         for i in 0..32 {
             let s1 = shard(i);
             assert_eq!(s1, shard(i), "same key must always map to the same shard");
-            assert!(s1 < planner.cache.num_shards());
+            assert!(s1 < planner.cache.shards.len());
         }
         // Distinct workloads must spread across the shards, so concurrent
         // workers planning disjoint shapes rarely meet on one lock. The

@@ -1,31 +1,30 @@
 //! Software reference conversions between formats.
 //!
 //! These are the `Flex_Flex_SW` baseline of Table I — what a host CPU
-//! (MKL / cuSPARSE in the paper's Fig. 10) would run — and also the
-//! functional oracle that MINT's hardware pipelines are tested against.
+//! (MKL / cuSPARSE in the paper's Fig. 10) would run. [`csr_to_csc`] is
+//! also the functional oracle MINT's counting-sort pipeline is tested
+//! against; MINT's RLC decode calls [`rlc_to_coo`] itself.
 //!
 //! All conversions are available generically through
 //! [`crate::MatrixData::convert_to`], which walks the source once into a
 //! builder of the target; this module adds the *direct* algorithms the
-//! paper walks through in Fig. 8:
+//! paper walks through in Fig. 8 (Fig. 8e's block discovery is
+//! [`BsrMatrix::from_coo`](crate::BsrMatrix::from_coo) itself):
 //!
 //! - [`csr_to_csc`] (Fig. 8c) — counting-sort transpose-of-representation.
 //! - [`rlc_to_coo`] (Fig. 8d) — prefix-sum over runs, then divide/mod.
-//! - [`csr_to_bsr`] (Fig. 8e) — block discovery per row-block.
 //! - [`dense_to_csf`] (Fig. 8f) — scan to COO, then tree construction.
+//! - [`dense_to_csr`] — a row scan that skips the COO hub.
 
-use crate::bsr::BsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csc::CscMatrix;
 use crate::csf::CsfTensor;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
-use crate::error::FormatError;
 use crate::rlc::RlcMatrix;
 use crate::tensor::DenseTensor3;
 use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::traverse::scan;
-use crate::zvc::ZvcMatrix;
 use crate::Value;
 
 /// CSR → CSC by counting sort on column ids (the software equivalent of
@@ -82,20 +81,6 @@ pub fn rlc_to_coo(rlc: &RlcMatrix) -> CooMatrix {
         .expect("RLC stream is ordered and in-bounds")
 }
 
-/// COO → RLC (the reverse direction; not in Fig. 8 but needed for the
-/// full m x a conversion matrix).
-pub fn coo_to_rlc(coo: &CooMatrix, run_bits: u32) -> RlcMatrix {
-    RlcMatrix::from_coo(coo, run_bits)
-}
-
-/// CSR → BSR (Fig. 8e): walk row blocks, discover occupied block columns,
-/// scatter entries into padded block payloads.
-pub fn csr_to_bsr(csr: &CsrMatrix, br: usize, bc: usize) -> Result<BsrMatrix, FormatError> {
-    // The COO hub path already implements exactly the Fig. 8e algorithm
-    // (block discovery + scatter with zero padding); reuse it.
-    BsrMatrix::from_coo(&csr.to_coo(), br, bc)
-}
-
 /// Dense → CSR without materializing COO (row scan).
 #[expect(
     clippy::expect_used,
@@ -119,26 +104,6 @@ pub fn dense_to_csr(dense: &DenseMatrix) -> CsrMatrix {
     }
     CsrMatrix::from_parts(rows, cols, row_ptr, col_ids, values)
         .expect("dense scan yields valid CSR")
-}
-
-/// CSR → Dense scatter.
-pub fn csr_to_dense(csr: &CsrMatrix) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(csr.rows(), csr.cols());
-    for (r, c, v) in csr.iter() {
-        out.set(r, c, v);
-    }
-    out
-}
-
-/// Dense → ZVC (the NVDLA-style compressor mentioned in §V-B: "ZVC-to-
-/// Dense and Dense-to-ZVC" generalize from the same building blocks).
-pub fn dense_to_zvc(dense: &DenseMatrix) -> ZvcMatrix {
-    ZvcMatrix::from_coo(&dense.to_coo())
-}
-
-/// ZVC → Dense decompressor.
-pub fn zvc_to_dense(zvc: &ZvcMatrix) -> DenseMatrix {
-    zvc.to_dense()
 }
 
 /// Dense tensor → CSF (Fig. 8f): scan nonzeros (flat prefix-sum positions
@@ -204,24 +169,10 @@ mod tests {
     }
 
     #[test]
-    fn csr_to_bsr_blocks() {
+    fn dense_to_csr_scans_every_nonzero() {
         let coo = fig8b();
-        let csr = CsrMatrix::from_coo(&coo);
-        let bsr = csr_to_bsr(&csr, 2, 2).unwrap();
-        assert_eq!(bsr.to_coo(), coo);
-        // Occupied 2x2 blocks: (0,0) {a,c}, (0,1) {b}, (1,0) {d}, (1,1) {e,f}.
-        assert_eq!(bsr.num_blocks(), 4);
-    }
-
-    #[test]
-    fn dense_round_trips() {
-        let coo = fig8b();
-        let dense = coo.clone().into_dense();
-        let csr = dense_to_csr(&dense);
+        let csr = dense_to_csr(&coo.clone().into_dense());
         assert_eq!(csr.to_coo(), coo);
-        assert_eq!(csr_to_dense(&csr), dense);
-        let zvc = dense_to_zvc(&dense);
-        assert_eq!(zvc_to_dense(&zvc), dense);
     }
 
     #[test]

@@ -175,12 +175,6 @@ impl CscMatrix {
         (&self.row_ids[s..e], &self.values[s..e])
     }
 
-    /// Number of nonzeros in column `c`.
-    #[inline]
-    pub fn col_nnz(&self, c: usize) -> usize {
-        self.col_ptr[c + 1] - self.col_ptr[c]
-    }
-
     /// Iterate `(row, col, value)` in **column-major** order.
     pub fn iter_col_major(&self) -> impl Iterator<Item = (usize, usize, Value)> + '_ {
         (0..self.cols).flat_map(move |c| {
@@ -256,8 +250,6 @@ mod tests {
     fn fig3a_structure() {
         let m = fig3a_csc();
         assert_eq!(m.nnz(), 6);
-        assert_eq!(m.col_nnz(0), 2);
-        assert_eq!(m.col_nnz(3), 1);
         assert_eq!(m.get(1, 1), 4.0);
         assert_eq!(m.get(3, 0), 0.0);
     }

@@ -112,7 +112,7 @@ impl DenseMatrix {
     }
 
     /// Maximum absolute difference against another matrix of the same shape.
-    pub fn max_abs_diff(&self, other: &DenseMatrix) -> f64 {
+    fn max_abs_diff(&self, other: &DenseMatrix) -> f64 {
         assert_eq!(
             (self.rows, self.cols),
             (other.rows, other.cols),

@@ -42,11 +42,6 @@ impl DataType {
         self.bits() / 8
     }
 
-    /// All datatypes swept by the paper's Fig. 4 analysis.
-    pub const fn sweep() -> [DataType; 3] {
-        [DataType::Fp32, DataType::Int16, DataType::Int8]
-    }
-
     /// Short human-readable name, used in benchmark CSV output.
     pub const fn name(self) -> &'static str {
         match self {

@@ -114,14 +114,10 @@ pub use formats::{MatrixData, MatrixFormat, TensorData, TensorFormat};
 pub use hicoo::HiCooTensor;
 pub use rlc::{RlcMatrix, RlcTensor3};
 pub use tensor::{CooTensor3, DenseTensor3};
-pub use tiler::{
-    bounded_column_ranges, plan_column_schedule, tile_column_ranges, uniform_column_ranges,
-    ColumnSchedule, MatrixTile, TilePolicy,
-};
+pub use tiler::{plan_column_schedule, tile_column_ranges, ColumnSchedule, MatrixTile, TilePolicy};
 pub use traits::{SparseMatrix, SparseTensor3};
 pub use traverse::{
-    csr_cow, csr_cow_in, csr_from_stream, csr_from_stream_in, split_by_prefix,
-    split_by_sorted_keys, FiberStream3, RowMajorStream,
+    csr_cow, csr_cow_in, csr_from_stream, csr_from_stream_in, FiberStream3, RowMajorStream,
 };
 pub use zvc::{ZvcMatrix, ZvcTensor3};
 

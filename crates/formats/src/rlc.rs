@@ -56,11 +56,6 @@ impl RlcMatrix {
         }
     }
 
-    /// Encode with [`DEFAULT_RUN_BITS`].
-    pub fn from_coo_default(coo: &CooMatrix) -> Self {
-        Self::from_coo(coo, DEFAULT_RUN_BITS)
-    }
-
     /// Build from raw entries (tests / MINT decoder output).
     pub fn from_parts(
         rows: usize,

@@ -11,7 +11,7 @@
 //!
 //! Two structure sources feed the matrix formulas:
 //!
-//! 1. **Analytic** ([`MatrixStructure::analytic`]): closed-form expected
+//! 1. **Analytic** (a [`MatrixStructure`] with no counts): closed-form expected
 //!    counts (occupied blocks, diagonals, ELL width, RLC entries) under
 //!    the paper's uniform-random nonzero assumption, given only
 //!    `(dims, nnz)`.
@@ -61,7 +61,7 @@ pub fn bsr_expected_blocks(rows: usize, cols: usize, nnz: usize, br: usize, bc: 
 /// each of the `(rows + cols - 1)` diagonals of length `L_i` is occupied
 /// with probability `1 - (1-d)^L_i`; approximated with the average
 /// diagonal length.
-pub fn dia_expected_diagonals(rows: usize, cols: usize, nnz: usize) -> u64 {
+fn dia_expected_diagonals(rows: usize, cols: usize, nnz: usize) -> u64 {
     let (m, k, n) = (rows as u64, cols as u64, nnz as u64);
     let total = m * k;
     if total == 0 {
@@ -76,7 +76,7 @@ pub fn dia_expected_diagonals(rows: usize, cols: usize, nnz: usize) -> u64 {
 
 /// Expected ELL width for a uniform-random pattern: mean row population
 /// plus a dispersion slack of ~2 standard deviations (binomial).
-pub fn ell_expected_width(rows: usize, cols: usize, nnz: usize) -> u64 {
+fn ell_expected_width(rows: usize, cols: usize, nnz: usize) -> u64 {
     let (m, k, n) = (rows as u64, cols as u64, nnz as u64);
     let total = m * k;
     if total == 0 {
@@ -113,7 +113,7 @@ pub struct MatrixStructure {
 impl MatrixStructure {
     /// A structure with only `(dims, nnz)` known — every count uses its
     /// analytic uniform-random estimate.
-    pub fn analytic(rows: usize, cols: usize, nnz: usize) -> Self {
+    fn analytic(rows: usize, cols: usize, nnz: usize) -> Self {
         MatrixStructure {
             rows,
             cols,
@@ -195,7 +195,7 @@ pub(crate) fn matrix_charge(format: &MatrixFormat, s: &MatrixStructure) -> (u64,
 }
 
 /// Expected occupied x-slices of a uniform-random tensor.
-pub fn csf_expected_slices(dims: (usize, usize, usize), nnz: usize) -> u64 {
+fn csf_expected_slices(dims: (usize, usize, usize), nnz: usize) -> u64 {
     let (x, y, z) = (dims.0 as u64, dims.1 as u64, dims.2 as u64);
     let total = x * y * z;
     if total == 0 {
@@ -206,7 +206,7 @@ pub fn csf_expected_slices(dims: (usize, usize, usize), nnz: usize) -> u64 {
 }
 
 /// Expected occupied (x, y) fibers of a uniform-random tensor.
-pub fn csf_expected_fibers(dims: (usize, usize, usize), nnz: usize) -> u64 {
+fn csf_expected_fibers(dims: (usize, usize, usize), nnz: usize) -> u64 {
     let (x, y, z) = (dims.0 as u64, dims.1 as u64, dims.2 as u64);
     let total = x * y * z;
     if total == 0 {
@@ -218,7 +218,7 @@ pub fn csf_expected_fibers(dims: (usize, usize, usize), nnz: usize) -> u64 {
 
 /// Expected occupied cubic blocks of edge `block` for a uniform-random
 /// tensor.
-pub fn hicoo_expected_blocks(dims: (usize, usize, usize), nnz: usize, block: usize) -> u64 {
+fn hicoo_expected_blocks(dims: (usize, usize, usize), nnz: usize, block: usize) -> u64 {
     let (x, y, z) = (dims.0 as u64, dims.1 as u64, dims.2 as u64);
     let total = x * y * z;
     if total == 0 {

@@ -17,16 +17,16 @@
 //!   of the operand's own format. No tile round-trips through COO or a
 //!   dense intermediate.
 //!
-//! Two range planners are provided:
+//! [`TilePolicy`] names the two range planners:
 //!
-//! - [`uniform_column_ranges`] — fixed-width strips, the geometry of one
+//! - `Uniform` — fixed-width strips, the geometry of one
 //!   weight-stationary array residency (`num_pes` columns at a time).
-//! - [`bounded_column_ranges`] — greedy strips sized so that no stationary
-//!   unit (a row segment of the tile, as held by one Gustavson PE buffer)
-//!   exceeds a slot budget. This is what renders the accelerator's
-//!   "stationary unit needs N slots" rejection unreachable: any operand
-//!   whose individual rows overflow a PE buffer is split until every
-//!   segment fits.
+//! - `Bounded` — greedy strips sized so that no stationary unit (a row
+//!   segment of the tile, as held by one Gustavson PE buffer) exceeds a
+//!   slot budget. This is what renders the accelerator's "stationary
+//!   unit needs N slots" rejection unreachable: any operand whose
+//!   individual rows overflow a PE buffer is split until every segment
+//!   fits.
 
 use crate::build::MatrixBuilder;
 use crate::error::FormatError;
@@ -64,7 +64,7 @@ impl MatrixTile {
 ///
 /// The last range is narrower when `width` does not divide `cols`. An
 /// empty matrix (`cols == 0`) yields no ranges.
-pub fn uniform_column_ranges(cols: usize, width: usize) -> Vec<(usize, usize)> {
+fn uniform_column_ranges(cols: usize, width: usize) -> Vec<(usize, usize)> {
     let width = width.max(1);
     let mut out = Vec::with_capacity(cols.div_ceil(width));
     let mut c0 = 0;
@@ -74,24 +74,6 @@ pub fn uniform_column_ranges(cols: usize, width: usize) -> Vec<(usize, usize)> {
         c0 = c1;
     }
     out
-}
-
-/// Greedy column ranges such that within every range, **every row** of the
-/// operand stores at most `max_row_entries` nonzeros (and no range is wider
-/// than `max_width` columns).
-///
-/// This is the planner for stationary operands consumed row-at-a-time
-/// (the Gustavson SpGEMM dataflow, where one PE buffers one compressed row
-/// segment): capping per-row entries per tile caps the per-PE footprint.
-/// Returns `None` only when `max_row_entries == 0` — a single stored
-/// element already overflows the budget, which no tiling can fix.
-pub fn bounded_column_ranges(
-    data: &MatrixData,
-    max_row_entries: usize,
-    max_width: usize,
-) -> Option<Vec<(usize, usize)>> {
-    (max_row_entries > 0)
-        .then(|| bounded_ranges(&column_index(data), data.rows(), max_row_entries, max_width))
 }
 
 /// Every stored entry's row, grouped by column: column `c`'s rows are
@@ -167,7 +149,13 @@ fn count_columns(col_ptr: &mut [usize], cs: &[usize]) {
     }
 }
 
-/// [`bounded_column_ranges`] over a column index, with its scratch.
+/// Greedy column ranges such that within every range, **every row** of the
+/// operand stores at most `max_row_entries >= 1` nonzeros (and no range
+/// is wider than `max_width` columns).
+///
+/// This is the planner for stationary operands consumed row-at-a-time
+/// (the Gustavson SpGEMM dataflow, where one PE buffers one compressed row
+/// segment): capping per-row entries per tile caps the per-PE footprint.
 fn bounded_ranges(
     index: &ColumnIndex<'_>,
     rows: usize,
@@ -238,14 +226,14 @@ pub enum TilePolicy {
     /// One tile spanning every column — the monolithic discipline (the
     /// whole stationary operand must fit one scratchpad residency).
     Whole,
-    /// Fixed-width strips ([`uniform_column_ranges`]): the geometry of
-    /// one weight-stationary array residency.
+    /// Fixed-width strips: the geometry of one weight-stationary array
+    /// residency.
     Uniform {
         /// Columns per tile.
         width: usize,
     },
-    /// Greedy strips capped so no row segment exceeds a slot budget
-    /// ([`bounded_column_ranges`]): the Gustavson SpGEMM discipline.
+    /// Greedy strips capped so no row segment exceeds a slot budget: the
+    /// Gustavson SpGEMM discipline.
     Bounded {
         /// Per-row stored-entry budget within one tile.
         max_row_entries: usize,
@@ -528,6 +516,19 @@ mod tests {
         assert_eq!(tiles[2].width(), 3);
     }
 
+    /// The ranges of a [`TilePolicy::Bounded`] schedule.
+    fn bounded(
+        data: &MatrixData,
+        max_row_entries: usize,
+        max_width: usize,
+    ) -> Option<Vec<(usize, usize)>> {
+        let policy = TilePolicy::Bounded {
+            max_row_entries,
+            max_width,
+        };
+        plan_column_schedule(data, policy).map(|s| s.ranges)
+    }
+
     #[test]
     fn bounded_ranges_cap_row_segments() {
         // Row 0 holds 8 entries in 8 consecutive columns; a budget of 2
@@ -535,13 +536,13 @@ mod tests {
         let coo = CooMatrix::from_triplets(2, 8, (0..8).map(|c| (0, c, (c + 1) as f64)).collect())
             .unwrap();
         let data = MatrixData::encode(&coo, &MatrixFormat::Csr).unwrap();
-        let ranges = bounded_column_ranges(&data, 2, usize::MAX).unwrap();
+        let ranges = bounded(&data, 2, usize::MAX).unwrap();
         for &(c0, c1) in &ranges {
             assert!(c1 - c0 <= 2, "range ({c0},{c1}) exceeds the row budget");
         }
         let covered: usize = ranges.iter().map(|&(a, b)| b - a).sum();
         assert_eq!(covered, 8);
-        assert!(bounded_column_ranges(&data, 0, 4).is_none());
+        assert!(bounded(&data, 0, 4).is_none());
     }
 
     #[test]
@@ -586,7 +587,7 @@ mod tests {
     fn bounded_ranges_respect_max_width() {
         let coo = CooMatrix::from_triplets(2, 10, vec![(0, 0, 1.0), (1, 9, 2.0)]).unwrap();
         let data = MatrixData::encode(&coo, &MatrixFormat::Coo).unwrap();
-        let ranges = bounded_column_ranges(&data, 64, 4).unwrap();
+        let ranges = bounded(&data, 64, 4).unwrap();
         assert!(ranges.iter().all(|&(a, b)| b - a <= 4));
         assert_eq!(ranges.first().unwrap().0, 0);
         assert_eq!(ranges.last().unwrap().1, 10);

@@ -97,7 +97,7 @@ pub type FiberSink3<'a> = dyn FnMut(usize, usize, &[usize], &[Value]) + 'a;
 /// range's weight is within one maximum-unit-weight of the ideal
 /// `total/parts`. Duplicate boundaries collapse: the result has at most
 /// `parts` non-empty ranges, ascending, disjoint, covering every unit.
-pub fn split_by_prefix(prefix: &[usize], parts: usize) -> Vec<Range<usize>> {
+fn split_by_prefix(prefix: &[usize], parts: usize) -> Vec<Range<usize>> {
     let units = prefix.len().saturating_sub(1);
     if units == 0 {
         return Vec::new();
@@ -161,7 +161,7 @@ fn mask_prefix(mask: &[u64], units: usize, width: usize) -> Vec<usize> {
 /// `p/parts * n_elems` — elements sharing that key stay in the next range,
 /// so ranges never split a fiber and carry the same near-equal-weight
 /// guarantee. `key_at(i)` must be non-decreasing in `i`.
-pub fn split_by_sorted_keys(
+fn split_by_sorted_keys(
     n_elems: usize,
     key_end: usize,
     parts: usize,

@@ -48,7 +48,7 @@ impl DeviceModel {
     }
 
     /// Roofline time for a kernel with the given FLOPs and byte traffic.
-    pub fn roofline_time(&self, flops: f64, bytes: f64, efficiency: f64) -> f64 {
+    fn roofline_time(&self, flops: f64, bytes: f64, efficiency: f64) -> f64 {
         let compute = flops / (self.peak_flops * efficiency.max(1e-6));
         let memory = bytes / self.mem_bw;
         compute.max(memory) + self.kernel_overhead_s

@@ -24,7 +24,7 @@ impl OffloadModel {
     }
 
     /// Time to move `bytes` one way.
-    pub fn transfer_time(&self, bytes: f64) -> f64 {
+    fn transfer_time(&self, bytes: f64) -> f64 {
         bytes / self.pcie_bw + self.transfer_latency_s
     }
 

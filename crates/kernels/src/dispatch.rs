@@ -156,8 +156,10 @@ pub fn spmm_sparse_b(a: &DenseMatrix, b: &MatrixData) -> Result<DenseMatrix, Ker
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpgemmAlgo {
     /// Gustavson's row algorithm: dense sparse-accumulator the width of
-    /// `B`, O(1) scatter per partial product, one sort per output row.
-    /// Wins when output rows are dense relative to `B`'s width.
+    /// `B`, O(1) scatter per partial product, and a two-level occupancy
+    /// bitmap that emits each output row's columns in ascending order
+    /// without a sort. Wins when output rows are dense relative to `B`'s
+    /// width.
     Gustavson,
     /// Row-wise product (*Maple*'s dataflow): k-way heap merge of the
     /// selected B-rows, O(row fan-out) scratch, O(log fan-out) per

@@ -5,7 +5,7 @@
 //! shape `C x R x S` becomes a GEMM of `(P) x (C*R*S)` by
 //! `(C*R*S) x K`, where `P` is the number of output positions.
 
-use sparseflex_formats::{DenseMatrix, DenseTensor3, SparseMatrix, SparseTensor3};
+use sparseflex_formats::{DenseMatrix, DenseTensor3, SparseTensor3};
 
 /// Specification of one convolution layer (matching the columns of the
 /// paper's Fig. 14a table).
@@ -31,7 +31,7 @@ pub struct ConvLayer {
 
 impl ConvLayer {
     /// Output spatial dims `(out_h, out_w)`.
-    pub fn out_dims(&self) -> (usize, usize) {
+    fn out_dims(&self) -> (usize, usize) {
         let oh = (self.height + 2 * self.pad - self.filter_h) / self.stride + 1;
         let ow = (self.width + 2 * self.pad - self.filter_w) / self.stride + 1;
         (oh, ow)
@@ -91,48 +91,11 @@ pub fn im2col(input: &DenseTensor3, layer: &ConvLayer) -> DenseMatrix {
     out
 }
 
-/// Direct (sliding window) convolution used as the im2col test oracle.
-/// Returns a `K x out_h x out_w` tensor.
-pub fn conv2d_direct(
-    input: &DenseTensor3,
-    weights: &DenseMatrix, // K x (C*R*S), each row a flattened filter
-    layer: &ConvLayer,
-) -> DenseTensor3 {
-    let (oh, ow) = layer.out_dims();
-    let mut out = DenseTensor3::zeros(layer.out_channels, oh, ow);
-    for k in 0..layer.out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0;
-                let mut wi = 0;
-                for c in 0..layer.in_channels {
-                    for fy in 0..layer.filter_h {
-                        for fx in 0..layer.filter_w {
-                            let iy = oy * layer.stride + fy;
-                            let ix = ox * layer.stride + fx;
-                            if iy >= layer.pad
-                                && ix >= layer.pad
-                                && iy - layer.pad < layer.height
-                                && ix - layer.pad < layer.width
-                            {
-                                acc += input.get(c, iy - layer.pad, ix - layer.pad)
-                                    * weights.get(k, wi);
-                            }
-                            wi += 1;
-                        }
-                    }
-                }
-                out.set(k, oy, ox, acc);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::gemm;
+    use sparseflex_formats::SparseMatrix;
 
     fn layer() -> ConvLayer {
         ConvLayer {
@@ -161,6 +124,44 @@ mod tests {
             }
         }
         t
+    }
+
+    /// Direct (sliding window) convolution used as the im2col test oracle.
+    /// Returns a `K x out_h x out_w` tensor.
+    fn conv2d_direct(
+        input: &DenseTensor3,
+        weights: &DenseMatrix, // K x (C*R*S), each row a flattened filter
+        layer: &ConvLayer,
+    ) -> DenseTensor3 {
+        let (oh, ow) = layer.out_dims();
+        let mut out = DenseTensor3::zeros(layer.out_channels, oh, ow);
+        for k in 0..layer.out_channels {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0;
+                    let mut wi = 0;
+                    for c in 0..layer.in_channels {
+                        for fy in 0..layer.filter_h {
+                            for fx in 0..layer.filter_w {
+                                let iy = oy * layer.stride + fy;
+                                let ix = ox * layer.stride + fx;
+                                if iy >= layer.pad
+                                    && ix >= layer.pad
+                                    && iy - layer.pad < layer.height
+                                    && ix - layer.pad < layer.width
+                                {
+                                    acc += input.get(c, iy - layer.pad, ix - layer.pad)
+                                        * weights.get(k, wi);
+                                }
+                                wi += 1;
+                            }
+                        }
+                    }
+                    out.set(k, oy, ox, acc);
+                }
+            }
+        }
+        out
     }
 
     #[test]

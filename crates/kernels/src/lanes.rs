@@ -22,7 +22,7 @@ use sparseflex_formats::Value;
 
 /// Lane width for the chunked dense loops (f64 elements per step — two
 /// AVX2 / one AVX-512 register's worth, and enough unroll for NEON).
-pub const LANES: usize = 8;
+const LANES: usize = 8;
 
 /// `out[j] += a * b[j]` for every `j` — the SpMM/SpTTM/MTTKRP row update.
 ///

@@ -2,10 +2,14 @@
 //!
 //! Software reference implementations of the tensor-algebra kernels the
 //! paper's accelerator targets (Fig. 2), redesigned around **format-generic
-//! fiber streams**: each sparse kernel has one public entry point that
-//! takes an operand in *any* of the paper's compression formats and
-//! consumes it through the `sparseflex_formats::traverse` streaming
-//! traversal — no pre-conversion to a blessed format.
+//! fiber streams**: each sparse kernel's entry point takes an operand in
+//! *any* of the paper's compression formats and consumes it through the
+//! `sparseflex_formats::traverse` streaming traversal — no
+//! pre-conversion to a blessed format. Variants sit beside some entry
+//! points: `_parallel` (the same body over partition ranges), `_with`
+//! (SpGEMM with a chosen dataflow) and `_via_stream` (the stream body
+//! without the fast-path dispatch, the reference the fast paths are
+//! timed and checked against).
 //!
 //! - **GEMM** — dense matrix × dense matrix ([`mod@gemm`]).
 //! - **SpMV** — any-format matrix × dense vector ([`spmv()`]).

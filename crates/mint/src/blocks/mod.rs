@@ -25,7 +25,7 @@ pub use sorter::SortingNetwork;
 /// block (comparator, adder, counter) — int32-scale, in joules.
 pub const E_SMALL_OP: f64 = 0.1e-12;
 /// Lane width of the adder / comparator banks (elements per cycle).
-pub const SMALL_BANK_WIDTH: u64 = 16;
+const SMALL_BANK_WIDTH: u64 = 16;
 
 /// Busy cycles for `n` elements through a 16-wide adder/comparator bank.
 #[inline]

@@ -29,11 +29,6 @@ impl SortingNetwork {
         log * (log + 1) / 2
     }
 
-    /// Compare-exchange units (area driver): `w/2` per stage.
-    pub fn comparator_count(&self) -> u64 {
-        self.stages() * (self.width as u64 / 2)
-    }
-
     /// Busy cycles for `n` elements (pipelined: one chunk per cycle after
     /// the `stages()` fill).
     pub fn cycles(&self, n: u64) -> u64 {
@@ -98,13 +93,5 @@ mod tests {
         assert_eq!(net.cycles(160), 10);
         assert_eq!(net.cycles(161), 11);
         assert_eq!(net.cycles(0), 0);
-    }
-
-    #[test]
-    fn comparator_area_grows_with_width() {
-        assert!(
-            SortingNetwork { width: 32 }.comparator_count()
-                > SortingNetwork { width: 8 }.comparator_count()
-        );
     }
 }

@@ -27,7 +27,7 @@ pub struct ConversionCost {
 
 impl ConversionCost {
     /// Zero cost (identity conversion).
-    pub const fn free() -> Self {
+    const fn free() -> Self {
         ConversionCost {
             cycles: 0,
             energy: 0.0,

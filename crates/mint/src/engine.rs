@@ -430,7 +430,7 @@ impl ConversionEngine {
     }
 
     /// Decode any tensor payload into the COO hub through the blocks.
-    pub fn decode_tensor_to_coo(
+    fn decode_tensor_to_coo(
         &self,
         data: &sparseflex_formats::TensorData,
     ) -> (sparseflex_formats::CooTensor3, ConversionReport) {
@@ -537,7 +537,7 @@ impl ConversionEngine {
 
     /// Encode the COO tensor hub into any tensor format through the
     /// blocks.
-    pub fn encode_tensor_from_coo(
+    fn encode_tensor_from_coo(
         &self,
         coo: &sparseflex_formats::CooTensor3,
         target: &sparseflex_formats::TensorFormat,
@@ -697,10 +697,13 @@ mod tests {
     }
 
     #[test]
-    fn csr_to_bsr_matches_software_oracle() {
+    fn csr_to_bsr_keeps_every_entry_in_its_block() {
         let csr = CsrMatrix::from_coo(&fig8b());
         let (bsr, rep) = engine().csr_to_bsr(&csr, 2, 2).unwrap();
-        assert_eq!(bsr, convert::csr_to_bsr(&csr, 2, 2).unwrap());
+        assert_eq!(bsr.to_coo(), fig8b());
+        assert_eq!(bsr.block_shape(), (2, 2));
+        // Occupied 2x2 blocks: (0,0) {a,c}, (0,1) {b}, (1,0) {d}, (1,1) {e,f}.
+        assert_eq!(bsr.num_blocks(), 4);
         assert!(rep.cycles(BlockKind::Modulo) > 0);
     }
 

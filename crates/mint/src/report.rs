@@ -23,7 +23,7 @@ pub enum BlockKind {
 
 impl BlockKind {
     /// Every kind, in declaration order (a report's index order).
-    pub const ALL: [BlockKind; 8] = [
+    const ALL: [BlockKind; 8] = [
         BlockKind::PrefixSum,
         BlockKind::Sorter,
         BlockKind::ClusterCounter,
@@ -112,7 +112,7 @@ impl ConversionReport {
         self.block_energy[kind as usize]
     }
 
-    /// The blocks with busy cycles, in [`BlockKind::ALL`] order.
+    /// The blocks with busy cycles, in `BlockKind::ALL` order.
     pub fn busy_blocks(&self) -> impl Iterator<Item = (BlockKind, u64)> + '_ {
         BlockKind::ALL
             .into_iter()

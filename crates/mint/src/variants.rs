@@ -36,8 +36,7 @@ impl MintVariant {
 
     /// Power in watts at 1 GHz. The paper reports relative shares rather
     /// than absolutes; we anchor `MINT_m` at 150 mW (a typical density
-    /// for 28nm datapath logic) and scale the others by area, with the
-    /// divide/mod share checked against the 65% figure in tests.
+    /// for 28nm datapath logic) and scale the others by area.
     pub const fn power_w(self) -> f64 {
         match self {
             MintVariant::Baseline => 0.348,
@@ -54,15 +53,6 @@ impl MintVariant {
             // the accelerator's dividers for part of the work.
             MintVariant::Baseline => 0.74,
             MintVariant::MergedReuse => 0.55,
-        }
-    }
-
-    /// Power fraction of divide/mod units (65% for `MINT_m`).
-    pub const fn divmod_power_share(self) -> f64 {
-        match self {
-            MintVariant::Merged => 0.65,
-            MintVariant::Baseline => 0.65,
-            MintVariant::MergedReuse => 0.48,
         }
     }
 
@@ -113,19 +103,6 @@ impl PrefixSumOverlay {
     }
 }
 
-/// MINT_m's share of a 16384-PE accelerator (the paper: "MINT_m consumes
-/// 0.5% of its area and 0.4% of its power").
-pub fn relative_to_accelerator(variant: MintVariant) -> (f64, f64) {
-    // Anchored to the paper's reported accelerator-relative shares for
-    // MINT_m; others scale by area/power ratios.
-    let accel_area = MintVariant::Merged.area_mm2() / 0.005;
-    let accel_power = MintVariant::Merged.power_w() / 0.004;
-    (
-        variant.area_mm2() / accel_area,
-        variant.power_w() / accel_power,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,7 +129,6 @@ mod tests {
     #[test]
     fn divmod_dominates_mint_m() {
         assert_eq!(MintVariant::Merged.divmod_area_share(), 0.74);
-        assert_eq!(MintVariant::Merged.divmod_power_share(), 0.65);
     }
 
     #[test]
@@ -161,12 +137,5 @@ mod tests {
         assert_eq!(PrefixSumOverlay::HighlyParallel.power_overhead(), 0.27);
         assert_eq!(PrefixSumOverlay::SerialChain.area_overhead(), 0.02);
         assert_eq!(PrefixSumOverlay::SerialChain.power_overhead(), 0.03);
-    }
-
-    #[test]
-    fn mint_m_is_half_percent_of_accelerator() {
-        let (area_share, power_share) = relative_to_accelerator(MintVariant::Merged);
-        assert!((area_share - 0.005).abs() < 1e-12);
-        assert!((power_share - 0.004).abs() < 1e-12);
     }
 }

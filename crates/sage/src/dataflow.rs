@@ -31,11 +31,11 @@ use sparseflex_kernels::SpgemmAlgo;
 /// Cost breakdown for one SpGEMM dataflow, in abstract scratch-touch
 /// operations (comparable between the two variants only).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DataflowCost {
+struct DataflowCost {
     /// Which dataflow this prices.
-    pub algo: SpgemmAlgo,
+    algo: SpgemmAlgo,
     /// Modeled scratch-touch operations.
-    pub ops: f64,
+    ops: f64,
 }
 
 /// Average nonzeros per *occupied* row of A (the rows that stream).
@@ -49,7 +49,7 @@ fn avg_b_row_fill(w: &SageWorkload) -> f64 {
 }
 
 /// Price Gustavson's row algorithm for `w`.
-pub fn gustavson_cost(w: &SageWorkload) -> DataflowCost {
+fn gustavson_cost(w: &SageWorkload) -> DataflowCost {
     let flops = w.nnz_a as f64 * avg_b_row_fill(w);
     // Surviving outputs per row, then the per-row sort of that many ids.
     let t_per_row = w.expected_nnz_out() as f64 / (w.m as f64).max(1.0);
@@ -65,7 +65,7 @@ pub fn gustavson_cost(w: &SageWorkload) -> DataflowCost {
 }
 
 /// Price the row-wise merge product for `w`.
-pub fn rowwise_cost(w: &SageWorkload) -> DataflowCost {
+fn rowwise_cost(w: &SageWorkload) -> DataflowCost {
     let flops = w.nnz_a as f64 * avg_b_row_fill(w);
     let heap_depth = (avg_row_fanout(w) + 2.0).log2();
     DataflowCost {

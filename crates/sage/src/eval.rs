@@ -259,7 +259,7 @@ impl Sage {
     /// Stationary tiles the pipelined runtime cuts a workload into: one
     /// weight-stationary array residency (`num_pes` stationary columns)
     /// per tile, clamped to keep the model O(1).
-    pub fn stationary_tiles(&self, w: &SageWorkload) -> usize {
+    fn stationary_tiles(&self, w: &SageWorkload) -> usize {
         w.n.div_ceil(self.accel.num_pes.max(1)).clamp(1, 4096)
     }
 

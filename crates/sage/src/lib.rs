@@ -38,9 +38,7 @@ pub mod structured;
 pub mod tensor_model;
 pub mod workload;
 
-pub use dataflow::{choose_spgemm_algo, gustavson_cost, rowwise_cost, DataflowCost};
+pub use dataflow::choose_spgemm_algo;
 pub use eval::{Evaluation, Sage};
-pub use search::{
-    acf_stationary_candidates, acf_streaming_candidates, FormatChoice, Recommendation,
-};
+pub use search::{FormatChoice, Recommendation};
 pub use workload::{SageKernel, SageWorkload, TensorWorkload};

@@ -38,7 +38,7 @@ impl std::fmt::Display for FormatChoice {
 /// generation engine's iteration order (Dense, CSR, COO, CSC). This is
 /// not [`MatrixFormat::acf_set`]'s order, and it is part of SAGE's
 /// output: ties keep the first candidate.
-pub fn acf_streaming_candidates() -> Vec<MatrixFormat> {
+fn acf_streaming_candidates() -> Vec<MatrixFormat> {
     vec![
         MatrixFormat::Dense,
         MatrixFormat::Csr,
@@ -50,7 +50,7 @@ pub fn acf_streaming_candidates() -> Vec<MatrixFormat> {
 /// Stationary-operand ACF candidates: the subset of the ACF space the
 /// weight-stationary array can hold resident (Dense, CSC), plus CSR for
 /// the Gustavson SpGEMM pairing.
-pub fn acf_stationary_candidates() -> Vec<MatrixFormat> {
+fn acf_stationary_candidates() -> Vec<MatrixFormat> {
     vec![MatrixFormat::Dense, MatrixFormat::Csc, MatrixFormat::Csr]
 }
 
@@ -75,6 +75,9 @@ impl Sage {
     /// Search with the MCFs pinned by the programmer ("there might be
     /// scenarios when the MCF is already predetermined ... SAGE will find
     /// the best accelerator configuration (ACF) and conversion type").
+    // §VI's mode for an MCF that is already predetermined, kept as a
+    // paper mechanism although nothing in the workspace pins MCFs yet.
+    // sflint::allow(pub-without-caller)
     pub fn recommend_with_fixed_mcf(
         &self,
         w: &SageWorkload,

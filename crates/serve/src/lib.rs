@@ -57,4 +57,4 @@ pub use service::{
     FlexService, JobOutcome, JobTicket, Priority, ServeConfig, ServeError, ServiceStats,
     StartError, SubmitError, TenantStats,
 };
-pub use wire::{WireError, WireJob, WireResult, WIRE_MAGIC, WIRE_VERSION};
+pub use wire::{WireError, WireJob, WireResult};

@@ -5,7 +5,7 @@
 //! | offset | size | field                                          |
 //! |-------:|-----:|------------------------------------------------|
 //! |      0 |    4 | magic `b"SFLX"`                                 |
-//! |      4 |    1 | version ([`WIRE_VERSION`])                      |
+//! |      4 |    1 | version (`WIRE_VERSION`)                        |
 //! |      5 |    1 | kind (0 matrix, 2 job, 3 result)                |
 //! |      6 |    2 | reserved (must be zero)                         |
 //! |      8 |    8 | FNV-1a checksum of the body, little-endian      |
@@ -35,10 +35,10 @@ use sparseflex_formats::{
 use crate::service::Priority;
 
 /// Frame magic: the first four bytes of every wire frame.
-pub const WIRE_MAGIC: [u8; 4] = *b"SFLX";
+const WIRE_MAGIC: [u8; 4] = *b"SFLX";
 
 /// Current wire protocol version, carried in every frame header.
-pub const WIRE_VERSION: u8 = 1;
+const WIRE_VERSION: u8 = 1;
 
 /// Byte length of the fixed frame header (magic + version + kind +
 /// reserved + checksum).
@@ -52,9 +52,9 @@ const KIND_RESULT: u8 = 3;
 /// panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The frame does not start with [`WIRE_MAGIC`].
+    /// The frame does not start with `WIRE_MAGIC`.
     BadMagic,
-    /// The frame's version byte is not [`WIRE_VERSION`].
+    /// The frame's version byte is not `WIRE_VERSION`.
     UnsupportedVersion(u8),
     /// The frame is of a different kind than the decoder expected.
     WrongKind {

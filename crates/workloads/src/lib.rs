@@ -30,6 +30,5 @@ pub mod synth;
 pub use resnet::{PruningStrategy, ResNetLayer, RESNET_LAYERS};
 pub use suite::{KernelClass, WorkloadShape, WorkloadSpec, TABLE_III};
 pub use synth::{
-    banded_matrix, blocked_matrix, random_dense_matrix, random_matrix, random_matrix_density,
-    random_tensor3, random_tensor3_density,
+    banded_matrix, blocked_matrix, random_dense_matrix, random_matrix, random_tensor3,
 };

@@ -6,8 +6,6 @@
 //! sparsities, which is everything the EDP model consumes. We encode that
 //! table verbatim and synthesize matching operands.
 
-use crate::synth::random_matrix;
-use sparseflex_formats::CooMatrix;
 use sparseflex_kernels::ConvLayer;
 
 /// Pruning strategy of the §VII-D case study.
@@ -147,33 +145,11 @@ impl ResNetLayer {
     pub fn gemm_dims(&self, batch: usize) -> (usize, usize, usize) {
         self.conv.gemm_dims(batch)
     }
-
-    /// Synthesize the im2col'd activation matrix `M x K` at this layer's
-    /// activation sparsity.
-    pub fn generate_activations(
-        &self,
-        batch: usize,
-        strategy: PruningStrategy,
-        seed: u64,
-    ) -> CooMatrix {
-        let (m, k, _) = self.gemm_dims(batch);
-        let nnz = ((m as f64 * k as f64) * self.act_density(strategy)).round() as usize;
-        random_matrix(m, k, nnz.min(m * k), seed)
-    }
-
-    /// Synthesize the weight matrix `K x N` at this layer's weight
-    /// sparsity.
-    pub fn generate_weights(&self, strategy: PruningStrategy, seed: u64) -> CooMatrix {
-        let (_, k, n) = self.gemm_dims(1);
-        let nnz = ((k as f64 * n as f64) * self.weight_density(strategy)).round() as usize;
-        random_matrix(k, n, nnz.min(k * n), seed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparseflex_formats::SparseMatrix;
 
     #[test]
     fn eight_layers_with_paper_geometry() {
@@ -217,35 +193,5 @@ mod tests {
         assert_eq!((k, n), (k64, n64));
         assert_eq!(k, 64); // C*R*S = 64*1*1
         assert_eq!(n, 256);
-    }
-
-    #[test]
-    fn generated_weights_match_target_density() {
-        let l = &RESNET_LAYERS[4]; // 1024*256 weights, big enough to check
-        let w = l.generate_weights(PruningStrategy::GlobalPrune70, 9);
-        let target = l.weight_density(PruningStrategy::GlobalPrune70);
-        let got = w.density();
-        assert!(
-            (got - target).abs() < 0.01,
-            "weight density {got} vs {target}"
-        );
-    }
-
-    #[test]
-    fn normal_strategy_weights_are_dense() {
-        let l = &RESNET_LAYERS[0];
-        let w = l.generate_weights(PruningStrategy::Normal, 1);
-        assert_eq!(w.density(), 1.0);
-    }
-
-    #[test]
-    fn activations_generate_small_batch() {
-        let l = &RESNET_LAYERS[7]; // 4x4 spatial keeps this cheap
-        let a = l.generate_activations(2, PruningStrategy::Normal, 3);
-        let (m, k, _) = l.gemm_dims(2);
-        assert_eq!(a.rows(), m);
-        assert_eq!(a.cols(), k);
-        let target = l.act_density(PruningStrategy::Normal);
-        assert!((a.density() - target).abs() < 0.02);
     }
 }

@@ -7,8 +7,8 @@
 //! regenerated synthetically (see the crate docs for why that substitution
 //! is sound).
 
-use crate::synth::{random_dense_matrix, random_matrix, random_tensor3};
-use sparseflex_formats::{CooMatrix, CooTensor3, DenseMatrix};
+use crate::synth::random_matrix;
+use sparseflex_formats::CooMatrix;
 
 /// Which kernel(s) a workload participates in (the shading colours of
 /// Table III: blue = SpGEMM, grey = SpMM, tan = SpTTM, yellow = MTTKRP).
@@ -206,7 +206,7 @@ impl WorkloadSpec {
     }
 
     /// Total element count of the operand.
-    pub fn volume(&self) -> u64 {
+    fn volume(&self) -> u64 {
         match self.shape {
             WorkloadShape::Matrix { rows, cols } => rows as u64 * cols as u64,
             WorkloadShape::Tensor { x, y, z } => x as u64 * y as u64 * z as u64,
@@ -246,40 +246,12 @@ impl WorkloadSpec {
             WorkloadShape::Tensor { .. } => None,
         }
     }
-
-    /// Generate the sparse tensor operand (tensor workloads only).
-    pub fn generate_tensor(&self, seed: u64) -> Option<CooTensor3> {
-        match self.shape {
-            WorkloadShape::Tensor { x, y, z } => Some(random_tensor3(x, y, z, self.nnz, seed)),
-            WorkloadShape::Matrix { .. } => None,
-        }
-    }
-
-    /// Generate the dense factor operand (for SpMM / SpTTM / MTTKRP).
-    pub fn generate_factor(&self, seed: u64) -> DenseMatrix {
-        let (r, c) = self.factor_dims();
-        random_dense_matrix(r, c, seed)
-    }
-
-    /// Generate the sparse second operand for SpGEMM (same density region
-    /// as the first operand, per the Fig. 5 methodology).
-    pub fn generate_sparse_factor(&self, seed: u64) -> Option<CooMatrix> {
-        match self.shape {
-            WorkloadShape::Matrix { .. } => {
-                let (r, c) = self.factor_dims();
-                let nnz = ((r as f64 * c as f64) * self.density()).round() as usize;
-                let nnz = nnz.min(r * c).max(1);
-                Some(random_matrix(r, c, nnz, seed))
-            }
-            WorkloadShape::Tensor { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparseflex_formats::{SparseMatrix, SparseTensor3};
+    use sparseflex_formats::SparseMatrix;
 
     #[test]
     fn densities_match_paper_column() {
@@ -317,6 +289,7 @@ mod tests {
         let u = WorkloadSpec::by_name("Uber").unwrap();
         assert_eq!(u.kernels(), &[KernelClass::SpTtm, KernelClass::Mttkrp]);
         assert!(u.is_tensor());
+        assert!(u.generate_matrix(1).is_none());
     }
 
     #[test]
@@ -334,39 +307,6 @@ mod tests {
         assert_eq!(m.rows(), 124);
         assert_eq!(m.cols(), 124);
         assert_eq!(m.nnz(), 12_068);
-        assert!(j.generate_tensor(1).is_none());
-    }
-
-    #[test]
-    fn sparse_factor_density_tracks_operand() {
-        let c = WorkloadSpec::by_name("cavity14").unwrap();
-        let f = c.generate_sparse_factor(2).unwrap();
-        let d_op = c.density();
-        let d_f = f.density();
-        assert!(
-            (d_f - d_op).abs() / d_op < 0.05,
-            "factor density {d_f} vs {d_op}"
-        );
-    }
-
-    #[test]
-    fn tensor_generation_small_slice() {
-        // Only test shape plumbing with a scaled-down spec to keep tests
-        // fast; the real specs are exercised by the bench binaries.
-        let spec = WorkloadSpec {
-            name: "mini",
-            source: "test",
-            shape: WorkloadShape::Tensor {
-                x: 30,
-                y: 20,
-                z: 10,
-            },
-            nnz: 500,
-        };
-        let t = spec.generate_tensor(3).unwrap();
-        assert_eq!(t.nnz(), 500);
-        assert_eq!(t.shape(), (30, 20, 10));
-        assert!(spec.generate_matrix(3).is_none());
     }
 
     #[test]

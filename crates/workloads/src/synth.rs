@@ -51,24 +51,6 @@ pub fn random_matrix(rows: usize, cols: usize, nnz: usize, seed: u64) -> CooMatr
     CooMatrix::from_sorted_triplets(rows, cols, triplets).expect("sampled flats are sorted")
 }
 
-/// Uniform random sparse matrix with **expected** density `density`
-/// (Bernoulli per position — cheaper than exact sampling for dense-ish
-/// patterns, and the binomial nnz concentrates tightly at this scale).
-pub fn random_matrix_density(rows: usize, cols: usize, density: f64, seed: u64) -> CooMatrix {
-    assert!((0.0..=1.0).contains(&density), "density must be in [0,1]");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let expected = (rows as f64 * cols as f64 * density) as usize;
-    let mut triplets = Vec::with_capacity(expected + expected / 8 + 16);
-    for r in 0..rows {
-        for c in 0..cols {
-            if rng.gen_bool(density) {
-                triplets.push((r, c, nonzero_value(&mut rng)));
-            }
-        }
-    }
-    CooMatrix::from_sorted_triplets(rows, cols, triplets).expect("scan order is sorted")
-}
-
 /// Fully dense random matrix.
 pub fn random_dense_matrix(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -92,29 +74,6 @@ pub fn random_tensor3(dx: usize, dy: usize, dz: usize, nnz: usize, seed: u64) ->
         })
         .collect();
     CooTensor3::from_quads(dx, dy, dz, quads).expect("sampled coordinates are in-bounds")
-}
-
-/// Uniform random sparse tensor with expected density.
-pub fn random_tensor3_density(
-    dx: usize,
-    dy: usize,
-    dz: usize,
-    density: f64,
-    seed: u64,
-) -> CooTensor3 {
-    assert!((0.0..=1.0).contains(&density), "density must be in [0,1]");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut quads = Vec::new();
-    for x in 0..dx {
-        for y in 0..dy {
-            for z in 0..dz {
-                if rng.gen_bool(density) {
-                    quads.push((x, y, z, nonzero_value(&mut rng)));
-                }
-            }
-        }
-    }
-    CooTensor3::from_quads(dx, dy, dz, quads).expect("scan coordinates are in-bounds")
 }
 
 /// Banded matrix: `bands` diagonals centred on the main diagonal, fully
@@ -196,13 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn density_generator_concentrates() {
-        let m = random_matrix_density(200, 200, 0.1, 9);
-        let d = m.density();
-        assert!((0.07..0.13).contains(&d), "density {d} far from 0.1");
-    }
-
-    #[test]
     fn no_zero_values_emitted() {
         let m = random_matrix(40, 40, 300, 5);
         assert!(m.values().iter().all(|v| *v != 0.0));
@@ -214,13 +166,6 @@ mod tests {
         let t = random_tensor3(20, 20, 20, 456, 11);
         assert_eq!(t.nnz(), 456);
         assert_eq!(t.shape(), (20, 20, 20));
-    }
-
-    #[test]
-    fn tensor_density_concentrates() {
-        let t = random_tensor3_density(30, 30, 30, 0.05, 13);
-        let d = t.density();
-        assert!((0.03..0.07).contains(&d), "density {d} far from 0.05");
     }
 
     #[test]
