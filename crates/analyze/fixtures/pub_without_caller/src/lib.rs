@@ -19,6 +19,12 @@ pub fn orphan_helper(x: u64) -> u64 {
 /// VIOLATION: a constant only its own file reads.
 pub const ORPHAN_LIMIT: u64 = 8;
 
+/// VIOLATION: a free function the caller names only as a method of its
+/// own type, which cannot call this one.
+pub fn method_named(x: u64) -> u64 {
+    x * 2
+}
+
 /// Crate-visible items are rustc's `dead_code` business: no finding.
 pub(crate) fn internal() -> u64 {
     orphan_helper(ORPHAN_LIMIT)

@@ -11,7 +11,10 @@
 //! inside a comment or a string is not a caller; nor is a `pub use`
 //! re-export, which only widens the item's reach. A name shared with
 //! another item or method counts as a caller: a false "called" keeps a
-//! dead item, a false "uncalled" would delete a live one. `pub(crate)`
+//! dead item, a false "uncalled" would delete a live one. The exception
+//! is a free function, declared at column 0 in rustfmt'd code: nothing
+//! but a path or a bare name can call it, so a method call (`.name`) or
+//! another declaration (`fn name`) of the same name does not. `pub(crate)`
 //! items are rustc's `dead_code` business, and a type's visibility
 //! follows the signatures that use it, so both are out of scope.
 //!
@@ -29,15 +32,20 @@ pub(crate) const NAME: &str = "pub-without-caller";
 /// `sources` and `callers` together are the corpus that may name them.
 pub(crate) fn run(sources: &[SourceFile], callers: &[SourceFile]) -> Vec<Finding> {
     let corpus: Vec<&SourceFile> = sources.iter().chain(callers).collect();
-    // Identifier -> the corpus files that name it outside a re-export.
+    // Identifier -> the corpus files that name it outside a re-export,
+    // and those that name it where a free function could be called.
     let mut named_in: HashMap<&str, HashSet<usize>> = HashMap::new();
+    let mut free_in: HashMap<&str, HashSet<usize>> = HashMap::new();
     for (fi, src) in corpus.iter().enumerate() {
         let reexports = pub_use_lines(src);
         for (line, reexport) in src.lines.iter().zip(reexports) {
             if !reexport {
-                for ident in idents(&line.code) {
+                for_each_ident(&line.code, |ident, free| {
                     named_in.entry(ident).or_default().insert(fi);
-                }
+                    if free {
+                        free_in.entry(ident).or_default().insert(fi);
+                    }
+                });
             }
         }
     }
@@ -54,7 +62,8 @@ pub(crate) fn run(sources: &[SourceFile], callers: &[SourceFile]) -> Vec<Finding
             let Some((kind, name)) = pub_item(&line.code) else {
                 continue;
             };
-            let called = named_in
+            let free_fn = kind == "fn" && find_ident(&line.code, "pub", 0) == Some(0);
+            let called = if free_fn { &free_in } else { &named_in }
                 .get(name)
                 .is_some_and(|files| files.iter().any(|&f| f != fi));
             if !called {
@@ -135,14 +144,31 @@ fn starts_pub_use(code: &str) -> bool {
     find_ident(rest, "use", 0) == Some(0)
 }
 
-/// The identifiers of a blanked line (number literals excluded).
-fn idents(code: &str) -> impl Iterator<Item = &str> {
-    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .filter(|w| {
-            w.chars()
-                .next()
-                .is_some_and(|c| c.is_alphabetic() || c == '_')
-        })
+/// Calls `f(ident, free)` for each identifier of a blanked line (number
+/// literals excluded). `free` is false where the identifier names a
+/// method (`.name`, not a range's `..name`) or a declaration
+/// (`fn name`): no free function is called there.
+fn for_each_ident<'a>(code: &'a str, mut f: impl FnMut(&'a str, bool)) {
+    let is_word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut start = None;
+    for (i, c) in code.char_indices().chain([(code.len(), ' ')]) {
+        match (start, is_word(c)) {
+            (None, true) => start = Some(i),
+            (Some(s), false) => {
+                let word = &code[s..i];
+                if word.starts_with(|c: char| c.is_alphabetic() || c == '_') {
+                    let before = code[..s].trim_end();
+                    let method = before.ends_with('.') && !before.ends_with("..");
+                    let declared = before
+                        .strip_suffix("fn")
+                        .is_some_and(|b| !b.ends_with(is_word));
+                    f(word, !method && !declared);
+                }
+                start = None;
+            }
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]
@@ -232,13 +258,35 @@ mod tests {
     #[test]
     fn a_name_shared_with_another_item_counts_as_called() {
         let found = lint(&[
-            (LIB, "pub fn len() -> usize { 0 }\n"),
+            (LIB, "impl S {\n    pub fn len(&self) -> usize { 0 }\n}\n"),
             (
                 "crates/other/src/lib.rs",
                 "fn f(v: &[u8]) -> usize { v.len() }\n",
             ),
         ]);
         assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn a_free_fn_named_only_as_a_method_or_a_declaration_is_uncalled() {
+        let other = "crates/other/src/lib.rs";
+        let found = lint(&[
+            (
+                LIB,
+                "pub fn orphan() {}\npub fn by_path() {}\npub fn in_range() {}\n\
+                 impl E {\n    pub fn shared(&self) {}\n}\n",
+            ),
+            (
+                other,
+                "impl Engine {\n    pub fn orphan(&self) {}\n}\n\
+                 fn f(e: &Engine) {\n    e.orphan();\n    e\n        .orphan();\n\
+                 \x20   e.shared();\n    demo::by_path();\n    let _ = 0..in_range();\n}\n",
+            ),
+        ]);
+        // The free `orphan` is flagged; the indented `shared` keeps the
+        // looser rule, and the engine's indented `orphan` is named in
+        // `LIB`.
+        assert_eq!(found, vec![(LIB.to_string(), 1)]);
     }
 
     #[test]

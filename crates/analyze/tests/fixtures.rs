@@ -76,11 +76,16 @@ fn pub_fixture_flags_the_orphans_and_spares_the_called_item() {
         .map(|f| (f.file.as_str(), f.line))
         .collect();
     let lib = "crates/analyze/fixtures/pub_without_caller/src/lib.rs";
-    // `orphan_helper` and `ORPHAN_LIMIT`, not `called_helper`, the
-    // `pub(crate)` item or the test helper; the caller file, outside
-    // `src/`, is not library code.
-    assert_eq!(found, vec![(lib, 15), (lib, 20)], "{:?}", lints(&report));
-    assert_eq!(report.findings.len(), 2, "{:?}", lints(&report));
+    // `orphan_helper`, `ORPHAN_LIMIT` and the free `method_named`, not
+    // `called_helper`, the `pub(crate)` item or the test helper; the
+    // caller file, outside `src/`, is not library code.
+    assert_eq!(
+        found,
+        vec![(lib, 15), (lib, 20), (lib, 24)],
+        "{:?}",
+        lints(&report)
+    );
+    assert_eq!(report.findings.len(), 3, "{:?}", lints(&report));
 }
 
 #[test]

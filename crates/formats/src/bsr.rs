@@ -172,36 +172,8 @@ impl SparseMatrix for BsrMatrix {
             Err(_) => 0.0,
         }
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_triplets re-validates coordinates recovered from in-bounds blocks"
-    )]
     fn to_coo(&self) -> CooMatrix {
-        let mut triplets = Vec::with_capacity(self.values.len());
-        for br in 0..self.num_block_rows() {
-            for i in self.row_ptr[br]..self.row_ptr[br + 1] {
-                let bc = self.col_ids[i];
-                let blk = self.block(i);
-                for lr in 0..self.block_rows {
-                    let r = br * self.block_rows + lr;
-                    if r >= self.rows {
-                        break;
-                    }
-                    for lc in 0..self.block_cols {
-                        let c = bc * self.block_cols + lc;
-                        if c >= self.cols {
-                            break;
-                        }
-                        let v = blk[lr * self.block_cols + lc];
-                        if v != 0.0 {
-                            triplets.push((r, c, v));
-                        }
-                    }
-                }
-            }
-        }
-        CooMatrix::from_triplets(self.rows, self.cols, triplets)
-            .expect("block coordinates remain in-bounds")
+        crate::traverse::coo_from_stream(self)
     }
 }
 

@@ -95,63 +95,15 @@ impl CooMatrix {
         })
     }
 
-    /// Build from triplets already sorted row-major with no duplicates.
-    /// Verifies ordering and bounds; prefer this in hot paths where the
-    /// producer guarantees order (all `to_coo` implementations do).
-    pub fn from_sorted_triplets(
-        rows: usize,
-        cols: usize,
-        triplets: Vec<(usize, usize, Value)>,
-    ) -> Result<Self, FormatError> {
-        let mut row_ids = Vec::with_capacity(triplets.len());
-        let mut col_ids = Vec::with_capacity(triplets.len());
-        let mut values = Vec::with_capacity(triplets.len());
-        let mut prev: Option<(usize, usize)> = None;
-        for (r, c, v) in triplets {
-            if r >= rows {
-                return Err(FormatError::IndexOutOfBounds {
-                    index: r,
-                    bound: rows,
-                    axis: 0,
-                });
-            }
-            if c >= cols {
-                return Err(FormatError::IndexOutOfBounds {
-                    index: c,
-                    bound: cols,
-                    axis: 1,
-                });
-            }
-            if let Some(p) = prev {
-                if p >= (r, c) {
-                    return Err(FormatError::MalformedPointer {
-                        what: "COO triplets not strictly row-major sorted",
-                    });
-                }
-            }
-            prev = Some((r, c));
-            if v != 0.0 {
-                row_ids.push(r);
-                col_ids.push(c);
-                values.push(v);
-            }
-        }
-        Ok(CooMatrix {
-            rows,
-            cols,
-            row_ids,
-            col_ids,
-            values,
-        })
-    }
-
-    /// Build directly from parallel arrays (sorted row-major, deduplicated).
+    /// Build directly from parallel arrays, sorted row-major with no
+    /// duplicates: checks bounds and order in place, then drops explicit
+    /// zeros in place. The wire decoder's path for untrusted arrays.
     pub fn from_parts(
         rows: usize,
         cols: usize,
-        row_ids: Vec<usize>,
-        col_ids: Vec<usize>,
-        values: Vec<Value>,
+        mut row_ids: Vec<usize>,
+        mut col_ids: Vec<usize>,
+        mut values: Vec<Value>,
     ) -> Result<Self, FormatError> {
         if row_ids.len() != values.len() {
             return Err(FormatError::LengthMismatch {
@@ -167,13 +119,45 @@ impl CooMatrix {
                 actual: col_ids.len(),
             });
         }
-        let triplets: Vec<_> = row_ids
-            .into_iter()
-            .zip(col_ids)
-            .zip(values)
-            .map(|((r, c), v)| (r, c, v))
-            .collect();
-        Self::from_sorted_triplets(rows, cols, triplets)
+        let mut prev: Option<(usize, usize)> = None;
+        let mut kept = 0;
+        for i in 0..values.len() {
+            let (r, c, v) = (row_ids[i], col_ids[i], values[i]);
+            if r >= rows {
+                return Err(FormatError::IndexOutOfBounds {
+                    index: r,
+                    bound: rows,
+                    axis: 0,
+                });
+            }
+            if c >= cols {
+                return Err(FormatError::IndexOutOfBounds {
+                    index: c,
+                    bound: cols,
+                    axis: 1,
+                });
+            }
+            if prev.is_some_and(|p| p >= (r, c)) {
+                return Err(FormatError::MalformedPointer {
+                    what: "COO triplets not strictly row-major sorted",
+                });
+            }
+            prev = Some((r, c));
+            if v != 0.0 {
+                (row_ids[kept], col_ids[kept], values[kept]) = (r, c, v);
+                kept += 1;
+            }
+        }
+        row_ids.truncate(kept);
+        col_ids.truncate(kept);
+        values.truncate(kept);
+        Ok(CooMatrix {
+            rows,
+            cols,
+            row_ids,
+            col_ids,
+            values,
+        })
     }
 
     /// Assemble from parallel arrays that already hold every invariant
@@ -344,9 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn sorted_constructor_rejects_unsorted() {
-        assert!(CooMatrix::from_sorted_triplets(2, 2, vec![(1, 0, 1.0), (0, 0, 1.0)]).is_err());
-        assert!(CooMatrix::from_sorted_triplets(2, 2, vec![(0, 0, 1.0), (0, 0, 1.0)]).is_err());
+    fn from_parts_rejects_unsorted() {
+        assert!(CooMatrix::from_parts(2, 2, vec![1, 0], vec![0, 0], vec![1.0, 1.0]).is_err());
+        assert!(CooMatrix::from_parts(2, 2, vec![0, 0], vec![0, 0], vec![1.0, 1.0]).is_err());
     }
 
     #[test]
@@ -382,6 +366,32 @@ mod tests {
         assert!(CooMatrix::from_parts(2, 2, vec![0], vec![0, 1], vec![1.0]).is_err());
         assert!(CooMatrix::from_parts(2, 2, vec![0], vec![0], vec![1.0, 2.0]).is_err());
         assert!(CooMatrix::from_parts(2, 2, vec![0], vec![1], vec![1.0]).is_ok());
+    }
+
+    #[test]
+    fn from_parts_drops_zeros_and_reports_the_first_fault() {
+        let m = CooMatrix::from_parts(
+            2,
+            3,
+            vec![0, 0, 1, 1],
+            vec![0, 2, 0, 1],
+            vec![0.0, 1.0, -0.0, 2.0],
+        )
+        .unwrap();
+        assert_eq!(
+            (m.row_ids(), m.col_ids(), m.values()),
+            (&[0, 1][..], &[2, 1][..], &[1.0, 2.0][..])
+        );
+        // Element 1 is out of bounds before element 2 is out of order.
+        let faulty = CooMatrix::from_parts(2, 3, vec![0, 0, 0], vec![1, 3, 0], vec![1.0; 3]);
+        assert_eq!(
+            faulty,
+            Err(FormatError::IndexOutOfBounds {
+                index: 3,
+                bound: 3,
+                axis: 1,
+            })
+        );
     }
 
     #[test]

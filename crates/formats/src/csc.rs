@@ -218,14 +218,8 @@ impl SparseMatrix for CscMatrix {
             Err(_) => 0.0,
         }
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_triplets re-validates coordinates read from this matrix"
-    )]
     fn to_coo(&self) -> CooMatrix {
-        let triplets: Vec<_> = self.iter_col_major().collect();
-        CooMatrix::from_triplets(self.rows, self.cols, triplets)
-            .expect("CSC coordinates remain in-bounds")
+        crate::traverse::coo_from_stream(self)
     }
 }
 

@@ -120,6 +120,22 @@ impl CsfTensor {
                 what: "csf x_fids not sorted",
             });
         }
+        // The walk streams each slice's fibers and each fiber's entries
+        // as stored, so both must already ascend.
+        let ascending_runs = |ptr: &[usize], ids: &[usize]| {
+            ptr.windows(2)
+                .all(|w| ids[w[0]..w[1]].windows(2).all(|p| p[0] < p[1]))
+        };
+        if !ascending_runs(&x_ptr, &y_fids) {
+            return Err(FormatError::MalformedPointer {
+                what: "csf y_fids not strictly increasing within a slice",
+            });
+        }
+        if !ascending_runs(&y_ptr, &z_fids) {
+            return Err(FormatError::MalformedPointer {
+                what: "csf z_fids not strictly increasing within a fiber",
+            });
+        }
         for &x in &x_fids {
             if x >= dims.0 {
                 return Err(FormatError::IndexOutOfBounds {
@@ -200,17 +216,6 @@ impl CsfTensor {
     pub fn num_slices(&self) -> usize {
         self.x_fids.len()
     }
-
-    /// Iterate `(x, y, z, value)` in tree order (x-major sorted).
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, usize, Value)> + '_ {
-        self.x_fids.iter().enumerate().flat_map(move |(si, &x)| {
-            (self.x_ptr[si]..self.x_ptr[si + 1]).flat_map(move |fi| {
-                let y = self.y_fids[fi];
-                (self.y_ptr[fi]..self.y_ptr[fi + 1])
-                    .map(move |zi| (x, y, self.z_fids[zi], self.values[zi]))
-            })
-        })
-    }
 }
 
 impl SparseTensor3 for CsfTensor {
@@ -242,14 +247,8 @@ impl SparseTensor3 for CsfTensor {
             Err(_) => 0.0,
         }
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_quads re-validates coordinates read from this tensor"
-    )]
     fn to_coo(&self) -> CooTensor3 {
-        let quads: Vec<_> = self.iter().collect();
-        CooTensor3::from_quads(self.dims.0, self.dims.1, self.dims.2, quads)
-            .expect("CSF coordinates remain in-bounds")
+        crate::traverse::coo3_from_stream(self)
     }
 }
 
@@ -368,12 +367,61 @@ mod tests {
         .is_err());
     }
 
+    /// The slice `x = 0` of a 2×4×4 tensor: fibers `y_fids` over the
+    /// entries `z_fids`, split at `y_ptr`, each valued 1.
+    fn slice(
+        y_fids: Vec<usize>,
+        y_ptr: Vec<usize>,
+        z_fids: Vec<usize>,
+    ) -> Result<CsfTensor, FormatError> {
+        let (x_ptr, values) = (vec![0, y_fids.len()], vec![1.0; z_fids.len()]);
+        CsfTensor::from_parts((2, 4, 4), vec![0], x_ptr, y_fids, y_ptr, z_fids, values)
+    }
+
+    const Y_UNSORTED: FormatError = FormatError::MalformedPointer {
+        what: "csf y_fids not strictly increasing within a slice",
+    };
+    const Z_UNSORTED: FormatError = FormatError::MalformedPointer {
+        what: "csf z_fids not strictly increasing within a fiber",
+    };
+
     #[test]
-    fn iter_is_sorted_x_major() {
-        let csf = CsfTensor::from_coo(&fig3b());
-        let keys: Vec<_> = csf.iter().map(|(x, y, z, _)| (x, y, z)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
+    fn from_parts_rejects_y_fids_out_of_order_within_a_slice() {
+        let fibers = |y_fids| slice(y_fids, vec![0, 1, 2], vec![0, 0]);
+        assert!(fibers(vec![1, 3]).is_ok());
+        assert_eq!(fibers(vec![3, 1]).err(), Some(Y_UNSORTED));
+        assert_eq!(fibers(vec![2, 2]).err(), Some(Y_UNSORTED));
+    }
+
+    #[test]
+    fn from_parts_rejects_z_fids_out_of_order_within_a_fiber() {
+        assert!(slice(vec![0], vec![0, 3], vec![0, 2, 3]).is_ok());
+        let unsorted = slice(vec![0], vec![0, 3], vec![0, 3, 2]);
+        assert_eq!(unsorted.err(), Some(Z_UNSORTED));
+    }
+
+    #[test]
+    fn from_parts_rejects_z_fids_repeated_within_a_fiber() {
+        let repeated = slice(vec![0], vec![0, 2], vec![1, 1]);
+        assert_eq!(repeated.err(), Some(Z_UNSORTED));
+    }
+
+    /// The same y (or z) may recur across slices (or fibers): only runs
+    /// must ascend.
+    #[test]
+    fn from_parts_accepts_ids_that_restart_at_a_boundary() {
+        let csf = CsfTensor::from_parts(
+            (2, 4, 4),
+            vec![0, 1],
+            vec![0, 2, 3],
+            vec![1, 3, 1],
+            vec![0, 2, 3, 5],
+            vec![0, 3, 1, 0, 3],
+            vec![1.0, 2.0, 3.0, 4.0, 5.0],
+        )
+        .unwrap();
+        let quads: Vec<_> = csf.to_coo().iter().map(|(x, y, z, _)| (x, y, z)).collect();
+        let expect = [(0, 1, 0), (0, 1, 3), (0, 3, 1), (1, 1, 0), (1, 1, 3)];
+        assert_eq!(quads, expect);
     }
 }

@@ -223,14 +223,8 @@ impl SparseMatrix for CsrMatrix {
             Err(_) => 0.0,
         }
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_sorted_triplets re-validates the row-major CSR iteration"
-    )]
     fn to_coo(&self) -> CooMatrix {
-        let triplets: Vec<_> = self.iter().collect();
-        CooMatrix::from_sorted_triplets(self.rows, self.cols, triplets)
-            .expect("CSR iteration is row-major sorted")
+        crate::traverse::coo_from_stream(self)
     }
 }
 

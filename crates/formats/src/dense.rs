@@ -145,22 +145,8 @@ impl SparseMatrix for DenseMatrix {
     fn get(&self, row: usize, col: usize) -> Value {
         self.data[row * self.cols + col]
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_sorted_triplets re-validates the row-major dense scan"
-    )]
     fn to_coo(&self) -> CooMatrix {
-        let mut triplets = Vec::new();
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let v = self.data[r * self.cols + c];
-                if v != 0.0 {
-                    triplets.push((r, c, v));
-                }
-            }
-        }
-        CooMatrix::from_sorted_triplets(self.rows, self.cols, triplets)
-            .expect("dense scan yields sorted, in-bounds triplets")
+        crate::traverse::coo_from_stream(self)
     }
     fn to_dense(&self) -> DenseMatrix {
         self.clone()

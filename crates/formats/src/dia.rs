@@ -139,25 +139,8 @@ impl SparseMatrix for DiaMatrix {
             Err(_) => 0.0,
         }
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_triplets re-validates coordinates recovered from in-bounds diagonals"
-    )]
     fn to_coo(&self) -> CooMatrix {
-        let mut triplets = Vec::new();
-        for (d, &k) in self.offsets.iter().enumerate() {
-            for r in 0..self.rows {
-                let c = r as isize + k;
-                if c >= 0 && (c as usize) < self.cols {
-                    let v = self.data[d * self.rows + r];
-                    if v != 0.0 {
-                        triplets.push((r, c as usize, v));
-                    }
-                }
-            }
-        }
-        CooMatrix::from_triplets(self.rows, self.cols, triplets)
-            .expect("diagonal coordinates remain in-bounds")
+        crate::traverse::coo_from_stream(self)
     }
 }
 

@@ -95,6 +95,30 @@ impl EllMatrix {
                 }
             }
         }
+        // `get` reads a row's slots up to its first padding slot, and the
+        // walk re-sorts a row's entries by column and streams them as
+        // one fiber, so a row must hold its entries before its padding
+        // and name each column once.
+        let mut sorted = Vec::new();
+        for row in col_ids.chunks(width.max(1)) {
+            let filled = row.iter().position(|&c| c == ELL_PAD).unwrap_or(row.len());
+            if row[filled..].iter().any(|&c| c != ELL_PAD) {
+                return Err(FormatError::MalformedPointer {
+                    what: "ell entry after a padding slot",
+                });
+            }
+            let entries = &row[..filled];
+            if entries.windows(2).any(|p| p[0] >= p[1]) {
+                sorted.clear();
+                sorted.extend_from_slice(entries);
+                sorted.sort_unstable();
+                if sorted.windows(2).any(|p| p[0] == p[1]) {
+                    return Err(FormatError::MalformedPointer {
+                        what: "ell column repeated within a row",
+                    });
+                }
+            }
+        }
         Ok(EllMatrix {
             rows,
             cols,
@@ -158,25 +182,8 @@ impl SparseMatrix for EllMatrix {
         }
         0.0
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_triplets re-validates coordinates read from this matrix"
-    )]
     fn to_coo(&self) -> CooMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz);
-        for r in 0..self.rows {
-            let (cs, vs) = self.row(r);
-            for (i, &c) in cs.iter().enumerate() {
-                if c == ELL_PAD {
-                    break;
-                }
-                if vs[i] != 0.0 {
-                    triplets.push((r, c, vs[i]));
-                }
-            }
-        }
-        CooMatrix::from_triplets(self.rows, self.cols, triplets)
-            .expect("ELL coordinates remain in-bounds")
+        crate::traverse::coo_from_stream(self)
     }
 }
 
@@ -249,5 +256,57 @@ mod tests {
         assert_eq!(ell.nnz(), 2);
         assert_eq!(ell.nnz(), ell.to_coo().nnz());
         assert!((ell.density() - 2.0 / 6.0).abs() < 1e-15);
+    }
+
+    /// One row of the given slots in a 1 × 3 matrix, valued 1, 2, ….
+    fn one_row(col_ids: Vec<usize>) -> Result<EllMatrix, FormatError> {
+        let values = (1..=col_ids.len()).map(|v| v as Value).collect();
+        EllMatrix::from_parts(1, 3, col_ids.len(), col_ids, values)
+    }
+
+    const REPEATED: FormatError = FormatError::MalformedPointer {
+        what: "ell column repeated within a row",
+    };
+
+    #[test]
+    fn from_parts_rejects_a_repeated_column() {
+        assert_eq!(one_row(vec![1, 1]).err(), Some(REPEATED));
+    }
+
+    #[test]
+    fn from_parts_rejects_a_repeated_column_among_unsorted_slots() {
+        assert_eq!(one_row(vec![2, 0, 2]).err(), Some(REPEATED));
+    }
+
+    #[test]
+    fn from_parts_rejects_an_entry_after_padding() {
+        let late = FormatError::MalformedPointer {
+            what: "ell entry after a padding slot",
+        };
+        assert_eq!(one_row(vec![ELL_PAD, 1]).err(), Some(late));
+    }
+
+    /// Every 2 × 3 ELL of width 2 that `from_parts` accepts, over every
+    /// slot column (padding included) and a zero or nonzero value, walks
+    /// into valid CSR: `csr_cow` never panics and holds what `to_coo`
+    /// holds.
+    #[test]
+    fn every_accepted_ell_materializes_as_csr() {
+        use crate::{csr::CsrMatrix, formats::MatrixData, traverse::csr_cow};
+        let (mut accepted, mut rejected) = (0, 0);
+        for code in 0..8usize.pow(4) {
+            let slot = |i: u32| code / 8usize.pow(i) % 8;
+            let col_ids = (0..4).map(|i| [0, 1, 2, ELL_PAD][slot(i) % 4]).collect();
+            let values = (0..4).map(|i| (slot(i) / 4 * (i + 1) as usize) as Value);
+            match EllMatrix::from_parts(2, 3, 2, col_ids, values.collect()) {
+                Ok(ell) => {
+                    accepted += 1;
+                    let want = CsrMatrix::from_coo(&ell.to_coo());
+                    assert_eq!(*csr_cow(&MatrixData::Ell(ell)), want);
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "{accepted}, {rejected}");
     }
 }

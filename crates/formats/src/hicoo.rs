@@ -145,20 +145,6 @@ impl HiCooTensor {
     pub fn values(&self) -> &[Value] {
         &self.values
     }
-
-    /// Iterate `(x, y, z, value)` in block order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, usize, Value)> + '_ {
-        (0..self.num_blocks()).flat_map(move |b| {
-            (self.bptr[b]..self.bptr[b + 1]).map(move |i| {
-                (
-                    self.bx[b] * self.block + self.ex[i] as usize,
-                    self.by[b] * self.block + self.ey[i] as usize,
-                    self.bz[b] * self.block + self.ez[i] as usize,
-                    self.values[i],
-                )
-            })
-        })
-    }
 }
 
 impl SparseTensor3 for HiCooTensor {
@@ -201,14 +187,8 @@ impl SparseTensor3 for HiCooTensor {
         }
         0.0
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_quads re-validates coordinates read from this tensor"
-    )]
     fn to_coo(&self) -> CooTensor3 {
-        let quads: Vec<_> = self.iter().collect();
-        CooTensor3::from_quads(self.dims.0, self.dims.1, self.dims.2, quads)
-            .expect("HiCOO coordinates remain in-bounds")
+        crate::traverse::coo3_from_stream(self)
     }
 }
 

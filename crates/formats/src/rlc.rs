@@ -159,24 +159,8 @@ impl SparseMatrix for RlcMatrix {
         }
         0.0
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_sorted_triplets re-validates the row-major RLC decode"
-    )]
     fn to_coo(&self) -> CooMatrix {
-        let mut triplets = Vec::with_capacity(self.entries.len());
-        let mut cursor = 0u64;
-        for e in &self.entries {
-            let pos = cursor + e.zeros;
-            if e.value != 0.0 {
-                let r = (pos as usize) / self.cols;
-                let c = (pos as usize) % self.cols;
-                triplets.push((r, c, e.value));
-            }
-            cursor = pos + 1;
-        }
-        CooMatrix::from_sorted_triplets(self.rows, self.cols, triplets)
-            .expect("RLC stream is row-major ordered")
+        crate::traverse::coo_from_stream(self)
     }
 }
 
@@ -300,27 +284,8 @@ impl SparseTensor3 for RlcTensor3 {
         }
         0.0
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_quads re-validates coordinates from this tensor's RLC decode"
-    )]
     fn to_coo(&self) -> CooTensor3 {
-        let (dy, dz) = (self.dims.1, self.dims.2);
-        let mut quads = Vec::with_capacity(self.entries.len());
-        let mut cursor = 0u64;
-        for e in &self.entries {
-            let pos = cursor + e.zeros;
-            if e.value != 0.0 {
-                let p = pos as usize;
-                let x = p / (dy * dz);
-                let y = (p / dz) % dy;
-                let z = p % dz;
-                quads.push((x, y, z, e.value));
-            }
-            cursor = pos + 1;
-        }
-        CooTensor3::from_quads(self.dims.0, dy, dz, quads)
-            .expect("RLC tensor stream coordinates remain in-bounds")
+        crate::traverse::coo3_from_stream(self)
     }
 }
 
@@ -381,6 +346,17 @@ mod tests {
         assert_eq!(last.value, 9.0);
         assert_eq!(rlc.to_coo(), coo);
         assert_eq!(rlc.nnz(), 1);
+    }
+
+    #[test]
+    fn to_coo_skips_extension_entries_across_rows() {
+        // Long runs force extension entries, one of them spanning the row
+        // boundary; the decode must emit no triplet for any of them.
+        let coo = CooMatrix::from_triplets(2, 64, vec![(0, 0, 1.0), (1, 63, 2.0)]).unwrap();
+        let rlc = RlcMatrix::from_coo(&coo, 3);
+        assert!(rlc.stored_entries() > 2, "extension entries expected");
+        assert_eq!(rlc.to_coo(), coo);
+        assert_eq!(RlcMatrix::from_coo(&rlc.to_coo(), 3), rlc);
     }
 
     #[test]

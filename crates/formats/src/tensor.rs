@@ -94,24 +94,8 @@ impl SparseTensor3 for DenseTensor3 {
     fn get(&self, x: usize, y: usize, z: usize) -> Value {
         self.data[(x * self.dims.1 + y) * self.dims.2 + z]
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_quads re-validates the dense tensor's in-bounds scan"
-    )]
     fn to_coo(&self) -> CooTensor3 {
-        let (dx, dy, dz) = self.dims;
-        let mut quads = Vec::new();
-        for x in 0..dx {
-            for y in 0..dy {
-                for z in 0..dz {
-                    let v = self.get(x, y, z);
-                    if v != 0.0 {
-                        quads.push((x, y, z, v));
-                    }
-                }
-            }
-        }
-        CooTensor3::from_quads(dx, dy, dz, quads).expect("scan order is sorted and in-bounds")
+        crate::traverse::coo3_from_stream(self)
     }
     fn to_dense(&self) -> DenseTensor3 {
         self.clone()
@@ -202,6 +186,25 @@ impl CooTensor3 {
             }
         }
         Ok(keep)
+    }
+
+    /// Assemble from parallel arrays that already hold every invariant
+    /// [`from_quads`](Self::from_quads) establishes (sorted x-major, no
+    /// duplicates, in bounds, no zeros): a fiber walk's entries, collected.
+    pub(crate) fn from_parts_unchecked(
+        dims: (usize, usize, usize),
+        x_ids: Vec<usize>,
+        y_ids: Vec<usize>,
+        z_ids: Vec<usize>,
+        values: Vec<Value>,
+    ) -> Self {
+        CooTensor3 {
+            dims,
+            x_ids,
+            y_ids,
+            z_ids,
+            values,
+        }
     }
 
     /// x coordinates, parallel to `values`.

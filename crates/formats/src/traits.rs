@@ -24,7 +24,9 @@ pub trait SparseMatrix {
     /// Random-access read of element `(row, col)`; zero if not stored.
     fn get(&self, row: usize, col: usize) -> Value;
     /// Convert to the COO hub representation (sorted row-major, no
-    /// duplicates, no explicit zeros).
+    /// duplicates, no explicit zeros): every format but COO collects its
+    /// row-major walk ([`crate::RowMajorStream`]), dropping the zeros it
+    /// stores as entries.
     fn to_coo(&self) -> CooMatrix;
 
     /// Density in `[0, 1]`: `nnz / (rows * cols)`.
@@ -58,7 +60,9 @@ pub trait SparseTensor3 {
     fn nnz(&self) -> usize;
     /// Random-access read; zero if not stored.
     fn get(&self, x: usize, y: usize, z: usize) -> Value;
-    /// Convert to the COO hub representation (sorted x-major).
+    /// Convert to the COO hub representation (sorted x-major, no
+    /// duplicates, no explicit zeros): every format but COO collects its
+    /// mode-z fiber walk ([`crate::FiberStream3`]).
     fn to_coo(&self) -> CooTensor3;
 
     /// Shape as a `(x, y, z)` triple.

@@ -40,11 +40,16 @@
 //!
 //! # Ordering contract
 //!
-//! Implementations **must** emit exactly the elements their `to_coo()`
-//! produces (stored nonzeros only — padding slots and explicit zeros are
-//! skipped), grouped into non-empty fibers, with fiber ids strictly
-//! ascending and coordinates strictly ascending within each fiber. This
-//! makes the stream a drop-in replacement for the COO hub in any
+//! Implementations **must** emit their stored entries, grouped into
+//! non-empty fibers, with fiber ids strictly ascending and coordinates
+//! strictly ascending within each fiber. What is not an entry is never
+//! emitted (BSR, DIA and ELL skip their padding slots, Dense its zeros,
+//! RLC its run-extension entries), but a zero a format stores as an
+//! entry (CSR, CSC, CSF and ZVC hold values as given) passes through.
+//! The consumers that build a canonical payload from a walk drop those
+//! zeros: the COO collectors, which *are* every format's `to_coo()`, and
+//! the format builders behind `MatrixData::convert_to` and the tiler.
+//! This makes the stream a drop-in replacement for the COO hub in any
 //! order-sensitive consumer (CSR construction, merge-joins, the
 //! weight-stationary dataflow). The arena-threaded and arena-less paths
 //! must be bit-for-bit identical.
@@ -437,8 +442,8 @@ impl RowMajorStream for CooMatrix {
 }
 
 impl RowMajorStream for DenseMatrix {
-    /// Arena-scratch: compacts each dense row's nonzeros into one fiber
-    /// (the stream equivalent of `to_coo`'s row scan).
+    /// Arena-scratch: compacts each dense row's nonzeros into one fiber,
+    /// scanning the row's values in column order.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
@@ -1353,6 +1358,52 @@ impl TensorData {
 // Stream consumers
 // ---------------------------------------------------------------------------
 
+/// Every format's `to_coo`: the walk's entries whose value is nonzero,
+/// in walk order. The ordering contract yields them row-major with no
+/// duplicates, so nothing is sorted or re-validated. The arrays are sized
+/// once, by `nnz`.
+pub(crate) fn coo_from_stream(stream: &dyn RowMajorStream) -> CooMatrix {
+    let n = stream.nnz();
+    let (mut row_ids, mut col_ids, mut values) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    stream.for_each_fiber(&mut |r, cs, vs| {
+        for (&c, &v) in cs.iter().zip(vs) {
+            if v != 0.0 {
+                row_ids.push(r);
+                col_ids.push(c);
+                values.push(v);
+            }
+        }
+    });
+    CooMatrix::from_parts_unchecked(stream.rows(), stream.cols(), row_ids, col_ids, values)
+}
+
+/// Every tensor format's `to_coo`: [`coo_from_stream`] over a mode-z
+/// fiber walk, x-major.
+pub(crate) fn coo3_from_stream(stream: &dyn FiberStream3) -> CooTensor3 {
+    let n = stream.nnz();
+    let (mut x_ids, mut y_ids, mut z_ids, mut values) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    stream.for_each_fiber(&mut |x, y, zs, vs| {
+        for (&z, &v) in zs.iter().zip(vs) {
+            if v != 0.0 {
+                x_ids.push(x);
+                y_ids.push(y);
+                z_ids.push(z);
+                values.push(v);
+            }
+        }
+    });
+    CooTensor3::from_parts_unchecked(stream.shape(), x_ids, y_ids, z_ids, values)
+}
+
 /// Materialize any row-major stream as CSR in one pass, drawing both the
 /// traversal scratch and the output buffers from `arena` — the streaming
 /// replacement for the `to_coo()` hub round-trip when a consumer needs
@@ -1573,6 +1624,90 @@ mod tests {
             let data = TensorData::encode(&tco, &fmt).unwrap();
             data.for_each_fiber(&mut |_, _, _, _| panic!("empty tensor emitted a fiber"));
         }
+    }
+
+    /// CSR, CSC and ZVC each store one explicit zero, which their walks
+    /// pass through; BSR, DIA and ELL pad with zeros, which their walks
+    /// skip. `to_coo` and `convert_to(Coo)` both yield the matrix
+    /// without any of them, and so does CSF's `to_coo` for a stored zero.
+    #[test]
+    fn collectors_drop_stored_zeros_and_padding() {
+        // 3 × 4, plus an explicit zero at (1, 2) where a format stores one.
+        let coo = CooMatrix::from_triplets(
+            3,
+            4,
+            vec![
+                (0, 0, 1.0),
+                (0, 3, 2.0),
+                (1, 1, 3.0),
+                (2, 0, 4.0),
+                (2, 2, 5.0),
+            ],
+        )
+        .unwrap();
+        let csr = CsrMatrix::from_parts(
+            3,
+            4,
+            vec![0, 2, 4, 6],
+            vec![0, 3, 1, 2, 0, 2],
+            vec![1.0, 2.0, 3.0, 0.0, 4.0, 5.0],
+        );
+        let csc = CscMatrix::from_parts(
+            3,
+            4,
+            vec![0, 2, 3, 5, 6],
+            vec![0, 2, 1, 1, 2, 0],
+            vec![1.0, 4.0, 3.0, 0.0, 5.0, 2.0],
+        );
+        // Row-major flat positions 0, 3, 5, 6, 8, 10.
+        let zvc = ZvcMatrix::from_parts(
+            3,
+            4,
+            vec![0b101_0110_1001],
+            vec![1.0, 2.0, 3.0, 0.0, 4.0, 5.0],
+        );
+        let stored_zero = [
+            MatrixData::Csr(csr.unwrap()),
+            MatrixData::Csc(csc.unwrap()),
+            MatrixData::Zvc(zvc.unwrap()),
+        ];
+        for data in &stored_zero {
+            let mut walked = Vec::new();
+            data.for_each_nnz(&mut |r, c, v| walked.push((r, c, v)));
+            assert!(walked.contains(&(1, 2, 0.0)), "{walked:?}");
+        }
+        let padded = [
+            MatrixData::Bsr(BsrMatrix::from_coo(&coo, 2, 3).unwrap()),
+            MatrixData::Dia(DiaMatrix::from_coo(&coo)),
+            MatrixData::Ell(EllMatrix::from_coo(&coo)),
+        ];
+        for data in &padded {
+            let stored = data.stored_elements();
+            assert!(
+                stored > coo.nnz() as u64,
+                "{}: {stored} slots",
+                data.format()
+            );
+        }
+        for data in stored_zero.iter().chain(&padded) {
+            let fmt = data.format();
+            assert_eq!(data.to_coo(), coo, "{fmt} to_coo");
+            let via = data.convert_to(&MatrixFormat::Coo).unwrap();
+            assert_eq!(via, MatrixData::Coo(coo.clone()), "{fmt} convert_to");
+        }
+
+        let csf = CsfTensor::from_parts(
+            (2, 2, 3),
+            vec![0, 1],
+            vec![0, 1, 2],
+            vec![1, 0],
+            vec![0, 2, 3],
+            vec![0, 2, 1],
+            vec![6.0, 0.0, 7.0],
+        )
+        .unwrap();
+        let want = CooTensor3::from_quads(2, 2, 3, vec![(0, 1, 0, 6.0), (1, 0, 1, 7.0)]).unwrap();
+        assert_eq!(csf.to_coo(), want);
     }
 
     /// RLC saturating runs insert zero-valued extension entries; the stream

@@ -64,8 +64,7 @@ impl MaskEncoder {
 /// The one ZVC decoder, the [`MaskEncoder`]'s inverse: calls `f` with the
 /// offset from `bits.start` of every set bit of `mask` in `bits`,
 /// ascending, a mask word at a time, so a run of positions costs its
-/// words plus its set bits. The streams and `to_coo` decode rows and
-/// fibers with it.
+/// words plus its set bits. The walks decode rows and fibers with it.
 #[inline]
 pub(crate) fn for_each_set_bit(mask: &[u64], bits: Range<usize>, mut f: impl FnMut(usize)) {
     let mut pos = bits.start;
@@ -211,21 +210,8 @@ impl SparseMatrix for ZvcMatrix {
             0.0
         }
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_sorted_triplets re-validates the row-major mask scan"
-    )]
     fn to_coo(&self) -> CooMatrix {
-        let mut triplets = Vec::with_capacity(self.values.len());
-        for r in 0..self.rows {
-            let row_start = r * self.cols;
-            for_each_set_bit(&self.mask, row_start..row_start + self.cols, |c| {
-                let v = self.values[triplets.len()];
-                triplets.push((r, c, v));
-            });
-        }
-        CooMatrix::from_sorted_triplets(self.rows, self.cols, triplets)
-            .expect("mask scan is row-major ordered")
+        crate::traverse::coo_from_stream(self)
     }
 }
 
@@ -307,23 +293,8 @@ impl SparseTensor3 for ZvcTensor3 {
             0.0
         }
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "from_quads re-validates coordinates from this tensor's mask scan"
-    )]
     fn to_coo(&self) -> CooTensor3 {
-        let (dx, dy, dz) = self.dims;
-        let mut quads = Vec::with_capacity(self.values.len());
-        for x in 0..dx {
-            for y in 0..dy {
-                let base = (x * dy + y) * dz;
-                for_each_set_bit(&self.mask, base..base + dz, |z| {
-                    let v = self.values[quads.len()];
-                    quads.push((x, y, z, v));
-                });
-            }
-        }
-        CooTensor3::from_quads(dx, dy, dz, quads).expect("mask scan coordinates remain in-bounds")
+        crate::traverse::coo3_from_stream(self)
     }
 }
 

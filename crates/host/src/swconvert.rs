@@ -2,7 +2,7 @@
 //! workspace's own conversion routines, used as the honest
 //! software-baseline datapoint in the Fig. 10 bench.
 
-use sparseflex_formats::{convert, CsrMatrix, DenseMatrix, SparseMatrix};
+use sparseflex_formats::{convert, csr_from_stream, CsrMatrix, DenseMatrix, SparseMatrix};
 use std::time::Instant;
 
 /// Result of timing one software conversion.
@@ -49,7 +49,7 @@ pub fn time_conversion(
             let d = dense.expect("DenseToCsr needs the dense operand");
             for _ in 0..reps {
                 let t0 = Instant::now();
-                let out = convert::dense_to_csr(d);
+                let out = csr_from_stream(d);
                 let dt = t0.elapsed().as_secs_f64();
                 assert_eq!(out.nnz(), csr.nnz());
                 best = best.min(dt);

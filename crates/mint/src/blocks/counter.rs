@@ -31,26 +31,9 @@ impl ClusterCounter {
         n as f64 * 2.0 * E_SMALL_OP
     }
 
-    /// Charge the report for counting `n` elements, without building
-    /// the histogram (for conversions that need only the cost).
+    /// Charge the report for counting `n` elements.
     pub fn charge(&self, n: u64, report: &mut ConversionReport) {
         report.charge(BlockKind::ClusterCounter, self.cycles(n), self.energy(n));
-    }
-
-    /// Count occurrences of each value in a (chunk-)sorted stream into a
-    /// histogram of the given domain size, charging the report.
-    pub fn count_into(
-        &self,
-        sorted: &[u64],
-        domain: usize,
-        report: &mut ConversionReport,
-    ) -> Vec<u64> {
-        self.charge(sorted.len() as u64, report);
-        let mut hist = vec![0u64; domain];
-        for &v in sorted {
-            hist[v as usize] += 1;
-        }
-        hist
     }
 }
 
@@ -59,11 +42,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_is_correct() {
+    fn charge_records_cycles_and_energy() {
         let c = ClusterCounter::mint_default();
         let mut r = ConversionReport::default();
-        let hist = c.count_into(&[0, 0, 1, 3, 3, 3], 5, &mut r);
-        assert_eq!(hist, vec![2, 1, 0, 3, 0]);
+        c.charge(6, &mut r);
+        assert_eq!(r.cycles(BlockKind::ClusterCounter), c.cycles(6));
+        assert_eq!(r.energy(BlockKind::ClusterCounter), c.energy(6));
     }
 
     #[test]

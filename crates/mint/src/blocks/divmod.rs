@@ -41,38 +41,16 @@ impl DivModArray {
         n as f64 * E_DIVMOD_OP
     }
 
-    /// Charge the report for `n` divide+mod operations, without
-    /// computing them (for conversions that need only the cost).
+    /// Charge the report for `n` divide+mod operations.
     pub fn charge(&self, n: u64, report: &mut ConversionReport) {
         report.charge(BlockKind::Divider, self.cycles(n), self.energy(n) / 2.0);
         report.charge(BlockKind::Modulo, self.cycles(n), self.energy(n) / 2.0);
-    }
-
-    /// Functional divide+mod over a slice, charging the report once for
-    /// the whole batch.
-    pub fn div_mod(
-        &self,
-        values: &[u64],
-        divisor: u64,
-        report: &mut ConversionReport,
-    ) -> Vec<(u64, u64)> {
-        assert!(divisor > 0, "divide by zero in DivModArray");
-        self.charge(values.len() as u64, report);
-        values.iter().map(|&v| (v / divisor, v % divisor)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn functional_divmod() {
-        let arr = DivModArray::mint_default();
-        let mut r = ConversionReport::default();
-        let out = arr.div_mod(&[10, 17, 3], 4, &mut r);
-        assert_eq!(out, vec![(2, 2), (4, 1), (0, 3)]);
-    }
 
     #[test]
     fn eight_units_process_eight_per_cycle() {
@@ -83,19 +61,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "divide by zero")]
-    fn zero_divisor_panics() {
-        let arr = DivModArray::mint_default();
-        let mut r = ConversionReport::default();
-        let _ = arr.div_mod(&[1], 0, &mut r);
-    }
-
-    #[test]
     fn charges_both_divider_and_modulo() {
         let arr = DivModArray::mint_default();
         let mut r = ConversionReport::default();
-        let _ = arr.div_mod(&[1, 2, 3], 2, &mut r);
-        assert!(r.cycles(crate::report::BlockKind::Divider) > 0);
-        assert!(r.cycles(crate::report::BlockKind::Modulo) > 0);
+        arr.charge(3, &mut r);
+        for kind in [BlockKind::Divider, BlockKind::Modulo] {
+            assert_eq!(r.cycles(kind), arr.cycles(3));
+            assert_eq!(r.energy(kind), arr.energy(3) / 2.0);
+        }
     }
 }

@@ -1,13 +1,13 @@
 //! MINT's building-block library (Fig. 8a).
 //!
-//! Each block is *functional* — it computes real results so conversion
-//! pipelines built from blocks can be verified bit-for-bit against the
-//! software conversions — and *metered*, reporting busy cycles and energy
-//! for the cost model. Throughput parameters default to the paper's MINT
-//! implementation (§VII-B): a 32-input prefix-sum overlay, eight parallel
-//! divide/mod units, a sorting network sized to the per-cycle metadata
-//! rate, and a memory controller with address generators, FIFOs and a
-//! crossbar.
+//! Each block is *metered*: a conversion step charges it the elements
+//! the step pushes through it, and it reports busy cycles and energy for
+//! the cost model. The converted operands themselves come from the
+//! conversions of `sparseflex-formats`. Throughput parameters default to
+//! the paper's MINT implementation (§VII-B): a 32-input prefix-sum
+//! overlay, eight parallel divide/mod units, a sorting network sized to
+//! the per-cycle metadata rate, and a memory controller with address
+//! generators, FIFOs and a crossbar.
 
 pub mod counter;
 pub mod divmod;

@@ -103,22 +103,9 @@ impl PrefixSumUnit {
         n as f64 * per_elem * E_SMALL_OP
     }
 
-    /// Charge the report for scanning `n` elements, without computing
-    /// the scan (for conversions that need only the cost).
+    /// Charge the report for scanning `n` elements.
     pub fn charge(&self, n: u64, report: &mut ConversionReport) {
         report.charge(BlockKind::PrefixSum, self.cycles(n), self.energy(n));
-    }
-
-    /// Functional exclusive scan (shifted), charging the report.
-    pub fn scan_exclusive(&self, input: &[u64], report: &mut ConversionReport) -> Vec<u64> {
-        self.charge(input.len() as u64, report);
-        let mut out = Vec::with_capacity(input.len());
-        let mut acc = 0u64;
-        for &x in input {
-            out.push(acc);
-            acc += x;
-        }
-        out
     }
 }
 
@@ -127,11 +114,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn functional_scan_is_correct() {
+    fn charge_records_cycles_and_energy() {
         let unit = PrefixSumUnit::mint_default();
         let mut r = ConversionReport::default();
-        assert_eq!(unit.scan_exclusive(&[1, 2, 3, 4], &mut r), vec![0, 1, 3, 6]);
+        unit.charge(4, &mut r);
         assert_eq!(r.cycles(BlockKind::PrefixSum), unit.cycles(4));
+        assert_eq!(r.energy(BlockKind::PrefixSum), unit.energy(4));
     }
 
     #[test]

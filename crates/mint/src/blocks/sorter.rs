@@ -48,21 +48,9 @@ impl SortingNetwork {
         n as f64 * self.stages() as f64 * E_SORT_STAGE
     }
 
-    /// Charge the report for sorting `n` elements, without computing
-    /// the sort (for conversions that need only the cost).
+    /// Charge the report for sorting `n` elements.
     pub fn charge(&self, n: u64, report: &mut ConversionReport) {
         report.charge(BlockKind::Sorter, self.cycles(n), self.energy(n));
-    }
-
-    /// Functionally sort chunks of `width` (chunk-local sort, exactly
-    /// what the hardware produces), charging the report.
-    pub fn sort_chunks(&self, input: &[u64], report: &mut ConversionReport) -> Vec<u64> {
-        self.charge(input.len() as u64, report);
-        let mut out = input.to_vec();
-        for chunk in out.chunks_mut(self.width.max(1)) {
-            chunk.sort_unstable();
-        }
-        out
     }
 }
 
@@ -78,13 +66,12 @@ mod tests {
     }
 
     #[test]
-    fn sorts_within_chunks_only() {
+    fn charge_records_cycles_and_energy() {
         let net = SortingNetwork { width: 4 };
         let mut r = ConversionReport::default();
-        let out = net.sort_chunks(&[4, 1, 3, 2, 9, 7, 8, 6], &mut r);
-        assert_eq!(out, vec![1, 2, 3, 4, 6, 7, 8, 9]);
-        let out2 = net.sort_chunks(&[9, 1, 2, 3, 0, 0, 0, 1], &mut r);
-        assert_eq!(out2, vec![1, 2, 3, 9, 0, 0, 0, 1]);
+        net.charge(8, &mut r);
+        assert_eq!(r.cycles(BlockKind::Sorter), net.cycles(8));
+        assert_eq!(r.energy(BlockKind::Sorter), net.energy(8));
     }
 
     #[test]

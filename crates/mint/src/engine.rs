@@ -1,17 +1,19 @@
 //! The MINT conversion engine: Fig. 8's conversions built from blocks.
 //!
-//! Every conversion both *computes* the converted operand (verified
-//! against the software conversions in `sparseflex-formats`) and *meters*
-//! the building blocks it occupies, returning a [`ConversionReport`] that
-//! the cost model and SAGE consume.
+//! Every conversion returns the converted operand, computed by the
+//! conversions of `sparseflex-formats`, and *meters* the building blocks
+//! the hardware would occupy computing it, in a [`ConversionReport`] that
+//! the cost model and SAGE consume. The charges come from counts alone
+//! (entries, columns, slots): they depend on nothing else, so no block
+//! re-runs a conversion the formats crate has already done.
 //!
-//! Fig. 8's CSR→CSC and Dense→CSF paths run their blocks functionally.
-//! Its RLC→COO and CSR→BSR paths compute with the software conversions
-//! and charge their blocks from counts. Every other matrix pair builds
-//! the target straight from the source's own layout
-//! ([`MatrixData::convert_to`]) and charges each block the hardware would
-//! occupy decoding the source and encoding the target from the counts
-//! alone: the charges depend on nothing else.
+//! Fig. 8's four paths charge their own pipelines: CSR→CSC returns the
+//! counting sort of [`convert::csr_to_csc`], RLC→COO and Dense→CSF the
+//! source's walk collected by `to_coo` (and, for CSF,
+//! [`CsfTensor::from_coo`]), CSR→BSR [`BsrMatrix::from_coo`]. Every other
+//! matrix pair builds the target straight from the source's own layout
+//! ([`MatrixData::convert_to`]) and is charged the blocks decoding the
+//! source and encoding the target would occupy.
 
 use crate::blocks::{
     small_op_cycles, ClusterCounter, DivModArray, MemController, PrefixSumUnit, SortingNetwork,
@@ -19,8 +21,8 @@ use crate::blocks::{
 };
 use crate::report::{BlockKind, ConversionReport};
 use sparseflex_formats::{
-    BsrMatrix, CooMatrix, CscMatrix, CsfTensor, CsrMatrix, DenseTensor3, FormatError, MatrixData,
-    MatrixFormat, RlcMatrix, SparseMatrix, SparseTensor3,
+    convert, BsrMatrix, CooMatrix, CscMatrix, CsfTensor, CsrMatrix, DenseTensor3, FormatError,
+    MatrixData, MatrixFormat, RlcMatrix, SparseMatrix, SparseTensor3,
 };
 
 /// A configured MINT instance (one of each merged building block).
@@ -66,23 +68,25 @@ impl ConversionEngine {
     }
 
     /// CSR → CSC (Fig. 8c): histogram column ids (sort + cluster count),
-    /// prefix-sum into `col_ptr`, then scatter values and row ids.
+    /// prefix-sum into `col_ptr`, then scatter values and row ids. The
+    /// output is [`convert::csr_to_csc`]'s counting sort, the same
+    /// histogram, scan and scatter; each step is charged from `nnz` and
+    /// `cols`.
     pub fn csr_to_csc(&self, csr: &CsrMatrix) -> (CscMatrix, ConversionReport) {
         let mut rep = self.fresh_report();
         let nnz = csr.nnz() as u64;
-        let cols = csr.cols();
+        let cols = csr.cols() as u64;
 
         // Step 1: read chunks of col_ids.
         self.memctrl.transfer(nnz, &mut rep);
         // Step 2: sort each chunk.
-        let col_ids_u64: Vec<u64> = csr.col_ids().iter().map(|&c| c as u64).collect();
-        let sorted = self.sorter.sort_chunks(&col_ids_u64, &mut rep);
+        self.sorter.charge(nnz, &mut rep);
         // Step 3: cluster-count into the histogram.
-        let hist = self.counter.count_into(&sorted, cols, &mut rep);
+        self.counter.charge(nnz, &mut rep);
         // Step 4: accumulate histogram writes into scratchpad.
-        self.memctrl.transfer(cols as u64, &mut rep);
+        self.memctrl.transfer(cols, &mut rep);
         // Step 5: prefix sum over col_ptr.
-        let col_ptr = self.prefix.scan_exclusive(&hist, &mut rep);
+        self.prefix.charge(cols, &mut rep);
         // Steps 6-9: iterate CSR fields, scatter into CSC arrays. Each
         // nonzero costs a read of (value, col_id), a col_ptr read +
         // increment (adders), and a write of (value, row_id).
@@ -99,30 +103,15 @@ impl ConversionEngine {
         );
         self.memctrl.transfer(2 * nnz, &mut rep);
         // Step 10: fix up and store col_ptr.
-        self.memctrl.transfer(cols as u64 + 1, &mut rep);
-
-        // Functional scatter (counting sort).
-        let mut cursor: Vec<usize> = col_ptr.iter().map(|&x| x as usize).collect();
-        let mut row_ids = vec![0usize; csr.nnz()];
-        let mut values = vec![0.0; csr.nnz()];
-        for (r, c, v) in csr.iter() {
-            let slot = cursor[c];
-            cursor[c] += 1;
-            row_ids[slot] = r;
-            values[slot] = v;
-        }
-        let mut col_ptr_usize: Vec<usize> = col_ptr.iter().map(|&x| x as usize).collect();
-        col_ptr_usize.push(csr.nnz());
+        self.memctrl.transfer(cols + 1, &mut rep);
         rep.elements += nnz;
-        let csc = CscMatrix::from_parts(csr.rows(), cols, col_ptr_usize, row_ids, values)
-            .expect("counting sort yields valid CSC");
-        (csc, rep)
+        (convert::csr_to_csc(csr), rep)
     }
 
     /// RLC → COO (Fig. 8d): add one to each run, prefix-sum to recover
     /// flat positions, divide/mod by the row length for coordinates.
     pub fn rlc_to_coo(&self, rlc: &RlcMatrix) -> (CooMatrix, ConversionReport) {
-        let coo = sparseflex_formats::convert::rlc_to_coo(rlc);
+        let coo = rlc.to_coo();
         let mut rep = self.fresh_report();
         self.charge_rlc(rlc.stored_entries() as u64, coo.nnz() as u64, &mut rep);
         (coo, rep)
@@ -219,15 +208,8 @@ impl ConversionEngine {
         let coo = dense.to_coo();
         let nnz = coo.nnz() as u64;
         // Step 3: coordinate recovery: two divide/mod rounds per nonzero.
-        let flats: Vec<u64> = coo
-            .iter()
-            .map(|(x, y, z, _)| ((x * dy + y) * dz + z) as u64)
-            .collect();
-        let first = self
-            .divmod
-            .div_mod(&flats, (dy * dz).max(1) as u64, &mut rep);
-        let rests: Vec<u64> = first.iter().map(|&(_, rem)| rem).collect();
-        let _ = self.divmod.div_mod(&rests, dz.max(1) as u64, &mut rep);
+        self.divmod.charge(nnz, &mut rep);
+        self.divmod.charge(nnz, &mut rep);
         // Step 4: store the COO intermediate.
         self.memctrl.transfer(4 * nnz, &mut rep);
         // Steps 5-6: tree construction — boundary comparators over the
@@ -456,15 +438,9 @@ impl ConversionEngine {
                     self.prefix.energy(total),
                 );
                 let coo = d.to_coo();
-                let flats: Vec<u64> = coo
-                    .iter()
-                    .map(|(x, y, z, _)| ((x * dy + y) * dz + z) as u64)
-                    .collect();
-                let first = self
-                    .divmod
-                    .div_mod(&flats, ((dy * dz).max(1)) as u64, &mut rep);
-                let rests: Vec<u64> = first.iter().map(|&(_, r)| r).collect();
-                let _ = self.divmod.div_mod(&rests, dz.max(1) as u64, &mut rep);
+                // Two divide/mod rounds per nonzero's coordinates.
+                self.divmod.charge(coo.nnz() as u64, &mut rep);
+                self.divmod.charge(coo.nnz() as u64, &mut rep);
                 self.memctrl.transfer(4 * coo.nnz() as u64, &mut rep);
                 coo
             }
@@ -477,13 +453,7 @@ impl ConversionEngine {
                     self.prefix.energy(words),
                 );
                 let coo = z.to_coo();
-                let _ = self.divmod.div_mod(
-                    &coo.iter()
-                        .map(|(x, y, zz, _)| ((x * dy + y) * dz + zz) as u64)
-                        .collect::<Vec<_>>(),
-                    ((dy * dz).max(1)) as u64,
-                    &mut rep,
-                );
+                self.divmod.charge(coo.nnz() as u64, &mut rep);
                 self.memctrl.transfer(4 * coo.nnz() as u64, &mut rep);
                 coo
             }
@@ -497,15 +467,8 @@ impl ConversionEngine {
                     self.prefix.energy(n),
                 );
                 let coo = r.to_coo();
-                let flats: Vec<u64> = coo
-                    .iter()
-                    .map(|(x, y, z, _)| ((x * dy + y) * dz + z) as u64)
-                    .collect();
-                let first = self
-                    .divmod
-                    .div_mod(&flats, ((dy * dz).max(1)) as u64, &mut rep);
-                let rests: Vec<u64> = first.iter().map(|&(_, rr)| rr).collect();
-                let _ = self.divmod.div_mod(&rests, dz.max(1) as u64, &mut rep);
+                self.divmod.charge(coo.nnz() as u64, &mut rep);
+                self.divmod.charge(coo.nnz() as u64, &mut rep);
                 self.memctrl.transfer(4 * coo.nnz() as u64, &mut rep);
                 coo
             }
@@ -588,8 +551,7 @@ impl ConversionEngine {
             }
             TensorFormat::HiCoo { block } => {
                 // Block keys need divide/mod per coordinate.
-                let flats: Vec<u64> = coo.x_ids().iter().map(|&x| x as u64).collect();
-                let _ = self.divmod.div_mod(&flats, block.max(1) as u64, &mut rep);
+                self.divmod.charge(n, &mut rep);
                 let h = sparseflex_formats::HiCooTensor::from_coo(coo, block)?;
                 self.memctrl
                     .transfer((4 * h.num_blocks() + 4 * h.nnz()) as u64, &mut rep);
@@ -636,7 +598,7 @@ fn structured_slots(data: &MatrixData) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparseflex_formats::{convert, DenseMatrix};
+    use sparseflex_formats::DenseMatrix;
     use sparseflex_workloads::synth::random_matrix;
 
     fn engine() -> ConversionEngine {
@@ -661,9 +623,11 @@ mod tests {
 
     #[test]
     fn csr_to_csc_matches_software_oracle() {
-        let csr = CsrMatrix::from_coo(&fig8b());
-        let (csc, rep) = engine().csr_to_csc(&csr);
-        assert_eq!(csc, convert::csr_to_csc(&csr));
+        let coo = fig8b();
+        let (csc, rep) = engine().csr_to_csc(&CsrMatrix::from_coo(&coo));
+        assert_eq!(csc.to_coo(), coo);
+        // Fig. 8c: the histogram [1, 2, 1, 2] prefix-sums to col_ptr.
+        assert_eq!(csc.col_ptr(), &[0, 1, 3, 4, 6]);
         assert!(rep.pipelined_cycles() > 0);
         assert!(rep.pipelined_cycles() <= rep.serialized_cycles());
         // All five pipeline stages of Fig. 8c were exercised.
@@ -708,8 +672,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_to_csf_matches_software_oracle() {
+    fn dense_to_csf_matches_fig8f_tree() {
         use sparseflex_formats::CooTensor3;
+        // The Fig. 3b tensor, materialized densely then converted.
         let coo = CooTensor3::from_quads(
             4,
             4,
@@ -718,6 +683,8 @@ mod tests {
                 (0, 0, 0, 1.0),
                 (0, 0, 1, 2.0),
                 (1, 2, 2, 3.0),
+                (2, 1, 0, 4.0),
+                (2, 1, 3, 5.0),
                 (3, 0, 3, 6.0),
             ],
         )
@@ -725,7 +692,15 @@ mod tests {
         let dense = coo.clone().into_dense();
         let (csf, rep) = engine().dense_to_csf(&dense);
         assert_eq!(csf, CsfTensor::from_coo(&coo));
+        assert_eq!(csf.to_coo(), coo);
+        assert_eq!(csf.x_fids(), &[0, 1, 2, 3]);
+        assert_eq!(csf.num_fibers(), 4);
         assert!(rep.cycles(BlockKind::Comparators) > 0);
+        // Step 3: two divide/mod rounds per nonzero.
+        assert_eq!(
+            rep.cycles(BlockKind::Divider),
+            2 * engine().divmod.cycles(6)
+        );
     }
 
     #[test]
@@ -767,7 +742,7 @@ mod tests {
         let (csr, rep) = engine()
             .convert_matrix(&MatrixData::Dense(dense.clone()), &MatrixFormat::Csr)
             .unwrap();
-        assert_eq!(csr, MatrixData::Csr(convert::dense_to_csr(&dense)));
+        assert_eq!(csr, MatrixData::Csr(CsrMatrix::from_coo(&coo)));
         // Dense decode must stream the whole matrix through the memctrl.
         assert!(rep.cycles(BlockKind::MemController) >= (16 * 16) / 16);
     }
@@ -890,10 +865,6 @@ mod tests {
             for src in formats {
                 let data = random_operand(&mut rng, src);
                 for dst in formats {
-                    // Today's RLC decode divides by the column count.
-                    if matches!(data, MatrixData::Rlc(_)) && data.cols() == 0 {
-                        continue;
-                    }
                     // Fig. 8c's counting sort keeps CSR's explicit zeros;
                     // every other pair builds what encoding the source's
                     // nonzeros yields.

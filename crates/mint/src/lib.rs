@@ -18,14 +18,13 @@
 //!    parallel overlays) and position divisions run on the activation
 //!    units, shrinking `MINT_m` to `MINT_mr` (0.23 mm²) ([`variants`]).
 //!
-//! The [`engine`] module implements the paper's four reference
-//! conversions (Fig. 8: CSR→CSC, RLC→COO, CSR→BSR, Dense→CSF) *through*
-//! the building blocks — each conversion is functional (produces the
-//! converted operand, verified against the software oracle in
-//! `sparseflex-formats`) and metered (returns per-block cycle and energy
-//! usage). Every other matrix pair builds its target straight from the
-//! source's own layout, with no COO hub, and is charged the blocks a
-//! decode into COO and an encode out of it occupy. The [`cost`] module
+//! The [`engine`] module meters the paper's four reference conversions
+//! (Fig. 8: CSR→CSC, RLC→COO, CSR→BSR, Dense→CSF) on the building
+//! blocks: each returns the converted operand, computed by
+//! `sparseflex-formats`, with the per-block cycle and energy usage of its
+//! steps, charged from counts. Every other matrix pair builds its target
+//! straight from the source's own layout, with no COO hub, and is charged
+//! the blocks a decode into COO and an encode out of it occupy. The [`cost`] module
 //! provides the closed-form cost model SAGE queries, and the [`tiled`]
 //! module the double-buffered overlap schedule shared by the pipelined
 //! runtime and SAGE.

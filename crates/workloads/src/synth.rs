@@ -38,17 +38,15 @@ pub fn random_matrix(rows: usize, cols: usize, nnz: usize, seed: u64) -> CooMatr
     let mut rng = StdRng::seed_from_u64(seed);
     let total = (rows as u64) * (cols as u64);
     let flats = sample_distinct(total, nnz as u64, &mut rng);
-    let triplets: Vec<(usize, usize, f64)> = flats
-        .into_iter()
-        .map(|f| {
-            (
-                (f / cols as u64) as usize,
-                (f % cols as u64) as usize,
-                nonzero_value(&mut rng),
-            )
-        })
-        .collect();
-    CooMatrix::from_sorted_triplets(rows, cols, triplets).expect("sampled flats are sorted")
+    let mut row_ids = Vec::with_capacity(flats.len());
+    let mut col_ids = Vec::with_capacity(flats.len());
+    let mut values = Vec::with_capacity(flats.len());
+    for f in flats {
+        row_ids.push((f / cols as u64) as usize);
+        col_ids.push((f % cols as u64) as usize);
+        values.push(nonzero_value(&mut rng));
+    }
+    CooMatrix::from_parts(rows, cols, row_ids, col_ids, values).expect("sampled flats are sorted")
 }
 
 /// Fully dense random matrix.

@@ -248,56 +248,55 @@ fn admission_control_rejects_with_typed_errors_over_the_wire() {
 
 #[test]
 fn work_stealing_spreads_a_hoarded_batch() {
-    // One worker grabs the whole batch (dispatch_batch > job count) and
-    // parks the surplus; idle siblings steal from its deque. Whether a
-    // steal lands is a scheduling race on a loaded single-core host —
-    // the hoarder can drain its own deque before a sibling runs — so
-    // the scenario retries: any run observing a steal proves both the
-    // mechanism and its accounting.
-    let run_once = || {
-        let service = FlexService::start(
-            soak_system(),
-            ServeConfig {
-                workers: 4,
-                dispatch_batch: 128,
-                queue_capacity: 128,
-                tenant_inflight_cap: 128,
-                start_paused: true,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("service starts");
-        let tickets: Vec<_> = (0..64)
-            .map(|i| {
-                let a = random_matrix(20, 24, 120, 300 + i);
-                let b = random_matrix(24, 16, 100, 400 + i);
-                service
-                    .submit(WireJob {
-                        tenant: 1,
-                        priority: Priority::Normal,
-                        dtype: DataType::Fp32,
-                        a: MatrixData::encode(&a, &MatrixFormat::Csr).unwrap(),
-                        b: MatrixData::encode(&b, &MatrixFormat::Coo).unwrap(),
-                    })
-                    .unwrap()
-            })
-            .collect();
-        service.resume();
-        let outcomes: Vec<_> = tickets
-            .into_iter()
-            .map(|t| t.wait().expect("job completes"))
-            .collect();
-        let stolen = outcomes.iter().filter(|o| o.stolen).count() as u64;
-        assert_eq!(
-            service.stats().jobs_stolen,
-            stolen,
-            "per-outcome steal flags must match the service counter"
-        );
-        stolen
+    // One worker grabs the whole batch (dispatch_batch > job count),
+    // runs its first job and parks the other 63; idle siblings steal
+    // from its deque. The first job is one large operand pair, which
+    // keeps the hoarder busy for tens of milliseconds while the surplus
+    // sits parked, so a sibling is scheduled and steals even on a
+    // two-vCPU host where small jobs alone can all finish first.
+    let service = FlexService::start(
+        soak_system(),
+        ServeConfig {
+            workers: 4,
+            dispatch_batch: 128,
+            queue_capacity: 128,
+            tenant_inflight_cap: 128,
+            start_paused: true,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("service starts");
+    let job = |a, b| WireJob {
+        tenant: 1,
+        priority: Priority::Normal,
+        dtype: DataType::Fp32,
+        a: MatrixData::encode(&a, &MatrixFormat::Csr).unwrap(),
+        b: MatrixData::encode(&b, &MatrixFormat::Coo).unwrap(),
     };
-    let stolen = (0..8).map(|_| run_once()).find(|&s| s > 0);
-    assert!(
-        stolen.is_some(),
-        "idle workers never stole from the hoarder in any attempt"
+    // About 30 ms in a release build on two vCPUs, 0.2 s in debug.
+    let large = job(
+        random_matrix(384, 384, 16_000, 299),
+        random_matrix(384, 384, 16_000, 399),
     );
+    let tickets: Vec<_> = std::iter::once(large)
+        .chain((1..64).map(|i| {
+            job(
+                random_matrix(20, 24, 120, 300 + i),
+                random_matrix(24, 16, 100, 400 + i),
+            )
+        }))
+        .map(|j| service.submit(j).unwrap())
+        .collect();
+    service.resume();
+    let outcomes: Vec<_> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("job completes"))
+        .collect();
+    let stolen = outcomes.iter().filter(|o| o.stolen).count() as u64;
+    assert_eq!(
+        service.stats().jobs_stolen,
+        stolen,
+        "per-outcome steal flags must match the service counter"
+    );
+    assert!(stolen > 0, "idle workers never stole from the hoarder");
 }
