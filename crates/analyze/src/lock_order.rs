@@ -3,7 +3,7 @@
 //!
 //! The serving stack acquires a growing web of locks — the service's
 //! `central` state, per-worker `deques`, per-job ticket slots, the
-//! sharded `PlanCache`, the planner's `tile_arenas` pool. A deadlock
+//! sharded `PlanCache`, the calibrator's state. A deadlock
 //! needs two threads acquiring the same pair of locks in opposite
 //! orders; this lint extracts the **lock-while-holding** edges from
 //! every function and reports any cycle in the resulting graph as a

@@ -2,18 +2,22 @@
 //!
 //! Every executed plan yields a [`PipelineRun`] whose measured tiles sit
 //! beside the planner's per-tile prediction. The [`Calibrator`] closes
-//! that loop: it accumulates the (predicted, measured) pairs per
+//! that loop: it folds the (predicted, measured) pairs of each
 //! cost-model *lane* — MINT conversion, weight-stationary compute,
-//! Gustavson SpGEMM compute — and refits a multiplicative coefficient
-//! per lane by least squares, so repeated traffic tightens the stats
-//! model toward the machine it actually runs on.
+//! Gustavson SpGEMM compute — into that lane's running sums and refits a
+//! multiplicative coefficient per lane by least squares, so repeated
+//! traffic tightens the stats model toward the machine it actually runs
+//! on.
 //!
 //! The fit is a slope through the origin: measured ≈ c · predicted, with
-//! `c = Σ p·m / Σ p²` minimizing the squared residual. Predictions are
-//! stored **de-scaled** (divided by the coefficients the plan was scaled
-//! with), so samples stay in raw model units across generations, the
-//! fit never compounds its own corrections, and a plan executed after a
-//! refit is stored in the same units as one executed before it.
+//! `c = Σ p·m / Σ p²` minimizing the squared residual. Those two sums are
+//! all a lane keeps, so memory stays constant, recording never
+//! allocates, and every sample ever recorded weighs in the next refit.
+//! Predictions are summed **de-scaled** (divided by the coefficients the
+//! plan was scaled with), so samples stay in raw model units across
+//! generations, the fit never compounds its own corrections, and a plan
+//! executed after a refit counts in the same units as one executed
+//! before it.
 //!
 //! [`Calibrator::recalibrate`] bumps a generation counter, and
 //! [`ExecutionPlan::explain`] prints the generation whose coefficients
@@ -28,11 +32,6 @@
 use crate::lock_clean;
 use crate::plan::Dataflow;
 use std::sync::Mutex;
-
-/// Per-lane sample cap: under sustained traffic the calibrator keeps the
-/// first `MAX_SAMPLES_PER_LANE` (raw predicted, measured) pairs per lane
-/// and drops the rest, bounding memory like the plan cache bounds plans.
-const MAX_SAMPLES_PER_LANE: usize = 4096;
 
 /// Multiplicative corrections applied to the stats model's cycle lanes
 /// (1.0 = the uncalibrated analytic model).
@@ -66,35 +65,31 @@ impl Coefficients {
     }
 }
 
-/// One lane's regression samples (parallel vectors, bounded).
+/// One lane's regression state: the sample count and the two sums the
+/// slope reads, each added to in recording order.
 #[derive(Debug, Clone, Default)]
-struct LaneSamples {
-    raw_predicted: Vec<f64>,
-    measured: Vec<f64>,
+struct LaneSums {
+    samples: usize,
+    /// Σ p² over the raw predictions.
+    spp: f64,
+    /// Σ p·m over the (raw predicted, measured) pairs.
+    spm: f64,
 }
 
-impl LaneSamples {
+impl LaneSums {
     fn push(&mut self, raw_predicted: f64, measured: f64) {
-        if self.raw_predicted.len() < MAX_SAMPLES_PER_LANE {
-            self.raw_predicted.push(raw_predicted);
-            self.measured.push(measured);
-        }
+        self.samples += 1;
+        self.spp += raw_predicted * raw_predicted;
+        self.spm += raw_predicted * measured;
     }
 
     /// Least-squares slope through the origin, `None` when the lane has
     /// no informative samples (all-zero predictions fit any slope).
     fn slope(&self) -> Option<f64> {
-        let spp: f64 = self.raw_predicted.iter().map(|p| p * p).sum();
-        if spp <= 0.0 {
+        if self.spp <= 0.0 {
             return None;
         }
-        let spm: f64 = self
-            .raw_predicted
-            .iter()
-            .zip(&self.measured)
-            .map(|(p, m)| p * m)
-            .sum();
-        let c = spm / spp;
+        let c = self.spm / self.spp;
         (c.is_finite() && c > 0.0).then_some(c)
     }
 }
@@ -103,9 +98,9 @@ impl LaneSamples {
 struct CalState {
     generation: u64,
     coeffs: Coefficients,
-    conv: LaneSamples,
-    compute_ws: LaneSamples,
-    compute_spgemm: LaneSamples,
+    conv: LaneSums,
+    compute_ws: LaneSums,
+    compute_spgemm: LaneSums,
 }
 
 /// Accumulates executed runs and refits the stats cost model's per-lane
@@ -139,12 +134,10 @@ impl Calibrator {
         (s.generation, s.coeffs)
     }
 
-    /// Total (predicted, measured) pairs accumulated across lanes.
+    /// Total (predicted, measured) pairs recorded across lanes.
     pub fn samples(&self) -> usize {
         let s = lock_clean(&self.state);
-        s.conv.raw_predicted.len()
-            + s.compute_ws.raw_predicted.len()
-            + s.compute_spgemm.raw_predicted.len()
+        s.conv.samples + s.compute_ws.samples + s.compute_spgemm.samples
     }
 
     /// Record one executed plan: per tile, the (predicted, measured)
@@ -152,8 +145,8 @@ impl Calibrator {
     /// `PipelineRun::lane_cycles`). Each tile contributes one sample to
     /// the conversion lane and one to `dataflow`'s compute lane.
     /// Predictions are divided by `coeffs`, the coefficients the plan was
-    /// scaled with, so stored samples stay in raw model units even when
-    /// a refit lands between planning and execution.
+    /// scaled with, so the sums stay in raw model units even when a refit
+    /// lands between planning and execution.
     pub(crate) fn record(
         &self,
         dataflow: Dataflow,
@@ -265,18 +258,27 @@ mod tests {
         assert_eq!(cal.generation(), 2);
     }
 
+    /// No sample is dropped: past 4,096 per lane, a sample still counts
+    /// and still moves the slope.
     #[test]
-    fn sample_cap_bounds_memory() {
+    fn a_sample_past_4096_still_moves_the_slope() {
         let cal = Calibrator::default();
-        let big: Vec<(u64, u64)> = (0..MAX_SAMPLES_PER_LANE as u64 + 100)
-            .map(|i| (i + 1, i + 1))
-            .collect();
+        let on_the_line: Vec<(u64, u64)> = (1..=4096).map(|i| (i, i)).collect();
         cal.record(
             Dataflow::WeightStationary,
             &Coefficients::default(),
-            scaled_tiles(&big, 1.0),
+            scaled_tiles(&on_the_line, 1.0),
         );
-        assert_eq!(cal.samples(), 2 * MAX_SAMPLES_PER_LANE);
+        assert_eq!(cal.recalibrate().compute_ws, 1.0);
+        cal.record(
+            Dataflow::WeightStationary,
+            &Coefficients::default(),
+            scaled_tiles(&[(4097, 4097)], 1_000.0),
+        );
+        assert_eq!(cal.samples(), 2 * 4097);
+        let c = cal.recalibrate();
+        assert!(c.conv > 1.0, "conv slope {}", c.conv);
+        assert!(c.compute_ws > 1.0, "compute slope {}", c.compute_ws);
     }
 
     #[test]

@@ -37,8 +37,8 @@ use sparseflex_accel::exec::{
     simulate_spgemm_into, simulate_ws_into, GustavsonA, OutBand, SimScratch, SimStats,
 };
 use sparseflex_formats::{
-    csr_cow, csr_cow_in, plan_column_schedule, tile_column_ranges, ColumnSchedule, CooMatrix,
-    DenseMatrix, MatrixData, MatrixFormat, MatrixTile, SparseMatrix, StreamArena, TilePolicy,
+    csr_cow, plan_column_schedule, tile_column_ranges, ColumnSchedule, CooMatrix, DenseMatrix,
+    MatrixData, MatrixFormat, MatrixTile, SparseMatrix, TilePolicy,
 };
 use sparseflex_mint::tiled::{overlap_schedule, split_cycles};
 use sparseflex_mint::{conversion_cost, ConversionReport};
@@ -379,7 +379,7 @@ impl PlanCache {
 /// [`ExecutionPlan`] and executes plans on the accelerator. One planner
 /// (and its cache) is shared by every `FlexSystem` run path and across
 /// batch worker threads.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Planner {
     /// The bounded evaluation cache.
     pub cache: PlanCache,
@@ -388,26 +388,6 @@ pub struct Planner {
     /// per-lane coefficients that scale the predictions of later plans.
     /// Cached evaluations read no coefficient, so a refit keeps them.
     pub calibrator: Calibrator,
-    /// Grow-only arena pool for the tile executor, one arena per job
-    /// executing at once: a job pops one (or starts a fresh one), runs
-    /// every tile with it and pushes it back, so later runs convert and
-    /// simulate their tiles without fresh traversal allocations. A
-    /// `Mutex` (not per-call arenas) because one planner is shared across
-    /// batch worker threads; the lock is held for the pop and the push,
-    /// never a whole execution.
-    tile_arenas: Mutex<Vec<StreamArena>>,
-}
-
-impl Clone for Planner {
-    /// Cloning shares no scratch: the clone starts with a fresh (empty,
-    /// heap-free) arena pool and warms its own on first use.
-    fn clone(&self) -> Self {
-        Planner {
-            cache: self.cache.clone(),
-            calibrator: self.calibrator.clone(),
-            tile_arenas: Mutex::new(Vec::new()),
-        }
-    }
 }
 
 impl Planner {
@@ -584,15 +564,8 @@ impl Planner {
         // The streaming operand converts once, in the pipeline prologue.
         let (a_acf, conv_a) = sage.mint.convert_matrix(&a_mem, &choice.acf_a)?;
         let mut output = DenseMatrix::zeros(a.rows(), b_cols);
-        let executed = convert_and_execute_tiles(
-            sage,
-            choice,
-            spgemm,
-            &a_acf,
-            &tiles_mem,
-            &self.tile_arenas,
-            &mut output,
-        )?;
+        let executed =
+            convert_and_execute_tiles(sage, choice, spgemm, &a_acf, &tiles_mem, &mut output)?;
 
         let tiles: Vec<TileTrace> = tiles_mem
             .iter()
@@ -629,52 +602,43 @@ impl Planner {
 
 /// Convert each scheduled tile MCF→ACF and run it on the cycle-accurate
 /// simulator, in schedule order on the calling thread, accumulating each
-/// tile's product straight into `output` at the tile's column offset.
+/// tile's product straight into `output` at the tile's column offset:
+/// Gustavson SpGEMM when `spgemm` is set, weight-stationary otherwise.
 ///
 /// One array streams a job's tiles, as in the paper (§V-B): MINT's
 /// convert∥compute overlap is modeled in cycles, not run on host threads.
 /// Jobs run in parallel as separate accelerator instances (`run_batch`'s
 /// workers and the serve workers), so the executor opens no fan-out of
-/// its own. The loop takes one grow-only arena from the planner's pool:
-/// the first run warms its buffers (traversal scratch and the recycled
-/// CSR triple), later runs convert without fresh allocations. The
-/// simulator's scratch is sized once per job, and the streaming operand's
-/// Gustavson index is built once and read by every tile.
+/// its own. The simulator's scratch is sized once per job, and the
+/// streaming operand's Gustavson index is built once and read by every
+/// tile. A Gustavson plan's ACFs are CSR, so its CSR views borrow the
+/// converted operands.
 fn convert_and_execute_tiles(
     sage: &Sage,
     choice: &sparseflex_sage::FormatChoice,
     spgemm: bool,
     a_acf: &MatrixData,
     tiles_mem: &[MatrixTile],
-    arenas: &Mutex<Vec<StreamArena>>,
     output: &mut DenseMatrix,
 ) -> Result<Vec<(ConversionReport, SimStats)>, RunError> {
     let a_csr = if spgemm { Some(csr_cow(a_acf)) } else { None };
     let a_cols = a_csr.as_deref().map(|a| GustavsonA::new(a, &sage.accel));
     let n = output.cols();
-    let mut arena = lock_clean(arenas).pop().unwrap_or_default();
     let mut scratch = SimScratch::default();
-    let executed = tiles_mem
+    tiles_mem
         .iter()
         .map(|tile| {
             let (tile_acf, conv) = sage.mint.convert_matrix(&tile.data, &choice.acf_b)?;
-            let band = OutBand::new(output.data_mut(), n, tile.col_start);
-            let sim = execute_tile(
-                sage,
-                &mut arena,
-                &mut scratch,
-                a_acf,
-                a_cols.as_ref(),
-                &tile_acf,
-                band,
-            )?;
+            let out = OutBand::new(output.data_mut(), n, tile.col_start);
+            let sim = match &a_cols {
+                Some(a) => {
+                    simulate_spgemm_into(a, &csr_cow(&tile_acf), &sage.accel, &mut scratch, out)?
+                }
+                None => simulate_ws_into(a_acf, &tile_acf, &sage.accel, &mut scratch, out)?,
+            };
             Ok((conv, sim))
         })
-        .collect();
-    // The arena goes back to the pool before error propagation so a failed
-    // tile does not drop the warmed buffers.
-    lock_clean(arenas).push(arena);
-    executed
+        .collect()
 }
 
 /// Stats-model prediction: SAGE's whole-operand analytic totals scaled
@@ -720,38 +684,6 @@ fn predict_stats(
         per_tile_conv,
         per_tile_compute,
     }
-}
-
-/// Run one converted stationary tile on the cycle-accurate simulator,
-/// accumulating its product into `out`: Gustavson SpGEMM when `a_cols`
-/// (the streaming operand's by-column index) is given, weight-stationary
-/// otherwise.
-///
-/// SpGEMM tiles that need a CSR view draw both the traversal scratch and
-/// the CSR triple itself from `arena`, and hand the triple back
-/// afterwards ([`StreamArena::recycle_csr`]) so the next tile
-/// materializes without fresh allocations.
-fn execute_tile(
-    sage: &Sage,
-    arena: &mut StreamArena,
-    scratch: &mut SimScratch,
-    a_acf: &MatrixData,
-    a_cols: Option<&GustavsonA>,
-    tile_acf: &MatrixData,
-    out: OutBand<'_>,
-) -> Result<SimStats, RunError> {
-    let sim = match a_cols {
-        Some(a) => {
-            let tile_csr = csr_cow_in(arena, tile_acf);
-            let sim = simulate_spgemm_into(a, &tile_csr, &sage.accel, scratch, out)?;
-            if let std::borrow::Cow::Owned(c) = tile_csr {
-                arena.recycle_csr(c);
-            }
-            sim
-        }
-        None => simulate_ws_into(a_acf, tile_acf, &sage.accel, scratch, out)?,
-    };
-    Ok(sim)
 }
 
 #[cfg(test)]
@@ -1043,11 +975,9 @@ mod tests {
     }
 
     /// One job, one thread: `run_batch` across four workers gives every
-    /// job the output bits, tile traces and cycles of a one-worker `run`,
-    /// and leaves the planner's pool at most one arena per job that ran
-    /// at once.
+    /// job the output bits, tile traces and cycles of a one-worker `run`.
     #[test]
-    fn batched_jobs_match_one_worker_runs_and_pool_one_arena_each() {
+    fn batched_jobs_match_one_worker_runs() {
         use crate::pipeline::BatchJob;
         use crate::system::FlexSystem;
         use sparseflex_kernels::parallel::with_workers;
@@ -1068,8 +998,6 @@ mod tests {
             .collect();
         let batch = with_workers(4, || sys.run_batch(&jobs));
         assert_eq!(batch.workers, 4);
-        let pooled = lock_clean(&sys.planner.tile_arenas).len();
-        assert!(pooled <= batch.workers, "{pooled} arenas pooled");
 
         let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut dataflows = Vec::new();

@@ -211,17 +211,6 @@ impl CooMatrix {
         }
         out
     }
-
-    /// Transpose: swaps the roles of rows and columns and re-sorts.
-    #[expect(
-        clippy::expect_used,
-        reason = "from_triplets re-validates the swapped in-bounds coordinates"
-    )]
-    pub fn transpose(&self) -> CooMatrix {
-        let triplets: Vec<_> = self.iter().map(|(r, c, v)| (c, r, v)).collect();
-        CooMatrix::from_triplets(self.cols, self.rows, triplets)
-            .expect("transposed coordinates remain in-bounds")
-    }
 }
 
 impl SparseMatrix for CooMatrix {
@@ -344,14 +333,6 @@ mod tests {
         assert_eq!(m.get(3, 3), 6.0);
         assert_eq!(m.get(0, 3), 0.0);
         assert_eq!(m.get(3, 0), 0.0);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = fig3a();
-        let t = m.transpose();
-        assert_eq!(t.get(1, 0), 2.0);
-        assert_eq!(t.transpose(), m);
     }
 
     #[test]

@@ -378,14 +378,6 @@ impl TensorData {
             TensorFormat::Zvc => TensorData::Zvc(ZvcTensor3::from_coo(coo)),
         })
     }
-
-    /// Convert this payload into the given format via the COO hub.
-    pub fn convert_to(&self, target: &TensorFormat) -> Result<TensorData, FormatError> {
-        if self.format() == *target {
-            return Ok(self.clone());
-        }
-        Self::encode(&self.as_sparse().to_coo(), target)
-    }
 }
 
 impl SparseTensor3 for TensorData {

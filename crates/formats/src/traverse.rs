@@ -248,9 +248,7 @@ fn lower_bound(n: usize, below: impl Fn(usize) -> bool) -> usize {
 /// streaming dataflows (Alg. 1, Fig. 6) consume the operand in. Scratch
 /// comes from the caller's [`StreamArena`], so repeat traversals allocate
 /// nothing; [`for_each_fiber`](Self::for_each_fiber) is the one-shot
-/// wrapper. Hub-only consumers that want individual nonzeros can use the
-/// derived triple streams [`for_each_nnz_in`](Self::for_each_nnz_in) /
-/// [`for_each_nnz`](Self::for_each_nnz) instead.
+/// wrapper.
 ///
 /// Implementations provide only the ranged walk and the partitioner; the
 /// full walk is the ranged walk over `0..rows()`. The `Sync` supertrait
@@ -291,21 +289,6 @@ pub trait RowMajorStream: SparseMatrix + Sync {
     /// with a fresh (heap-free until used) arena.
     fn for_each_fiber(&self, emit: &mut RowFiberSink<'_>) {
         self.for_each_fiber_in(&mut StreamArena::new(), emit);
-    }
-
-    /// Push individual `(row, col, value)` triples in row-major order — the
-    /// nnz stream view of the same traversal — using the caller's arena.
-    fn for_each_nnz_in(&self, arena: &mut StreamArena, emit: &mut dyn FnMut(usize, usize, Value)) {
-        self.for_each_fiber_in(arena, &mut |r, cols, vals| {
-            for (&c, &v) in cols.iter().zip(vals) {
-                emit(r, c, v);
-            }
-        });
-    }
-
-    /// One-shot wrapper around [`for_each_nnz_in`](Self::for_each_nnz_in).
-    fn for_each_nnz(&self, emit: &mut dyn FnMut(usize, usize, Value)) {
-        self.for_each_nnz_in(&mut StreamArena::new(), emit);
     }
 }
 
@@ -354,25 +337,6 @@ pub trait FiberStream3: SparseTensor3 + Sync {
     /// with a fresh (heap-free until used) arena.
     fn for_each_fiber(&self, emit: &mut FiberSink3<'_>) {
         self.for_each_fiber_in(&mut StreamArena::new(), emit);
-    }
-
-    /// Push individual `(x, y, z, value)` quads in x-major order using the
-    /// caller's arena.
-    fn for_each_nnz_in(
-        &self,
-        arena: &mut StreamArena,
-        emit: &mut dyn FnMut(usize, usize, usize, Value),
-    ) {
-        self.for_each_fiber_in(arena, &mut |x, y, zs, vals| {
-            for (&z, &v) in zs.iter().zip(vals) {
-                emit(x, y, z, v);
-            }
-        });
-    }
-
-    /// One-shot wrapper around [`for_each_nnz_in`](Self::for_each_nnz_in).
-    fn for_each_nnz(&self, emit: &mut dyn FnMut(usize, usize, usize, Value)) {
-        self.for_each_nnz_in(&mut StreamArena::new(), emit);
     }
 }
 
@@ -432,12 +396,6 @@ impl RowMajorStream for CooMatrix {
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
         let rids = self.row_ids();
         split_by_sorted_keys(rids.len(), self.rows(), parts, &|i| rids[i])
-    }
-
-    fn for_each_nnz_in(&self, _arena: &mut StreamArena, emit: &mut dyn FnMut(usize, usize, Value)) {
-        for (r, c, v) in self.iter() {
-            emit(r, c, v);
-        }
     }
 }
 
@@ -933,9 +891,6 @@ impl RowMajorStream for MatrixData {
     fn row_partition(&self, parts: usize) -> Vec<Range<usize>> {
         self.row_stream().row_partition(parts)
     }
-    fn for_each_nnz_in(&self, arena: &mut StreamArena, emit: &mut dyn FnMut(usize, usize, Value)) {
-        self.row_stream().for_each_nnz_in(arena, emit);
-    }
 }
 
 impl MatrixData {
@@ -994,16 +949,6 @@ impl FiberStream3 for CooTensor3 {
         let xs = self.x_ids();
         let ys = self.y_ids();
         split_by_sorted_keys(xs.len(), self.dim_x() * dy, parts, &|i| xs[i] * dy + ys[i])
-    }
-
-    fn for_each_nnz_in(
-        &self,
-        _arena: &mut StreamArena,
-        emit: &mut dyn FnMut(usize, usize, usize, Value),
-    ) {
-        for (x, y, z, v) in self.iter() {
-            emit(x, y, z, v);
-        }
     }
 }
 
@@ -1330,13 +1275,6 @@ impl FiberStream3 for TensorData {
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
         self.fiber_stream().fiber_partition(parts)
     }
-    fn for_each_nnz_in(
-        &self,
-        arena: &mut StreamArena,
-        emit: &mut dyn FnMut(usize, usize, usize, Value),
-    ) {
-        self.fiber_stream().for_each_nnz_in(arena, emit);
-    }
 }
 
 impl TensorData {
@@ -1527,6 +1465,15 @@ mod tests {
         .unwrap()
     }
 
+    /// A matrix walk's fibers flattened to `(row, col, value)` triples.
+    fn triples(data: &MatrixData) -> Vec<(usize, usize, Value)> {
+        let mut out = Vec::new();
+        data.for_each_fiber(&mut |r, cs, vs| {
+            out.extend(cs.iter().zip(vs).map(|(&c, &v)| (r, c, v)))
+        });
+        out
+    }
+
     /// Streaming any format must enumerate exactly `to_coo()`'s triples in
     /// the same order — the core traversal contract.
     #[test]
@@ -1534,10 +1481,8 @@ mod tests {
         let coo = sample_matrix();
         for fmt in all_matrix_formats() {
             let data = MatrixData::encode(&coo, &fmt).unwrap();
-            let mut streamed: Vec<(usize, usize, Value)> = Vec::new();
-            data.for_each_nnz(&mut |r, c, v| streamed.push((r, c, v)));
             let expect: Vec<_> = coo.iter().collect();
-            assert_eq!(streamed, expect, "nnz stream mismatch for {fmt}");
+            assert_eq!(triples(&data), expect, "nnz stream mismatch for {fmt}");
 
             // Fiber view: rows strictly ascending, cols strictly ascending.
             let mut last_row = None;
@@ -1594,7 +1539,9 @@ mod tests {
         for fmt in all_tensor_formats() {
             let data = TensorData::encode(&coo, &fmt).unwrap();
             let mut streamed: Vec<(usize, usize, usize, Value)> = Vec::new();
-            data.for_each_nnz(&mut |x, y, z, v| streamed.push((x, y, z, v)));
+            data.for_each_fiber(&mut |x, y, zs, vs| {
+                streamed.extend(zs.iter().zip(vs).map(|(&z, &v)| (x, y, z, v)))
+            });
             let expect: Vec<_> = coo.iter().collect();
             assert_eq!(streamed, expect, "nnz stream mismatch for {fmt}");
 
@@ -1672,8 +1619,7 @@ mod tests {
             MatrixData::Zvc(zvc.unwrap()),
         ];
         for data in &stored_zero {
-            let mut walked = Vec::new();
-            data.for_each_nnz(&mut |r, c, v| walked.push((r, c, v)));
+            let walked = triples(data);
             assert!(walked.contains(&(1, 2, 0.0)), "{walked:?}");
         }
         let padded = [
@@ -1716,9 +1662,7 @@ mod tests {
     fn rlc_extension_entries_are_skipped() {
         let coo = CooMatrix::from_triplets(2, 40, vec![(0, 39, 9.0), (1, 20, 3.0)]).unwrap();
         let data = MatrixData::encode(&coo, &MatrixFormat::Rlc { run_bits: 3 }).unwrap();
-        let mut streamed = Vec::new();
-        data.for_each_nnz(&mut |r, c, v| streamed.push((r, c, v)));
-        assert_eq!(streamed, vec![(0, 39, 9.0), (1, 20, 3.0)]);
+        assert_eq!(triples(&data), vec![(0, 39, 9.0), (1, 20, 3.0)]);
     }
 
     /// ELL rows with builder-supplied out-of-order slots must still stream

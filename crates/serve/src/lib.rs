@@ -8,11 +8,13 @@
 //! Two modules:
 //!
 //! - [`wire`] — the compact binary frame format jobs and results travel
-//!   in: a 16-byte header (magic, version, kind, FNV-1a body checksum)
-//!   followed by a format tag, shape header, index arrays and IEEE-754
-//!   values. Round-trips every matrix format in the workspace
-//!   losslessly and rejects truncated or garbled frames with typed
-//!   errors.
+//!   in (version 2): a 16-byte header (magic, version, kind — 2 job, 3
+//!   result — and one FNV-1a body checksum) followed by one body. A job
+//!   body writes both operands inline (format tag, shape, index arrays
+//!   and IEEE-754 values); a result body is the job id and the output's
+//!   shape and values. No frame embeds another. Round-trips every matrix
+//!   format in the workspace losslessly and rejects truncated or garbled
+//!   frames with typed errors.
 //! - [`service`] — [`FlexService`]: a bounded submission queue with
 //!   admission control (queue-full backpressure + per-tenant in-flight
 //!   caps), per-tenant weighted-fair stride scheduling with three

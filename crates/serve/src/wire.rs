@@ -1,27 +1,29 @@
 //! The compact binary wire format jobs and results travel in.
 //!
-//! Every frame shares one fixed 16-byte header:
+//! A frame is one fixed 16-byte header, one checksum and one body:
 //!
 //! | offset | size | field                                          |
 //! |-------:|-----:|------------------------------------------------|
 //! |      0 |    4 | magic `b"SFLX"`                                 |
-//! |      4 |    1 | version (`WIRE_VERSION`)                        |
-//! |      5 |    1 | kind (0 matrix, 2 job, 3 result)                |
+//! |      4 |    1 | version (`WIRE_VERSION` = 2)                    |
+//! |      5 |    1 | kind (2 job, 3 result)                          |
 //! |      6 |    2 | reserved (must be zero)                         |
 //! |      8 |    8 | FNV-1a checksum of the body, little-endian      |
 //! |     16 |    — | body (kind-specific)                            |
 //!
-//! A **matrix body** is a format tag (+ structural parameters), a
-//! `rows`/`cols` shape header, then the payload: Dense frames carry the
+//! A **job body** carries tenant (`u32`), priority, datatype and a
+//! reserved `u16`, then operand A's matrix body and operand B's, back to
+//! back. A **matrix body** is a format tag (+ structural parameters), a
+//! `rows`/`cols` shape, then the payload: a Dense operand carries its
 //! full row-major value array; every sparse format carries its canonical
 //! COO triplet arrays (`nnz`, row ids, col ids, values — indices as
 //! `u32`, values as IEEE-754 `f64` bit patterns). Decoding re-encodes
 //! the triplets into the tagged format, which is lossless because every
 //! format in the workspace round-trips exactly through the COO hub (the
-//! invariant `formats::roundtrip_tests` pins). A **job body** carries
-//! tenant, priority and datatype plus two embedded matrix frames; a
-//! **result body** carries the job id and the embedded Dense output
-//! frame.
+//! invariant `formats::roundtrip_tests` pins). A **result body** carries
+//! the job id, then the output's shape and row-major values: the Dense
+//! payload without a format tag. No frame embeds another, so the one
+//! checksum covers every body byte and each byte is hashed once.
 //!
 //! Malformed input never panics: truncation, bad magic, version or kind
 //! mismatches, checksum failures, oversized counts and trailing garbage
@@ -38,13 +40,12 @@ use crate::service::Priority;
 const WIRE_MAGIC: [u8; 4] = *b"SFLX";
 
 /// Current wire protocol version, carried in every frame header.
-const WIRE_VERSION: u8 = 1;
+const WIRE_VERSION: u8 = 2;
 
 /// Byte length of the fixed frame header (magic + version + kind +
 /// reserved + checksum).
 pub const HEADER_LEN: usize = 16;
 
-const KIND_MATRIX: u8 = 0;
 const KIND_JOB: u8 = 2;
 const KIND_RESULT: u8 = 3;
 
@@ -157,9 +158,11 @@ impl From<FormatError> for WireError {
 // Frame envelope
 // ---------------------------------------------------------------------
 
-/// Start a frame of the given kind: header with a checksum placeholder.
-fn begin_frame(kind: u8) -> ByteWriter {
-    let mut w = ByteWriter::with_capacity(64);
+/// Start a frame of the given kind whose body is `body_len` bytes: one
+/// buffer sized for the whole frame, then the header with a checksum
+/// placeholder.
+fn begin_frame(kind: u8, body_len: usize) -> ByteWriter {
+    let mut w = ByteWriter::with_capacity(HEADER_LEN + body_len);
     w.put_bytes(&WIRE_MAGIC);
     w.put_u8(WIRE_VERSION);
     w.put_u8(kind);
@@ -216,12 +219,26 @@ fn expect_end(r: &ByteReader<'_>) -> Result<(), WireError> {
     Ok(())
 }
 
-fn put_dim(w: &mut ByteWriter, dim: usize) -> Result<(), WireError> {
-    if dim > u32::MAX as usize {
+/// Write a `rows`/`cols` shape; wire indices are `u32`, so a wider
+/// dimension is an overflow.
+fn put_dims(w: &mut ByteWriter, rows: usize, cols: usize) -> Result<(), WireError> {
+    for dim in [rows, cols] {
+        if dim > u32::MAX as usize {
+            return Err(WireError::Overflow("dimension exceeds u32 wire indices"));
+        }
+        w.put_u64(dim as u64);
+    }
+    Ok(())
+}
+
+/// Read a `rows`/`cols` shape, bounded like [`put_dims`] bounds it.
+fn take_dims(r: &mut ByteReader<'_>) -> Result<(usize, usize), WireError> {
+    let rows = r.take_len("matrix rows")?;
+    let cols = r.take_len("matrix cols")?;
+    if rows > u32::MAX as usize || cols > u32::MAX as usize {
         return Err(WireError::Overflow("dimension exceeds u32 wire indices"));
     }
-    w.put_u64(dim as u64);
-    Ok(())
+    Ok((rows, cols))
 }
 
 /// Range-checked `usize -> u32` narrowing for wire indices: the single
@@ -253,6 +270,49 @@ fn take_count(
         });
     }
     Ok(count)
+}
+
+// ---------------------------------------------------------------------
+// Payloads
+// ---------------------------------------------------------------------
+
+/// Bytes of a Dense payload: the shape, then 8 per value.
+fn dense_len(d: &DenseMatrix) -> usize {
+    16 + 8 * d.data().len()
+}
+
+/// Write a Dense payload: the shape, then the row-major values. A Dense
+/// operand body and the result body both carry one.
+fn put_dense(w: &mut ByteWriter, d: &DenseMatrix) -> Result<(), WireError> {
+    put_dims(w, d.rows(), d.cols())?;
+    for &v in d.data() {
+        w.put_f64(v);
+    }
+    Ok(())
+}
+
+/// Read a Dense payload. The element and byte counts are checked for
+/// overflow, and against the bytes left, before the values are
+/// allocated.
+fn take_dense(r: &mut ByteReader<'_>) -> Result<DenseMatrix, WireError> {
+    let (rows, cols) = take_dims(r)?;
+    let count = rows
+        .checked_mul(cols)
+        .ok_or(WireError::Overflow("dense element count"))?;
+    let need = count
+        .checked_mul(8)
+        .ok_or(WireError::Overflow("dense byte count"))?;
+    if r.remaining() < need {
+        return Err(WireError::Truncated {
+            needed: need,
+            available: r.remaining(),
+        });
+    }
+    let mut data = Vec::with_capacity(count);
+    for _ in 0..count {
+        data.push(r.take_f64()?);
+    }
+    Ok(DenseMatrix::from_vec(rows, cols, data)?)
 }
 
 // ---------------------------------------------------------------------
@@ -308,33 +368,36 @@ fn take_matrix_format(r: &mut ByteReader<'_>) -> Result<MatrixFormat, WireError>
 }
 
 // ---------------------------------------------------------------------
-// Matrix frames
+// Matrix bodies
 // ---------------------------------------------------------------------
 
-/// Write the matrix *body* (format tag, shape, payload) into `w`.
+/// An upper bound on the bytes [`put_matrix_body`] writes for `m`: the
+/// widest format tag (BSR's), and a sparse payload counted at `nnz()`
+/// triplets, at least as many as its COO form keeps.
+fn matrix_body_len(m: &MatrixData) -> usize {
+    9 + match m {
+        MatrixData::Dense(d) => dense_len(d),
+        other => 16 + 8 + (4 + 4 + 8) * other.nnz(),
+    }
+}
+
+/// Write the matrix body (format tag, shape, payload) into `w`.
 fn put_matrix_body(w: &mut ByteWriter, m: &MatrixData) -> Result<(), WireError> {
     put_matrix_format(w, &m.format())?;
-    put_dim(w, m.rows())?;
-    put_dim(w, m.cols())?;
-    match m {
-        MatrixData::Dense(d) => {
-            for &v in d.data() {
-                w.put_f64(v);
-            }
-        }
-        other => {
-            let coo = other.to_coo();
-            w.put_u64(coo.values().len() as u64);
-            for &r in coo.row_ids() {
-                put_u32_checked(w, r, "matrix row id exceeds u32")?;
-            }
-            for &c in coo.col_ids() {
-                put_u32_checked(w, c, "matrix col id exceeds u32")?;
-            }
-            for &v in coo.values() {
-                w.put_f64(v);
-            }
-        }
+    if let MatrixData::Dense(d) = m {
+        return put_dense(w, d);
+    }
+    put_dims(w, m.rows(), m.cols())?;
+    let coo = m.to_coo();
+    w.put_u64(coo.values().len() as u64);
+    for &r in coo.row_ids() {
+        put_u32_checked(w, r, "matrix row id exceeds u32")?;
+    }
+    for &c in coo.col_ids() {
+        put_u32_checked(w, c, "matrix col id exceeds u32")?;
+    }
+    for &v in coo.values() {
+        w.put_f64(v);
     }
     Ok(())
 }
@@ -342,30 +405,10 @@ fn put_matrix_body(w: &mut ByteWriter, m: &MatrixData) -> Result<(), WireError> 
 /// Read the matrix body from `r` and rebuild the tagged payload.
 fn take_matrix_body(r: &mut ByteReader<'_>) -> Result<MatrixData, WireError> {
     let fmt = take_matrix_format(r)?;
-    let rows = r.take_len("matrix rows")?;
-    let cols = r.take_len("matrix cols")?;
-    if rows > u32::MAX as usize || cols > u32::MAX as usize {
-        return Err(WireError::Overflow("dimension exceeds u32 wire indices"));
-    }
     if fmt == MatrixFormat::Dense {
-        let count = rows
-            .checked_mul(cols)
-            .ok_or(WireError::Overflow("dense element count"))?;
-        let need = count
-            .checked_mul(8)
-            .ok_or(WireError::Overflow("dense byte count"))?;
-        if r.remaining() < need {
-            return Err(WireError::Truncated {
-                needed: need,
-                available: r.remaining(),
-            });
-        }
-        let mut data = Vec::with_capacity(count);
-        for _ in 0..count {
-            data.push(r.take_f64()?);
-        }
-        return Ok(MatrixData::Dense(DenseMatrix::from_vec(rows, cols, data)?));
+        return Ok(MatrixData::Dense(take_dense(r)?));
     }
+    let (rows, cols) = take_dims(r)?;
     let nnz = take_count(r, "matrix nnz", 4 + 4 + 8)?;
     let mut row_ids = Vec::with_capacity(nnz);
     for _ in 0..nnz {
@@ -381,22 +424,6 @@ fn take_matrix_body(r: &mut ByteReader<'_>) -> Result<MatrixData, WireError> {
     }
     let coo = CooMatrix::from_parts(rows, cols, row_ids, col_ids, values)?;
     Ok(MatrixData::encode(&coo, &fmt)?)
-}
-
-/// Encode a matrix payload into a standalone wire frame.
-pub fn encode_matrix(m: &MatrixData) -> Result<Vec<u8>, WireError> {
-    let mut w = begin_frame(KIND_MATRIX);
-    put_matrix_body(&mut w, m)?;
-    Ok(finish_frame(w))
-}
-
-/// Decode a standalone matrix frame. Lossless for canonically-encoded
-/// payloads; rejects truncated/garbled frames with typed errors.
-pub fn decode_matrix(bytes: &[u8]) -> Result<MatrixData, WireError> {
-    let mut r = open_frame(bytes, KIND_MATRIX)?;
-    let m = take_matrix_body(&mut r)?;
-    expect_end(&r)?;
-    Ok(m)
 }
 
 // ---------------------------------------------------------------------
@@ -447,20 +474,17 @@ pub struct WireJob {
     pub b: MatrixData,
 }
 
-/// Encode a job into a wire frame (tenant, priority, dtype, then the
-/// two operands as embedded matrix frames).
+/// Encode a job into a wire frame (tenant, priority, dtype, reserved,
+/// then the two operands' matrix bodies).
 pub fn encode_job(job: &WireJob) -> Result<Vec<u8>, WireError> {
-    let mut w = begin_frame(KIND_JOB);
+    let body_len = 8 + matrix_body_len(&job.a) + matrix_body_len(&job.b);
+    let mut w = begin_frame(KIND_JOB, body_len);
     w.put_u32(job.tenant);
     w.put_u8(job.priority as u8);
     put_dtype(&mut w, job.dtype);
     w.put_u16(0); // reserved
-    let a = encode_matrix(&job.a)?;
-    w.put_u64(a.len() as u64);
-    w.put_bytes(&a);
-    let b = encode_matrix(&job.b)?;
-    w.put_u64(b.len() as u64);
-    w.put_bytes(&b);
+    put_matrix_body(&mut w, &job.a)?;
+    put_matrix_body(&mut w, &job.b)?;
     Ok(finish_frame(w))
 }
 
@@ -481,10 +505,8 @@ pub fn decode_job(bytes: &[u8]) -> Result<WireJob, WireError> {
     };
     let dtype = take_dtype(&mut r)?;
     r.take_u16()?; // reserved
-    let a_len = take_count(&mut r, "operand A frame length", 1)?;
-    let a = decode_matrix(r.take_bytes(a_len)?)?;
-    let b_len = take_count(&mut r, "operand B frame length", 1)?;
-    let b = decode_matrix(r.take_bytes(b_len)?)?;
+    let a = take_matrix_body(&mut r)?;
+    let b = take_matrix_body(&mut r)?;
     expect_end(&r)?;
     Ok(WireJob {
         tenant,
@@ -505,47 +527,32 @@ pub struct WireResult {
     pub output: DenseMatrix,
 }
 
-/// Encode a result frame (job id + embedded Dense matrix frame).
+/// Encode a result frame (job id, then the output's Dense payload) into
+/// a buffer of exactly the frame's length.
 pub fn encode_result(res: &WireResult) -> Result<Vec<u8>, WireError> {
-    let mut w = begin_frame(KIND_RESULT);
+    let mut w = begin_frame(KIND_RESULT, 8 + dense_len(&res.output));
     w.put_u64(res.job_id);
-    let m = encode_matrix(&MatrixData::Dense(res.output.clone()))?;
-    w.put_u64(m.len() as u64);
-    w.put_bytes(&m);
+    put_dense(&mut w, &res.output)?;
     Ok(finish_frame(w))
 }
 
-/// Decode a result frame. The embedded matrix must be Dense.
+/// Decode a result frame.
 pub fn decode_result(bytes: &[u8]) -> Result<WireResult, WireError> {
     let mut r = open_frame(bytes, KIND_RESULT)?;
     let job_id = r.take_u64()?;
-    let m_len = take_count(&mut r, "result frame length", 1)?;
-    let m = decode_matrix(r.take_bytes(m_len)?)?;
+    let output = take_dense(&mut r)?;
     expect_end(&r)?;
-    match m {
-        MatrixData::Dense(output) => Ok(WireResult { job_id, output }),
-        other => Err(WireError::UnknownTag {
-            what: "result payload format (must be Dense)",
-            tag: match other.format() {
-                MatrixFormat::Coo => 1,
-                MatrixFormat::Csr => 2,
-                MatrixFormat::Csc => 3,
-                MatrixFormat::Bsr { .. } => 4,
-                MatrixFormat::Dia => 5,
-                MatrixFormat::Ell => 6,
-                MatrixFormat::Rlc { .. } => 7,
-                _ => 8,
-            },
-        }),
-    }
+    Ok(WireResult { job_id, output })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_coo() -> CooMatrix {
-        CooMatrix::from_triplets(
+    /// One job per format, with A in that format and B in the next one
+    /// along, so every format travels in both positions.
+    fn sample_jobs() -> Vec<WireJob> {
+        let coo = CooMatrix::from_triplets(
             6,
             5,
             vec![
@@ -556,12 +563,7 @@ mod tests {
                 (5, 0, 5.0),
             ],
         )
-        .unwrap()
-    }
-
-    #[test]
-    fn matrix_frames_roundtrip_every_format() {
-        let coo = sample_coo();
+        .unwrap();
         let formats = [
             MatrixFormat::Dense,
             MatrixFormat::Coo,
@@ -573,66 +575,79 @@ mod tests {
             MatrixFormat::Rlc { run_bits: 4 },
             MatrixFormat::Zvc,
         ];
-        for fmt in formats {
-            let data = MatrixData::encode(&coo, &fmt).unwrap();
-            let bytes = encode_matrix(&data).unwrap();
-            let back = decode_matrix(&bytes).unwrap();
-            assert_eq!(back, data, "wire roundtrip failed for {fmt}");
+        let data = |i: usize| MatrixData::encode(&coo, &formats[i % formats.len()]).unwrap();
+        (0..formats.len())
+            .map(|i| WireJob {
+                tenant: 7,
+                priority: Priority::High,
+                dtype: DataType::Fp32,
+                a: data(i),
+                b: data(i + 1),
+            })
+            .collect()
+    }
+
+    fn sample_result() -> WireResult {
+        WireResult {
+            job_id: 42,
+            output: DenseMatrix::from_vec(2, 2, vec![1.0, -0.0, 0.0, 2.5]).unwrap(),
         }
     }
 
     #[test]
     fn truncation_and_garbling_are_typed() {
-        let data = MatrixData::encode(&sample_coo(), &MatrixFormat::Csr).unwrap();
-        let bytes = encode_matrix(&data).unwrap();
-        // Truncated at every prefix: typed error, never a panic.
-        for cut in 0..bytes.len() {
-            assert!(decode_matrix(&bytes[..cut]).is_err(), "prefix {cut} passed");
+        type Decode = fn(&[u8]) -> Result<(), WireError>;
+        let job = encode_job(&sample_jobs()[2]).unwrap();
+        let res = encode_result(&sample_result()).unwrap();
+        let frames: [(&Vec<u8>, Decode); 2] = [
+            (&job, |b| decode_job(b).map(drop)),
+            (&res, |b| decode_result(b).map(drop)),
+        ];
+        for (bytes, decode) in frames {
+            // Truncated at every prefix: typed error, never a panic.
+            for cut in 0..bytes.len() {
+                assert!(decode(&bytes[..cut]).is_err(), "prefix {cut} passed");
+            }
+            // A garble past the checksum fails the one checksum.
+            let mut garbled = bytes.clone();
+            garbled[HEADER_LEN + 3] ^= 0x40;
+            assert!(matches!(
+                decode(&garbled),
+                Err(WireError::ChecksumMismatch { .. })
+            ));
+            // Trailing garbage is rejected.
+            let mut padded = bytes.clone();
+            padded.push(0);
+            assert!(decode(&padded).is_err());
+            // Wrong magic and a version-1 frame are typed.
+            let mut wrong = bytes.clone();
+            wrong[0] = b'X';
+            assert_eq!(decode(&wrong), Err(WireError::BadMagic));
+            let mut v1 = bytes.clone();
+            v1[4] = 1;
+            assert_eq!(decode(&v1), Err(WireError::UnsupportedVersion(1)));
         }
-        // Any single-byte garble past the checksum fails the checksum;
-        // a garble inside it fails the comparison too.
-        let mut garbled = bytes.clone();
-        garbled[HEADER_LEN + 3] ^= 0x40;
-        assert!(matches!(
-            decode_matrix(&garbled),
-            Err(WireError::ChecksumMismatch { .. })
-        ));
-        // Trailing garbage is rejected.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(decode_matrix(&padded).is_err());
-        // Wrong magic and wrong kind are typed.
-        let mut wrong = bytes.clone();
-        wrong[0] = b'X';
-        assert_eq!(decode_matrix(&wrong), Err(WireError::BadMagic));
-        assert!(matches!(
-            decode_job(&bytes),
+        assert_eq!(
+            decode_job(&res),
             Err(WireError::WrongKind {
                 expected: KIND_JOB,
-                found: KIND_MATRIX
+                found: KIND_RESULT
             })
-        ));
+        );
     }
 
     #[test]
     fn job_and_result_frames_roundtrip() {
-        let a = MatrixData::encode(&sample_coo(), &MatrixFormat::Csr).unwrap();
-        let b = MatrixData::encode(&sample_coo(), &MatrixFormat::Zvc).unwrap();
-        let job = WireJob {
-            tenant: 7,
-            priority: Priority::High,
-            dtype: DataType::Fp32,
-            a,
-            b,
-        };
-        let bytes = encode_job(&job).unwrap();
-        assert_eq!(decode_job(&bytes).unwrap(), job);
+        for job in sample_jobs() {
+            let bytes = encode_job(&job).unwrap();
+            assert_eq!(decode_job(&bytes).unwrap(), job, "A in {}", job.a.format());
+        }
 
-        let res = WireResult {
-            job_id: 42,
-            output: DenseMatrix::from_vec(2, 2, vec![1.0, -0.0, 0.0, 2.5]).unwrap(),
-        };
-        let back = decode_result(&encode_result(&res).unwrap()).unwrap();
+        let res = sample_result();
+        let frame = encode_result(&res).unwrap();
+        assert_eq!(frame.len(), HEADER_LEN + 8 + 16 + 8 * 4);
+        assert_eq!(frame.capacity(), frame.len(), "result frame sized once");
+        let back = decode_result(&frame).unwrap();
         assert_eq!(back.job_id, 42);
         let bits: Vec<u64> = back.output.data().iter().map(|v| v.to_bits()).collect();
         let want: Vec<u64> = res.output.data().iter().map(|v| v.to_bits()).collect();
