@@ -14,7 +14,7 @@
 //!   and IEEE-754 values); a result body is the job id and the output's
 //!   shape and values. No frame embeds another. Round-trips every matrix
 //!   format in the workspace losslessly and rejects truncated or garbled
-//!   frames with typed errors.
+//!   frames, and shapes past its cell bound, with typed errors.
 //! - [`service`] — [`FlexService`]: a bounded submission queue with
 //!   admission control (queue-full backpressure + per-tenant in-flight
 //!   caps), per-tenant weighted-fair stride scheduling with three

@@ -11,8 +11,8 @@
 //! |      8 |    8 | FNV-1a checksum of the body, little-endian      |
 //! |     16 |    — | body (kind-specific)                            |
 //!
-//! A **job body** carries tenant (`u32`), priority, datatype and a
-//! reserved `u16`, then operand A's matrix body and operand B's, back to
+//! A **job body** carries tenant (`u32`), priority and datatype,
+//! then operand A's matrix body and operand B's, back to
 //! back. A **matrix body** is a format tag (+ structural parameters), a
 //! `rows`/`cols` shape, then the payload: a Dense operand carries its
 //! full row-major value array; every sparse format carries its canonical
@@ -27,7 +27,12 @@
 //!
 //! Malformed input never panics: truncation, bad magic, version or kind
 //! mismatches, checksum failures, oversized counts and trailing garbage
-//! all surface as typed [`WireError`]s.
+//! all surface as typed [`WireError`]s. The checksum detects garbling,
+//! not tampering, so a job frame's shapes are bounded on their own: each
+//! operand's and the output's (A's rows × B's cols) may hold at most
+//! `MAX_CELLS` cells, and a BSR or DIA operand may store at most as many
+//! values. A larger shape fails with [`WireError::Overflow`] before
+//! anything is sized from it.
 
 use sparseflex_formats::{
     ByteError, ByteReader, ByteWriter, CooMatrix, DataType, DenseMatrix, FormatError, MatrixData,
@@ -48,6 +53,15 @@ pub const HEADER_LEN: usize = 16;
 
 const KIND_JOB: u8 = 2;
 const KIND_RESULT: u8 = 3;
+
+/// Most cells (`rows × cols`, a zero dimension counted as one) a shape
+/// in a job frame may hold, and most values a BSR or DIA operand may
+/// store: 2^24, 128 MiB of `f64`. The shapes are each operand's, from
+/// which decoding and the service build formats sized by the shape, and
+/// the output's, which the service zero-fills and returns. A frame states
+/// a shape in 16 bytes, so without a bound an edited shape could ask for
+/// tens of GB.
+const MAX_CELLS: usize = 1 << 24;
 
 /// Typed decode/encode failures. Hostile bytes map to errors, never
 /// panics.
@@ -87,7 +101,8 @@ pub enum WireError {
         available: usize,
     },
     /// A count or dimension exceeds what the platform or the format
-    /// allows (wire indices are `u32`).
+    /// allows (wire indices are `u32`), or a shape is past the cell
+    /// bound on what a job frame may make its reader allocate.
     Overflow(&'static str),
     /// An unknown format/priority/datatype tag byte.
     UnknownTag {
@@ -158,8 +173,8 @@ impl From<FormatError> for WireError {
 // Frame envelope
 // ---------------------------------------------------------------------
 
-/// Start a frame of the given kind whose body is `body_len` bytes: one
-/// buffer sized for the whole frame, then the header with a checksum
+/// Start a frame of the given kind, with room for a `body_len`-byte body
+/// (the buffer grows past it), then the header with a checksum
 /// placeholder.
 fn begin_frame(kind: u8, body_len: usize) -> ByteWriter {
     let mut w = ByteWriter::with_capacity(HEADER_LEN + body_len);
@@ -241,6 +256,14 @@ fn take_dims(r: &mut ByteReader<'_>) -> Result<(usize, usize), WireError> {
     Ok((rows, cols))
 }
 
+/// Reject a shape of more than [`MAX_CELLS`] cells.
+fn check_cells(rows: usize, cols: usize) -> Result<(), WireError> {
+    match rows.max(1).checked_mul(cols.max(1)) {
+        Some(cells) if cells <= MAX_CELLS => Ok(()),
+        _ => Err(WireError::Overflow("shape exceeds the cell bound")),
+    }
+}
+
 /// Range-checked `usize -> u32` narrowing for wire indices: the single
 /// place an encode path is allowed to cast down. Coordinates are bounded
 /// by their (already-guarded) dimensions, but the check is kept total so
@@ -275,11 +298,6 @@ fn take_count(
 // ---------------------------------------------------------------------
 // Payloads
 // ---------------------------------------------------------------------
-
-/// Bytes of a Dense payload: the shape, then 8 per value.
-fn dense_len(d: &DenseMatrix) -> usize {
-    16 + 8 * d.data().len()
-}
 
 /// Write a Dense payload: the shape, then the row-major values. A Dense
 /// operand body and the result body both carry one.
@@ -371,24 +389,18 @@ fn take_matrix_format(r: &mut ByteReader<'_>) -> Result<MatrixFormat, WireError>
 // Matrix bodies
 // ---------------------------------------------------------------------
 
-/// An upper bound on the bytes [`put_matrix_body`] writes for `m`: the
-/// widest format tag (BSR's), and a sparse payload counted at `nnz()`
-/// triplets, at least as many as its COO form keeps.
-fn matrix_body_len(m: &MatrixData) -> usize {
-    9 + match m {
-        MatrixData::Dense(d) => dense_len(d),
-        other => 16 + 8 + (4 + 4 + 8) * other.nnz(),
-    }
-}
-
 /// Write the matrix body (format tag, shape, payload) into `w`.
 fn put_matrix_body(w: &mut ByteWriter, m: &MatrixData) -> Result<(), WireError> {
     put_matrix_format(w, &m.format())?;
-    if let MatrixData::Dense(d) = m {
-        return put_dense(w, d);
+    match m {
+        MatrixData::Dense(d) => put_dense(w, d),
+        other => put_triplets(w, &other.to_coo()),
     }
-    put_dims(w, m.rows(), m.cols())?;
-    let coo = m.to_coo();
+}
+
+/// Write a sparse payload: the shape, then the COO triplet arrays.
+fn put_triplets(w: &mut ByteWriter, coo: &CooMatrix) -> Result<(), WireError> {
+    put_dims(w, coo.rows(), coo.cols())?;
     w.put_u64(coo.values().len() as u64);
     for &r in coo.row_ids() {
         put_u32_checked(w, r, "matrix row id exceeds u32")?;
@@ -406,9 +418,12 @@ fn put_matrix_body(w: &mut ByteWriter, m: &MatrixData) -> Result<(), WireError> 
 fn take_matrix_body(r: &mut ByteReader<'_>) -> Result<MatrixData, WireError> {
     let fmt = take_matrix_format(r)?;
     if fmt == MatrixFormat::Dense {
-        return Ok(MatrixData::Dense(take_dense(r)?));
+        let d = take_dense(r)?;
+        check_cells(d.rows(), d.cols())?;
+        return Ok(MatrixData::Dense(d));
     }
     let (rows, cols) = take_dims(r)?;
+    check_cells(rows, cols)?;
     let nnz = take_count(r, "matrix nnz", 4 + 4 + 8)?;
     let mut row_ids = Vec::with_capacity(nnz);
     for _ in 0..nnz {
@@ -423,6 +438,31 @@ fn take_matrix_body(r: &mut ByteReader<'_>) -> Result<MatrixData, WireError> {
         values.push(r.take_f64()?);
     }
     let coo = CooMatrix::from_parts(rows, cols, row_ids, col_ids, values)?;
+    // Every format stores a few slots per cell at most, but for BSR,
+    // whose blocks can overhang the shape, and DIA, whose strips span
+    // every row.
+    let stored = match fmt {
+        MatrixFormat::Bsr { br, bc } => {
+            let grid = rows.div_ceil(br.max(1)) * cols.div_ceil(bc.max(1));
+            grid.min(nnz)
+                .checked_mul(br)
+                .and_then(|v| v.checked_mul(bc))
+        }
+        MatrixFormat::Dia => {
+            let mut seen = vec![false; rows + cols];
+            let diagonals = coo
+                .iter()
+                .filter(|&(i, j, _)| !std::mem::replace(&mut seen[rows + j - i], true))
+                .count();
+            Some(diagonals * rows)
+        }
+        _ => Some(0),
+    };
+    if stored.is_none_or(|v| v > MAX_CELLS) {
+        return Err(WireError::Overflow(
+            "operand stores more than the cell bound",
+        ));
+    }
     Ok(MatrixData::encode(&coo, &fmt)?)
 }
 
@@ -474,15 +514,13 @@ pub struct WireJob {
     pub b: MatrixData,
 }
 
-/// Encode a job into a wire frame (tenant, priority, dtype, reserved,
-/// then the two operands' matrix bodies).
+/// Encode a job into a wire frame (tenant, priority, dtype, then the two
+/// operands' matrix bodies).
 pub fn encode_job(job: &WireJob) -> Result<Vec<u8>, WireError> {
-    let body_len = 8 + matrix_body_len(&job.a) + matrix_body_len(&job.b);
-    let mut w = begin_frame(KIND_JOB, body_len);
+    let mut w = begin_frame(KIND_JOB, 0);
     w.put_u32(job.tenant);
     w.put_u8(job.priority as u8);
     put_dtype(&mut w, job.dtype);
-    w.put_u16(0); // reserved
     put_matrix_body(&mut w, &job.a)?;
     put_matrix_body(&mut w, &job.b)?;
     Ok(finish_frame(w))
@@ -504,10 +542,11 @@ pub fn decode_job(bytes: &[u8]) -> Result<WireJob, WireError> {
         }
     };
     let dtype = take_dtype(&mut r)?;
-    r.take_u16()?; // reserved
     let a = take_matrix_body(&mut r)?;
     let b = take_matrix_body(&mut r)?;
     expect_end(&r)?;
+    // The service zero-fills the output and returns it.
+    check_cells(a.rows(), b.cols())?;
     Ok(WireJob {
         tenant,
         priority,
@@ -530,7 +569,7 @@ pub struct WireResult {
 /// Encode a result frame (job id, then the output's Dense payload) into
 /// a buffer of exactly the frame's length.
 pub fn encode_result(res: &WireResult) -> Result<Vec<u8>, WireError> {
-    let mut w = begin_frame(KIND_RESULT, 8 + dense_len(&res.output));
+    let mut w = begin_frame(KIND_RESULT, 8 + 16 + 8 * res.output.data().len());
     w.put_u64(res.job_id);
     put_dense(&mut w, &res.output)?;
     Ok(finish_frame(w))
@@ -549,6 +588,18 @@ pub fn decode_result(bytes: &[u8]) -> Result<WireResult, WireError> {
 mod tests {
     use super::*;
 
+    const FORMATS: [MatrixFormat; 9] = [
+        MatrixFormat::Dense,
+        MatrixFormat::Coo,
+        MatrixFormat::Csr,
+        MatrixFormat::Csc,
+        MatrixFormat::Bsr { br: 2, bc: 2 },
+        MatrixFormat::Dia,
+        MatrixFormat::Ell,
+        MatrixFormat::Rlc { run_bits: 4 },
+        MatrixFormat::Zvc,
+    ];
+
     /// One job per format, with A in that format and B in the next one
     /// along, so every format travels in both positions.
     fn sample_jobs() -> Vec<WireJob> {
@@ -564,19 +615,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let formats = [
-            MatrixFormat::Dense,
-            MatrixFormat::Coo,
-            MatrixFormat::Csr,
-            MatrixFormat::Csc,
-            MatrixFormat::Bsr { br: 2, bc: 2 },
-            MatrixFormat::Dia,
-            MatrixFormat::Ell,
-            MatrixFormat::Rlc { run_bits: 4 },
-            MatrixFormat::Zvc,
-        ];
-        let data = |i: usize| MatrixData::encode(&coo, &formats[i % formats.len()]).unwrap();
-        (0..formats.len())
+        let data = |i: usize| MatrixData::encode(&coo, &FORMATS[i % FORMATS.len()]).unwrap();
+        (0..FORMATS.len())
             .map(|i| WireJob {
                 tenant: 7,
                 priority: Priority::High,
@@ -634,6 +674,54 @@ mod tests {
                 found: KIND_RESULT
             })
         );
+    }
+
+    /// A job frame with A's triplets those of `a` but its tag `fmt`, and
+    /// an empty `a.cols() × n` B.
+    fn job_frame(fmt: &MatrixFormat, a: &CooMatrix, n: usize) -> Vec<u8> {
+        let mut w = begin_frame(KIND_JOB, 0);
+        w.put_u32(7);
+        w.put_u8(Priority::Normal as u8);
+        put_dtype(&mut w, DataType::Fp32);
+        put_matrix_format(&mut w, fmt).unwrap();
+        put_triplets(&mut w, a).unwrap();
+        put_matrix_body(&mut w, &MatrixData::Coo(CooMatrix::empty(a.cols(), n))).unwrap();
+        finish_frame(w)
+    }
+
+    #[test]
+    fn shapes_past_the_cell_bound_are_rejected() {
+        let past = |frame: Vec<u8>| matches!(decode_job(&frame), Err(WireError::Overflow(_)));
+        let coo = |m, k, at: &[(usize, usize)]| {
+            CooMatrix::from_triplets(m, k, at.iter().map(|&(r, c)| (r, c, 1.0)).collect()).unwrap()
+        };
+        let wide = u32::MAX as usize;
+        for fmt in &FORMATS[1..] {
+            // At the bound every format decodes; an operand or an output
+            // of more cells fails.
+            assert!(decode_job(&job_frame(fmt, &coo(4096, 4096, &[(0, 0)]), 1)).is_ok());
+            assert!(past(job_frame(fmt, &coo(1, wide, &[(0, 0)]), 1)), "{fmt}");
+            assert!(
+                past(job_frame(fmt, &coo(4096, 1, &[(0, 0)]), 8192)),
+                "{fmt}"
+            );
+        }
+        let mut job = sample_jobs().swap_remove(0);
+        job.a = MatrixData::Dense(DenseMatrix::from_vec(wide, 0, Vec::new()).unwrap());
+        assert!(past(encode_job(&job).unwrap()), "Dense");
+
+        // BSR blocks overhanging a 1 × 1 operand.
+        let huge = MatrixFormat::Bsr {
+            br: 1 << 16,
+            bc: 1 << 16,
+        };
+        assert!(past(job_frame(&huge, &coo(1, 1, &[(0, 0)]), 1)));
+        // DIA strips of a tall operand: one diagonal fits, 17 do not.
+        let band: Vec<_> = (0..16).map(|i| (i, i)).collect();
+        let column: Vec<_> = (0..17).map(|i| (i, 0)).collect();
+        let dia = |at: &[(usize, usize)]| job_frame(&MatrixFormat::Dia, &coo(1 << 20, 16, at), 1);
+        assert!(decode_job(&dia(&band)).is_ok());
+        assert!(past(dia(&column)));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! reads and writes: job frames round-trip operands in every matrix
 //! format in the workspace, result frames round-trip bit for bit, and
 //! hostile bytes (truncation, single-byte garbles, bad counts, random
-//! bodies) are rejected from both kinds with typed errors — never panics.
+//! bodies) are rejected from both kinds with typed errors — never panics,
+//! also when an edit recomputes the checksum.
 
 use proptest::prelude::*;
 use sparseflex::formats::{
@@ -172,6 +173,23 @@ proptest! {
         }
     }
 
+    /// A garble that keeps the checksum right, as an edit would: the
+    /// frame decodes or fails typed, and no shape it states makes the
+    /// decoder allocate past the wire's cell bound.
+    #[test]
+    fn every_rechecksummed_garble_is_typed(
+        coo in arb_matrix(),
+        at in 0usize..1 << 16,
+        flip in 1i32..256,
+    ) {
+        for (frame, decode) in frames(&coo) {
+            let mut garbled = frame.clone();
+            garbled[wire::HEADER_LEN + at % (frame.len() - wire::HEADER_LEN)] ^= flip as u8;
+            rechecksum(&mut garbled);
+            let _ = decode(&garbled);
+        }
+    }
+
     #[test]
     fn random_bytes_never_panic(raw in proptest::collection::vec(0i32..256, 0..256)) {
         let bytes: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
@@ -258,11 +276,11 @@ fn typed_errors_name_the_failure() {
 
 /// Rewrite operand A's RLC run field and re-checksum the body, so the
 /// field is the only thing wrong with the frame. The field sits at frame
-/// bytes 25..29: after the header, the 8 bytes of tenant, priority,
-/// datatype and reserved, and A's format tag.
+/// bytes 23..27: after the header, the 6 bytes of tenant, priority and
+/// datatype, and A's format tag.
 fn with_run_bits(frame: &[u8], run_bits: u32) -> Vec<u8> {
     let mut out = frame.to_vec();
-    out[25..29].copy_from_slice(&run_bits.to_le_bytes());
+    out[23..27].copy_from_slice(&run_bits.to_le_bytes());
     rechecksum(&mut out);
     out
 }
