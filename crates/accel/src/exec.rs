@@ -1625,17 +1625,101 @@ mod tests {
             .map(|needed| SimError::BufferTooSmall { needed, available })
     }
 
+    /// Exclusive upper bounds of a property case's shape and
+    /// configuration; `vector_width` and `bus_slots` start at 1.
+    struct Bounds {
+        m: usize,
+        k: usize,
+        n: usize,
+        num_pes: usize,
+        vector_width: usize,
+        pe_buffer_elems: usize,
+        bus_slots: usize,
+    }
+
+    /// Append a run's totals and output bits, or its error, to the bytes a
+    /// digest pins.
+    fn pin(got: &Result<SimResult, SimError>, pinned: &mut Vec<u8>) {
+        match got {
+            Ok(r) => {
+                for v in r.output.data() {
+                    pinned.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+                let (c, n) = (r.cycles, r.counts);
+                for v in [
+                    c.load_b,
+                    c.stream_a,
+                    c.drain,
+                    n.macs,
+                    n.effective_macs,
+                    n.bus_slots_used,
+                    n.pe_buffer_reads,
+                    n.pe_buffer_writes,
+                    n.output_flushes,
+                    r.n_tiles as u64,
+                    r.k_passes as u64,
+                ] {
+                    pinned.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            Err(e) => pinned.extend_from_slice(e.to_string().as_bytes()),
+        }
+    }
+
     #[test]
     fn simulators_compute_the_reference_product() {
-        let mut g = Gen(0x5eed);
+        let bounds = Bounds {
+            m: 7,
+            k: 10,
+            n: 10,
+            num_pes: 6,
+            vector_width: 4,
+            pe_buffer_elems: 10,
+            bus_slots: 8,
+        };
+        assert_eq!(
+            reference_product_property(0x5eed, 6000, &bounds),
+            0xb93c_ef80_32e2_5b47,
+            "the 6,000 cases' totals or output bits moved"
+        );
+    }
+
+    /// Tiles as wide as 20 PEs and products as wide as 40 columns, so
+    /// that a tile fills 8-lane chunks and leaves every remainder.
+    #[test]
+    fn wide_tiles_compute_the_reference_product() {
+        let bounds = Bounds {
+            m: 13,
+            k: 21,
+            n: 41,
+            num_pes: 21,
+            vector_width: 8,
+            pe_buffer_elems: 24,
+            bus_slots: 16,
+        };
+        assert_eq!(
+            reference_product_property(0x3a9e, 1000, &bounds),
+            0xabd2_8f43_c93f_5495,
+            "the 1,000 wide cases' totals or output bits moved"
+        );
+    }
+
+    /// Run `cases` random cases within `bounds` from `seed` through every
+    /// simulator, owned and band, against the reference product; returns
+    /// the FNV-1a digest of every owned run's totals and output bits, in
+    /// case order. Band and owned runs come from the same code, so only
+    /// the digest shows a change to what both count.
+    fn reference_product_property(seed: u64, cases: usize, bounds: &Bounds) -> u64 {
+        let mut g = Gen(seed);
         let mut scratch = SimScratch::default();
-        for case in 0..6000 {
-            let (m, k, n) = (g.below(7), g.below(10), g.below(10));
+        let mut pinned = Vec::new();
+        for case in 0..cases {
+            let (m, k, n) = (g.below(bounds.m), g.below(bounds.k), g.below(bounds.n));
             let cfg = AccelConfig {
-                num_pes: g.below(6),
-                vector_width: 1 + g.below(4),
-                pe_buffer_elems: g.below(10),
-                bus_slots: 1 + g.below(8),
+                num_pes: g.below(bounds.num_pes),
+                vector_width: 1 + g.below(bounds.vector_width),
+                pe_buffer_elems: g.below(bounds.pe_buffer_elems),
+                bus_slots: 1 + g.below(bounds.bus_slots),
                 ..AccelConfig::walkthrough()
             };
             let a = operand(&mut g, m, k);
@@ -1683,6 +1767,7 @@ mod tests {
                     let sim = format!("{a_fmt}(A)-{b_fmt}(B)");
                     let owned = simulate_ws(a, b, &cfg);
                     check(&sim, &owned, &ws, ws_overflow(b, &cfg), ws_tiles);
+                    pin(&owned, &mut pinned);
                     let mut data = band(m, n, stride, col);
                     let out = OutBand::new(&mut data, stride, col);
                     let got = simulate_ws_into(a, b, &cfg, &mut scratch, out);
@@ -1692,12 +1777,14 @@ mod tests {
             let owned = simulate_spgemm(&a.csr, &b.csr, &cfg);
             let ab = product(&a.csr, &b.csr, false);
             check("SpGEMM", &owned, &ab, spgemm_overflow(&b.csr, &cfg), 1);
+            pin(&owned, &mut pinned);
             let mut data = band(m, n, stride, col);
             let out = OutBand::new(&mut data, stride, col);
             let a_cols = GustavsonA::new(&a.csr, &cfg);
             let got = simulate_spgemm_into(&a_cols, &b.csr, &cfg, &mut scratch, out);
             assert_same_band(got, &data, stride, col, &owned, &what("SpGEMM"));
         }
+        sparseflex_formats::fnv1a(&pinned)
     }
 
     /// A cell outside the product: any write to it shows.
