@@ -47,29 +47,34 @@ pub(crate) struct MatrixBuilder {
 }
 
 impl MatrixBuilder {
-    /// An empty builder. Fails where [`MatrixData::encode`] fails before
-    /// it looks at any entry (an RLC run field wider than 63 bits); an
-    /// invalid BSR block shape fails at [`finish`](Self::finish), as the
-    /// encoder does.
-    pub(crate) fn new(format: MatrixFormat, rows: usize, cols: usize) -> Result<Self, FormatError> {
+    /// An empty builder with room for `nnz` entries. Fails where
+    /// [`MatrixData::encode`] fails before it looks at any entry (an RLC
+    /// run field wider than 63 bits); an invalid BSR block shape fails at
+    /// [`finish`](Self::finish), as the encoder does.
+    pub(crate) fn new(
+        format: MatrixFormat,
+        rows: usize,
+        cols: usize,
+        nnz: usize,
+    ) -> Result<Self, FormatError> {
         let stage = match format {
             MatrixFormat::Dense => Stage::Dense(vec![0.0; rows * cols]),
-            MatrixFormat::Csr | MatrixFormat::Csc => Stage::Rows(RowEncoder::new(rows, 0)),
+            MatrixFormat::Csr | MatrixFormat::Csc => Stage::Rows(RowEncoder::new(rows, nnz)),
             MatrixFormat::Rlc { run_bits } => {
                 let run_bits = checked_run_bits(run_bits)?;
                 Stage::Runs {
                     run_bits,
-                    runs: RunEncoder::new(run_bits, 0),
+                    runs: RunEncoder::new(run_bits, nnz),
                 }
             }
-            MatrixFormat::Zvc => Stage::Mask(MaskEncoder::new(rows * cols, 0)),
+            MatrixFormat::Zvc => Stage::Mask(MaskEncoder::new(rows * cols, nnz)),
             MatrixFormat::Coo
             | MatrixFormat::Bsr { .. }
             | MatrixFormat::Dia
             | MatrixFormat::Ell => Stage::Triplets {
-                row_ids: Vec::new(),
-                col_ids: Vec::new(),
-                values: Vec::new(),
+                row_ids: Vec::with_capacity(nnz),
+                col_ids: Vec::with_capacity(nnz),
+                values: Vec::with_capacity(nnz),
             },
         };
         Ok(MatrixBuilder {

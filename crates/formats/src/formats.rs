@@ -296,7 +296,16 @@ impl MatrixData {
         if self.format() == *target {
             return Ok(self.clone());
         }
-        let mut builder = MatrixBuilder::new(*target, self.rows(), self.cols())?;
+        // The target's arrays start at the source's stored count where
+        // reading it is O(1); Dense, DIA, BSR and RLC would have to scan.
+        let stored = match self {
+            MatrixData::Coo(m) => m.values().len(),
+            MatrixData::Csr(m) => m.values().len(),
+            MatrixData::Csc(m) => m.values().len(),
+            MatrixData::Zvc(m) => m.values().len(),
+            _ => 0,
+        };
+        let mut builder = MatrixBuilder::new(*target, self.rows(), self.cols(), stored)?;
         self.row_stream()
             .for_each_fiber(&mut |r, cs, vs| builder.push_run(r, cs, vs, 0));
         builder.finish()

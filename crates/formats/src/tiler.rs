@@ -367,7 +367,7 @@ pub fn tile_column_ranges(
     }
     let mut builders = ranges
         .iter()
-        .map(|&(c0, c1)| MatrixBuilder::new(data.format(), data.rows(), c1 - c0))
+        .map(|&(c0, c1)| MatrixBuilder::new(data.format(), data.rows(), c1 - c0, 0))
         .collect::<Result<Vec<_>, _>>()?;
     data.row_stream()
         .for_each_fiber(&mut |r, cs, vs| split_row(&mut builders, &tile_of, ranges, r, cs, vs));
