@@ -12,17 +12,30 @@
 //! models. It reads each operand in place through its own ACF (Dense
 //! rows, CSR rows, COO triplets in storage order, CSC columns) and packs
 //! the stream into beats by the [`BusPacking`] rules without
-//! materializing them:
+//! materializing them. Only value MACs and sparse-sparse matching run per
+//! element:
 //!
-//! - A CSC stationary tile is indexed once per k-pass by `k`. Against a
-//!   Dense one every PE matches every streamed `k`, so a beat's PE work,
-//!   buffer reads and flushes follow from its length and rows.
-//! - A Dense stream sends every row over the same k-window, so a pass's
-//!   beats, MACs, buffer reads and flushes are counted for one row and
-//!   multiplied by the row count.
-//! - Weight-stationary value MACs run as branch-free lanes: a product
-//!   with a zero factor adds +0.0, which leaves an accumulator that
-//!   starts at +0.0 bit for bit as it was (it never holds −0.0).
+//! - A Dense stationary tile holds a pass's whole k-range in every PE, so
+//!   every streamed element matches every PE. Each k-pass's beats,
+//!   cycles, bus slots, MACs, buffer reads and flushes follow from the
+//!   stream's shape: one row's k-window for a Dense stream (every row
+//!   sends the same), each row's window length for CSR, each column's
+//!   length for CSC, and the in-window count and row runs for COO.
+//! - A CSC stationary tile is indexed once per k-pass by `k`. A Dense
+//!   stream against it counts one row's beats, MACs, buffer reads and
+//!   flushes for every row. A CSR, COO or CSC stream still matches each
+//!   element against the PEs holding its `k`, beat by beat.
+//! - Effective MACs come from the stationary tile's per-`k` nonzero
+//!   counts, taken per tile (Dense) or per pass (CSC): over each nonzero
+//!   `A(r, k)` streamed, the tile's nonzeros at `k`, counted beside the
+//!   value MACs.
+//! - Value MACs hold an output row's tile columns in register lanes
+//!   (`[Value; 8]` chunks and a remainder) across all of that row's
+//!   terms: over all of K for a Dense tile, per pass for a CSC tile
+//!   streamed by a Dense A. Each cell still adds its products in
+//!   ascending `k`. A product with a zero factor adds +0.0, which leaves
+//!   an accumulator that starts at +0.0 bit for bit as it was (it never
+//!   holds −0.0), where `0 x inf` would add NaN.
 //! - A Gustavson tile walks only B's non-empty rows, through a by-column
 //!   index of A ([`GustavsonA`]) built once per operand and shared by
 //!   every tile. A pass's beats are a function of A alone; only the beats
@@ -278,6 +291,9 @@ pub struct SimScratch {
     /// Per PE: the output row it accumulates (row-major streams).
     open_row: Vec<usize>,
     work: BeatWork,
+    /// Per `k` of a weight-stationary tile (Dense) or pass (CSC, from
+    /// `k0`), the nonzero values the tile's PEs hold at `k`.
+    nz_b: Vec<u64>,
     /// Gustavson: the per-PE footprints and k-ranges of the passes.
     footprint: Vec<usize>,
     ranges: Vec<Range<usize>>,
@@ -334,6 +350,18 @@ impl<'o> Sim<'o> {
         }
     }
 
+    /// The beats and cycles of `len` elements streamed `cap` to a beat,
+    /// each beat's busiest PE issuing one MAC per element.
+    fn beats_of(&self, len: usize, cap: usize) -> (u64, u64) {
+        let (full, rest) = ((len / cap) as u64, len % cap);
+        let full_cycles = full * self.beat_cycles(cap as u64);
+        if rest == 0 {
+            (full, full_cycles)
+        } else {
+            (full + 1, full_cycles + self.beat_cycles(rest as u64))
+        }
+    }
+
     /// One bus beat of `slots` slots whose busiest PE issued `work` MACs.
     fn beat(&mut self, slots: u64, work: u64) {
         let cycles = self.beat_cycles(work);
@@ -358,19 +386,52 @@ impl<'o> Sim<'o> {
     }
 }
 
-/// Branch-free MAC lanes `out[j] += a * b[j]` for a nonzero `a`: a zero
-/// `b[j]` adds +0.0 instead of branching, which leaves the accumulator's
-/// bits as they were (it starts at +0.0, so it never holds −0.0). Returns
-/// the effective MACs, those whose factors are both nonzero.
+/// Output lanes a value MAC holds in registers: an output row's tile
+/// columns go through [`mac_row`] one `[Value; LANES]` chunk at a time.
+const LANES: usize = 8;
+
+/// `out[j] += a * b_k[j]` for every term `(k, a)` of one output row, in
+/// term order, where `b_k` is `b[k * stride..]`. Each `LANES`-wide chunk
+/// of `out`, and then the remainder, stays in registers across all the
+/// terms, so each cell still adds its products in term order.
+///
+/// A product with a zero factor adds +0.0, not `0 x b` (NaN for an
+/// infinite factor): that leaves the accumulator's bits as they were,
+/// since it starts at +0.0 and so never holds −0.0. A zero `a` is
+/// selected out lane by lane, not branched over: a Dense row's zeros fall
+/// wherever its data puts them.
 #[inline]
-fn mac_lanes(out: &mut [Value], a: Value, b: &[Value]) -> u64 {
-    let mut effective = 0;
-    for (o, &bv) in out.iter_mut().zip(b) {
-        let live = bv != 0.0;
-        *o += if live { a * bv } else { 0.0 };
-        effective += u64::from(live);
+fn mac_row<T>(out: &mut [Value], terms: T, b: &[Value], stride: usize)
+where
+    T: Iterator<Item = (usize, Value)> + Clone,
+{
+    let mut chunks = out.chunks_exact_mut(LANES);
+    let mut col = 0;
+    for chunk in &mut chunks {
+        let mut acc = [0.0; LANES];
+        acc.copy_from_slice(chunk);
+        for (k, a) in terms.clone() {
+            let (live, base) = (a != 0.0, k * stride + col);
+            for (o, &bv) in acc.iter_mut().zip(&b[base..base + LANES]) {
+                *o += if live & (bv != 0.0) { a * bv } else { 0.0 };
+            }
+        }
+        chunk.copy_from_slice(&acc);
+        col += LANES;
     }
-    effective
+    let tail = chunks.into_remainder();
+    let w = tail.len();
+    if w > 0 {
+        let mut acc = [0.0; LANES];
+        acc[..w].copy_from_slice(tail);
+        for (k, a) in terms {
+            let (live, base) = (a != 0.0, k * stride + col);
+            for (o, &bv) in acc.iter_mut().zip(&b[base..base + w]) {
+                *o += if live & (bv != 0.0) { a * bv } else { 0.0 };
+            }
+        }
+        tail.copy_from_slice(&acc[..w]);
+    }
 }
 
 /// Matrix A as the bus streams it, read in place through its ACF.
@@ -382,74 +443,33 @@ enum Stream<'a> {
     Csc(&'a CscMatrix),
 }
 
-/// The stationary side of one k-pass: what the tile's PEs do with each
-/// streamed element.
-trait Stations {
-    /// Match element `a = A(row, k)` against every PE of the tile.
-    fn elem(&mut self, sim: &mut Sim, k: usize, a: Value, row: usize);
-    /// Close the beat of `slots` bus slots holding the elements since the
-    /// previous call.
-    fn end_beat(&mut self, sim: &mut Sim, slots: u64);
-    /// Close the pass: flush the output rows the PEs still hold.
-    fn end_pass(&mut self, sim: &mut Sim);
-    /// Stream every row of a Dense `d` over `ks`: each row sends the same
-    /// k-window, so one row's beats, MACs, buffer reads and flushes are
-    /// counted for all, and only the value MACs run per row.
-    fn dense_rows(&mut self, sim: &mut Sim, d: &DenseMatrix, ks: Range<usize>);
+/// The stationary operand of [`simulate_ws_into`].
+#[derive(Clone, Copy)]
+enum Stationary<'a> {
+    Dense(&'a DenseMatrix),
+    Csc(&'a CscMatrix),
 }
 
-/// Stream A's elements with `k` in `ks` through `st`, beat by beat. A
-/// Dense or CSR beat holds one row's elements and a CSC beat one
-/// column's; COO beats run across rows. `whole` says `ks` covers every
-/// `k`, so no row needs searching.
-fn stream_pass(a: Stream, ks: Range<usize>, whole: bool, st: &mut impl Stations, sim: &mut Sim) {
-    match a {
-        Stream::Dense(d) => st.dense_rows(sim, d, ks),
-        Stream::Csr(c) => {
-            let cap = sim.bus.pair_capacity();
-            for r in 0..c.rows() {
-                let (cols, vals) = c.row(r);
-                let w = window(cols, &ks, whole);
-                for (kb, vb) in cols[w.clone()].chunks(cap).zip(vals[w].chunks(cap)) {
-                    for (&k, &v) in kb.iter().zip(vb) {
-                        st.elem(sim, k, v, r);
-                    }
-                    st.end_beat(sim, 2 * kb.len() as u64 + 1); // pairs + shared row id
-                }
-            }
-        }
-        Stream::Coo(c) => {
-            let cap = sim.bus.triple_capacity();
-            let mut pending = 0usize;
-            for ((&r, &k), &v) in c.row_ids().iter().zip(c.col_ids()).zip(c.values()) {
-                if !ks.contains(&k) {
-                    continue;
-                }
-                st.elem(sim, k, v, r);
-                pending += 1;
-                if pending == cap {
-                    st.end_beat(sim, 3 * cap as u64);
-                    pending = 0;
-                }
-            }
-            if pending > 0 {
-                st.end_beat(sim, 3 * pending as u64);
-            }
-        }
-        Stream::Csc(c) => {
-            let cap = sim.bus.pair_capacity();
-            for k in ks {
-                let (rows, vals) = c.col(k);
-                for (rb, vb) in rows.chunks(cap).zip(vals.chunks(cap)) {
-                    for (&r, &v) in rb.iter().zip(vb) {
-                        st.elem(sim, k, v, r);
-                    }
-                    st.end_beat(sim, 2 * rb.len() as u64 + 1); // pairs + shared col id
-                }
-            }
-        }
-    }
-    st.end_pass(sim);
+/// The nonzero values among `vs`.
+fn nonzeros(vs: &[Value]) -> u64 {
+    vs.iter().map(|&v| u64::from(v != 0.0)).sum()
+}
+
+/// The effective MACs, those with no zero factor, of a Dense row of A
+/// against a stationary tile holding `nz[k]` nonzeros at each `k`.
+fn dense_effective(row: &[Value], nz: &[u64]) -> u64 {
+    row.iter()
+        .zip(nz)
+        .map(|(&a, &n)| if a != 0.0 { n } else { 0 })
+        .sum()
+}
+
+/// [`dense_effective`] for a sparse row's terms `(ks[i], vs[i])`.
+fn sparse_effective(ks: &[usize], vs: &[Value], nz: &[u64]) -> u64 {
+    ks.iter()
+        .zip(vs)
+        .map(|(&k, &a)| if a != 0.0 { nz[k] } else { 0 })
+        .sum()
 }
 
 /// The positions of a sorted index list that fall in `ks`.
@@ -472,93 +492,16 @@ fn count_dense_rows(sim: &mut Sim, m: u64, len: usize, row_cycles: u64, macs: u6
     sim.counts.pe_buffer_reads += m * macs;
 }
 
-/// A Dense stationary tile, columns `c0..c1` of B: every PE holds the
-/// pass's whole k-range, so every streamed element matches every PE.
-struct DenseStations<'a> {
-    b: &'a DenseMatrix,
-    c0: usize,
-    c1: usize,
-    /// A column-major (CSC) stream changes the output row on every
-    /// element, so each MAC flushes.
-    col_major: bool,
-    /// The output row every PE accumulates (row-major streams).
-    open_row: usize,
-    beat_len: u64,
-}
-
-impl Stations for DenseStations<'_> {
-    fn elem(&mut self, sim: &mut Sim, k: usize, a: Value, row: usize) {
-        self.beat_len += 1;
-        if !self.col_major && self.open_row != row {
-            if self.open_row != NO_ROW {
-                sim.counts.output_flushes += (self.c1 - self.c0) as u64;
-            }
-            self.open_row = row;
-        }
-        if a != 0.0 {
-            let out = sim.out.row(row, self.c0, self.c1);
-            sim.counts.effective_macs += mac_lanes(out, a, &self.b.row(k)[self.c0..self.c1]);
-        }
-    }
-
-    fn end_beat(&mut self, sim: &mut Sim, slots: u64) {
-        let len = std::mem::take(&mut self.beat_len);
-        let width = (self.c1 - self.c0) as u64;
-        sim.counts.macs += len * width;
-        sim.counts.pe_buffer_reads += len * width;
-        if self.col_major {
-            sim.counts.output_flushes += len * width;
-        }
-        sim.beat(slots, if width == 0 { 0 } else { len });
-    }
-
-    fn end_pass(&mut self, sim: &mut Sim) {
-        if self.open_row != NO_ROW {
-            sim.counts.output_flushes += (self.c1 - self.c0) as u64;
-            self.open_row = NO_ROW;
-        }
-    }
-
-    fn dense_rows(&mut self, sim: &mut Sim, d: &DenseMatrix, ks: Range<usize>) {
-        let (m, len, width) = (d.rows() as u64, ks.len(), (self.c1 - self.c0) as u64);
-        if m == 0 || len == 0 {
-            return;
-        }
-        let cap = sim.bus.dense_capacity();
-        let row_cycles = (0..len)
-            .step_by(cap)
-            .map(|i| {
-                sim.beat_cycles(if width == 0 {
-                    0
-                } else {
-                    (len - i).min(cap) as u64
-                })
-            })
-            .sum();
-        count_dense_rows(sim, m, len, row_cycles, len as u64 * width);
-        // Each row's outputs flush once, when the next row opens or the
-        // pass ends.
-        sim.counts.output_flushes += m * width;
-        let mut effective = 0;
-        for r in 0..d.rows() {
-            let out = sim.out.row(r, self.c0, self.c1);
-            for (k, &a) in ks.clone().zip(&d.row(r)[ks.clone()]) {
-                if a != 0.0 {
-                    effective += mac_lanes(out, a, &self.b.row(k)[self.c0..self.c1]);
-                }
-            }
-        }
-        sim.counts.effective_macs += effective;
-    }
-}
-
-/// Run one Dense stationary tile in k-passes of `pe_buffer_elems` rows;
-/// returns the pass count.
+/// Run one Dense stationary tile, columns `cols` of B, in k-passes of
+/// `pe_buffer_elems` rows, then its value MACs; returns the pass count.
+/// `nz` is scratch for the tile's nonzeros per `k`.
 fn dense_b_tile(
     sim: &mut Sim,
     a: Stream,
-    st: &mut DenseStations,
+    b: &DenseMatrix,
+    cols: Range<usize>,
     cfg: &AccelConfig,
+    nz: &mut Vec<u64>,
 ) -> Result<usize, SimError> {
     let buf = cfg.pe_buffer_elems;
     if buf == 0 {
@@ -567,16 +510,146 @@ fn dense_b_tile(
             available: 0,
         });
     }
-    let k_dim = st.b.rows();
+    let (k_dim, width) = (b.rows(), cols.len());
     let mut passes = 0;
     // An empty K still takes one (empty) pass.
     for k0 in (0..k_dim.max(1)).step_by(buf) {
         let k1 = (k0 + buf).min(k_dim);
         passes += 1;
-        sim.load((st.c1 - st.c0) * (k1 - k0));
-        stream_pass(a, k0..k1, k0 == 0 && k1 == k_dim, st, sim);
+        sim.load(width * (k1 - k0));
+        count_dense_b_pass(sim, a, k0..k1, k0 == 0 && k1 == k_dim, width as u64);
     }
+    nz.clear();
+    nz.extend((0..k_dim).map(|k| nonzeros(&b.row(k)[cols.clone()])));
+    sim.counts.effective_macs += dense_b_values(&mut sim.out, a, b, cols, nz);
     Ok(passes)
+}
+
+/// Count one k-pass of a Dense stationary tile `width` columns wide from
+/// the shape of A's stream over `ks` alone: one row's k-window for a
+/// Dense stream (every row sends the same), each row's window length for
+/// CSR, each column's length for CSC, and the in-window count and row
+/// runs for COO. Every PE holds the pass's whole k-range, so each
+/// streamed element is one MAC and one buffer read on every PE, and a
+/// beat's busiest PE issues one MAC per element. A row-major stream's
+/// PEs flush each output row they open when the next opens or the pass
+/// ends; a CSC stream changes row on every element, so each MAC flushes.
+fn count_dense_b_pass(sim: &mut Sim, a: Stream, ks: Range<usize>, whole: bool, width: u64) {
+    let elems = match a {
+        Stream::Dense(d) => {
+            let (m, len) = (d.rows() as u64, ks.len());
+            if len > 0 {
+                let (_, row_cycles) = sim.beats_of(len, sim.bus.dense_capacity());
+                count_dense_rows(sim, m, len, row_cycles, len as u64 * width);
+                sim.counts.output_flushes += m * width;
+            }
+            return;
+        }
+        Stream::Csr(c) => {
+            let cap = sim.bus.pair_capacity();
+            let mut elems = 0;
+            for r in 0..c.rows() {
+                let len = window(c.row(r).0, &ks, whole).len();
+                if len > 0 {
+                    let (beats, cycles) = sim.beats_of(len, cap);
+                    sim.cycles.stream_a += cycles;
+                    sim.counts.bus_slots_used += 2 * len as u64 + beats; // pairs + shared row id
+                    sim.counts.output_flushes += width;
+                    elems += len as u64;
+                }
+            }
+            elems
+        }
+        Stream::Coo(c) => {
+            // Beats run across rows; PEs open an output row per row run.
+            let (mut elems, mut runs, mut last) = (0, 0, NO_ROW);
+            for (&r, &k) in c.row_ids().iter().zip(c.col_ids()) {
+                if ks.contains(&k) {
+                    elems += 1;
+                    runs += u64::from(r != last);
+                    last = r;
+                }
+            }
+            let (_, cycles) = sim.beats_of(elems, sim.bus.triple_capacity());
+            sim.cycles.stream_a += cycles;
+            sim.counts.bus_slots_used += 3 * elems as u64;
+            sim.counts.output_flushes += runs * width;
+            elems as u64
+        }
+        Stream::Csc(c) => {
+            let cap = sim.bus.pair_capacity();
+            let mut elems = 0;
+            for k in ks {
+                let len = c.col(k).0.len();
+                let (beats, cycles) = sim.beats_of(len, cap);
+                sim.cycles.stream_a += cycles;
+                sim.counts.bus_slots_used += 2 * len as u64 + beats; // pairs + shared col id
+                elems += len as u64;
+            }
+            sim.counts.output_flushes += elems * width;
+            elems
+        }
+    };
+    sim.counts.macs += elems * width;
+    sim.counts.pe_buffer_reads += elems * width;
+}
+
+/// A Dense stationary tile's value MACs, columns `cols` of B with `nz[k]`
+/// nonzeros in row `k`, over all of K at once: each output row's terms in
+/// ascending `k`, as the passes stream them. A CSC stream reaches a row
+/// one column of A at a time, still in ascending `k`. Returns the
+/// effective MACs, counted beside each row's values while they are hot.
+fn dense_b_values(
+    out: &mut OutBand,
+    a: Stream,
+    b: &DenseMatrix,
+    cols: Range<usize>,
+    nz: &[u64],
+) -> u64 {
+    // Row `k` of the tile starts at `lanes[k * stride]`; an empty K has
+    // no rows (and no terms reach them).
+    let (lanes, stride) = (b.data().get(cols.start..).unwrap_or_default(), b.cols());
+    let (c0, c1) = (cols.start, cols.end);
+    let mut effective = 0;
+    match a {
+        Stream::Dense(d) => {
+            for r in 0..d.rows() {
+                let row = d.row(r);
+                effective += dense_effective(row, nz);
+                let terms = row.iter().copied().enumerate();
+                mac_row(out.row(r, c0, c1), terms, lanes, stride);
+            }
+        }
+        Stream::Csr(c) => {
+            for r in 0..c.rows() {
+                let (ks, vs) = c.row(r);
+                effective += sparse_effective(ks, vs, nz);
+                let terms = ks.iter().copied().zip(vs.iter().copied());
+                mac_row(out.row(r, c0, c1), terms, lanes, stride);
+            }
+        }
+        Stream::Coo(c) => {
+            let mut start = 0;
+            for run in c.row_ids().chunk_by(|r, s| r == s) {
+                let span = start..start + run.len();
+                let (ks, vs) = (&c.col_ids()[span.clone()], &c.values()[span]);
+                effective += sparse_effective(ks, vs, nz);
+                let terms = ks.iter().copied().zip(vs.iter().copied());
+                mac_row(out.row(run[0], c0, c1), terms, lanes, stride);
+                start += run.len();
+            }
+        }
+        Stream::Csc(c) => {
+            for (k, &nz_k) in nz.iter().enumerate() {
+                let (rs, vs) = c.col(k);
+                effective += nonzeros(vs) * nz_k;
+                for (&r, &v) in rs.iter().zip(vs) {
+                    mac_row(out.row(r, c0, c1), std::iter::once((k, v)), lanes, stride);
+                }
+            }
+        }
+    }
+    effective
 }
 
 /// Each PE's MACs within the current beat. A counter is reset lazily:
@@ -630,6 +703,8 @@ struct CscStations<'a, 's> {
     b: &'a CscMatrix,
     c0: usize,
     width: usize,
+    /// A column-major (CSC) stream changes the output row on every
+    /// element, so each MAC flushes.
     col_major: bool,
     k0: usize,
     /// PEs holding at least one entry in the pass.
@@ -638,34 +713,23 @@ struct CscStations<'a, 's> {
 }
 
 impl<'a, 's> CscStations<'a, 's> {
-    fn new(b: &'a CscMatrix, a: Stream, cfg: &AccelConfig, s: &'s mut SimScratch) -> Self {
-        let pes = cfg.num_pes.max(1).min(b.cols());
-        let pairs = (cfg.pe_buffer_elems / 2).saturating_mul(pes);
-        s.ptr.clear();
-        s.ptr.reserve(b.rows() + 2);
-        s.by_k.clear();
-        s.by_k.reserve(b.nnz().min(pairs));
+    /// The tile of columns `cols`, streamed by `a`.
+    fn new(b: &'a CscMatrix, cols: Range<usize>, a: Stream, s: &'s mut SimScratch) -> Self {
+        let width = cols.len();
         s.next.clear();
-        s.next.resize(pes, 0);
+        s.next.extend_from_slice(&b.col_ptr()[cols.clone()]);
         s.open_row.clear();
-        s.open_row.resize(pes, NO_ROW);
-        s.work.reset(pes);
+        s.open_row.resize(width, NO_ROW);
+        s.work.reset(width);
         CscStations {
             b,
-            c0: 0,
-            width: 0,
+            c0: cols.start,
+            width,
             col_major: matches!(a, Stream::Csc(_)),
             k0: 0,
             holding: 0,
             s,
         }
-    }
-
-    /// Start the tile of columns `cols`.
-    fn start_tile(&mut self, cols: Range<usize>) {
-        self.c0 = cols.start;
-        self.width = cols.len();
-        self.s.next[..self.width].copy_from_slice(&self.b.col_ptr()[cols]);
     }
 
     /// End of the next k-pass: the largest `k1` for which no PE's column
@@ -681,8 +745,8 @@ impl<'a, 's> CscStations<'a, 's> {
         k1
     }
 
-    /// Load every PE's entries in `ks` and index them by `k` (a counting
-    /// sort); returns the slots loaded.
+    /// Load every PE's entries in `ks`, index them by `k` (a counting
+    /// sort) and count the nonzeros at each `k`; returns the slots loaded.
     fn load_pass(&mut self, ks: Range<usize>) -> usize {
         let (col_ptr, rows, vals) = (self.b.col_ptr(), self.b.row_ids(), self.b.values());
         let s = &mut *self.s;
@@ -704,34 +768,35 @@ impl<'a, 's> CscStations<'a, 's> {
         }
         s.by_k.clear();
         s.by_k.resize(sum, (0, 0.0));
+        s.nz_b.clear();
+        s.nz_b.resize(ks.len(), 0);
         self.holding = 0;
         for (p, next) in s.next[..self.width].iter_mut().enumerate() {
             let (first, end) = (*next, col_ptr[self.c0 + p + 1]);
             while *next < end && rows[*next] < ks.end {
-                let slot = &mut s.ptr[rows[*next] - ks.start + 1];
-                s.by_k[*slot] = (p, vals[*next]);
-                *slot += 1;
+                let (i, v) = (rows[*next] - ks.start, vals[*next]);
+                s.by_k[s.ptr[i + 1]] = (p, v);
+                s.ptr[i + 1] += 1;
+                s.nz_b[i] += u64::from(v != 0.0);
                 *next += 1;
             }
             self.holding += u64::from(*next > first);
         }
         2 * sum
     }
-}
 
-impl Stations for CscStations<'_, '_> {
+    /// Match element `a = A(row, k)` against every PE of the tile.
     fn elem(&mut self, sim: &mut Sim, k: usize, a: Value, row: usize) {
         let i = k - self.k0;
         let s = &mut *self.s;
         let matches = &s.by_k[s.ptr[i]..s.ptr[i + 1]];
         sim.counts.macs += matches.len() as u64;
         sim.counts.pe_buffer_reads += matches.len() as u64;
+        sim.counts.effective_macs += if a != 0.0 { s.nz_b[i] } else { 0 };
         let out = sim.out.row(row, self.c0, self.c0 + self.width);
         for &(p, bv) in matches {
             s.work.add(p, 1);
-            let live = a != 0.0 && bv != 0.0;
-            out[p] += if live { a * bv } else { 0.0 };
-            sim.counts.effective_macs += u64::from(live);
+            out[p] += if a != 0.0 && bv != 0.0 { a * bv } else { 0.0 };
             if self.col_major {
                 sim.counts.output_flushes += 1;
             } else if s.open_row[p] != row {
@@ -743,10 +808,13 @@ impl Stations for CscStations<'_, '_> {
         }
     }
 
+    /// Close the beat of `slots` bus slots holding the elements since the
+    /// previous call.
     fn end_beat(&mut self, sim: &mut Sim, slots: u64) {
         sim.beat(slots, self.s.work.end());
     }
 
+    /// Close the pass: flush the output rows the PEs still hold.
     fn end_pass(&mut self, sim: &mut Sim) {
         for open in &mut self.s.open_row[..self.width] {
             if *open != NO_ROW {
@@ -756,6 +824,9 @@ impl Stations for CscStations<'_, '_> {
         }
     }
 
+    /// Stream every row of a Dense `d` over `ks`: each row sends the same
+    /// k-window, so one row's beats, MACs, buffer reads and flushes are
+    /// counted for all, and only the value MACs run per row.
     fn dense_rows(&mut self, sim: &mut Sim, d: &DenseMatrix, ks: Range<usize>) {
         let (m, len) = (d.rows() as u64, ks.len());
         if m == 0 || len == 0 {
@@ -780,8 +851,8 @@ impl Stations for CscStations<'_, '_> {
         // A PE holding an entry in the pass opens each row, and flushes it
         // when the next row opens or the pass ends.
         sim.counts.output_flushes += m * self.holding;
-        // The values MAC as lanes over the pass laid out densely: a PE
-        // holding nothing at k adds +0.0, as a stored zero does.
+        // The values MAC over the pass laid out densely, `k - k0` by PE: a
+        // PE holding nothing at k adds +0.0, as a stored zero does.
         let w = self.width;
         s.block.clear();
         s.block.resize(len * w, 0.0);
@@ -790,17 +861,67 @@ impl Stations for CscStations<'_, '_> {
                 s.block[i * w + p] = bv;
             }
         }
-        let mut effective = 0;
         for r in 0..d.rows() {
-            let out = sim.out.row(r, self.c0, self.c0 + w);
-            for (&a, lanes) in d.row(r)[ks.clone()].iter().zip(s.block.chunks_exact(w)) {
-                if a != 0.0 {
-                    effective += mac_lanes(out, a, lanes);
+            let row = &d.row(r)[ks.clone()];
+            sim.counts.effective_macs += dense_effective(row, &s.nz_b);
+            let terms = row.iter().copied().enumerate();
+            mac_row(sim.out.row(r, self.c0, self.c0 + w), terms, &s.block, w);
+        }
+    }
+}
+
+/// Stream A's elements with `k` in `ks` through a CSC stationary tile's
+/// PEs, beat by beat. A Dense or CSR beat holds one row's elements and a
+/// CSC beat one column's; COO beats run across rows. `whole` says `ks`
+/// covers every `k`, so no row needs searching.
+fn stream_pass(a: Stream, ks: Range<usize>, whole: bool, st: &mut CscStations, sim: &mut Sim) {
+    match a {
+        Stream::Dense(d) => st.dense_rows(sim, d, ks),
+        Stream::Csr(c) => {
+            let cap = sim.bus.pair_capacity();
+            for r in 0..c.rows() {
+                let (cols, vals) = c.row(r);
+                let w = window(cols, &ks, whole);
+                for (kb, vb) in cols[w.clone()].chunks(cap).zip(vals[w].chunks(cap)) {
+                    for (&k, &v) in kb.iter().zip(vb) {
+                        st.elem(sim, k, v, r);
+                    }
+                    st.end_beat(sim, 2 * kb.len() as u64 + 1); // pairs + shared row id
                 }
             }
         }
-        sim.counts.effective_macs += effective;
+        Stream::Coo(c) => {
+            let cap = sim.bus.triple_capacity();
+            let mut pending = 0usize;
+            for ((&r, &k), &v) in c.row_ids().iter().zip(c.col_ids()).zip(c.values()) {
+                if !ks.contains(&k) {
+                    continue;
+                }
+                st.elem(sim, k, v, r);
+                pending += 1;
+                if pending == cap {
+                    st.end_beat(sim, 3 * cap as u64);
+                    pending = 0;
+                }
+            }
+            if pending > 0 {
+                st.end_beat(sim, 3 * pending as u64);
+            }
+        }
+        Stream::Csc(c) => {
+            let cap = sim.bus.pair_capacity();
+            for k in ks {
+                let (rows, vals) = c.col(k);
+                for (rb, vb) in rows.chunks(cap).zip(vals.chunks(cap)) {
+                    for (&r, &v) in rb.iter().zip(vb) {
+                        st.elem(sim, k, v, r);
+                    }
+                    st.end_beat(sim, 2 * rb.len() as u64 + 1); // pairs + shared col id
+                }
+            }
+        }
     }
+    st.end_pass(sim);
 }
 
 /// Run one CSC stationary tile, each k-pass as long as the fullest
@@ -842,12 +963,6 @@ fn csc_b_tile(
             return Ok(passes);
         }
     }
-}
-
-/// The stationary operand of [`simulate_ws_into`].
-enum Stationary<'a, 's> {
-    Dense(&'a DenseMatrix),
-    Csc(CscStations<'a, 's>),
 }
 
 /// Simulate `O = A x B` on the weight-stationary array.
@@ -892,9 +1007,9 @@ pub fn simulate_ws_into(
         MatrixData::Csc(c) => Stream::Csc(c),
         _ => return Err(unsupported),
     };
-    let mut stationary = match b {
-        MatrixData::Csc(c) => Stationary::Csc(CscStations::new(c, stream, cfg, scratch)),
+    let stationary = match b {
         MatrixData::Dense(d) => Stationary::Dense(d),
+        MatrixData::Csc(c) => Stationary::Csc(c),
         _ => return Err(unsupported),
     };
 
@@ -907,23 +1022,15 @@ pub fn simulate_ws_into(
     // and the analytic estimates.
     let pes = cfg.num_pes.max(1);
     for c0 in (0..n).step_by(pes) {
-        let c1 = (c0 + pes).min(n);
+        let cols = c0..(c0 + pes).min(n);
         n_tiles += 1;
-        k_passes += match &mut stationary {
+        k_passes += match stationary {
             Stationary::Dense(d) => {
-                let mut st = DenseStations {
-                    b: d,
-                    c0,
-                    c1,
-                    col_major: matches!(stream, Stream::Csc(_)),
-                    open_row: NO_ROW,
-                    beat_len: 0,
-                };
-                dense_b_tile(&mut sim, stream, &mut st, cfg)?
+                dense_b_tile(&mut sim, stream, d, cols, cfg, &mut scratch.nz_b)?
             }
-            Stationary::Csc(st) => {
-                st.start_tile(c0..c1);
-                csc_b_tile(&mut sim, stream, st, cfg)?
+            Stationary::Csc(c) => {
+                let mut st = CscStations::new(c, cols, stream, scratch);
+                csc_b_tile(&mut sim, stream, &mut st, cfg)?
             }
         };
     }

@@ -80,10 +80,18 @@ impl AnalysisConfig {
                 ("crates/formats/src/size_model.rs", "tensor_storage_bits"),
                 ("crates/mint/src/cost.rs", "conversion_cost"),
                 ("crates/mint/src/cost.rs", "tensor_conversion_cost"),
-                // The cycle simulators' per-pass, per-beat and per-MAC
-                // loops; their scratch is sized once per run of tiles,
-                // outside these bodies.
+                // The cycle simulators' per-tile, per-pass, per-beat and
+                // per-MAC loops, the shape counts and the register-lane
+                // value MACs; their scratch is sized once per run of
+                // tiles, outside these bodies.
+                ("crates/accel/src/exec.rs", "nonzeros"),
+                ("crates/accel/src/exec.rs", "dense_effective"),
+                ("crates/accel/src/exec.rs", "sparse_effective"),
                 ("crates/accel/src/exec.rs", "dense_b_tile"),
+                ("crates/accel/src/exec.rs", "count_dense_b_pass"),
+                ("crates/accel/src/exec.rs", "beats_of"),
+                ("crates/accel/src/exec.rs", "dense_b_values"),
+                ("crates/accel/src/exec.rs", "mac_row"),
                 ("crates/accel/src/exec.rs", "csc_b_tile"),
                 ("crates/accel/src/exec.rs", "load_pass"),
                 ("crates/accel/src/exec.rs", "stream_pass"),
@@ -92,7 +100,6 @@ impl AnalysisConfig {
                 ("crates/accel/src/exec.rs", "end_pass"),
                 ("crates/accel/src/exec.rs", "dense_rows"),
                 ("crates/accel/src/exec.rs", "count_dense_rows"),
-                ("crates/accel/src/exec.rs", "mac_lanes"),
                 ("crates/accel/src/exec.rs", "gustavson_pass"),
                 ("crates/accel/src/exec.rs", "next_row"),
                 // The stationary tile's schedule, cut and conversion walks;
