@@ -33,9 +33,11 @@
 //!   (`[Value; 8]` chunks and a remainder) across all of that row's
 //!   terms: over all of K for a Dense tile, per pass for a CSC tile
 //!   streamed by a Dense A. Each cell still adds its products in
-//!   ascending `k`. A product with a zero factor adds +0.0, which leaves
-//!   an accumulator that starts at +0.0 bit for bit as it was (it never
-//!   holds −0.0), where `0 x inf` would add NaN.
+//!   ascending `k`, and a product with a zero factor leaves its
+//!   accumulator bit for bit as it was: the accumulator starts at +0.0
+//!   and never holds −0.0, so adding the ±0.0 of a finite product with a
+//!   zero factor changes nothing. Where a factor is infinite or NaN, a
+//!   product with a zero factor is selected out as +0.0, not `0 x inf`.
 //! - A Gustavson tile walks only B's non-empty rows, through a by-column
 //!   index of A ([`GustavsonA`]) built once per operand and shared by
 //!   every tile. A pass's beats are a function of A alone; only the beats
@@ -390,18 +392,35 @@ impl<'o> Sim<'o> {
 /// columns go through [`mac_row`] one `[Value; LANES]` chunk at a time.
 const LANES: usize = 8;
 
+/// `acc[j] += a * bk[j]` for every lane. A product with a zero factor
+/// must leave the accumulator's bits as they were; the accumulator starts
+/// at +0.0 and so never holds −0.0. With `a` and every `bk[j]` finite
+/// (`finite` vouches for `bk`), a zero factor makes ±0.0, which does, so
+/// the products add as they are. Otherwise a product with a zero factor
+/// is selected out as +0.0 rather than `0 x inf` (NaN).
+#[inline(always)]
+fn mac_lanes(acc: &mut [Value], a: Value, bk: &[Value], finite: bool) {
+    if finite & a.is_finite() {
+        for (o, &bv) in acc.iter_mut().zip(bk) {
+            *o += a * bv;
+        }
+    } else {
+        let live = a != 0.0;
+        for (o, &bv) in acc.iter_mut().zip(bk) {
+            *o += if live & (bv != 0.0) { a * bv } else { 0.0 };
+        }
+    }
+}
+
 /// `out[j] += a * b_k[j]` for every term `(k, a)` of one output row, in
-/// term order, where `b_k` is `b[k * stride..]`. Each `LANES`-wide chunk
-/// of `out`, and then the remainder, stays in registers across all the
-/// terms, so each cell still adds its products in term order.
-///
-/// A product with a zero factor adds +0.0, not `0 x b` (NaN for an
-/// infinite factor): that leaves the accumulator's bits as they were,
-/// since it starts at +0.0 and so never holds −0.0. A zero `a` is
-/// selected out lane by lane, not branched over: a Dense row's zeros fall
-/// wherever its data puts them.
+/// term order, where `b_k` is `b[k * stride..]` and `finite` says every
+/// value the terms reach in `b` is finite. Each `LANES`-wide chunk of
+/// `out`, and then the remainder, stays in registers across all the
+/// terms, so each cell still adds its products in term order. A zero `a`
+/// goes through the lanes like any other term rather than being branched
+/// over: a Dense row's zeros fall wherever its data puts them.
 #[inline]
-fn mac_row<T>(out: &mut [Value], terms: T, b: &[Value], stride: usize)
+fn mac_row<T>(out: &mut [Value], terms: T, b: &[Value], stride: usize, finite: bool)
 where
     T: Iterator<Item = (usize, Value)> + Clone,
 {
@@ -411,10 +430,8 @@ where
         let mut acc = [0.0; LANES];
         acc.copy_from_slice(chunk);
         for (k, a) in terms.clone() {
-            let (live, base) = (a != 0.0, k * stride + col);
-            for (o, &bv) in acc.iter_mut().zip(&b[base..base + LANES]) {
-                *o += if live & (bv != 0.0) { a * bv } else { 0.0 };
-            }
+            let base = k * stride + col;
+            mac_lanes(&mut acc, a, &b[base..base + LANES], finite);
         }
         chunk.copy_from_slice(&acc);
         col += LANES;
@@ -425,10 +442,8 @@ where
         let mut acc = [0.0; LANES];
         acc[..w].copy_from_slice(tail);
         for (k, a) in terms {
-            let (live, base) = (a != 0.0, k * stride + col);
-            for (o, &bv) in acc.iter_mut().zip(&b[base..base + w]) {
-                *o += if live & (bv != 0.0) { a * bv } else { 0.0 };
-            }
+            let base = k * stride + col;
+            mac_lanes(&mut acc[..w], a, &b[base..base + w], finite);
         }
         tail.copy_from_slice(&acc[..w]);
     }
@@ -520,8 +535,13 @@ fn dense_b_tile(
         count_dense_b_pass(sim, a, k0..k1, k0 == 0 && k1 == k_dim, width as u64);
     }
     nz.clear();
-    nz.extend((0..k_dim).map(|k| nonzeros(&b.row(k)[cols.clone()])));
-    sim.counts.effective_macs += dense_b_values(&mut sim.out, a, b, cols, nz);
+    let mut finite = true;
+    for k in 0..k_dim {
+        let lanes = &b.row(k)[cols.clone()];
+        nz.push(nonzeros(lanes));
+        finite &= lanes.iter().all(|v| v.is_finite());
+    }
+    sim.counts.effective_macs += dense_b_values(&mut sim.out, a, b, cols, nz, finite);
     Ok(passes)
 }
 
@@ -595,7 +615,8 @@ fn count_dense_b_pass(sim: &mut Sim, a: Stream, ks: Range<usize>, whole: bool, w
 }
 
 /// A Dense stationary tile's value MACs, columns `cols` of B with `nz[k]`
-/// nonzeros in row `k`, over all of K at once: each output row's terms in
+/// nonzeros in row `k` (all of them finite if `finite`), over all of K at
+/// once: each output row's terms in
 /// ascending `k`, as the passes stream them. A CSC stream reaches a row
 /// one column of A at a time, still in ascending `k`. Returns the
 /// effective MACs, counted beside each row's values while they are hot.
@@ -605,6 +626,7 @@ fn dense_b_values(
     b: &DenseMatrix,
     cols: Range<usize>,
     nz: &[u64],
+    finite: bool,
 ) -> u64 {
     // Row `k` of the tile starts at `lanes[k * stride]`; an empty K has
     // no rows (and no terms reach them).
@@ -617,7 +639,7 @@ fn dense_b_values(
                 let row = d.row(r);
                 effective += dense_effective(row, nz);
                 let terms = row.iter().copied().enumerate();
-                mac_row(out.row(r, c0, c1), terms, lanes, stride);
+                mac_row(out.row(r, c0, c1), terms, lanes, stride, finite);
             }
         }
         Stream::Csr(c) => {
@@ -625,7 +647,7 @@ fn dense_b_values(
                 let (ks, vs) = c.row(r);
                 effective += sparse_effective(ks, vs, nz);
                 let terms = ks.iter().copied().zip(vs.iter().copied());
-                mac_row(out.row(r, c0, c1), terms, lanes, stride);
+                mac_row(out.row(r, c0, c1), terms, lanes, stride, finite);
             }
         }
         Stream::Coo(c) => {
@@ -635,7 +657,7 @@ fn dense_b_values(
                 let (ks, vs) = (&c.col_ids()[span.clone()], &c.values()[span]);
                 effective += sparse_effective(ks, vs, nz);
                 let terms = ks.iter().copied().zip(vs.iter().copied());
-                mac_row(out.row(run[0], c0, c1), terms, lanes, stride);
+                mac_row(out.row(run[0], c0, c1), terms, lanes, stride, finite);
                 start += run.len();
             }
         }
@@ -644,7 +666,8 @@ fn dense_b_values(
                 let (rs, vs) = c.col(k);
                 effective += nonzeros(vs) * nz_k;
                 for (&r, &v) in rs.iter().zip(vs) {
-                    mac_row(out.row(r, c0, c1), std::iter::once((k, v)), lanes, stride);
+                    let term = std::iter::once((k, v));
+                    mac_row(out.row(r, c0, c1), term, lanes, stride, finite);
                 }
             }
         }
@@ -709,6 +732,8 @@ struct CscStations<'a, 's> {
     k0: usize,
     /// PEs holding at least one entry in the pass.
     holding: u64,
+    /// Every value loaded in the pass is finite.
+    finite: bool,
     s: &'s mut SimScratch,
 }
 
@@ -728,6 +753,7 @@ impl<'a, 's> CscStations<'a, 's> {
             col_major: matches!(a, Stream::Csc(_)),
             k0: 0,
             holding: 0,
+            finite: true,
             s,
         }
     }
@@ -746,7 +772,8 @@ impl<'a, 's> CscStations<'a, 's> {
     }
 
     /// Load every PE's entries in `ks`, index them by `k` (a counting
-    /// sort) and count the nonzeros at each `k`; returns the slots loaded.
+    /// sort), count the nonzeros at each `k` and note whether every value
+    /// is finite; returns the slots loaded.
     fn load_pass(&mut self, ks: Range<usize>) -> usize {
         let (col_ptr, rows, vals) = (self.b.col_ptr(), self.b.row_ids(), self.b.values());
         let s = &mut *self.s;
@@ -771,6 +798,7 @@ impl<'a, 's> CscStations<'a, 's> {
         s.nz_b.clear();
         s.nz_b.resize(ks.len(), 0);
         self.holding = 0;
+        self.finite = true;
         for (p, next) in s.next[..self.width].iter_mut().enumerate() {
             let (first, end) = (*next, col_ptr[self.c0 + p + 1]);
             while *next < end && rows[*next] < ks.end {
@@ -778,6 +806,7 @@ impl<'a, 's> CscStations<'a, 's> {
                 s.by_k[s.ptr[i + 1]] = (p, v);
                 s.ptr[i + 1] += 1;
                 s.nz_b[i] += u64::from(v != 0.0);
+                self.finite &= v.is_finite();
                 *next += 1;
             }
             self.holding += u64::from(*next > first);
@@ -865,7 +894,8 @@ impl<'a, 's> CscStations<'a, 's> {
             let row = &d.row(r)[ks.clone()];
             sim.counts.effective_macs += dense_effective(row, &s.nz_b);
             let terms = row.iter().copied().enumerate();
-            mac_row(sim.out.row(r, self.c0, self.c0 + w), terms, &s.block, w);
+            let out = sim.out.row(r, self.c0, self.c0 + w);
+            mac_row(out, terms, &s.block, w, self.finite);
         }
     }
 }

@@ -92,6 +92,7 @@ impl AnalysisConfig {
                 ("crates/accel/src/exec.rs", "beats_of"),
                 ("crates/accel/src/exec.rs", "dense_b_values"),
                 ("crates/accel/src/exec.rs", "mac_row"),
+                ("crates/accel/src/exec.rs", "mac_lanes"),
                 ("crates/accel/src/exec.rs", "csc_b_tile"),
                 ("crates/accel/src/exec.rs", "load_pass"),
                 ("crates/accel/src/exec.rs", "stream_pass"),
