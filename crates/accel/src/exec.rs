@@ -392,12 +392,13 @@ impl<'o> Sim<'o> {
 /// columns go through [`mac_row`] one `[Value; LANES]` chunk at a time.
 const LANES: usize = 8;
 
-/// `acc[j] += a * bk[j]` for every lane. A product with a zero factor
-/// must leave the accumulator's bits as they were; the accumulator starts
-/// at +0.0 and so never holds −0.0. With `a` and every `bk[j]` finite
-/// (`finite` vouches for `bk`), a zero factor makes ±0.0, which does, so
-/// the products add as they are. Otherwise a product with a zero factor
-/// is selected out as +0.0 rather than `0 x inf` (NaN).
+/// `acc[j] += a * bk[j]` for every lane, where a product with a zero
+/// factor must leave the accumulator's bits as they were. The
+/// accumulator starts at +0.0 and so never holds −0.0, and adding ±0.0
+/// to it changes nothing: with `a` and every `bk[j]` finite (`finite`
+/// vouches for `bk`), a product with a zero factor is ±0.0, so the
+/// products add as they are. Otherwise such a product is selected out as
+/// +0.0, since `0 x inf` is NaN.
 #[inline(always)]
 fn mac_lanes(acc: &mut [Value], a: Value, bk: &[Value], finite: bool) {
     if finite & a.is_finite() {
