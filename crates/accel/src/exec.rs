@@ -23,21 +23,20 @@
 //!   length for CSC, and the in-window count and row runs for COO.
 //! - A CSC stationary tile is indexed once per k-pass by `k`. A Dense
 //!   stream against it counts one row's beats, MACs, buffer reads and
-//!   flushes for every row. A CSR, COO or CSC stream still matches each
-//!   element against the PEs holding its `k`, beat by beat.
+//!   flushes for every row, and its value MACs run once per tile, against
+//!   the tile laid out densely. A CSR, COO or CSC stream still matches
+//!   each element against the PEs holding its `k`, beat by beat.
 //! - Effective MACs come from the stationary tile's per-`k` nonzero
-//!   counts, taken per tile (Dense) or per pass (CSC): over each nonzero
-//!   `A(r, k)` streamed, the tile's nonzeros at `k`, counted beside the
-//!   value MACs.
+//!   counts, taken per tile (Dense tiles, and CSC tiles under a Dense
+//!   stream) or per pass (CSC tiles under a sparse stream): over each
+//!   nonzero `A(r, k)` streamed, the tile's nonzeros at `k`, counted
+//!   beside the value MACs.
 //! - Value MACs hold an output row's tile columns in register lanes
 //!   (`[Value; 8]` chunks and a remainder) across all of that row's
-//!   terms: over all of K for a Dense tile, per pass for a CSC tile
-//!   streamed by a Dense A. Each cell still adds its products in
-//!   ascending `k`, and a product with a zero factor leaves its
-//!   accumulator bit for bit as it was: the accumulator starts at +0.0
-//!   and never holds −0.0, so adding the ±0.0 of a finite product with a
-//!   zero factor changes nothing. Where a factor is infinite or NaN, a
-//!   product with a zero factor is selected out as +0.0, not `0 x inf`.
+//!   terms over all of K. Each cell still adds its products in ascending
+//!   `k`. A product with a zero factor adds nothing, which leaves an
+//!   accumulator that starts at +0.0 bit for bit as it was (it never
+//!   holds −0.0), where `0 x inf` would add NaN.
 //! - A Gustavson tile walks only B's non-empty rows, through a by-column
 //!   index of A ([`GustavsonA`]) built once per operand and shared by
 //!   every tile. A pass's beats are a function of A alone; only the beats
@@ -286,15 +285,15 @@ pub struct SimScratch {
     /// k0 + 1]]` are its `(PE, value)` pairs at `k`.
     ptr: Vec<usize>,
     by_k: Vec<(usize, Value)>,
-    /// The same pass laid out densely, `k - k0` by PE (Dense streams).
+    /// The whole tile laid out densely, `k` by PE (Dense streams).
     block: Vec<Value>,
     /// Per PE: the first stored entry of its column not yet loaded.
     next: Vec<usize>,
     /// Per PE: the output row it accumulates (row-major streams).
     open_row: Vec<usize>,
     work: BeatWork,
-    /// Per `k` of a weight-stationary tile (Dense) or pass (CSC, from
-    /// `k0`), the nonzero values the tile's PEs hold at `k`.
+    /// Per `k` of a weight-stationary tile, or of a CSC pass from `k0`,
+    /// the nonzero values the tile's PEs hold at `k`.
     nz_b: Vec<u64>,
     /// Gustavson: the per-PE footprints and k-ranges of the passes.
     footprint: Vec<usize>,
@@ -393,35 +392,25 @@ impl<'o> Sim<'o> {
 const LANES: usize = 8;
 
 /// `acc[j] += a * bk[j]` for every lane, where a product with a zero
-/// factor must leave the accumulator's bits as they were. The
-/// accumulator starts at +0.0 and so never holds −0.0, and adding ±0.0
-/// to it changes nothing: with `a` and every `bk[j]` finite (`finite`
-/// vouches for `bk`), a product with a zero factor is ±0.0, so the
-/// products add as they are. Otherwise such a product is selected out as
-/// +0.0, since `0 x inf` is NaN.
+/// factor adds nothing rather than `0 x b` (NaN for an infinite factor):
+/// a zero `a` skips the lanes, and a zero `bk[j]` adds +0.0. Either way
+/// the accumulator keeps its bits, since it starts at +0.0 and so never
+/// holds −0.0.
 #[inline(always)]
-fn mac_lanes(acc: &mut [Value], a: Value, bk: &[Value], finite: bool) {
-    if finite & a.is_finite() {
+fn mac_lanes(acc: &mut [Value], a: Value, bk: &[Value]) {
+    if a != 0.0 {
         for (o, &bv) in acc.iter_mut().zip(bk) {
-            *o += a * bv;
-        }
-    } else {
-        let live = a != 0.0;
-        for (o, &bv) in acc.iter_mut().zip(bk) {
-            *o += if live & (bv != 0.0) { a * bv } else { 0.0 };
+            *o += if bv != 0.0 { a * bv } else { 0.0 };
         }
     }
 }
 
 /// `out[j] += a * b_k[j]` for every term `(k, a)` of one output row, in
-/// term order, where `b_k` is `b[k * stride..]` and `finite` says every
-/// value the terms reach in `b` is finite. Each `LANES`-wide chunk of
-/// `out`, and then the remainder, stays in registers across all the
-/// terms, so each cell still adds its products in term order. A zero `a`
-/// goes through the lanes like any other term rather than being branched
-/// over: a Dense row's zeros fall wherever its data puts them.
+/// term order, where `b_k` is `b[k * stride..]`. Each `LANES`-wide chunk
+/// of `out`, and then the remainder, stays in registers across all the
+/// terms, so each cell still adds its products in term order.
 #[inline]
-fn mac_row<T>(out: &mut [Value], terms: T, b: &[Value], stride: usize, finite: bool)
+fn mac_row<T>(out: &mut [Value], terms: T, b: &[Value], stride: usize)
 where
     T: Iterator<Item = (usize, Value)> + Clone,
 {
@@ -432,7 +421,7 @@ where
         acc.copy_from_slice(chunk);
         for (k, a) in terms.clone() {
             let base = k * stride + col;
-            mac_lanes(&mut acc, a, &b[base..base + LANES], finite);
+            mac_lanes(&mut acc, a, &b[base..base + LANES]);
         }
         chunk.copy_from_slice(&acc);
         col += LANES;
@@ -444,7 +433,7 @@ where
         acc[..w].copy_from_slice(tail);
         for (k, a) in terms {
             let base = k * stride + col;
-            mac_lanes(&mut acc[..w], a, &b[base..base + w], finite);
+            mac_lanes(&mut acc[..w], a, &b[base..base + w]);
         }
         tail.copy_from_slice(&acc[..w]);
     }
@@ -471,21 +460,12 @@ fn nonzeros(vs: &[Value]) -> u64 {
     vs.iter().map(|&v| u64::from(v != 0.0)).sum()
 }
 
-/// The effective MACs, those with no zero factor, of a Dense row of A
-/// against a stationary tile holding `nz[k]` nonzeros at each `k`.
-fn dense_effective(row: &[Value], nz: &[u64]) -> u64 {
-    row.iter()
-        .zip(nz)
-        .map(|(&a, &n)| if a != 0.0 { n } else { 0 })
-        .sum()
-}
-
-/// [`dense_effective`] for a sparse row's terms `(ks[i], vs[i])`.
-fn sparse_effective(ks: &[usize], vs: &[Value], nz: &[u64]) -> u64 {
-    ks.iter()
-        .zip(vs)
-        .map(|(&k, &a)| if a != 0.0 { nz[k] } else { 0 })
-        .sum()
+/// The effective MACs, those with no zero factor, of terms `(k, a)` of A
+/// against a stationary tile holding `nz[k]` nonzeros at each `k`. A zero
+/// `a` is masked out rather than branched over.
+#[inline]
+fn effective<T: Iterator<Item = (usize, Value)>>(terms: T, nz: &[u64]) -> u64 {
+    terms.map(|(k, a)| nz[k] * u64::from(a != 0.0)).sum()
 }
 
 /// The positions of a sorted index list that fall in `ks`.
@@ -497,11 +477,10 @@ fn window(idx: &[usize], ks: &Range<usize>, whole: bool) -> Range<usize> {
     }
 }
 
-/// Count a Dense stream's `m` rows of one `len`-element k-window: the
-/// beats of one row, with `row_cycles` cycles and `macs` MACs (as many
+/// Count a Dense stream's `m` rows of one `len`-element k-window: one
+/// row's `beats`, with `row_cycles` cycles and `macs` MACs (as many
 /// buffer reads) in all, repeated for every row.
-fn count_dense_rows(sim: &mut Sim, m: u64, len: usize, row_cycles: u64, macs: u64) {
-    let beats = len.div_ceil(sim.bus.dense_capacity()) as u64;
+fn count_dense_rows(sim: &mut Sim, m: u64, len: usize, (beats, row_cycles): (u64, u64), macs: u64) {
     sim.cycles.stream_a += m * row_cycles;
     sim.counts.bus_slots_used += m * (len as u64 + beats); // + shared row id
     sim.counts.macs += m * macs;
@@ -536,13 +515,11 @@ fn dense_b_tile(
         count_dense_b_pass(sim, a, k0..k1, k0 == 0 && k1 == k_dim, width as u64);
     }
     nz.clear();
-    let mut finite = true;
-    for k in 0..k_dim {
-        let lanes = &b.row(k)[cols.clone()];
-        nz.push(nonzeros(lanes));
-        finite &= lanes.iter().all(|v| v.is_finite());
-    }
-    sim.counts.effective_macs += dense_b_values(&mut sim.out, a, b, cols, nz, finite);
+    nz.extend((0..k_dim).map(|k| nonzeros(&b.row(k)[cols.clone()])));
+    // Row `k` of the tile starts at `lanes[k * b.cols()]`; an empty K has
+    // no rows (and no terms reach them).
+    let lanes = b.data().get(cols.start..).unwrap_or_default();
+    sim.counts.effective_macs += dense_b_values(&mut sim.out, a, lanes, b.cols(), cols, nz);
     Ok(passes)
 }
 
@@ -560,8 +537,8 @@ fn count_dense_b_pass(sim: &mut Sim, a: Stream, ks: Range<usize>, whole: bool, w
         Stream::Dense(d) => {
             let (m, len) = (d.rows() as u64, ks.len());
             if len > 0 {
-                let (_, row_cycles) = sim.beats_of(len, sim.bus.dense_capacity());
-                count_dense_rows(sim, m, len, row_cycles, len as u64 * width);
+                let beats = sim.beats_of(len, sim.bus.dense_capacity());
+                count_dense_rows(sim, m, len, beats, len as u64 * width);
                 sim.counts.output_flushes += m * width;
             }
             return;
@@ -615,40 +592,36 @@ fn count_dense_b_pass(sim: &mut Sim, a: Stream, ks: Range<usize>, whole: bool, w
     sim.counts.pe_buffer_reads += elems * width;
 }
 
-/// A Dense stationary tile's value MACs, columns `cols` of B with `nz[k]`
-/// nonzeros in row `k` (all of them finite if `finite`), over all of K at
-/// once: each output row's terms in
-/// ascending `k`, as the passes stream them. A CSC stream reaches a row
-/// one column of A at a time, still in ascending `k`. Returns the
+/// A stationary tile's value MACs over all of K at once, the tile laid
+/// out densely: its row `k` starts at `lanes[k * stride]`, holds `nz[k]`
+/// nonzeros and feeds output columns `cols`. Each output row's terms run
+/// in ascending `k`, as the passes stream them. A CSC stream reaches a
+/// row one column of A at a time, still in ascending `k`. Returns the
 /// effective MACs, counted beside each row's values while they are hot.
 fn dense_b_values(
     out: &mut OutBand,
     a: Stream,
-    b: &DenseMatrix,
+    lanes: &[Value],
+    stride: usize,
     cols: Range<usize>,
     nz: &[u64],
-    finite: bool,
 ) -> u64 {
-    // Row `k` of the tile starts at `lanes[k * stride]`; an empty K has
-    // no rows (and no terms reach them).
-    let (lanes, stride) = (b.data().get(cols.start..).unwrap_or_default(), b.cols());
     let (c0, c1) = (cols.start, cols.end);
-    let mut effective = 0;
+    let mut total = 0;
     match a {
         Stream::Dense(d) => {
             for r in 0..d.rows() {
-                let row = d.row(r);
-                effective += dense_effective(row, nz);
-                let terms = row.iter().copied().enumerate();
-                mac_row(out.row(r, c0, c1), terms, lanes, stride, finite);
+                let terms = d.row(r).iter().copied().enumerate();
+                total += effective(terms.clone(), nz);
+                mac_row(out.row(r, c0, c1), terms, lanes, stride);
             }
         }
         Stream::Csr(c) => {
             for r in 0..c.rows() {
                 let (ks, vs) = c.row(r);
-                effective += sparse_effective(ks, vs, nz);
                 let terms = ks.iter().copied().zip(vs.iter().copied());
-                mac_row(out.row(r, c0, c1), terms, lanes, stride, finite);
+                total += effective(terms.clone(), nz);
+                mac_row(out.row(r, c0, c1), terms, lanes, stride);
             }
         }
         Stream::Coo(c) => {
@@ -656,24 +629,24 @@ fn dense_b_values(
             for run in c.row_ids().chunk_by(|r, s| r == s) {
                 let span = start..start + run.len();
                 let (ks, vs) = (&c.col_ids()[span.clone()], &c.values()[span]);
-                effective += sparse_effective(ks, vs, nz);
                 let terms = ks.iter().copied().zip(vs.iter().copied());
-                mac_row(out.row(run[0], c0, c1), terms, lanes, stride, finite);
+                total += effective(terms.clone(), nz);
+                mac_row(out.row(run[0], c0, c1), terms, lanes, stride);
                 start += run.len();
             }
         }
         Stream::Csc(c) => {
-            for (k, &nz_k) in nz.iter().enumerate() {
+            for k in 0..c.cols() {
                 let (rs, vs) = c.col(k);
-                effective += nonzeros(vs) * nz_k;
+                total += effective(vs.iter().map(|&v| (k, v)), nz);
                 for (&r, &v) in rs.iter().zip(vs) {
                     let term = std::iter::once((k, v));
-                    mac_row(out.row(r, c0, c1), term, lanes, stride, finite);
+                    mac_row(out.row(r, c0, c1), term, lanes, stride);
                 }
             }
         }
     }
-    effective
+    total
 }
 
 /// Each PE's MACs within the current beat. A counter is reset lazily:
@@ -733,8 +706,6 @@ struct CscStations<'a, 's> {
     k0: usize,
     /// PEs holding at least one entry in the pass.
     holding: u64,
-    /// Every value loaded in the pass is finite.
-    finite: bool,
     s: &'s mut SimScratch,
 }
 
@@ -754,7 +725,6 @@ impl<'a, 's> CscStations<'a, 's> {
             col_major: matches!(a, Stream::Csc(_)),
             k0: 0,
             holding: 0,
-            finite: true,
             s,
         }
     }
@@ -773,8 +743,7 @@ impl<'a, 's> CscStations<'a, 's> {
     }
 
     /// Load every PE's entries in `ks`, index them by `k` (a counting
-    /// sort), count the nonzeros at each `k` and note whether every value
-    /// is finite; returns the slots loaded.
+    /// sort) and count the nonzeros at each `k`; returns the slots loaded.
     fn load_pass(&mut self, ks: Range<usize>) -> usize {
         let (col_ptr, rows, vals) = (self.b.col_ptr(), self.b.row_ids(), self.b.values());
         let s = &mut *self.s;
@@ -799,7 +768,6 @@ impl<'a, 's> CscStations<'a, 's> {
         s.nz_b.clear();
         s.nz_b.resize(ks.len(), 0);
         self.holding = 0;
-        self.finite = true;
         for (p, next) in s.next[..self.width].iter_mut().enumerate() {
             let (first, end) = (*next, col_ptr[self.c0 + p + 1]);
             while *next < end && rows[*next] < ks.end {
@@ -807,7 +775,6 @@ impl<'a, 's> CscStations<'a, 's> {
                 s.by_k[s.ptr[i + 1]] = (p, v);
                 s.ptr[i + 1] += 1;
                 s.nz_b[i] += u64::from(v != 0.0);
-                self.finite &= v.is_finite();
                 *next += 1;
             }
             self.holding += u64::from(*next > first);
@@ -822,7 +789,7 @@ impl<'a, 's> CscStations<'a, 's> {
         let matches = &s.by_k[s.ptr[i]..s.ptr[i + 1]];
         sim.counts.macs += matches.len() as u64;
         sim.counts.pe_buffer_reads += matches.len() as u64;
-        sim.counts.effective_macs += if a != 0.0 { s.nz_b[i] } else { 0 };
+        sim.counts.effective_macs += effective(std::iter::once((i, a)), &s.nz_b);
         let out = sim.out.row(row, self.c0, self.c0 + self.width);
         for &(p, bv) in matches {
             s.work.add(p, 1);
@@ -854,9 +821,10 @@ impl<'a, 's> CscStations<'a, 's> {
         }
     }
 
-    /// Stream every row of a Dense `d` over `ks`: each row sends the same
-    /// k-window, so one row's beats, MACs, buffer reads and flushes are
-    /// counted for all, and only the value MACs run per row.
+    /// Count every row of a Dense `d` streamed over `ks`: each row sends
+    /// the same k-window, so one row's beats, MACs, buffer reads and
+    /// flushes are counted for all. The value MACs run once per tile
+    /// ([`CscStations::dense_values`]).
     fn dense_rows(&mut self, sim: &mut Sim, d: &DenseMatrix, ks: Range<usize>) {
         let (m, len) = (d.rows() as u64, ks.len());
         if m == 0 || len == 0 {
@@ -866,7 +834,7 @@ impl<'a, 's> CscStations<'a, 's> {
         // One row's beats: a streamed k matches the PEs holding an entry
         // at k, whatever A's value there.
         let cap = sim.bus.dense_capacity();
-        let (mut row_cycles, mut macs) = (0, 0);
+        let (mut beats, mut row_cycles, mut macs) = (0, 0, 0);
         for i0 in (0..len).step_by(cap) {
             for i in i0..(i0 + cap).min(len) {
                 let matches = &s.by_k[s.ptr[i]..s.ptr[i + 1]];
@@ -875,29 +843,34 @@ impl<'a, 's> CscStations<'a, 's> {
                     s.work.add(p, 1);
                 }
             }
+            beats += 1;
             row_cycles += sim.beat_cycles(s.work.end());
         }
-        count_dense_rows(sim, m, len, row_cycles, macs);
+        count_dense_rows(sim, m, len, (beats, row_cycles), macs);
         // A PE holding an entry in the pass opens each row, and flushes it
         // when the next row opens or the pass ends.
         sim.counts.output_flushes += m * self.holding;
-        // The values MAC over the pass laid out densely, `k - k0` by PE: a
-        // PE holding nothing at k adds +0.0, as a stored zero does.
-        let w = self.width;
+    }
+
+    /// A Dense stream's value MACs against the whole tile laid out
+    /// densely, `k` by PE, as a Dense tile's run: a PE holding nothing at
+    /// `k` adds +0.0, as a stored zero does, and each cell still adds its
+    /// products in ascending `k` across the passes.
+    fn dense_values(&mut self, sim: &mut Sim, d: &DenseMatrix) {
+        let (w, s) = (self.width, &mut *self.s);
         s.block.clear();
-        s.block.resize(len * w, 0.0);
-        for i in 0..len {
-            for &(p, bv) in &s.by_k[s.ptr[i]..s.ptr[i + 1]] {
-                s.block[i * w + p] = bv;
+        s.block.resize(self.b.rows() * w, 0.0);
+        for p in 0..w {
+            let (ks, vs) = self.b.col(self.c0 + p);
+            for (&k, &v) in ks.iter().zip(vs) {
+                s.block[k * w + p] = v;
             }
         }
-        for r in 0..d.rows() {
-            let row = &d.row(r)[ks.clone()];
-            sim.counts.effective_macs += dense_effective(row, &s.nz_b);
-            let terms = row.iter().copied().enumerate();
-            let out = sim.out.row(r, self.c0, self.c0 + w);
-            mac_row(out, terms, &s.block, w, self.finite);
-        }
+        s.nz_b.clear();
+        s.nz_b.extend(s.block.chunks_exact(w).map(nonzeros));
+        let cols = self.c0..self.c0 + w;
+        let a = Stream::Dense(d);
+        sim.counts.effective_macs += dense_b_values(&mut sim.out, a, &s.block, w, cols, &s.nz_b);
     }
 }
 
@@ -956,7 +929,8 @@ fn stream_pass(a: Stream, ks: Range<usize>, whole: bool, st: &mut CscStations, s
 }
 
 /// Run one CSC stationary tile, each k-pass as long as the fullest
-/// column allows; returns the pass count.
+/// column allows, then a Dense stream's value MACs over the whole tile;
+/// returns the pass count.
 fn csc_b_tile(
     sim: &mut Sim,
     a: Stream,
@@ -991,6 +965,9 @@ fn csc_b_tile(
         stream_pass(a, k0..k1, k0 == 0 && k1 == k_dim, st, sim);
         k0 = k1;
         if k0 >= k_dim {
+            if let Stream::Dense(d) = a {
+                st.dense_values(sim, d);
+            }
             return Ok(passes);
         }
     }

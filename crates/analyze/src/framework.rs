@@ -85,8 +85,7 @@ impl AnalysisConfig {
                 // value MACs; their scratch is sized once per run of
                 // tiles, outside these bodies.
                 ("crates/accel/src/exec.rs", "nonzeros"),
-                ("crates/accel/src/exec.rs", "dense_effective"),
-                ("crates/accel/src/exec.rs", "sparse_effective"),
+                ("crates/accel/src/exec.rs", "effective"),
                 ("crates/accel/src/exec.rs", "dense_b_tile"),
                 ("crates/accel/src/exec.rs", "count_dense_b_pass"),
                 ("crates/accel/src/exec.rs", "beats_of"),
@@ -100,6 +99,7 @@ impl AnalysisConfig {
                 ("crates/accel/src/exec.rs", "end_beat"),
                 ("crates/accel/src/exec.rs", "end_pass"),
                 ("crates/accel/src/exec.rs", "dense_rows"),
+                ("crates/accel/src/exec.rs", "dense_values"),
                 ("crates/accel/src/exec.rs", "count_dense_rows"),
                 ("crates/accel/src/exec.rs", "gustavson_pass"),
                 ("crates/accel/src/exec.rs", "next_row"),
