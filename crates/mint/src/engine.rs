@@ -846,6 +846,21 @@ mod tests {
         }
     }
 
+    /// Append a report to the bytes a digest pins: each block's cycles
+    /// and energy bits, the fill latency and the element count.
+    fn pin_report(rep: &ConversionReport, pinned: &mut Vec<u8>) {
+        for kind in BlockKind::ALL {
+            pinned.extend_from_slice(&rep.cycles(kind).to_le_bytes());
+            pinned.extend_from_slice(&rep.energy(kind).to_bits().to_le_bytes());
+        }
+        pinned.extend_from_slice(&rep.fill_latency.to_le_bytes());
+        pinned.extend_from_slice(&rep.elements.to_le_bytes());
+    }
+
+    /// Every pair builds the target's encoding, and the FNV-1a digest of
+    /// every case's report pins what each pair charges: a path that
+    /// charges its own steps instead of the decode and encode it
+    /// replaces moves the digest.
     #[test]
     fn conversions_build_the_target_encoding_bit_for_bit() {
         let formats = [
@@ -861,6 +876,7 @@ mod tests {
         ];
         let eng = engine();
         let mut rng = Rng(0xacf);
+        let mut pinned = Vec::new();
         for case in 0..400 {
             for src in formats {
                 let data = random_operand(&mut rng, src);
@@ -882,9 +898,15 @@ mod tests {
                         "case {case}: {src} -> {dst} payload"
                     );
                     assert!(rep.pipelined_cycles() <= rep.serialized_cycles());
+                    pin_report(&rep, &mut pinned);
                 }
             }
         }
+        assert_eq!(
+            sparseflex_formats::fnv1a(&pinned),
+            0x4d81_e25f_2f90_98f8,
+            "a conversion's report moved"
+        );
     }
 
     #[test]

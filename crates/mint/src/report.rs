@@ -23,7 +23,7 @@ pub enum BlockKind {
 
 impl BlockKind {
     /// Every kind, in declaration order (a report's index order).
-    const ALL: [BlockKind; 8] = [
+    pub(crate) const ALL: [BlockKind; 8] = [
         BlockKind::PrefixSum,
         BlockKind::Sorter,
         BlockKind::ClusterCounter,

@@ -5,11 +5,17 @@
 //! tiles.
 
 use proptest::prelude::*;
-use sparseflex::formats::{CooMatrix, DataType, MatrixFormat, SparseMatrix};
+use sparseflex::accel::{ActivityCounts, CycleBreakdown};
+use sparseflex::formats::{fnv1a, CooMatrix, DataType, MatrixFormat, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
+use sparseflex::kernels::parallel::with_workers;
+use sparseflex::mint::{BlockKind, ConversionReport};
 use sparseflex::sage::eval::ConversionMode;
 use sparseflex::sage::{FormatChoice, SageWorkload};
-use sparseflex::system::{BatchJob, FlexSystem, PlanDiscipline, RunError};
+use sparseflex::system::{
+    BatchJob, Dataflow, FlexSystem, PipelineRun, PlanDiscipline, RunError, TileTrace,
+};
+use sparseflex::workloads::synth::random_matrix;
 
 fn small_system() -> FlexSystem {
     let mut sys = FlexSystem::default();
@@ -224,4 +230,180 @@ fn empty_operands_and_tiles() {
         .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
         .unwrap();
     assert_eq!(run.output, mono.output);
+}
+
+/// Append a conversion report to the bytes a digest pins: each block's
+/// cycles and energy bits, the fill latency and the element count.
+fn pin_report(rep: &ConversionReport, pinned: &mut Vec<u8>) {
+    for kind in [
+        BlockKind::PrefixSum,
+        BlockKind::Sorter,
+        BlockKind::ClusterCounter,
+        BlockKind::Divider,
+        BlockKind::Modulo,
+        BlockKind::Comparators,
+        BlockKind::MemController,
+        BlockKind::Adders,
+    ] {
+        pinned.extend_from_slice(&rep.cycles(kind).to_le_bytes());
+        pinned.extend_from_slice(&rep.energy(kind).to_bits().to_le_bytes());
+    }
+    pinned.extend_from_slice(&rep.fill_latency.to_le_bytes());
+    pinned.extend_from_slice(&rep.elements.to_le_bytes());
+}
+
+/// Append a run to the bytes a digest pins, or its error: the format
+/// choice, the schedule's ranges, A's conversion, each tile's conversion,
+/// cycles and counts, and the output bits. The prediction is left out.
+fn pin_run(got: &Result<PipelineRun, RunError>, pinned: &mut Vec<u8>) {
+    let run = match got {
+        Ok(run) => run,
+        Err(e) => return pinned.extend_from_slice(e.to_string().as_bytes()),
+    };
+    pinned.extend_from_slice(format!("{:?}", run.plan.choice()).as_bytes());
+    for &(c0, c1) in &run.plan.schedule.ranges {
+        pinned.extend_from_slice(&(c0 as u64).to_le_bytes());
+        pinned.extend_from_slice(&(c1 as u64).to_le_bytes());
+    }
+    pin_report(&run.conv_a, pinned);
+    for tile in &run.tiles {
+        let TileTrace {
+            col_start,
+            col_end,
+            conv,
+            compute,
+            counts,
+        } = tile;
+        let CycleBreakdown {
+            load_b,
+            stream_a,
+            drain,
+        } = *compute;
+        let ActivityCounts {
+            macs,
+            effective_macs,
+            bus_slots_used,
+            pe_buffer_reads,
+            pe_buffer_writes,
+            output_flushes,
+        } = *counts;
+        pin_report(conv, pinned);
+        for v in [
+            *col_start as u64,
+            *col_end as u64,
+            load_b,
+            stream_a,
+            drain,
+            macs,
+            effective_macs,
+            bus_slots_used,
+            pe_buffer_reads,
+            pe_buffer_writes,
+            output_flushes,
+        ] {
+            pinned.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    for v in run.output.data() {
+        pinned.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// The run path pinned end to end: one FNV-1a digest over every run of
+/// a seeded generator's jobs, on three arrays. Each job runs the plan
+/// SAGE chooses, through `run_batch` at one worker and at four (the two
+/// must agree), then a Gustavson plan with B stored in every MCF (so
+/// CSC→CSR and COO→CSR tiles convert) and every weight-stationary ACF
+/// pair. The arrays are four PEs of 32-slot buffers with a 16-slot bus
+/// and 8-wide vector units, as in the benchmark (7 pairs a beat), and
+/// with 2-wide units behind a 5-slot bus (2 pairs) and a 16-slot one
+/// (7 pairs), so that beats exceed the vector width. The shapes run from
+/// dense-ish to hypersparse, with dense A against sparse B so that
+/// Gustavson passes hold fewer B entries than B rows, in one job with a
+/// few dense B rows among them.
+#[test]
+fn every_run_path_is_pinned_bit_for_bit() {
+    let shapes = [
+        (24, 16, 40, 300, 400),
+        (30, 40, 64, 60, 90),
+        (20, 48, 32, 700, 120),
+        (16, 24, 24, 120, 200),
+    ];
+    let mut jobs: Vec<BatchJob> = shapes
+        .iter()
+        .zip(0u64..)
+        .map(|(&(m, k, n, nnz_a, nnz_b), seed)| {
+            let a = random_matrix(m, k, nnz_a, seed);
+            let b = random_matrix(k, n, nnz_b, 100 + seed);
+            BatchJob::spgemm(a, b, DataType::Fp32)
+        })
+        .collect();
+    // A sparse B whose rows 0, 8, ..., 40, all on PE 0, hold three of
+    // every four columns: its Gustavson passes hold fewer entries than
+    // rows, yet a beat meeting two of those rows exceeds the vector width.
+    let mut skewed: Vec<_> = random_matrix(48, 32, 40, 200).iter().collect();
+    skewed.extend((0..48).step_by(8).flat_map(|r| {
+        (0..32)
+            .filter(|c| c % 4 != 3)
+            .map(move |c| (r, c, ((r + c) % 5 + 1) as f64))
+    }));
+    let skewed = CooMatrix::from_triplets(48, 32, skewed).unwrap();
+    let a = random_matrix(16, 48, 500, 201);
+    jobs.push(BatchJob::spgemm(a, skewed, DataType::Fp32));
+    let gustavson = MatrixFormat::mcf_set().map(|mcf_b| FormatChoice {
+        mcf_a: MatrixFormat::Csr,
+        mcf_b,
+        acf_a: MatrixFormat::Csr,
+        acf_b: MatrixFormat::Csr,
+    });
+    let stationary = [MatrixFormat::Dense, MatrixFormat::Csc];
+    let ws = MatrixFormat::acf_set().into_iter().flat_map(|acf_a| {
+        stationary.map(|acf_b| FormatChoice {
+            mcf_a: MatrixFormat::Coo,
+            mcf_b: MatrixFormat::Csr,
+            acf_a,
+            acf_b,
+        })
+    });
+    let pins: Vec<FormatChoice> = gustavson.into_iter().chain(ws).collect();
+
+    let mut pinned = Vec::new();
+    let mut dataflows = Vec::new();
+    for (vector_width, bus_slots) in [(8, 16), (2, 5), (2, 16)] {
+        let mut sys = small_system();
+        sys.sage.accel.vector_width = vector_width;
+        sys.sage.accel.bus_slots = bus_slots;
+        let batch = |workers| {
+            let mut bytes = Vec::new();
+            let run = with_workers(workers, || sys.run_batch(&jobs));
+            for got in &run.results {
+                pin_run(got, &mut bytes);
+            }
+            (bytes, run.results)
+        };
+        let (one, results) = batch(1);
+        let (four, _) = batch(4);
+        assert_eq!(fnv1a(&one), fnv1a(&four), "run_batch at 1 and 4 workers");
+        pinned.extend_from_slice(&one);
+        dataflows.extend(results.iter().flatten().map(|run| run.plan.dataflow));
+        for job in &jobs {
+            for pin in &pins {
+                let got = sys.run(
+                    &job.a,
+                    &job.b,
+                    &job.workload,
+                    Some(pin),
+                    PlanDiscipline::Pipelined,
+                );
+                pin_run(&got, &mut pinned);
+            }
+        }
+    }
+    assert!(dataflows.contains(&Dataflow::GustavsonSpGemm));
+    assert!(dataflows.contains(&Dataflow::WeightStationary));
+    assert_eq!(
+        fnv1a(&pinned),
+        0x6e15_d69f_dddb_8729,
+        "a run's plan, conversions, cycles, counts or output bits moved"
+    );
 }
