@@ -39,8 +39,15 @@
 //!   holds −0.0), where `0 x inf` would add NaN.
 //! - A Gustavson tile walks only B's non-empty rows, through a by-column
 //!   index of A ([`GustavsonA`]) built once per operand and shared by
-//!   every tile. A pass's beats are a function of A alone; only the beats
-//!   that do work add cycles beyond each beat's one-cycle minimum.
+//!   every tile. A pass's beats are a function of A alone, and a beat
+//!   takes more than one cycle only if its busiest PE issues more MACs
+//!   than the vector width. A beat carries at most `cap` (A entry, B row)
+//!   pairs, so its MACs are at most `cap + Σ(len − 1)` over its pairs' B
+//!   rows. When `cap` is at most the vector width and a pass holds fewer
+//!   B entries than B rows, only B rows with two or more entries count
+//!   toward their beat, each its `len − 1`, and only a beat whose count
+//!   passes `vector_width − cap` is summed PE by PE. Every other pass
+//!   counts every MAC against the vector width.
 //!
 //! [`simulate_ws_into`] and [`simulate_spgemm_into`] accumulate the
 //! product into a caller's [`OutBand`] (a row stride and a column offset),
@@ -301,9 +308,10 @@ pub struct SimScratch {
     /// Gustavson, in a pass narrower than K: per row of A, its window's
     /// start and end and its first beat.
     windows: Vec<(usize, usize, usize)>,
-    /// Gustavson: per beat, the pass it last did work in and its MACs in
-    /// that pass; and the `(beat, row, k)` of the beats whose MACs exceed
-    /// the vector width.
+    /// Gustavson: per beat, the pass it last did work in and the MACs it
+    /// counted in that pass (all of them, or each pair's past its first:
+    /// see `gustavson_pass`); and the `(beat, row, k)` of the beats whose
+    /// count passes the pass's limit.
     beats: Vec<(u64, u64)>,
     pass: u64,
     over: Vec<(usize, usize, usize)>,
@@ -1220,11 +1228,21 @@ pub fn simulate_spgemm_into(
 ///
 /// The pass's beats are A's rows cut `cap` entries to a beat, a function
 /// of A alone, and each takes at least one cycle. The walk visits only
-/// B's non-empty rows and the A entries in their columns: those MACs
-/// accumulate the product and count toward their beat. A beat's busiest
-/// PE issues at most all its MACs, so only a beat whose MACs exceed the
-/// vector width can take more than one cycle; such a beat's MACs are then
-/// summed PE by PE.
+/// B's non-empty rows and the A entries in their columns: each such
+/// (A entry, B row) pair issues the row's `len` MACs into the product. A
+/// beat's busiest PE issues at most all its MACs, so only a beat whose
+/// MACs exceed the vector width can take more than one cycle; such a
+/// beat's MACs are then summed PE by PE.
+///
+/// Which pairs count toward their beat: a beat carries at most `cap`
+/// pairs, so its MACs are at most `cap + Σ(len − 1)` over its pairs.
+/// When `cap` is at most the vector width and the pass holds fewer B
+/// entries than B rows, a pair counts only its excess `len − 1` (a
+/// one-entry row counts nothing, so its pairs skip the count), and only
+/// a beat whose excess passes `vector_width − cap` is summed PE by PE.
+/// Every other pass counts each pair's `len` against the vector width.
+/// The two differ only in which beats are summed PE by PE, never in a
+/// cycle: a beat left out takes one.
 fn gustavson_pass(
     sim: &mut Sim,
     a: &GustavsonA,
@@ -1258,7 +1276,16 @@ fn gustavson_pass(
     s.over.clear();
 
     let (row_ptr, b_cols, b_vals) = (b.row_ptr(), b.col_ids(), b.values());
-    let (n, vw) = (b.cols(), sim.vector_width);
+    let n = b.cols();
+    let (vw, pairs) = (sim.vector_width, cap as u64);
+    // Each pair counts its MACs past `discount`; a beat whose count
+    // passes `limit` is summed PE by PE.
+    let sparse = row_ptr[ks.end] - row_ptr[ks.start] < ks.len();
+    let (discount, limit) = if sparse && pairs <= vw {
+        (1, vw - pairs)
+    } else {
+        (0, vw)
+    };
     let mut macs = 0u64;
     let (mut k, mut e) = (ks.start, row_ptr[ks.start]);
     while e < row_ptr[ks.end] {
@@ -1267,23 +1294,26 @@ fn gustavson_pass(
         let end = row_ptr[k + 1];
         let (js, bvs) = (&b_cols[e..end], &b_vals[e..end]);
         let len = js.len() as u64;
+        let counted = len - discount;
         let mut next = a.head[k];
         while next != END {
             let (r, whole_beat, av, after) = a.entries[next];
             next = after;
             macs += len;
-            let beat = if whole {
-                whole_beat
-            } else {
-                let i = csr.row(r).0.partition_point(|&c| c < k);
-                s.windows[r].2 + (i - s.windows[r].0) / cap
-            };
-            // A count from an older pass reads as zero.
-            let (pass, count) = &mut s.beats[beat];
-            let before = if *pass == s.pass { *count } else { 0 };
-            (*pass, *count) = (s.pass, before + len);
-            if before <= vw && before + len > vw {
-                s.over.push((beat, r, k));
+            if counted > 0 {
+                let beat = if whole {
+                    whole_beat
+                } else {
+                    let i = csr.row(r).0.partition_point(|&c| c < k);
+                    s.windows[r].2 + (i - s.windows[r].0) / cap
+                };
+                // A count from an older pass reads as zero.
+                let (pass, count) = &mut s.beats[beat];
+                let before = if *pass == s.pass { *count } else { 0 };
+                (*pass, *count) = (s.pass, before + counted);
+                if before <= limit && before + counted > limit {
+                    s.over.push((beat, r, k));
+                }
             }
             let out = sim.out.row(r, 0, n);
             for (&c, &bv) in js.iter().zip(bvs) {
@@ -1294,7 +1324,7 @@ fn gustavson_pass(
         k += 1;
     }
 
-    // A beat past the vector width: its entries' B rows, PE by PE.
+    // A beat past the limit: its entries' B rows, PE by PE.
     for &(beat, r, k) in &s.over {
         let cols = csr.row(r).0;
         let (start, end, first) = if whole {
@@ -1502,6 +1532,93 @@ mod tests {
         let a = CooMatrix::from_triplets(1, 2, vec![(0, 0, 1.0)]).unwrap();
         let r = simulate_spgemm(&CsrMatrix::from_coo(&a), &CsrMatrix::from_coo(&b), &cfg);
         assert!(matches!(r, Err(SimError::BufferTooSmall { .. })));
+    }
+
+    /// A Gustavson run of `a x b` on two PEs with a 64-slot buffer, so
+    /// all of B is one pass and even rows of B sit on PE 0; checked
+    /// against the reference product.
+    fn spgemm_on(
+        a: &[(usize, usize, Value)],
+        b: &[(usize, usize, Value)],
+        (m, k, n): (usize, usize, usize),
+        vector_width: usize,
+        bus_slots: usize,
+    ) -> SimResult {
+        let a = CooMatrix::from_triplets(m, k, a.to_vec()).unwrap();
+        let b = CooMatrix::from_triplets(k, n, b.to_vec()).unwrap();
+        let cfg = AccelConfig {
+            num_pes: 2,
+            vector_width,
+            pe_buffer_elems: 64,
+            bus_slots,
+            ..AccelConfig::walkthrough()
+        };
+        let r = simulate_spgemm(&CsrMatrix::from_coo(&a), &CsrMatrix::from_coo(&b), &cfg).unwrap();
+        assert_eq!(r.output, reference(&a, &b));
+        r
+    }
+
+    /// Vector width 4 behind a 7-slot bus (3 pairs a beat), in a pass of
+    /// 7 B entries over 8 rows: a pair counts only its B row's entries
+    /// past the first, and a beat whose count passes 4 - 3 = 1 is summed
+    /// PE by PE. A's row 0 is one beat of three pairs, all on PE 0: rows
+    /// 0 and 2 of B hold two entries and row 4 one, so it counts 2 and
+    /// its PE issues 5 MACs, 2 cycles. Row 1's beat meets rows 1 and 3,
+    /// one entry each: it counts nothing and takes 1 cycle.
+    #[test]
+    fn sparse_pass_counts_the_entries_past_each_rows_first() {
+        let a = [
+            (0, 0, 1.0),
+            (0, 2, 2.0),
+            (0, 4, 3.0),
+            (1, 1, 4.0),
+            (1, 3, 5.0),
+        ];
+        let b = [
+            (0, 0, 1.0),
+            (0, 1, 2.0),
+            (1, 2, 3.0),
+            (2, 1, 4.0),
+            (2, 2, 5.0),
+            (3, 0, 6.0),
+            (4, 0, 7.0),
+        ];
+        let r = spgemm_on(&a, &b, (2, 8, 3), 4, 7);
+        assert_eq!(r.counts.macs, 7);
+        assert_eq!(r.cycles.stream_a, 2 + 1, "two beats, one a cycle over");
+    }
+
+    /// The same array in a pass of 7 B entries over 4 rows, where every
+    /// pair counts its B row's length against the vector width: A's one
+    /// beat meets rows 0 and 2 of B on PE 0, 3 + 2 = 5 MACs, 2 cycles.
+    #[test]
+    fn dense_pass_counts_every_mac() {
+        let a = [(0, 0, 1.0), (0, 2, 2.0)];
+        let b = [
+            (0, 0, 1.0),
+            (0, 1, 2.0),
+            (0, 2, 3.0),
+            (1, 0, 4.0),
+            (2, 0, 5.0),
+            (2, 1, 6.0),
+            (3, 2, 7.0),
+        ];
+        let r = spgemm_on(&a, &b, (1, 4, 3), 4, 7);
+        assert_eq!(r.counts.macs, 5);
+        assert_eq!(r.cycles.stream_a, 1 + 1, "one beat, a cycle over");
+    }
+
+    /// A 16-slot bus carries 7 pairs a beat, more than the vector width
+    /// of 2, so even a pass of 3 B entries over 8 rows counts every MAC:
+    /// A's one beat meets rows 0 (two entries) and 2 (one) of B on PE 0,
+    /// 3 MACs, 2 cycles.
+    #[test]
+    fn beats_wider_than_the_vector_count_every_mac() {
+        let a = [(0, 0, 1.0), (0, 2, 2.0), (0, 4, 3.0)];
+        let b = [(0, 0, 1.0), (0, 1, 2.0), (2, 1, 3.0)];
+        let r = spgemm_on(&a, &b, (1, 8, 2), 2, 16);
+        assert_eq!(r.counts.macs, 3);
+        assert_eq!(r.cycles.stream_a, 1 + 1, "one beat, a cycle over");
     }
 
     #[test]

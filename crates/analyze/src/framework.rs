@@ -101,8 +101,21 @@ impl AnalysisConfig {
                 ("crates/accel/src/exec.rs", "dense_rows"),
                 ("crates/accel/src/exec.rs", "dense_values"),
                 ("crates/accel/src/exec.rs", "count_dense_rows"),
+                // Every function a Gustavson tile's loops run in: the
+                // tile's pass split, each pass, and per pair the next B
+                // row, A's row window, the output row, the beat counters
+                // and a beat's cycles.
+                ("crates/accel/src/exec.rs", "simulate_spgemm_into"),
+                ("crates/accel/src/exec.rs", "load"),
                 ("crates/accel/src/exec.rs", "gustavson_pass"),
                 ("crates/accel/src/exec.rs", "next_row"),
+                ("crates/accel/src/exec.rs", "window"),
+                ("crates/accel/src/exec.rs", "row"),
+                ("crates/accel/src/exec.rs", "add"),
+                ("crates/accel/src/exec.rs", "end"),
+                ("crates/accel/src/exec.rs", "beat_cycles"),
+                ("crates/formats/src/csr.rs", "row"),
+                ("crates/formats/src/csr.rs", "row_nnz"),
                 // The stationary tile's schedule, cut and conversion walks;
                 // their buffers are sized once per call or per tile, outside
                 // these bodies.

@@ -9,10 +9,13 @@
 //! collected (Fig. 8d's RLC decode and Fig. 8f's dense scan among them).
 //! Fig. 8e's block discovery is
 //! [`BsrMatrix::from_coo`](crate::BsrMatrix::from_coo) itself. This
-//! module adds the one *direct* algorithm of Fig. 8 a walk does not give:
+//! module adds the *direct* algorithm of Fig. 8 a walk does not give,
+//! in both directions:
 //!
 //! - [`csr_to_csc`] (Fig. 8c) — counting-sort transpose-of-representation,
-//!   the output MINT's CSR→CSC conversion returns.
+//!   the output MINT's CSR→CSC conversion returns;
+//! - [`csc_to_csr`] — the same counting sort with rows and columns
+//!   swapped, the output MINT's CSC→CSR conversion returns.
 
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
@@ -21,10 +24,39 @@ use crate::traverse::scan;
 use crate::Value;
 
 /// CSR → CSC by counting sort on column ids (the software equivalent of
-/// MINT's Fig. 8c pipeline: histogram → prefix sum → scatter).
+/// MINT's Fig. 8c pipeline: histogram → prefix sum → scatter). CSR's
+/// stored zeros stay stored.
 pub fn csr_to_csc(csr: &CsrMatrix) -> CscMatrix {
     let (col_ptr, row_ids, values) = bucket_by_column(csr.cols(), csr.col_ids(), csr.iter());
     CscMatrix::from_parts_unchecked(csr.rows(), csr.cols(), col_ptr, row_ids, values)
+}
+
+/// CSC → CSR by counting sort on row ids: [`csr_to_csc`]'s histogram →
+/// prefix sum → scatter with rows and columns swapped, reading each
+/// column in place. Stored zeros are dropped, as every format builder
+/// drops them.
+pub fn csc_to_csr(csc: &CscMatrix) -> CsrMatrix {
+    let (rows, cols) = (csc.rows(), csc.cols());
+    let mut row_ptr = vec![0usize; rows + 1];
+    for (&r, &v) in csc.row_ids().iter().zip(csc.values()) {
+        row_ptr[r + 1] += usize::from(v != 0.0);
+    }
+    scan(&mut row_ptr);
+    let mut next = row_ptr[..rows].to_vec();
+    let mut col_ids = vec![0usize; row_ptr[rows]];
+    let mut values = vec![0.0; row_ptr[rows]];
+    for c in 0..cols {
+        let (rs, vs) = csc.col(c);
+        for (&r, &v) in rs.iter().zip(vs) {
+            if v != 0.0 {
+                let slot = next[r];
+                next[r] += 1;
+                col_ids[slot] = c;
+                values[slot] = v;
+            }
+        }
+    }
+    CsrMatrix::from_parts_unchecked(rows, cols, row_ptr, col_ids, values)
 }
 
 /// The one counting-sort transpose: bucket `entries`, given row-major
@@ -89,5 +121,25 @@ mod tests {
         assert_eq!(direct, via_hub);
         // col_ptr after prefix sum over histogram [1,2,1,2] -> [0,1,3,4,6].
         assert_eq!(direct.col_ptr(), &[0, 1, 3, 4, 6]);
+    }
+
+    #[test]
+    fn csc_to_csr_inverts_csr_to_csc_and_drops_stored_zeros() {
+        let coo = fig8b();
+        let csr = CsrMatrix::from_coo(&coo);
+        assert_eq!(csc_to_csr(&csr_to_csc(&csr)), csr);
+        // Column 1 stores +0.0 at row 1 and -0.0 at row 3.
+        let csc = CscMatrix::from_parts(
+            4,
+            4,
+            vec![0, 1, 4, 5, 7],
+            vec![2, 0, 1, 3, 3, 0, 2],
+            vec![4.0, 1.0, 0.0, -0.0, 6.0, 2.0, 5.0],
+        )
+        .unwrap();
+        let got = csc_to_csr(&csc);
+        assert_eq!(got.row_ptr(), &[0, 2, 2, 4, 5]);
+        assert_eq!(got.col_ids(), &[1, 3, 0, 3, 2]);
+        assert_eq!(got.values(), &[1.0, 2.0, 4.0, 5.0, 6.0]);
     }
 }

@@ -11,9 +11,11 @@
 //! counting sort of [`convert::csr_to_csc`], RLC→COO and Dense→CSF the
 //! source's walk collected by `to_coo` (and, for CSF,
 //! [`CsfTensor::from_coo`]), CSR→BSR [`BsrMatrix::from_coo`]. Every other
-//! matrix pair builds the target straight from the source's own layout
-//! ([`MatrixData::convert_to`]) and is charged the blocks decoding the
-//! source and encoding the target would occupy.
+//! matrix pair is charged the blocks decoding the source and encoding the
+//! target would occupy. Two of them build the target directly: CSC→CSR
+//! returns the counting sort of [`convert::csc_to_csr`] and COO→CSR
+//! [`CsrMatrix::from_coo`]. The rest build it straight from the source's
+//! own layout ([`MatrixData::convert_to`]).
 
 use crate::blocks::{
     small_op_cycles, ClusterCounter, DivModArray, MemController, PrefixSumUnit, SortingNetwork,
@@ -375,9 +377,12 @@ impl ConversionEngine {
     }
 
     /// Generic any→any matrix conversion. Fig. 8's direct paths run their
-    /// blocks; every other pair builds the target straight from the
-    /// source's own layout, with no COO hub, and is charged the blocks a
-    /// decode into the hub and an encode out of it occupy.
+    /// blocks; every other pair is charged the blocks a decode into the
+    /// hub and an encode out of it occupy. CSC→CSR returns
+    /// [`convert::csc_to_csr`]'s counting sort and COO→CSR
+    /// [`CsrMatrix::from_coo`] (COO is row-sorted and stores no zeros);
+    /// every other pair builds the target straight from the source's own
+    /// layout, with no COO hub.
     pub fn convert_matrix(
         &self,
         data: &MatrixData,
@@ -403,7 +408,11 @@ impl ConversionEngine {
             }
             _ => {}
         }
-        let out = data.convert_to(target)?;
+        let out = match (data, target) {
+            (MatrixData::Csc(c), MatrixFormat::Csr) => MatrixData::Csr(convert::csc_to_csr(c)),
+            (MatrixData::Coo(c), MatrixFormat::Csr) => MatrixData::Csr(CsrMatrix::from_coo(c)),
+            _ => data.convert_to(target)?,
+        };
         let kept = out.nnz() as u64;
         let mut rep = self.fresh_report();
         self.charge_decode(data, kept, &mut rep);

@@ -22,9 +22,12 @@
 //! (Fig. 8: CSR→CSC, RLC→COO, CSR→BSR, Dense→CSF) on the building
 //! blocks: each returns the converted operand, computed by
 //! `sparseflex-formats`, with the per-block cycle and energy usage of its
-//! steps, charged from counts. Every other matrix pair builds its target
-//! straight from the source's own layout, with no COO hub, and is charged
-//! the blocks a decode into COO and an encode out of it occupy. The [`cost`] module
+//! steps, charged from counts. Every other matrix pair is charged the
+//! blocks a decode into COO and an encode out of it occupy, and builds
+//! its target with no COO hub: CSC→CSR by a counting sort on row ids
+//! (Fig. 8c with rows and columns swapped), COO→CSR by
+//! `CsrMatrix::from_coo`, and the rest straight from the source's own
+//! layout. The [`cost`] module
 //! provides the closed-form cost model SAGE queries, and the [`tiled`]
 //! module the double-buffered overlap schedule shared by the pipelined
 //! runtime and SAGE.
