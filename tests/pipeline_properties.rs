@@ -313,8 +313,9 @@ fn pin_run(got: &Result<PipelineRun, RunError>, pinned: &mut Vec<u8>) {
 /// a seeded generator's jobs, on three arrays. Each job runs the plan
 /// SAGE chooses, through `run_batch` at one worker and at four (the two
 /// must agree), then a Gustavson plan with B stored in every MCF (so
-/// CSC→CSR and COO→CSR tiles convert) and every weight-stationary ACF
-/// pair. The arrays are four PEs of 32-slot buffers with a 16-slot bus
+/// CSC→CSR and COO→CSR tiles convert), every weight-stationary ACF pair,
+/// and a weight-stationary plan with B stored in every MCF against both
+/// stationary ACFs (so every MCF's tiles convert to Dense and to CSC). The arrays are four PEs of 32-slot buffers with a 16-slot bus
 /// and 8-wide vector units, as in the benchmark (7 pairs a beat), and
 /// with 2-wide units behind a 5-slot bus (2 pairs) and a 16-slot one
 /// (7 pairs), so that beats exceed the vector width. The shapes run from
@@ -365,7 +366,20 @@ fn every_run_path_is_pinned_bit_for_bit() {
             acf_b,
         })
     });
-    let pins: Vec<FormatChoice> = gustavson.into_iter().chain(ws).collect();
+    // B stored in every other MCF against both stationary ACFs, so each
+    // format's tiles are cut and converted to Dense and to CSC.
+    let ws_b = MatrixFormat::mcf_set()
+        .into_iter()
+        .filter(|&mcf_b| mcf_b != MatrixFormat::Csr)
+        .flat_map(|mcf_b| {
+            stationary.map(|acf_b| FormatChoice {
+                mcf_a: MatrixFormat::Coo,
+                mcf_b,
+                acf_a: MatrixFormat::Csr,
+                acf_b,
+            })
+        });
+    let pins: Vec<FormatChoice> = gustavson.into_iter().chain(ws).chain(ws_b).collect();
 
     let mut pinned = Vec::new();
     let mut dataflows = Vec::new();
@@ -403,7 +417,7 @@ fn every_run_path_is_pinned_bit_for_bit() {
     assert!(dataflows.contains(&Dataflow::WeightStationary));
     assert_eq!(
         fnv1a(&pinned),
-        0x6e15_d69f_dddb_8729,
+        0x90c0_e165_7b1b_835c,
         "a run's plan, conversions, cycles, counts or output bits moved"
     );
 }

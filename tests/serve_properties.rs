@@ -1,14 +1,15 @@
 //! End-to-end properties of the serving layer: a ≥1k-job mixed-tenant
 //! soak through the wire format whose every result is bit-for-bit equal
-//! to the synchronous `run_batch` answer, weighted-fair scheduling that
-//! never starves a tenant under a saturating competitor, and typed
+//! to the synchronous `run_batch` answer, served result frames pinned by
+//! digest at one worker and at four, weighted-fair scheduling that never
+//! starves a tenant under a saturating competitor, and typed
 //! admission-control rejections — all through the public service API.
 
-use sparseflex::formats::{DataType, MatrixData, MatrixFormat, SparseMatrix};
+use sparseflex::formats::{fnv1a, DataType, MatrixData, MatrixFormat, SparseMatrix};
 use sparseflex::serve::{
     wire, FlexService, Priority, ServeConfig, ServeError, SubmitError, WireJob,
 };
-use sparseflex::system::{BatchJob, FlexSystem};
+use sparseflex::system::{BatchJob, Dataflow, FlexSystem};
 use sparseflex::workloads::synth::random_matrix;
 
 /// The system configuration used on both sides of the soak comparison.
@@ -123,6 +124,89 @@ fn soak_1k_wire_jobs_match_synchronous_run_batch_bit_for_bit() {
         assert_eq!(t.submitted, t.completed, "tenant {} lost jobs", t.tenant);
         assert_eq!(t.rejected, 0);
     }
+}
+
+/// The served path pinned end to end: one FNV-1a digest over the result
+/// frames of a seeded job mix served through `FlexService`, at one
+/// worker and at four (the two must agree). Operands travel in all six
+/// wire formats the benchmark serves, and the shapes run from dense-ish
+/// to hypersparse on a four-PE array of 32-slot buffers, so SAGE plans
+/// both dataflows. A frame holds the job id and the output bits.
+#[test]
+fn served_results_are_pinned_bit_for_bit() {
+    let formats = [
+        MatrixFormat::Csr,
+        MatrixFormat::Coo,
+        MatrixFormat::Csc,
+        MatrixFormat::Bsr { br: 2, bc: 2 },
+        MatrixFormat::Zvc,
+        MatrixFormat::Rlc { run_bits: 4 },
+    ];
+    let shapes = [
+        (24, 16, 40, 300, 400),
+        (30, 40, 64, 60, 90),
+        (20, 48, 32, 700, 120),
+        (16, 24, 24, 120, 200),
+    ];
+    let system = || {
+        let mut sys = FlexSystem::default();
+        sys.sage.accel.num_pes = 4;
+        sys.sage.accel.pe_buffer_elems = 32;
+        sys
+    };
+    let jobs: Vec<WireJob> = (0..24usize)
+        .map(|i| {
+            let (m, k, n, nnz_a, nnz_b) = shapes[i % shapes.len()];
+            let a = random_matrix(m, k, nnz_a, 500 + i as u64);
+            let b = random_matrix(k, n, nnz_b, 600 + i as u64);
+            let fb = formats[(i / formats.len() + 2 * i + 1) % formats.len()];
+            WireJob {
+                tenant: (i % 3) as u32 + 1,
+                priority: [Priority::High, Priority::Normal, Priority::Low][i % 3],
+                dtype: DataType::Fp32,
+                a: MatrixData::encode(&a, &formats[i % formats.len()]).unwrap(),
+                b: MatrixData::encode(&b, &fb).unwrap(),
+            }
+        })
+        .collect();
+    let planned = system().run_batch(
+        &jobs
+            .iter()
+            .map(|j| BatchJob::spgemm(j.a.to_coo(), j.b.to_coo(), j.dtype))
+            .collect::<Vec<_>>(),
+    );
+    let dataflows: Vec<Dataflow> = planned
+        .results
+        .iter()
+        .map(|r| r.as_ref().expect("every job runs").plan.dataflow)
+        .collect();
+    assert!(dataflows.contains(&Dataflow::GustavsonSpGemm));
+    assert!(dataflows.contains(&Dataflow::WeightStationary));
+
+    let serve = |workers| {
+        let service = FlexService::start(
+            system(),
+            ServeConfig {
+                workers,
+                queue_capacity: jobs.len(),
+                tenant_inflight_cap: jobs.len(),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("service starts");
+        let tickets: Vec<_> = jobs
+            .iter()
+            .map(|j| service.submit_frame(&wire::encode_job(j).unwrap()).unwrap())
+            .collect();
+        let mut frames = Vec::new();
+        for ticket in tickets {
+            frames.extend(ticket.wait().expect("served job completes").result_frame);
+        }
+        fnv1a(&frames)
+    };
+    let one = serve(1);
+    assert_eq!(one, serve(4), "served at 1 and 4 workers");
+    assert_eq!(one, 0x7b98_bdc5_2141_7419, "a served result frame moved");
 }
 
 #[test]
