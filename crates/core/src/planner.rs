@@ -430,8 +430,10 @@ impl Planner {
     /// With `pin: None`, SAGE searches the full MCF×ACF space and the row
     /// is keyed on the workload. With `Some(choice)`, SAGE evaluates only
     /// that choice and the row is keyed on the choice as well, so
-    /// repeating a pin hits the same row. A pinned choice the accelerator
-    /// cannot execute fails with a typed [`RunError`] and caches nothing.
+    /// repeating a pin hits the same row. A pinned choice naming a format
+    /// no operand can be encoded in fails with [`RunError::Format`] before
+    /// SAGE prices it, and one the accelerator cannot execute fails with a
+    /// typed [`RunError`]; neither caches anything.
     pub fn plan(
         &self,
         sage: &Sage,
@@ -446,6 +448,9 @@ impl Planner {
             Some(choice) => {
                 self.cache
                     .get_or_try_insert_with(self.key(sage, w, Some(*choice)), || {
+                        for format in [choice.mcf_a, choice.mcf_b, choice.acf_a, choice.acf_b] {
+                            format.check_encodable()?;
+                        }
                         sage.evaluate(w, choice, ConversionMode::Hardware)
                             .map_err(RunError::from)
                     })?

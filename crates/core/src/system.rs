@@ -334,6 +334,45 @@ mod tests {
     }
 
     #[test]
+    fn unencodable_pin_fails_typed_and_caches_nothing() {
+        let sys = FlexSystem::default();
+        let pins = [
+            (
+                MatrixFormat::Bsr { br: 0, bc: 2 },
+                FormatError::InvalidBlockSize { block: 0 },
+            ),
+            (
+                MatrixFormat::Rlc { run_bits: 64 },
+                FormatError::Unsupported("RLC run field wider than 63 bits"),
+            ),
+        ];
+        // B with columns, and B with none: a pin fails before any operand
+        // is encoded or priced.
+        for b in [random_matrix(24, 12, 40, 6), CooMatrix::empty(4, 0)] {
+            let a = random_matrix(16, b.rows(), 30, 5);
+            let w = workload_from(&a, &b, true);
+            for (mcf_b, err) in &pins {
+                let choice = FormatChoice {
+                    mcf_a: MatrixFormat::Csr,
+                    mcf_b: *mcf_b,
+                    acf_a: MatrixFormat::Csr,
+                    acf_b: MatrixFormat::Csr,
+                };
+                let run = sys.run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined);
+                assert_eq!(
+                    run.err(),
+                    Some(RunError::Format(err.clone())),
+                    "{choice} on a {}x{} B",
+                    b.rows(),
+                    b.cols()
+                );
+            }
+        }
+        assert!(sys.planner.cache.is_empty(), "a failed pin caches nothing");
+        assert_eq!(sys.planner.cache.misses(), 4);
+    }
+
+    #[test]
     fn rlc_streaming_operand_with_zero_columns_runs_on_every_acf() {
         // A 3x0 . 0x4 job whose A sits in memory as RLC: MINT decodes the
         // empty run stream for every ACF instead of dividing by zero.

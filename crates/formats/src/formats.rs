@@ -100,6 +100,19 @@ impl MatrixFormat {
         }
     }
 
+    /// The error [`MatrixData::encode`] gives for this format before it
+    /// looks at any entry: a BSR block side of zero, or an RLC run field
+    /// wider than 63 bits. Every other format encodes any matrix.
+    pub fn check_encodable(&self) -> Result<(), FormatError> {
+        match *self {
+            MatrixFormat::Bsr { br, bc } if br == 0 || bc == 0 => {
+                Err(FormatError::InvalidBlockSize { block: 0 })
+            }
+            MatrixFormat::Rlc { run_bits } => checked_run_bits(run_bits).map(drop),
+            _ => Ok(()),
+        }
+    }
+
     /// True for the formats whose size/compute models do not depend on the
     /// spatial structure of the nonzeros (the paper's performance model
     /// covers exactly these; structured formats are its future work).
