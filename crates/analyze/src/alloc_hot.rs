@@ -24,8 +24,9 @@
 //! - the per-pass, per-beat and per-MAC loops of the cycle simulators
 //!   (`accel::exec`), which run once per stationary tile;
 //! - the per-element loops of the stationary operand's schedule, cut and
-//!   conversion walks (`formats::{tiler, build}` and CSC's column
-//!   slice), which run over every stored entry of every tile;
+//!   conversion walks (`formats::{tiler, build}`, CSC's column slice and
+//!   the ZVC→Dense and ZVC→CSC mask scatters of `formats::convert`),
+//!   which run over every stored entry of every tile;
 //! - the per-entry loops inside the format walks that draw their scratch
 //!   from the arena: ZVC's set-bit decoder (`zvc::for_each_set_bit`) and
 //!   HiCOO's radix sort (`traverse::radix_order`).

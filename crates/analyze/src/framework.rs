@@ -116,14 +116,19 @@ impl AnalysisConfig {
                 ("crates/accel/src/exec.rs", "beat_cycles"),
                 ("crates/formats/src/csr.rs", "row"),
                 ("crates/formats/src/csr.rs", "row_nnz"),
-                // The stationary tile's schedule, cut and conversion walks;
-                // their buffers are sized once per call or per tile, outside
+                // The stationary tile's schedule, cut and conversion walks:
+                // the schedule's column histogram and counting sort, the
+                // cut straight from B's triplets and its row split, and
+                // MINT's ZVC→Dense and ZVC→CSC mask scatters. Their
+                // buffers are sized once per call or per tile, outside
                 // these bodies.
                 ("crates/formats/src/tiler.rs", "count_columns"),
-                ("crates/formats/src/tiler.rs", "stage_pairs"),
                 ("crates/formats/src/tiler.rs", "group_rows"),
                 ("crates/formats/src/tiler.rs", "widen_ranges"),
+                ("crates/formats/src/tiler.rs", "cut_schedule"),
                 ("crates/formats/src/tiler.rs", "split_row"),
+                ("crates/formats/src/convert.rs", "zvc_to_dense"),
+                ("crates/formats/src/convert.rs", "for_each_kept_bit"),
                 ("crates/formats/src/csc.rs", "copy_columns"),
                 ("crates/formats/src/traverse.rs", "csc_sorted_band"),
                 ("crates/formats/src/build.rs", "push_run"),

@@ -37,7 +37,7 @@ use sparseflex_accel::exec::{
     simulate_spgemm_into, simulate_ws_into, GustavsonA, OutBand, SimScratch, SimStats,
 };
 use sparseflex_formats::{
-    csr_cow, plan_column_schedule, tile_column_ranges, ColumnSchedule, CooMatrix, DenseMatrix,
+    csr_cow, cut_schedule, plan_column_schedule, ColumnSchedule, CooMatrix, DenseMatrix,
     MatrixData, MatrixFormat, MatrixTile, SparseMatrix, TilePolicy,
 };
 use sparseflex_mint::tiled::{overlap_schedule, split_cycles};
@@ -464,7 +464,8 @@ impl Planner {
     /// The tile schedule and cycle prediction around an evaluation the
     /// caller already holds, with no cache lookup. The middle step of
     /// [`plan`](Self::plan), public on its own because the benchmark's
-    /// traced replay times each step separately. The returned plan is
+    /// traced replay times each step separately. The schedule is planned
+    /// from B's triplets, so B is not encoded here. The returned plan is
     /// marked `from_cache: false`; callers relaying a cached evaluation
     /// set the field themselves.
     pub fn plan_pinned(
@@ -492,7 +493,6 @@ impl Planner {
         };
 
         // ---- Tile schedule: cut the stationary operand per discipline.
-        let b_mem = MatrixData::encode(b, &choice.mcf_b)?;
         let residency = accel.num_pes.max(1);
         let policy = match (discipline, dataflow) {
             (PlanDiscipline::Monolithic, _) => TilePolicy::Whole,
@@ -509,11 +509,10 @@ impl Planner {
                 TilePolicy::Uniform { width: residency }
             }
         };
-        let schedule =
-            plan_column_schedule(&b_mem, policy).ok_or(RunError::StationaryTooLarge {
-                needed: 2,
-                available: accel.pe_buffer_elems,
-            })?;
+        let schedule = plan_column_schedule(b, policy).ok_or(RunError::StationaryTooLarge {
+            needed: 2,
+            available: accel.pe_buffer_elems,
+        })?;
 
         // ---- Cycle prediction, scaled by the calibrator's coefficients.
         let (calibration_generation, coeffs) = self.calibrator.current();
@@ -530,9 +529,11 @@ impl Planner {
         })
     }
 
-    /// Execute an [`ExecutionPlan`] on real operands: encode in the
-    /// MCFs, convert the streaming operand once (pipeline prologue),
-    /// then convert∥execute every scheduled stationary tile — on the
+    /// Execute an [`ExecutionPlan`] on real operands: encode A in its MCF
+    /// and cut B's scheduled tiles straight into its MCF
+    /// ([`cut_schedule`], so B is never encoded whole), convert the
+    /// streaming operand once (pipeline prologue), then convert∥execute
+    /// every scheduled stationary tile — on the
     /// modeled machine, MINT fills one staging buffer with tile *t+1*
     /// while the array computes tile *t*, a double-buffered overlap
     /// priced by the per-tile cycle lanes folded into the run's
@@ -552,23 +553,10 @@ impl Planner {
         let choice = plan.choice();
         let spgemm = plan.dataflow == Dataflow::GustavsonSpGemm;
         let a_mem = MatrixData::encode(a, &choice.mcf_a)?;
-        let b_mem = MatrixData::encode(b, &choice.mcf_b)?;
-        let b_cols = b_mem.cols();
-        // A schedule of one range spanning every column (the monolithic
-        // discipline) uses the encoded operand directly instead of
-        // round-tripping it through triplet extraction.
-        let tiles_mem = if plan.schedule.ranges == [(0, b_cols)] {
-            vec![MatrixTile {
-                col_start: 0,
-                col_end: b_cols,
-                data: b_mem,
-            }]
-        } else {
-            tile_column_ranges(&b_mem, &plan.schedule.ranges)?
-        };
+        let tiles_mem = cut_schedule(b, &choice.mcf_b, &plan.schedule)?;
         // The streaming operand converts once, in the pipeline prologue.
         let (a_acf, conv_a) = sage.mint.convert_matrix(&a_mem, &choice.acf_a)?;
-        let mut output = DenseMatrix::zeros(a.rows(), b_cols);
+        let mut output = DenseMatrix::zeros(a.rows(), b.cols());
         let executed =
             convert_and_execute_tiles(sage, choice, spgemm, &a_acf, &tiles_mem, &mut output)?;
 

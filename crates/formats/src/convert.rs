@@ -16,11 +16,21 @@
 //!   the output MINT's CSR→CSC conversion returns;
 //! - [`csc_to_csr`] — the same counting sort with rows and columns
 //!   swapped, the output MINT's CSC→CSR conversion returns.
+//!
+//! and two that read a ZVC operand's mask in place, a mask word at a
+//! time, instead of walking its rows into a builder:
+//!
+//! - [`zvc_to_dense`] — each set bit's value scattered to its position,
+//!   the output MINT's ZVC→Dense conversion returns;
+//! - [`zvc_to_csc`] — the counting sort of [`csc_to_csr`] keyed on each
+//!   set bit's column, the output MINT's ZVC→CSC conversion returns.
 
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
+use crate::dense::DenseMatrix;
 use crate::traits::SparseMatrix;
 use crate::traverse::scan;
+use crate::zvc::{for_each_set_bit, ZvcMatrix};
 use crate::Value;
 
 /// CSR → CSC by counting sort on column ids (the software equivalent of
@@ -57,6 +67,65 @@ pub fn csc_to_csr(csc: &CscMatrix) -> CsrMatrix {
         }
     }
     CsrMatrix::from_parts_unchecked(rows, cols, row_ptr, col_ids, values)
+}
+
+/// ZVC → Dense: the mask covers the row-major matrix, so each set bit's
+/// value lands at the bit's own position, with no row or column to track
+/// (routed through [`for_each_kept_bit`], a journals job's tiles ran 7%
+/// slower). Stored zeros are dropped (the cell stays `+0.0`), as every
+/// format builder drops them.
+pub fn zvc_to_dense(zvc: &ZvcMatrix) -> DenseMatrix {
+    let (rows, cols) = (zvc.rows(), zvc.cols());
+    let mut dense = DenseMatrix::zeros(rows, cols);
+    let data = dense.data_mut();
+    let mut values = zvc.values().iter();
+    for_each_set_bit(zvc.mask(), 0..rows * cols, |p| {
+        if let Some(&v) = values.next().filter(|&&v| v != 0.0) {
+            data[p] = v;
+        }
+    });
+    dense
+}
+
+/// ZVC → CSC by counting sort on each set bit's column: one pass over
+/// the mask's set bits histograms their columns, a second scatters rows
+/// and values, so rows ascend within a column. Stored zeros are dropped,
+/// as every format builder drops them.
+pub fn zvc_to_csc(zvc: &ZvcMatrix) -> CscMatrix {
+    let (rows, cols) = (zvc.rows(), zvc.cols());
+    let mut col_ptr = vec![0usize; cols + 1];
+    for_each_kept_bit(zvc, |_, c, _| col_ptr[c + 1] += 1);
+    scan(&mut col_ptr);
+    let mut next = col_ptr[..cols].to_vec();
+    let mut row_ids = vec![0usize; col_ptr[cols]];
+    let mut values = vec![0.0; col_ptr[cols]];
+    for_each_kept_bit(zvc, |r, c, v| {
+        let slot = next[c];
+        next[c] += 1;
+        row_ids[slot] = r;
+        values[slot] = v;
+    });
+    CscMatrix::from_parts_unchecked(rows, cols, col_ptr, row_ids, values)
+}
+
+/// Call `f(r, c, v)` for every set mask bit of `zvc` whose value is not
+/// zero, rows ascending and columns ascending within a row: one pass a
+/// mask word at a time, stepping the row as a bit passes its end (no
+/// division per bit).
+#[inline]
+fn for_each_kept_bit(zvc: &ZvcMatrix, mut f: impl FnMut(usize, usize, Value)) {
+    let cols = zvc.cols();
+    let (mut r, mut row_start) = (0, 0);
+    let mut values = zvc.values().iter();
+    for_each_set_bit(zvc.mask(), 0..zvc.rows() * cols, |p| {
+        if let Some(&v) = values.next().filter(|&&v| v != 0.0) {
+            while p >= row_start + cols {
+                r += 1;
+                row_start += cols;
+            }
+            f(r, p - row_start, v);
+        }
+    });
 }
 
 /// The one counting-sort transpose: bucket `entries`, given row-major
@@ -141,5 +210,23 @@ mod tests {
         assert_eq!(got.row_ptr(), &[0, 2, 2, 4, 5]);
         assert_eq!(got.col_ids(), &[1, 3, 0, 3, 2]);
         assert_eq!(got.values(), &[1.0, 2.0, 4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn zvc_conversions_read_the_mask_and_drop_stored_zeros() {
+        let coo = fig8b();
+        let zvc = ZvcMatrix::from_coo(&coo);
+        assert_eq!(zvc_to_dense(&zvc), coo.clone().into_dense());
+        assert_eq!(zvc_to_csc(&zvc), CscMatrix::from_coo(&coo));
+        // Cells (1, 1) and (3, 2) store +0.0 and -0.0.
+        let mask = ZvcMatrix::from_coo(&coo).mask().to_vec();
+        let zeros = ZvcMatrix::from_parts(4, 4, mask, vec![1.0, 2.0, 0.0, 4.0, 5.0, -0.0]).unwrap();
+        let dense = zvc_to_dense(&zeros);
+        assert_eq!(dense.get(1, 1).to_bits(), 0.0f64.to_bits());
+        assert_eq!(dense.get(3, 2).to_bits(), 0.0f64.to_bits());
+        let csc = zvc_to_csc(&zeros);
+        assert_eq!(csc.col_ptr(), &[0, 1, 2, 2, 4]);
+        assert_eq!(csc.row_ids(), &[2, 0, 0, 2]);
+        assert_eq!(csc.values(), &[4.0, 1.0, 2.0, 5.0]);
     }
 }

@@ -39,9 +39,11 @@
 //! the format-generic kernels in `sparseflex-kernels` consume, so a kernel
 //! written once runs over any of these formats without pre-conversion.
 //!
-//! The [`tiler`] module cuts any [`MatrixData`] into scratchpad-sized
-//! column tiles over those same streams — the unit of work the pipelined
-//! runtime in `sparseflex-core` converts and computes on in overlap.
+//! The [`tiler`] module schedules a stationary operand's scratchpad-sized
+//! column tiles from its triplets and cuts them straight into any memory
+//! format (or out of any [`MatrixData`], over those same streams) — the
+//! unit of work the pipelined runtime in `sparseflex-core` converts and
+//! computes on in overlap.
 //!
 //! ## Example
 //!
@@ -114,7 +116,9 @@ pub use formats::{MatrixData, MatrixFormat, TensorData, TensorFormat};
 pub use hicoo::HiCooTensor;
 pub use rlc::{RlcMatrix, RlcTensor3};
 pub use tensor::{CooTensor3, DenseTensor3};
-pub use tiler::{plan_column_schedule, tile_column_ranges, ColumnSchedule, MatrixTile, TilePolicy};
+pub use tiler::{
+    cut_schedule, plan_column_schedule, tile_column_ranges, ColumnSchedule, MatrixTile, TilePolicy,
+};
 pub use traits::{SparseMatrix, SparseTensor3};
 pub use traverse::{
     csr_cow, csr_cow_in, csr_from_stream, csr_from_stream_in, FiberStream3, RowMajorStream,

@@ -1,23 +1,27 @@
-//! Operand tiling: partition a [`MatrixData`] into scratchpad-sized
+//! Operand tiling: partition a stationary operand into scratchpad-sized
 //! column tiles without densifying.
 //!
 //! The pipelined runtime in `sparseflex-core` overlaps MINT conversion
 //! with accelerator compute at **tile** granularity: while the array
 //! computes on stationary tile *t*, the converter prepares tile *t+1*.
-//! That only works if every format can be cut into column ranges
-//! cheaply, so both steps read the operand once, in its own layout:
+//! That only works if the operand can be cut into column ranges cheaply,
+//! so both steps read its triplets once, and neither encodes it whole:
 //!
-//! - The schedule ([`plan_column_schedule`]) counts each column's stored
-//!   entries: CSC reads its column pointer in place, and any other format
-//!   is counted in one row-major walk. Per-tile nonzeros come from the
-//!   same counts.
-//! - The cut ([`tile_column_ranges`]) slices a CSC operand's column
-//!   ranges directly. Any other format is walked once, row by row, and
-//!   each row is split at the range boundaries into one builder per tile
-//!   of the operand's own format. No tile round-trips through COO or a
-//!   dense intermediate.
+//! - The schedule ([`plan_column_schedule`]) counts each column's entries
+//!   in one histogram of the COO's column ids; `Bounded` also groups the
+//!   row ids by column with one counting sort. Every format's walk emits
+//!   exactly the COO's entries (no padding, and a COO stores no zeros),
+//!   so the ranges and per-tile nonzeros are those of the operand in any
+//!   memory format.
+//! - The cut ([`cut_schedule`]) builds each scheduled tile straight in the
+//!   memory format: CSC is encoded once and sliced column range by column
+//!   range; any other format walks the COO's rows once, each split at the
+//!   range boundaries into one builder per tile, presized from the
+//!   schedule's counts. [`tile_column_ranges`] cuts an already-encoded
+//!   operand the same way (its own CSC slices, or its own walk). No tile
+//!   round-trips through a dense intermediate.
 //!
-//! [`TilePolicy`] names the two range planners:
+//! [`TilePolicy`] names the range planners:
 //!
 //! - `Uniform` — fixed-width strips, the geometry of one
 //!   weight-stationary array residency (`num_pes` columns at a time).
@@ -29,12 +33,13 @@
 //!   fits.
 
 use crate::build::MatrixBuilder;
+use crate::coo::CooMatrix;
+use crate::csc::CscMatrix;
 use crate::error::FormatError;
-use crate::formats::MatrixData;
+use crate::formats::{MatrixData, MatrixFormat};
 use crate::traits::SparseMatrix;
-use crate::traverse::scan;
+use crate::traverse::{scan, RowMajorStream};
 use crate::Value;
-use std::borrow::Cow;
 
 /// One column tile of a matrix operand.
 #[derive(Debug, Clone)]
@@ -76,50 +81,28 @@ fn uniform_column_ranges(cols: usize, width: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Every stored entry's row, grouped by column: column `c`'s rows are
-/// `row_ids[col_ptr[c]..col_ptr[c + 1]]`, counting exactly the entries
-/// the operand's row stream emits.
-struct ColumnIndex<'a> {
-    col_ptr: Cow<'a, [usize]>,
-    row_ids: Cow<'a, [usize]>,
+/// Every entry's row, grouped by column: column `c`'s rows are
+/// `row_ids[col_ptr[c]..col_ptr[c + 1]]`, ascending.
+struct ColumnIndex {
+    col_ptr: Vec<usize>,
+    row_ids: Vec<usize>,
 }
 
-/// The column index of `data`: a CSC operand is its own index; any other
-/// format is walked once, its (column, row) pairs staged and then
-/// grouped by a counting sort.
-fn column_index(data: &MatrixData) -> ColumnIndex<'_> {
-    if let MatrixData::Csc(c) = data {
-        return ColumnIndex {
-            col_ptr: Cow::Borrowed(c.col_ptr()),
-            row_ids: Cow::Borrowed(c.row_ids()),
-        };
-    }
-    let mut col_ptr = vec![0usize; data.cols() + 1];
-    let mut pairs = Vec::new();
-    data.row_stream()
-        .for_each_fiber(&mut |r, cs, _| stage_pairs(&mut col_ptr, &mut pairs, r, cs));
-    scan(&mut col_ptr);
-    let mut row_ids = vec![0usize; pairs.len()];
-    group_rows(&pairs, &mut col_ptr, &mut row_ids);
-    ColumnIndex {
-        col_ptr: Cow::Owned(col_ptr),
-        row_ids: Cow::Owned(row_ids),
-    }
+/// The column index of `b`: its column pointer, then one counting sort of
+/// its row ids by column. The COO is row-major, so each column's rows
+/// come out ascending.
+fn column_index(b: &CooMatrix) -> ColumnIndex {
+    let mut col_ptr = column_ptr(b);
+    let mut row_ids = vec![0usize; b.nnz()];
+    group_rows(b, &mut col_ptr, &mut row_ids);
+    ColumnIndex { col_ptr, row_ids }
 }
 
-/// Count each entry of row `r` into its column and stage its pair.
-fn stage_pairs(col_ptr: &mut [usize], pairs: &mut Vec<(usize, usize)>, r: usize, cs: &[usize]) {
-    for &c in cs {
-        col_ptr[c + 1] += 1;
-        pairs.push((c, r));
-    }
-}
-
-/// Scatter the staged pairs' rows into their columns, using the scanned
-/// `col_ptr[c]` as column `c`'s cursor, then shift the advanced cursors
-/// back into column starts.
-fn group_rows(pairs: &[(usize, usize)], col_ptr: &mut [usize], row_ids: &mut [usize]) {
-    for &(c, r) in pairs {
+/// Scatter `b`'s rows into their columns, using the scanned `col_ptr[c]`
+/// as column `c`'s cursor, then shift the advanced cursors back into
+/// column starts.
+fn group_rows(b: &CooMatrix, col_ptr: &mut [usize], row_ids: &mut [usize]) {
+    for (&r, &c) in b.row_ids().iter().zip(b.col_ids()) {
         row_ids[col_ptr[c]] = r;
         col_ptr[c] += 1;
     }
@@ -129,22 +112,18 @@ fn group_rows(pairs: &[(usize, usize)], col_ptr: &mut [usize], row_ids: &mut [us
     col_ptr[0] = 0;
 }
 
-/// The column pointer of `data`'s stored entries: CSC's own, read in
-/// place; any other format's counted in one walk.
-fn column_ptr(data: &MatrixData) -> Cow<'_, [usize]> {
-    if let MatrixData::Csc(c) = data {
-        return Cow::Borrowed(c.col_ptr());
-    }
-    let mut col_ptr = vec![0usize; data.cols() + 1];
-    data.row_stream()
-        .for_each_fiber(&mut |_, cs, _| count_columns(&mut col_ptr, cs));
+/// The column pointer of `b`'s entries: a histogram of its column ids,
+/// scanned.
+fn column_ptr(b: &CooMatrix) -> Vec<usize> {
+    let mut col_ptr = vec![0usize; b.cols() + 1];
+    count_columns(b.col_ids(), &mut col_ptr);
     scan(&mut col_ptr);
-    Cow::Owned(col_ptr)
+    col_ptr
 }
 
-/// Count one row fiber's entries into their columns.
-fn count_columns(col_ptr: &mut [usize], cs: &[usize]) {
-    for &c in cs {
+/// Count each column id into `col_ptr[c + 1]`.
+fn count_columns(col_ids: &[usize], col_ptr: &mut [usize]) {
+    for &c in col_ids {
         col_ptr[c + 1] += 1;
     }
 }
@@ -157,7 +136,7 @@ fn count_columns(col_ptr: &mut [usize], cs: &[usize]) {
 /// (the Gustavson SpGEMM dataflow, where one PE buffers one compressed row
 /// segment): capping per-row entries per tile caps the per-PE footprint.
 fn bounded_ranges(
-    index: &ColumnIndex<'_>,
+    index: &ColumnIndex,
     rows: usize,
     max_row_entries: usize,
     max_width: usize,
@@ -180,7 +159,7 @@ fn bounded_ranges(
 /// cols) overall: each column's entries are touched once when the column
 /// joins a range, once when the range closes.
 fn widen_ranges(
-    index: &ColumnIndex<'_>,
+    index: &ColumnIndex,
     max_row_entries: usize,
     max_width: usize,
     count: &mut [usize],
@@ -294,20 +273,20 @@ impl ColumnSchedule {
     }
 }
 
-/// Plan a [`ColumnSchedule`] for `data` under `policy`.
+/// Plan a [`ColumnSchedule`] for the stationary operand `b` under
+/// `policy`, from its triplets: the schedule of `b` in any memory format,
+/// since every format's walk emits exactly the COO's entries.
 ///
 /// Returns `None` only for [`TilePolicy::Bounded`] with
 /// `max_row_entries == 0` (a single stored element already overflows the
 /// budget; no tiling can fix that). Per-tile nonzero counts come from the
 /// same per-column counts the ranges were planned on.
-pub fn plan_column_schedule(data: &MatrixData, policy: TilePolicy) -> Option<ColumnSchedule> {
+pub fn plan_column_schedule(b: &CooMatrix, policy: TilePolicy) -> Option<ColumnSchedule> {
     let (ranges, col_ptr) = match policy {
         // `Whole` keeps exactly one range even for a zero-column operand,
         // so the monolithic executor always has one tile to run.
-        TilePolicy::Whole => (vec![(0, data.cols())], column_ptr(data)),
-        TilePolicy::Uniform { width } => {
-            (uniform_column_ranges(data.cols(), width), column_ptr(data))
-        }
+        TilePolicy::Whole => (vec![(0, b.cols())], column_ptr(b)),
+        TilePolicy::Uniform { width } => (uniform_column_ranges(b.cols(), width), column_ptr(b)),
         TilePolicy::Bounded {
             max_row_entries,
             max_width,
@@ -315,8 +294,8 @@ pub fn plan_column_schedule(data: &MatrixData, policy: TilePolicy) -> Option<Col
             if max_row_entries == 0 {
                 return None;
             }
-            let index = column_index(data);
-            let ranges = bounded_ranges(&index, data.rows(), max_row_entries, max_width);
+            let index = column_index(b);
+            let ranges = bounded_ranges(&index, b.rows(), max_row_entries, max_width);
             (ranges, index.col_ptr)
         }
     };
@@ -352,25 +331,67 @@ pub fn tile_column_ranges(
 ) -> Result<Vec<MatrixTile>, FormatError> {
     check_ranges(ranges, data.cols())?;
     if let MatrixData::Csc(csc) = data {
-        return Ok(ranges
-            .iter()
-            .map(|&(c0, c1)| MatrixTile {
-                col_start: c0,
-                col_end: c1,
-                data: MatrixData::Csc(csc.column_range(c0, c1)),
-            })
-            .collect());
+        return Ok(slice_columns(csc, ranges));
     }
-    let mut tile_of = vec![NO_TILE; data.cols()];
+    cut_rows(data.row_stream(), data.format(), ranges, &[])
+}
+
+/// Cut `schedule`'s tiles out of the stationary operand `b` straight into
+/// `format`: exactly the tiles [`tile_column_ranges`] cuts from `b`
+/// encoded in `format`, without encoding `b` whole. CSC is encoded once
+/// and sliced; any other format walks `b`'s rows once, each split at the
+/// range boundaries into one builder per tile, builder `t` presized for
+/// `schedule.tile_nnz[t]` entries.
+///
+/// Fails as [`MatrixData::encode`] fails for a format no operand can be
+/// encoded in, and as [`tile_column_ranges`] fails for malformed ranges.
+pub fn cut_schedule(
+    b: &CooMatrix,
+    format: &MatrixFormat,
+    schedule: &ColumnSchedule,
+) -> Result<Vec<MatrixTile>, FormatError> {
+    format.check_encodable()?;
+    check_ranges(&schedule.ranges, b.cols())?;
+    if *format == MatrixFormat::Csc {
+        return Ok(slice_columns(&CscMatrix::from_coo(b), &schedule.ranges));
+    }
+    cut_rows(b, *format, &schedule.ranges, &schedule.tile_nnz)
+}
+
+/// Slice every range out of a CSC operand.
+fn slice_columns(csc: &CscMatrix, ranges: &[(usize, usize)]) -> Vec<MatrixTile> {
+    ranges
+        .iter()
+        .map(|&(c0, c1)| MatrixTile {
+            col_start: c0,
+            col_end: c1,
+            data: MatrixData::Csc(csc.column_range(c0, c1)),
+        })
+        .collect()
+}
+
+/// Walk `stream` once, splitting each row at the range boundaries into
+/// one `format` builder per range, builder `t` presized for `nnz[t]`
+/// entries (none past the end of `nnz`), over ranges the caller checked.
+fn cut_rows(
+    stream: &dyn RowMajorStream,
+    format: MatrixFormat,
+    ranges: &[(usize, usize)],
+    nnz: &[usize],
+) -> Result<Vec<MatrixTile>, FormatError> {
+    let mut tile_of = vec![NO_TILE; stream.cols()];
     for (t, &(c0, c1)) in ranges.iter().enumerate() {
         tile_of[c0..c1].fill(t);
     }
     let mut builders = ranges
         .iter()
-        .map(|&(c0, c1)| MatrixBuilder::new(data.format(), data.rows(), c1 - c0, 0))
+        .enumerate()
+        .map(|(t, &(c0, c1))| {
+            let presize = nnz.get(t).copied().unwrap_or(0);
+            MatrixBuilder::new(format, stream.rows(), c1 - c0, presize)
+        })
         .collect::<Result<Vec<_>, _>>()?;
-    data.row_stream()
-        .for_each_fiber(&mut |r, cs, vs| split_row(&mut builders, &tile_of, ranges, r, cs, vs));
+    stream.for_each_fiber(&mut |r, cs, vs| split_row(&mut builders, &tile_of, ranges, r, cs, vs));
     ranges
         .iter()
         .zip(builders)
@@ -518,7 +539,7 @@ mod tests {
 
     /// The ranges of a [`TilePolicy::Bounded`] schedule.
     fn bounded(
-        data: &MatrixData,
+        b: &CooMatrix,
         max_row_entries: usize,
         max_width: usize,
     ) -> Option<Vec<(usize, usize)>> {
@@ -526,7 +547,7 @@ mod tests {
             max_row_entries,
             max_width,
         };
-        plan_column_schedule(data, policy).map(|s| s.ranges)
+        plan_column_schedule(b, policy).map(|s| s.ranges)
     }
 
     #[test]
@@ -535,34 +556,32 @@ mod tests {
         // entries per row forces 4-wide-or-narrower tiles there.
         let coo = CooMatrix::from_triplets(2, 8, (0..8).map(|c| (0, c, (c + 1) as f64)).collect())
             .unwrap();
-        let data = MatrixData::encode(&coo, &MatrixFormat::Csr).unwrap();
-        let ranges = bounded(&data, 2, usize::MAX).unwrap();
+        let ranges = bounded(&coo, 2, usize::MAX).unwrap();
         for &(c0, c1) in &ranges {
             assert!(c1 - c0 <= 2, "range ({c0},{c1}) exceeds the row budget");
         }
         let covered: usize = ranges.iter().map(|&(a, b)| b - a).sum();
         assert_eq!(covered, 8);
-        assert!(bounded(&data, 0, 4).is_none());
+        assert!(bounded(&coo, 0, 4).is_none());
     }
 
     #[test]
     fn column_schedules_cover_and_count() {
         let coo = sample();
-        let data = MatrixData::encode(&coo, &MatrixFormat::Csr).unwrap();
         // Whole: one tile, all nonzeros.
-        let whole = plan_column_schedule(&data, TilePolicy::Whole).unwrap();
+        let whole = plan_column_schedule(&coo, TilePolicy::Whole).unwrap();
         assert_eq!(whole.ranges, vec![(0, 11)]);
         assert_eq!(whole.tile_nnz, vec![8]);
         assert_eq!(whole.total_nnz(), 8);
         // Uniform: per-tile counts sum to the operand's nnz.
-        let uni = plan_column_schedule(&data, TilePolicy::Uniform { width: 4 }).unwrap();
+        let uni = plan_column_schedule(&coo, TilePolicy::Uniform { width: 4 }).unwrap();
         assert_eq!(uni.ranges, uniform_column_ranges(11, 4));
         assert_eq!(uni.total_nnz(), 8);
         assert_eq!(uni.len(), 3);
         assert!(uni.max_width() <= 4);
         // Bounded: impossible budget is a typed rejection.
         assert!(plan_column_schedule(
-            &data,
+            &coo,
             TilePolicy::Bounded {
                 max_row_entries: 0,
                 max_width: 4
@@ -576,8 +595,7 @@ mod tests {
     #[test]
     fn whole_schedule_on_zero_columns_keeps_one_tile() {
         let coo = CooMatrix::from_triplets(3, 0, vec![]).unwrap();
-        let data = MatrixData::encode(&coo, &MatrixFormat::Coo).unwrap();
-        let s = plan_column_schedule(&data, TilePolicy::Whole).unwrap();
+        let s = plan_column_schedule(&coo, TilePolicy::Whole).unwrap();
         assert_eq!(s.ranges, vec![(0, 0)]);
         assert_eq!(s.tile_nnz, vec![0]);
         assert!(!s.is_empty());
@@ -586,8 +604,7 @@ mod tests {
     #[test]
     fn bounded_ranges_respect_max_width() {
         let coo = CooMatrix::from_triplets(2, 10, vec![(0, 0, 1.0), (1, 9, 2.0)]).unwrap();
-        let data = MatrixData::encode(&coo, &MatrixFormat::Coo).unwrap();
-        let ranges = bounded(&data, 64, 4).unwrap();
+        let ranges = bounded(&coo, 64, 4).unwrap();
         assert!(ranges.iter().all(|&(a, b)| b - a <= 4));
         assert_eq!(ranges.first().unwrap().0, 0);
         assert_eq!(ranges.last().unwrap().1, 10);
@@ -644,16 +661,22 @@ mod tests {
         ]
     }
 
-    /// A random operand in `fmt` (zero-sized dimensions, empty rows and
-    /// columns and ±inf included), with explicit stored zeros wherever
-    /// the format can hold them.
-    fn random_operand(rng: &mut Rng, fmt: MatrixFormat) -> MatrixData {
+    /// A random COO: zero-sized dimensions, empty rows and columns, and
+    /// ±inf values included.
+    fn random_coo(rng: &mut Rng) -> CooMatrix {
         let (rows, cols) = (rng.below(9), rng.below(13));
         let n = rng.below(rows * cols + 1);
         let triplets = (0..n)
             .map(|_| (rng.below(rows), rng.below(cols), rng.value()))
             .collect();
-        let coo = CooMatrix::from_triplets(rows, cols, triplets).unwrap();
+        CooMatrix::from_triplets(rows, cols, triplets).unwrap()
+    }
+
+    /// A random operand in `fmt` ([`random_coo`]'s), with explicit stored
+    /// zeros wherever the format can hold them.
+    fn random_operand(rng: &mut Rng, fmt: MatrixFormat) -> MatrixData {
+        let coo = random_coo(rng);
+        let (rows, cols) = (coo.rows(), coo.cols());
         match MatrixData::encode(&coo, &fmt).unwrap() {
             MatrixData::Csr(c) => {
                 let (rows, cols, row_ptr, col_ids, mut values) = c.into_parts();
@@ -715,61 +738,117 @@ mod tests {
         ranges
     }
 
-    fn random_policy(rng: &mut Rng) -> TilePolicy {
-        match rng.below(3) {
-            0 => TilePolicy::Whole,
-            1 => TilePolicy::Uniform {
-                width: rng.below(5),
-            },
-            _ => TilePolicy::Bounded {
-                max_row_entries: rng.below(4),
-                max_width: [1, 2, 5, usize::MAX][rng.below(4)],
-            },
-        }
-    }
-
     /// Bitwise comparison: `Debug` prints every `f64` exactly, signed
     /// zeros and NaN included.
     fn bits<T: std::fmt::Debug>(x: &T) -> String {
         format!("{x:?}")
     }
 
+    /// The schedule and the cut from triplets are those of the operand
+    /// encoded in any format. The schedule's ranges cover every column in
+    /// order and count the entries the encoded operand's walk emits in
+    /// each, and a `Bounded` range is the widest that keeps every row
+    /// within budget. The cut equals [`tile_column_ranges`] of the encoded
+    /// operand bit for bit, on the schedule's ranges and on ranges with
+    /// gaps.
     #[test]
-    fn schedules_and_cuts_keep_every_entry_of_random_operands() {
+    fn schedules_and_cuts_from_triplets_match_the_encoded_operand() {
+        let mut rng = Rng(0x7a11);
+        for case in 0..300 {
+            let coo = random_coo(&mut rng);
+            let (rows, cols) = (coo.rows(), coo.cols());
+            let width = rng.below(5);
+            let (max_row_entries, max_width) =
+                (1 + rng.below(3), [1, 2, 5, usize::MAX][rng.below(4)]);
+            let policies = [
+                TilePolicy::Whole,
+                TilePolicy::Uniform { width },
+                TilePolicy::Bounded {
+                    max_row_entries,
+                    max_width,
+                },
+            ];
+            let gaps = random_ranges(&mut rng, cols);
+            for fmt in all_formats() {
+                let data = MatrixData::encode(&coo, &fmt).unwrap();
+                let mut walked = Vec::new();
+                data.row_stream()
+                    .for_each_fiber(&mut |r, cs, _| walked.extend(cs.iter().map(|&c| (r, c))));
+                let in_cols =
+                    |c0: usize, c1: usize| walked.iter().filter(move |e| (c0..c1).contains(&e.1));
+                let busiest_row = |c0, c1| {
+                    (0..rows)
+                        .map(|r| in_cols(c0, c1).filter(|e| e.0 == r).count())
+                        .max()
+                        .unwrap_or(0)
+                };
+                for policy in policies {
+                    let s = plan_column_schedule(&coo, policy).unwrap();
+                    let what = || format!("case {case}: {fmt} under {policy}");
+                    match policy {
+                        TilePolicy::Whole => assert_eq!(s.ranges, [(0, cols)], "{}", what()),
+                        TilePolicy::Uniform { width } => {
+                            assert_eq!(s.ranges, uniform_column_ranges(cols, width), "{}", what());
+                        }
+                        TilePolicy::Bounded { .. } => {
+                            let end = s
+                                .ranges
+                                .iter()
+                                .try_fold(0, |c, &(c0, c1)| (c0 == c && c1 > c0).then_some(c1));
+                            assert_eq!(end, Some(cols), "{}", what());
+                            for &(c0, c1) in &s.ranges {
+                                assert!(c1 - c0 <= max_width, "{}", what());
+                                assert!(busiest_row(c0, c1) <= max_row_entries, "{}", what());
+                                let widest = c1 == cols
+                                    || c1 - c0 == max_width
+                                    || busiest_row(c0, c1 + 1) > max_row_entries;
+                                assert!(widest, "{}: ({c0}, {c1}) could widen", what());
+                            }
+                        }
+                    }
+                    let nnz: Vec<usize> = s
+                        .ranges
+                        .iter()
+                        .map(|&(c0, c1)| in_cols(c0, c1).count())
+                        .collect();
+                    assert_eq!(nnz, s.tile_nnz, "{}", what());
+                    let cut = cut_schedule(&coo, &fmt, &s).unwrap();
+                    let want = tile_column_ranges(&data, &s.ranges).unwrap();
+                    assert_eq!(bits(&cut), bits(&want), "{}", what());
+                }
+                // Counts are only a presize: ranges with gaps and no counts.
+                let uncounted = ColumnSchedule {
+                    policy: TilePolicy::Whole,
+                    ranges: gaps.clone(),
+                    tile_nnz: Vec::new(),
+                };
+                let cut = cut_schedule(&coo, &fmt, &uncounted).unwrap();
+                let want = tile_column_ranges(&data, &gaps).unwrap();
+                assert_eq!(
+                    bits(&cut),
+                    bits(&want),
+                    "case {case}: {fmt} cut at {gaps:?}"
+                );
+            }
+        }
+    }
+
+    /// The cut of an operand that stores explicit zeros: each tile is the
+    /// operand's own format, holding exactly the operand's entries in its
+    /// columns, with the zeros dropped.
+    #[test]
+    fn cuts_keep_every_entry_of_random_operands() {
         let mut rng = Rng(0x5eed);
         for case in 0..400 {
             for fmt in all_formats() {
                 let data = random_operand(&mut rng, fmt);
                 let cols = data.cols();
-                for _ in 0..3 {
-                    let policy = random_policy(&mut rng);
-                    let Some(s) = plan_column_schedule(&data, policy) else {
-                        continue;
-                    };
-                    // The ranges cover every column, in order, and count
-                    // the entries the operand stores in each.
-                    let what = || format!("case {case}: {fmt} schedule under {policy}");
-                    let end = s
-                        .ranges
-                        .iter()
-                        .try_fold(0, |c, &(c0, c1)| (c0 == c).then_some(c1));
-                    assert_eq!(end, Some(cols), "{}", what());
-                    let mut nnz = vec![0; s.ranges.len()];
-                    data.row_stream().for_each_fiber(&mut |_, cs, _| {
-                        for &c in cs {
-                            nnz[s.ranges.partition_point(|r| r.1 <= c)] += 1;
-                        }
-                    });
-                    assert_eq!(nnz, s.tile_nnz, "{}", what());
-                }
                 let entries: Vec<_> = data.to_coo().iter().collect();
                 for ranges in [
                     vec![(0, cols)],
                     uniform_column_ranges(cols, 1),
                     random_ranges(&mut rng, cols),
                 ] {
-                    // Each tile is the operand's own format, holding
-                    // exactly the operand's entries in its columns.
                     let tiles = tile_column_ranges(&data, &ranges).unwrap();
                     assert_eq!(tiles.len(), ranges.len());
                     for (t, &(c0, c1)) in tiles.iter().zip(&ranges) {
@@ -792,6 +871,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cut_rejects_unencodable_formats_before_any_range() {
+        let empty = CooMatrix::empty(4, 0);
+        let s = plan_column_schedule(&empty, TilePolicy::Uniform { width: 2 }).unwrap();
+        assert!(s.is_empty());
+        assert_eq!(
+            cut_schedule(&empty, &MatrixFormat::Rlc { run_bits: 64 }, &s).unwrap_err(),
+            FormatError::Unsupported("RLC run field wider than 63 bits")
+        );
+        assert_eq!(
+            cut_schedule(&empty, &MatrixFormat::Bsr { br: 2, bc: 0 }, &s).unwrap_err(),
+            FormatError::InvalidBlockSize { block: 0 }
+        );
     }
 
     #[test]

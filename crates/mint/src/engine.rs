@@ -12,10 +12,12 @@
 //! source's walk collected by `to_coo` (and, for CSF,
 //! [`CsfTensor::from_coo`]), CSR→BSR [`BsrMatrix::from_coo`]. Every other
 //! matrix pair is charged the blocks decoding the source and encoding the
-//! target would occupy. Two of them build the target directly: CSC→CSR
-//! returns the counting sort of [`convert::csc_to_csr`] and COO→CSR
-//! [`CsrMatrix::from_coo`]. The rest build it straight from the source's
-//! own layout ([`MatrixData::convert_to`]).
+//! target would occupy. Four of them build the target directly: CSC→CSR
+//! returns the counting sort of [`convert::csc_to_csr`], COO→CSR
+//! [`CsrMatrix::from_coo`], and ZVC→Dense and ZVC→CSC read the source's
+//! mask in place ([`convert::zvc_to_dense`], [`convert::zvc_to_csc`]).
+//! The rest build it straight from the source's own layout
+//! ([`MatrixData::convert_to`]).
 
 use crate::blocks::{
     small_op_cycles, ClusterCounter, DivModArray, MemController, PrefixSumUnit, SortingNetwork,
@@ -379,10 +381,12 @@ impl ConversionEngine {
     /// Generic any→any matrix conversion. Fig. 8's direct paths run their
     /// blocks; every other pair is charged the blocks a decode into the
     /// hub and an encode out of it occupy. CSC→CSR returns
-    /// [`convert::csc_to_csr`]'s counting sort and COO→CSR
-    /// [`CsrMatrix::from_coo`] (COO is row-sorted and stores no zeros);
-    /// every other pair builds the target straight from the source's own
-    /// layout, with no COO hub.
+    /// [`convert::csc_to_csr`]'s counting sort, COO→CSR
+    /// [`CsrMatrix::from_coo`] (COO is row-sorted and stores no zeros),
+    /// and ZVC→Dense and ZVC→CSC scatter the source mask's set bits
+    /// ([`convert::zvc_to_dense`], [`convert::zvc_to_csc`]); every other
+    /// pair builds the target straight from the source's own layout, with
+    /// no COO hub.
     pub fn convert_matrix(
         &self,
         data: &MatrixData,
@@ -411,6 +415,10 @@ impl ConversionEngine {
         let out = match (data, target) {
             (MatrixData::Csc(c), MatrixFormat::Csr) => MatrixData::Csr(convert::csc_to_csr(c)),
             (MatrixData::Coo(c), MatrixFormat::Csr) => MatrixData::Csr(CsrMatrix::from_coo(c)),
+            (MatrixData::Zvc(z), MatrixFormat::Dense) => {
+                MatrixData::Dense(convert::zvc_to_dense(z))
+            }
+            (MatrixData::Zvc(z), MatrixFormat::Csc) => MatrixData::Csc(convert::zvc_to_csc(z)),
             _ => data.convert_to(target)?,
         };
         let kept = out.nnz() as u64;

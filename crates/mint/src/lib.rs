@@ -26,8 +26,9 @@
 //! blocks a decode into COO and an encode out of it occupy, and builds
 //! its target with no COO hub: CSC→CSR by a counting sort on row ids
 //! (Fig. 8c with rows and columns swapped), COO→CSR by
-//! `CsrMatrix::from_coo`, and the rest straight from the source's own
-//! layout. The [`cost`] module
+//! `CsrMatrix::from_coo`, ZVC→Dense by scattering the mask's set bits,
+//! ZVC→CSC by a counting sort on their columns, and the rest straight
+//! from the source's own layout. The [`cost`] module
 //! provides the closed-form cost model SAGE queries, and the [`tiled`]
 //! module the double-buffered overlap schedule shared by the pipelined
 //! runtime and SAGE.
