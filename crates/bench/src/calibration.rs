@@ -10,7 +10,7 @@
 //! `results/BENCH_calibration.json` snapshot CI uploads.
 
 use crate::pipeline::bench_system;
-use sparseflex_core::{PlanDiscipline, Planner};
+use sparseflex_core::Planner;
 use sparseflex_formats::{DataType, SparseMatrix};
 use sparseflex_sage::SageWorkload;
 use sparseflex_workloads::synth::random_matrix;
@@ -68,7 +68,7 @@ pub fn measure() -> CalibrationMeasurement {
         let mut err_sum = 0.0;
         for (a, b, w) in &operands {
             let plan = planner
-                .plan(&sys.sage, a, b, w, None, PlanDiscipline::Pipelined)
+                .plan(&sys.sage, a, b, w, None)
                 .expect("calibration shape plans");
             let run = planner
                 .execute_plan(&sys.sage, &plan, a, b)

@@ -8,7 +8,7 @@
 //! machine-readable `results/BENCH_pipeline.json` perf snapshot that CI
 //! uploads, so the perf trajectory is tracked across PRs.
 
-use sparseflex_core::{BatchJob, FlexSystem, PipelineRun, PlanDiscipline};
+use sparseflex_core::{BatchJob, FlexSystem, PipelineRun};
 use sparseflex_formats::{DataType, MatrixFormat, SparseMatrix};
 use sparseflex_sage::{FormatChoice, SageWorkload};
 use sparseflex_workloads::synth::random_matrix;
@@ -93,7 +93,7 @@ fn exhibit_run(
         acf_a: MatrixFormat::Csr,
         acf_b: MatrixFormat::Csc,
     };
-    sys.run(a, b, &w, Some(&choice), PlanDiscipline::Pipelined)
+    sys.run(a, b, &w, Some(&choice))
         .expect("exhibit workload runs")
 }
 

@@ -20,9 +20,7 @@
 //! - [`FlexSystem::run`] — [`Planner::plan`] then
 //!   [`Planner::execute_plan`]. SAGE searches the format space, or the
 //!   caller pins a [`sparseflex_sage::FormatChoice`]; either way the
-//!   evaluation is cached. [`PlanDiscipline::Monolithic`] schedules one
-//!   tile (whole-operand conversion strictly before compute);
-//!   [`PlanDiscipline::Pipelined`] cuts the stationary operand into
+//!   evaluation is cached. The plan cuts the stationary operand into
 //!   scratchpad-sized column tiles and MINT converts tile *t+1* while
 //!   the array computes tile *t* (double-buffered), lifting the
 //!   one-residency operand limit and exposing overlapped vs serial cycle

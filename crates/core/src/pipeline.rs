@@ -1,21 +1,21 @@
 //! The tile-grained run record and the batched front-end over the
 //! planner layer.
 //!
-//! A [`PlanDiscipline::Pipelined`] plan cuts the stationary operand into
-//! scratchpad-sized column tiles, and the shared executor
+//! Every plan cuts the stationary operand into scratchpad-sized column
+//! tiles, and the shared executor
 //! ([`execute_plan`](crate::planner::Planner::execute_plan)) has MINT
 //! convert tile *t+1* while the array computes tile *t*
-//! (double-buffered). Every run — monolithic (one tile) or pipelined —
-//! yields a [`PipelineRun`], which reports both the overlapped and serial
-//! cycle totals, so the paper's "conversion is cheap because it overlaps"
-//! claim is measured end-to-end rather than assumed. It is also the one
+//! (double-buffered). Every run yields a [`PipelineRun`], which reports
+//! both the overlapped and the serial cycle totals, so the paper's
+//! "conversion is cheap because it overlaps" claim is measured
+//! end-to-end rather than assumed. It is also the one
 //! predicted-vs-measured record: its tiles are measured against the
 //! plan's per-tile prediction, and that comparison feeds the calibrator.
 //!
 //! Tiling also lifts the residency limit: a stationary operand whose
-//! compressed rows overflow a PE buffer (the recoverable
-//! [`RunError::StationaryTooLarge`]) is split until every stationary
-//! unit fits, so workloads a monolithic plan rejects run here.
+//! compressed rows overflow a PE buffer is split until every stationary
+//! unit fits, so it runs. Only a PE buffer of fewer than 2 slots fails,
+//! with [`RunError::StationaryTooLarge`].
 //!
 //! One job's tiles run in schedule order on the thread that executes the
 //! job: as in the paper, one array streams a job's tiles, and the
@@ -29,7 +29,6 @@
 //! shape's MCF×ACF search once.
 
 use crate::plan::ExecutionPlan;
-use crate::planner::PlanDiscipline;
 use crate::system::{FlexSystem, RunError};
 use sparseflex_accel::exec::{ActivityCounts, CycleBreakdown};
 use sparseflex_formats::{CooMatrix, DenseMatrix, SparseMatrix};
@@ -53,8 +52,7 @@ pub struct TileTrace {
     pub counts: ActivityCounts,
 }
 
-/// Result of executing one [`ExecutionPlan`] (tile-grained or
-/// monolithic — a monolithic run is simply a one-tile plan).
+/// Result of executing one [`ExecutionPlan`], tile by tile.
 #[derive(Debug, Clone)]
 pub struct PipelineRun {
     /// The executed plan: format choice, tile schedule, predicted
@@ -90,8 +88,8 @@ impl PipelineRun {
         self.conv_a.pipelined_cycles() + self.schedule.overlapped_cycles
     }
 
-    /// Wall-clock cycles of the serial convert-then-compute discipline —
-    /// what a [`PlanDiscipline::Monolithic`] run models.
+    /// Wall-clock cycles of serial convert-then-compute: each tile's
+    /// conversion and compute run one after the other, with no overlap.
     pub fn serial_cycles(&self) -> u64 {
         self.conv_a.pipelined_cycles() + self.schedule.serial_cycles
     }
@@ -228,16 +226,15 @@ impl BatchRun {
 }
 
 impl FlexSystem {
-    /// `run(a, b, w, None, PlanDiscipline::Pipelined)`: SAGE plans the
-    /// formats and the tiles are double-buffered. Kept as an alias only
-    /// because the benchmark calls it by this name.
+    /// `run(a, b, w, None)`: SAGE plans the formats. Kept as an alias
+    /// only because the benchmark calls it by this name.
     pub fn run_pipelined(
         &self,
         a: &CooMatrix,
         b: &CooMatrix,
         w: &SageWorkload,
     ) -> Result<PipelineRun, RunError> {
-        self.run(a, b, w, None, PlanDiscipline::Pipelined)
+        self.run(a, b, w, None)
     }
 
     /// Serve a batch of independent workloads across parallel virtual
@@ -253,8 +250,8 @@ impl FlexSystem {
     /// on the same system, since the planner (and its cache) persists.
     ///
     /// Each job runs [`run`](Self::run)'s plan-then-execute sequence with
-    /// SAGE planning and the pipelined discipline; this is a fan-out over
-    /// jobs, not another planning variant.
+    /// SAGE planning; this is a fan-out over jobs, not another planning
+    /// variant.
     pub fn run_batch(&self, jobs: &[BatchJob]) -> BatchRun {
         let planner = &self.planner;
         let before = planner.cache.counters();
@@ -275,14 +272,7 @@ impl FlexSystem {
                 for (job, slot) in jobs[range].iter().zip(chunk) {
                     *slot = Some(
                         planner
-                            .plan(
-                                &self.sage,
-                                &job.a,
-                                &job.b,
-                                &job.workload,
-                                None,
-                                PlanDiscipline::Pipelined,
-                            )
+                            .plan(&self.sage, &job.a, &job.b, &job.workload, None)
                             .and_then(|plan| {
                                 let counter = if plan.from_cache { &hits } else { &misses };
                                 counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -310,7 +300,8 @@ impl FlexSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparseflex_formats::{DataType, MatrixFormat};
+    use sparseflex_accel::exec::{simulate_spgemm, SimError};
+    use sparseflex_formats::{CsrMatrix, DataType, MatrixFormat};
     use sparseflex_kernels::gemm::gemm_naive;
     use sparseflex_sage::FormatChoice;
     use sparseflex_workloads::synth::random_matrix;
@@ -333,17 +324,20 @@ mod tests {
         )
     }
 
+    /// A run over several tiles equals the software product bit for bit:
+    /// every output cell adds its products in ascending `k`, as
+    /// `gemm_naive` does.
     #[test]
     fn pipelined_output_matches_monolithic_run() {
         let sys = small_system();
         let a = random_matrix(24, 32, 90, 1);
         let b = random_matrix(32, 40, 120, 2);
         let w = spgemm_workload(&a, &b);
-        let mono = sys
-            .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
-            .unwrap();
+        let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
+        let first = sys.run(&a, &b, &w, None).unwrap();
         let piped = sys.run_pipelined(&a, &b, &w).unwrap();
-        assert_eq!(piped.output, mono.output, "tiling changed the product");
+        assert_eq!(first.output, expect, "tiling changed the product");
+        assert_eq!(piped.output, expect, "tiling changed the product");
         assert!(piped.tiles.len() > 1, "operand should span several tiles");
         // The second planning of the same workload stats hit the cache.
         assert!(piped.plan_cached(), "second run of the shape must hit");
@@ -352,8 +346,8 @@ mod tests {
     #[test]
     fn oversized_stationary_rows_recover_through_the_pipeline() {
         // One B row holds 16 entries; 8-slot PE buffers (4 pairs) cannot
-        // hold it, so the monolithic SpGEMM path fails with the typed,
-        // recoverable error — and the tiler splits it until it fits.
+        // hold it, so the simulator rejects B as one tile — and the tiler
+        // splits it until it fits.
         let mut sys = FlexSystem::default();
         sys.sage.accel.num_pes = 4;
         sys.sage.accel.pe_buffer_elems = 8;
@@ -369,18 +363,21 @@ mod tests {
             acf_b: MatrixFormat::Csr,
         };
 
-        let mono = sys.run(&a, &b, &w, Some(&choice), PlanDiscipline::Monolithic);
-        match mono {
-            Err(ref e @ RunError::StationaryTooLarge { needed, available }) => {
-                assert_eq!(needed, 32);
-                assert_eq!(available, 8);
-                assert!(e.is_recoverable());
-            }
-            other => panic!("expected StationaryTooLarge, got {other:?}"),
-        }
+        let whole = simulate_spgemm(
+            &CsrMatrix::from_coo(&a),
+            &CsrMatrix::from_coo(&b),
+            &sys.sage.accel,
+        );
+        assert_eq!(
+            whole.err(),
+            Some(SimError::BufferTooSmall {
+                needed: 32,
+                available: 8
+            })
+        );
 
         let piped = sys
-            .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
+            .run(&a, &b, &w, Some(&choice))
             .expect("the tiler renders the rejection unreachable");
         let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
         assert!(piped.output.approx_eq(&expect, 1e-9));
@@ -402,9 +399,7 @@ mod tests {
             acf_a: MatrixFormat::Csr,
             acf_b: MatrixFormat::Csc,
         };
-        let run = sys
-            .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
-            .unwrap();
+        let run = sys.run(&a, &b, &w, Some(&choice)).unwrap();
         assert!(run.tiles.len() >= 2);
         assert!(
             run.overlapped_cycles() < run.serial_cycles(),
@@ -480,8 +475,7 @@ mod tests {
     #[test]
     fn sub_pair_buffers_are_unrecoverable() {
         // A 1-slot PE buffer cannot hold even one compressed pair; no
-        // tiling fixes that, so the pipeline fails with the same typed
-        // error flagged *unrecoverable* (no retry loop).
+        // tiling fixes that, so the run fails with the typed error.
         let mut sys = FlexSystem::default();
         sys.sage.accel.num_pes = 4;
         sys.sage.accel.pe_buffer_elems = 1;
@@ -494,12 +488,13 @@ mod tests {
             acf_a: MatrixFormat::Csr,
             acf_b: MatrixFormat::Csr,
         };
-        match sys.run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined) {
-            Err(e @ RunError::StationaryTooLarge { .. }) => {
-                assert!(!e.is_recoverable(), "no tiling can fix a 1-slot buffer")
-            }
-            other => panic!("expected unrecoverable StationaryTooLarge, got {other:?}"),
-        }
+        assert_eq!(
+            sys.run(&a, &b, &w, Some(&choice)).err(),
+            Some(RunError::StationaryTooLarge {
+                needed: 2,
+                available: 1
+            })
+        );
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //! only on a miss — the full search, or the one pinned choice — cuts the
 //! stationary operand's column-tile schedule, and fills the per-tile
 //! cycle prediction from SAGE's statistics, scaled by the calibrator's
-//! current coefficients. [`Planner::execute_plan`] is the *only* place
+//! current coefficients. The schedule depends on the dataflow alone:
+//! Gustavson plans cut `Bounded` tiles and weight-stationary plans cut
+//! `Uniform` ones. [`Planner::execute_plan`] is the *only* place
 //! operands meet the accelerator: the double-buffered convert∥compute
-//! stage machine that every run, monolithic, pipelined or batched,
-//! executes — so they cannot diverge. Its [`PipelineRun`] measures each
-//! tile against the prediction and feeds the calibrator.
+//! stage machine that every run, single or batched, executes — so they
+//! cannot diverge. Its [`PipelineRun`] measures each tile against the
+//! prediction and feeds the calibrator.
 
 use crate::calibrate::{Calibrator, Coefficients};
 use crate::lock_clean;
@@ -50,15 +52,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
-/// Which tiling discipline a plan should schedule.
+/// The one plan discipline: scratchpad-sized column tiles with
+/// double-buffered conversion. Only [`Planner::plan_pinned`] takes it,
+/// and ignores it, because the benchmark's traced replay passes it; it
+/// goes away with that replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanDiscipline {
-    /// One tile spanning the whole stationary operand (the classic
-    /// convert-everything-then-compute path; operands must fit one
-    /// scratchpad residency or execution fails recoverably).
-    Monolithic,
-    /// Scratchpad-sized column tiles with double-buffered conversion
-    /// (the pipelined runtime; lifts the residency limit).
+    /// Scratchpad-sized column tiles, MINT converting tile *t+1* while
+    /// the array computes tile *t*.
     Pipelined,
 }
 
@@ -425,7 +426,7 @@ impl Planner {
 
     /// Plan one job: the SAGE evaluation (served from the cache or
     /// computed on a miss), then the tile schedule and cycle prediction
-    /// for `discipline`.
+    /// for the evaluation's dataflow.
     ///
     /// With `pin: None`, SAGE searches the full MCF×ACF space and the row
     /// is keyed on the workload. With `Some(choice)`, SAGE evaluates only
@@ -441,7 +442,6 @@ impl Planner {
         b: &CooMatrix,
         w: &SageWorkload,
         pin: Option<&FormatChoice>,
-        discipline: PlanDiscipline,
     ) -> Result<ExecutionPlan, RunError> {
         let (evaluation, from_cache) = match pin {
             None => self.evaluate_cached(sage, w),
@@ -456,7 +456,7 @@ impl Planner {
                     })?
             }
         };
-        let mut plan = self.plan_pinned(sage, a, b, *w, evaluation, discipline)?;
+        let mut plan = self.plan_pinned(sage, a, b, *w, evaluation, PlanDiscipline::Pipelined)?;
         plan.from_cache = from_cache;
         Ok(plan)
     }
@@ -467,7 +467,8 @@ impl Planner {
     /// traced replay times each step separately. The schedule is planned
     /// from B's triplets, so B is not encoded here. The returned plan is
     /// marked `from_cache: false`; callers relaying a cached evaluation
-    /// set the field themselves.
+    /// set the field themselves. `_discipline` is ignored (see
+    /// [`PlanDiscipline`]).
     pub fn plan_pinned(
         &self,
         sage: &Sage,
@@ -475,7 +476,7 @@ impl Planner {
         b: &CooMatrix,
         workload: SageWorkload,
         evaluation: Evaluation,
-        discipline: PlanDiscipline,
+        _discipline: PlanDiscipline,
     ) -> Result<ExecutionPlan, RunError> {
         if a.cols() != b.rows() {
             return Err(RunError::ShapeMismatch {
@@ -492,11 +493,10 @@ impl Planner {
             Dataflow::WeightStationary
         };
 
-        // ---- Tile schedule: cut the stationary operand per discipline.
+        // ---- Tile schedule: cut the stationary operand per dataflow.
         let residency = accel.num_pes.max(1);
-        let policy = match (discipline, dataflow) {
-            (PlanDiscipline::Monolithic, _) => TilePolicy::Whole,
-            (PlanDiscipline::Pipelined, Dataflow::GustavsonSpGemm) => TilePolicy::Bounded {
+        let policy = match dataflow {
+            Dataflow::GustavsonSpGemm => TilePolicy::Bounded {
                 // Gustavson PEs buffer whole compressed row segments (2
                 // slots per entry): cap per-row entries per tile so no
                 // stationary unit can overflow a buffer.
@@ -505,9 +505,7 @@ impl Planner {
             },
             // WS tiles are one array residency wide (`num_pes` stationary
             // columns); the simulator splits K internally.
-            (PlanDiscipline::Pipelined, Dataflow::WeightStationary) => {
-                TilePolicy::Uniform { width: residency }
-            }
+            Dataflow::WeightStationary => TilePolicy::Uniform { width: residency },
         };
         let schedule = plan_column_schedule(b, policy).ok_or(RunError::StationaryTooLarge {
             needed: 2,
@@ -950,11 +948,7 @@ mod tests {
         let b = random_matrix(32, 20, 60, 2);
         let w = SageWorkload::spgemm(24, 32, 20, 80, 60, DataType::Fp32);
         let best = sage.recommend(&w).best;
-        let plan = |pin| {
-            planner
-                .plan(&sage, &a, &b, &w, pin, PlanDiscipline::Pipelined)
-                .unwrap()
-        };
+        let plan = |pin| planner.plan(&sage, &a, &b, &w, pin).unwrap();
         assert!(!plan(None).from_cache);
         // SAGE's own winner, pinned: the same evaluation, in its own row.
         let pinned = plan(Some(&best.choice));
@@ -996,16 +990,7 @@ mod tests {
         let mut dataflows = Vec::new();
         for (job, batched) in jobs.iter().zip(&batch.results) {
             let batched = batched.as_ref().unwrap();
-            let solo = with_workers(1, || {
-                sys.run(
-                    &job.a,
-                    &job.b,
-                    &job.workload,
-                    None,
-                    PlanDiscipline::Pipelined,
-                )
-            })
-            .unwrap();
+            let solo = with_workers(1, || sys.run(&job.a, &job.b, &job.workload, None)).unwrap();
             assert_eq!(bits(&batched.output), bits(&solo.output));
             assert_eq!(batched.tiles.len(), solo.tiles.len());
             for (t, s) in batched.tiles.iter().zip(&solo.tiles) {

@@ -2,7 +2,7 @@
 //! execution.
 
 use crate::pipeline::PipelineRun;
-use crate::planner::{PlanDiscipline, Planner};
+use crate::planner::Planner;
 use sparseflex_accel::exec::SimError;
 use sparseflex_accel::taxonomy::AcceleratorClass;
 use sparseflex_formats::{
@@ -11,18 +11,17 @@ use sparseflex_formats::{
 use sparseflex_sage::{Evaluation, FormatChoice, Sage, SageWorkload};
 use std::fmt;
 
-/// Errors an end-to-end run can raise, typed so callers can distinguish
-/// the recoverable cases from genuine misconfiguration.
+/// Errors an end-to-end run can raise. None is recoverable: the same job
+/// on the same system fails the same way again.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// An indivisible stationary unit (one compressed column or row of
     /// the stationary operand) needs more PE-buffer slots than exist.
     ///
-    /// Usually **recoverable** (see [`RunError::is_recoverable`]): a
-    /// [`PlanDiscipline::Pipelined`] plan splits the stationary operand
-    /// into column tiles until every unit fits, so the same workload
-    /// runs there. Only a buffer too small for even a single compressed
-    /// pair (`available < 2`) cannot be tiled around.
+    /// Every plan splits the stationary operand into column tiles until
+    /// each unit fits, so a run returns this only when a PE buffer holds
+    /// fewer than 2 slots, too few for one compressed `(index, value)`
+    /// pair. No tiling can fix that, so it is not recoverable.
     StationaryTooLarge {
         /// Slots the indivisible unit requires.
         needed: usize,
@@ -52,30 +51,13 @@ pub enum RunError {
     Format(FormatError),
 }
 
-impl RunError {
-    /// True when retrying through the tiled pipeline can succeed: the
-    /// stationary operand merely exceeded one scratchpad residency, and
-    /// the buffer can hold at least one compressed `(index, value)` pair
-    /// — the narrowest unit column tiling can produce. A buffer below two
-    /// slots cannot be fixed by any tiling, so it is reported as
-    /// unrecoverable (retry loops would fail identically forever).
-    pub fn is_recoverable(&self) -> bool {
-        matches!(self, RunError::StationaryTooLarge { available, .. } if *available >= 2)
-    }
-}
-
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunError::StationaryTooLarge { needed, available } => {
-                let hint = if *available >= 2 {
-                    " (recoverable: run through the tiled pipeline)"
-                } else {
-                    ""
-                };
                 write!(
                     f,
-                    "stationary unit needs {needed} slots, PE buffer has {available}{hint}"
+                    "stationary unit needs {needed} slots, PE buffer has {available}"
                 )
             }
             RunError::UnsupportedChoice { a, b } => {
@@ -165,22 +147,18 @@ impl FlexSystem {
     /// they would arrive from DRAM; MINT converts them to the ACFs and the
     /// cycle-accurate simulator executes every tile.
     ///
-    /// A [`PlanDiscipline::Monolithic`] plan has exactly one tile: the
-    /// whole operand is converted strictly before compute, and a
-    /// stationary operand larger than one scratchpad residency fails with
-    /// the recoverable [`RunError::StationaryTooLarge`].
-    /// [`PlanDiscipline::Pipelined`] cuts scratchpad-sized column tiles
-    /// instead, and MINT converts tile *t+1* while the array computes
-    /// tile *t*.
+    /// The plan cuts the stationary operand into scratchpad-sized column
+    /// tiles, and MINT converts tile *t+1* while the array computes tile
+    /// *t*. The returned [`PipelineRun`] reports that overlapped total
+    /// beside the serial convert-then-compute one.
     pub fn run(
         &self,
         a: &CooMatrix,
         b: &CooMatrix,
         w: &SageWorkload,
         pin: Option<&FormatChoice>,
-        discipline: PlanDiscipline,
     ) -> Result<PipelineRun, RunError> {
-        let plan = self.planner.plan(&self.sage, a, b, w, pin, discipline)?;
+        let plan = self.planner.plan(&self.sage, a, b, w, pin)?;
         self.planner.execute_plan(&self.sage, &plan, a, b)
     }
 
@@ -238,9 +216,7 @@ mod tests {
         let mut sys = FlexSystem::default();
         sys.sage.accel.num_pes = 8;
         sys.sage.accel.pe_buffer_elems = 64;
-        let run = sys
-            .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
-            .unwrap();
+        let run = sys.run(&a, &b, &w, None).unwrap();
         let expect =
             sparseflex_kernels::gemm::gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
         assert!(
@@ -258,9 +234,7 @@ mod tests {
         let mut sys = FlexSystem::default();
         sys.sage.accel.num_pes = 16;
         sys.sage.accel.pe_buffer_elems = 64;
-        let run = sys
-            .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
-            .unwrap();
+        let run = sys.run(&a, &b, &w, None).unwrap();
         let expect =
             sparseflex_kernels::gemm::gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
         assert!(run.output.approx_eq(&expect, 1e-9));
@@ -318,7 +292,7 @@ mod tests {
             acf_b: MatrixFormat::Coo,
         };
         for _ in 0..2 {
-            let run = sys.run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined);
+            let run = sys.run(&a, &b, &w, Some(&choice));
             assert_eq!(
                 run.err(),
                 Some(RunError::UnsupportedChoice {
@@ -358,7 +332,7 @@ mod tests {
                     acf_a: MatrixFormat::Csr,
                     acf_b: MatrixFormat::Csr,
                 };
-                let run = sys.run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined);
+                let run = sys.run(&a, &b, &w, Some(&choice));
                 assert_eq!(
                     run.err(),
                     Some(RunError::Format(err.clone())),
@@ -392,7 +366,7 @@ mod tests {
                 acf_b,
             };
             let run = sys
-                .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
+                .run(&a, &b, &w, Some(&choice))
                 .unwrap_or_else(|e| panic!("{choice}: {e}"));
             assert_eq!(run.output, DenseMatrix::zeros(3, 4), "{choice}");
         }

@@ -198,13 +198,11 @@ fn widen_ranges(
 ///
 /// This is the *exported* tile-schedule vocabulary: the planning layer in
 /// `sparseflex-core` records the policy it chose inside an execution
-/// plan, so a plan dump names the discipline (`whole` / `uniform` /
-/// `bounded`) instead of an anonymous range list.
+/// plan, so a plan dump names the policy (`uniform` / `bounded`) instead
+/// of an anonymous range list. The dataflow picks it: weight-stationary
+/// plans cut `Uniform` tiles, Gustavson plans `Bounded` ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TilePolicy {
-    /// One tile spanning every column — the monolithic discipline (the
-    /// whole stationary operand must fit one scratchpad residency).
-    Whole,
     /// Fixed-width strips: the geometry of one weight-stationary array
     /// residency.
     Uniform {
@@ -224,7 +222,6 @@ pub enum TilePolicy {
 impl std::fmt::Display for TilePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TilePolicy::Whole => write!(f, "whole (monolithic)"),
             TilePolicy::Uniform { width } => write!(f, "uniform width {width}"),
             TilePolicy::Bounded {
                 max_row_entries,
@@ -283,9 +280,6 @@ impl ColumnSchedule {
 /// same per-column counts the ranges were planned on.
 pub fn plan_column_schedule(b: &CooMatrix, policy: TilePolicy) -> Option<ColumnSchedule> {
     let (ranges, col_ptr) = match policy {
-        // `Whole` keeps exactly one range even for a zero-column operand,
-        // so the monolithic executor always has one tile to run.
-        TilePolicy::Whole => (vec![(0, b.cols())], column_ptr(b)),
         TilePolicy::Uniform { width } => (uniform_column_ranges(b.cols(), width), column_ptr(b)),
         TilePolicy::Bounded {
             max_row_entries,
@@ -568,8 +562,8 @@ mod tests {
     #[test]
     fn column_schedules_cover_and_count() {
         let coo = sample();
-        // Whole: one tile, all nonzeros.
-        let whole = plan_column_schedule(&coo, TilePolicy::Whole).unwrap();
+        // One tile as wide as the operand: all nonzeros.
+        let whole = plan_column_schedule(&coo, TilePolicy::Uniform { width: 11 }).unwrap();
         assert_eq!(whole.ranges, vec![(0, 11)]);
         assert_eq!(whole.tile_nnz, vec![8]);
         assert_eq!(whole.total_nnz(), 8);
@@ -590,15 +584,6 @@ mod tests {
         .is_none());
         // Policy renders for plan dumps.
         assert!(format!("{}", uni.policy).contains("uniform"));
-    }
-
-    #[test]
-    fn whole_schedule_on_zero_columns_keeps_one_tile() {
-        let coo = CooMatrix::from_triplets(3, 0, vec![]).unwrap();
-        let s = plan_column_schedule(&coo, TilePolicy::Whole).unwrap();
-        assert_eq!(s.ranges, vec![(0, 0)]);
-        assert_eq!(s.tile_nnz, vec![0]);
-        assert!(!s.is_empty());
     }
 
     #[test]
@@ -761,7 +746,7 @@ mod tests {
             let (max_row_entries, max_width) =
                 (1 + rng.below(3), [1, 2, 5, usize::MAX][rng.below(4)]);
             let policies = [
-                TilePolicy::Whole,
+                TilePolicy::Uniform { width: cols },
                 TilePolicy::Uniform { width },
                 TilePolicy::Bounded {
                     max_row_entries,
@@ -786,7 +771,6 @@ mod tests {
                     let s = plan_column_schedule(&coo, policy).unwrap();
                     let what = || format!("case {case}: {fmt} under {policy}");
                     match policy {
-                        TilePolicy::Whole => assert_eq!(s.ranges, [(0, cols)], "{}", what()),
                         TilePolicy::Uniform { width } => {
                             assert_eq!(s.ranges, uniform_column_ranges(cols, width), "{}", what());
                         }
@@ -818,7 +802,7 @@ mod tests {
                 }
                 // Counts are only a presize: ranges with gaps and no counts.
                 let uncounted = ColumnSchedule {
-                    policy: TilePolicy::Whole,
+                    policy: TilePolicy::Uniform { width: cols },
                     ranges: gaps.clone(),
                     tile_nnz: Vec::new(),
                 };

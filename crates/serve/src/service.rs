@@ -32,8 +32,7 @@
 
 use crate::wire::{self, WireError, WireJob, WireResult};
 use sparseflex_core::{
-    lock_clean, spawn_worker, BatchJob, CacheCounters, FlexSystem, PlanCache, PlanDiscipline,
-    RunError,
+    lock_clean, spawn_worker, BatchJob, CacheCounters, FlexSystem, PlanCache, RunError,
 };
 use sparseflex_formats::SparseMatrix;
 use std::collections::{HashMap, VecDeque};
@@ -415,13 +414,7 @@ impl Shared {
         } = active;
         let outcome = self
             .system
-            .run(
-                &job.a,
-                &job.b,
-                &job.workload,
-                None,
-                PlanDiscipline::Pipelined,
-            )
+            .run(&job.a, &job.b, &job.workload, None)
             .map_err(ServeError::Run)
             .and_then(|run| {
                 wire::encode_result(&WireResult {

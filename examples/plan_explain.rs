@@ -10,7 +10,7 @@
 
 use sparseflex::formats::{DataType, SparseMatrix};
 use sparseflex::sage::SageWorkload;
-use sparseflex::system::{FlexSystem, PlanDiscipline};
+use sparseflex::system::FlexSystem;
 use sparseflex::workloads::synth::random_matrix;
 
 fn explain_and_run(sys: &FlexSystem, label: &str, m: usize, k: usize, n: usize, nnz: usize) {
@@ -32,7 +32,7 @@ fn explain_and_run(sys: &FlexSystem, label: &str, m: usize, k: usize, n: usize, 
     // Plan without executing: the whole decision is inspectable first.
     let plan = sys
         .planner
-        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None)
         .expect("workload plans");
     println!("{}", plan.explain());
 
@@ -55,7 +55,7 @@ fn explain_and_run(sys: &FlexSystem, label: &str, m: usize, k: usize, n: usize, 
     // evaluation comes out of the bounded LRU plan cache.
     let replanned = sys
         .planner
-        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None)
         .expect("workload replans");
     println!(
         "replanned   : from_cache = {} (no repeated SAGE search)\n",
@@ -93,7 +93,7 @@ fn main() {
     let w = SageWorkload::spgemm(48, 48, 56, a.nnz() as u64, b.nnz() as u64, DataType::Fp32);
     let before = sys
         .planner
-        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None)
         .expect("workload plans");
     let before_run = sys
         .planner
@@ -116,7 +116,7 @@ fn main() {
 
     let after = sys
         .planner
-        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None)
         .expect("workload replans");
     let after_run = sys
         .planner

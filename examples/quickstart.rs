@@ -8,7 +8,7 @@
 use sparseflex::formats::{DataType, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::sage::SageWorkload;
-use sparseflex::system::{FlexSystem, PlanDiscipline};
+use sparseflex::system::FlexSystem;
 use sparseflex::workloads::synth::random_matrix;
 
 fn main() {
@@ -57,23 +57,25 @@ fn main() {
         100.0 * plan.best.utilization,
     );
 
-    // 2-4. Encode in MCF, convert through MINT, execute on the simulator
-    // (monolithic: one tile, whole-operand conversion before compute).
-    let run = system
-        .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
-        .expect("supported ACF pair");
-    let tile = &run.tiles[0];
+    // 2-4. Encode in MCF, cut B into scratchpad-sized column tiles,
+    // convert each through MINT and execute it on the simulator; MINT
+    // converts tile t+1 while the array computes tile t.
+    let run = system.run(&a, &b, &w, None).expect("supported ACF pair");
+    let macs: u64 = run.tiles.iter().map(|t| t.counts.macs).sum();
     println!(
-        "\nfunctional run: {} stream cycles, {} total cycles, {} MACs ({:.1}% effective)",
-        tile.compute.stream_a,
-        tile.compute.total(),
-        tile.counts.macs,
-        100.0 * tile.counts.utilization(),
+        "\nfunctional run: {} tiles, {} compute cycles, {} MACs",
+        run.tiles.len(),
+        run.compute_cycles(),
+        macs,
     );
     println!(
-        "MINT conversion: A {} cycles, B {} cycles (pipelined)",
-        run.conv_a.pipelined_cycles(),
-        tile.conv.pipelined_cycles()
+        "MINT conversion: {} cycles (A once, then every B tile)",
+        run.conversion_cycles()
+    );
+    println!(
+        "pipelined: {} cycles with conversion overlapped, {} serial",
+        run.overlapped_cycles(),
+        run.serial_cycles()
     );
 
     // Verify against the software kernel.

@@ -6,7 +6,7 @@
 
 use sparseflex::formats::{CooMatrix, DataType, SparseMatrix};
 use sparseflex::sage::SageWorkload;
-use sparseflex::system::{Coefficients, FlexSystem, PlanDiscipline};
+use sparseflex::system::{Coefficients, FlexSystem};
 use sparseflex::workloads::synth::random_matrix;
 
 fn small_system() -> FlexSystem {
@@ -41,7 +41,7 @@ fn a_refit_keeps_every_cached_row() {
 
     let plan = sys
         .planner
-        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None)
         .expect("plans");
     sys.planner
         .execute_plan(&sys.sage, &plan, &a, &b)
@@ -59,7 +59,7 @@ fn a_refit_keeps_every_cached_row() {
 
     let replanned = sys
         .planner
-        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None)
         .expect("replans");
     sys.planner.evaluate_cached(&sys.sage, &w2);
     let delta = sys.planner.cache.counters().since(before);
@@ -91,7 +91,7 @@ fn plans_record_and_explain_their_calibration_generation() {
 
     let plan = sys
         .planner
-        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None)
         .expect("plans");
     assert_eq!(plan.calibration_generation, 0);
     assert!(
@@ -103,7 +103,7 @@ fn plans_record_and_explain_their_calibration_generation() {
     sys.planner.calibrator.recalibrate();
     let replanned = sys
         .planner
-        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None)
         .expect("replans");
     assert!(replanned.from_cache, "a refit keeps the cached evaluation");
     assert_eq!(replanned.calibration_generation, 1);
@@ -130,9 +130,7 @@ fn a_run_is_descaled_by_the_coefficients_its_plan_used() {
         sys.sage.accel.num_pes = 4;
         sys.sage.accel.pe_buffer_elems = 64;
         let plan = |(a, b, w): &(CooMatrix, CooMatrix, SageWorkload)| {
-            sys.planner
-                .plan(&sys.sage, a, b, w, None, PlanDiscipline::Pipelined)
-                .expect("plans")
+            sys.planner.plan(&sys.sage, a, b, w, None).expect("plans")
         };
         let plan_x = plan(&x);
         sys.planner
@@ -176,10 +174,7 @@ fn three_calibration_rounds_strictly_tighten_prediction_error() {
         assert_eq!(sys.planner.calibrator.generation(), round);
         let mut err = 0.0;
         for (a, b, w) in &operands {
-            let plan = sys
-                .planner
-                .plan(&sys.sage, a, b, w, None, PlanDiscipline::Pipelined)
-                .expect("plans");
+            let plan = sys.planner.plan(&sys.sage, a, b, w, None).expect("plans");
             let run = sys
                 .planner
                 .execute_plan(&sys.sage, &plan, a, b)

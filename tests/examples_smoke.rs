@@ -7,7 +7,7 @@
 use sparseflex::formats::{DataType, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::sage::SageWorkload;
-use sparseflex::system::{FlexSystem, PlanDiscipline};
+use sparseflex::system::FlexSystem;
 use sparseflex::workloads::synth::random_matrix;
 
 /// The quickstart scenario end-to-end, on a slightly smaller problem so
@@ -45,12 +45,14 @@ fn quickstart_path_end_to_end() {
         plan.best.utilization
     );
 
-    // 2-4. Encode in MCF, convert through MINT, execute on the simulator.
-    let run = system
-        .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
-        .expect("supported ACF pair");
-    assert!(run.tiles[0].compute.total() > 0);
-    assert!(run.tiles[0].counts.macs > 0);
+    // 2-4. Encode in MCF, cut B into column tiles, convert each through
+    // MINT and execute it on the simulator. The example prints the run's
+    // totals over every tile.
+    let run = system.run(&a, &b, &w, None).expect("supported ACF pair");
+    assert!(run.tiles.len() > 1, "B spans several tiles");
+    assert!(run.compute_cycles() > 0);
+    assert!(run.tiles.iter().map(|t| t.counts.macs).sum::<u64>() > 0);
+    assert!(run.overlapped_cycles() <= run.serial_cycles());
 
     // The accelerator output must match the software kernel exactly
     // (integer-valued fixtures keep f64 arithmetic exact).
@@ -90,7 +92,7 @@ fn plan_explain_path_end_to_end() {
         let w = SageWorkload::spgemm(m, k, n, a.nnz() as u64, b.nnz() as u64, DataType::Fp32);
         let plan = sys
             .planner
-            .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+            .plan(&sys.sage, &a, &b, &w, None)
             .expect("workload plans");
         let text = plan.explain();
         assert!(text.contains(&format!("SpGEMM {m}x{k}x{n}")), "{text}");
@@ -104,7 +106,7 @@ fn plan_explain_path_end_to_end() {
         // Replanning the same shape hits the cache, and explain says so.
         let again = sys
             .planner
-            .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+            .plan(&sys.sage, &a, &b, &w, None)
             .expect("workload replans");
         assert!(again.from_cache);
         assert!(again.explain().contains("plan-cache hit"));
@@ -129,7 +131,7 @@ fn plan_explain_path_end_to_end() {
     let w = SageWorkload::spgemm(m, k, n, a.nnz() as u64, b.nnz() as u64, DataType::Fp32);
     let recal = sys
         .planner
-        .plan(&sys.sage, &a, &b, &w, None, PlanDiscipline::Pipelined)
+        .plan(&sys.sage, &a, &b, &w, None)
         .expect("workload replans after refit");
     assert!(recal.from_cache, "a refit keeps the cached row");
     assert_eq!(recal.calibration_generation, 1);
@@ -210,9 +212,7 @@ fn quickstart_operand_sizes_stay_supported() {
     let mut system = FlexSystem::default();
     system.sage.accel.num_pes = 32;
     system.sage.accel.pe_buffer_elems = 64;
-    let run = system
-        .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
-        .expect("supported ACF pair");
+    let run = system.run(&a, &b, &w, None).expect("supported ACF pair");
     let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
     assert!(run.output.approx_eq(&expect, 1e-9));
 }

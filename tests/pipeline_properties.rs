@@ -1,20 +1,22 @@
-//! Property suite for the tile-grained pipelined runtime: tiled,
-//! pipelined and batched execution must be **bit-for-bit** equal to a
-//! monolithic run across every matrix format, including
-//! operands larger than one scratchpad residency and empty/degenerate
-//! tiles.
+//! Property suite for the tile-grained pipelined runtime: tiled and
+//! batched execution must be **bit-for-bit** equal to the software
+//! product across every matrix format, including operands larger than
+//! one scratchpad residency and empty/degenerate tiles. The generators'
+//! operands are small integers, so every f64 sum is exact in any order
+//! and the oracle's bits are the only right answer.
 
 use proptest::prelude::*;
-use sparseflex::accel::{ActivityCounts, CycleBreakdown};
-use sparseflex::formats::{fnv1a, CooMatrix, DataType, MatrixFormat, SparseMatrix};
+use sparseflex::accel::exec::SimError;
+use sparseflex::accel::{simulate_spgemm, ActivityCounts, CycleBreakdown};
+use sparseflex::formats::{
+    fnv1a, CooMatrix, CsrMatrix, DataType, DenseMatrix, MatrixFormat, SparseMatrix,
+};
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::kernels::parallel::with_workers;
 use sparseflex::mint::{BlockKind, ConversionReport};
 use sparseflex::sage::eval::ConversionMode;
 use sparseflex::sage::{FormatChoice, SageWorkload};
-use sparseflex::system::{
-    BatchJob, Dataflow, FlexSystem, PipelineRun, PlanDiscipline, RunError, TileTrace,
-};
+use sparseflex::system::{BatchJob, Dataflow, FlexSystem, PipelineRun, RunError, TileTrace};
 use sparseflex::workloads::synth::random_matrix;
 
 fn small_system() -> FlexSystem {
@@ -72,21 +74,22 @@ fn mcf_suite() -> Vec<MatrixFormat> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// SAGE-planned pipelined run == SAGE-planned monolithic run,
-    /// bit-for-bit (same plan, same formats, same arithmetic order).
+    /// A SAGE-planned run, searched and then served from the plan
+    /// cache, equals the software oracle bit for bit.
     #[test]
     fn pipelined_equals_monolithic((a, b) in arb_operands()) {
         let sys = small_system();
         let w = spgemm_workload(&a, &b);
-        let mono = sys.run(&a, &b, &w, None, PlanDiscipline::Monolithic).unwrap();
-        let piped = sys.run_pipelined(&a, &b, &w).unwrap();
-        prop_assert_eq!(
-            &piped.output, &mono.output,
-            "pipeline diverged under choice {}", piped.evaluation().choice
-        );
-        // And both match the software oracle.
         let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
-        prop_assert!(piped.output.approx_eq(&expect, 1e-9));
+        let searched = sys.run(&a, &b, &w, None).unwrap();
+        let piped = sys.run_pipelined(&a, &b, &w).unwrap();
+        prop_assert!(piped.plan_cached(), "the second run hits the cache");
+        for run in [&searched, &piped] {
+            prop_assert_eq!(
+                &run.output, &expect,
+                "pipeline diverged under choice {}", run.evaluation().choice
+            );
+        }
     }
 
     /// With the format choice pinned, the pipeline is exact for **every**
@@ -110,9 +113,7 @@ proptest! {
                 // pipeline property.
                 continue;
             }
-            let run = sys
-                .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
-                .unwrap();
+            let run = sys.run(&a, &b, &w, Some(&choice)).unwrap();
             prop_assert!(
                 run.output.approx_eq(&expect, 1e-9),
                 "MCF {mcf} diverged"
@@ -145,9 +146,9 @@ proptest! {
 }
 
 /// An operand whose stationary rows exceed one scratchpad residency: the
-/// monolithic path rejects it (typed, recoverable), the pipeline runs it
-/// — the acceptance scenario, plus the overlap-beats-serial assertion on
-/// a Fig. 12-class workload.
+/// simulator rejects it as one tile (typed), the pipeline runs it — the
+/// acceptance scenario, plus the overlap-beats-serial assertion on a
+/// Fig. 12-class workload.
 #[test]
 fn oversized_operand_runs_and_overlap_beats_serial() {
     let mut sys = FlexSystem::default();
@@ -185,16 +186,24 @@ fn oversized_operand_runs_and_overlap_beats_serial() {
         acf_a: MatrixFormat::Csr,
         acf_b: MatrixFormat::Csr,
     };
-    // Monolithic: typed, recoverable rejection.
-    match sys.run(&a, &b, &w, Some(&choice), PlanDiscipline::Monolithic) {
-        Err(e @ RunError::StationaryTooLarge { .. }) => assert!(e.is_recoverable()),
-        other => panic!("expected StationaryTooLarge, got {other:?}"),
-    }
+    // B as one tile: the simulator's typed rejection.
+    let whole = simulate_spgemm(
+        &CsrMatrix::from_coo(&a),
+        &CsrMatrix::from_coo(&b),
+        &sys.sage.accel,
+    );
+    assert_eq!(
+        whole.err(),
+        Some(SimError::BufferTooSmall {
+            needed: 96,
+            available: 16
+        })
+    );
 
-    // Pipelined: runs, is correct, and the double-buffered schedule is
+    // Tiled: runs, is correct, and the double-buffered schedule is
     // strictly faster than serial convert-then-compute.
     let run = sys
-        .run(&a, &b, &w, Some(&choice), PlanDiscipline::Pipelined)
+        .run(&a, &b, &w, Some(&choice))
         .expect("tiling renders the rejection unreachable");
     let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
     assert!(run.output.approx_eq(&expect, 1e-9));
@@ -217,19 +226,24 @@ fn oversized_operand_runs_and_overlap_beats_serial() {
 }
 
 /// Degenerate operands: empty matrices and all-empty tiles flow through
-/// the pipeline and batch without panicking.
+/// the pipeline and batch without panicking, and a B with no columns
+/// plans no tiles.
 #[test]
 fn empty_operands_and_tiles() {
     let sys = small_system();
     let a = CooMatrix::empty(5, 7);
-    let b = CooMatrix::empty(7, 9);
-    let w = spgemm_workload(&a, &b);
-    let run = sys.run_pipelined(&a, &b, &w).unwrap();
-    assert_eq!(run.output.count_nonzeros(), 0);
-    let mono = sys
-        .run(&a, &b, &w, None, PlanDiscipline::Monolithic)
-        .unwrap();
-    assert_eq!(run.output, mono.output);
+    for b in [CooMatrix::empty(7, 9), CooMatrix::empty(7, 0)] {
+        let w = spgemm_workload(&a, &b);
+        let run = sys.run_pipelined(&a, &b, &w).unwrap();
+        assert_eq!(run.output, DenseMatrix::zeros(5, b.cols()));
+        assert_eq!(run.tiles.len(), b.cols().div_ceil(4), "4-column tiles");
+        let batch = sys.run_batch(&[BatchJob {
+            a: a.clone(),
+            b,
+            workload: w,
+        }]);
+        assert_eq!(batch.results[0].as_ref().unwrap().output, run.output);
+    }
 }
 
 /// Append a conversion report to the bytes a digest pins: each block's
@@ -402,13 +416,7 @@ fn every_run_path_is_pinned_bit_for_bit() {
         dataflows.extend(results.iter().flatten().map(|run| run.plan.dataflow));
         for job in &jobs {
             for pin in &pins {
-                let got = sys.run(
-                    &job.a,
-                    &job.b,
-                    &job.workload,
-                    Some(pin),
-                    PlanDiscipline::Pipelined,
-                );
+                let got = sys.run(&job.a, &job.b, &job.workload, Some(pin));
                 pin_run(&got, &mut pinned);
             }
         }

@@ -18,7 +18,7 @@ use sparseflex::formats::{
 };
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::sage::{FormatChoice, SageWorkload};
-use sparseflex::system::{FlexSystem, PlanDiscipline};
+use sparseflex::system::FlexSystem;
 use sparseflex::workloads::synth::random_matrix;
 
 // ---------------------------------------------------------------------------
@@ -302,15 +302,11 @@ fn repeated_pinned_run_hits_one_cache_row() {
     };
 
     // First pinned run: a cache miss.
-    let run1 = sys
-        .run(&a, &b, &w, Some(&choice), PlanDiscipline::Monolithic)
-        .unwrap();
+    let run1 = sys.run(&a, &b, &w, Some(&choice)).unwrap();
     assert!(!run1.plan.from_cache, "first pinned run must evaluate");
 
     // Same choice, same workload: served from the same cache row.
-    let run2 = sys
-        .run(&a, &b, &w, Some(&choice), PlanDiscipline::Monolithic)
-        .unwrap();
+    let run2 = sys.run(&a, &b, &w, Some(&choice)).unwrap();
     assert!(
         run2.plan.from_cache,
         "repeated pin must hit the first run's cache row"
@@ -336,9 +332,7 @@ fn repeated_pinned_run_hits_one_cache_row() {
         ..choice
     };
     for pin in [other, swapped] {
-        let run = sys
-            .run(&a, &b, &w, Some(&pin), PlanDiscipline::Monolithic)
-            .unwrap();
+        let run = sys.run(&a, &b, &w, Some(&pin)).unwrap();
         assert!(!run.plan.from_cache, "{pin} must not share the first row");
         assert_eq!(*run.plan.choice(), pin);
     }

@@ -11,7 +11,7 @@ use sparseflex::formats::{CooMatrix, DataType, MatrixData, MatrixFormat, SparseM
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::sage::eval::ConversionMode;
 use sparseflex::sage::{FormatChoice, Sage, SageWorkload};
-use sparseflex::system::{FlexSystem, PlanDiscipline};
+use sparseflex::system::FlexSystem;
 
 fn arb_operands() -> impl Strategy<Value = (CooMatrix, CooMatrix)> {
     (2usize..24, 2usize..32, 2usize..16, 1usize..60, 1usize..60).prop_flat_map(
@@ -44,7 +44,7 @@ proptest! {
         let mut sys = FlexSystem::default();
         sys.sage.accel.num_pes = 8;
         sys.sage.accel.pe_buffer_elems = 32;
-        let run = sys.run(&a, &b, &w, None, PlanDiscipline::Monolithic).unwrap();
+        let run = sys.run(&a, &b, &w, None).unwrap();
         let expect = gemm_naive(&a.clone().into_dense(), &b.clone().into_dense());
         prop_assert!(
             run.output.approx_eq(&expect, 1e-9),
