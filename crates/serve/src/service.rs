@@ -75,7 +75,8 @@ pub enum SubmitError {
         /// The per-tenant cap that was hit.
         cap: usize,
     },
-    /// The submitted bytes are not a valid job frame.
+    /// The submitted bytes are not a valid job frame, or an in-process
+    /// job's shapes exceed the cell bound a frame's meet.
     Wire(WireError),
     /// The service is shutting down and accepts no new work.
     Shutdown,
@@ -619,7 +620,9 @@ impl FlexService {
         self.submit(job)
     }
 
-    /// Submit an in-process job, skipping the wire decode.
+    /// Submit an in-process job, skipping the wire decode. Its shapes
+    /// meet the cell bound a job frame's meet, or it fails with
+    /// [`SubmitError::Wire`] before any tenant state changes.
     pub fn submit(&self, job: WireJob) -> Result<JobTicket, SubmitError> {
         let WireJob {
             tenant,
@@ -628,6 +631,7 @@ impl FlexService {
             a,
             b,
         } = job;
+        wire::check_job_cells(&a, &b)?;
         let batch_job = BatchJob::spgemm(a.to_coo(), b.to_coo(), dtype);
         let slot: Oneshot = Arc::new((Mutex::new(None), Condvar::new()));
         let job_id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);

@@ -32,7 +32,8 @@
 //! operand's and the output's (A's rows × B's cols) may hold at most
 //! `MAX_CELLS` cells, and a BSR or DIA operand may store at most as many
 //! values. A larger shape fails with [`WireError::Overflow`] before
-//! anything is sized from it.
+//! anything is sized from it. The service applies the same cell bound to
+//! an in-process job at submission.
 
 use sparseflex_formats::{
     ByteError, ByteReader, ByteWriter, CooMatrix, DataType, DenseMatrix, FormatError, MatrixData,
@@ -262,6 +263,15 @@ fn check_cells(rows: usize, cols: usize) -> Result<(), WireError> {
         Some(cells) if cells <= MAX_CELLS => Ok(()),
         _ => Err(WireError::Overflow("shape exceeds the cell bound")),
     }
+}
+
+/// Reject a job whose operands or output (A's rows × B's cols) hold more
+/// than [`MAX_CELLS`] cells: the bound every job frame meets, applied to
+/// a job however it reaches the service.
+pub(crate) fn check_job_cells(a: &MatrixData, b: &MatrixData) -> Result<(), WireError> {
+    check_cells(a.rows(), a.cols())?;
+    check_cells(b.rows(), b.cols())?;
+    check_cells(a.rows(), b.cols())
 }
 
 /// Range-checked `usize -> u32` narrowing for wire indices: the single
@@ -546,7 +556,7 @@ pub fn decode_job(bytes: &[u8]) -> Result<WireJob, WireError> {
     let b = take_matrix_body(&mut r)?;
     expect_end(&r)?;
     // The service zero-fills the output and returns it.
-    check_cells(a.rows(), b.cols())?;
+    check_job_cells(&a, &b)?;
     Ok(WireJob {
         tenant,
         priority,

@@ -5,9 +5,9 @@
 //! starves a tenant under a saturating competitor, and typed
 //! admission-control rejections — all through the public service API.
 
-use sparseflex::formats::{fnv1a, DataType, MatrixData, MatrixFormat, SparseMatrix};
+use sparseflex::formats::{fnv1a, CooMatrix, DataType, MatrixData, MatrixFormat, SparseMatrix};
 use sparseflex::serve::{
-    wire, FlexService, Priority, ServeConfig, ServeError, SubmitError, WireJob,
+    wire, FlexService, Priority, ServeConfig, ServeError, SubmitError, WireError, WireJob,
 };
 use sparseflex::system::{BatchJob, Dataflow, FlexSystem};
 use sparseflex::workloads::synth::random_matrix;
@@ -320,9 +320,34 @@ fn admission_control_rejects_with_typed_errors_over_the_wire() {
         service.submit_frame(b"not a frame"),
         Err(SubmitError::Wire(_))
     ));
+    // An in-process job past a frame's cell bound (2^24 cells per operand
+    // and output) fails as such a frame does, before any tenant state: an
+    // A of 2^62 rows, an A and then a B of 2^25 cells with a 2-cell
+    // output, and a 4,096 × 8,192 output.
+    for (a, b) in [
+        (CooMatrix::empty(1 << 62, 4), CooMatrix::empty(4, 3)),
+        (CooMatrix::empty(2, 1 << 24), CooMatrix::empty(1 << 24, 1)),
+        (CooMatrix::empty(1, 1 << 24), CooMatrix::empty(1 << 24, 2)),
+        (CooMatrix::empty(4096, 1), CooMatrix::empty(1, 8192)),
+    ] {
+        let job = WireJob {
+            tenant: 5,
+            priority: Priority::Normal,
+            dtype: DataType::Fp32,
+            a: MatrixData::Coo(a),
+            b: MatrixData::Coo(b),
+        };
+        assert_eq!(
+            service.submit(job).err(),
+            Some(SubmitError::Wire(WireError::Overflow(
+                "shape exceeds the cell bound"
+            )))
+        );
+    }
 
     let stats = service.stats();
     assert_eq!(stats.jobs_rejected, 2);
+    assert!(stats.tenants.iter().all(|t| t.tenant != 5));
 
     // Shutdown resolves the still-queued tickets as typed shutdown
     // errors rather than hanging their waiters.
