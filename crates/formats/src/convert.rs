@@ -71,7 +71,7 @@ pub fn csc_to_csr(csc: &CscMatrix) -> CsrMatrix {
 
 /// ZVC → Dense: the mask covers the row-major matrix, so each set bit's
 /// value lands at the bit's own position, with no row or column to track
-/// (routed through [`for_each_kept_bit`], a journals job's tiles ran 7%
+/// (routed through `for_each_kept_bit`, a journals job's tiles ran 7%
 /// slower). Stored zeros are dropped (the cell stays `+0.0`), as every
 /// format builder drops them.
 pub fn zvc_to_dense(zvc: &ZvcMatrix) -> DenseMatrix {
