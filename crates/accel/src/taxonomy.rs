@@ -5,12 +5,7 @@
 //! representative per class for the evaluation. This module encodes both
 //! so every bench can iterate the same baseline suite the paper does.
 
-use sparseflex_formats::rlc::DEFAULT_RUN_BITS;
 use sparseflex_formats::MatrixFormat;
-
-const RLC: MatrixFormat = MatrixFormat::Rlc {
-    run_bits: DEFAULT_RUN_BITS,
-};
 
 /// Freedom of a format choice (the Fix/Flex columns of Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,27 +168,15 @@ impl AcceleratorClass {
         }
     }
 
-    /// All MCF pairs over the paper's six-format MCF set.
+    /// All MCF pairs over the paper's six-format MCF set, in its order.
     fn full_mcf_pairs() -> Vec<FormatPair> {
-        let set = [
-            MatrixFormat::Dense,
-            RLC,
-            MatrixFormat::Zvc,
-            MatrixFormat::Coo,
-            MatrixFormat::Csr,
-            MatrixFormat::Csc,
-        ];
-        let mut out = Vec::with_capacity(36);
-        for a in set {
-            for b in set {
-                out.push((a, b));
-            }
-        }
-        out
+        let set = MatrixFormat::mcf_set();
+        set.iter().flat_map(|&a| set.map(|b| (a, b))).collect()
     }
 
-    /// All ACF pairs the WS array supports: A in {Dense, CSR, COO, CSC}
-    /// x B in {Dense, CSC}, plus the CSR-CSR SpGEMM dataflow.
+    /// All ACF pairs the WS array supports, in SAGE's search order: A in
+    /// {Dense, CSR, COO, CSC} x B in {Dense, CSC}, then the CSR-CSR
+    /// SpGEMM dataflow.
     fn full_acf_pairs() -> Vec<FormatPair> {
         let mut out = Vec::new();
         for a in [
@@ -275,10 +258,42 @@ mod tests {
     }
 
     #[test]
-    fn this_work_has_full_cross_product() {
+    fn this_work_is_the_paper_vii_a_space_in_search_order() {
+        // §VII-A: "6 MCF choices ... and 4 ACF choices". SAGE searches
+        // these pairs in order and ties keep the first candidate, so both
+        // lists are pinned exactly, order included: MCF pairs over
+        // mcf_set() in its order; streaming ACFs Dense, CSR, COO, CSC
+        // (not acf_set()'s order) against the weight-stationary B ACFs
+        // Dense and CSC; the CSR-CSR Gustavson pair last.
         let work = AcceleratorClass::flex_flex_hw();
+        let mcfs = MatrixFormat::mcf_set();
         assert_eq!(work.mcfs.len(), 36);
-        assert_eq!(work.acfs.len(), 9);
+        for (i, pair) in work.mcfs.iter().enumerate() {
+            assert_eq!(*pair, (mcfs[i / 6], mcfs[i % 6]), "MCF pair {i}");
+        }
+        let (dense, csr, coo, csc) = (
+            MatrixFormat::Dense,
+            MatrixFormat::Csr,
+            MatrixFormat::Coo,
+            MatrixFormat::Csc,
+        );
+        assert_eq!(
+            work.acfs,
+            vec![
+                (dense, dense),
+                (dense, csc),
+                (csr, dense),
+                (csr, csc),
+                (coo, dense),
+                (coo, csc),
+                (csc, dense),
+                (csc, csc),
+                (csr, csr),
+            ]
+        );
+        for f in MatrixFormat::acf_set() {
+            assert!(work.acfs.iter().any(|&(a, _)| a == f), "ACF space lost {f}");
+        }
         assert_eq!(work.conversion, ConversionSupport::Hardware);
     }
 

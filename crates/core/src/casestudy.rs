@@ -5,7 +5,7 @@
 //! published activation/weight sparsities. [`layer_edp`] evaluates one
 //! layer under one pruning strategy for this work and every baseline.
 
-use crate::system::FlexSystem;
+use crate::system::{this_work, FlexSystem};
 use sparseflex_formats::DataType;
 use sparseflex_sage::SageWorkload;
 
@@ -26,7 +26,12 @@ pub struct LayerEdp {
 ///
 /// `act_density` and `weight_density` are fractions of nonzeros; the
 /// activation matrix streams (operand A), the weight matrix is stationary
-/// (operand B) — matching the WS dataflow of §IV.
+/// (operand B) — matching the WS dataflow of §IV. This work's EDP is the
+/// `Flex_Flex_HW` row of the class comparison.
+#[expect(
+    clippy::expect_used,
+    reason = "this work's space holds Dense-Dense, which evaluates on every workload"
+)]
 pub fn layer_edp(
     system: &FlexSystem,
     layer_id: usize,
@@ -39,9 +44,11 @@ pub fn layer_edp(
     let nnz_b = ((k as f64 * n as f64) * weight_density).round().max(1.0) as u64;
     let w = SageWorkload::spgemm(m, k, n, nnz_a, nnz_b, DataType::Fp32);
     let clock = system.sage.accel.clock_hz;
-    let ours = system.sage.recommend(&w).best.edp(clock);
-    let baselines = system
-        .compare_classes(&w)
+    let rows = system.compare_classes(&w);
+    let ours = this_work(&rows)
+        .expect("Dense-Dense always evaluates")
+        .edp(clock);
+    let baselines = rows
         .into_iter()
         .filter(|c| c.class_name != "Flex_Flex_HW")
         .map(|c| (c.class_name, c.best.map(|b| b.edp(clock))))

@@ -174,15 +174,27 @@ impl FlexSystem {
     }
 
     /// Normalized-EDP table (Fig. 13): every class's best EDP divided by
-    /// this work's, per workload; `None` for classes that cannot run it.
+    /// this work's (the `Flex_Flex_HW` row), per workload; `None` for
+    /// classes that cannot run it.
     pub fn normalized_edp(&self, w: &SageWorkload) -> Vec<(&'static str, Option<f64>)> {
         let clock = self.sage.accel.clock_hz;
-        let ours = self.sage.recommend(w).best.edp(clock);
-        self.compare_classes(w)
-            .into_iter()
-            .map(|c| (c.class_name, c.best.map(|b| b.edp(clock) / ours)))
+        let rows = self.compare_classes(w);
+        let ours = this_work(&rows).map(|b| b.edp(clock));
+        rows.into_iter()
+            .map(|c| {
+                let norm = c.best.zip(ours).map(|(b, ours)| b.edp(clock) / ours);
+                (c.class_name, norm)
+            })
             .collect()
     }
+}
+
+/// This work's row of a [`FlexSystem::compare_classes`] table: the
+/// `Flex_Flex_HW` class's best evaluation, which is [`Sage::recommend`]'s.
+pub(crate) fn this_work(rows: &[ClassComparison]) -> Option<&Evaluation> {
+    rows.iter()
+        .find(|c| c.class_name == "Flex_Flex_HW")
+        .and_then(|c| c.best.as_ref())
 }
 
 #[cfg(test)]

@@ -114,10 +114,11 @@ impl Sage {
         self.evaluate_with_operand_bits(w, choice, mode, None)
     }
 
-    /// Evaluate with optional *measured* operand storage sizes (used by
-    /// the structured-format extension, where the analytic size model's
-    /// uniform-random assumption would misprice BSR/DIA/ELL MCFs).
-    pub fn evaluate_with_operand_bits(
+    /// Evaluate with optional *measured* operand storage sizes (the
+    /// structured-format extension's, passed through the search, where
+    /// the analytic size model's uniform-random assumption would
+    /// misprice BSR/DIA/ELL MCFs).
+    pub(crate) fn evaluate_with_operand_bits(
         &self,
         w: &SageWorkload,
         choice: &FormatChoice,

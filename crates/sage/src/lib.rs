@@ -20,13 +20,18 @@
 //! - **Performance model** — WS-accelerator compute cycles per ACF
 //!   (`sparseflex-accel`'s analytic layer, "similar to Fig. 6").
 //!
-//! [`Sage::recommend`] searches the full MCF x ACF cross product;
-//! [`Sage::recommend_for_class`] restricts the search to what a Table II
-//! accelerator class supports, which is how the Fig. 12/13 baselines are
-//! produced.
+//! SAGE decides in one search ([`search`]): it prices MCF pairs crossed
+//! with ACF pairs and keeps the lowest EDP. [`Sage::recommend`] is that
+//! search over this work's space, the `Flex_Flex_HW` class
+//! ([`flex_flex_hw`]). [`Sage::recommend_for_class`] runs it over a
+//! Table II class's pairs and conversion support, which is how the
+//! Fig. 12/13 baselines are produced. [`Sage::recommend_with_fixed_mcf`]
+//! pins the MCFs (§VI), and [`Sage::recommend_structured`] pins them to
+//! the operands' measured most-compact formats.
 //!
 //! [`DramModel`]: sparseflex_accel::DramModel
 //! [`conversion_cost`]: sparseflex_mint::conversion_cost
+//! [`flex_flex_hw`]: sparseflex_accel::taxonomy::AcceleratorClass::flex_flex_hw
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,19 @@
 //! Exhaustive MCF x ACF search (the "Generation Engine" of SAGE).
 //!
-//! The candidate space is the paper's (§VII-A): six MCFs per operand
-//! ([`MatrixFormat::mcf_set`]) crossed with the four ACFs the
-//! weight-stationary array can stream and hold resident.
+//! One search prices MCF pairs crossed with ACF pairs and keeps the
+//! lowest EDP. This work's space is the paper's (§VII-A), defined once as
+//! [`AcceleratorClass::flex_flex_hw`]: six MCFs per operand crossed with
+//! the ACF pairs the weight-stationary array can stream and hold
+//! resident, plus the CSR-CSR Gustavson pair. [`Sage::recommend`] is that
+//! class's search; [`Sage::recommend_for_class`] runs the same search
+//! over a Table II baseline's pairs and conversion support, and
+//! [`Sage::recommend_with_fixed_mcf`] over this work's ACF pairs with
+//! the MCFs pinned.
 
 use crate::eval::{ConversionMode, Evaluation, Sage};
 use crate::tensor_model::{evaluate_tensor, TensorChoice, TensorEvaluation};
 use crate::workload::{SageWorkload, TensorWorkload};
-use sparseflex_accel::taxonomy::AcceleratorClass;
+use sparseflex_accel::taxonomy::{AcceleratorClass, FormatPair};
 use sparseflex_accel::ConversionSupport;
 use sparseflex_formats::{MatrixFormat, TensorFormat};
 
@@ -34,26 +40,6 @@ impl std::fmt::Display for FormatChoice {
     }
 }
 
-/// Streaming-operand ACF candidates: the paper's ACF space in the
-/// generation engine's iteration order (Dense, CSR, COO, CSC). This is
-/// not [`MatrixFormat::acf_set`]'s order, and it is part of SAGE's
-/// output: ties keep the first candidate.
-fn acf_streaming_candidates() -> Vec<MatrixFormat> {
-    vec![
-        MatrixFormat::Dense,
-        MatrixFormat::Csr,
-        MatrixFormat::Coo,
-        MatrixFormat::Csc,
-    ]
-}
-
-/// Stationary-operand ACF candidates: the subset of the ACF space the
-/// weight-stationary array can hold resident (Dense, CSC), plus CSR for
-/// the Gustavson SpGEMM pairing.
-fn acf_stationary_candidates() -> Vec<MatrixFormat> {
-    vec![MatrixFormat::Dense, MatrixFormat::Csc, MatrixFormat::Csr]
-}
-
 /// The result of a SAGE search: the winning evaluation plus the number of
 /// candidates considered.
 #[derive(Debug, Clone)]
@@ -65,78 +51,36 @@ pub struct Recommendation {
 }
 
 impl Sage {
-    /// Search the full MCF x ACF cross product for the lowest-EDP
-    /// combination (the `Flex_Flex_HW` capability) over the paper's
-    /// candidate space.
+    /// Search this work's space ([`AcceleratorClass::flex_flex_hw`]: every
+    /// MCF pair crossed with every ACF pair, under MINT conversion) for the
+    /// lowest-EDP combination: the `Flex_Flex_HW` class search.
     pub fn recommend(&self, w: &SageWorkload) -> Recommendation {
-        self.recommend_constrained(w, None)
+        self.recommend_for_class(w, &AcceleratorClass::flex_flex_hw())
+            .expect("at least Dense-Dense MCF/ACF always evaluates")
     }
 
     /// Search with the MCFs pinned by the programmer ("there might be
     /// scenarios when the MCF is already predetermined ... SAGE will find
-    /// the best accelerator configuration (ACF) and conversion type").
-    // §VI's mode for an MCF that is already predetermined, kept as a
-    // paper mechanism although nothing in the workspace pins MCFs yet.
-    // sflint::allow(pub-without-caller)
+    /// the best accelerator configuration (ACF) and conversion type"):
+    /// this work's ACF pairs under MINT conversion. `operand_bits` prices
+    /// the operands at their measured storage sizes instead of the
+    /// uniform-random size model.
     pub fn recommend_with_fixed_mcf(
         &self,
         w: &SageWorkload,
         mcf_a: MatrixFormat,
         mcf_b: MatrixFormat,
+        operand_bits: Option<(u64, u64)>,
     ) -> Recommendation {
-        self.recommend_constrained(w, Some((mcf_a, mcf_b)))
-    }
-
-    fn recommend_constrained(
-        &self,
-        w: &SageWorkload,
-        fixed_mcf: Option<(MatrixFormat, MatrixFormat)>,
-    ) -> Recommendation {
-        let acf_as = acf_streaming_candidates();
-        let acf_bs = acf_stationary_candidates();
-        let mcf_pairs: Vec<(MatrixFormat, MatrixFormat)> = match fixed_mcf {
-            Some(p) => vec![p],
-            None => {
-                let mut v = Vec::new();
-                for a in MatrixFormat::mcf_set() {
-                    for b in MatrixFormat::mcf_set() {
-                        v.push((a, b));
-                    }
-                }
-                v
-            }
-        };
-        let mut best: Option<Evaluation> = None;
-        let mut candidates = 0;
-        for (mcf_a, mcf_b) in mcf_pairs {
-            for &acf_a in &acf_as {
-                for &acf_b in &acf_bs {
-                    if !self.acf_supported(w, acf_a, acf_b) {
-                        continue;
-                    }
-                    let choice = FormatChoice {
-                        mcf_a,
-                        mcf_b,
-                        acf_a,
-                        acf_b,
-                    };
-                    if let Ok(eval) = self.evaluate(w, &choice, ConversionMode::Hardware) {
-                        candidates += 1;
-                        let better = match &best {
-                            None => true,
-                            Some(b) => eval.edp(self.accel.clock_hz) < b.edp(self.accel.clock_hz),
-                        };
-                        if better {
-                            best = Some(eval);
-                        }
-                    }
-                }
-            }
-        }
-        Recommendation {
-            best: best.expect("at least Dense-Dense MCF/ACF always evaluates"),
-            candidates,
-        }
+        let acfs = AcceleratorClass::flex_flex_hw().acfs;
+        self.search(
+            w,
+            &[(mcf_a, mcf_b)],
+            &acfs,
+            ConversionMode::Hardware,
+            operand_bits,
+        )
+        .expect("Dense ACFs always evaluate")
     }
 
     /// Best achievable evaluation for a Table II accelerator class: the
@@ -152,14 +96,27 @@ impl Sage {
             ConversionSupport::Hardware => ConversionMode::Hardware,
             ConversionSupport::Software => ConversionMode::default_software(),
         };
+        self.search(w, &class.mcfs, &class.acfs, mode, None)
+    }
+
+    /// SAGE's one matrix search: every ACF pair the array supports for
+    /// this kernel, under every MCF pair, in order. Counts the
+    /// evaluations that succeed and keeps the first lowest EDP (ties keep
+    /// the earlier candidate, so the pair order is part of the output);
+    /// `None` when nothing evaluates.
+    fn search(
+        &self,
+        w: &SageWorkload,
+        mcfs: &[FormatPair],
+        acfs: &[FormatPair],
+        mode: ConversionMode,
+        operand_bits: Option<(u64, u64)>,
+    ) -> Option<Recommendation> {
+        let clock = self.accel.clock_hz;
         let mut best: Option<Evaluation> = None;
         let mut candidates = 0;
-        for &(mcf_a, mcf_b) in &class.mcfs {
-            for &(acf_a, acf_b) in &class.acfs {
-                if class.conversion == ConversionSupport::None && (mcf_a != acf_a || mcf_b != acf_b)
-                {
-                    continue;
-                }
+        for &(mcf_a, mcf_b) in mcfs {
+            for &(acf_a, acf_b) in acfs {
                 if !self.acf_supported(w, acf_a, acf_b) {
                     continue;
                 }
@@ -169,22 +126,17 @@ impl Sage {
                     acf_a,
                     acf_b,
                 };
-                if let Ok(eval) = self.evaluate(w, &choice, mode) {
-                    candidates += 1;
-                    let better = match &best {
-                        None => true,
-                        Some(b) => eval.edp(self.accel.clock_hz) < b.edp(self.accel.clock_hz),
-                    };
-                    if better {
-                        best = Some(eval);
-                    }
+                let Ok(eval) = self.evaluate_with_operand_bits(w, &choice, mode, operand_bits)
+                else {
+                    continue;
+                };
+                candidates += 1;
+                if best.as_ref().is_none_or(|b| eval.edp(clock) < b.edp(clock)) {
+                    best = Some(eval);
                 }
             }
         }
-        best.map(|b| Recommendation {
-            best: b,
-            candidates,
-        })
+        best.map(|best| Recommendation { best, candidates })
     }
 
     /// Search tensor MCF/ACF combinations for a tensor kernel (SpTTM /
@@ -287,7 +239,7 @@ mod tests {
     fn fixed_mcf_search_respects_the_pin() {
         let s = sage();
         let w = SageWorkload::spmm(1000, 1000, 500, 50_000, DataType::Fp32);
-        let rec = s.recommend_with_fixed_mcf(&w, MatrixFormat::Zvc, MatrixFormat::Dense);
+        let rec = s.recommend_with_fixed_mcf(&w, MatrixFormat::Zvc, MatrixFormat::Dense, None);
         assert_eq!(rec.best.choice.mcf_a, MatrixFormat::Zvc);
         assert_eq!(rec.best.choice.mcf_b, MatrixFormat::Dense);
     }
@@ -333,32 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn candidate_lists_are_the_paper_vii_a_spaces_in_search_order() {
-        // §VII-A: "6 MCF choices ... and 4 ACF choices". The streaming
-        // ACFs are iterated Dense, CSR, COO, CSC (not acf_set()'s order),
-        // and ties keep the first candidate, so both ACF lists are pinned
-        // exactly, order included.
-        assert_eq!(MatrixFormat::mcf_set().len(), 6, "paper MCF space");
-        assert_eq!(
-            acf_streaming_candidates(),
-            vec![
-                MatrixFormat::Dense,
-                MatrixFormat::Csr,
-                MatrixFormat::Coo,
-                MatrixFormat::Csc
-            ]
-        );
-        for f in MatrixFormat::acf_set() {
-            assert!(
-                acf_streaming_candidates().contains(&f),
-                "ACF space lost {f}"
-            );
-        }
-        // Stationary candidates: the WS-resident subset plus CSR.
-        assert_eq!(
-            acf_stationary_candidates(),
-            vec![MatrixFormat::Dense, MatrixFormat::Csc, MatrixFormat::Csr]
-        );
+    fn tensor_space_is_table_iii() {
         // Tensor rows of Table III: 5 MCFs x 3 ACFs.
         assert_eq!(TensorFormat::mcf_set().len(), 5);
         assert_eq!(TensorFormat::acf_set().len(), 3);

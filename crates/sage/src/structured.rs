@@ -10,8 +10,8 @@
 //! BSR/DIA/ELL candidates, gated by the structure statistics so scattered
 //! patterns don't waste search time on hopeless encodings.
 
-use crate::eval::{ConversionMode, Sage};
-use crate::search::{FormatChoice, Recommendation};
+use crate::eval::Sage;
+use crate::search::Recommendation;
 use crate::workload::{SageKernel, SageWorkload};
 use sparseflex_formats::size_model::matrix_storage_bits_exact;
 use sparseflex_formats::stats::MatrixStats;
@@ -79,8 +79,8 @@ impl Sage {
     ) -> (Recommendation, Vec<McfCandidate>, Vec<McfCandidate>) {
         let rank_a = rank_mcfs_exact(a, dtype);
         let rank_b = rank_mcfs_exact(b, dtype);
-        let mcf_a = rank_a.first().expect("non-empty candidate set").format;
-        let mcf_b = rank_b.first().expect("non-empty candidate set").format;
+        let top_a = rank_a.first().expect("non-empty candidate set");
+        let top_b = rank_b.first().expect("non-empty candidate set");
         let w = match kernel {
             SageKernel::SpMm => {
                 SageWorkload::spmm(a.rows(), a.cols(), b.cols(), a.nnz() as u64, dtype)
@@ -94,47 +94,15 @@ impl Sage {
                 dtype,
             ),
         };
-        // ACF search with the MCFs pinned to the structure-exact winners.
-        let mut best = None;
-        let mut candidates = 0;
-        for acf_a in [
-            MatrixFormat::Dense,
-            MatrixFormat::Csr,
-            MatrixFormat::Coo,
-            MatrixFormat::Csc,
-        ] {
-            for acf_b in [MatrixFormat::Dense, MatrixFormat::Csc, MatrixFormat::Csr] {
-                if !self.acf_supported(&w, acf_a, acf_b) {
-                    continue;
-                }
-                let choice = FormatChoice {
-                    mcf_a,
-                    mcf_b,
-                    acf_a,
-                    acf_b,
-                };
-                let exact = Some((rank_a[0].bits, rank_b[0].bits));
-                if let Ok(e) =
-                    self.evaluate_with_operand_bits(&w, &choice, ConversionMode::Hardware, exact)
-                {
-                    candidates += 1;
-                    let is_better = best.as_ref().is_none_or(|prev: &crate::eval::Evaluation| {
-                        e.edp(self.accel.clock_hz) < prev.edp(self.accel.clock_hz)
-                    });
-                    if is_better {
-                        best = Some(e);
-                    }
-                }
-            }
-        }
-        (
-            Recommendation {
-                best: best.expect("Dense ACFs always evaluate"),
-                candidates,
-            },
-            rank_a,
-            rank_b,
-        )
+        // ACF search with the MCFs pinned to the structure-exact winners,
+        // priced at their measured sizes.
+        let rec = self.recommend_with_fixed_mcf(
+            &w,
+            top_a.format,
+            top_b.format,
+            Some((top_a.bits, top_b.bits)),
+        );
+        (rec, rank_a, rank_b)
     }
 }
 

@@ -147,7 +147,7 @@ fn search_decisions_are_pinned_bit_for_bit() {
             for c in &rank_a {
                 let rec = sys
                     .sage
-                    .recommend_with_fixed_mcf(&w, c.format, rank_b[0].format);
+                    .recommend_with_fixed_mcf(&w, c.format, rank_b[0].format, None);
                 pin_recommendation(Some(&rec), &mut pinned);
             }
         }
