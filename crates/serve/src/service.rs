@@ -35,7 +35,9 @@ use sparseflex_core::{
     lock_clean, spawn_worker, BatchJob, CacheCounters, FlexSystem, PlanCache, RunError,
 };
 use sparseflex_formats::SparseMatrix;
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -119,6 +121,9 @@ pub enum ServeError {
     Wire(WireError),
     /// The service shut down before the job was executed.
     Shutdown,
+    /// The job panicked on its worker (the panic message, when it is a
+    /// string). The worker caught it and keeps serving.
+    Panicked(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -127,6 +132,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Run(e) => write!(f, "job execution failed: {e}"),
             ServeError::Wire(e) => write!(f, "result encoding failed: {e}"),
             ServeError::Shutdown => write!(f, "service shut down before the job ran"),
+            ServeError::Panicked(msg) => write!(f, "job panicked on its worker: {msg}"),
         }
     }
 }
@@ -299,6 +305,16 @@ pub struct ServiceStats {
     pub workers: usize,
 }
 
+/// The message a panic was raised with, or a placeholder when its payload
+/// is not a string.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
+}
+
 /// One admitted, not-yet-dispatched job.
 struct Pending {
     job_id: u64,
@@ -400,7 +416,10 @@ impl Shared {
         })
     }
 
-    /// Execute one job on this worker and deliver the outcome.
+    /// Execute one job on this worker and deliver the outcome. A job that
+    /// panics resolves to [`ServeError::Panicked`] like any failed job:
+    /// its ticket resolves, its tenant slot is released and the worker
+    /// keeps serving.
     fn run_job(&self, active: Active, worker: usize, stolen: bool) {
         if stolen {
             self.stolen.fetch_add(1, Ordering::Relaxed);
@@ -413,26 +432,31 @@ impl Shared {
             queue_wait_cycles,
             dispatch_seq,
         } = active;
-        let outcome = self
-            .system
-            .run(&job.a, &job.b, &job.workload, None)
-            .map_err(ServeError::Run)
-            .and_then(|run| {
-                wire::encode_result(&WireResult {
-                    job_id,
-                    output: run.output,
+        // The shared state a panic can interrupt stays sound: its locks
+        // are taken through `lock_clean`, and the plan cache clears an
+        // interrupted search's marker as it unwinds.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.system
+                .run(&job.a, &job.b, &job.workload, None)
+                .map_err(ServeError::Run)
+                .and_then(|run| {
+                    wire::encode_result(&WireResult {
+                        job_id,
+                        output: run.output,
+                    })
+                    .map_err(ServeError::Wire)
                 })
-                .map_err(ServeError::Wire)
-            })
-            .map(|result_frame| JobOutcome {
-                job_id,
-                tenant,
-                result_frame,
-                queue_wait_cycles,
-                dispatch_seq,
-                worker,
-                stolen,
-            });
+        }))
+        .unwrap_or_else(|payload| Err(ServeError::Panicked(panic_message(payload.as_ref()))))
+        .map(|result_frame| JobOutcome {
+            job_id,
+            tenant,
+            result_frame,
+            queue_wait_cycles,
+            dispatch_seq,
+            worker,
+            stolen,
+        });
         {
             let mut central = lock_clean(&self.central);
             if let Some(t) = central.tenants.get_mut(&tenant) {

@@ -11,6 +11,7 @@ use sparseflex::serve::{
 };
 use sparseflex::system::{BatchJob, Dataflow, FlexSystem};
 use sparseflex::workloads::synth::random_matrix;
+use std::time::{Duration, Instant};
 
 /// The system configuration used on both sides of the soak comparison.
 fn soak_system() -> FlexSystem {
@@ -353,6 +354,52 @@ fn admission_control_rejects_with_typed_errors_over_the_wire() {
     // errors rather than hanging their waiters.
     service.shutdown();
     assert!(matches!(_t1.wait(), Err(ServeError::Shutdown)));
+}
+
+/// A job that panics on a serve worker resolves its ticket with a typed
+/// error and releases its tenant slot, and the worker keeps serving. With
+/// zero DRAM bandwidth SAGE's cost model divides by zero on every job.
+/// Each ticket is polled against a deadline, so a ticket that never
+/// resolves fails the test instead of hanging it.
+#[test]
+fn a_panicking_job_resolves_its_ticket_and_frees_its_slot() {
+    let mut system = soak_system();
+    system.sage.dram.bits_per_cycle = 0;
+    let service = FlexService::start(
+        system,
+        ServeConfig {
+            workers: 1,
+            tenant_inflight_cap: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("service starts");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let jobs = soak_jobs(4);
+    for (i, job) in jobs.into_iter().enumerate() {
+        // One tenant at an in-flight cap of 1: each submission is admitted
+        // only if the previous job released its slot.
+        let job = WireJob { tenant: 1, ..job };
+        let ticket = service
+            .submit(job)
+            .expect("the previous job freed its slot");
+        let outcome = loop {
+            if let Some(outcome) = ticket.try_wait() {
+                break outcome;
+            }
+            assert!(Instant::now() < deadline, "job {i}'s ticket never resolved");
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        assert!(
+            matches!(outcome, Err(ServeError::Panicked(_))),
+            "job {i}: {outcome:?}"
+        );
+    }
+    let stats = service.stats();
+    assert_eq!(stats.jobs_completed, 4);
+    assert_eq!(stats.tenants[0].submitted, 4);
+    assert_eq!(stats.tenants[0].completed, 4);
+    service.shutdown();
 }
 
 #[test]
