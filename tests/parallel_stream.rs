@@ -2,7 +2,7 @@
 //! two-phase (partition → ranged traversal) fan-out of the generic
 //! stream path.
 //!
-//! Three contracts are pinned here, across **every** matrix and tensor
+//! Four contracts are pinned here, across **every** matrix and tensor
 //! format:
 //!
 //! 1. **Partitions are sound.** `row_partition` / `fiber_partition`
@@ -19,6 +19,9 @@
 //!    pass, each range's repeat traversal performs zero heap
 //!    allocations under the counting global allocator, at 3 and 8
 //!    parts.
+//! 4. **Tensor streams do not move.** One digest pins every tensor
+//!    format's accessors, partitions, ranged walks and tensor kernels
+//!    bit for bit.
 
 use proptest::prelude::*;
 use sparseflex::formats::{
@@ -441,4 +444,122 @@ fn warm_worker_arenas_never_allocate_per_range() {
             }
         }
     }
+}
+
+/// Fold a dense matrix: its shape, then the bits of every element.
+fn pin_matrix(m: &DenseMatrix, pinned: &mut Vec<u8>) {
+    for d in [m.rows(), m.cols()] {
+        pinned.extend_from_slice(&(d as u64).to_le_bytes());
+    }
+    for v in m.data() {
+        pinned.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// Fold a walk's fibers: each fiber's `(x, y)`, length, z ids and value
+/// bits, then an end marker.
+fn pin_fibers(fibers: &TensorFibers, pinned: &mut Vec<u8>) {
+    for (x, y, zs, vals) in fibers {
+        for d in [*x, *y, zs.len()].iter().chain(zs) {
+            pinned.extend_from_slice(&(*d as u64).to_le_bytes());
+        }
+        for v in vals {
+            pinned.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+    pinned.extend_from_slice(&u64::MAX.to_le_bytes());
+}
+
+/// The tensor streams pinned end to end: one FNV-1a digest over every
+/// tensor format (RLC at 2 and 4 run bits) on tensors with a zero extent
+/// on each axis and on random operands (hypersparse, fibers across mask
+/// words, and a full one). Per format it folds `nnz`, `shape`, `get` on
+/// every cell, `to_coo`, `fiber_partition` at 1–6 parts with each range's
+/// walk, walks of ranges that run past the end, and MTTKRP
+/// (`mttkrp`, `mttkrp_via_stream`, `mttkrp_parallel`) and SpTTM
+/// (`spttm`, `spttm_parallel`), the parallel forms at 1–4 workers.
+#[test]
+fn tensor_streams_are_pinned_bit_for_bit() {
+    use sparseflex::formats::{fnv1a, SparseTensor3};
+    use sparseflex::kernels::mttkrp;
+    use sparseflex::workloads::synth::{random_dense_matrix, random_tensor3};
+
+    let formats = [
+        TensorFormat::Dense,
+        TensorFormat::Coo,
+        TensorFormat::Csf,
+        TensorFormat::HiCoo { block: 2 },
+        TensorFormat::Rlc { run_bits: 2 },
+        TensorFormat::Rlc { run_bits: 4 },
+        TensorFormat::Zvc,
+    ];
+    let operands = [
+        random_tensor3(0, 4, 5, 0, 1),
+        random_tensor3(3, 0, 5, 0, 2),
+        random_tensor3(3, 4, 0, 0, 3),
+        random_tensor3(5, 4, 6, 40, 4),
+        random_tensor3(9, 8, 5, 6, 5),
+        random_tensor3(3, 7, 130, 120, 6),
+        random_tensor3(4, 3, 65, 300, 7),
+        random_tensor3(2, 3, 4, 24, 8),
+    ];
+    let mut pinned = Vec::new();
+    for (i, t) in operands.iter().enumerate() {
+        let (dx, dy, dz) = t.shape();
+        let keys = dx * dy;
+        let seed = 100 + 3 * i as u64;
+        let b = random_dense_matrix(dy, 3, seed);
+        let c = random_dense_matrix(dz, 3, seed + 1);
+        let bz = random_dense_matrix(dz, 2, seed + 2);
+        for fmt in &formats {
+            let data = TensorData::encode(t, fmt).unwrap();
+            pinned.extend_from_slice(fmt.to_string().as_bytes());
+            for d in [data.nnz(), dx, dy, dz] {
+                pinned.extend_from_slice(&(d as u64).to_le_bytes());
+            }
+            assert_eq!(data.shape(), (dx, dy, dz), "{fmt} shape");
+            for x in 0..dx {
+                for y in 0..dy {
+                    for z in 0..dz {
+                        pinned.extend_from_slice(&data.get(x, y, z).to_bits().to_le_bytes());
+                    }
+                }
+            }
+            for (x, y, z, v) in data.to_coo().iter() {
+                for d in [x, y, z] {
+                    pinned.extend_from_slice(&(d as u64).to_le_bytes());
+                }
+                pinned.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+            for parts in 1..=6 {
+                for r in data.fiber_stream().fiber_partition(parts) {
+                    for d in [r.start, r.end] {
+                        pinned.extend_from_slice(&(d as u64).to_le_bytes());
+                    }
+                    pin_fibers(&tensor_fibers_range(&data, r), &mut pinned);
+                }
+            }
+            for lo in [0, keys / 2, keys, keys + 1] {
+                pin_fibers(&tensor_fibers_range(&data, lo..keys + 3), &mut pinned);
+            }
+            pin_matrix(&mttkrp(&data, &b, &c).unwrap(), &mut pinned);
+            pin_matrix(&mttkrp_via_stream(&data, &b, &c).unwrap(), &mut pinned);
+            for v in spttm(&data, &bz).unwrap().data() {
+                pinned.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+            for workers in 1..=4 {
+                with_workers(workers, || {
+                    pin_matrix(&mttkrp_parallel(&data, &b, &c).unwrap(), &mut pinned);
+                    for v in spttm_parallel(&data, &bz).unwrap().data() {
+                        pinned.extend_from_slice(&v.to_bits().to_le_bytes());
+                    }
+                });
+            }
+        }
+    }
+    assert_eq!(
+        fnv1a(&pinned),
+        0x1002_cbbc_cce0_b851,
+        "tensor stream digest moved"
+    );
 }
