@@ -25,6 +25,12 @@
 //!   fiber), [`HiCooTensor`] (hierarchical COO), [`RlcTensor3`],
 //!   [`ZvcTensor3`].
 //!
+//! The flat tensor layouts (Dense, RLC and ZVC) encode the `x -> y -> z`
+//! flattened stream (Fig. 3b), which is the row-major stream of the
+//! `(dim_x·dim_y) × dim_z` matrix whose row `x·dim_y + y` is fiber
+//! `(x, y)`. Each stores that [`DenseMatrix`], [`RlcMatrix`] or
+//! [`ZvcMatrix`], and walks, partitions and sizes it as that matrix.
+//!
 //! The [`size_model`] module reproduces the paper's §III-A compactness
 //! analysis: each metadata field is charged `ceil(log2(max_value + 1))`
 //! bits, and each stored element is charged the bit-width of the

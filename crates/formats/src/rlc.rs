@@ -91,8 +91,8 @@ impl RlcMatrix {
     }
 
     /// Assemble from entries that already hold every invariant
-    /// [`from_parts`](Self::from_parts) checks: the format builders'
-    /// output, correct by construction.
+    /// [`from_parts`](Self::from_parts) checks: the tensor encoder's and
+    /// the format builders' output, correct by construction.
     pub(crate) fn from_parts_unchecked(
         rows: usize,
         cols: usize,
@@ -212,13 +212,15 @@ impl RunEncoder {
 }
 
 /// Run-length coded 3-D tensor over the `x -> y -> z` (z fastest)
-/// flattened stream, matching Fig. 3b's RLC example.
+/// flattened stream, matching Fig. 3b's RLC example. That stream is the
+/// row-major stream of the `(dim_x·dim_y) × dim_z` [`RlcMatrix`] whose
+/// row `x·dim_y + y` is fiber `(x, y)`, and the tensor holds exactly that
+/// matrix: its accessors, walk and partition are the matrix's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RlcTensor3 {
-    dims: (usize, usize, usize),
-    run_bits: u32,
-    entries: Vec<RlcEntry>,
-    trailing_zeros: u64,
+    dim_x: usize,
+    dim_y: usize,
+    matrix: RlcMatrix,
 }
 
 impl RlcTensor3 {
@@ -231,58 +233,51 @@ impl RlcTensor3 {
         }
         let (entries, trailing_zeros) = runs.finish((dx * dy * dz) as u64);
         RlcTensor3 {
-            dims: (dx, dy, dz),
-            run_bits,
-            entries,
-            trailing_zeros,
+            dim_x: dx,
+            dim_y: dy,
+            matrix: RlcMatrix::from_parts_unchecked(dx * dy, dz, run_bits, entries, trailing_zeros),
         }
+    }
+
+    /// The `(dim_x·dim_y) × dim_z` matrix the tensor stores.
+    #[inline]
+    pub(crate) fn matrix(&self) -> &RlcMatrix {
+        &self.matrix
     }
 
     /// Run-field width in bits.
     #[inline]
     pub fn run_bits(&self) -> u32 {
-        self.run_bits
+        self.matrix.run_bits()
     }
 
     /// Encoded entries.
     #[inline]
     pub fn entries(&self) -> &[RlcEntry] {
-        &self.entries
+        self.matrix.entries()
     }
 
     /// Total encoded entries (bus-traffic unit).
     pub fn stored_entries(&self) -> usize {
-        self.entries.len()
+        self.matrix.stored_entries()
     }
 }
 
 impl SparseTensor3 for RlcTensor3 {
     fn dim_x(&self) -> usize {
-        self.dims.0
+        self.dim_x
     }
     fn dim_y(&self) -> usize {
-        self.dims.1
+        self.dim_y
     }
     fn dim_z(&self) -> usize {
-        self.dims.2
+        self.matrix.cols()
     }
     fn nnz(&self) -> usize {
-        self.entries.iter().filter(|e| e.value != 0.0).count()
+        self.matrix.nnz()
     }
     fn get(&self, x: usize, y: usize, z: usize) -> Value {
-        let target = ((x * self.dims.1 + y) * self.dims.2 + z) as u64;
-        let mut cursor = 0u64;
-        for e in &self.entries {
-            let pos = cursor + e.zeros;
-            if target < pos {
-                return 0.0;
-            }
-            if target == pos {
-                return e.value;
-            }
-            cursor = pos + 1;
-        }
-        0.0
+        self.matrix.get(x * self.dim_y + y, z)
     }
     fn to_coo(&self) -> CooTensor3 {
         crate::traverse::coo3_from_stream(self)

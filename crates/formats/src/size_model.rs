@@ -255,7 +255,9 @@ pub fn matrix_storage_bits_exact(data: &MatrixData, dtype: DataType) -> u64 {
 }
 
 /// Analytic storage size in bits of a 3-D tensor in the given format,
-/// assuming uniformly random nonzero positions.
+/// assuming uniformly random nonzero positions. The flat layouts (Dense,
+/// RLC, ZVC) store the `(x·y) × z` matrix whose rows are the `(x, y)`
+/// fibers, so they are charged that matrix's formula.
 pub fn tensor_storage_bits(
     format: &TensorFormat,
     dims: (usize, usize, usize),
@@ -264,10 +266,15 @@ pub fn tensor_storage_bits(
 ) -> u64 {
     let (x, y, z) = (dims.0 as u64, dims.1 as u64, dims.2 as u64);
     let n = nnz as u64;
-    let total = x * y * z;
     let lg = |v: u64| u64::from(ceil_log2(v));
+    let flat = |matrix: MatrixFormat| {
+        matrix_charge(
+            &matrix,
+            &MatrixStructure::analytic(dims.0 * dims.1, dims.2, nnz),
+        )
+    };
     let (metadata, slots) = match *format {
-        TensorFormat::Dense => (0, total),
+        TensorFormat::Dense => flat(MatrixFormat::Dense),
         TensorFormat::Coo => (n * lg(x) + n * lg(y) + n * lg(z), n),
         TensorFormat::Csf => {
             let slices = csf_expected_slices(dims, nnz);
@@ -293,11 +300,8 @@ pub fn tensor_storage_bits(
                 n,
             )
         }
-        TensorFormat::Rlc { run_bits } => {
-            let entries = rlc_expected_entries(total, n, run_bits);
-            (entries * u64::from(run_bits), entries)
-        }
-        TensorFormat::Zvc => (total, n),
+        TensorFormat::Rlc { run_bits } => flat(MatrixFormat::Rlc { run_bits }),
+        TensorFormat::Zvc => flat(MatrixFormat::Zvc),
     };
     metadata + slots * dtype.bits()
 }

@@ -1,26 +1,32 @@
 //! Dense and coordinate 3-D tensor storage.
 
+use crate::dense::DenseMatrix;
 use crate::error::FormatError;
-use crate::traits::SparseTensor3;
+use crate::traits::{SparseMatrix, SparseTensor3};
 use crate::Value;
 
 /// Dense 3-D tensor, flattened `x -> y -> z` with z fastest.
 ///
 /// The flattening order matches the paper's Fig. 8f Dense→CSF walkthrough
 /// ("the dense format equivalent in z → y → x order"), i.e. z is the
-/// innermost loop of the stream.
+/// innermost loop of the stream. That stream is the row-major buffer of
+/// the `(dim_x·dim_y) × dim_z` [`DenseMatrix`] whose row `x·dim_y + y` is
+/// fiber `(x, y)`, and the tensor holds exactly that matrix: its
+/// accessors, walk and partition are the matrix's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseTensor3 {
-    dims: (usize, usize, usize),
-    data: Vec<Value>,
+    dim_x: usize,
+    dim_y: usize,
+    matrix: DenseMatrix,
 }
 
 impl DenseTensor3 {
     /// All-zeros tensor of the given shape.
     pub fn zeros(dx: usize, dy: usize, dz: usize) -> Self {
         DenseTensor3 {
-            dims: (dx, dy, dz),
-            data: vec![0.0; dx * dy * dz],
+            dim_x: dx,
+            dim_y: dy,
+            matrix: DenseMatrix::zeros(dx * dy, dz),
         }
     }
 
@@ -31,68 +37,66 @@ impl DenseTensor3 {
         dz: usize,
         data: Vec<Value>,
     ) -> Result<Self, FormatError> {
-        if data.len() != dx * dy * dz {
-            return Err(FormatError::LengthMismatch {
-                what: "dense tensor data vs volume",
-                expected: dx * dy * dz,
-                actual: data.len(),
-            });
-        }
         Ok(DenseTensor3 {
-            dims: (dx, dy, dz),
-            data,
+            dim_x: dx,
+            dim_y: dy,
+            matrix: DenseMatrix::from_vec(dx * dy, dz, data)?,
         })
+    }
+
+    /// The `(dim_x·dim_y) × dim_z` matrix the tensor stores.
+    #[inline]
+    pub(crate) fn matrix(&self) -> &DenseMatrix {
+        &self.matrix
     }
 
     /// Flat backing buffer.
     #[inline]
     pub fn data(&self) -> &[Value] {
-        &self.data
+        self.matrix.data()
     }
 
     /// Mutable flat backing buffer (z fastest) — lets kernels update a
     /// whole `(x, y)` output fiber as one contiguous lane.
     #[inline]
     pub fn data_mut(&mut self) -> &mut [Value] {
-        &mut self.data
+        self.matrix.data_mut()
     }
 
     /// Write access to element `(x, y, z)`.
     #[inline]
     pub fn set(&mut self, x: usize, y: usize, z: usize, v: Value) {
-        let i = (x * self.dims.1 + y) * self.dims.2 + z;
-        self.data[i] = v;
+        self.matrix.set(x * self.dim_y + y, z, v);
     }
 
     /// Add into element `(x, y, z)`.
     #[inline]
     pub fn add_assign(&mut self, x: usize, y: usize, z: usize, v: Value) {
-        let i = (x * self.dims.1 + y) * self.dims.2 + z;
-        self.data[i] += v;
+        self.matrix.add_assign(x * self.dim_y + y, z, v);
     }
 
     /// Count explicit nonzeros.
     pub fn count_nonzeros(&self) -> usize {
-        self.data.iter().filter(|v| **v != 0.0).count()
+        self.matrix.count_nonzeros()
     }
 }
 
 impl SparseTensor3 for DenseTensor3 {
     fn dim_x(&self) -> usize {
-        self.dims.0
+        self.dim_x
     }
     fn dim_y(&self) -> usize {
-        self.dims.1
+        self.dim_y
     }
     fn dim_z(&self) -> usize {
-        self.dims.2
+        self.matrix.cols()
     }
     fn nnz(&self) -> usize {
-        self.count_nonzeros()
+        self.matrix.nnz()
     }
     #[inline]
     fn get(&self, x: usize, y: usize, z: usize) -> Value {
-        self.data[(x * self.dims.1 + y) * self.dims.2 + z]
+        self.matrix.get(x * self.dim_y + y, z)
     }
     fn to_coo(&self) -> CooTensor3 {
         crate::traverse::coo3_from_stream(self)

@@ -20,6 +20,12 @@
 //! walk their native structure — no COO hub round-trip, no format
 //! conversion, and (once the arena is warm) no heap allocation.
 //!
+//! The flat tensor layouts (Dense, RLC, ZVC) have no walk of their own.
+//! Their `x -> y -> z` stream is the row-major stream of the
+//! `(dim_x·dim_y) × dim_z` matrix whose row `x·dim_y + y` is fiber
+//! `(x, y)`, and each stores that matrix: it walks and partitions it as
+//! that matrix does, and maps each row back to its `(x, y)`.
+//!
 //! Kernels written against these traits run unchanged over every format
 //! (see `sparseflex-kernels`' format-generic `spmv`/`spmm`/`spgemm`/
 //! `mttkrp`/`spttm`), which is the software analogue of the paper's
@@ -68,7 +74,8 @@
 //! fibers, same order, same scratch discipline — so parallel kernels
 //! built on top are bit-for-bit identical to their sequential twins.
 //! Matrix ranges are over row ids `0..rows`; tensor ranges are over the
-//! linearized fiber key `x * dim_y + y` in `0..dim_x * dim_y`.
+//! linearized fiber key `x * dim_y + y` in `0..dim_x * dim_y`, which is
+//! a flat tensor's matrix row.
 
 use crate::arena::StreamArena;
 use crate::bsr::BsrMatrix;
@@ -1009,55 +1016,6 @@ impl FiberStream3 for CsfTensor {
     }
 }
 
-impl FiberStream3 for DenseTensor3 {
-    /// Arena-scratch: each `(x, y)` run of the flat buffer (z fastest) is
-    /// one fiber; zeros are compacted away.
-    ///
-    /// Direct seek: keys address the flat buffer, so the ranged walk is the
-    /// same compaction loop over `range` keys only.
-    fn for_each_fiber_range_in(
-        &self,
-        range: Range<usize>,
-        arena: &mut StreamArena,
-        emit: &mut FiberSink3<'_>,
-    ) {
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        let StreamArena {
-            coords: zs, vals, ..
-        } = arena;
-        for key in range.start..range.end.min(dx * dy) {
-            let (x, y) = (key / dy, key % dy);
-            let base = key * dz;
-            zs.clear();
-            vals.clear();
-            for (z, &v) in self.data()[base..base + dz].iter().enumerate() {
-                if v != 0.0 {
-                    zs.push(z);
-                    vals.push(v);
-                }
-            }
-            if !zs.is_empty() {
-                emit(x, y, zs, vals);
-            }
-        }
-    }
-
-    fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        let keys = dx * dy;
-        let mut prefix = vec![0usize; keys + 1];
-        for key in 0..keys {
-            let base = key * dz;
-            let nnz = self.data()[base..base + dz]
-                .iter()
-                .filter(|&&v| v != 0.0)
-                .count();
-            prefix[key + 1] = prefix[key] + nnz;
-        }
-        split_by_prefix(&prefix, parts)
-    }
-}
-
 /// Calls `f(key, z, value)` for every stored HiCOO entry whose fiber key
 /// `x * dim_y + y` falls in `keys`, in storage order. Blocks ascend by
 /// `bx`, so two `partition_point`s find the block rows the keys' x span
@@ -1141,124 +1099,64 @@ impl FiberStream3 for HiCooTensor {
     }
 }
 
-impl FiberStream3 for RlcTensor3 {
-    /// Native stream: the flattened run-length entries decode in `(x, y, z)`
-    /// order; consecutive same-`(x, y)` elements batch into one fiber in
-    /// arena scratch.
-    ///
-    /// Run skip-scan: decode positions ascend monotonically, so the walk
-    /// skips entries below the range window and stops at the first entry
-    /// past it.
+/// The flat layouts' walk: Dense, RLC and ZVC tensors store the
+/// `(dim_x·dim_y) × dim_z` matrix whose row `x·dim_y + y` is fiber
+/// `(x, y)`, so fiber keys are its rows. Runs the matrix's ranged walk
+/// and maps each row back to its fiber.
+fn flat_fibers_in(
+    matrix: &impl RowMajorStream,
+    dim_y: usize,
+    range: Range<usize>,
+    arena: &mut StreamArena,
+    emit: &mut FiberSink3<'_>,
+) {
+    matrix.for_each_fiber_range_in(range, arena, &mut |key, zs, vals| {
+        emit(key / dim_y, key % dim_y, zs, vals)
+    });
+}
+
+impl FiberStream3 for DenseTensor3 {
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        if dy == 0 || dz == 0 {
-            return;
-        }
-        let lo_pos = range.start as u64 * dz as u64;
-        let hi_pos = range.end.min(dx * dy) as u64 * dz as u64;
-        let mut cur: Option<(usize, usize)> = None;
-        let StreamArena {
-            coords: zs, vals, ..
-        } = arena;
-        zs.clear();
-        vals.clear();
-        let mut cursor = 0u64;
-        for e in self.entries() {
-            let pos = cursor + e.zeros;
-            cursor = pos + 1;
-            if pos >= hi_pos {
-                break;
-            }
-            if e.value == 0.0 || pos < lo_pos {
-                continue; // run-extension entry or before the window
-            }
-            let p = pos as usize;
-            let xy = (p / (dy * dz), (p / dz) % dy);
-            if cur != Some(xy) {
-                if let Some((x, y)) = cur {
-                    if !zs.is_empty() {
-                        emit(x, y, zs, vals);
-                        zs.clear();
-                        vals.clear();
-                    }
-                }
-                cur = Some(xy);
-            }
-            zs.push(p % dz);
-            vals.push(e.value);
-        }
-        if let Some((x, y)) = cur {
-            if !zs.is_empty() {
-                emit(x, y, zs, vals);
-            }
-        }
+        flat_fibers_in(self.matrix(), self.dim_y(), range, arena, emit);
     }
 
-    /// Run scan: one decode pass histograms stored elements per fiber key
-    /// into a prefix array.
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        let keys = dx * dy;
-        let mut prefix = vec![0usize; keys + 1];
-        let mut cursor = 0u64;
-        for e in self.entries() {
-            let pos = cursor + e.zeros;
-            cursor = pos + 1;
-            if e.value == 0.0 {
-                continue;
-            }
-            // checked_div: a zero-depth tensor stores no positions at all,
-            // so `None` just skips the (impossible) entry.
-            if let Some(key) = (pos as usize).checked_div(dz) {
-                prefix[key + 1] += 1;
-            }
-        }
-        scan(&mut prefix);
-        split_by_prefix(&prefix, parts)
+        self.matrix().row_partition(parts)
+    }
+}
+
+impl FiberStream3 for RlcTensor3 {
+    fn for_each_fiber_range_in(
+        &self,
+        range: Range<usize>,
+        arena: &mut StreamArena,
+        emit: &mut FiberSink3<'_>,
+    ) {
+        flat_fibers_in(self.matrix(), self.dim_y(), range, arena, emit);
+    }
+
+    fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
+        self.matrix().row_partition(parts)
     }
 }
 
 impl FiberStream3 for ZvcTensor3 {
-    /// Half zero-copy: values are packed in flat order, so each `(x, y)`
-    /// fiber's values are contiguous; z ids decode from the bitmask into
-    /// arena scratch.
-    ///
-    /// Bitmask rank seek: the packed-value cursor for the first in-range
-    /// fiber is `rank(range.start * dz)` (a popcount over the mask prefix);
-    /// from there each fiber decodes its set bits a mask word at a time,
-    /// as the matrix walk decodes a row.
     fn for_each_fiber_range_in(
         &self,
         range: Range<usize>,
         arena: &mut StreamArena,
         emit: &mut FiberSink3<'_>,
     ) {
-        let (dx, dy, dz) = (self.dim_x(), self.dim_y(), self.dim_z());
-        let lo = range.start.min(dx * dy);
-        let hi = range.end.min(dx * dy);
-        let zs = &mut arena.coords;
-        let mut vi = self.rank(lo * dz);
-        for key in lo..hi {
-            let base = key * dz;
-            zs.clear();
-            for_each_set_bit(self.mask(), base..base + dz, |z| zs.push(z));
-            if !zs.is_empty() {
-                let start = vi;
-                vi += zs.len();
-                emit(key / dy, key % dy, zs, &self.values()[start..vi]);
-            }
-        }
+        flat_fibers_in(self.matrix(), self.dim_y(), range, arena, emit);
     }
 
-    /// Set mask bits per fiber key, a mask word at a time.
     fn fiber_partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let keys = self.dim_x() * self.dim_y();
-        split_by_prefix(&mask_prefix(self.mask(), keys, self.dim_z()), parts)
+        self.matrix().row_partition(parts)
     }
 }
 

@@ -143,8 +143,8 @@ impl ZvcMatrix {
     }
 
     /// Assemble from a mask and values that already hold every invariant
-    /// [`from_parts`](Self::from_parts) checks: the format builders'
-    /// output, correct by construction.
+    /// [`from_parts`](Self::from_parts) checks: the tensor encoder's and
+    /// the format builders' output, correct by construction.
     pub(crate) fn from_parts_unchecked(
         rows: usize,
         cols: usize,
@@ -173,7 +173,7 @@ impl ZvcMatrix {
 
     /// Is the bit for flat position `i` set?
     #[inline]
-    pub fn bit(&self, i: usize) -> bool {
+    fn bit(&self, i: usize) -> bool {
         (self.mask[i / 64] >> (i % 64)) & 1 == 1
     }
 
@@ -216,12 +216,15 @@ impl SparseMatrix for ZvcMatrix {
 }
 
 /// Zero-value compressed 3-D tensor over the `x -> y -> z` (z fastest)
-/// flattened stream (Fig. 3b's ZVC example).
+/// flattened stream (Fig. 3b's ZVC example). That stream is the
+/// row-major stream of the `(dim_x·dim_y) × dim_z` [`ZvcMatrix`] whose
+/// row `x·dim_y + y` is fiber `(x, y)`, and the tensor holds exactly that
+/// matrix: its accessors, walk and partition are the matrix's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZvcTensor3 {
-    dims: (usize, usize, usize),
-    mask: Vec<u64>,
-    values: Vec<Value>,
+    dim_x: usize,
+    dim_y: usize,
+    matrix: ZvcMatrix,
 }
 
 impl ZvcTensor3 {
@@ -234,64 +237,46 @@ impl ZvcTensor3 {
         }
         let (mask, values) = enc.finish();
         ZvcTensor3 {
-            dims: (dx, dy, dz),
-            mask,
-            values,
+            dim_x: dx,
+            dim_y: dy,
+            matrix: ZvcMatrix::from_parts_unchecked(dx * dy, dz, mask, values),
         }
+    }
+
+    /// The `(dim_x·dim_y) × dim_z` matrix the tensor stores.
+    #[inline]
+    pub(crate) fn matrix(&self) -> &ZvcMatrix {
+        &self.matrix
     }
 
     /// Packed mask words.
     #[inline]
     pub fn mask(&self) -> &[u64] {
-        &self.mask
+        self.matrix.mask()
     }
 
     /// Packed nonzero values.
     #[inline]
     pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    /// Is the bit for flat position `i` set? (Shared with the fiber-stream
-    /// traversal in `traverse`.)
-    #[inline]
-    pub(crate) fn bit(&self, i: usize) -> bool {
-        (self.mask[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    pub(crate) fn rank(&self, i: usize) -> usize {
-        let word = i / 64;
-        let mut count: usize = self.mask[..word]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        if !i.is_multiple_of(64) {
-            count += (self.mask[word] & ((1u64 << (i % 64)) - 1)).count_ones() as usize;
-        }
-        count
+        self.matrix.values()
     }
 }
 
 impl SparseTensor3 for ZvcTensor3 {
     fn dim_x(&self) -> usize {
-        self.dims.0
+        self.dim_x
     }
     fn dim_y(&self) -> usize {
-        self.dims.1
+        self.dim_y
     }
     fn dim_z(&self) -> usize {
-        self.dims.2
+        self.matrix.cols()
     }
     fn nnz(&self) -> usize {
-        self.values.len()
+        self.matrix.nnz()
     }
     fn get(&self, x: usize, y: usize, z: usize) -> Value {
-        let flat = (x * self.dims.1 + y) * self.dims.2 + z;
-        if self.bit(flat) {
-            self.values[self.rank(flat)]
-        } else {
-            0.0
-        }
+        self.matrix.get(x * self.dim_y + y, z)
     }
     fn to_coo(&self) -> CooTensor3 {
         crate::traverse::coo3_from_stream(self)
