@@ -106,7 +106,10 @@ impl AnalyticEstimate {
     }
 }
 
-/// Predict a WS execution analytically.
+/// Predict a WS execution analytically: A streamed in Dense, CSR, COO or
+/// CSC over B resident in Dense or CSC. Any other pair is
+/// [`SimError::UnsupportedAcf`]; the CSR-CSR Gustavson dataflow is
+/// [`spgemm_estimate`]'s.
 pub fn ws_estimate(w: &WsWorkload, cfg: &AccelConfig) -> Result<AnalyticEstimate, SimError> {
     let a_ok = matches!(
         w.acf_a,
@@ -114,9 +117,6 @@ pub fn ws_estimate(w: &WsWorkload, cfg: &AccelConfig) -> Result<AnalyticEstimate
     );
     let b_ok = matches!(w.acf_b, MatrixFormat::Dense | MatrixFormat::Csc);
     if !a_ok || !b_ok {
-        if w.acf_a == MatrixFormat::Csr && w.acf_b == MatrixFormat::Csr {
-            return spgemm_estimate(w, cfg);
-        }
         return Err(SimError::UnsupportedAcf {
             a: w.acf_a,
             b: w.acf_b,

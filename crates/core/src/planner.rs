@@ -38,13 +38,14 @@ use crate::system::RunError;
 use sparseflex_accel::exec::{
     simulate_spgemm_into, simulate_ws_into, GustavsonA, OutBand, SimScratch, SimStats,
 };
+use sparseflex_accel::ConversionSupport;
 use sparseflex_formats::{
     csr_cow, cut_schedule, plan_column_schedule, ColumnSchedule, CooMatrix, DenseMatrix,
     MatrixData, MatrixFormat, MatrixTile, SparseMatrix, TilePolicy,
 };
 use sparseflex_mint::tiled::{overlap_schedule, split_cycles};
 use sparseflex_mint::{conversion_cost, ConversionReport};
-use sparseflex_sage::eval::{ConversionMode, Evaluation};
+use sparseflex_sage::eval::Evaluation;
 use sparseflex_sage::{FormatChoice, Sage, SageKernel, SageWorkload};
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -451,7 +452,7 @@ impl Planner {
                         for format in [choice.mcf_a, choice.mcf_b, choice.acf_a, choice.acf_b] {
                             format.check_encodable()?;
                         }
-                        sage.evaluate(w, choice, ConversionMode::Hardware)
+                        sage.evaluate(w, choice, ConversionSupport::Hardware)
                             .map_err(RunError::from)
                     })?
             }

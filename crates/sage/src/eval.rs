@@ -5,40 +5,19 @@ use crate::search::FormatChoice;
 use crate::workload::{SageKernel, SageWorkload};
 use sparseflex_accel::exec::SimError;
 use sparseflex_accel::model::{spgemm_estimate, ws_estimate, WsWorkload};
-use sparseflex_accel::{AccelConfig, DramModel, EnergyModel};
+use sparseflex_accel::{AccelConfig, ConversionSupport, DramModel, EnergyModel};
 use sparseflex_formats::size_model::matrix_storage_bits;
 use sparseflex_formats::MatrixFormat;
 use sparseflex_mint::{conversion_cost, ConversionEngine};
 
-/// How conversions are performed (Table I column).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ConversionMode {
-    /// MCF must equal ACF; any mismatch is rejected.
-    RequireIdentity,
-    /// MINT hardware beside the accelerator: conversion overlaps the
-    /// DRAM stream, only the excess shows up as added cycles.
-    Hardware,
-    /// Host software: conversion is serialized and slowed by the given
-    /// factor, and operands pay a host round-trip over the interconnect
-    /// (bits moved at `pcie_bits_per_cycle`).
-    Software {
-        /// Host slowdown vs MINT throughput.
-        slowdown: f64,
-        /// Interconnect bandwidth in bits per accelerator cycle
-        /// (PCIe 3.0 x16 ~ 16 GB/s = 128 bits/cycle at 1 GHz).
-        pcie_bits_per_cycle: f64,
-    },
-}
+/// Host software conversion's slowdown against MINT's throughput
+/// (`Flex_Flex_SW`).
+const SW_SLOWDOWN: f64 = 10.0;
 
-impl ConversionMode {
-    /// The default host model used for `Flex_Flex_SW`.
-    pub fn default_software() -> Self {
-        ConversionMode::Software {
-            slowdown: 10.0,
-            pcie_bits_per_cycle: 128.0,
-        }
-    }
-}
+/// Interconnect bandwidth in bits per accelerator cycle for a host
+/// conversion's round trip: PCIe 3.0 x16 is about 16 GB/s, 128 bits per
+/// cycle at 1 GHz.
+const PCIE_BITS_PER_CYCLE: f64 = 128.0;
 
 /// Full cost breakdown of one format choice on one workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,14 +83,18 @@ impl Default for Sage {
 
 impl Sage {
     /// Evaluate one format choice on a matrix workload (analytic operand
-    /// sizes under the uniform-random assumption).
+    /// sizes under the uniform-random assumption) under a Table I
+    /// conversion discipline: `None` requires MCF = ACF, `Hardware`
+    /// overlaps MINT's conversion with the DRAM stream and the tiles'
+    /// compute, and `Software` serializes a slowed host conversion plus
+    /// an interconnect round trip per converted operand.
     pub fn evaluate(
         &self,
         w: &SageWorkload,
         choice: &FormatChoice,
-        mode: ConversionMode,
+        conversion: ConversionSupport,
     ) -> Result<Evaluation, SimError> {
-        self.evaluate_with_operand_bits(w, choice, mode, None)
+        self.evaluate_with_operand_bits(w, choice, conversion, None)
     }
 
     /// Evaluate with optional *measured* operand storage sizes (the
@@ -122,10 +105,10 @@ impl Sage {
         &self,
         w: &SageWorkload,
         choice: &FormatChoice,
-        mode: ConversionMode,
+        conversion: ConversionSupport,
         exact_bits: Option<(u64, u64)>,
     ) -> Result<Evaluation, SimError> {
-        if matches!(mode, ConversionMode::RequireIdentity)
+        if conversion == ConversionSupport::None
             && (choice.mcf_a != choice.acf_a || choice.mcf_b != choice.acf_b)
         {
             return Err(SimError::UnsupportedAcf {
@@ -174,9 +157,9 @@ impl Sage {
         // ---- Conversion model.
         let conv_a = conversion_cost(&choice.mcf_a, &choice.acf_a, w.m, w.k, w.nnz_a, &self.mint);
         let conv_b = conversion_cost(&choice.mcf_b, &choice.acf_b, w.k, w.n, w.nnz_b, &self.mint);
-        let (conv_cycles, conv_energy) = match mode {
-            ConversionMode::RequireIdentity => (0.0, 0.0),
-            ConversionMode::Hardware => {
+        let (conv_cycles, conv_energy) = match conversion {
+            ConversionSupport::None => (0.0, 0.0),
+            ConversionSupport::Hardware => {
                 // "MINT is pipelined to start conversion while streaming
                 // in data from memory" (SV-B), and the tiled runtime in
                 // `sparseflex-core` additionally converts stationary tile
@@ -196,21 +179,18 @@ impl Sage {
                 );
                 (added, conv_a.energy + conv_b.energy)
             }
-            ConversionMode::Software {
-                slowdown,
-                pcie_bits_per_cycle,
-            } => {
+            ConversionSupport::Software => {
                 // Host conversion: serialized, slowed, plus a PCIe round
                 // trip for each converted operand (H2D + D2H).
                 let mut cycles = 0.0;
                 let mut energy = 0.0;
                 for (conv, bits) in [(conv_a, bits_a), (conv_b, bits_b)] {
                     if conv.cycles > 0 {
-                        cycles +=
-                            conv.cycles as f64 * slowdown + 2.0 * bits as f64 / pcie_bits_per_cycle;
+                        cycles += conv.cycles as f64 * SW_SLOWDOWN
+                            + 2.0 * bits as f64 / PCIE_BITS_PER_CYCLE;
                         // Host DRAM traffic both ways dominates energy.
-                        energy +=
-                            conv.energy * slowdown + 2.0 * bits as f64 * self.energy.dram_per_bit();
+                        energy += conv.energy * SW_SLOWDOWN
+                            + 2.0 * bits as f64 * self.energy.dram_per_bit();
                     }
                 }
                 (cycles, energy)
@@ -263,24 +243,15 @@ impl Sage {
     fn stationary_tiles(&self, w: &SageWorkload) -> usize {
         w.n.div_ceil(self.accel.num_pes.max(1)).clamp(1, 4096)
     }
+}
 
-    /// Is this ACF pair executable for this kernel on the WS array?
-    pub fn acf_supported(
-        &self,
-        w: &SageWorkload,
-        acf_a: MatrixFormat,
-        acf_b: MatrixFormat,
-    ) -> bool {
-        let spgemm_pair = acf_a == MatrixFormat::Csr && acf_b == MatrixFormat::Csr;
-        if spgemm_pair {
-            // Gustavson needs a sparse B; pointless for dense B.
-            return w.kernel == SageKernel::SpGemm;
-        }
-        matches!(
-            acf_a,
-            MatrixFormat::Dense | MatrixFormat::Csr | MatrixFormat::Coo | MatrixFormat::Csc
-        ) && matches!(acf_b, MatrixFormat::Dense | MatrixFormat::Csc)
-    }
+/// Is this ACF pair priced for this kernel? CSR-CSR is the Gustavson
+/// SpGEMM dataflow, which needs a sparse B, so it is priced for SpGEMM
+/// alone. Which other pairs the array executes is the estimators'
+/// answer: [`ws_estimate`] rejects the rest with
+/// [`SimError::UnsupportedAcf`].
+pub(crate) fn acf_priced(w: &SageWorkload, acf_a: MatrixFormat, acf_b: MatrixFormat) -> bool {
+    w.kernel == SageKernel::SpGemm || (acf_a, acf_b) != (MatrixFormat::Csr, MatrixFormat::Csr)
 }
 
 #[cfg(test)]
@@ -312,18 +283,14 @@ mod tests {
             MatrixFormat::Csr,
             MatrixFormat::Dense,
         );
-        assert!(sage
-            .evaluate(&w, &c, ConversionMode::RequireIdentity)
-            .is_err());
+        assert!(sage.evaluate(&w, &c, ConversionSupport::None).is_err());
         let ok = choice(
             MatrixFormat::Csr,
             MatrixFormat::Dense,
             MatrixFormat::Csr,
             MatrixFormat::Dense,
         );
-        assert!(sage
-            .evaluate(&w, &ok, ConversionMode::RequireIdentity)
-            .is_ok());
+        assert!(sage.evaluate(&w, &ok, ConversionSupport::None).is_ok());
     }
 
     #[test]
@@ -343,10 +310,10 @@ mod tests {
             MatrixFormat::Dense,
         );
         let e_dense = sage
-            .evaluate(&w, &dense_mcf, ConversionMode::Hardware)
+            .evaluate(&w, &dense_mcf, ConversionSupport::Hardware)
             .unwrap();
         let e_csr = sage
-            .evaluate(&w, &csr_mcf, ConversionMode::Hardware)
+            .evaluate(&w, &csr_mcf, ConversionSupport::Hardware)
             .unwrap();
         assert!(e_csr.dram_cycles < e_dense.dram_cycles);
         assert!(e_csr.total_energy() < e_dense.total_energy());
@@ -362,10 +329,8 @@ mod tests {
             MatrixFormat::Csr,
             MatrixFormat::Dense,
         );
-        let hw = sage.evaluate(&w, &c, ConversionMode::Hardware).unwrap();
-        let sw = sage
-            .evaluate(&w, &c, ConversionMode::default_software())
-            .unwrap();
+        let hw = sage.evaluate(&w, &c, ConversionSupport::Hardware).unwrap();
+        let sw = sage.evaluate(&w, &c, ConversionSupport::Software).unwrap();
         assert!(
             sw.conv_cycles > 10.0 * hw.conv_cycles.max(1.0),
             "sw {} vs hw {}",
@@ -385,7 +350,7 @@ mod tests {
             MatrixFormat::Csr,
             MatrixFormat::Dense,
         );
-        let e = sage.evaluate(&w, &c, ConversionMode::Hardware).unwrap();
+        let e = sage.evaluate(&w, &c, ConversionSupport::Hardware).unwrap();
         assert!(e.edp(1e9) > e.edp(2e9));
         assert!(e.total_cycles() > 0.0);
         assert!(e.total_energy() > 0.0);
@@ -407,9 +372,19 @@ mod tests {
         let sage = Sage::default();
         let spmm = SageWorkload::spmm(100, 100, 100, 1_000, DataType::Fp32);
         let spgemm = SageWorkload::spgemm(100, 100, 100, 1_000, 1_000, DataType::Fp32);
-        assert!(!sage.acf_supported(&spmm, MatrixFormat::Csr, MatrixFormat::Csr));
-        assert!(sage.acf_supported(&spgemm, MatrixFormat::Csr, MatrixFormat::Csr));
-        assert!(sage.acf_supported(&spmm, MatrixFormat::Coo, MatrixFormat::Dense));
-        assert!(!sage.acf_supported(&spmm, MatrixFormat::Zvc, MatrixFormat::Dense));
+        assert!(!acf_priced(&spmm, MatrixFormat::Csr, MatrixFormat::Csr));
+        assert!(acf_priced(&spgemm, MatrixFormat::Csr, MatrixFormat::Csr));
+        assert!(acf_priced(&spmm, MatrixFormat::Coo, MatrixFormat::Dense));
+        // The array cannot stream ZVC: the estimator rejects the pair.
+        let zvc = choice(
+            MatrixFormat::Zvc,
+            MatrixFormat::Dense,
+            MatrixFormat::Zvc,
+            MatrixFormat::Dense,
+        );
+        assert!(matches!(
+            sage.evaluate(&spmm, &zvc, ConversionSupport::Hardware),
+            Err(SimError::UnsupportedAcf { .. })
+        ));
     }
 }

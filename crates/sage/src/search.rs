@@ -10,7 +10,7 @@
 //! [`Sage::recommend_with_fixed_mcf`] over this work's ACF pairs with
 //! the MCFs pinned.
 
-use crate::eval::{ConversionMode, Evaluation, Sage};
+use crate::eval::{acf_priced, Evaluation, Sage};
 use crate::tensor_model::{evaluate_tensor, TensorChoice, TensorEvaluation};
 use crate::workload::{SageWorkload, TensorWorkload};
 use sparseflex_accel::taxonomy::{AcceleratorClass, FormatPair};
@@ -77,7 +77,7 @@ impl Sage {
             w,
             &[(mcf_a, mcf_b)],
             &acfs,
-            ConversionMode::Hardware,
+            ConversionSupport::Hardware,
             operand_bits,
         )
         .expect("Dense ACFs always evaluate")
@@ -91,25 +91,20 @@ impl Sage {
         w: &SageWorkload,
         class: &AcceleratorClass,
     ) -> Option<Recommendation> {
-        let mode = match class.conversion {
-            ConversionSupport::None => ConversionMode::RequireIdentity,
-            ConversionSupport::Hardware => ConversionMode::Hardware,
-            ConversionSupport::Software => ConversionMode::default_software(),
-        };
-        self.search(w, &class.mcfs, &class.acfs, mode, None)
+        self.search(w, &class.mcfs, &class.acfs, class.conversion, None)
     }
 
-    /// SAGE's one matrix search: every ACF pair the array supports for
-    /// this kernel, under every MCF pair, in order. Counts the
-    /// evaluations that succeed and keeps the first lowest EDP (ties keep
-    /// the earlier candidate, so the pair order is part of the output);
-    /// `None` when nothing evaluates.
+    /// SAGE's one matrix search: every ACF pair priced for this kernel,
+    /// under every MCF pair, in order. Counts the evaluations that
+    /// succeed (a pair the array cannot execute does not) and keeps the
+    /// first lowest EDP (ties keep the earlier candidate, so the pair
+    /// order is part of the output); `None` when nothing evaluates.
     fn search(
         &self,
         w: &SageWorkload,
         mcfs: &[FormatPair],
         acfs: &[FormatPair],
-        mode: ConversionMode,
+        conversion: ConversionSupport,
         operand_bits: Option<(u64, u64)>,
     ) -> Option<Recommendation> {
         let clock = self.accel.clock_hz;
@@ -117,7 +112,7 @@ impl Sage {
         let mut candidates = 0;
         for &(mcf_a, mcf_b) in mcfs {
             for &(acf_a, acf_b) in acfs {
-                if !self.acf_supported(w, acf_a, acf_b) {
+                if !acf_priced(w, acf_a, acf_b) {
                     continue;
                 }
                 let choice = FormatChoice {
@@ -126,7 +121,8 @@ impl Sage {
                     acf_a,
                     acf_b,
                 };
-                let Ok(eval) = self.evaluate_with_operand_bits(w, &choice, mode, operand_bits)
+                let Ok(eval) =
+                    self.evaluate_with_operand_bits(w, &choice, conversion, operand_bits)
                 else {
                     continue;
                 };
@@ -190,7 +186,7 @@ mod tests {
                     acf_a,
                     acf_b: MatrixFormat::Dense,
                 };
-                if let Ok(e) = s.evaluate(&w, &choice, crate::eval::ConversionMode::Hardware) {
+                if let Ok(e) = s.evaluate(&w, &choice, ConversionSupport::Hardware) {
                     assert!(
                         e.edp(s.accel.clock_hz) >= best_edp * 0.999,
                         "{choice} beats the recommendation"

@@ -7,14 +7,13 @@
 
 use proptest::prelude::*;
 use sparseflex::accel::exec::SimError;
-use sparseflex::accel::{simulate_spgemm, ActivityCounts, CycleBreakdown};
+use sparseflex::accel::{simulate_spgemm, ActivityCounts, ConversionSupport, CycleBreakdown};
 use sparseflex::formats::{
     fnv1a, CooMatrix, CsrMatrix, DataType, DenseMatrix, MatrixFormat, SparseMatrix,
 };
 use sparseflex::kernels::gemm::gemm_naive;
 use sparseflex::kernels::parallel::with_workers;
 use sparseflex::mint::{BlockKind, ConversionReport};
-use sparseflex::sage::eval::ConversionMode;
 use sparseflex::sage::{FormatChoice, SageWorkload};
 use sparseflex::system::{BatchJob, Dataflow, FlexSystem, PipelineRun, RunError, TileTrace};
 use sparseflex::workloads::synth::random_matrix;
@@ -107,7 +106,7 @@ proptest! {
                 acf_a: MatrixFormat::Csr,
                 acf_b: MatrixFormat::Csc,
             };
-            if sys.sage.evaluate(&w, &choice, ConversionMode::Hardware).is_err() {
+            if sys.sage.evaluate(&w, &choice, ConversionSupport::Hardware).is_err() {
                 // Structured MCFs can exceed hardware bounds (e.g. DIA
                 // diagonal count) — planner-level rejection, not a
                 // pipeline property.

@@ -6,9 +6,9 @@
 //! measured in the [`PipelineRun`] within tolerance.
 
 use proptest::prelude::*;
+use sparseflex::accel::ConversionSupport;
 use sparseflex::formats::{CooMatrix, DataType, MatrixFormat, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
-use sparseflex::sage::eval::ConversionMode;
 use sparseflex::sage::{FormatChoice, SageWorkload};
 use sparseflex::system::{BatchJob, FlexSystem, PlanDiscipline};
 
@@ -82,7 +82,7 @@ proptest! {
                 acf_a: MatrixFormat::Csr,
                 acf_b: MatrixFormat::Csc,
             };
-            let eval = match sys.sage.evaluate(&w, &choice, ConversionMode::Hardware) {
+            let eval = match sys.sage.evaluate(&w, &choice, ConversionSupport::Hardware) {
                 Ok(e) => e,
                 // Structured MCFs can exceed hardware bounds (e.g. DIA
                 // diagonal count) — planner-level rejection, not an

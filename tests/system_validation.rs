@@ -6,10 +6,9 @@
 use proptest::prelude::*;
 use sparseflex::accel::exec::simulate_ws;
 use sparseflex::accel::model::{ws_estimate, WsWorkload};
-use sparseflex::accel::AccelConfig;
+use sparseflex::accel::{AccelConfig, ConversionSupport};
 use sparseflex::formats::{CooMatrix, DataType, MatrixData, MatrixFormat, SparseMatrix};
 use sparseflex::kernels::gemm::gemm_naive;
-use sparseflex::sage::eval::ConversionMode;
 use sparseflex::sage::{FormatChoice, Sage, SageWorkload};
 use sparseflex::system::FlexSystem;
 
@@ -107,7 +106,7 @@ fn sage_recommendation_is_minimal_over_dense_grid() {
                         acf_a,
                         acf_b,
                     };
-                    if let Ok(e) = sage.evaluate(&w, &c, ConversionMode::Hardware) {
+                    if let Ok(e) = sage.evaluate(&w, &c, ConversionSupport::Hardware) {
                         assert!(
                             e.edp(sage.accel.clock_hz) >= best_edp * 0.999,
                             "{c} beats the recommendation"
