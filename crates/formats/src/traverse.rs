@@ -1099,10 +1099,8 @@ impl FiberStream3 for HiCooTensor {
     }
 }
 
-/// The flat layouts' walk: Dense, RLC and ZVC tensors store the
-/// `(dim_x·dim_y) × dim_z` matrix whose row `x·dim_y + y` is fiber
-/// `(x, y)`, so fiber keys are its rows. Runs the matrix's ranged walk
-/// and maps each row back to its fiber.
+/// A flat tensor's ranged walk: its matrix's walk over the same keys,
+/// each row `key` mapped back to fiber `(key / dim_y, key % dim_y)`.
 fn flat_fibers_in(
     matrix: &impl RowMajorStream,
     dim_y: usize,
